@@ -32,6 +32,7 @@ from .social import (
     beliefs_from_lambda,
     check_consistency_conditions,
     decide,
+    diffuse,
     run_prediction,
     sl_step,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "conditional_means",
     "cross_entropy_risk",
     "decide",
+    "diffuse",
     "empirical_training_mean",
     "exact_exponent",
     "forward",

@@ -62,6 +62,8 @@ def main(argv=None) -> int:
             print("all checksums match")
             return 0
 
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
         if args.seed_override is not None or args.replications_override is not None:
             raw = dict(cfg.raw)

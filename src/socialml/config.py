@@ -46,10 +46,6 @@ def derived_seed(master: int, phase: int, *indices) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def derived_rng(master: int, phase: int, *indices) -> np.random.Generator:
-    return np.random.default_rng(derived_seed(master, phase, *indices))
-
-
 def config_digest(raw: dict) -> str:
     """SHA-256 of the canonical JSON form of the validated configuration."""
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))

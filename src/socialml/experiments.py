@@ -31,7 +31,7 @@ from .config import (
     validate_config,
 )
 from .mlp import LabeledDataset, binary_logit, save_model, train_erm, with_seed
-from .social import RegimeSchedule, periodic_schedule, run_prediction
+from .social import RegimeSchedule, decide, diffuse, periodic_schedule, run_prediction
 from .stats import make_debiased_statistic
 from .theory import (
     BoundInputs,
@@ -279,28 +279,22 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         delta=cfg.delta,
     )
 
-    rows = []
-    binary = len(cfg.classes) == 2
-    for i in range(run.horizon):
-        for k in range(cfg.n_agents):
-            lam_components = (
-                [(str(cfg.classes[1]), run.lam[i, k])]
-                if binary
-                else [(str(g), run.lam[i, k, j]) for j, g in enumerate(cfg.classes[1:])]
-            )
-            for gamma, lam in lam_components:
-                rows.append(
-                    (
-                        0,
-                        i,
-                        k,
-                        gamma,
-                        float(lam),
-                        run.decisions[i, k],
-                        run.true_states[i],
-                        int(run.correct[i, k]),
-                    )
-                )
+    gammas = [str(g) for g in cfg.classes[1:]]
+    rows = (
+        (
+            0,
+            i,
+            k,
+            gamma,
+            float(run.lam[i, k, j]),
+            run.decisions[i, k],
+            run.true_states[i],
+            int(run.correct[i, k]),
+        )
+        for i in range(run.horizon)
+        for k in range(cfg.n_agents)
+        for j, gamma in enumerate(gammas)
+    )
     _write_csv(
         os.path.join(out_dir, "trajectory.csv"),
         cfg,
@@ -341,6 +335,22 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     return summary
 
 
+def _sml_errors(cfg: ExperimentConfig, stats, stacked, truth) -> np.ndarray:
+    """Per-step decision error of the observed agent, averaged over the streams.
+
+    A function of its own, so the stacked track and lambda are freed before
+    the AdaBoost pass evaluates its models.
+    """
+    n_streams, horizon = stacked[0].shape[:2]
+    track = np.empty((n_streams, horizon, cfg.n_agents, len(cfg.classes) - 1))
+    for k in range(cfg.n_agents):
+        flat = stacked[k].reshape(n_streams * horizon, -1)
+        track[:, :, k, :] = stats[k](flat).reshape(n_streams, horizon, -1)
+    lam = diffuse(track, cfg.matrix.weights, cfg.delta)
+    picks = decide(lam[:, :, int(cfg.montecarlo["observe_agent"])])
+    return np.mean(picks != truth, axis=0)
+
+
 def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
     """One train+evaluate replication; per-step error per strategy.
 
@@ -351,10 +361,7 @@ def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
     mc = cfg.montecarlo
     horizon = int(mc["horizon"])
     n_streams = int(mc["eval_streams"])
-    observe = int(mc["observe_agent"])
     strategies = list(mc["strategies"])
-    if set(cfg.classes) != {-1, +1}:
-        raise ConfigError("the Monte Carlo comparison needs classes {-1, +1}")
 
     views, labels = shared_scene_training(cfg, rep)
     schedule = build_schedule(cfg, horizon)
@@ -373,8 +380,7 @@ def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
         _stream_views(cfg, source, layout, schedule, horizon, rep, s)
         for s in range(n_streams)
     ]
-    states = streams[0].true_states
-    truth = np.array([1.0 if g == +1 else -1.0 for g in states])
+    truth = np.array([cfg.classes.index(g) for g in streams[0].true_states])
 
     # stack stream features per agent: (S, T, d_k)
     stacked = [
@@ -383,28 +389,16 @@ def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
 
     out = {}
     if stats is not None:
-        stat_tracks = []
-        for k in range(cfg.n_agents):
-            flat = stacked[k].reshape(n_streams * horizon, -1)
-            stat_tracks.append(stats[k].scalar(flat).reshape(n_streams, horizon))
-        lam = np.zeros((n_streams, cfg.n_agents))
-        a = cfg.matrix.weights
-        keep = 1.0 if cfg.engine == "sl" else 1.0 - cfg.delta
-        err = np.empty(horizon)
-        for t in range(horizon):
-            c_t = np.stack([track[:, t] for track in stat_tracks], axis=1)
-            lam = (keep * lam + c_t) @ a
-            decisions = np.where(lam[:, observe] >= 0.0, 1.0, -1.0)
-            err[t] = np.mean(decisions != truth[t])
-        out["sml"] = err
+        out["sml"] = _sml_errors(cfg, stats, stacked, truth)
     if ensemble is not None:
         total = np.zeros((n_streams, horizon))
         for k in range(cfg.n_agents):
             flat = stacked[k].reshape(n_streams * horizon, -1)
             logits = binary_logit(ensemble.models[k], flat).reshape(n_streams, horizon)
             total += ensemble.votes[k] * sign_decision(logits)
-        decisions = sign_decision(total)
-        out["adaboost"] = np.mean(decisions != truth[None, :], axis=0)
+        # the vote's sign names a label in {-1, +1}; compare its class index
+        picks = sign_decision(total) == cfg.classes[1]
+        out["adaboost"] = np.mean(picks != truth, axis=0)
     return out
 
 
@@ -416,14 +410,17 @@ def _mc_worker(args):
 
 def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Replicate train+predict, write per-step error rates per strategy."""
-    os.makedirs(out_dir, exist_ok=True)
     mc = cfg.montecarlo
     reps = int(mc["replications"])
     strategies = sorted(mc["strategies"])
+    if "adaboost" in strategies and set(cfg.classes) != {-1, +1}:
+        raise ConfigError("the adaboost strategy needs classes {-1, +1}")
+    os.makedirs(out_dir, exist_ok=True)
 
-    if threads > 1 and reps > 1:
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers > 1:
         jobs = [(cfg.raw, cfg.base_dir, rep) for rep in range(reps)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_worker, jobs))
     else:
         results = [montecarlo_replication(cfg, rep) for rep in range(reps)]

@@ -15,6 +15,7 @@ adaptation time on the order of 1/delta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +49,6 @@ class BeliefState:
     @property
     def n_agents(self) -> int:
         return self.lam.shape[0]
-
-
-@dataclass(frozen=True)
-class StatisticProvider:
-    """Per-agent statistic source with a provenance tag.
-
-    ``fn`` maps a feature batch to statistic values; tags distinguish trained
-    debiased statistics, true log-likelihood ratios, and fixed functions.
-    """
-
-    fn: object
-    source: str = "fixed-function"
-
-    def __call__(self, features):
-        return self.fn(features)
 
 
 @dataclass(frozen=True)
@@ -125,13 +111,40 @@ def sl_step(state: BeliefState, matrix, stats) -> BeliefState:
     return BeliefState(_mix(a, state.lam + c), state.step + 1)
 
 
-def asl_step(state: BeliefState, matrix, stats, delta: float) -> BeliefState:
-    """One adaptive diffusion step; past evidence decays by (1 - delta)."""
+def _check_delta(delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise SocialLearningError(f"delta must lie strictly in (0, 1), got {delta}")
+    return delta
+
+
+def asl_step(state: BeliefState, matrix, stats, delta: float) -> BeliefState:
+    """One adaptive diffusion step; past evidence decays by (1 - delta)."""
+    delta = _check_delta(delta)
     a = matrix.weights
     c = _check_stats(stats, state.lam)
     return BeliefState(_mix(a, (1.0 - delta) * state.lam + c), state.step + 1)
+
+
+def diffuse(stats, weights, delta: float | None = None) -> np.ndarray:
+    """Log-belief ratios of a whole stream, starting from lambda = 0.
+
+    ``stats`` has shape (..., T, K, W): any leading batch axes (independent
+    streams), then time, agents and the M - 1 ratio components.  Without
+    ``delta`` this iterates the standard step, with it the adaptive one; the
+    result has the shape of ``stats`` and holds lambda after each step.
+    """
+    keep = 1.0 if delta is None else 1.0 - _check_delta(delta)
+    stats = np.asarray(stats, dtype=float)
+    horizon, n_agents = stats.shape[-3:-1]
+    # time first and agents last, so one matmul mixes every (stream, ratio) row
+    steps = np.moveaxis(np.swapaxes(stats, -1, -2), -3, 0)  # (T, ..., W, K) view
+    lam = np.empty(steps.shape)
+    # a view of lam: rows[t] holds step t's (stream, ratio) rows
+    rows = lam.reshape(horizon, math.prod(steps.shape[1:-1]), n_agents)
+    state = np.zeros(rows.shape[1:])
+    for t in range(horizon):
+        state = np.matmul(keep * state + steps[t].reshape(state.shape), weights, out=rows[t])
+    return np.moveaxis(np.swapaxes(lam, -1, -2), 0, -3)
 
 
 def beliefs_from_lambda(lam, n_classes: int) -> np.ndarray:
@@ -149,26 +162,23 @@ def beliefs_from_lambda(lam, n_classes: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def decide(state: BeliefState, classes) -> np.ndarray:
-    """Per-agent label with the largest belief; ties go to the earliest class.
+def decide(lam) -> np.ndarray:
+    """Index of the class with the largest belief, over the last axis of ``lam``.
 
-    For two classes this is the sign rule: the reference class wins whenever
-    lambda >= 0.
+    Index 0 is the reference class, whose implicit log score 0 is compared
+    with -lam[..., j] for class j + 1; ties go to the earliest class, so for
+    two classes the reference class wins whenever lambda >= 0.
     """
-    classes = tuple(classes)
-    lam = state.lam if state.lam.ndim == 2 else state.lam[:, None]
-    if lam.shape[1] != len(classes) - 1:
-        raise SocialLearningError("state width does not match the class count")
-    scores = np.hstack([np.zeros((lam.shape[0], 1)), -lam])
-    picks = np.argmax(scores, axis=1)  # argmax takes the first maximizer
-    return np.array([classes[j] for j in picks], dtype=object)
+    lam = np.asarray(lam, dtype=float)
+    scores = np.concatenate([np.zeros(lam.shape[:-1] + (1,)), -lam], axis=-1)
+    return np.argmax(scores, axis=-1)  # argmax takes the first maximizer
 
 
 @dataclass(frozen=True)
 class PredictionRun:
     """Trajectory of one prediction-phase run."""
 
-    lam: np.ndarray  # (T, K) or (T, K, M-1)
+    lam: np.ndarray  # (T, K, M-1)
     decisions: np.ndarray  # (T, K) labels
     true_states: np.ndarray  # (T,)
     correct: np.ndarray  # (T, K) bool
@@ -186,9 +196,8 @@ def run_prediction(
     true_states,
     classes,
     delta: float | None = None,
-    lam0=None,
 ) -> PredictionRun:
-    """Iterate the chosen step over a feature stream and record everything.
+    """Diffuse the agents' statistics over a feature stream and record everything.
 
     ``features_per_agent[k]`` holds agent k's observations, shape (T, d_k);
     ``true_states`` is the label track the decisions are scored against.
@@ -212,32 +221,20 @@ def run_prediction(
         if np.asarray(feats).shape[0] != horizon:
             raise SocialLearningError(f"agent {k} stream length != {horizon}")
 
-    width = len(classes) - 1
-    binary = len(classes) == 2
     # statistics for the whole stream in one vectorized pass per agent
+    width = len(classes) - 1
     stat_track = np.empty((horizon, n_agents, width))
     for k in range(n_agents):
         values = np.asarray(providers[k](features_per_agent[k]), dtype=float)
         stat_track[:, k, :] = values.reshape(horizon, width)
-
-    if lam0 is None:
-        lam = np.zeros((n_agents, width))
-    else:
-        lam = np.asarray(lam0, dtype=float).reshape(n_agents, width).copy()
-    state = BeliefState(lam if not binary else lam[:, 0], 0)
-
-    lam_out = np.empty((horizon, n_agents) if binary else (horizon, n_agents, width))
-    decisions = np.empty((horizon, n_agents), dtype=object)
-    for i in range(horizon):
-        stats = stat_track[i, :, 0] if binary else stat_track[i]
-        if engine == "sl":
-            state = sl_step(state, matrix, stats)
-        else:
-            state = asl_step(state, matrix, stats, delta)
-        lam_out[i] = state.lam
-        decisions[i] = decide(state, classes)
+    if not np.all(np.isfinite(stat_track)):
+        raise SocialLearningError("non-finite statistic value")
+    lam = diffuse(stat_track, matrix.weights, delta)
+    if not np.all(np.isfinite(lam)):
+        raise SocialLearningError("lambda contains non-finite values")
+    decisions = np.array(classes, dtype=object)[decide(lam)]
     correct = decisions == true_states[:, None]
-    return PredictionRun(lam_out, decisions, true_states, correct)
+    return PredictionRun(lam, decisions, true_states, correct)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from socialml.mlp import (
 from socialml.social import (
     BeliefState,
     RegimeSchedule,
-    StatisticProvider,
     run_prediction,
     sl_step,
 )
@@ -252,8 +251,8 @@ def test_criterion_07_gaussian_scene_growth():
             "sl", RING4, providers, stream.features_per_agent, stream.true_states,
             (+1, -1),
         )
-        lam100.append(float(run.lam[99, 0]))
-        lam200.append(float(run.lam[199, 0]))
+        lam100.append(float(run.lam[99, 0, 0]))
+        lam200.append(float(run.lam[199, 0, 0]))
     mean100 = float(np.mean(lam100))
     mean200 = float(np.mean(lam200))
     per_run = sum(1 for a, b in zip(lam100, lam200) if b > a > 0)
@@ -274,9 +273,7 @@ def test_criterion_08_adaptation_time():
     delta, flip, horizon = 0.1, 100, 200
     window = int(5 / delta)  # 50 steps
     spec = mean_shift_gaussian_spec(4, dim=1, shift=1.0)
-    providers = [
-        StatisticProvider(true_log_ratio(spec, k), "fixed-function") for k in range(4)
-    ]
+    providers = [true_log_ratio(spec, k) for k in range(4)]
     sched = RegimeSchedule(((0, +1), (flip, -1)))
     recovered = 0
     for seed in range(100):

@@ -403,3 +403,122 @@ class TestThreadedMontecarlo:
         assert (serial / "montecarlo.csv").read_bytes() == (
             parallel / "montecarlo.csv"
         ).read_bytes()
+
+
+def three_class_config(**overrides):
+    agents = [
+        {
+            "0": {"mean": [0.8, 0.0], "cov": np.eye(2).tolist()},
+            "1": {"mean": [-0.4, 0.7], "cov": np.eye(2).tolist()},
+            "2": {"mean": [-0.4, -0.7], "cov": np.eye(2).tolist()},
+        }
+        for _ in range(4)
+    ]
+    cfg = base_config(
+        classes=[0, 1, 2],
+        data={"type": "gaussian", "agents": agents},
+        schedule={"period": 4},
+    )
+    cfg["montecarlo"] = {
+        "replications": 2,
+        "eval_streams": 4,
+        "horizon": 12,
+        "observe_agent": 0,
+        "strategies": ["sml"],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    import socialml.experiments as experiments
+
+    FakePool.sizes = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    return FakePool
+
+
+class TestMontecarloClasses:
+    def test_reference_class_minus_one(self, tmp_path):
+        # with -1 as the reference class, lambda >= 0 decides -1; a well
+        # separated scene must then be classified, not inverted
+        cfg = base_config(
+            classes=[-1, 1],
+            data={"type": "gaussian", "agents": gaussian_agents(4, 1, 1.0)},
+            schedule={"segments": [[0, 1]]},
+        )
+        cfg["model"].update(epochs=10, learning_rate=0.1)
+        cfg["montecarlo"] = {
+            "replications": 2,
+            "eval_streams": 10,
+            "horizon": 20,
+            "observe_agent": 0,
+            "strategies": ["sml"],
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "mc_summary.json").read_text())
+        assert summary["final_error"]["sml"] < 0.5
+
+    def test_three_class_sml(self, tmp_path):
+        path = write_config(tmp_path, three_class_config())
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "montecarlo.csv").read_text().splitlines()[2:]
+        assert len(lines) == 12
+        grid = 2 * 4  # replications x eval_streams
+        for line in lines:
+            steps = float(line.split(",")[2]) * grid
+            assert steps == pytest.approx(round(steps), abs=1e-9)
+
+    def test_three_class_adaboost_rejected_before_work(self, tmp_path, capsys):
+        cfg = three_class_config()
+        cfg["montecarlo"]["strategies"] = ["sml", "adaboost"]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert "classes" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_rejected(self, tmp_path, capsys, fake_pool, threads):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        code = main(["montecarlo", "--config", str(path), "--out", str(out),
+                     "--threads", threads])
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
+        assert fake_pool.sizes == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus, reps, sizes", [(2, 3, [2]), (8, 3, [3]), (8, 1, [])])
+    def test_pool_clamped(self, tmp_path, monkeypatch, fake_pool, cpus, reps, sizes):
+        # 64 requested workers become min(64, replications, cpu count); one
+        # worker runs in-process, without a pool
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = base_config()
+        cfg["montecarlo"]["replications"] = reps
+        cmd_montecarlo(validate_config(cfg, str(tmp_path)), str(tmp_path / "out"), threads=64)
+        assert fake_pool.sizes == sizes

@@ -19,12 +19,12 @@ from socialml.social import (
     BeliefState,
     RegimeSchedule,
     SocialLearningError,
-    StatisticProvider,
     asl_step,
     bayes_classifier,
     beliefs_from_lambda,
     check_consistency_conditions,
     decide,
+    diffuse,
     periodic_schedule,
     run_prediction,
     sl_step,
@@ -124,16 +124,13 @@ class TestAslStep:
 
 class TestDecide:
     def test_sign_rule_with_tie_to_reference(self):
-        state = BeliefState(np.array([0.0, -0.2, 0.3]))
-        np.testing.assert_array_equal(
-            decide(state, (1, -1)), np.array([1, -1, 1], dtype=object)
-        )
+        lam = np.array([[0.0], [-0.2], [0.3]])
+        np.testing.assert_array_equal(decide(lam), np.array([0, 1, 0]))
 
     def test_multiclass_argmax(self):
-        state = BeliefState(np.array([[-1.0, 1.0]]))
-        assert decide(state, (0, 1, 2))[0] == 1
-        ties = BeliefState(np.array([[0.0, 0.0]]))
-        assert decide(ties, (0, 1, 2))[0] == 0  # ties go to the earliest class
+        assert decide(np.array([[-1.0, 1.0]]))[0] == 1
+        ties = np.array([[0.0, 0.0]])
+        assert decide(ties)[0] == 0  # ties go to the earliest class
 
     @given(
         hnp.arrays(
@@ -145,9 +142,59 @@ class TestDecide:
     )
     @settings(max_examples=50, deadline=None)
     def test_invariant_under_positive_rescaling(self, lam, factor):
-        a = decide(BeliefState(lam), (0, 1, 2))
-        b = decide(BeliefState(lam * factor), (0, 1, 2))
+        a = decide(lam)
+        b = decide(lam * factor)
         np.testing.assert_array_equal(a, b)
+
+
+def random_primitive_matrix(rng, n_agents) -> CombinationMatrix:
+    """Random left-stochastic weights on a random graph that holds a directed
+    ring plus self-loops, so its support is strongly connected and aperiodic."""
+    support = rng.random((n_agents, n_agents)) < 0.4
+    support |= np.eye(n_agents, dtype=bool)
+    support |= np.roll(np.eye(n_agents, dtype=bool), 1, axis=1)
+    weights = rng.uniform(0.05, 1.0, (n_agents, n_agents)) * support
+    return CombinationMatrix(weights / weights.sum(axis=0))
+
+
+class TestDiffuse:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 4, 7]),
+        st.sampled_from([1, 2]),
+        st.sampled_from([None, 0.05, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_iterated_reference_steps(self, seed, n_agents, width, delta):
+        # the kernel over a batch of 3 streams equals the reference steps run
+        # one stream at a time, with (K,) states for one ratio, (K, W) otherwise
+        rng = np.random.default_rng(seed)
+        matrix = random_primitive_matrix(rng, n_agents)
+        stats = rng.uniform(-3.0, 3.0, (3, 25, n_agents, width))
+        lam = diffuse(stats, matrix.weights, delta)
+        assert lam.shape == stats.shape
+        for s in range(3):
+            state = BeliefState(np.zeros((n_agents, width)) if width > 1 else np.zeros(n_agents))
+            for t in range(25):
+                c = stats[s, t] if width > 1 else stats[s, t, :, 0]
+                if delta is None:
+                    state = sl_step(state, matrix, c)
+                else:
+                    state = asl_step(state, matrix, c, delta)
+                expect = state.lam if width > 1 else state.lam[:, None]
+                np.testing.assert_allclose(lam[s, t], expect, rtol=1e-12, atol=1e-12)
+
+    def test_unbatched_track_equals_batch_of_one(self):
+        rng = np.random.default_rng(4)
+        stats = rng.normal(size=(40, 4, 2))
+        np.testing.assert_array_equal(
+            diffuse(stats, RING4.weights, 0.1), diffuse(stats[None], RING4.weights, 0.1)[0]
+        )
+
+    def test_delta_outside_unit_interval_rejected(self):
+        for delta in (0.0, 1.0):
+            with pytest.raises(SocialLearningError):
+                diffuse(np.zeros((3, 4, 1)), RING4.weights, delta)
 
 
 class TestBeliefsFromLambda:
@@ -203,7 +250,7 @@ class TestRunPrediction:
                 return lambda h: np.full(len(h), v)
             return lambda h: np.full((len(h), width), v)
 
-        return [StatisticProvider(make(v), "fixed-function") for v in values]
+        return [make(v) for v in values]
 
     def test_zero_providers_keep_initial_state(self):
         feats = [np.zeros((5, 1))] * 4
@@ -238,11 +285,26 @@ class TestRunPrediction:
                 [np.zeros((2, 1))] * 3 + [np.zeros((5, 1))], states, (1, -1),
             )
 
+    def test_non_finite_statistic_rejected(self):
+        feats = [np.zeros((5, 1))] * 4
+        states = np.array([1] * 5, dtype=object)
+        providers = self.constant_providers([0.0, np.nan, 0.0, 0.0])
+        with pytest.raises(SocialLearningError, match="non-finite statistic"):
+            run_prediction("sl", RING4, providers, feats, states, (1, -1))
+
+    def test_overflowing_lambda_rejected(self):
+        feats = [np.zeros((5, 1))] * 4
+        states = np.array([1] * 5, dtype=object)
+        providers = self.constant_providers([1e308] * 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SocialLearningError, match="non-finite"):
+                run_prediction("sl", RING4, providers, feats, states, (1, -1))
+
     def test_single_agent_true_ratio_learns_truth(self):
         # known-likelihood statistic at one informative agent: decisions settle
         # on the true state in every seeded run
         spec = mean_shift_gaussian_spec(1, dim=1, shift=1.0)
-        provider = StatisticProvider(true_log_ratio(spec, 0), "true-log-likelihood-ratio")
+        provider = true_log_ratio(spec, 0)
         sched = RegimeSchedule(((0, 1),))
         for seed in range(10):
             stream = prediction_stream(spec, sched, 60, seed=seed)
@@ -262,10 +324,7 @@ class TestRunPrediction:
         delta, flip, horizon = 0.1, 100, 200
         window = int(5 / delta)
         spec = mean_shift_gaussian_spec(4, dim=1, shift=1.0)
-        providers = [
-            StatisticProvider(true_log_ratio(spec, k), "true-log-likelihood-ratio")
-            for k in range(4)
-        ]
+        providers = [true_log_ratio(spec, k) for k in range(4)]
         sched = RegimeSchedule(((0, 1), (flip, -1)))
         recovered = 0
         for seed in range(10):
@@ -289,17 +348,17 @@ class TestRunPrediction:
         feats = [rng.normal(size=(30, 1)) for _ in range(4)]
         states = np.array([1] * 30, dtype=object)
         scalar_providers = [
-            StatisticProvider((lambda c: (lambda h: c * np.asarray(h)[:, 0]))(c))
+            (lambda c: (lambda h: c * np.asarray(h)[:, 0]))(c)
             for c in (0.5, -0.2, 0.8, 0.1)
         ]
         vector_providers = [
-            StatisticProvider((lambda c: (lambda h: (c * np.asarray(h)[:, 0])[:, None]))(c))
+            (lambda c: (lambda h: (c * np.asarray(h)[:, 0])[:, None]))(c)
             for c in (0.5, -0.2, 0.8, 0.1)
         ]
         run_b = run_prediction("sl", RING4, scalar_providers, feats, states, (1, -1))
         run_v = run_prediction("sl", RING4, vector_providers, feats, states, (1, -1))
         np.testing.assert_array_equal(run_b.decisions, run_v.decisions)
-        np.testing.assert_allclose(run_b.lam, run_v.lam[..., 0] if run_v.lam.ndim == 3 else run_v.lam, atol=0)
+        np.testing.assert_allclose(run_b.lam, run_v.lam, atol=0)
 
 
 class TestConsistencyConditions:
