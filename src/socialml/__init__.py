@@ -23,6 +23,7 @@ from .mlp import (
     gradient_check,
     logistic_risk,
     train_erm,
+    train_stack,
 )
 from .social import (
     BeliefState,
@@ -98,4 +99,5 @@ __all__ = [
     "self_consistency_check",
     "sl_step",
     "train_erm",
+    "train_stack",
 ]

@@ -18,6 +18,7 @@ import numpy as np
 from .mlp import (
     LabeledDataset,
     MLPArchitecture,
+    TrainingDiverged,
     TrainingHyperparameters,
     binary_logit,
     train_erm,
@@ -86,7 +87,10 @@ def adaboost_train(
         if view.shape[0] != n:
             raise BoostingError(f"agent {k} view has {view.shape[0]} rows, labels {n}")
         dataset = LabeledDataset(view, labels, (+1, -1))
-        result = train_erm(dataset, arch_per_agent[k], with_seed(hyper, seeds[k]), sample_w)
+        try:
+            result = train_erm(dataset, arch_per_agent[k], with_seed(hyper, seeds[k]), sample_w)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"agent {k}: {exc}") from exc
         models.append(result.model)
         decisions = sign_decision(binary_logit(result.model, view))
         err = float(np.sum(sample_w * (decisions != y)))

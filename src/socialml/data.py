@@ -219,7 +219,11 @@ def split_patches(images, layout: PatchLayout) -> list:
     the views back with ``reassemble_patches`` reproduces the scaled images
     exactly.
     """
-    arr = scale_pixels(images)
+    return _patches(scale_pixels(images), layout)
+
+
+def _patches(arr: np.ndarray, layout: PatchLayout) -> list:
+    """``split_patches`` on images that are already scaled."""
     single = arr.ndim == 2
     if single:
         arr = arr[None]
@@ -300,18 +304,18 @@ def prediction_stream(
         return PredictionStream(tuple(views), states)
     if layout is None:
         raise DataError("image sources need a patch layout")
-    pools = {label: scale_pixels(images) for label, images in source.items()}
     for label in active:
-        if label not in pools:
+        if label not in source:
             raise DataError(f"class {label!r} missing from the image source")
-        if pools[label].shape[0] == 0:
+        if len(source[label]) == 0:
             raise DataError(f"class {label!r} has no images")
+    # only the picked images are scaled, never a whole pool
     picks = np.empty((length, layout.height, layout.width))
     for label in active:
         idx = np.flatnonzero(states == label)
-        pool = pools[label]
-        picks[idx] = pool[rng.integers(pool.shape[0], size=idx.size)]
-    return PredictionStream(tuple(split_patches(picks, layout)), states)
+        pool = np.asarray(source[label])
+        picks[idx] = scale_pixels(pool[rng.integers(pool.shape[0], size=idx.size)])
+    return PredictionStream(tuple(_patches(picks, layout)), states)
 
 
 # --- image file ingestion -------------------------------------------------

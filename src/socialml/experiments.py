@@ -30,7 +30,7 @@ from .config import (
     image_layout,
     validate_config,
 )
-from .mlp import LabeledDataset, binary_logit, save_model, train_erm, with_seed
+from .mlp import LabeledDataset, TrainingDiverged, binary_logit, save_model, train_stack
 from .social import RegimeSchedule, decide, diffuse, periodic_schedule, run_prediction
 from .stats import make_debiased_statistic
 from .theory import (
@@ -209,16 +209,33 @@ def _stream_views(cfg, source, layout, schedule, horizon: int, rep: int, stream:
     return data_mod.prediction_stream(source, schedule, horizon, seed, layout)
 
 
-def train_agents(cfg: ExperimentConfig, rep: int, views, labels):
-    """Per-agent empirical risk minimization; returns (results, statistics)."""
-    results = []
-    statistics = []
-    for k in range(cfg.n_agents):
-        dataset = LabeledDataset(views[k], labels, cfg.classes)
-        seed = derived_seed(cfg.seed, PHASE_TRAIN_MODEL, rep, k)
-        result = train_erm(dataset, cfg.arch_by_agent[k], with_seed(cfg.hyper, seed))
-        results.append(result)
-        statistics.append(make_debiased_statistic(result.model, dataset, agent=k))
+def train_agents(cfg: ExperimentConfig, reps, views, labels):
+    """Per-agent empirical risk minimization for every repetition in ``reps``.
+
+    All repetitions train on the one scene ``(views, labels)``; only the
+    model seeds differ.  The (repetition, agent) pairs whose agents share an
+    architecture train in one ``train_stack`` call.  Returns
+    ``(results, statistics)``, each indexed ``[position in reps][agent]``.
+    """
+    datasets = [LabeledDataset(views[k], labels, cfg.classes) for k in range(cfg.n_agents)]
+    groups: dict = {}
+    for i in range(len(reps)):
+        for k, arch in enumerate(cfg.arch_by_agent):
+            groups.setdefault(arch, []).append((i, k))
+    results = [[None] * cfg.n_agents for _ in reps]
+    for arch, pairs in groups.items():
+        seeds = [derived_seed(cfg.seed, PHASE_TRAIN_MODEL, reps[i], k) for i, k in pairs]
+        try:
+            trained = train_stack([datasets[k] for _, k in pairs], arch, cfg.hyper, seeds)
+        except TrainingDiverged as exc:
+            i, k = pairs[exc.model]
+            raise TrainingDiverged(f"repetition {reps[i]}, agent {k}: {exc}") from exc
+        for (i, k), result in zip(pairs, trained):
+            results[i][k] = result
+    statistics = [
+        [make_debiased_statistic(r.model, datasets[k], agent=k) for k, r in enumerate(row)]
+        for row in results
+    ]
     return results, statistics
 
 
@@ -233,9 +250,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     views, labels = shared_scene_training(cfg, rep=0)
     rows = []
     artifacts = ["risk_trace.csv", "manifest.json"]
-    for rep in range(cfg.repetitions):
-        results, _ = train_agents(cfg, rep, views, labels)
-        for k, result in enumerate(results):
+    results, _ = train_agents(cfg, range(cfg.repetitions), views, labels)
+    for rep, row in enumerate(results):
+        for k, result in enumerate(row):
             if rep == 0:
                 name = f"models/agent_{k}.json"
                 save_model(result.model, os.path.join(out_dir, name))
@@ -265,7 +282,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError("prediction needs stream_length >= 1")
     os.makedirs(out_dir, exist_ok=True)
     views, labels = shared_scene_training(cfg, rep=0)
-    _, statistics = train_agents(cfg, 0, views, labels)
+    _, (statistics,) = train_agents(cfg, [0], views, labels)
     schedule = build_schedule(cfg, cfg.stream_length)
     source, layout = _stream_source(cfg)
     stream = _stream_views(cfg, source, layout, schedule, cfg.stream_length, rep=0, stream=0)
@@ -368,7 +385,7 @@ def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
 
     stats = ensemble = None
     if "sml" in strategies:
-        _, stats = train_agents(cfg, rep, views, labels)
+        _, (stats,) = train_agents(cfg, [rep], views, labels)
     if "adaboost" in strategies:
         seeds = [derived_seed(cfg.seed, PHASE_BOOST_MODEL, rep, k) for k in range(cfg.n_agents)]
         ensemble = adaboost_train(

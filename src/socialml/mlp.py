@@ -24,18 +24,22 @@ class ModelError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became NaN/Inf during empirical risk minimization."""
+    """Loss became NaN/Inf during empirical risk minimization.
+
+    ``model`` is the stack index of the first model whose loss diverged.
+    """
+
+    def __init__(self, message: str, model: int = 0):
+        super().__init__(message)
+        self.model = model
 
 
-# activation name -> (function, derivative, Lipschitz constant); all satisfy f(0)=0
+# activation name -> (function f, f' written in terms of y = f(a), Lipschitz
+# constant); all satisfy f(0)=0
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2, 1.0),
-    "relu": (
-        lambda a: np.maximum(a, 0.0),
-        lambda a: (a > 0).astype(float),
-        1.0,
-    ),
-    "identity": (lambda a: a, lambda a: np.ones_like(a), 1.0),
+    "tanh": (np.tanh, lambda y: 1.0 - y**2, 1.0),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda y: (y > 0).astype(float), 1.0),
+    "identity": (lambda a: a, lambda y: 1.0, 1.0),
 }
 
 
@@ -206,19 +210,25 @@ def _augment(arch: MLPArchitecture, features) -> np.ndarray:
     return h
 
 
-def _forward_layers(model: MLPModel, h_aug: np.ndarray) -> list:
-    """Pre-activations of every layer for an augmented (N, n_0) batch."""
-    act = _ACTIVATIONS[model.architecture.activation][0]
-    pre = [h_aug @ model.weights[0].T]
-    for w in model.weights[1:]:
-        pre.append(act(pre[-1]) @ w.T)
-    return pre
+def _stack_forward(weights, h, act_fn) -> list:
+    """Activations of every layer for stacked (S, N, n_0) inputs: [h, ..., z].
+
+    ``weights[ell]`` holds the layer's matrices of all S models, (S, n_l, n_{l-1}).
+    """
+    acts = [h]
+    for w in weights[:-1]:
+        acts.append(act_fn(np.matmul(acts[-1], w.transpose(0, 2, 1))))
+    acts.append(np.matmul(acts[-1], weights[-1].transpose(0, 2, 1)))
+    return acts
 
 
 def output_preactivations(model: MLPModel, features) -> np.ndarray:
     """Final-layer scores z, shape (N, M); accepts a single feature vector too."""
     single = np.asarray(features).ndim == 1
-    z = _forward_layers(model, _augment(model.architecture, features))[-1]
+    arch = model.architecture
+    weights = [w[None] for w in model.weights]
+    h = _augment(arch, features)[None]
+    z = _stack_forward(weights, h, _ACTIVATIONS[arch.activation][0])[-1][0]
     return z[0] if single else z
 
 
@@ -281,11 +291,13 @@ def logistic_risk(logit_source, dataset: LabeledDataset) -> float:
     return float(np.mean(softplus(-y * values)))
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
 def _log_posteriors(model: MLPModel, features) -> np.ndarray:
-    z = output_preactivations(model, np.atleast_2d(features))
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    return shifted - lse
+    return _log_softmax(output_preactivations(model, np.atleast_2d(features)))
 
 
 def cross_entropy_risk(model: MLPModel, dataset: LabeledDataset) -> float:
@@ -303,41 +315,199 @@ def cross_entropy_risk(model: MLPModel, dataset: LabeledDataset) -> float:
 
 
 def _project_columns(w: np.ndarray, bound: float) -> np.ndarray:
-    # rescale columns whose absolute sum exceeds the bound
-    sums = np.abs(w).sum(axis=0)
+    # rescale columns whose absolute sum exceeds the bound; any leading axes
+    # stack independent matrices
+    sums = np.abs(w).sum(axis=-2, keepdims=True)
     factor = np.where(sums > bound, bound / np.maximum(sums, 1e-300), 1.0)
     return w * factor
-
-
-def _raw_gradients(activation, weights, h_aug, idx, weights_batch):
-    """Weighted-mean cross-entropy loss and its gradients per layer."""
-    act_fn, act_deriv, _ = _ACTIVATIONS[activation]
-    pre = [h_aug @ weights[0].T]
-    for w in weights[1:]:
-        pre.append(act_fn(pre[-1]) @ w.T)
-    z = pre[-1]
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    logp = shifted - lse
-    loss = float(-(weights_batch * logp[np.arange(len(idx)), idx]).sum())
-
-    delta = np.exp(logp)
-    delta[np.arange(len(idx)), idx] -= 1.0
-    delta *= weights_batch[:, None]
-
-    grads = [None] * len(weights)
-    for ell in range(len(weights) - 1, -1, -1):
-        inputs = h_aug if ell == 0 else act_fn(pre[ell - 1])
-        grads[ell] = delta.T @ inputs
-        if ell > 0:
-            delta = (delta @ weights[ell]) * act_deriv(pre[ell - 1])
-    return loss, grads
 
 
 @dataclass(frozen=True)
 class TrainResult:
     model: MLPModel
     risk_trace: np.ndarray  # empirical risk after each epoch
+
+
+def _stack_risk(weights, h, picks, row_weights, activation) -> np.ndarray:
+    """Weighted cross-entropy of each stacked model, forward pass only.
+
+    ``picks`` indexes the true-class entries of the flattened (S, N, C)
+    log-posteriors; ``row_weights`` is (S, N).
+    """
+    logp = _log_softmax(_stack_forward(weights, h, _ACTIVATIONS[activation][0])[-1])
+    return -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
+
+
+def _stack_gradients(weights, h, picks, row_weights, activation):
+    """Per-model weighted cross-entropy and its gradient for every layer.
+
+    Backpropagation reuses the forward activations: each derivative is
+    written in terms of the activation's output.
+    """
+    act_fn, act_deriv, _ = _ACTIVATIONS[activation]
+    acts = _stack_forward(weights, h, act_fn)
+    logp = _log_softmax(acts[-1])
+    loss = -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
+
+    delta = np.exp(logp)
+    delta.reshape(-1)[picks] -= 1.0
+    delta *= row_weights[:, :, None]
+
+    grads = [None] * len(weights)
+    for ell in range(len(weights) - 1, -1, -1):
+        grads[ell] = np.matmul(delta.transpose(0, 2, 1), acts[ell])
+        if ell > 0:
+            delta = np.matmul(delta, weights[ell]) * act_deriv(acts[ell])
+    return loss, grads
+
+
+def _pick_offsets(n_models: int, n: int, batch_size: int, n_classes: int) -> np.ndarray:
+    """(S, n) offset of row j's first class entry in the flattened log-posteriors
+    of the mini-batch that holds position j; adding the label index picks it."""
+    pos = np.arange(n)
+    start = pos - pos % batch_size
+    size = np.minimum(batch_size, n - start)
+    return (np.arange(n_models)[:, None] * size + (pos - start)) * n_classes
+
+
+def _batch_normalized(row_weights: np.ndarray, batch_size: int) -> np.ndarray:
+    """Each mini-batch's share of the (S, n) weights rescaled to sum to one;
+    a batch whose weights are all zero is weighted uniformly."""
+    n_models, n = row_weights.shape
+    out = np.empty_like(row_weights)
+    full = n - n % batch_size
+    for lo, hi, size in ((0, full, batch_size), (full, n, n - full)):
+        if hi == lo:
+            continue
+        part = row_weights[:, lo:hi].reshape(n_models, -1, size)
+        total = part.sum(axis=2, keepdims=True)
+        scaled = np.divide(part, total, out=np.full_like(part, 1.0 / size), where=total > 0)
+        out[:, lo:hi] = scaled.reshape(n_models, hi - lo)
+    return out
+
+
+def _check_stack(datasets, arch: MLPArchitecture, seeds, sample_weights) -> np.ndarray:
+    """Validate a stack of training sets; returns the normalized (S, n) weights."""
+    if len(datasets) == 0:
+        raise ModelError("datasets: need at least one training set")
+    if len(seeds) != len(datasets):
+        raise ModelError(f"seeds: {len(seeds)} seeds for {len(datasets)} datasets")
+    n, classes = len(datasets[0]), datasets[0].classes
+    for m, dataset in enumerate(datasets):
+        if len(dataset) != n:
+            raise ModelError(f"datasets: dataset {m} has {len(dataset)} rows, dataset 0 has {n}")
+        if dataset.classes != classes:
+            raise ModelError(
+                f"classes: dataset {m} has classes {dataset.classes}, dataset 0 has {classes}"
+            )
+        if dataset.dim != arch.n_features:
+            raise ModelError(f"dataset dim {dataset.dim} vs arch features {arch.n_features}")
+    if n == 0:
+        raise ModelError("empty dataset")
+    if arch.n_outputs != len(classes):
+        raise ModelError("output layer width must match the number of classes")
+    if sample_weights is None:
+        return np.full((len(datasets), n), 1.0 / n)
+    if len(sample_weights) != len(datasets):
+        raise ModelError(
+            f"sample_weights: {len(sample_weights)} weight vectors for {len(datasets)} datasets"
+        )
+    rows = []
+    for sw in sample_weights:
+        sw = np.asarray(sw, dtype=float)
+        if sw.shape != (n,) or np.any(sw < 0) or sw.sum() <= 0:
+            raise ModelError("sample weights must be nonnegative with positive sum")
+        rows.append(sw / sw.sum())
+    return np.stack(rows)
+
+
+def _first_nonfinite(values: np.ndarray) -> int:
+    return int(np.flatnonzero(~np.isfinite(values))[0])
+
+
+def train_stack(
+    datasets,
+    arch: MLPArchitecture,
+    hyper: TrainingHyperparameters,
+    seeds,
+    sample_weights=None,
+) -> list:
+    """Mini-batch ERM of S same-shape models in lockstep, one result per dataset.
+
+    Model m trains on ``datasets[m]`` exactly as it would alone: its own
+    generator ``default_rng(seeds[m])`` draws the initial weights and then one
+    permutation per epoch, and its optional ``sample_weights[m]`` multiply the
+    per-sample losses (weighted mean per batch).  Every step is one batched
+    matmul per layer over the model axis; with a norm bound set, every update
+    is followed by a column-sum projection.  ``hyper.seed`` is not read.  The
+    datasets must share their length and classes; a non-finite loss raises
+    ``TrainingDiverged`` naming the first diverged model's stack index.
+    """
+    row_weights = _check_stack(datasets, arch, seeds, sample_weights)
+    n_models, n = row_weights.shape
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
+    weights = [np.stack(layer) for layer in zip(*inits)]
+    h = np.stack([_augment(arch, dataset.features) for dataset in datasets])
+    labels = np.stack([dataset.label_indices() for dataset in datasets])
+    rows = np.arange(n_models)[:, None]
+    risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
+    offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
+    bound, lr = arch.norm_bound, hyper.learning_rate
+
+    adam = hyper.optimizer == "adam"
+    if adam:
+        beta1, beta2, tiny = 0.9, 0.999, 1e-8
+        first = [np.zeros_like(w) for w in weights]
+        second = [np.zeros_like(w) for w in weights]
+        step = 0
+
+    trace = np.empty((n_models, hyper.epochs))
+    for epoch in range(hyper.epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        h_epoch = h[rows, order]
+        picks_epoch = offsets + labels[rows, order]
+        weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
+        for start in range(0, n, hyper.batch_size):
+            batch = slice(start, start + hyper.batch_size)
+            loss, grads = _stack_gradients(
+                weights,
+                h_epoch[:, batch],
+                picks_epoch[:, batch],
+                weights_epoch[:, batch],
+                arch.activation,
+            )
+            if not np.isfinite(loss).all():
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}, batch start {start} (lr={lr})",
+                    _first_nonfinite(loss),
+                )
+            if adam:
+                step += 1
+                for ell, g in enumerate(grads):
+                    first[ell] = beta1 * first[ell] + (1 - beta1) * g
+                    second[ell] = beta2 * second[ell] + (1 - beta2) * g**2
+                    m_hat = first[ell] / (1 - beta1**step)
+                    v_hat = second[ell] / (1 - beta2**step)
+                    weights[ell] -= lr * m_hat / (np.sqrt(v_hat) + tiny)
+                    if bound is not None:
+                        weights[ell] = _project_columns(weights[ell], bound)
+                continue
+            for ell, g in enumerate(grads):
+                weights[ell] -= lr * g
+                if bound is not None:
+                    weights[ell] = _project_columns(weights[ell], bound)
+        risk = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
+        if not np.isfinite(risk).all():
+            raise TrainingDiverged(
+                f"non-finite epoch risk at epoch {epoch}", _first_nonfinite(risk)
+            )
+        trace[:, epoch] = risk
+
+    return [
+        TrainResult(MLPModel(arch, tuple(w[m].copy() for w in weights)), trace[m].copy())
+        for m in range(n_models)
+    ]
 
 
 def train_erm(
@@ -348,75 +518,14 @@ def train_erm(
 ) -> TrainResult:
     """Mini-batch gradient descent on the empirical cross-entropy risk.
 
-    Deterministic given the seed (initialization and per-epoch shuffles come
+    A stack of one in ``train_stack``, seeded with ``hyper.seed``:
+    deterministic given the seed (initialization and per-epoch shuffles come
     from one generator).  Optional ``sample_weights`` multiply per-sample
     losses (weighted mean per batch); with a norm bound set, every update is
     followed by a column-sum projection.
     """
-    if len(dataset) == 0:
-        raise ModelError("empty dataset")
-    if dataset.dim != arch.n_features:
-        raise ModelError(f"dataset dim {dataset.dim} vs arch features {arch.n_features}")
-    if arch.n_outputs != len(dataset.classes):
-        raise ModelError("output layer width must match the number of classes")
-    n = len(dataset)
-    if sample_weights is None:
-        sw = np.full(n, 1.0 / n)
-    else:
-        sw = np.asarray(sample_weights, dtype=float)
-        if sw.shape != (n,) or np.any(sw < 0) or sw.sum() <= 0:
-            raise ModelError("sample weights must be nonnegative with positive sum")
-        sw = sw / sw.sum()
-
-    rng = np.random.default_rng(hyper.seed)
-    model = initialize_model(arch, rng, hyper.init_scale)
-    weights = [w.copy() for w in model.weights]
-    h_aug = _augment(arch, dataset.features)
-    idx = dataset.label_indices()
-
-    adam = hyper.optimizer == "adam"
-    if adam:
-        beta1, beta2, tiny = 0.9, 0.999, 1e-8
-        first = [np.zeros_like(w) for w in weights]
-        second = [np.zeros_like(w) for w in weights]
-        step = 0
-
-    trace = np.empty(hyper.epochs)
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            wb = sw[batch]
-            wb = wb / wb.sum() if wb.sum() > 0 else np.full(len(batch), 1.0 / len(batch))
-            loss, grads = _raw_gradients(
-                arch.activation, weights, h_aug[batch], idx[batch], wb
-            )
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch start {start} "
-                    f"(lr={hyper.learning_rate})"
-                )
-            if adam:
-                step += 1
-                for ell, g in enumerate(grads):
-                    first[ell] = beta1 * first[ell] + (1 - beta1) * g
-                    second[ell] = beta2 * second[ell] + (1 - beta2) * g**2
-                    m_hat = first[ell] / (1 - beta1**step)
-                    v_hat = second[ell] / (1 - beta2**step)
-                    weights[ell] -= hyper.learning_rate * m_hat / (np.sqrt(v_hat) + tiny)
-                    if arch.norm_bound is not None:
-                        weights[ell] = _project_columns(weights[ell], arch.norm_bound)
-                continue
-            for ell, g in enumerate(grads):
-                weights[ell] -= hyper.learning_rate * g
-                if arch.norm_bound is not None:
-                    weights[ell] = _project_columns(weights[ell], arch.norm_bound)
-        full_loss, _ = _raw_gradients(arch.activation, weights, h_aug, idx, sw)
-        if not np.isfinite(full_loss):
-            raise TrainingDiverged(f"non-finite epoch risk at epoch {epoch}")
-        trace[epoch] = full_loss
-
-    return TrainResult(MLPModel(arch, tuple(weights)), trace)
+    weights = None if sample_weights is None else [sample_weights]
+    return train_stack([dataset], arch, hyper, [hyper.seed], weights)[0]
 
 
 def gradient_check(model: MLPModel, dataset: LabeledDataset, eps: float = 1e-5) -> float:
@@ -431,26 +540,31 @@ def gradient_check(model: MLPModel, dataset: LabeledDataset, eps: float = 1e-5) 
     n_params = sum(w.size for w in model.weights)
     if n_params > 10_000:
         raise ModelError(f"{n_params} parameters is too large for finite differences")
-    h_aug = _augment(model.architecture, dataset.features)
-    idx = dataset.label_indices()
-    uniform = np.full(len(dataset), 1.0 / len(dataset))
-    activation = model.architecture.activation
-    weights = [w.copy() for w in model.weights]
-    _, grads = _raw_gradients(activation, weights, h_aug, idx, uniform)
+    arch = model.architecture
+    n = len(dataset)
+    h = _augment(arch, dataset.features)[None]
+    picks = _pick_offsets(1, n, n, arch.n_outputs) + dataset.label_indices()
+    uniform = np.full((1, n), 1.0 / n)
+    weights = [w[None].copy() for w in model.weights]
+    _, grads = _stack_gradients(weights, h, picks, uniform, arch.activation)
+
+    def risk() -> float:
+        return float(_stack_risk(weights, h, picks, uniform, arch.activation)[0])
 
     worst = 0.0
     for ell, w in enumerate(weights):
-        fd = np.empty_like(w)
-        for pos in np.ndindex(w.shape):
-            original = w[pos]
-            w[pos] = original + eps
-            up, _ = _raw_gradients(activation, weights, h_aug, idx, uniform)
-            w[pos] = original - eps
-            down, _ = _raw_gradients(activation, weights, h_aug, idx, uniform)
-            w[pos] = original
+        fd = np.empty_like(w[0])
+        for pos in np.ndindex(fd.shape):
+            original = w[0][pos]
+            w[0][pos] = original + eps
+            up = risk()
+            w[0][pos] = original - eps
+            down = risk()
+            w[0][pos] = original
             fd[pos] = (up - down) / (2 * eps)
-        scale = max(np.abs(grads[ell]).max(), np.abs(fd).max(), 1e-12)
-        worst = max(worst, float(np.abs(grads[ell] - fd).max() / scale))
+        grad = grads[ell][0]
+        scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
+        worst = max(worst, float(np.abs(grad - fd).max() / scale))
     return worst
 
 

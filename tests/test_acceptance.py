@@ -34,6 +34,7 @@ from socialml.mlp import (
     initialize_model,
     logistic_risk,
     train_erm,
+    train_stack,
     with_seed,
 )
 from socialml.social import (
@@ -238,14 +239,23 @@ def test_criterion_07_gaussian_scene_growth():
         optimizer="adam", init_scale=3.0,
     )
     lam100, lam200 = [], []
+    # all 40 models train in lockstep, each with the seed it had when trained alone
+    datasets = {
+        (s, k): gaussian_training_set(spec, k, 100, seed=1000 + 7 * s + k)
+        for s in range(10, 20)
+        for k in range(4)
+    }
+    trained = train_stack(
+        list(datasets.values()),
+        MLPArchitecture((3, 10, 10, 2)),
+        hyper,
+        [2000 + 13 * s + k for s, k in datasets],
+    )
+    models = dict(zip(datasets, (res.model for res in trained)))
     for s in range(10, 20):
-        providers = []
-        for k in range(4):
-            ds = gaussian_training_set(spec, k, 100, seed=1000 + 7 * s + k)
-            res = train_erm(
-                ds, MLPArchitecture((3, 10, 10, 2)), with_seed(hyper, 2000 + 13 * s + k)
-            )
-            providers.append(make_debiased_statistic(res.model, ds, agent=k))
+        providers = [
+            make_debiased_statistic(models[s, k], datasets[s, k], agent=k) for k in range(4)
+        ]
         stream = prediction_stream(spec, sched, 200, seed=3000 + s)
         run = run_prediction(
             "sl", RING4, providers, stream.features_per_agent, stream.true_states,

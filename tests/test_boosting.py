@@ -9,7 +9,12 @@ from socialml.boosting import (
     adaboost_train,
     sign_decision,
 )
-from socialml.mlp import MLPArchitecture, TrainingHyperparameters, binary_logit
+from socialml.mlp import (
+    MLPArchitecture,
+    TrainingDiverged,
+    TrainingHyperparameters,
+    binary_logit,
+)
 
 
 def flipped_views(n=20, flip_sets=((0, 1, 2), (7, 8, 9), (14, 15))):
@@ -79,6 +84,15 @@ class TestAdaboostTrain:
     def test_view_length_mismatch_rejected(self):
         with pytest.raises(BoostingError):
             adaboost_train([np.zeros((3, 1))], np.array([1, -1]), ARCH, HYPER)
+
+
+    def test_diverged_round_names_the_agent(self):
+        rng = np.random.default_rng(0)
+        labels = np.where(rng.random(20) < 0.5, 1, -1)
+        views = [rng.normal(size=(20, 2)) * scale for scale in (1.0, 1e300)]
+        arch = MLPArchitecture((3, 4, 2), activation="identity")
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="agent 1"):
+            adaboost_train(views, labels, arch, TrainingHyperparameters(2, 5, 1e10, seed=0))
 
 
 class TestAdaboostDecide:

@@ -5,14 +5,22 @@ import numpy as np
 import pytest
 
 from socialml.cli import main
-from socialml.config import ConfigError, derived_seed, load_config, validate_config
+from socialml.config import (
+    PHASE_TRAIN_MODEL,
+    ConfigError,
+    derived_seed,
+    load_config,
+    validate_config,
+)
 from socialml.experiments import (
     cmd_montecarlo,
     cmd_predict,
     cmd_theory,
     cmd_train,
     montecarlo_replication,
+    shared_scene_training,
 )
+from socialml.mlp import LabeledDataset, load_model, train_erm, with_seed
 
 
 def gaussian_agents(n_agents=4, dim=1, shift=0.6):
@@ -153,6 +161,26 @@ class TestCmdTrain:
         out = tmp_path / "out"
         result = cmd_train(validate_config(cfg, str(tmp_path)), str(out))
         assert result["models"] == 1
+
+
+    def test_mixed_feature_dims_match_serial_training(self, tmp_path):
+        # agents 0/2 see 1-D features and 1/3 see 2-D ones: two stacks, each
+        # model equal to its own train_erm run with the derived seed
+        agents = [gaussian_agents(1, dim=d)[0] for d in (1, 2, 1, 2)]
+        cfg = validate_config(
+            base_config(data={"type": "gaussian", "agents": agents}), str(tmp_path)
+        )
+        out = tmp_path / "out"
+        cmd_train(cfg, str(out))
+        views, labels = shared_scene_training(cfg, rep=0)
+        for k in range(4):
+            seed = derived_seed(cfg.seed, PHASE_TRAIN_MODEL, 0, k)
+            dataset = LabeledDataset(views[k], labels, cfg.classes)
+            alone = train_erm(dataset, cfg.arch_by_agent[k], with_seed(cfg.hyper, seed))
+            saved = load_model(out / "models" / f"agent_{k}.json")
+            assert saved.architecture.n_features == (1, 2, 1, 2)[k]
+            for got, want in zip(saved.weights, alone.model.weights):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestCmdPredict:
@@ -314,6 +342,17 @@ class TestCliEntry:
         out = tmp_path / "out"
         assert main(["train", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "risk_trace.csv").exists()
+
+    def test_diverged_training_names_repetition_and_agent(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["model"]["learning_rate"] = 1e308
+        path = write_config(tmp_path, cfg)
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "TrainingDiverged" in err
+        assert "repetition" in err and "agent" in err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(engine="asl"))  # missing delta

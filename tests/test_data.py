@@ -220,6 +220,29 @@ class TestPredictionStream:
         assert stream.features_per_agent[0].shape == (10, 9)
         assert np.all(stream.features_per_agent[0] <= 1.0)
 
+    def test_image_stream_scales_only_picked_images(self, monkeypatch):
+        import socialml.data as data_mod
+
+        scaled = []
+        original = data_mod.scale_pixels
+
+        def counting(images):
+            scaled.append(np.asarray(images).size)
+            return original(images)
+
+        monkeypatch.setattr(data_mod, "scale_pixels", counting)
+        rng = np.random.default_rng(11)
+        pools = {c: rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for c in (0, 1)}
+        layout = PatchLayout(6, 6, 2, 2)
+        sched = periodic_schedule(5, [0, 1], 10)
+        stream = prediction_stream(pools, sched, 10, seed=2, layout=layout)
+        assert sum(scaled) <= 10 * 6 * 6
+        # the same draws from pools scaled up front give the same views
+        prescaled = {c: images / 255.0 for c, images in pools.items()}
+        again = prediction_stream(prescaled, sched, 10, seed=2, layout=layout)
+        for got, want in zip(stream.features_per_agent, again.features_per_agent):
+            np.testing.assert_array_equal(got, want)
+
     def test_missing_class_rejected(self):
         pools = {0: np.zeros((3, 4, 4), dtype=np.uint8)}
         layout = PatchLayout(4, 4, 2, 2)

@@ -10,6 +10,7 @@ from socialml.mlp import (
     MLPArchitecture,
     MLPModel,
     ModelError,
+    TrainingDiverged,
     TrainingHyperparameters,
     binary_logit,
     cross_entropy_risk,
@@ -24,6 +25,7 @@ from socialml.mlp import (
     save_model,
     softplus,
     train_erm,
+    train_stack,
     with_seed,
 )
 
@@ -267,6 +269,73 @@ class TestTrainErm:
         weights = np.array([0.999, 0.001])
         result = train_erm(ds, MLPArchitecture((2, 2)), hyper, sample_weights=weights)
         assert binary_logit(result.model, [1.0]) > 0
+
+
+class TestTrainStack:
+    @given(
+        activation=st.sampled_from(["tanh", "relu", "identity"]),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        norm_bound=st.sampled_from([None, 0.9]),
+        weighted=st.booleans(),
+        batch_size=st.integers(2, 8),
+        n_models=st.sampled_from([1, 3]),
+        n_classes=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_model_equals_its_serial_run(
+        self, activation, optimizer, norm_bound, weighted, batch_size, n_models, n_classes, seed
+    ):
+        # 23 rows: no batch size in 2..8 divides it, so every epoch ends short
+        rng = np.random.default_rng(seed)
+        n, classes = 23, tuple(range(n_classes))
+        datasets = [
+            LabeledDataset(rng.normal(size=(n, 2)), rng.integers(0, n_classes, n), classes)
+            for _ in range(n_models)
+        ]
+        weights = (
+            [rng.random(n) * (rng.random(n) < 0.7) + 1e-3 for _ in range(n_models)]
+            if weighted
+            else None
+        )
+        arch = MLPArchitecture((3, 5, 4, n_classes), activation=activation, norm_bound=norm_bound)
+        hyper = TrainingHyperparameters(3, batch_size, 0.05, seed=0, optimizer=optimizer)
+        seeds = rng.integers(0, 2**31, n_models).tolist()
+        stacked = train_stack(datasets, arch, hyper, seeds, weights)
+        for m, result in enumerate(stacked):
+            own = None if weights is None else weights[m]
+            alone = train_erm(datasets[m], arch, with_seed(hyper, seeds[m]), own)
+            for got, want in zip(result.model.weights, alone.model.weights):
+                assert np.array_equal(got, want)
+            assert np.array_equal(result.risk_trace, alone.risk_trace)
+
+    def test_first_diverged_model_named(self):
+        # only model 1 sees features huge enough to overflow its logits
+        rng = np.random.default_rng(0)
+        labels = np.where(rng.random(20) < 0.5, 1, -1)
+        datasets = [
+            LabeledDataset(rng.normal(size=(20, 2)) * (1e300 if m == 1 else 1.0), labels, (1, -1))
+            for m in range(3)
+        ]
+        arch = MLPArchitecture((3, 4, 2), activation="identity")
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+            train_stack(datasets, arch, TrainingHyperparameters(2, 5, 1e10, seed=0), [1, 2, 3])
+        assert info.value.model == 1
+
+    def test_unstackable_inputs_name_the_field(self):
+        rng = np.random.default_rng(1)
+        arch = MLPArchitecture((3, 2))
+        hyper = TrainingHyperparameters(1, 4, 0.1, seed=0)
+        a, b = binary_dataset(rng, n=10), binary_dataset(rng, n=12)
+        with pytest.raises(ModelError, match="datasets"):
+            train_stack([a, b], arch, hyper, [0, 1])
+        other = LabeledDataset(a.features, np.where(a.labels == 1, 0, 2), (0, 2))
+        with pytest.raises(ModelError, match="classes"):
+            train_stack([a, other], arch, hyper, [0, 1])
+        with pytest.raises(ModelError, match="seeds"):
+            train_stack([a, a], arch, hyper, [0])
+        with pytest.raises(ModelError, match="sample_weights"):
+            train_stack([a, a], arch, hyper, [0, 1], [np.ones(10)])
 
 
 class TestGradientCheck:
