@@ -43,8 +43,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--replications-override", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        if name == "montecarlo":
+            p.add_argument("--replications-override", type=int, default=None)
+            p.add_argument("--threads", type=int, default=1)
     v = sub.add_parser("validate-data")
     v.add_argument("--config", required=True, help="dataset manifest JSON")
     return parser
@@ -62,17 +63,16 @@ def main(argv=None) -> int:
             print("all checksums match")
             return 0
 
-        if args.threads < 1:
+        replications = getattr(args, "replications_override", None)
+        if args.command == "montecarlo" and args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
-        if args.seed_override is not None or args.replications_override is not None:
+        if args.seed_override is not None or replications is not None:
             raw = dict(cfg.raw)
             if args.seed_override is not None:
                 raw["seed"] = args.seed_override
-            if args.replications_override is not None:
-                mc = dict(raw.get("montecarlo", {}))
-                mc["replications"] = args.replications_override
-                raw["montecarlo"] = mc
+            if replications is not None:
+                raw["montecarlo"] = {**raw.get("montecarlo", {}), "replications": replications}
             cfg = validate_config(raw, cfg.base_dir)
 
         if args.command == "train":

@@ -10,6 +10,7 @@ existing ones.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as data_mod
 from .data import DataError, GaussianClassModel, GaussianSceneSpec, PatchLayout
 from .graph import (
     CombinationMatrix,
@@ -78,6 +80,14 @@ class ExperimentConfig:
     @property
     def n_agents(self) -> int:
         return self.matrix.size
+
+    @functools.cached_property
+    def scene(self) -> tuple:
+        """The data source, built once per config: (gaussian spec, None) or
+        (label -> image pool, patch layout)."""
+        if self.data_spec["type"] == "gaussian":
+            return build_gaussian_spec(self.data_spec, self.classes), None
+        return _image_pools(self), image_layout(self.data_spec)
 
 
 def _require(raw: dict, key: str, kind=None):
@@ -147,6 +157,44 @@ def image_layout(data_spec: dict) -> PatchLayout:
     return PatchLayout(
         int(data_spec["height"]), int(data_spec["width"]), int(rows), int(cols)
     )
+
+
+def _image_pools(cfg: ExperimentConfig) -> dict:
+    """label -> image array (uint-valued), read from the dataset manifest."""
+    manifest_rel = cfg.data_spec["manifest"]
+    manifest_path = (
+        manifest_rel
+        if os.path.isabs(manifest_rel)
+        else os.path.join(cfg.base_dir, manifest_rel)
+    )
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    base = os.path.dirname(os.path.abspath(manifest_path))
+
+    def _resolve(name):
+        path = manifest["files"][name]["path"]
+        return path if os.path.isabs(path) else os.path.join(base, path)
+
+    height, width = int(cfg.data_spec["height"]), int(cfg.data_spec["width"])
+    if manifest.get("format") == "idx":
+        images = data_mod.read_idx_images(_resolve("images"))
+        labels = data_mod.read_idx_labels(_resolve("labels"))
+    elif manifest.get("format") == "csv":
+        images, labels = data_mod.read_label_pixel_csv(_resolve("data"), height, width)
+    else:
+        raise ConfigError(f"unknown dataset format {manifest.get('format')!r}")
+    if images.shape[1:] != (height, width):
+        raise ConfigError(f"images {images.shape[1:]} vs config {(height, width)}")
+    # optional class -> raw-label map, e.g. {"1": 0, "-1": 1} for digit pairs
+    label_map = cfg.data_spec.get("label_map", {})
+    pools = {}
+    for label in cfg.classes:
+        raw = label_map.get(str(label), label)
+        mask = labels == raw
+        if not np.any(mask):
+            raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
+        pools[label] = images[mask]
+    return pools
 
 
 def gaussian_spec_to_json(spec: GaussianSceneSpec) -> dict:

@@ -361,6 +361,8 @@ def read_label_pixel_csv(path, height: int, width: int) -> tuple:
         raise DataError(
             f"{path}: {rows.shape[1]} columns, expected {height * width + 1}"
         )
+    if not np.array_equal(rows[:, 0], np.round(rows[:, 0])):
+        raise DataError(f"{path}: label column (column 0) holds non-integer values")
     labels = rows[:, 0].astype(int)
     images = rows[:, 1:].reshape(-1, height, width)
     return images, labels

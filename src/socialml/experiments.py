@@ -13,11 +13,12 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import data as data_mod
-from .boosting import adaboost_train, sign_decision
+from .boosting import adaboost_decide, adaboost_train
 from .config import (
     PHASE_BOOST_MODEL,
     PHASE_STREAM,
@@ -25,13 +26,10 @@ from .config import (
     PHASE_TRAIN_MODEL,
     ConfigError,
     ExperimentConfig,
-    build_gaussian_spec,
     derived_seed,
-    image_layout,
-    validate_config,
 )
-from .mlp import LabeledDataset, TrainingDiverged, binary_logit, save_model, train_stack
-from .social import RegimeSchedule, decide, diffuse, periodic_schedule, run_prediction
+from .mlp import LabeledDataset, TrainingDiverged, save_model, train_stack
+from .social import RegimeSchedule, periodic_schedule, run_prediction
 from .stats import make_debiased_statistic
 from .theory import (
     BoundInputs,
@@ -105,62 +103,6 @@ def build_schedule(cfg: ExperimentConfig, length: int) -> RegimeSchedule:
 # --- data assembly ---------------------------------------------------------
 
 
-_POOL_CACHE: dict = {}
-
-
-def _image_pools(cfg: ExperimentConfig) -> dict:
-    """label -> image array (uint-valued), read from the dataset manifest.
-
-    Cached per manifest/classes/label-map so replications and streams do not
-    re-read the files.
-    """
-    manifest_rel = cfg.data_spec["manifest"]
-    manifest_path = (
-        manifest_rel
-        if os.path.isabs(manifest_rel)
-        else os.path.join(cfg.base_dir, manifest_rel)
-    )
-    cache_key = (
-        os.path.abspath(manifest_path),
-        os.path.getmtime(manifest_path),
-        cfg.classes,
-        tuple(sorted(cfg.data_spec.get("label_map", {}).items())),
-        int(cfg.data_spec["height"]),
-        int(cfg.data_spec["width"]),
-    )
-    if cache_key in _POOL_CACHE:
-        return _POOL_CACHE[cache_key]
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-
-    def _resolve(name):
-        path = manifest["files"][name]["path"]
-        return path if os.path.isabs(path) else os.path.join(base, path)
-
-    height, width = int(cfg.data_spec["height"]), int(cfg.data_spec["width"])
-    if manifest.get("format") == "idx":
-        images = data_mod.read_idx_images(_resolve("images"))
-        labels = data_mod.read_idx_labels(_resolve("labels"))
-    elif manifest.get("format") == "csv":
-        images, labels = data_mod.read_label_pixel_csv(_resolve("data"), height, width)
-    else:
-        raise ConfigError(f"unknown dataset format {manifest.get('format')!r}")
-    if images.shape[1:] != (height, width):
-        raise ConfigError(f"images {images.shape[1:]} vs config {(height, width)}")
-    # optional class -> raw-label map, e.g. {"1": 0, "-1": 1} for digit pairs
-    label_map = cfg.data_spec.get("label_map", {})
-    pools = {}
-    for label in cfg.classes:
-        raw = label_map.get(str(label), label)
-        mask = labels == raw
-        if not np.any(mask):
-            raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
-        pools[label] = images[mask]
-    _POOL_CACHE[cache_key] = pools
-    return pools
-
-
 def shared_scene_training(cfg: ExperimentConfig, rep: int) -> tuple:
     """Balanced training scenes shared by all agents: (views, labels).
 
@@ -174,22 +116,20 @@ def shared_scene_training(cfg: ExperimentConfig, rep: int) -> tuple:
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.array(cfg.classes, dtype=object), per_class)
     labels = labels[rng.permutation(labels.size)]
-    if cfg.data_spec["type"] == "gaussian":
-        spec = build_gaussian_spec(cfg.data_spec, cfg.classes)
+    source, layout = cfg.scene
+    if layout is None:
         views = []
         for k in range(cfg.n_agents):
-            view = np.empty((labels.size, spec.dimension(k)))
+            view = np.empty((labels.size, source.dimension(k)))
             for label in cfg.classes:
                 idx = np.flatnonzero(labels == label)
-                view[idx] = spec.models[k][label].sample(rng, idx.size)
+                view[idx] = source.models[k][label].sample(rng, idx.size)
             views.append(view)
         return views, labels
-    pools = _image_pools(cfg)
-    layout = image_layout(cfg.data_spec)
     picks = np.empty((labels.size, layout.height, layout.width))
     for label in cfg.classes:
         idx = np.flatnonzero(labels == label)
-        pool = pools[label]
+        pool = source[label]
         if pool.shape[0] < per_class:
             raise ConfigError(f"class {label!r}: {pool.shape[0]} images < {per_class}")
         chosen = rng.choice(pool.shape[0], size=idx.size, replace=False)
@@ -197,14 +137,8 @@ def shared_scene_training(cfg: ExperimentConfig, rep: int) -> tuple:
     return data_mod.split_patches(picks, layout), labels
 
 
-def _stream_source(cfg: ExperimentConfig):
-    """Build the stream source once: (gaussian spec, None) or (pools, layout)."""
-    if cfg.data_spec["type"] == "gaussian":
-        return build_gaussian_spec(cfg.data_spec, cfg.classes), None
-    return _image_pools(cfg), image_layout(cfg.data_spec)
-
-
-def _stream_views(cfg, source, layout, schedule, horizon: int, rep: int, stream: int):
+def _stream_views(cfg, schedule, horizon: int, rep: int, stream: int):
+    source, layout = cfg.scene
     seed = derived_seed(cfg.seed, PHASE_STREAM, rep, stream)
     return data_mod.prediction_stream(source, schedule, horizon, seed, layout)
 
@@ -284,8 +218,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     views, labels = shared_scene_training(cfg, rep=0)
     _, (statistics,) = train_agents(cfg, [0], views, labels)
     schedule = build_schedule(cfg, cfg.stream_length)
-    source, layout = _stream_source(cfg)
-    stream = _stream_views(cfg, source, layout, schedule, cfg.stream_length, rep=0, stream=0)
+    stream = _stream_views(cfg, schedule, cfg.stream_length, rep=0, stream=0)
     run = run_prediction(
         cfg.engine,
         cfg.matrix,
@@ -352,22 +285,6 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     return summary
 
 
-def _sml_errors(cfg: ExperimentConfig, stats, stacked, truth) -> np.ndarray:
-    """Per-step decision error of the observed agent, averaged over the streams.
-
-    A function of its own, so the stacked track and lambda are freed before
-    the AdaBoost pass evaluates its models.
-    """
-    n_streams, horizon = stacked[0].shape[:2]
-    track = np.empty((n_streams, horizon, cfg.n_agents, len(cfg.classes) - 1))
-    for k in range(cfg.n_agents):
-        flat = stacked[k].reshape(n_streams * horizon, -1)
-        track[:, :, k, :] = stats[k](flat).reshape(n_streams, horizon, -1)
-    lam = diffuse(track, cfg.matrix.weights, cfg.delta)
-    picks = decide(lam[:, :, int(cfg.montecarlo["observe_agent"])])
-    return np.mean(picks != truth, axis=0)
-
-
 def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
     """One train+evaluate replication; per-step error per strategy.
 
@@ -392,13 +309,8 @@ def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
             views, labels, list(cfg.arch_by_agent), cfg.hyper, seeds=seeds
         )
 
-    source, layout = _stream_source(cfg)
-    streams = [
-        _stream_views(cfg, source, layout, schedule, horizon, rep, s)
-        for s in range(n_streams)
-    ]
-    truth = np.array([cfg.classes.index(g) for g in streams[0].true_states])
-
+    streams = [_stream_views(cfg, schedule, horizon, rep, s) for s in range(n_streams)]
+    true_states = streams[0].true_states
     # stack stream features per agent: (S, T, d_k)
     stacked = [
         np.stack([st.features_per_agent[k] for st in streams]) for k in range(cfg.n_agents)
@@ -406,23 +318,16 @@ def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
 
     out = {}
     if stats is not None:
-        out["sml"] = _sml_errors(cfg, stats, stacked, truth)
+        run = run_prediction(
+            cfg.engine, cfg.matrix, stats, stacked, true_states, cfg.classes, delta=cfg.delta
+        )
+        out["sml"] = np.mean(~run.correct[:, :, int(mc["observe_agent"])], axis=0)
+        del run  # freed before the AdaBoost pass evaluates its models
     if ensemble is not None:
-        total = np.zeros((n_streams, horizon))
-        for k in range(cfg.n_agents):
-            flat = stacked[k].reshape(n_streams * horizon, -1)
-            logits = binary_logit(ensemble.models[k], flat).reshape(n_streams, horizon)
-            total += ensemble.votes[k] * sign_decision(logits)
-        # the vote's sign names a label in {-1, +1}; compare its class index
-        picks = sign_decision(total) == cfg.classes[1]
-        out["adaboost"] = np.mean(picks != truth, axis=0)
+        flat = [feats.reshape(n_streams * horizon, -1) for feats in stacked]
+        picks = adaboost_decide(ensemble, flat).reshape(n_streams, horizon)
+        out["adaboost"] = np.mean(picks != true_states, axis=0)
     return out
-
-
-def _mc_worker(args):
-    raw, base_dir, rep = args
-    cfg = validate_config(raw, base_dir)
-    return montecarlo_replication(cfg, rep)
 
 
 def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
@@ -436,9 +341,11 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
 
     workers = min(threads, reps, os.cpu_count() or 1)
     if workers > 1:
-        jobs = [(cfg.raw, cfg.base_dir, rep) for rep in range(reps)]
+        # one chunk per worker: each unpickles cfg and loads its scene once
+        replicate = partial(montecarlo_replication, cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_worker, jobs))
+            chunk = math.ceil(reps / workers)
+            results = list(pool.map(replicate, range(reps), chunksize=chunk))
     else:
         results = [montecarlo_replication(cfg, rep) for rep in range(reps)]
 

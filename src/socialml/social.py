@@ -176,16 +176,16 @@ def decide(lam) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PredictionRun:
-    """Trajectory of one prediction-phase run."""
+    """Trajectory of one prediction-phase run, or of a batch of streams."""
 
-    lam: np.ndarray  # (T, K, M-1)
-    decisions: np.ndarray  # (T, K) labels
+    lam: np.ndarray  # (..., T, K, M-1)
+    decisions: np.ndarray  # (..., T, K) labels
     true_states: np.ndarray  # (T,)
-    correct: np.ndarray  # (T, K) bool
+    correct: np.ndarray  # (..., T, K) bool
 
     @property
     def horizon(self) -> int:
-        return self.lam.shape[0]
+        return self.lam.shape[-3]
 
 
 def run_prediction(
@@ -197,13 +197,15 @@ def run_prediction(
     classes,
     delta: float | None = None,
 ) -> PredictionRun:
-    """Diffuse the agents' statistics over a feature stream and record everything.
+    """Diffuse the agents' statistics over feature streams and record everything.
 
-    ``features_per_agent[k]`` holds agent k's observations, shape (T, d_k);
-    ``true_states`` is the label track the decisions are scored against.
-    Providers must be pure functions of the observation; they are applied to
-    each agent's whole stream in one vectorized pass and the recursion
-    consumes the values in time order, so no engine-level caching exists.
+    ``features_per_agent[k]`` holds agent k's observations, shape (T, d_k) for
+    one stream or (..., T, d_k) for a batch of streams (ndim >= 3);
+    ``true_states`` is the label track, shared by every stream, that the
+    decisions are scored against.  Providers must be pure functions of the
+    observation; they are applied to each agent's whole batch in one
+    vectorized pass and the recursion consumes the values in time order, so
+    no engine-level caching exists.
     """
     if engine not in ("sl", "asl"):
         raise SocialLearningError(f"engine must be 'sl' or 'asl', got {engine!r}")
@@ -216,24 +218,35 @@ def run_prediction(
     if len(providers) != n_agents or len(features_per_agent) != n_agents:
         raise SocialLearningError("providers and feature views must cover all agents")
     true_states = np.asarray(true_states, dtype=object)
+    index = {label: i for i, label in enumerate(classes)}
+    try:
+        truth = np.array([index[g] for g in true_states.tolist()], dtype=int)
+    except KeyError as exc:
+        raise SocialLearningError(f"true state {exc.args[0]!r} not in classes") from None
     horizon = len(true_states)
-    for k, feats in enumerate(features_per_agent):
-        if np.asarray(feats).shape[0] != horizon:
+    feats = [np.asarray(f) for f in features_per_agent]
+    batch = feats[0].shape[:-2]
+    for k, f in enumerate(feats):
+        if f.shape[:-2] != batch:
+            raise SocialLearningError(f"agent {k} batch {f.shape[:-2]} != {batch}")
+        if f.shape[len(batch)] != horizon:
             raise SocialLearningError(f"agent {k} stream length != {horizon}")
 
-    # statistics for the whole stream in one vectorized pass per agent
+    # statistics for all streams in one vectorized pass per agent
     width = len(classes) - 1
-    stat_track = np.empty((horizon, n_agents, width))
-    for k in range(n_agents):
-        values = np.asarray(providers[k](features_per_agent[k]), dtype=float)
-        stat_track[:, k, :] = values.reshape(horizon, width)
+    stat_track = np.empty(batch + (horizon, n_agents, width))
+    for k, f in enumerate(feats):
+        flat = f.reshape(-1, f.shape[-1]) if batch else f
+        values = np.asarray(providers[k](flat), dtype=float)
+        stat_track[..., k, :] = values.reshape(batch + (horizon, width))
     if not np.all(np.isfinite(stat_track)):
         raise SocialLearningError("non-finite statistic value")
     lam = diffuse(stat_track, matrix.weights, delta)
     if not np.all(np.isfinite(lam)):
         raise SocialLearningError("lambda contains non-finite values")
-    decisions = np.array(classes, dtype=object)[decide(lam)]
-    correct = decisions == true_states[:, None]
+    picks = decide(lam)
+    correct = picks == truth[:, None]
+    decisions = np.array(classes, dtype=object)[picks]
     return PredictionRun(lam, decisions, true_states, correct)
 
 

@@ -21,6 +21,7 @@ from socialml.experiments import (
     shared_scene_training,
 )
 from socialml.mlp import LabeledDataset, load_model, train_erm, with_seed
+from test_images_end_to_end import image_config, write_idx_dataset
 
 
 def gaussian_agents(n_agents=4, dim=1, shift=0.6):
@@ -383,6 +384,15 @@ class TestCliEntry:
         summary = json.loads((out / "mc_summary.json").read_text())
         assert summary["replications"] == 1
 
+    @pytest.mark.parametrize("command", ["train", "predict", "theory"])
+    @pytest.mark.parametrize("flag", ["--threads", "--replications-override"])
+    def test_montecarlo_flags_rejected_elsewhere(self, tmp_path, command, flag):
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path / "o"), flag, "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_validate_data_subcommand(self, tmp_path, capsys):
         blob = tmp_path / "x.bin"
         blob.write_bytes(b"abc")
@@ -443,6 +453,18 @@ class TestThreadedMontecarlo:
             parallel / "montecarlo.csv"
         ).read_bytes()
 
+    def test_image_parallel_matches_serial(self, tmp_path):
+        write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=60)
+        cfg_dict = image_config("dataset.json")
+        cfg_dict["montecarlo"].update(replications=3, eval_streams=5, horizon=10)
+        cfg = load_config(write_config(tmp_path, cfg_dict))
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        cmd_montecarlo(cfg, str(parallel), threads=2)
+        cmd_montecarlo(cfg, str(serial), threads=1)
+        assert (serial / "montecarlo.csv").read_bytes() == (
+            parallel / "montecarlo.csv"
+        ).read_bytes()
+
 
 def three_class_config(**overrides):
     agents = [
@@ -483,7 +505,7 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
+    def map(self, fn, jobs, chunksize=1):
         return map(fn, jobs)
 
 

@@ -296,6 +296,13 @@ class TestIdxFiles:
         with pytest.raises(DataError, match="columns"):
             read_label_pixel_csv(path, 2, 2)
 
+    def test_csv_fractional_label_rejected(self, tmp_path):
+        # a label of 1.5 must not be truncated to class 1
+        path = tmp_path / "data.csv"
+        path.write_text("1.5," + ",".join(["128"] * 4) + "\n")
+        with pytest.raises(DataError, match="label column"):
+            read_label_pixel_csv(path, 2, 2)
+
 
 class TestManifestVerification:
     def test_all_match(self, tmp_path):

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from socialml.cli import main
 from socialml.config import validate_config
 from socialml.data import file_sha256
 from socialml.experiments import cmd_montecarlo, cmd_predict, cmd_train
@@ -115,6 +116,49 @@ class TestSyntheticImagePipeline:
         # essentially perfect and no worse than the one-shot vote
         assert sml_errors[30] <= ada_errors[30] + 1e-12
         assert sml_errors[30] < 0.05
+
+
+class TestImageSceneLoading:
+    """Each loaded config reads its own image pools; bad datasets exit 1."""
+
+    def train(self, tmp_path, cfg_dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg_dict))
+        return main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+
+    def test_relabeled_dataset_read_by_fresh_config(self, tmp_path, capsys):
+        write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
+        manifest = tmp_path / "dataset.json"
+        stamp = os.stat(manifest).st_mtime_ns
+        assert self.train(tmp_path, image_config("dataset.json")) == 0
+        # every image becomes raw label 0, so class -1 (raw 1) is gone; the
+        # manifest itself is untouched
+        lab_path = tmp_path / "labels.idx"
+        lab_path.write_bytes(struct.pack(">II", 0x00000801, 80) + bytes(80))
+        assert os.stat(manifest).st_mtime_ns == stamp
+        capsys.readouterr()
+        assert self.train(tmp_path, image_config("dataset.json")) == 1
+        assert "class -1" in capsys.readouterr().err
+
+    def test_unknown_format(self, tmp_path, capsys):
+        manifest = write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "format": "png"}))
+        assert self.train(tmp_path, image_config("dataset.json")) == 1
+        assert "unknown dataset format 'png'" in capsys.readouterr().err
+
+    def test_image_shape_mismatch(self, tmp_path, capsys):
+        write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
+        cfg = image_config("dataset.json")
+        cfg["data"]["height"] = 10
+        assert self.train(tmp_path, cfg) == 1
+        assert "images (8, 8) vs config (10, 8)" in capsys.readouterr().err
+
+    def test_class_absent_from_dataset(self, tmp_path, capsys):
+        write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
+        cfg = image_config("dataset.json")
+        cfg["data"]["label_map"] = {"1": 0, "-1": 7}
+        assert self.train(tmp_path, cfg) == 1
+        assert "class -1 (raw label 7) absent" in capsys.readouterr().err
 
 
 MNIST_DIR = os.environ.get("SOCIALML_MNIST_DIR")

@@ -361,6 +361,64 @@ class TestRunPrediction:
         np.testing.assert_allclose(run_b.lam, run_v.lam, atol=0)
 
 
+class TestRunPredictionBatch:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3, 5]),
+        st.sampled_from([(1, -1), (0, 1, 2)]),
+        st.integers(1, 4),
+        st.integers(1, 12),
+        st.sampled_from([None, 0.2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_single_stream_runs(
+        self, seed, n_agents, classes, n_streams, horizon, delta
+    ):
+        rng = np.random.default_rng(seed)
+        matrix = random_primitive_matrix(rng, n_agents)
+        width = len(classes) - 1
+        # agents see features of different widths; statistics are row-wise
+        feats = [
+            rng.normal(size=(n_streams, horizon, width + k % 2)) for k in range(n_agents)
+        ]
+        providers = [
+            (lambda c: (lambda h: c * np.tanh(h[:, :width]) - 0.5 * h[:, -1:]))(c)
+            for c in rng.uniform(0.5, 2.0, n_agents)
+        ]
+        states = np.array(rng.choice(classes, horizon).tolist(), dtype=object)
+        engine = "sl" if delta is None else "asl"
+        batch = run_prediction(engine, matrix, providers, feats, states, classes, delta)
+        assert batch.horizon == horizon
+        assert batch.lam.shape == (n_streams, horizon, n_agents, width)
+        for s in range(n_streams):
+            single = run_prediction(
+                engine, matrix, providers, [f[s] for f in feats], states, classes, delta
+            )
+            if width > 1:
+                assert np.array_equal(batch.lam[s], single.lam)
+            else:
+                # one binary stream mixes a single row per step, which BLAS
+                # runs as a matrix-vector product; its K-term sums may round
+                # differently from the matrix-matrix product of a batch
+                np.testing.assert_allclose(batch.lam[s], single.lam, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(batch.decisions[s], single.decisions)
+            assert np.array_equal(batch.correct[s], single.correct)
+
+    def test_true_state_outside_classes_rejected(self):
+        feats = [np.zeros((3, 1))] * 4
+        providers = [lambda h: np.zeros(len(h))] * 4
+        states = np.array([1, 0, 1], dtype=object)
+        with pytest.raises(SocialLearningError, match="true state 0 not in classes"):
+            run_prediction("sl", RING4, providers, feats, states, (1, -1))
+
+    def test_batch_shapes_must_agree(self):
+        feats = [np.zeros((2, 3, 1))] * 3 + [np.zeros((3, 1))]
+        providers = [lambda h: np.zeros(len(h))] * 4
+        states = np.array([1, 1, 1], dtype=object)
+        with pytest.raises(SocialLearningError, match="agent 3 batch"):
+            run_prediction("sl", RING4, providers, feats, states, (1, -1))
+
+
 class TestConsistencyConditions:
     def gaussian_sampler(self, spec, k):
         return lambda rng, label, n: spec.models[k][label].sample(rng, n)
