@@ -21,8 +21,7 @@ from .mlp import (
     TrainingDiverged,
     TrainingHyperparameters,
     binary_logit,
-    train_erm,
-    with_seed,
+    train_stack,
 )
 
 ERROR_CLAMP = 1e-10
@@ -62,49 +61,75 @@ def adaboost_train(
     ``views[k]`` holds agent k's features for the same underlying samples
     (one shared label vector with values in {-1, +1}).  ``seeds`` optionally
     gives one training seed per agent; otherwise ``hyper.seed + k`` is used.
+    A stack of one in ``adaboost_train_stack``.
     """
-    labels = np.asarray(labels)
-    if set(labels.tolist()) - {-1, +1}:
-        raise BoostingError("boosting labels must be in {-1, +1}")
-    n = labels.shape[0]
-    n_agents = len(views)
+    if seeds is None:
+        seeds = [hyper.seed + k for k in range(len(views))]
+    return adaboost_train_stack([(views, labels)], arch_per_agent, hyper, [seeds])[0]
+
+
+def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters, seeds) -> list:
+    """Boosting on S independent scenes in lockstep, one ensemble per scene.
+
+    ``scenes[r]`` is a ``(views, labels)`` pair as ``adaboost_train`` takes
+    it and ``seeds[r]`` holds its per-agent training seeds.  Rounds stay
+    sequential over agents: round k trains agent k of every scene in one
+    ``train_stack`` call, each scene under its own sample weights, so every
+    ensemble equals its own ``adaboost_train`` run.  The scenes must share
+    their sample count.  A diverging round raises ``TrainingDiverged`` whose
+    ``model`` is the scene's index.
+    """
+    n_agents = len(scenes[0][0])
     if isinstance(arch_per_agent, MLPArchitecture):
         arch_per_agent = [arch_per_agent] * n_agents
-    if len(arch_per_agent) != n_agents:
-        raise BoostingError("need one architecture per agent")
-    if seeds is None:
-        seeds = [hyper.seed + k for k in range(n_agents)]
+    ys = []
+    for views, labels in scenes:
+        labels = np.asarray(labels)
+        if set(labels.tolist()) - {-1, +1}:
+            raise BoostingError("boosting labels must be in {-1, +1}")
+        if len(views) != n_agents or len(arch_per_agent) != n_agents:
+            raise BoostingError("need one view and one architecture per agent")
+        ys.append(labels.astype(float))
 
-    y = labels.astype(float)
-    sample_w = np.full(n, 1.0 / n)
-    history = [sample_w.copy()]
-    models = []
-    votes = np.empty(n_agents)
-    errors = np.empty(n_agents)
-    degenerate = []
+    sample_w = [np.full(y.size, 1.0 / y.size) for y in ys]
+    history = [[w.copy()] for w in sample_w]
+    models = [[] for _ in scenes]
+    votes = np.empty((len(scenes), n_agents))
+    errors = np.empty((len(scenes), n_agents))
+    degenerate = [[] for _ in scenes]
     for k in range(n_agents):
-        view = np.asarray(views[k], dtype=float)
-        if view.shape[0] != n:
-            raise BoostingError(f"agent {k} view has {view.shape[0]} rows, labels {n}")
-        dataset = LabeledDataset(view, labels, (+1, -1))
+        round_views = []
+        for (views, labels), y in zip(scenes, ys):
+            view = np.asarray(views[k], dtype=float)
+            if view.shape[0] != y.size:
+                raise BoostingError(f"agent {k} view has {view.shape[0]} rows, labels {y.size}")
+            round_views.append(view)
+        datasets = [
+            LabeledDataset(view, labels, (+1, -1))
+            for view, (_, labels) in zip(round_views, scenes)
+        ]
         try:
-            result = train_erm(dataset, arch_per_agent[k], with_seed(hyper, seeds[k]), sample_w)
+            trained = train_stack(
+                datasets, arch_per_agent[k], hyper, [s[k] for s in seeds], sample_w
+            )
         except TrainingDiverged as exc:
-            raise TrainingDiverged(f"agent {k}: {exc}") from exc
-        models.append(result.model)
-        decisions = sign_decision(binary_logit(result.model, view))
-        err = float(np.sum(sample_w * (decisions != y)))
-        if err < ERROR_CLAMP or err > 1.0 - ERROR_CLAMP:
-            degenerate.append(k)
-            err = min(max(err, ERROR_CLAMP), 1.0 - ERROR_CLAMP)
-        errors[k] = err
-        votes[k] = 0.5 * np.log((1.0 - err) / err)
-        sample_w = sample_w * np.exp(-votes[k] * y * decisions)
-        sample_w /= sample_w.sum()
-        history.append(sample_w.copy())
-    return BoostedEnsemble(
-        tuple(models), votes, errors, np.asarray(history), tuple(degenerate)
-    )
+            raise TrainingDiverged(f"AdaBoost round {k}, agent {k}: {exc}", exc.model) from exc
+        for r, (result, view, y) in enumerate(zip(trained, round_views, ys)):
+            models[r].append(result.model)
+            decisions = sign_decision(binary_logit(result.model, view))
+            err = float(np.sum(sample_w[r] * (decisions != y)))
+            if err < ERROR_CLAMP or err > 1.0 - ERROR_CLAMP:
+                degenerate[r].append(k)
+                err = min(max(err, ERROR_CLAMP), 1.0 - ERROR_CLAMP)
+            errors[r, k] = err
+            votes[r, k] = 0.5 * np.log((1.0 - err) / err)
+            weights = sample_w[r] * np.exp(-votes[r, k] * y * decisions)
+            sample_w[r] = weights / weights.sum()
+            history[r].append(sample_w[r].copy())
+    return [
+        BoostedEnsemble(tuple(m), v, e, np.asarray(h), tuple(d))
+        for m, v, e, h, d in zip(models, votes, errors, history, degenerate)
+    ]
 
 
 def adaboost_decide(ensemble: BoostedEnsemble, features_per_agent) -> np.ndarray:

@@ -223,6 +223,40 @@ def load_config(path) -> ExperimentConfig:
     return validate_config(raw, os.path.dirname(os.path.abspath(path)))
 
 
+def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
+    """The ``montecarlo`` block with its defaults filled in."""
+    if not isinstance(block, dict):
+        raise ConfigError("montecarlo must be an object")
+    mc = {
+        "replications": 1,
+        "eval_streams": 1,
+        "horizon": stream_length or 1,
+        "observe_agent": 0,
+        "strategies": ["sml", "adaboost"],
+        **block,
+    }
+    for key in ("replications", "eval_streams", "horizon", "observe_agent"):
+        value = mc[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"montecarlo.{key} must be an integer, got {value!r}")
+        if key != "observe_agent" and value < 1:
+            raise ConfigError(f"montecarlo.{key} must be at least 1, got {value}")
+    if not 0 <= mc["observe_agent"] < n_agents:
+        raise ConfigError(
+            f"montecarlo.observe_agent {mc['observe_agent']} out of range for {n_agents} agents"
+        )
+    strategies = mc["strategies"]
+    if not isinstance(strategies, list) or not strategies:
+        raise ConfigError(f"montecarlo.strategies must be a non-empty list, got {strategies!r}")
+    unknown = [s for s in strategies if s not in ("sml", "adaboost")]
+    if unknown or len(set(strategies)) != len(strategies):
+        raise ConfigError(
+            f"montecarlo.strategies must list distinct names from 'sml', 'adaboost', "
+            f"got {strategies!r}"
+        )
+    return mc
+
+
 def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     seed = _require(raw, "seed", int)
     if seed < 0:
@@ -299,19 +333,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if stream_length < 0:
         raise ConfigError("stream_length must be nonnegative")
 
-    montecarlo = dict(raw.get("montecarlo", {}))
-    montecarlo.setdefault("replications", 1)
-    montecarlo.setdefault("eval_streams", 1)
-    montecarlo.setdefault("horizon", stream_length or 1)
-    montecarlo.setdefault("observe_agent", 0)
-    montecarlo.setdefault("strategies", ["sml", "adaboost"])
-    if int(montecarlo["replications"]) < 1 or int(montecarlo["eval_streams"]) < 1:
-        raise ConfigError("montecarlo counts must be positive")
-    unknown = set(montecarlo["strategies"]) - {"sml", "adaboost"}
-    if unknown:
-        raise ConfigError(f"unknown strategies {unknown}")
-    if not 0 <= int(montecarlo["observe_agent"]) < matrix.size:
-        raise ConfigError("observe_agent out of range")
+    montecarlo = _validate_montecarlo(raw.get("montecarlo", {}), stream_length, matrix.size)
 
     return ExperimentConfig(
         raw=raw,

@@ -47,7 +47,10 @@ class GaussianClassModel:
         object.__setattr__(self, "_chol", chol)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        z = rng.standard_normal((n, self.mean.size))
+        return self.transform(rng.standard_normal((n, self.mean.size)))
+
+    def transform(self, z) -> np.ndarray:
+        """Map standard normals of shape (..., n, d) to draws of this class."""
         return self.mean + z @ self._chol.T
 
     def log_density(self, features) -> np.ndarray:
@@ -272,8 +275,8 @@ def balanced_sample(dataset: LabeledDataset, per_class: int, seed) -> LabeledDat
 class PredictionStream:
     """Time-indexed per-agent features plus the true-state track."""
 
-    features_per_agent: tuple  # K arrays of shape (T, d_k)
-    true_states: np.ndarray  # (T,) labels
+    features_per_agent: tuple  # K arrays of shape (T, d_k), or (S, T, d_k) for S streams
+    true_states: np.ndarray  # (T,) labels, shared by every stream of a batch
 
     @property
     def horizon(self) -> int:
@@ -283,24 +286,46 @@ class PredictionStream:
 def prediction_stream(
     source, schedule: RegimeSchedule, length: int, seed, layout: PatchLayout | None = None
 ) -> PredictionStream:
-    """Draw one scene per step from the class the schedule puts in force.
+    """One stream of ``length`` steps: ``prediction_streams`` with one seed,
+    so each agent's features have shape (T, d_k)."""
+    batch = prediction_streams(source, schedule, length, [seed], layout)
+    return PredictionStream(tuple(v[0] for v in batch.features_per_agent), batch.true_states)
+
+
+def prediction_streams(
+    source, schedule: RegimeSchedule, length: int, seeds, layout: PatchLayout | None = None
+) -> PredictionStream:
+    """One stream per seed, each drawn one scene per step from the class the
+    schedule puts in force; agent k's features have shape (S, T, d_k).
 
     ``source`` is either a ``GaussianSceneSpec`` (each agent gets a fresh
     draw from its own likelihood) or a mapping label -> image array, in which
     case one image per step is picked with replacement and split through
-    ``layout``.  Draws are independent across steps and seed-deterministic.
+    ``layout``.  Draws are independent across steps, and stream s reads only
+    its own generator ``default_rng(seeds[s])``, so it is the same stream
+    whatever batch it is drawn in.
     """
     states = schedule.states(length)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n_streams = len(rngs)
     # draws grouped by class in order of first appearance keep the stream
     # i.i.d. over time while staying seed-deterministic
     active = list(dict.fromkeys(states.tolist()))
     if isinstance(source, GaussianSceneSpec):
-        views = [np.empty((length, source.dimension(k))) for k in range(source.n_agents)]
+        dims = [source.dimension(k) for k in range(source.n_agents)]
+        # a generator keeps no state between normal draws, so one draw per
+        # stream, sliced in (class, agent) order, equals the per-block draws
+        z = np.empty((n_streams, length * sum(dims)))
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+        views = [np.empty((n_streams, length, d)) for d in dims]
+        offset = 0
         for label in active:
             idx = np.flatnonzero(states == label)
-            for k in range(source.n_agents):
-                views[k][idx] = source.models[k][label].sample(rng, idx.size)
+            for k, d in enumerate(dims):
+                block = z[:, offset : offset + idx.size * d].reshape(n_streams, idx.size, d)
+                views[k][:, idx] = source.models[k][label].transform(block)
+                offset += idx.size * d
         return PredictionStream(tuple(views), states)
     if layout is None:
         raise DataError("image sources need a patch layout")
@@ -310,12 +335,14 @@ def prediction_stream(
         if len(source[label]) == 0:
             raise DataError(f"class {label!r} has no images")
     # only the picked images are scaled, never a whole pool
-    picks = np.empty((length, layout.height, layout.width))
+    picks = np.empty((n_streams, length, layout.height, layout.width))
     for label in active:
         idx = np.flatnonzero(states == label)
         pool = np.asarray(source[label])
-        picks[idx] = scale_pixels(pool[rng.integers(pool.shape[0], size=idx.size)])
-    return PredictionStream(tuple(_patches(picks, layout)), states)
+        chosen = np.stack([rng.integers(pool.shape[0], size=idx.size) for rng in rngs])
+        picks[:, idx] = scale_pixels(pool[chosen])
+    flat = _patches(picks.reshape(-1, layout.height, layout.width), layout)
+    return PredictionStream(tuple(v.reshape(n_streams, length, -1) for v in flat), states)
 
 
 # --- image file ingestion -------------------------------------------------

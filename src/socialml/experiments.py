@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import data as data_mod
-from .boosting import adaboost_decide, adaboost_train
+from .boosting import adaboost_decide, adaboost_train_stack
 from .config import (
     PHASE_BOOST_MODEL,
     PHASE_STREAM,
@@ -42,6 +42,16 @@ from .theory import (
     self_consistency_check,
 )
 from .graph import perron_eigenvector
+
+# Cap on the stacked SML training inputs of one Monte Carlo chunk (8 bytes
+# per augmented input entry, summed over agents and replications).  Peak
+# memory grows by about four times the inputs a chunk stacks beyond one
+# replication: three 28x28 image replications of 4 patch agents in one chunk
+# stack 2.5 MB more inputs than one and peak 10.4 MiB higher.  So 512 KiB
+# keeps a chunk within about 2 MiB of a one-replication run, under 5% of that
+# image run's 55 MiB.  The criterion-09 scene (4 agents, 40 rows of 1
+# feature) fits 204 replications in one chunk; a 28x28 image scene, one.
+CHUNK_INPUT_BYTES = 1 << 19
 
 
 def _fmt(value) -> str:
@@ -137,21 +147,21 @@ def shared_scene_training(cfg: ExperimentConfig, rep: int) -> tuple:
     return data_mod.split_patches(picks, layout), labels
 
 
-def _stream_views(cfg, schedule, horizon: int, rep: int, stream: int):
-    source, layout = cfg.scene
-    seed = derived_seed(cfg.seed, PHASE_STREAM, rep, stream)
-    return data_mod.prediction_stream(source, schedule, horizon, seed, layout)
-
-
-def train_agents(cfg: ExperimentConfig, reps, views, labels):
+def train_agents(cfg: ExperimentConfig, reps, scenes):
     """Per-agent empirical risk minimization for every repetition in ``reps``.
 
-    All repetitions train on the one scene ``(views, labels)``; only the
-    model seeds differ.  The (repetition, agent) pairs whose agents share an
-    architecture train in one ``train_stack`` call.  Returns
-    ``(results, statistics)``, each indexed ``[position in reps][agent]``.
+    ``scenes[i]`` is the ``(views, labels)`` scene repetition ``reps[i]``
+    trains on, and the model seeds follow the repetition index.  All
+    (repetition, agent) pairs whose agents share an architecture train in
+    one ``train_stack`` call.  Returns ``(results, statistics)``, each
+    indexed ``[position in reps][agent]``.  A diverging model raises
+    ``TrainingDiverged`` naming its agent, with ``model`` set to its
+    position in ``reps``.
     """
-    datasets = [LabeledDataset(views[k], labels, cfg.classes) for k in range(cfg.n_agents)]
+    datasets = [
+        [LabeledDataset(views[k], labels, cfg.classes) for k in range(cfg.n_agents)]
+        for views, labels in scenes
+    ]
     groups: dict = {}
     for i in range(len(reps)):
         for k, arch in enumerate(cfg.arch_by_agent):
@@ -160,15 +170,15 @@ def train_agents(cfg: ExperimentConfig, reps, views, labels):
     for arch, pairs in groups.items():
         seeds = [derived_seed(cfg.seed, PHASE_TRAIN_MODEL, reps[i], k) for i, k in pairs]
         try:
-            trained = train_stack([datasets[k] for _, k in pairs], arch, cfg.hyper, seeds)
+            trained = train_stack([datasets[i][k] for i, k in pairs], arch, cfg.hyper, seeds)
         except TrainingDiverged as exc:
             i, k = pairs[exc.model]
-            raise TrainingDiverged(f"repetition {reps[i]}, agent {k}: {exc}") from exc
+            raise TrainingDiverged(f"agent {k}: {exc}", i) from exc
         for (i, k), result in zip(pairs, trained):
             results[i][k] = result
     statistics = [
-        [make_debiased_statistic(r.model, datasets[k], agent=k) for k, r in enumerate(row)]
-        for row in results
+        [make_debiased_statistic(r.model, datasets[i][k], agent=k) for k, r in enumerate(row)]
+        for i, row in enumerate(results)
     ]
     return results, statistics
 
@@ -181,10 +191,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     model_dir = os.path.join(out_dir, "models")
     os.makedirs(model_dir, exist_ok=True)
-    views, labels = shared_scene_training(cfg, rep=0)
+    scene = shared_scene_training(cfg, rep=0)
     rows = []
     artifacts = ["risk_trace.csv", "manifest.json"]
-    results, _ = train_agents(cfg, range(cfg.repetitions), views, labels)
+    try:
+        results, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
+    except TrainingDiverged as exc:
+        raise TrainingDiverged(f"repetition {exc.model}, {exc}", exc.model) from exc
     for rep, row in enumerate(results):
         for k, result in enumerate(row):
             if rep == 0:
@@ -215,10 +228,11 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.stream_length < 1:
         raise ConfigError("prediction needs stream_length >= 1")
     os.makedirs(out_dir, exist_ok=True)
-    views, labels = shared_scene_training(cfg, rep=0)
-    _, (statistics,) = train_agents(cfg, [0], views, labels)
+    _, (statistics,) = train_agents(cfg, [0], [shared_scene_training(cfg, rep=0)])
     schedule = build_schedule(cfg, cfg.stream_length)
-    stream = _stream_views(cfg, schedule, cfg.stream_length, rep=0, stream=0)
+    source, layout = cfg.scene
+    seed = derived_seed(cfg.seed, PHASE_STREAM, 0, 0)
+    stream = data_mod.prediction_stream(source, schedule, cfg.stream_length, seed, layout)
     run = run_prediction(
         cfg.engine,
         cfg.matrix,
@@ -286,70 +300,112 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
-    """One train+evaluate replication; per-step error per strategy.
+    """One train+evaluate replication: ``montecarlo_chunk`` of one."""
+    return montecarlo_chunk(cfg, [rep])[0]
 
-    The per-step error probability is estimated by averaging the decision
-    errors over ``eval_streams`` independent prediction streams run through
-    the models trained in this replication.
+
+def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
+    """Train+evaluate the replications ``reps``; per-step error per strategy.
+
+    Returns one dict per replication, strategy -> (T,) error rates.  Training
+    runs in lockstep over the chunk: each SML architecture in one
+    ``train_stack`` call, each AdaBoost round in another.  Evaluation runs one
+    replication at a time: its ``eval_streams`` independent prediction
+    streams are drawn in one batch and run through its models, and the
+    per-step error probability is the mean decision error over them.  Every
+    replication reads only its own seed paths, so its curves do not depend on
+    the chunk it runs in.
     """
     mc = cfg.montecarlo
-    horizon = int(mc["horizon"])
-    n_streams = int(mc["eval_streams"])
-    strategies = list(mc["strategies"])
+    horizon, n_streams = mc["horizon"], mc["eval_streams"]
+    strategies = mc["strategies"]
 
-    views, labels = shared_scene_training(cfg, rep)
+    scenes = [shared_scene_training(cfg, rep) for rep in reps]
+    stats = ensembles = None
+    try:
+        if "sml" in strategies:
+            _, stats = train_agents(cfg, reps, scenes)
+        if "adaboost" in strategies:
+            seeds = [
+                [derived_seed(cfg.seed, PHASE_BOOST_MODEL, rep, k) for k in range(cfg.n_agents)]
+                for rep in reps
+            ]
+            ensembles = adaboost_train_stack(scenes, list(cfg.arch_by_agent), cfg.hyper, seeds)
+    except TrainingDiverged as exc:
+        raise TrainingDiverged(f"replication {reps[exc.model]}, {exc}", exc.model) from exc
+    del scenes
+
     schedule = build_schedule(cfg, horizon)
-
-    stats = ensemble = None
-    if "sml" in strategies:
-        _, (stats,) = train_agents(cfg, [rep], views, labels)
-    if "adaboost" in strategies:
-        seeds = [derived_seed(cfg.seed, PHASE_BOOST_MODEL, rep, k) for k in range(cfg.n_agents)]
-        ensemble = adaboost_train(
-            views, labels, list(cfg.arch_by_agent), cfg.hyper, seeds=seeds
-        )
-
-    streams = [_stream_views(cfg, schedule, horizon, rep, s) for s in range(n_streams)]
-    true_states = streams[0].true_states
-    # stack stream features per agent: (S, T, d_k)
-    stacked = [
-        np.stack([st.features_per_agent[k] for st in streams]) for k in range(cfg.n_agents)
-    ]
-
-    out = {}
-    if stats is not None:
-        run = run_prediction(
-            cfg.engine, cfg.matrix, stats, stacked, true_states, cfg.classes, delta=cfg.delta
-        )
-        out["sml"] = np.mean(~run.correct[:, :, int(mc["observe_agent"])], axis=0)
-        del run  # freed before the AdaBoost pass evaluates its models
-    if ensemble is not None:
-        flat = [feats.reshape(n_streams * horizon, -1) for feats in stacked]
-        picks = adaboost_decide(ensemble, flat).reshape(n_streams, horizon)
-        out["adaboost"] = np.mean(picks != true_states, axis=0)
+    source, layout = cfg.scene
+    out = []
+    for i, rep in enumerate(reps):
+        seeds = [derived_seed(cfg.seed, PHASE_STREAM, rep, s) for s in range(n_streams)]
+        stream = data_mod.prediction_streams(source, schedule, horizon, seeds, layout)
+        errors = {}
+        if stats is not None:
+            run = run_prediction(
+                cfg.engine,
+                cfg.matrix,
+                stats[i],
+                stream.features_per_agent,
+                stream.true_states,
+                cfg.classes,
+                delta=cfg.delta,
+            )
+            errors["sml"] = np.mean(~run.correct[:, :, mc["observe_agent"]], axis=0)
+            del run  # freed before the AdaBoost pass evaluates its models
+        if ensembles is not None:
+            flat = [feats.reshape(n_streams * horizon, -1) for feats in stream.features_per_agent]
+            picks = adaboost_decide(ensembles[i], flat).reshape(n_streams, horizon)
+            errors["adaboost"] = np.mean(picks != stream.true_states, axis=0)
+        out.append(errors)
     return out
+
+
+def replication_chunks(cfg: ExperimentConfig, workers: int) -> list:
+    """The replication indices cut into one list of chunks per worker.
+
+    Workers get near-equal contiguous shares.  Each share is cut into chunks
+    whose stacked SML training inputs fit in ``CHUNK_INPUT_BYTES``, with one
+    replication per chunk at least.
+    """
+    reps = cfg.montecarlo["replications"]
+    rows = cfg.train_per_class * len(cfg.classes)
+    per_rep = 8 * rows * sum(arch.layer_sizes[0] for arch in cfg.arch_by_agent)
+    cap = max(1, CHUNK_INPUT_BYTES // max(per_rep, 1))
+    share = math.ceil(reps / workers)
+    shares = []
+    for start in range(0, reps, share):
+        stop = min(start + share, reps)
+        shares.append([range(lo, min(lo + cap, stop)) for lo in range(start, stop, cap)])
+    return shares
+
+
+def _montecarlo_share(cfg: ExperimentConfig, chunks) -> list:
+    return [res for chunk in chunks for res in montecarlo_chunk(cfg, chunk)]
 
 
 def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Replicate train+predict, write per-step error rates per strategy."""
     mc = cfg.montecarlo
-    reps = int(mc["replications"])
+    reps = mc["replications"]
     strategies = sorted(mc["strategies"])
     if "adaboost" in strategies and set(cfg.classes) != {-1, +1}:
         raise ConfigError("the adaboost strategy needs classes {-1, +1}")
     os.makedirs(out_dir, exist_ok=True)
 
     workers = min(threads, reps, os.cpu_count() or 1)
+    # one task per worker: each unpickles cfg and loads its scene once
+    run_share = partial(_montecarlo_share, cfg)
+    shares = replication_chunks(cfg, workers)
     if workers > 1:
-        # one chunk per worker: each unpickles cfg and loads its scene once
-        replicate = partial(montecarlo_replication, cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = math.ceil(reps / workers)
-            results = list(pool.map(replicate, range(reps), chunksize=chunk))
+            parts = list(pool.map(run_share, shares))
     else:
-        results = [montecarlo_replication(cfg, rep) for rep in range(reps)]
+        parts = [run_share(share) for share in shares]
+    results = [res for part in parts for res in part]
 
-    horizon = int(mc["horizon"])
+    horizon = mc["horizon"]
     rows = []
     curves = {}
     for strategy in strategies:
@@ -370,7 +426,7 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
     )
     summary = {
         "replications": reps,
-        "eval_streams": int(mc["eval_streams"]),
+        "eval_streams": mc["eval_streams"],
         "horizon": horizon,
         "degenerate_stderr": reps == 1,
         "final_error": {s: float(curves[s][0][-1]) for s in strategies},

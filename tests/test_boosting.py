@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialml.boosting import (
     BoostingError,
     adaboost_decide,
     adaboost_train,
+    adaboost_train_stack,
     sign_decision,
 )
 from socialml.mlp import (
@@ -93,6 +96,55 @@ class TestAdaboostTrain:
         arch = MLPArchitecture((3, 4, 2), activation="identity")
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="agent 1"):
             adaboost_train(views, labels, arch, TrainingHyperparameters(2, 5, 1e10, seed=0))
+
+
+class TestAdaboostTrainStack:
+    @given(
+        dims=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4),
+        n_scenes=st.integers(1, 4),
+        shift=st.sampled_from([0.0, 0.7, 6.0]),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        batch_size=st.integers(3, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_scene_equals_its_own_run(
+        self, dims, n_scenes, shift, optimizer, batch_size, seed
+    ):
+        # a shift of 6 makes agents perfect learners, so rounds hit the clamp
+        rng = np.random.default_rng(seed)
+        n = 22
+        scenes, seeds = [], []
+        for _ in range(n_scenes):
+            labels = np.where(rng.random(n) < 0.5, 1, -1)
+            views = [labels[:, None] * shift + rng.normal(size=(n, d)) for d in dims]
+            scenes.append((views, labels))
+            seeds.append(rng.integers(0, 2**31, len(dims)).tolist())
+        archs = [MLPArchitecture((d + 1, 3, 2)) for d in dims]
+        hyper = TrainingHyperparameters(3, batch_size, 0.2, seed=0, optimizer=optimizer)
+        stacked = adaboost_train_stack(scenes, archs, hyper, seeds)
+        for (views, labels), own_seeds, got in zip(scenes, seeds, stacked):
+            want = adaboost_train(views, labels, archs, hyper, seeds=own_seeds)
+            for a, b in zip(got.models, want.models):
+                assert all(np.array_equal(u, v) for u, v in zip(a.weights, b.weights))
+            assert np.array_equal(got.votes, want.votes)
+            assert np.array_equal(got.errors, want.errors)
+            assert np.array_equal(got.weight_history, want.weight_history)
+            assert got.degenerate == want.degenerate
+
+    def test_diverged_round_names_scene_round_and_agent(self):
+        rng = np.random.default_rng(0)
+        labels = np.where(rng.random(20) < 0.5, 1, -1)
+        scenes = [
+            ([rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) * scale], labels)
+            for scale in (1.0, 1e300)
+        ]
+        arch = MLPArchitecture((3, 4, 2), activation="identity")
+        hyper = TrainingHyperparameters(2, 5, 1e10, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+            adaboost_train_stack(scenes, arch, hyper, [[1, 2], [3, 4]])
+        assert info.value.model == 1
+        assert "AdaBoost round 1, agent 1" in str(info.value)
 
 
 class TestAdaboostDecide:

@@ -17,10 +17,14 @@ from socialml.experiments import (
     cmd_predict,
     cmd_theory,
     cmd_train,
+    montecarlo_chunk,
     montecarlo_replication,
+    replication_chunks,
     shared_scene_training,
 )
 from socialml.mlp import LabeledDataset, load_model, train_erm, with_seed
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_images_end_to_end import image_config, write_idx_dataset
 
 
@@ -292,6 +296,93 @@ class TestCmdMontecarlo:
         b = montecarlo_replication(cfg, 1)
         np.testing.assert_array_equal(a["sml"], b["sml"])
         np.testing.assert_array_equal(a["adaboost"], b["adaboost"])
+
+
+class TestMontecarloValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", 0),
+            ("horizon", -3),
+            ("replications", 2.7),
+            ("eval_streams", 3.9),
+            ("observe_agent", 0.5),
+            ("replications", 0),
+            ("replications", True),
+            ("observe_agent", 4),
+            ("strategies", []),
+            ("strategies", "sml"),
+            ("strategies", ["sml", "sml"]),
+        ],
+    )
+    def test_bad_field_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        cfg = base_config()
+        cfg["montecarlo"][field] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert f"montecarlo.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategies, names",
+        [(["sml"], ["agent"]), (["adaboost"], ["AdaBoost round", "agent"])],
+    )
+    def test_diverged_model_named(self, tmp_path, capsys, strategies, names):
+        cfg = base_config()
+        cfg["model"]["learning_rate"] = 1e308
+        cfg["montecarlo"]["strategies"] = strategies
+        path = write_config(tmp_path, cfg)
+        with np.errstate(all="ignore"):
+            code = main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        # replications train in lockstep: the first to diverge is named
+        assert "TrainingDiverged: replication " in err
+        assert all(name in err for name in names)
+
+
+class TestMontecarloChunks:
+    @given(
+        seed=st.integers(0, 2**16),
+        three_classes=st.booleans(),
+        size=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_chunked_curves_equal_single_replications(self, seed, three_classes, size):
+        cfg_dict = three_class_config() if three_classes else base_config()
+        cfg_dict["seed"] = seed
+        cfg_dict["montecarlo"]["replications"] = 4
+        cfg = validate_config(cfg_dict)
+        chunks = [range(lo, min(lo + size, 4)) for lo in range(0, 4, size)]
+        chunked = [res for chunk in chunks for res in montecarlo_chunk(cfg, chunk)]
+        for rep, got in enumerate(chunked):
+            want = montecarlo_replication(cfg, rep)
+            assert got.keys() == want.keys()
+            for strategy in want:
+                assert np.array_equal(got[strategy], want[strategy])
+
+    def test_byte_cap_splits_chunks_and_keeps_bytes(self, tmp_path, monkeypatch):
+        import socialml.experiments as experiments
+
+        cfg_dict = base_config()
+        cfg_dict["montecarlo"]["replications"] = 5
+        cfg = validate_config(cfg_dict)
+        # one share of chunks per worker
+        assert replication_chunks(cfg, 1) == [[range(0, 5)]]
+        assert replication_chunks(cfg, 2) == [[range(0, 3)], [range(3, 5)]]
+        cmd_montecarlo(cfg, str(tmp_path / "whole"))
+        # 4 agents x 40 rows x (1 feature + bias) x 8 bytes per replication
+        monkeypatch.setattr(experiments, "CHUNK_INPUT_BYTES", 2 * 2560 + 1)
+        assert replication_chunks(cfg, 1) == [[range(0, 2), range(2, 4), range(4, 5)]]
+        assert replication_chunks(cfg, 2) == [[range(0, 2), range(2, 3)], [range(3, 5)]]
+        monkeypatch.setattr(experiments, "CHUNK_INPUT_BYTES", 1)
+        assert replication_chunks(cfg, 1) == [[range(r, r + 1) for r in range(5)]]
+        monkeypatch.setattr(experiments, "CHUNK_INPUT_BYTES", 2 * 2560 + 1)
+        cmd_montecarlo(cfg, str(tmp_path / "split"))
+        assert (tmp_path / "whole" / "montecarlo.csv").read_bytes() == (
+            tmp_path / "split" / "montecarlo.csv"
+        ).read_bytes()
 
 
 class TestCmdTheory:

@@ -18,6 +18,7 @@ from socialml.data import (
     mean_shift_gaussian_spec,
     one_informative_gaussian_spec,
     prediction_stream,
+    prediction_streams,
     read_idx_images,
     read_idx_labels,
     read_label_pixel_csv,
@@ -248,6 +249,89 @@ class TestPredictionStream:
         layout = PatchLayout(4, 4, 2, 2)
         with pytest.raises(DataError):
             prediction_stream(pools, RegimeSchedule(((0, 1),)), 5, seed=0, layout=layout)
+
+
+def per_block_stream(source, schedule, length, seed, layout=None):
+    """Reference draw: one generator call per (class, agent) block, in the
+    order the classes first appear."""
+    states = schedule.states(length)
+    rng = np.random.default_rng(seed)
+    active = list(dict.fromkeys(states.tolist()))
+    if isinstance(source, GaussianSceneSpec):
+        views = [np.empty((length, source.dimension(k))) for k in range(source.n_agents)]
+        for label in active:
+            idx = np.flatnonzero(states == label)
+            for k in range(source.n_agents):
+                views[k][idx] = source.models[k][label].sample(rng, idx.size)
+        return views
+    images = np.empty((length, layout.height, layout.width))
+    for label in active:
+        idx = np.flatnonzero(states == label)
+        pool = source[label]
+        images[idx] = pool[rng.integers(pool.shape[0], size=idx.size)] / 255.0
+    return split_patches(images, layout)
+
+
+class TestPredictionStreams:
+    @given(
+        dims=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4),
+        n_classes=st.sampled_from([2, 3]),
+        length=st.integers(1, 25),
+        starts=st.lists(st.integers(1, 24), max_size=3),
+        n_streams=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_batch_equals_per_seed_streams(
+        self, dims, n_classes, length, starts, n_streams, seed
+    ):
+        rng = np.random.default_rng(seed)
+        classes = tuple(range(n_classes))
+        models = []
+        for d in dims:
+            per_class = {}
+            for c in classes:
+                a = rng.normal(size=(d, d))
+                per_class[c] = GaussianClassModel(rng.normal(size=d), a @ a.T + d * np.eye(d))
+            models.append(per_class)
+        spec = GaussianSceneSpec(tuple(models), classes)
+        bounds = sorted({0, *starts})
+        schedule = RegimeSchedule(
+            tuple((s, classes[int(rng.integers(n_classes))]) for s in bounds)
+        )
+        seeds = rng.integers(0, 2**63, n_streams).tolist()
+        batch = prediction_streams(spec, schedule, length, seeds)
+        assert np.array_equal(batch.true_states, schedule.states(length))
+        for s, seed_s in enumerate(seeds):
+            alone = prediction_stream(spec, schedule, length, seed_s)
+            reference = per_block_stream(spec, schedule, length, seed_s)
+            for k, d in enumerate(dims):
+                assert batch.features_per_agent[k].shape == (n_streams, length, d)
+                assert np.array_equal(batch.features_per_agent[k][s], alone.features_per_agent[k])
+                assert np.array_equal(batch.features_per_agent[k][s], reference[k])
+
+    @given(
+        grid=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2)]),
+        length=st.integers(1, 12),
+        period=st.integers(1, 6),
+        n_streams=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_image_batch_equals_per_seed_streams(self, grid, length, period, n_streams, seed):
+        rng = np.random.default_rng(seed)
+        pools = {c: rng.integers(0, 256, size=(9, 7, 8), dtype=np.uint8) for c in (0, 1, 2)}
+        layout = PatchLayout(7, 8, *grid)
+        schedule = periodic_schedule(period, [2, 0, 1], length)
+        seeds = rng.integers(0, 2**63, n_streams).tolist()
+        batch = prediction_streams(pools, schedule, length, seeds, layout)
+        for s, seed_s in enumerate(seeds):
+            alone = prediction_stream(pools, schedule, length, seed_s, layout)
+            reference = per_block_stream(pools, schedule, length, seed_s, layout)
+            for k in range(layout.n_agents):
+                assert batch.features_per_agent[k].shape == (n_streams, length, layout.view_dim(k))
+                assert np.array_equal(batch.features_per_agent[k][s], alone.features_per_agent[k])
+                assert np.array_equal(batch.features_per_agent[k][s], reference[k])
 
 
 class TestIdxFiles:
