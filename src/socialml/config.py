@@ -262,6 +262,16 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     classes = tuple(_require(raw, "classes", list))
+    for label in classes:
+        # labels are written unquoted into CSV fields
+        if isinstance(label, bool) or not (
+            isinstance(label, int)
+            or (isinstance(label, str) and not any(c in label for c in ',"\n\r'))
+        ):
+            raise ConfigError(
+                "classes must be integers or strings without ',', '\"' or line breaks, "
+                f"got {label!r}"
+            )
     if len(classes) < 2 or len(set(classes)) != len(classes):
         raise ConfigError("classes must list at least two distinct labels")
 

@@ -29,7 +29,7 @@ from .config import (
     derived_seed,
 )
 from .mlp import LabeledDataset, TrainingDiverged, save_model, train_stack
-from .social import RegimeSchedule, periodic_schedule, run_prediction
+from .social import PredictionRun, RegimeSchedule, periodic_schedule, run_prediction
 from .stats import make_debiased_statistic
 from .theory import (
     BoundInputs,
@@ -54,22 +54,28 @@ from .graph import perron_eigenvector
 CHUNK_INPUT_BYTES = 1 << 19
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Rows per trajectory.csv text block.  Each block's lists and strings are
+# freed before the next is built, so memory stays flat as the stream grows.
+# 128 rows already amortise the per-block ``.tolist()`` calls, and keep the
+# benchmark's peak RSS at the row-at-a-time writer's; 512 rows cost
+# demo_train about 0.2 MiB more.
+TRAJECTORY_BLOCK_ROWS = 128
 
 
 def _header(cfg: ExperimentConfig) -> str:
     return f"# config={cfg.digest[:16]} seed={cfg.seed}\n"
 
 
-def _write_csv(path, cfg, columns, rows) -> None:
+def _write_csv(path, cfg, columns, blocks) -> None:
+    """Header, column names, then ``blocks``: preformatted lines of text.
+
+    Floats are formatted as ``repr`` of Python floats (``.tolist()``
+    values), the shortest text that reads back to the same number.
+    """
     with open(path, "w") as fh:
         fh.write(_header(cfg))
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(blocks)
 
 
 def _write_json(path, cfg, payload, command: str) -> None:
@@ -84,13 +90,32 @@ def _write_json(path, cfg, payload, command: str) -> None:
 
 def _write_manifest(out_dir, cfg, command, artifacts) -> None:
     path = os.path.join(out_dir, "manifest.json")
-    payload = {
-        "meta": {"config_sha256": cfg.digest, "seed": cfg.seed, "command": command},
-        "artifacts": sorted(artifacts),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, cfg, {"artifacts": sorted(artifacts)}, command)
+
+
+def _trajectory_lines(run: PredictionRun, gammas):
+    """trajectory.csv rows of one run, one text block per few hundred rows.
+
+    A row is (run_id, i, agent, gamma, lambda, decision, true_state,
+    correct) for every step i, agent and lambda component ``gammas[j]``.
+    """
+    _, n_agents, width = run.lam.shape
+    steps = max(1, TRAJECTORY_BLOCK_ROWS // (n_agents * width))
+    for lo in range(0, run.horizon, steps):
+        hi = lo + steps
+        block = zip(
+            range(lo, hi),
+            run.lam[lo:hi].tolist(),
+            run.decisions[lo:hi].tolist(),
+            run.correct[lo:hi].astype(int).tolist(),
+            run.true_states[lo:hi].tolist(),
+        )
+        yield "".join(
+            f"0,{i},{k},{gamma},{v!r},{decision},{state},{ok}\n"
+            for i, lam_i, decisions, correct, state in block
+            for k, (lam_k, decision, ok) in enumerate(zip(lam_i, decisions, correct))
+            for gamma, v in zip(gammas, lam_k)
+        )
 
 
 def build_schedule(cfg: ExperimentConfig, length: int) -> RegimeSchedule:
@@ -192,7 +217,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     model_dir = os.path.join(out_dir, "models")
     os.makedirs(model_dir, exist_ok=True)
     scene = shared_scene_training(cfg, rep=0)
-    rows = []
+    lines = []
     artifacts = ["risk_trace.csv", "manifest.json"]
     try:
         results, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
@@ -204,16 +229,18 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
                 name = f"models/agent_{k}.json"
                 save_model(result.model, os.path.join(out_dir, name))
                 artifacts.append(name)
-            for epoch, risk in enumerate(result.risk_trace):
-                rows.append((k, rep, epoch, float(risk)))
+            lines += (
+                f"{k},{rep},{epoch},{risk!r}\n"
+                for epoch, risk in enumerate(result.risk_trace.tolist())
+            )
     _write_csv(
         os.path.join(out_dir, "risk_trace.csv"),
         cfg,
         ("agent", "repetition", "epoch", "empirical_risk"),
-        rows,
+        lines,
     )
     _write_manifest(out_dir, cfg, "train", artifacts)
-    return {"models": cfg.n_agents, "trace_rows": len(rows)}
+    return {"models": cfg.n_agents, "trace_rows": len(lines)}
 
 
 def _segment_bounds(schedule: RegimeSchedule, horizon: int):
@@ -243,36 +270,11 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         delta=cfg.delta,
     )
 
-    gammas = [str(g) for g in cfg.classes[1:]]
-    rows = (
-        (
-            0,
-            i,
-            k,
-            gamma,
-            float(run.lam[i, k, j]),
-            run.decisions[i, k],
-            run.true_states[i],
-            int(run.correct[i, k]),
-        )
-        for i in range(run.horizon)
-        for k in range(cfg.n_agents)
-        for j, gamma in enumerate(gammas)
-    )
     _write_csv(
         os.path.join(out_dir, "trajectory.csv"),
         cfg,
-        (
-            "run_id",
-            "i",
-            "agent",
-            "gamma_or_binary",
-            "lambda",
-            "decision",
-            "true_state",
-            "correct",
-        ),
-        rows,
+        ("run_id", "i", "agent", "gamma_or_binary", "lambda", "decision", "true_state", "correct"),
+        _trajectory_lines(run, cfg.classes[1:]),
     )
 
     cycles = []
@@ -406,7 +408,6 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
     results = [res for part in parts for res in part]
 
     horizon = mc["horizon"]
-    rows = []
     curves = {}
     for strategy in strategies:
         table = np.stack([res[strategy] for res in results])  # (R, T)
@@ -414,22 +415,23 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
         stderr = (
             table.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(horizon)
         )
-        curves[strategy] = (rate, stderr)
-        for i in range(horizon):
-            rows.append((i + 1, strategy, float(rate[i]), float(stderr[i])))
-    rows.sort(key=lambda r: (r[0], r[1]))
+        curves[strategy] = (rate.tolist(), stderr.tolist())
     _write_csv(
         os.path.join(out_dir, "montecarlo.csv"),
         cfg,
         ("i", "strategy", "error_rate", "stderr"),
-        rows,
+        (
+            f"{i + 1},{s},{curves[s][0][i]!r},{curves[s][1][i]!r}\n"
+            for i in range(horizon)
+            for s in strategies
+        ),
     )
     summary = {
         "replications": reps,
         "eval_streams": mc["eval_streams"],
         "horizon": horizon,
         "degenerate_stderr": reps == 1,
-        "final_error": {s: float(curves[s][0][-1]) for s in strategies},
+        "final_error": {s: curves[s][0][-1] for s in strategies},
     }
     _write_json(os.path.join(out_dir, "mc_summary.json"), cfg, summary, "montecarlo")
     _write_manifest(
@@ -496,15 +498,12 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
     )
 
     grid_points = int(block.get("grid_points", 50))
-    grid_rows = []
-    for j in range(grid_points):
-        r = 0.999 * math.log(2) * j / max(grid_points - 1, 1)
-        grid_rows.append((r, exact_exponent(r), approx_exponent(r)))
+    risks = [0.999 * math.log(2) * j / max(grid_points - 1, 1) for j in range(grid_points)]
     _write_csv(
         os.path.join(out_dir, "exponent_grid.csv"),
         cfg,
         ("target_risk", "exact_exponent", "approx_exponent"),
-        grid_rows,
+        (f"{r!r},{exact_exponent(r)!r},{approx_exponent(r)!r}\n" for r in risks),
     )
 
     report = {

@@ -141,6 +141,46 @@ class TestConfigValidation:
         assert "sml" in summary["final_error"]
 
 
+def labelled_config(classes):
+    """The base scene with one gaussian block per label of ``classes``."""
+    agents = [
+        {str(c): {"mean": [0.5 * j], "cov": [[1.0]]} for j, c in enumerate(classes)}
+        for _ in range(4)
+    ]
+    return base_config(classes=classes, data={"type": "gaussian", "agents": agents})
+
+
+class TestClassLabels:
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            [[1], [2], [3]],
+            ["a,b", "2", "3"],
+            ['a"b', "c"],
+            ["a\nb", "c"],
+            ["a\rb", "c"],
+            [True, False],
+            [1.5, 2],
+            [None, 1],
+        ],
+    )
+    def test_bad_labels_exit_1_naming_classes(self, tmp_path, capsys, classes):
+        path = write_config(tmp_path, labelled_config(classes))
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(path), "--out", str(out)]) == 1
+        assert "classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_labels_write_eight_fields(self, tmp_path):
+        path = write_config(tmp_path, labelled_config(["a b", "2", "-x"]))
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[2:]
+        assert len(rows) == 20 * 4 * 2
+        assert {len(row.split(",")) for row in rows} == {8}
+        assert {row.split(",")[3] for row in rows} == {"2", "-x"}
+
+
 class TestCmdTrain:
     def test_artifacts_and_trace_shape(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
