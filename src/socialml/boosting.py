@@ -54,17 +54,14 @@ def adaboost_train(
     labels,
     arch_per_agent,
     hyper: TrainingHyperparameters,
-    seeds=None,
+    seeds,
 ) -> BoostedEnsemble:
     """Sequential boosting rounds over agents in ascending index order.
 
     ``views[k]`` holds agent k's features for the same underlying samples
-    (one shared label vector with values in {-1, +1}).  ``seeds`` optionally
-    gives one training seed per agent; otherwise ``hyper.seed + k`` is used.
-    A stack of one in ``adaboost_train_stack``.
+    (one shared label vector with values in {-1, +1}), and ``seeds[k]`` is
+    agent k's training seed.  A stack of one in ``adaboost_train_stack``.
     """
-    if seeds is None:
-        seeds = [hyper.seed + k for k in range(len(views))]
     return adaboost_train_stack([(views, labels)], arch_per_agent, hyper, [seeds])[0]
 
 

@@ -28,6 +28,7 @@ from .graph import (
     load_combination_matrix,
 )
 from .mlp import MLPArchitecture, TrainingHyperparameters
+from .social import RegimeSchedule, SocialLearningError, periodic_schedule
 
 
 class ConfigError(ValueError):
@@ -223,6 +224,57 @@ def load_config(path) -> ExperimentConfig:
     return validate_config(raw, os.path.dirname(os.path.abspath(path)))
 
 
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is an integer or a float (not a bool)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _validate_schedule(spec, classes) -> None:
+    """Reject a schedule that ``experiments.build_schedule`` cannot build.
+
+    Every state must equal a class label of the same type, so ``true`` or
+    ``1.0`` does not pass for the class ``1``.  The ordering rules are the
+    ones ``periodic_schedule`` and ``RegimeSchedule`` enforce.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"schedule must be an object, got {spec!r}")
+    if "period" in spec:
+        period = _integer(spec["period"], "schedule.period")
+        states = spec.get("states", list(classes))
+        if not isinstance(states, list) or not states:
+            raise ConfigError(f"schedule.states must be a non-empty list, got {states!r}")
+    else:
+        segments = spec.get("segments")
+        if not isinstance(segments, list) or not segments:
+            raise ConfigError("schedule needs 'period' or a non-empty 'segments' list")
+        for pair in segments:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"schedule segments must be [start, state] pairs, got {pair!r}")
+            _integer(pair[0], "schedule segment start")
+        states = [state for _, state in segments]
+    for state in states:
+        if not any(type(state) is type(label) and state == label for label in classes):
+            raise ConfigError(f"schedule state {state!r} is not one of the classes {list(classes)}")
+    try:
+        if "period" in spec:
+            periodic_schedule(period, states, 1)
+        else:
+            RegimeSchedule(tuple(segments))
+    except SocialLearningError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
+
+
 def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
     """The ``montecarlo`` block with its defaults filled in."""
     if not isinstance(block, dict):
@@ -235,13 +287,9 @@ def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
         "strategies": ["sml", "adaboost"],
         **block,
     }
-    for key in ("replications", "eval_streams", "horizon", "observe_agent"):
-        value = mc[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"montecarlo.{key} must be an integer, got {value!r}")
-        if key != "observe_agent" and value < 1:
-            raise ConfigError(f"montecarlo.{key} must be at least 1, got {value}")
-    if not 0 <= mc["observe_agent"] < n_agents:
+    for key in ("replications", "eval_streams", "horizon"):
+        _integer(mc[key], f"montecarlo.{key}", 1)
+    if not 0 <= _integer(mc["observe_agent"], "montecarlo.observe_agent") < n_agents:
         raise ConfigError(
             f"montecarlo.observe_agent {mc['observe_agent']} out of range for {n_agents} agents"
         )
@@ -282,9 +330,9 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if engine == "asl":
         if delta is None:
             raise ConfigError("adaptive engine needs 'delta'")
-        if not 0.0 < float(delta) < 1.0:
+        delta = _number(delta, "delta")
+        if not 0.0 < delta < 1.0:
             raise ConfigError("delta must lie strictly in (0, 1)")
-        delta = float(delta)
     elif delta is not None:
         raise ConfigError("'delta' is only valid with engine 'asl'")
 
@@ -307,9 +355,16 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     dims = _feature_dims(data_spec, classes, matrix.size)
 
     model = _require(raw, "model", dict)
-    hidden = tuple(int(h) for h in model.get("hidden", []))
+    hidden = model.get("hidden", [])
+    if not isinstance(hidden, list):
+        raise ConfigError(f"model.hidden must be a list, got {hidden!r}")
+    hidden = tuple(_integer(h, "model.hidden", 1) for h in hidden)
     activation = model.get("activation", "tanh")
     norm_bound = model.get("norm_bound")
+    if norm_bound is not None:
+        # kept as written: saved models carry it verbatim
+        _number(norm_bound, "model.norm_bound")
+    input_bound = _number(model.get("input_bound", 1.0), "model.input_bound")
     archs = []
     for k in range(matrix.size):
         layer_sizes = (dims[k] + 1, *hidden, len(classes))
@@ -319,29 +374,21 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
                 activation=activation,
                 bias=True,
                 norm_bound=norm_bound,
-                input_bound=float(model.get("input_bound", 1.0)),
+                input_bound=input_bound,
             )
         )
     hyper = TrainingHyperparameters(
-        epochs=int(_require(model, "epochs", int)),
-        batch_size=int(_require(model, "batch_size", int)),
-        learning_rate=float(_require(model, "learning_rate")),
-        seed=seed,
+        epochs=_integer(_require(model, "epochs"), "model.epochs", 1),
+        batch_size=_integer(_require(model, "batch_size"), "model.batch_size", 1),
+        learning_rate=_number(_require(model, "learning_rate"), "model.learning_rate"),
         optimizer=model.get("optimizer", "gd"),
-        init_scale=float(model.get("init_scale", 1.0)),
+        init_scale=_number(model.get("init_scale", 1.0), "model.init_scale"),
     )
-    repetitions = int(model.get("repetitions", 1))
-    if repetitions < 1:
-        raise ConfigError("repetitions must be positive")
-
-    train_per_class = int(raw.get("train_per_class", 0))
-    if train_per_class < 0:
-        raise ConfigError("train_per_class must be nonnegative")
-
+    repetitions = _integer(model.get("repetitions", 1), "model.repetitions", 1)
+    train_per_class = _integer(raw.get("train_per_class", 0), "train_per_class", 0)
     schedule_spec = raw.get("schedule", {"segments": [[0, classes[0]]]})
-    stream_length = int(raw.get("stream_length", 0))
-    if stream_length < 0:
-        raise ConfigError("stream_length must be nonnegative")
+    _validate_schedule(schedule_spec, classes)
+    stream_length = _integer(raw.get("stream_length", 0), "stream_length", 0)
 
     montecarlo = _validate_montecarlo(raw.get("montecarlo", {}), stream_length, matrix.size)
 

@@ -88,17 +88,6 @@ class GaussianSceneSpec:
         return self.models[agent][self.classes[0]].mean.size
 
 
-def gaussian_sample(
-    spec: GaussianSceneSpec, agent: int, label, n: int, seed=None, rng=None
-) -> np.ndarray:
-    """n i.i.d. draws from one agent's likelihood under one class."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    if label not in spec.classes:
-        raise DataError(f"unknown class {label!r}")
-    return spec.models[agent][label].sample(rng, n)
-
-
 def gaussian_training_set(
     spec: GaussianSceneSpec, agent: int, per_class: int, seed
 ) -> LabeledDataset:
@@ -251,24 +240,6 @@ def reassemble_patches(views, layout: PatchLayout) -> np.ndarray:
         patch = np.asarray(views[agent], dtype=float).reshape(n, *shape)
         out[:, rs, cs] = patch
     return out[0] if np.asarray(views[0]).ndim == 1 else out
-
-
-def balanced_sample(dataset: LabeledDataset, per_class: int, seed) -> LabeledDataset:
-    """Uniform subsample without replacement, exactly ``per_class`` per class."""
-    if per_class < 0:
-        raise DataError("per-class count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    keep = []
-    for label in dataset.classes:
-        pool = np.flatnonzero(dataset.labels == label)
-        if pool.size < per_class:
-            raise DataError(
-                f"class {label!r} has {pool.size} samples, needs {per_class}"
-            )
-        keep.append(rng.choice(pool, size=per_class, replace=False))
-    idx = np.concatenate(keep) if keep else np.empty(0, dtype=int)
-    idx = idx[rng.permutation(idx.size)]
-    return LabeledDataset(dataset.features[idx], dataset.labels[idx], dataset.classes)
 
 
 @dataclass(frozen=True)

@@ -119,20 +119,12 @@ def _trajectory_lines(run: PredictionRun, gammas):
 
 
 def build_schedule(cfg: ExperimentConfig, length: int) -> RegimeSchedule:
+    """The true-state schedule over ``length`` steps; ``validate_config`` has
+    already checked the spec."""
     spec = cfg.schedule_spec
     if "period" in spec:
-        states = spec.get("states", list(cfg.classes))
-        for s in states:
-            if s not in cfg.classes:
-                raise ConfigError(f"schedule state {s!r} not in classes")
-        return periodic_schedule(int(spec["period"]), states, length)
-    segments = spec.get("segments")
-    if not segments:
-        raise ConfigError("schedule needs 'period' or 'segments'")
-    for _, state in segments:
-        if state not in cfg.classes:
-            raise ConfigError(f"schedule state {state!r} not in classes")
-    return RegimeSchedule(tuple((int(s), g) for s, g in segments))
+        return periodic_schedule(spec["period"], spec.get("states", list(cfg.classes)), length)
+    return RegimeSchedule(tuple(spec["segments"]))
 
 
 # --- data assembly ---------------------------------------------------------

@@ -46,10 +46,6 @@ class CombinationMatrix:
     def size(self) -> int:
         return self.weights.shape[0]
 
-    def neighbors(self, k: int) -> np.ndarray:
-        """Indices l with positive weight into agent k (includes k if self-loop)."""
-        return np.flatnonzero(self.weights[:, k] > 0)
-
 
 @dataclass(frozen=True)
 class PerronVector:
@@ -64,9 +60,6 @@ class PerronVector:
         if abs(v.sum() - 1.0) > COLUMN_SUM_TOL:
             raise GraphError("Perron entries must sum to 1")
         object.__setattr__(self, "values", v)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
 
 
 def build_averaging_matrix(adjacency) -> CombinationMatrix:
@@ -187,9 +180,3 @@ def load_combination_matrix(path) -> CombinationMatrix:
         )
     return CombinationMatrix(weights)
 
-
-def save_combination_matrix(matrix: CombinationMatrix, path) -> None:
-    payload = {"K": matrix.size, "rows": matrix.weights.tolist()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -12,7 +12,7 @@ dimension when ``bias`` is set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class TrainingHyperparameters:
     epochs: int
     batch_size: int
     learning_rate: float
-    seed: int
     optimizer: str = "gd"
     init_scale: float = 1.0
 
@@ -230,19 +229,6 @@ def output_preactivations(model: MLPModel, features) -> np.ndarray:
     h = _augment(arch, features)[None]
     z = _stack_forward(weights, h, _ACTIVATIONS[arch.activation][0])[-1][0]
     return z[0] if single else z
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(np.clip(shifted, -EXP_CLAMP, None))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward(model: MLPModel, features) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and approximate posteriors ``(z, softmax(z))``."""
-    z = output_preactivations(model, features)
-    return z, softmax(z)
 
 
 def binary_logit(model: MLPModel, features) -> np.ndarray:
@@ -439,9 +425,9 @@ def train_stack(
     permutation per epoch, and its optional ``sample_weights[m]`` multiply the
     per-sample losses (weighted mean per batch).  Every step is one batched
     matmul per layer over the model axis; with a norm bound set, every update
-    is followed by a column-sum projection.  ``hyper.seed`` is not read.  The
-    datasets must share their length and classes; a non-finite loss raises
-    ``TrainingDiverged`` naming the first diverged model's stack index.
+    is followed by a column-sum projection.  The datasets must share their
+    length and classes; a non-finite loss raises ``TrainingDiverged`` naming
+    the first diverged model's stack index.
     """
     row_weights = _check_stack(datasets, arch, seeds, sample_weights)
     n_models, n = row_weights.shape
@@ -514,18 +500,19 @@ def train_erm(
     dataset: LabeledDataset,
     arch: MLPArchitecture,
     hyper: TrainingHyperparameters,
+    seed: int,
     sample_weights=None,
 ) -> TrainResult:
     """Mini-batch gradient descent on the empirical cross-entropy risk.
 
-    A stack of one in ``train_stack``, seeded with ``hyper.seed``:
+    A stack of one in ``train_stack``, seeded with ``seed``:
     deterministic given the seed (initialization and per-epoch shuffles come
     from one generator).  Optional ``sample_weights`` multiply per-sample
     losses (weighted mean per batch); with a norm bound set, every update is
     followed by a column-sum projection.
     """
     weights = None if sample_weights is None else [sample_weights]
-    return train_stack([dataset], arch, hyper, [hyper.seed], weights)[0]
+    return train_stack([dataset], arch, hyper, [seed], weights)[0]
 
 
 def gradient_check(model: MLPModel, dataset: LabeledDataset, eps: float = 1e-5) -> float:
@@ -577,11 +564,6 @@ def logit_bound(arch: MLPArchitecture) -> float:
     return 2.0 * (b * arch.lipschitz) ** (depth - 1) * b * c * width0
 
 
-def empirical_logit_bound(model: MLPModel, features) -> float:
-    """Largest |logit| component observed on the given features."""
-    return float(np.abs(reference_logits(model, features)).max())
-
-
 def save_model(model: MLPModel, path) -> None:
     """JSON with the architecture block and row-major weight arrays.
 
@@ -619,7 +601,3 @@ def load_model(path) -> MLPModel:
         input_bound=spec["input_bound"],
     )
     return MLPModel(arch, tuple(np.asarray(w, dtype=float) for w in payload["weights"]))
-
-
-def with_seed(hyper: TrainingHyperparameters, seed: int) -> TrainingHyperparameters:
-    return replace(hyper, seed=int(seed))

@@ -147,21 +147,6 @@ def diffuse(stats, weights, delta: float | None = None) -> np.ndarray:
     return np.moveaxis(np.swapaxes(lam, -1, -2), 0, -3)
 
 
-def beliefs_from_lambda(lam, n_classes: int) -> np.ndarray:
-    """Belief pmf of one agent from its log ratios, computed stably.
-
-    The reference class has implicit log score 0 and the alternatives have
-    -lam[j]; a max-shifted softmax keeps extreme values finite.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (n_classes - 1,):
-        raise SocialLearningError(f"need {n_classes - 1} ratios, got {lam.shape}")
-    scores = np.concatenate([[0.0], -lam])
-    scores -= scores.max()
-    weights = np.exp(scores)
-    return weights / weights.sum()
-
-
 def decide(lam) -> np.ndarray:
     """Index of the class with the largest belief, over the last axis of ``lam``.
 
@@ -287,24 +272,3 @@ def check_consistency_conditions(means: ConditionalMeans) -> ConsistencyReport:
         },
     )
 
-
-def bayes_classifier(log_likelihood_pair, features, priors=(0.5, 0.5)) -> np.ndarray:
-    """Decisions of the known-model sequential test on one feature stream.
-
-    ``log_likelihood_pair`` maps a feature batch to ``(logp_plus, logp_minus)``
-    arrays; the running sum of their differences plus the prior log ratio is
-    thresholded at zero (ties decide +1).  A zero-density observation makes
-    the statistic undefined and raises.
-    """
-    p_plus, p_minus = priors
-    if p_plus < 0 or p_minus < 0 or p_plus + p_minus <= 0:
-        raise SocialLearningError("priors must be nonnegative with positive sum")
-    if p_plus == 0 or p_minus == 0:
-        raise SocialLearningError("degenerate prior forces one class forever")
-    lp, lm = log_likelihood_pair(np.atleast_2d(np.asarray(features, dtype=float)))
-    lp = np.asarray(lp, dtype=float)
-    lm = np.asarray(lm, dtype=float)
-    if np.any(np.isneginf(lp)) or np.any(np.isneginf(lm)):
-        raise SocialLearningError("zero-density feature in the stream")
-    statistic = np.cumsum(lp - lm) + np.log(p_plus / p_minus)
-    return np.where(statistic >= 0.0, +1, -1)

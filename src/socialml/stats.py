@@ -251,55 +251,6 @@ def _all_sign_patterns(n: int) -> np.ndarray:
     return grid * 2.0 - 1.0
 
 
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    """Per-agent complexity values and their network average."""
-
-    per_agent: np.ndarray
-    perron: np.ndarray
-    method: str
-    n_draws: int = 0
-    stderr: np.ndarray | None = None
-    seeds: tuple = ()
-
-    def __post_init__(self):
-        rho_k = np.asarray(self.per_agent, dtype=float)
-        pi = np.asarray(self.perron, dtype=float)
-        if np.any(rho_k < 0):
-            raise StatisticError("complexities must be nonnegative")
-        if pi.shape != rho_k.shape:
-            raise StatisticError("per-agent values and perron must align")
-        object.__setattr__(self, "per_agent", rho_k)
-        object.__setattr__(self, "perron", pi)
-
-    @property
-    def network(self) -> float:
-        return float(self.perron @ self.per_agent)
-
-    def to_dict(self) -> dict:
-        out = {
-            "per_agent": self.per_agent.tolist(),
-            "network": self.network,
-            "method": self.method,
-            "n_draws": self.n_draws,
-            "seeds": list(self.seeds),
-        }
-        if self.stderr is not None:
-            out["stderr"] = np.asarray(self.stderr).tolist()
-        return out
-
-
-def network_complexity(estimates, perron, method: str) -> ComplexityEstimate:
-    """Fold per-agent estimates into one network-weighted figure."""
-    values = np.array([e.value for e in estimates])
-    stderr = np.array([e.stderr for e in estimates])
-    draws = max((e.n_draws for e in estimates), default=0)
-    seeds = tuple(e.seed for e in estimates)
-    return ComplexityEstimate(
-        values, np.asarray(perron, float), method, draws, stderr, seeds
-    )
-
-
 def mlp_rademacher_bound(arch: MLPArchitecture, n_samples: int) -> float:
     """Complexity bound for norm-constrained networks on n training samples:
     (4 / sqrt(N)) (2 b L_sigma)^(L-1) b c sqrt(log(2 n_0)).

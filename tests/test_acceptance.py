@@ -35,7 +35,6 @@ from socialml.mlp import (
     logistic_risk,
     train_erm,
     train_stack,
-    with_seed,
 )
 from socialml.social import (
     BeliefState,
@@ -163,7 +162,7 @@ def test_criterion_04_sl_time_average_limit():
 
 def test_criterion_05_debias_invariants():
     rng = np.random.default_rng(5)
-    hyper = TrainingHyperparameters(epochs=5, batch_size=8, learning_rate=0.05, seed=0)
+    hyper = TrainingHyperparameters(epochs=5, batch_size=8, learning_rate=0.05)
     worst_center = 0.0
     worst_reduction = 0.0
     for trial in range(10):
@@ -171,7 +170,7 @@ def test_criterion_05_debias_invariants():
         feats = rng.normal(size=(60, 2)) + np.repeat([[0.4], [-0.4]], 30, axis=0)
         labels = np.array([1] * 30 + [-1] * 30)
         ds = LabeledDataset(feats, labels, (1, -1))
-        model = train_erm(ds, MLPArchitecture((3, 6, 2)), with_seed(hyper, trial)).model
+        model = train_erm(ds, MLPArchitecture((3, 6, 2)), hyper, trial).model
         stat = make_debiased_statistic(model, ds)
         worst_center = max(worst_center, abs(float(stat.scalar(ds.features).mean())))
 
@@ -190,9 +189,7 @@ def test_criterion_05_debias_invariants():
         )
         labels3 = np.repeat([0, 1, 2], 20)
         ds3 = LabeledDataset(feats3, labels3, (0, 1, 2))
-        model3 = train_erm(
-            ds3, MLPArchitecture((3, 6, 3)), with_seed(hyper, 100 + trial)
-        ).model
+        model3 = train_erm(ds3, MLPArchitecture((3, 6, 3)), hyper, 100 + trial).model
         stat3 = make_debiased_statistic(model3, ds3)
         values = stat3(ds3.features)
         for j, cls in enumerate((1, 2)):
@@ -235,7 +232,7 @@ def test_criterion_07_gaussian_scene_growth():
     spec = one_informative_gaussian_spec()
     sched = RegimeSchedule(((0, +1),))
     hyper = TrainingHyperparameters(
-        epochs=300, batch_size=3, learning_rate=1e-4, seed=0,
+        epochs=300, batch_size=3, learning_rate=1e-4,
         optimizer="adam", init_scale=3.0,
     )
     lam100, lam200 = [], []

@@ -33,28 +33,29 @@ def flipped_views(n=20, flip_sets=((0, 1, 2), (7, 8, 9), (14, 15))):
     return views, labels
 
 
-HYPER = TrainingHyperparameters(epochs=80, batch_size=5, learning_rate=0.3, seed=11)
+HYPER = TrainingHyperparameters(epochs=80, batch_size=5, learning_rate=0.3)
+SEEDS = [11, 12, 13]  # agent k trains with seed 11 + k
 ARCH = MLPArchitecture((2, 2))  # scalar view + bias, linear scorer
 
 
 class TestAdaboostTrain:
     def test_single_agent_reduces_to_weighted_training(self):
         views, labels = flipped_views(flip_sets=((0, 1),))
-        ensemble = adaboost_train(views, labels, ARCH, HYPER)
+        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
         assert len(ensemble.models) == 1
         err = ensemble.errors[0]
         assert ensemble.votes[0] == pytest.approx(0.5 * math.log((1 - err) / err))
 
     def test_perfect_learner_clamped_vote(self):
         views, labels = flipped_views(flip_sets=((),))  # view equals the label
-        ensemble = adaboost_train(views, labels, ARCH, HYPER)
+        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
         assert ensemble.degenerate == (0,)
         assert ensemble.votes[0] == pytest.approx(0.5 * math.log((1 - 1e-10) / 1e-10), rel=1e-6)
         assert ensemble.votes[0] == pytest.approx(11.51, abs=0.01)
 
     def test_complementary_agents_reach_zero_ensemble_error(self):
         views, labels = flipped_views()
-        ensemble = adaboost_train(views, labels, ARCH, HYPER)
+        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
 
         # each agent alone errs on its flip set
         for k, view in enumerate(views):
@@ -75,18 +76,18 @@ class TestAdaboostTrain:
 
     def test_sample_weights_remain_pmf(self):
         views, labels = flipped_views()
-        ensemble = adaboost_train(views, labels, ARCH, HYPER)
+        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
         for weights in ensemble.weight_history:
             assert np.all(weights >= 0)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_labels_must_be_binary(self):
         with pytest.raises(BoostingError):
-            adaboost_train([np.zeros((4, 1))], np.array([0, 1, 2, 0]), ARCH, HYPER)
+            adaboost_train([np.zeros((4, 1))], np.array([0, 1, 2, 0]), ARCH, HYPER, SEEDS)
 
     def test_view_length_mismatch_rejected(self):
         with pytest.raises(BoostingError):
-            adaboost_train([np.zeros((3, 1))], np.array([1, -1]), ARCH, HYPER)
+            adaboost_train([np.zeros((3, 1))], np.array([1, -1]), ARCH, HYPER, SEEDS)
 
 
     def test_diverged_round_names_the_agent(self):
@@ -95,7 +96,7 @@ class TestAdaboostTrain:
         views = [rng.normal(size=(20, 2)) * scale for scale in (1.0, 1e300)]
         arch = MLPArchitecture((3, 4, 2), activation="identity")
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="agent 1"):
-            adaboost_train(views, labels, arch, TrainingHyperparameters(2, 5, 1e10, seed=0))
+            adaboost_train(views, labels, arch, TrainingHyperparameters(2, 5, 1e10), [0, 1])
 
 
 class TestAdaboostTrainStack:
@@ -121,7 +122,7 @@ class TestAdaboostTrainStack:
             scenes.append((views, labels))
             seeds.append(rng.integers(0, 2**31, len(dims)).tolist())
         archs = [MLPArchitecture((d + 1, 3, 2)) for d in dims]
-        hyper = TrainingHyperparameters(3, batch_size, 0.2, seed=0, optimizer=optimizer)
+        hyper = TrainingHyperparameters(3, batch_size, 0.2, optimizer=optimizer)
         stacked = adaboost_train_stack(scenes, archs, hyper, seeds)
         for (views, labels), own_seeds, got in zip(scenes, seeds, stacked):
             want = adaboost_train(views, labels, archs, hyper, seeds=own_seeds)
@@ -140,7 +141,7 @@ class TestAdaboostTrainStack:
             for scale in (1.0, 1e300)
         ]
         arch = MLPArchitecture((3, 4, 2), activation="identity")
-        hyper = TrainingHyperparameters(2, 5, 1e10, seed=0)
+        hyper = TrainingHyperparameters(2, 5, 1e10)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
             adaboost_train_stack(scenes, arch, hyper, [[1, 2], [3, 4]])
         assert info.value.model == 1
@@ -150,7 +151,7 @@ class TestAdaboostTrainStack:
 class TestAdaboostDecide:
     def trained(self):
         views, labels = flipped_views()
-        return adaboost_train(views, labels, ARCH, HYPER), views, labels
+        return adaboost_train(views, labels, ARCH, HYPER, SEEDS), views, labels
 
     def test_unanimous_agreement(self):
         ensemble, _, _ = self.trained()

@@ -22,7 +22,7 @@ from socialml.experiments import (
     replication_chunks,
     shared_scene_training,
 )
-from socialml.mlp import LabeledDataset, load_model, train_erm, with_seed
+from socialml.mlp import LabeledDataset, load_model, train_erm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_images_end_to_end import image_config, write_idx_dataset
@@ -123,13 +123,11 @@ class TestConfigValidation:
         assert a != derived_seed(43, 1, 0, 0)
 
     def test_graph_file_resolved_relative_to_config(self, tmp_path):
-        from socialml.graph import CombinationMatrix, save_combination_matrix
-
-        matrix = CombinationMatrix(np.full((4, 4), 0.25))
-        save_combination_matrix(matrix, tmp_path / "net.json")
+        weights = np.full((4, 4), 0.25)
+        (tmp_path / "net.json").write_text(json.dumps({"K": 4, "rows": weights.tolist()}))
         cfg_dict = base_config(graph={"file": "net.json"})
         cfg = validate_config(cfg_dict, str(tmp_path))
-        np.testing.assert_array_equal(cfg.matrix.weights, matrix.weights)
+        np.testing.assert_array_equal(cfg.matrix.weights, weights)
         with pytest.raises(ConfigError, match="not found"):
             validate_config(base_config(graph={"file": "missing.json"}), str(tmp_path))
 
@@ -221,7 +219,7 @@ class TestCmdTrain:
         for k in range(4):
             seed = derived_seed(cfg.seed, PHASE_TRAIN_MODEL, 0, k)
             dataset = LabeledDataset(views[k], labels, cfg.classes)
-            alone = train_erm(dataset, cfg.arch_by_agent[k], with_seed(cfg.hyper, seed))
+            alone = train_erm(dataset, cfg.arch_by_agent[k], cfg.hyper, seed)
             saved = load_model(out / "models" / f"agent_{k}.json")
             assert saved.architecture.n_features == (1, 2, 1, 2)[k]
             for got, want in zip(saved.weights, alone.model.weights):
@@ -380,6 +378,71 @@ class TestMontecarloValidation:
         # replications train in lockstep: the first to diverge is named
         assert "TrainingDiverged: replication " in err
         assert all(name in err for name in names)
+
+
+class TestScheduleValidation:
+    @pytest.mark.parametrize("command", ["predict", "montecarlo"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"segments": [[0, True], [10, -1.0]]},
+            {"segments": [[0, 1], [10, -1.0]]},
+            {"period": 5, "states": [True, -1]},
+            {},
+            {"segments": []},
+            {"segments": "x"},
+            {"segments": [[0, 1, 2]]},
+            {"segments": [[0.5, 1]]},
+            {"segments": [[5, 1]]},
+            {"segments": [[0, 1], [10, -1], [5, 1]]},
+            {"period": 0},
+            {"period": True},
+            {"period": 2.5},
+            {"period": 5, "states": []},
+            {"period": 5, "states": [1, 2]},
+            [[0, 1]],
+        ],
+    )
+    def test_bad_schedule_exits_1_naming_it(self, tmp_path, capsys, command, schedule):
+        path = write_config(tmp_path, base_config(schedule=schedule))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "schedule" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("model.repetitions", 2.7),
+            ("train_per_class", 10.9),
+            ("stream_length", 20.5),
+            ("model.epochs", True),
+            ("model.epochs", 2.0),
+            ("model.batch_size", 2.5),
+            ("model.hidden", [4.5]),
+            ("model.hidden", [0]),
+            ("delta", "x"),
+            ("delta", True),
+            ("model.learning_rate", "x"),
+            ("model.repetitions", "x"),
+            ("train_per_class", "x"),
+            ("model.hidden", ["a"]),
+            ("model.init_scale", "x"),
+            ("model.input_bound", "x"),
+            ("model.norm_bound", "x"),
+        ],
+    )
+    def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        cfg = base_config(engine="asl", delta=0.1)
+        block, _, key = field.rpartition(".")
+        (cfg[block] if block else cfg)[key] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(path), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMontecarloChunks:

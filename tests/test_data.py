@@ -11,9 +11,7 @@ from socialml.data import (
     GaussianClassModel,
     GaussianSceneSpec,
     PatchLayout,
-    balanced_sample,
     file_sha256,
-    gaussian_sample,
     gaussian_training_set,
     mean_shift_gaussian_spec,
     one_informative_gaussian_spec,
@@ -26,7 +24,6 @@ from socialml.data import (
     split_patches,
     verify_manifest,
 )
-from socialml.mlp import LabeledDataset
 from socialml.social import RegimeSchedule, periodic_schedule
 
 
@@ -41,15 +38,15 @@ class TestGaussianModels:
 
     def test_informative_agent_covariance_trace(self):
         spec = one_informative_gaussian_spec()
-        draws = gaussian_sample(spec, 1, -1, 100_000, seed=0)
+        draws = spec.models[1][-1].sample(np.random.default_rng(0), 100_000)
         trace = np.trace(np.cov(draws.T))
         assert trace == pytest.approx(3.0, rel=0.02)
 
     def test_uninformative_agents_identical_across_classes(self):
         spec = one_informative_gaussian_spec()
         for agent in (0, 2, 3):
-            plus = gaussian_sample(spec, agent, +1, 50_000, seed=1)
-            minus = gaussian_sample(spec, agent, -1, 50_000, seed=2)
+            plus = spec.models[agent][+1].sample(np.random.default_rng(1), 50_000)
+            minus = spec.models[agent][-1].sample(np.random.default_rng(2), 50_000)
             # same distribution: means and covariance traces agree within MC error
             se = np.sqrt(2.0 / 50_000)
             assert np.all(np.abs(plus.mean(axis=0) - minus.mean(axis=0)) < 5 * se)
@@ -85,8 +82,8 @@ class TestGaussianModels:
 
     def test_seed_determinism(self):
         spec = mean_shift_gaussian_spec(2)
-        a = gaussian_sample(spec, 0, +1, 10, seed=9)
-        b = gaussian_sample(spec, 0, +1, 10, seed=9)
+        a = spec.models[0][+1].sample(np.random.default_rng(9), 10)
+        b = spec.models[0][+1].sample(np.random.default_rng(9), 10)
         np.testing.assert_array_equal(a, b)
 
 
@@ -140,47 +137,6 @@ class TestPatchLayout:
         views = split_patches(image, layout)
         rebuilt = reassemble_patches(views, layout)
         np.testing.assert_array_equal(rebuilt, image)
-
-
-class TestBalancedSample:
-    def pool(self, rng, counts):
-        feats = []
-        labels = []
-        for label, n in counts.items():
-            feats.append(rng.normal(size=(n, 3)))
-            labels.extend([label] * n)
-        return LabeledDataset(np.vstack(feats), np.array(labels), tuple(counts))
-
-    def test_exact_counts_binary(self):
-        rng = np.random.default_rng(5)
-        ds = balanced_sample(self.pool(rng, {1: 150, -1: 130}), 100, seed=0)
-        assert len(ds) == 200
-        assert ds.class_counts == {1: 100, -1: 100}
-        assert ds.balanced
-
-    def test_zero_requested_gives_empty(self):
-        rng = np.random.default_rng(6)
-        ds = balanced_sample(self.pool(rng, {1: 5, -1: 5}), 0, seed=0)
-        assert len(ds) == 0
-
-    def test_ten_class_counts(self):
-        rng = np.random.default_rng(7)
-        ds = balanced_sample(self.pool(rng, {c: 120 for c in range(10)}), 100, seed=1)
-        assert len(ds) == 1000
-        assert all(v == 100 for v in ds.class_counts.values())
-
-    def test_insufficient_class_rejected(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(DataError):
-            balanced_sample(self.pool(rng, {1: 10, -1: 3}), 5, seed=0)
-
-    def test_seed_reproducible(self):
-        rng = np.random.default_rng(9)
-        pool = self.pool(rng, {1: 50, -1: 50})
-        a = balanced_sample(pool, 20, seed=4)
-        b = balanced_sample(pool, 20, seed=4)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
 
 
 class TestPredictionStream:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from socialml.data import (
-    gaussian_sample,
     mean_shift_gaussian_spec,
     one_informative_gaussian_spec,
     prediction_stream,
@@ -20,8 +19,6 @@ from socialml.social import (
     RegimeSchedule,
     SocialLearningError,
     asl_step,
-    bayes_classifier,
-    beliefs_from_lambda,
     check_consistency_conditions,
     decide,
     diffuse,
@@ -195,36 +192,6 @@ class TestDiffuse:
         for delta in (0.0, 1.0):
             with pytest.raises(SocialLearningError):
                 diffuse(np.zeros((3, 4, 1)), RING4.weights, delta)
-
-
-class TestBeliefsFromLambda:
-    def test_uniform_at_zero(self):
-        for m in (2, 3, 6):
-            np.testing.assert_allclose(
-                beliefs_from_lambda(np.zeros(m - 1), m), 1.0 / m, atol=1e-12
-            )
-
-    def test_binary_analytic(self):
-        np.testing.assert_allclose(
-            beliefs_from_lambda([math.log(3)], 2), [0.75, 0.25], atol=1e-12
-        )
-
-    def test_extreme_value_underflows_cleanly(self):
-        pmf = beliefs_from_lambda([700.0], 2)
-        assert np.all(np.isfinite(pmf))
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert pmf[1] < 1e-300
-        # past the double-precision exponent range the tail is exactly zero
-        pmf = beliefs_from_lambda([800.0], 2)
-        assert pmf[1] == 0.0
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-
-    @given(hnp.arrays(np.float64, (4,), elements=st.floats(-600, 600)))
-    @settings(max_examples=50, deadline=None)
-    def test_always_a_pmf(self, lam):
-        pmf = beliefs_from_lambda(lam, 5)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(pmf >= 0)
 
 
 class TestRegimeSchedule:
@@ -473,33 +440,20 @@ class TestConsistencyConditions:
 
 
 class TestBayesClassifier:
-    def test_equal_likelihoods_follow_prior_tie_rule(self):
-        pair = lambda h: (np.zeros(len(h)), np.zeros(len(h)))
-        decisions = bayes_classifier(pair, np.zeros((10, 1)))
-        np.testing.assert_array_equal(decisions, 1)
-
     def test_error_rate_matches_q_function_oracle(self):
-        # for unit Gaussians at means +-1 under +1, the error at step i is
-        # Q(sqrt(i)); at i = 50 that is ~7.7e-13, so no errors in 1e4 runs
+        # one agent diffusing its true log-likelihood ratio runs the
+        # known-model sequential test; for unit Gaussians at means +-1 under
+        # +1, the error at step i is Q(sqrt(i)); at i = 50 that is ~7.7e-13,
+        # so no errors in 1e4 runs
         spec = mean_shift_gaussian_spec(1, dim=1, shift=1.0)
         pair = two_class_log_likelihood(spec, 0)
         q50 = 0.5 * math.erfc(math.sqrt(50.0) / math.sqrt(2.0))
         assert q50 < 1e-3
         rng = np.random.default_rng(3)
-        errors = 0
-        for _ in range(10_000):
-            feats = rng.normal(1.0, 1.0, (50, 1))
-            errors += bayes_classifier(pair, feats)[-1] != 1
+        feats = rng.normal(1.0, 1.0, (10_000, 50, 1))
+        run = run_prediction(
+            "sl", CombinationMatrix([[1.0]]), [lambda h: np.subtract(*pair(h))],
+            [feats], [1] * 50, (1, -1),
+        )
+        errors = int(np.sum(~run.correct[:, -1, 0]))
         assert errors / 10_000 <= 1e-3
-
-    def test_invalid_priors_rejected(self):
-        pair = lambda h: (np.zeros(len(h)), np.zeros(len(h)))
-        with pytest.raises(SocialLearningError):
-            bayes_classifier(pair, np.zeros((3, 1)), priors=(-0.2, 1.2))
-        with pytest.raises(SocialLearningError):
-            bayes_classifier(pair, np.zeros((3, 1)), priors=(0.0, 1.0))
-
-    def test_zero_density_rejected(self):
-        pair = lambda h: (np.full(len(h), -np.inf), np.zeros(len(h)))
-        with pytest.raises(SocialLearningError, match="zero-density"):
-            bayes_classifier(pair, np.zeros((3, 1)))

@@ -13,21 +13,19 @@ from socialml.mlp import (
     train_erm,
 )
 from socialml.stats import (
-    ComplexityEstimate,
     StatisticError,
     conditional_means,
     empirical_training_mean,
     make_debiased_statistic,
     mlp_rademacher_bound,
-    network_complexity,
     rademacher_monte_carlo,
 )
 
 
 def train_small(dataset, seed, hidden=(6,)):
     arch = MLPArchitecture((dataset.dim + 1, *hidden, len(dataset.classes)))
-    hyper = TrainingHyperparameters(6, 8, 0.05, seed=seed)
-    return train_erm(dataset, arch, hyper).model
+    hyper = TrainingHyperparameters(6, 8, 0.05)
+    return train_erm(dataset, arch, hyper, seed).model
 
 
 def random_binary_dataset(rng, n_per_class=25, dim=2):
@@ -292,27 +290,3 @@ def _logit(model, h):
     from socialml.mlp import binary_logit
 
     return binary_logit(model, h)
-
-
-class TestComplexityEstimate:
-    def test_network_average(self):
-        est = ComplexityEstimate(
-            np.array([0.1, 0.3]), np.array([0.25, 0.75]), "monte-carlo"
-        )
-        assert est.network == pytest.approx(0.25 * 0.1 + 0.75 * 0.3, abs=1e-12)
-
-    def test_aggregation_from_estimates(self):
-        rng = np.random.default_rng(19)
-        feats = rng.normal(size=(6, 1))
-        fn = lambda h: np.asarray(h)[:, 0]
-        parts = [
-            rademacher_monte_carlo([fn], feats, n_draws=100, seed=s) for s in range(3)
-        ]
-        combined = network_complexity(parts, np.full(3, 1 / 3), "monte-carlo")
-        assert combined.network == pytest.approx(
-            np.mean([p.value for p in parts]), abs=1e-12
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(StatisticError):
-            ComplexityEstimate(np.array([-0.1]), np.array([1.0]), "monte-carlo")
