@@ -1,11 +1,14 @@
 """Experiment configuration: JSON schema, validation, and seed discipline.
 
 All randomness in an experiment descends from one master seed.  Derived
-seeds are produced by feeding ``(master, phase, *indices)`` into a seed
-sequence, where ``phase`` is a fixed small integer naming the consumer
-(training data, model init, streams, ...).  Because every consumer owns a
-distinct path, adding replications or agents never perturbs the draws of
-existing ones.
+seeds are produced by feeding ``(master, phase, *indices)`` into numpy's
+``SeedSequence`` hash, where ``phase`` is a fixed small integer naming the
+consumer (training data, model init, streams, ...).  Because every consumer
+owns a distinct path, adding replications or agents never perturbs the draws
+of existing ones.  Derived seeds and the generators they seed come from one
+vectorized kernel, ``seeds.derived_seeds`` and ``seeds.generators``, which
+is bit-equal to ``SeedSequence`` and ``default_rng``; ``derived_seed`` is
+its one-row form.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .graph import (
     load_combination_matrix,
 )
 from .mlp import MLPArchitecture, TrainingHyperparameters
+from .seeds import derived_seeds
 from .social import RegimeSchedule, SocialLearningError, periodic_schedule
 
 
@@ -45,8 +49,7 @@ PHASE_SAMPLER = 4
 
 def derived_seed(master: int, phase: int, *indices) -> int:
     """Stable 64-bit seed for one consumer of the master seed."""
-    entropy = [int(master), int(phase), *[int(i) for i in indices]]
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+    return int(derived_seeds(master, phase, [indices])[0])
 
 
 def config_digest(raw: dict) -> str:
@@ -105,10 +108,10 @@ def _build_matrix(spec: dict, base_dir: str) -> CombinationMatrix:
         raise ConfigError("graph spec must be one of ring/grid/file/matrix")
     kind, value = next(iter(spec.items()))
     if kind == "ring":
-        return build_averaging_matrix(directed_ring_adjacency(int(value)))
+        return build_averaging_matrix(directed_ring_adjacency(_integer(value, "graph.ring", 1)))
     if kind == "grid":
-        rows, cols = value
-        return build_averaging_matrix(grid_adjacency(int(rows), int(cols)))
+        rows, cols = _integer_pair(value, "graph.grid")
+        return build_averaging_matrix(grid_adjacency(rows, cols))
     if kind == "file":
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         if not os.path.exists(path):
@@ -154,9 +157,10 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
 
 
 def image_layout(data_spec: dict) -> PatchLayout:
-    rows, cols = data_spec["layout"]
     return PatchLayout(
-        int(data_spec["height"]), int(data_spec["width"]), int(rows), int(cols)
+        _integer(data_spec["height"], "data.height", 1),
+        _integer(data_spec["width"], "data.width", 1),
+        *_integer_pair(data_spec["layout"], "data.layout"),
     )
 
 
@@ -176,7 +180,7 @@ def _image_pools(cfg: ExperimentConfig) -> dict:
         path = manifest["files"][name]["path"]
         return path if os.path.isabs(path) else os.path.join(base, path)
 
-    height, width = int(cfg.data_spec["height"]), int(cfg.data_spec["width"])
+    height, width = cfg.data_spec["height"], cfg.data_spec["width"]
     if manifest.get("format") == "idx":
         images = data_mod.read_idx_images(_resolve("images"))
         labels = data_mod.read_idx_labels(_resolve("labels"))
@@ -233,6 +237,13 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
+def _integer_pair(value, name: str) -> tuple:
+    """``value`` as two integers of at least 1, given as a two-element list."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{name} must be a list of two integers, got {value!r}")
+    return tuple(_integer(n, name, 1) for n in value)
+
+
 def _number(value, name: str) -> float:
     """``value`` as a float if it is an integer or a float (not a bool)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -275,6 +286,25 @@ def _validate_schedule(spec, classes) -> None:
         raise ConfigError(f"schedule: {exc}") from exc
 
 
+def _validate_theory(block) -> dict:
+    """The ``theory`` block, its counts and numbers checked; ``cmd_theory``
+    supplies the defaults."""
+    if not isinstance(block, dict):
+        raise ConfigError("theory must be an object")
+    if "sample_counts" in block:
+        counts = block["sample_counts"]
+        if not isinstance(counts, list):
+            raise ConfigError(f"theory.sample_counts must be a list, got {counts!r}")
+        for n in counts:
+            _integer(n, "theory.sample_counts", 1)
+    if "grid_points" in block:
+        _integer(block["grid_points"], "theory.grid_points", 1)
+    for key in ("target_risk", "epsilon"):
+        if key in block:
+            _number(block[key], f"theory.{key}")
+    return dict(block)
+
+
 def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
     """The ``montecarlo`` block with its defaults filled in."""
     if not isinstance(block, dict):
@@ -306,9 +336,7 @@ def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
 
 
 def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
-    seed = _require(raw, "seed", int)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    seed = _integer(_require(raw, "seed"), "seed", 0)
     classes = tuple(_require(raw, "classes", list))
     for label in classes:
         # labels are written unquoted into CSV fields
@@ -407,6 +435,6 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         schedule_spec=schedule_spec,
         stream_length=stream_length,
         montecarlo=montecarlo,
-        theory=dict(raw.get("theory", {})),
+        theory=_validate_theory(raw.get("theory", {})),
         data_spec=data_spec,
     )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mlp import LabeledDataset
+from .seeds import generators
 from .social import RegimeSchedule
 
 
@@ -92,7 +93,7 @@ def gaussian_training_set(
     spec: GaussianSceneSpec, agent: int, per_class: int, seed
 ) -> LabeledDataset:
     """Balanced labeled draws, ``per_class`` samples for every class."""
-    rng = np.random.default_rng(seed)
+    (rng,) = generators([seed])
     feats = []
     labels = []
     for label in spec.classes:
@@ -273,11 +274,11 @@ def prediction_streams(
     draw from its own likelihood) or a mapping label -> image array, in which
     case one image per step is picked with replacement and split through
     ``layout``.  Draws are independent across steps, and stream s reads only
-    its own generator ``default_rng(seeds[s])``, so it is the same stream
+    its own generator ``generators(seeds)[s]``, so it is the same stream
     whatever batch it is drawn in.
     """
     states = schedule.states(length)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = generators(seeds)
     n_streams = len(rngs)
     # draws grouped by class in order of first appearance keep the stream
     # i.i.d. over time while staying seed-deterministic

@@ -29,6 +29,7 @@ from .config import (
     derived_seed,
 )
 from .mlp import LabeledDataset, TrainingDiverged, save_model, train_stack
+from .seeds import derived_seeds, generators
 from .social import PredictionRun, RegimeSchedule, periodic_schedule, run_prediction
 from .stats import make_debiased_statistic
 from .theory import (
@@ -139,8 +140,7 @@ def shared_scene_training(cfg: ExperimentConfig, rep: int) -> tuple:
     per_class = cfg.train_per_class
     if per_class < 1:
         raise ConfigError("training needs train_per_class >= 1")
-    seed = derived_seed(cfg.seed, PHASE_TRAIN_DATA, rep)
-    rng = np.random.default_rng(seed)
+    (rng,) = generators([derived_seed(cfg.seed, PHASE_TRAIN_DATA, rep)])
     labels = np.repeat(np.array(cfg.classes, dtype=object), per_class)
     labels = labels[rng.permutation(labels.size)]
     source, layout = cfg.scene
@@ -185,7 +185,7 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
             groups.setdefault(arch, []).append((i, k))
     results = [[None] * cfg.n_agents for _ in reps]
     for arch, pairs in groups.items():
-        seeds = [derived_seed(cfg.seed, PHASE_TRAIN_MODEL, reps[i], k) for i, k in pairs]
+        seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(reps[i], k) for i, k in pairs])
         try:
             trained = train_stack([datasets[i][k] for i, k in pairs], arch, cfg.hyper, seeds)
         except TrainingDiverged as exc:
@@ -320,10 +320,8 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
         if "sml" in strategies:
             _, stats = train_agents(cfg, reps, scenes)
         if "adaboost" in strategies:
-            seeds = [
-                [derived_seed(cfg.seed, PHASE_BOOST_MODEL, rep, k) for k in range(cfg.n_agents)]
-                for rep in reps
-            ]
+            rows = [(rep, k) for rep in reps for k in range(cfg.n_agents)]
+            seeds = derived_seeds(cfg.seed, PHASE_BOOST_MODEL, rows).reshape(len(reps), -1)
             ensembles = adaboost_train_stack(scenes, list(cfg.arch_by_agent), cfg.hyper, seeds)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"replication {reps[exc.model]}, {exc}", exc.model) from exc
@@ -333,7 +331,8 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     source, layout = cfg.scene
     out = []
     for i, rep in enumerate(reps):
-        seeds = [derived_seed(cfg.seed, PHASE_STREAM, rep, s) for s in range(n_streams)]
+        rows = np.column_stack((np.full(n_streams, rep), np.arange(n_streams)))
+        seeds = derived_seeds(cfg.seed, PHASE_STREAM, rows)
         stream = data_mod.prediction_streams(source, schedule, horizon, seeds, layout)
         errors = {}
         if stats is not None:
@@ -445,7 +444,7 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         if cfg.train_per_class < 1:
             raise ConfigError("theory needs sample_counts or train_per_class")
         counts = [cfg.train_per_class * len(cfg.classes)] * cfg.n_agents
-    profile = TrainingProfile(tuple(int(n) for n in counts), pi)
+    profile = TrainingProfile(tuple(counts), pi)
 
     target_risk = float(block.get("target_risk", 0.0))
     beta = block.get("beta", 1.0)
@@ -489,7 +488,7 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         c_mixed, target_risk, profile.alpha, beta_scalar, epsilon
     )
 
-    grid_points = int(block.get("grid_points", 50))
+    grid_points = block.get("grid_points", 50)
     risks = [0.999 * math.log(2) * j / max(grid_points - 1, 1) for j in range(grid_points)]
     _write_csv(
         os.path.join(out_dir, "exponent_grid.csv"),

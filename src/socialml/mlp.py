@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeds import generators
+
 EXP_CLAMP = 500.0  # exp argument clamp used by the stable loss helpers
 
 
@@ -421,7 +423,7 @@ def train_stack(
     """Mini-batch ERM of S same-shape models in lockstep, one result per dataset.
 
     Model m trains on ``datasets[m]`` exactly as it would alone: its own
-    generator ``default_rng(seeds[m])`` draws the initial weights and then one
+    generator ``generators(seeds)[m]`` draws the initial weights and then one
     permutation per epoch, and its optional ``sample_weights[m]`` multiply the
     per-sample losses (weighted mean per batch).  Every step is one batched
     matmul per layer over the model axis; with a norm bound set, every update
@@ -431,7 +433,7 @@ def train_stack(
     """
     row_weights = _check_stack(datasets, arch, seeds, sample_weights)
     n_models, n = row_weights.shape
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = generators(seeds)
     inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
     weights = [np.stack(layer) for layer in zip(*inits)]
     h = np.stack([_augment(arch, dataset.features) for dataset in datasets])

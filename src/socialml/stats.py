@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mlp import LabeledDataset, MLPArchitecture, MLPModel, reference_logits
+from .seeds import generators
 
 DEBIAS_TOL = 1e-10
 
@@ -178,7 +179,7 @@ def conditional_means(
     if len(samplers) != n_agents or pi.shape != (n_agents,):
         raise StatisticError("functions, samplers and perron must align")
     train_mean_arr = np.zeros(n_agents) if train_means is None else np.asarray(train_means, float)
-    rng = np.random.default_rng(seed)
+    (rng,) = generators([seed])
     plus = np.empty(n_agents)
     minus = np.empty(n_agents)
     se_plus = np.empty(n_agents)
@@ -230,7 +231,7 @@ def rademacher_monte_carlo(
         )
     if n_draws < 1:
         raise StatisticError("need at least one sign draw")
-    rng = np.random.default_rng(seed)
+    (rng,) = generators([seed])
     signs = rng.integers(0, 2, size=(n_draws, n)) * 2.0 - 1.0
     sups = np.abs(table @ signs.T / n).max(axis=0)
     stderr = float(sups.std(ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0

@@ -179,6 +179,50 @@ class TestClassLabels:
         assert {row.split(",")[3] for row in rows} == {"2", "-x"}
 
 
+def _theory_override(**entries):
+    return {"theory": {**base_config()["theory"], **entries}}
+
+
+def _image_override(**entries):
+    cfg = image_config("dataset.json")
+    cfg["data"].update(entries)
+    return cfg
+
+
+NUMBER_CASES = [
+    ("theory", {"graph": {"ring": 4.7}}, "graph.ring"),
+    ("theory", {"graph": {"grid": [2, 2.5]}}, "graph.grid"),
+    ("theory", {"seed": True}, "seed"),
+    ("theory", _theory_override(grid_points=12.9), "theory.grid_points"),
+    ("theory", _theory_override(sample_counts=[40.7, 40, 40, 40]), "theory.sample_counts"),
+    ("theory", _theory_override(epsilon="0.1"), "theory.epsilon"),
+    ("train", _image_override(height=8.0), "data.height"),
+    ("train", _image_override(width=8.5), "data.width"),
+    ("train", _image_override(layout=[2.0, 2]), "data.layout"),
+]
+
+
+class TestConfigNumbers:
+    """Numbers that must be integers exit 1 naming their field instead of
+    being truncated."""
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        NUMBER_CASES,
+        ids=[field for _, _, field in NUMBER_CASES],
+    )
+    def test_fractional_number_exits_1_naming_field(
+        self, tmp_path, capsys, command, overrides, field
+    ):
+        write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=40)
+        cfg = overrides if command == "train" else base_config(**overrides)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdTrain:
     def test_artifacts_and_trace_shape(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
