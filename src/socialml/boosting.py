@@ -139,6 +139,10 @@ def adaboost_decide(ensemble: BoostedEnsemble, features_per_agent) -> np.ndarray
         raise BoostingError("need one feature view per trained agent")
     total = None
     for model, vote, feats in zip(ensemble.models, ensemble.votes, features_per_agent):
-        contribution = vote * sign_decision(binary_logit(model, feats))
-        total = contribution if total is None else total + contribution
+        contribution = sign_decision(binary_logit(model, feats))
+        contribution *= vote
+        if total is None:
+            total = contribution
+        else:
+            total += contribution
     return sign_decision(total).astype(int)

@@ -30,7 +30,7 @@ from .graph import (
     grid_adjacency,
     load_combination_matrix,
 )
-from .mlp import MLPArchitecture, TrainingHyperparameters
+from .mlp import ACTIVATIONS, OPTIMIZERS, MLPArchitecture, TrainingHyperparameters
 from .seeds import derived_seeds
 from .social import RegimeSchedule, SocialLearningError, periodic_schedule
 
@@ -251,6 +251,13 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _choice(value, name: str, choices) -> str:
+    """``value`` if it is one of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+    return value
+
+
 def _validate_schedule(spec, classes) -> None:
     """Reject a schedule that ``experiments.build_schedule`` cannot build.
 
@@ -351,9 +358,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if len(classes) < 2 or len(set(classes)) != len(classes):
         raise ConfigError("classes must list at least two distinct labels")
 
-    engine = _require(raw, "engine", str)
-    if engine not in ("sl", "asl"):
-        raise ConfigError(f"engine must be 'sl' or 'asl', got {engine!r}")
+    engine = _choice(_require(raw, "engine"), "engine", ("sl", "asl"))
     delta = raw.get("delta")
     if engine == "asl":
         if delta is None:
@@ -387,7 +392,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     if not isinstance(hidden, list):
         raise ConfigError(f"model.hidden must be a list, got {hidden!r}")
     hidden = tuple(_integer(h, "model.hidden", 1) for h in hidden)
-    activation = model.get("activation", "tanh")
+    activation = _choice(model.get("activation", "tanh"), "model.activation", ACTIVATIONS)
     norm_bound = model.get("norm_bound")
     if norm_bound is not None:
         # kept as written: saved models carry it verbatim
@@ -409,7 +414,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         epochs=_integer(_require(model, "epochs"), "model.epochs", 1),
         batch_size=_integer(_require(model, "batch_size"), "model.batch_size", 1),
         learning_rate=_number(_require(model, "learning_rate"), "model.learning_rate"),
-        optimizer=model.get("optimizer", "gd"),
+        optimizer=_choice(model.get("optimizer", "gd"), "model.optimizer", OPTIMIZERS),
         init_scale=_number(model.get("init_scale", 1.0), "model.init_scale"),
     )
     repetitions = _integer(model.get("repetitions", 1), "model.repetitions", 1)

@@ -131,16 +131,24 @@ def build_schedule(cfg: ExperimentConfig, length: int) -> RegimeSchedule:
 # --- data assembly ---------------------------------------------------------
 
 
-def shared_scene_training(cfg: ExperimentConfig, rep: int) -> tuple:
+def _scene_generators(cfg: ExperimentConfig, reps) -> list:
+    """The training-data generator of every repetition in ``reps``."""
+    return generators(derived_seeds(cfg.seed, PHASE_TRAIN_DATA, [(rep,) for rep in reps]))
+
+
+def shared_scene_training(cfg: ExperimentConfig, rep: int, rng=None) -> tuple:
     """Balanced training scenes shared by all agents: (views, labels).
 
     Labels are common to the network (all agents observe the same scenes);
-    each agent's view is its own draw (gaussian) or patch (images).
+    each agent's view is its own draw (gaussian) or patch (images).  ``rng``
+    is repetition ``rep``'s training-data generator, for callers that derive
+    those of many repetitions at once; by default it is derived here.
     """
     per_class = cfg.train_per_class
     if per_class < 1:
         raise ConfigError("training needs train_per_class >= 1")
-    (rng,) = generators([derived_seed(cfg.seed, PHASE_TRAIN_DATA, rep)])
+    if rng is None:
+        (rng,) = _scene_generators(cfg, [rep])
     labels = np.repeat(np.array(cfg.classes, dtype=object), per_class)
     labels = labels[rng.permutation(labels.size)]
     source, layout = cfg.scene
@@ -314,7 +322,10 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     horizon, n_streams = mc["horizon"], mc["eval_streams"]
     strategies = mc["strategies"]
 
-    scenes = [shared_scene_training(cfg, rep) for rep in reps]
+    scenes = [
+        shared_scene_training(cfg, rep, rng)
+        for rep, rng in zip(reps, _scene_generators(cfg, reps))
+    ]
     stats = ensembles = None
     try:
         if "sml" in strategies:

@@ -36,13 +36,16 @@ class TrainingDiverged(RuntimeError):
         self.model = model
 
 
-# activation name -> (function f, f' written in terms of y = f(a), Lipschitz
-# constant); all satisfy f(0)=0
+# activation name -> (function f, called as f(a, out=a) to overwrite a with
+# f(a) and return it; f' written in terms of y = f(a); Lipschitz constant);
+# all satisfy f(0)=0
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda y: 1.0 - y**2, 1.0),
-    "relu": (lambda a: np.maximum(a, 0.0), lambda y: (y > 0).astype(float), 1.0),
-    "identity": (lambda a: a, lambda y: 1.0, 1.0),
+    "relu": (lambda a, out: np.maximum(a, 0.0, out=out), lambda y: (y > 0).astype(float), 1.0),
+    "identity": (lambda a, out: out, lambda y: 1.0, 1.0),
 }
+ACTIVATIONS = tuple(_ACTIVATIONS)
+OPTIMIZERS = ("gd", "adam")
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class MLPArchitecture:
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ModelError(f"need positive layer sizes with L >= 1, got {sizes}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ModelError(f"unknown activation {self.activation!r}")
         if self.norm_bound is not None and self.norm_bound <= 0:
             raise ModelError("norm bound must be positive when set")
@@ -113,7 +116,7 @@ class TrainingHyperparameters:
             raise ModelError("epochs and batch size must be positive")
         if self.learning_rate < 0:
             raise ModelError("learning rate must be nonnegative")
-        if self.optimizer not in ("gd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ModelError(f"unknown optimizer {self.optimizer!r}")
         if self.init_scale <= 0:
             raise ModelError("init scale must be positive")
@@ -207,7 +210,10 @@ def _augment(arch: MLPArchitecture, features) -> np.ndarray:
     if h.shape[1] != arch.n_features:
         raise ModelError(f"feature dim {h.shape[1]}, expected {arch.n_features}")
     if arch.bias:
-        h = np.hstack([h, np.ones((h.shape[0], 1))])
+        out = np.empty((h.shape[0], h.shape[1] + 1))
+        out[:, :-1] = h
+        out[:, -1] = 1.0
+        h = out
     return h
 
 
@@ -215,10 +221,15 @@ def _stack_forward(weights, h, act_fn) -> list:
     """Activations of every layer for stacked (S, N, n_0) inputs: [h, ..., z].
 
     ``weights[ell]`` holds the layer's matrices of all S models, (S, n_l, n_{l-1}).
+    Each activation overwrites the matmul output it is applied to, so a layer
+    costs one fresh array; backpropagation reads only activation outputs.
+    The matmuls keep the transposed-view operand: a contiguous copy of W^T, or
+    splitting the rows into blocks, changes the last bits of some products.
     """
     acts = [h]
     for w in weights[:-1]:
-        acts.append(act_fn(np.matmul(acts[-1], w.transpose(0, 2, 1))))
+        a = np.matmul(acts[-1], w.transpose(0, 2, 1))
+        acts.append(act_fn(a, out=a))
     acts.append(np.matmul(acts[-1], weights[-1].transpose(0, 2, 1)))
     return acts
 
@@ -245,10 +256,13 @@ def reference_logits(model: MLPModel, features) -> np.ndarray:
     """Pairwise logits against the reference class: z_0 - z_gamma, gamma > 0.
 
     The log-odds of approximate posteriors reduce to score differences
-    because the softmax normalizer cancels.  Shape (..., M-1).
+    because the softmax normalizer cancels.  Shape (..., M-1), a view of the
+    scores: each difference overwrites z_gamma.
     """
     z = output_preactivations(model, features)
-    return z[..., :1] - z[..., 1:]
+    for gamma in range(1, z.shape[-1]):
+        np.subtract(z[..., 0], z[..., gamma], out=z[..., gamma])
+    return z[..., 1:]
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

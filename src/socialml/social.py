@@ -152,11 +152,20 @@ def decide(lam) -> np.ndarray:
 
     Index 0 is the reference class, whose implicit log score 0 is compared
     with -lam[..., j] for class j + 1; ties go to the earliest class, so for
-    two classes the reference class wins whenever lambda >= 0.
+    two classes the reference class wins whenever lambda >= 0.  ``lam`` must
+    be finite, as ``run_prediction`` checks first; a NaN entry gives no
+    meaningful pick.
     """
     lam = np.asarray(lam, dtype=float)
-    scores = np.concatenate([np.zeros(lam.shape[:-1] + (1,)), -lam], axis=-1)
-    return np.argmax(scores, axis=-1)  # argmax takes the first maximizer
+    # a running maximum of the scores -lam[..., j], kept as the lowest lambda
+    # so far; a later class wins only by a strictly lower one
+    picks = np.array(lam[..., 0] < 0.0, dtype=np.intp)
+    if lam.shape[-1] > 1:
+        lowest = np.asarray(np.minimum(lam[..., 0], 0.0))
+        for j in range(1, lam.shape[-1]):
+            picks[lam[..., j] < lowest] = j + 1
+            np.minimum(lowest, lam[..., j], out=lowest)
+    return picks
 
 
 @dataclass(frozen=True)

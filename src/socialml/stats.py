@@ -65,7 +65,11 @@ class DebiasedStatistic:
 
     def __call__(self, features) -> np.ndarray:
         """Centered pairwise logits, shape (M-1,) or (N, M-1)."""
-        return reference_logits(self.model, features) - self.train_means
+        logits = reference_logits(self.model, features)
+        # column by column: numpy loops slowly over a short last axis
+        for j, mean in enumerate(self.train_means):
+            logits[..., j] -= mean
+        return logits
 
     def scalar(self, features) -> np.ndarray:
         """Binary convenience: the single centered logit component."""

@@ -476,6 +476,12 @@ class TestNumericFields:
             ("model.init_scale", "x"),
             ("model.input_bound", "x"),
             ("model.norm_bound", "x"),
+            ("model.activation", ["tanh"]),
+            ("model.activation", "sigmoid"),
+            ("model.activation", None),
+            ("model.optimizer", ["adam"]),
+            ("model.optimizer", "sgd"),
+            ("model.optimizer", 1),
         ],
     )
     def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, field, value):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from socialml.mlp import (
     ModelError,
     TrainingDiverged,
     TrainingHyperparameters,
+    _ACTIVATIONS,
+    _stack_forward,
     binary_logit,
     cross_entropy_risk,
     gradient_check,
@@ -26,6 +29,7 @@ from socialml.mlp import (
     train_erm,
     train_stack,
 )
+from socialml.stats import DebiasedStatistic
 
 
 def binary_dataset(rng, n=20, dim=2):
@@ -84,6 +88,74 @@ class TestForward:
         model = zero_model((3, 2))
         with pytest.raises(ModelError):
             output_preactivations(model, [1.0, 2.0, 3.0])
+
+    @given(
+        activation=st.sampled_from(["tanh", "relu", "identity"]),
+        n_models=st.sampled_from([1, 3]),
+        n_rows=st.sampled_from([1, 2, 7, 40]),
+        n_features=st.sampled_from([1, 3, 60]),
+        hidden=st.lists(st.integers(1, 12), min_size=0, max_size=2),
+        n_outputs=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_kernels_equal_out_of_place_chain(
+        self, activation, n_models, n_rows, n_features, hidden, n_outputs, seed
+    ):
+        # the plain chain: fresh arrays for the bias column, every activation
+        # and every difference, with the same matmul operands
+        act = {"tanh": np.tanh, "relu": lambda a: np.maximum(a, 0.0), "identity": lambda a: a}
+        rng = np.random.default_rng(seed)
+        sizes = (n_features + 1, *hidden, n_outputs)
+        weights = [
+            rng.normal(size=(n_models, n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])
+        ]
+        feats = rng.normal(size=(n_models, n_rows, n_features))
+
+        def chain(feats, weights):
+            acts = [np.concatenate([feats, np.ones(feats.shape[:-1] + (1,))], axis=-1)]
+            for w in weights[:-1]:
+                acts.append(act[activation](np.matmul(acts[-1], w.transpose(0, 2, 1))))
+            acts.append(np.matmul(acts[-1], weights[-1].transpose(0, 2, 1)))
+            return acts
+
+        want = chain(feats, weights)
+        got = _stack_forward(weights, want[0].copy(), _ACTIVATIONS[activation][0])
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+        model = MLPModel(
+            MLPArchitecture(sizes, activation=activation), tuple(w[0] for w in weights)
+        )
+        means = rng.normal(size=n_outputs - 1)
+        statistic = DebiasedStatistic(0, model, tuple(range(n_outputs)), means)
+        first = [w[:1] for w in weights]
+        batch_z = chain(feats[:1], first)[-1][0]
+        # one feature vector is a 1-row product, whose bits may differ
+        single_z = chain(feats[:1, :1], first)[-1][0, 0]
+        for rows, z in ((feats[0], batch_z), (feats[0, 0], single_z)):
+            logits = z[..., :1] - z[..., 1:]
+            np.testing.assert_array_equal(output_preactivations(model, rows), z)
+            np.testing.assert_array_equal(reference_logits(model, rows), logits)
+            np.testing.assert_array_equal(statistic(rows), logits - means)
+
+    def test_forward_holds_one_array_per_layer(self):
+        # a 10,000-row forward of a (2, 10, 2) network keeps the augmented
+        # input, one hidden activation and the scores, and no second copy of
+        # any of them
+        rng = np.random.default_rng(1)
+        model = initialize_model(MLPArchitecture((2, 10, 2)), rng)
+        feats = rng.normal(size=(10_000, 1))
+        output_preactivations(model, feats)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            output_preactivations(model, feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = 8 * 10_000 * (2 + 10 + 2)
+        assert peak < 1.1 * held, (peak, held)
 
 
 class TestLogit:
@@ -262,6 +334,60 @@ class TestTrainErm:
         assert binary_logit(result.model, [1.0]) > 0
 
 
+class TestTrainingGolden:
+    """Weights and risk traces of one small run per activation other than
+    tanh, which the benchmark workloads never train with.  The values were
+    computed with out-of-place activations; the tolerance only admits the
+    last-bit rounding of another BLAS or libm build."""
+
+    GOLDEN = {
+        ("relu", "gd"): (
+            [
+                [
+                    [-0.44948671116153954, -0.18377862356919558, 0.1347654996844265],
+                    [-0.6233135938277826, -0.7357469676636048, 0.4208397497814423],
+                    [-0.4836308688979803, -0.4926172093092354, 0.42418252027328307],
+                ],
+                [
+                    [-0.011306073055837236, -0.695211572874727, -0.44942641534441746],
+                    [0.3400799682198331, 0.28448683090443716, 0.044540018481791746],
+                ],
+            ],
+            [0.5708090097247598, 0.5145776444629859, 0.4885984736987845, 0.46962427259665196],
+        ),
+        ("identity", "adam"): (
+            [
+                [
+                    [-2.578686265053621, -3.1160034465459203, 0.32115618710539445],
+                    [-1.321167918824387, -2.5032082027090654, -0.0939130090751264],
+                    [-0.026852931479962906, -0.6739770184233935, -0.06332698329962394],
+                ],
+                [
+                    [-2.630232244498625, -1.7871164323050956, -1.1035177977805384],
+                    [2.9590061396626206, 1.376391690334806, 0.6986314009179122],
+                ],
+            ],
+            [0.12873327628754722, 0.06941461755520864, 0.1394757712473677, 0.13522189660736977],
+        ),
+    }
+
+    @pytest.mark.parametrize("activation, optimizer", sorted(GOLDEN))
+    def test_pinned_weights_and_risk_trace(self, activation, optimizer):
+        rng = np.random.default_rng(2024)
+        labels = np.tile([1, -1], 10)
+        feats = rng.normal(size=(20, 2)) + 0.8 * labels[:, None]
+        result = train_erm(
+            LabeledDataset(feats, labels, (1, -1)),
+            MLPArchitecture((3, 3, 2), activation=activation),
+            TrainingHyperparameters(4, 5, 0.3, optimizer=optimizer),
+            seed=11,
+        )
+        weights, trace = self.GOLDEN[activation, optimizer]
+        for got, want in zip(result.model.weights, weights):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(result.risk_trace, trace, rtol=1e-10, atol=0)
+
+
 class TestTrainStack:
     @given(
         activation=st.sampled_from(["tanh", "relu", "identity"]),
@@ -405,6 +531,8 @@ class TestArchitectureValidation:
             MLPArchitecture((3, 0))
         with pytest.raises(ModelError):
             MLPArchitecture((3, 2), activation="sigmoid")
+        with pytest.raises(ModelError):
+            MLPArchitecture((3, 2), activation=["tanh"])
         with pytest.raises(ModelError):
             MLPArchitecture((3, 2), norm_bound=0.0)
 

@@ -143,6 +143,26 @@ class TestDecide:
         b = decide(lam * factor)
         np.testing.assert_array_equal(a, b)
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: hnp.arrays(
+                np.float64,
+                st.tuples(st.integers(1, 3), st.integers(1, 6), st.just(width)),
+                elements=st.one_of(
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5]),
+                    st.floats(-1e300, 1e300),
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_concatenate_argmax(self, lam):
+        # the reference: the reference class's score 0 beside -lam, and
+        # argmax, which takes the first maximizer
+        scores = np.concatenate([np.zeros(lam.shape[:-1] + (1,)), -lam], axis=-1)
+        np.testing.assert_array_equal(decide(lam), np.argmax(scores, axis=-1))
+        assert decide(lam[0, 0]) == np.argmax(scores[0, 0])
+
 
 def random_primitive_matrix(rng, n_agents) -> CombinationMatrix:
     """Random left-stochastic weights on a random graph that holds a directed
