@@ -258,6 +258,37 @@ def _choice(value, name: str, choices) -> str:
     return value
 
 
+def _known_keys(block: dict, name: str, keys) -> None:
+    """Reject a key of ``block`` outside ``keys``, naming it: a misspelled
+    key would otherwise leave its field at the default."""
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        prefix = f"{name}." if name else ""
+        raise ConfigError(
+            f"unknown config key {prefix}{unknown[0]}; {name or 'the top level'} takes "
+            f"{', '.join(keys)}"
+        )
+
+
+_TOP_LEVEL_KEYS = (
+    "seed", "classes", "engine", "delta", "graph", "data", "model", "train_per_class",
+    "schedule", "stream_length", "montecarlo", "theory",
+)
+_MODEL_KEYS = (
+    "hidden", "activation", "norm_bound", "input_bound", "epochs", "batch_size",
+    "learning_rate", "optimizer", "init_scale", "repetitions",
+)
+_DATA_KEYS = {
+    "gaussian": ("type", "agents"),
+    "images": ("type", "manifest", "height", "width", "layout", "label_map"),
+}
+_SCHEDULE_KEYS = ("period", "states", "segments")
+_THEORY_KEYS = (
+    "sample_counts", "grid_points", "target_risk", "epsilon", "beta", "complexity_constants",
+)
+_MONTECARLO_KEYS = ("replications", "eval_streams", "horizon", "observe_agent", "strategies")
+
+
 def _validate_schedule(spec, classes) -> None:
     """Reject a schedule that ``experiments.build_schedule`` cannot build.
 
@@ -267,6 +298,7 @@ def _validate_schedule(spec, classes) -> None:
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"schedule must be an object, got {spec!r}")
+    _known_keys(spec, "schedule", _SCHEDULE_KEYS)
     if "period" in spec:
         period = _integer(spec["period"], "schedule.period")
         states = spec.get("states", list(classes))
@@ -298,6 +330,7 @@ def _validate_theory(block) -> dict:
     supplies the defaults."""
     if not isinstance(block, dict):
         raise ConfigError("theory must be an object")
+    _known_keys(block, "theory", _THEORY_KEYS)
     if "sample_counts" in block:
         counts = block["sample_counts"]
         if not isinstance(counts, list):
@@ -316,6 +349,7 @@ def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
     """The ``montecarlo`` block with its defaults filled in."""
     if not isinstance(block, dict):
         raise ConfigError("montecarlo must be an object")
+    _known_keys(block, "montecarlo", _MONTECARLO_KEYS)
     mc = {
         "replications": 1,
         "eval_streams": 1,
@@ -343,6 +377,9 @@ def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
 
 
 def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    _known_keys(raw, "", _TOP_LEVEL_KEYS)
     seed = _integer(_require(raw, "seed"), "seed", 0)
     classes = tuple(_require(raw, "classes", list))
     for label in classes:
@@ -374,6 +411,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     data_spec = _require(raw, "data", dict)
     if data_spec.get("type") not in ("gaussian", "images"):
         raise ConfigError("data type must be 'gaussian' or 'images'")
+    _known_keys(data_spec, "data", _DATA_KEYS[data_spec["type"]])
     if data_spec["type"] == "images":
         manifest = data_spec.get("manifest")
         if manifest is None:
@@ -388,6 +426,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     dims = _feature_dims(data_spec, classes, matrix.size)
 
     model = _require(raw, "model", dict)
+    _known_keys(model, "model", _MODEL_KEYS)
     hidden = model.get("hidden", [])
     if not isinstance(hidden, list):
         raise ConfigError(f"model.hidden must be a list, got {hidden!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -102,21 +101,24 @@ def _trajectory_lines(run: PredictionRun, gammas):
     """
     _, n_agents, width = run.lam.shape
     steps = max(1, TRAJECTORY_BLOCK_ROWS // (n_agents * width))
+    # one step's rows as a %-template; labels are text in it, so '%' doubles
+    step_rows = "".join(
+        f"0,%d,{k},{str(gamma).replace('%', '%%')},%r,%s,%s,%d\n"
+        for k in range(n_agents)
+        for gamma in gammas
+    )
+    # a block's (i, lambda, decision, true_state, correct) per row, as Python
+    # objects: %r on a float is its repr, %s on a label its str
+    args = np.empty((steps, n_agents, width, 5), dtype=object)
     for lo in range(0, run.horizon, steps):
-        hi = lo + steps
-        block = zip(
-            range(lo, hi),
-            run.lam[lo:hi].tolist(),
-            run.decisions[lo:hi].tolist(),
-            run.correct[lo:hi].astype(int).tolist(),
-            run.true_states[lo:hi].tolist(),
-        )
-        yield "".join(
-            f"0,{i},{k},{gamma},{v!r},{decision},{state},{ok}\n"
-            for i, lam_i, decisions, correct, state in block
-            for k, (lam_k, decision, ok) in enumerate(zip(lam_i, decisions, correct))
-            for gamma, v in zip(gammas, lam_k)
-        )
+        hi = min(lo + steps, run.horizon)
+        cells = args[: hi - lo]
+        cells[..., 0] = np.arange(lo, hi)[:, None, None]
+        cells[..., 1] = run.lam[lo:hi]
+        cells[..., 2] = run.decisions[lo:hi, :, None]
+        cells[..., 3] = run.true_states[lo:hi, None, None]
+        cells[..., 4] = run.correct[lo:hi, :, None]
+        yield step_rows * (hi - lo) % tuple(cells.reshape(-1).tolist())
 
 
 def build_schedule(cfg: ExperimentConfig, length: int) -> RegimeSchedule:
@@ -403,6 +405,9 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
     run_share = partial(_montecarlo_share, cfg)
     shares = replication_chunks(cfg, workers)
     if workers > 1:
+        # imported here: only a pooled run pays for concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_share, shares))
     else:

@@ -141,9 +141,15 @@ def diffuse(stats, weights, delta: float | None = None) -> np.ndarray:
     lam = np.empty(steps.shape)
     # a view of lam: rows[t] holds step t's (stream, ratio) rows
     rows = lam.reshape(horizon, math.prod(steps.shape[1:-1]), n_agents)
-    state = np.zeros(rows.shape[1:])
-    for t in range(horizon):
-        state = np.matmul(keep * state + steps[t].reshape(state.shape), weights, out=rows[t])
+    # keep * state + c_t, built in one buffer reused by every step; the
+    # evidence view gives it the shape of steps[t], so no step copies stats
+    mixed = np.empty(rows.shape[1:])
+    evidence = mixed.reshape(steps.shape[1:])
+    state = np.zeros(mixed.shape)
+    for step, row in zip(steps, rows):
+        np.multiply(keep, state, out=mixed)
+        np.add(evidence, step, out=evidence)
+        state = np.matmul(mixed, weights, out=row)
     return np.moveaxis(np.swapaxes(lam, -1, -2), 0, -3)
 
 

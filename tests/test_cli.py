@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import socialml
 from socialml.cli import main
 from socialml.config import (
     PHASE_TRAIN_MODEL,
@@ -137,6 +140,42 @@ class TestConfigValidation:
         out = tmp_path / "out"
         summary = cmd_montecarlo(cfg, str(out))
         assert "sml" in summary["final_error"]
+
+
+def _misspelled(block, key, value):
+    cfg = base_config()
+    (cfg[block] if block else cfg)[key] = value
+    return cfg
+
+
+UNKNOWN_KEY_CASES = [
+    ("stream_lenght", _misspelled("", "stream_lenght", 20)),
+    ("model.optimiser", _misspelled("model", "optimiser", "adam")),
+    ("montecarlo.horizn", _misspelled("montecarlo", "horizn", 12)),
+    ("theory.grid_point", _misspelled("theory", "grid_point", 10)),
+    ("schedule.state", _misspelled("schedule", "state", [1, -1])),
+    ("data.label_map", _misspelled("data", "label_map", {"1": 0, "-1": 1})),
+]
+
+
+class TestUnknownKeys:
+    """A key a block does not read exits 1 naming it, instead of leaving
+    its field at the default."""
+
+    @pytest.mark.parametrize(
+        "field, cfg", UNKNOWN_KEY_CASES, ids=[field for field, _ in UNKNOWN_KEY_CASES]
+    )
+    def test_unknown_key_exits_1_naming_it(self, tmp_path, capsys, field, cfg):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = write_config(tmp_path, [base_config()])
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "JSON object" in capsys.readouterr().err
 
 
 def labelled_config(classes):
@@ -755,10 +794,10 @@ class FakePool:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    import socialml.experiments as experiments
+    import concurrent.futures
 
     FakePool.sizes = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return FakePool
 
 
@@ -804,6 +843,29 @@ class TestMontecarloClasses:
         assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
         assert "classes" in capsys.readouterr().err
         assert not out.exists()
+
+
+def loaded_after_cli_import(tmp_path, module: str) -> bool:
+    """Whether importing the CLI and loading a config loads ``module``, in a
+    fresh interpreter."""
+    path = write_config(tmp_path, base_config())
+    code = (
+        "import sys\n"
+        "import socialml.cli\n"
+        "from socialml.config import load_config\n"
+        f"load_config({str(path)!r})\n"
+        f"print({module!r} in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(socialml.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout.strip() == "True"
+
+
+def test_package_import_leaves_process_pool_unloaded(tmp_path):
+    # only a montecarlo run with --threads above 1 starts a pool
+    assert not loaded_after_cli_import(tmp_path, "concurrent.futures.process")
 
 
 class TestThreadsFlag:

@@ -99,7 +99,9 @@ def built_run(classes, n_agents: int, horizon: int, seed: int) -> PredictionRun:
 @st.composite
 def runs(draw):
     classes = draw(
-        st.sampled_from([(1, -1), (-1, 1), (0, -2, 5), (-3, 0, 7), ("a", "b", "c")])
+        st.sampled_from(
+            [(1, -1), (-1, 1), (0, -2, 5), (-3, 0, 7), ("a", "b", "c"), ("a", "5%", "%d")]
+        )
     )
     n_agents = draw(st.integers(1, 4))
     block = block_steps(n_agents, len(classes))

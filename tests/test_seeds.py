@@ -1,21 +1,17 @@
 """The vectorized seed kernel against numpy's SeedSequence and default_rng."""
 
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import socialml
 from socialml.config import PHASE_STREAM, PHASE_TRAIN_MODEL, build_gaussian_spec, derived_seed
 from socialml.data import PatchLayout, prediction_stream
 from socialml.seeds import derived_seeds, generators
 from socialml.social import periodic_schedule
-from test_cli import base_config, write_config
+from test_cli import loaded_after_cli_import
 
 
 class TestGoldenValues:
@@ -143,16 +139,4 @@ class TestRejection:
 
 
 def test_package_import_leaves_numpy_random_unloaded(tmp_path):
-    path = write_config(tmp_path, base_config())
-    code = (
-        "import sys\n"
-        "import socialml.cli\n"
-        "from socialml.config import load_config\n"
-        f"load_config({str(path)!r})\n"
-        "print('numpy.random' in sys.modules)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(socialml.__file__))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "False"
+    assert not loaded_after_cli_import(tmp_path, "numpy.random")

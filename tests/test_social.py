@@ -174,6 +174,19 @@ def random_primitive_matrix(rng, n_agents) -> CombinationMatrix:
     return CombinationMatrix(weights / weights.sum(axis=0))
 
 
+def out_of_place_diffuse(stats, weights, delta):
+    """``diffuse`` as a loop that allocates keep * state + c_t at every step."""
+    keep = 1.0 if delta is None else 1.0 - delta
+    horizon, n_agents = stats.shape[-3:-1]
+    steps = np.moveaxis(np.swapaxes(stats, -1, -2), -3, 0)
+    lam = np.empty(steps.shape)
+    rows = lam.reshape(horizon, math.prod(steps.shape[1:-1]), n_agents)
+    state = np.zeros(rows.shape[1:])
+    for t in range(horizon):
+        state = np.matmul(keep * state + steps[t].reshape(state.shape), weights, out=rows[t])
+    return np.moveaxis(np.swapaxes(lam, -1, -2), 0, -3)
+
+
 class TestDiffuse:
     @given(
         st.integers(0, 2**32 - 1),
@@ -200,6 +213,23 @@ class TestDiffuse:
                     state = asl_step(state, matrix, c, delta)
                 expect = state.lam if width > 1 else state.lam[:, None]
                 np.testing.assert_allclose(lam[s, t], expect, rtol=1e-12, atol=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(), (3,), (2, 3)]),
+        st.sampled_from([1, 4, 7, 33]),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([None, 0.05]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_out_of_place_loop(self, seed, batch, n_agents, width, delta):
+        # the in-place kernel does the out-of-place loop's operations in the
+        # same order, so it must reproduce every bit
+        rng = np.random.default_rng(seed)
+        weights = random_primitive_matrix(rng, n_agents).weights
+        stats = rng.uniform(-3.0, 3.0, batch + (17, n_agents, width))
+        expect = out_of_place_diffuse(stats, weights, delta)
+        assert np.array_equal(diffuse(stats, weights, delta), expect)
 
     def test_unbatched_track_equals_batch_of_one(self):
         rng = np.random.default_rng(4)
