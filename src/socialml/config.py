@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -245,10 +246,20 @@ def _integer_pair(value, name: str) -> tuple:
 
 
 def _number(value, name: str) -> float:
-    """``value`` as a float if it is an integer or a float (not a bool)."""
+    """``value`` as a finite float if it is an integer or a float (not a bool).
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, and an integer literal
+    can lie beyond the float range.
+    """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _choice(value, name: str, choices) -> str:
@@ -294,11 +305,17 @@ def _validate_schedule(spec, classes) -> None:
 
     Every state must equal a class label of the same type, so ``true`` or
     ``1.0`` does not pass for the class ``1``.  The ordering rules are the
-    ones ``periodic_schedule`` and ``RegimeSchedule`` enforce.
+    ones ``periodic_schedule`` and ``RegimeSchedule`` enforce.  ``segments``
+    stands alone: beside it, ``period`` would win and ``states`` would be
+    ignored.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"schedule must be an object, got {spec!r}")
     _known_keys(spec, "schedule", _SCHEDULE_KEYS)
+    if "segments" in spec:
+        for key in ("period", "states"):
+            if key in spec:
+                raise ConfigError(f"schedule.{key} cannot be combined with schedule.segments")
     if "period" in spec:
         period = _integer(spec["period"], "schedule.period")
         states = spec.get("states", list(classes))

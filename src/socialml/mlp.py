@@ -12,6 +12,7 @@ dimension when ``bias`` is set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +38,15 @@ class TrainingDiverged(RuntimeError):
 
 
 # activation name -> (function f, called as f(a, out=a) to overwrite a with
-# f(a) and return it; f' written in terms of y = f(a); Lipschitz constant);
-# all satisfy f(0)=0
+# f(a) and return it; f' written in terms of y = f(a), overwriting y where
+# it is an array; Lipschitz constant); all satisfy f(0)=0
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda y: 1.0 - y**2, 1.0),
-    "relu": (lambda a, out: np.maximum(a, 0.0, out=out), lambda y: (y > 0).astype(float), 1.0),
+    "tanh": (np.tanh, lambda y: np.subtract(1.0, np.square(y, out=y), out=y), 1.0),
+    "relu": (
+        lambda a, out: np.maximum(a, 0.0, out=out),
+        lambda y: np.greater(y, 0.0, out=y),
+        1.0,
+    ),
     "identity": (lambda a, out: out, lambda y: 1.0, 1.0),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
@@ -294,8 +299,11 @@ def logistic_risk(logit_source, dataset: LabeledDataset) -> float:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    # the ufunc reductions directly: ndarray.max and np.sum reach the same
+    # ones through Python wrappers, a cost per training step
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 def _log_posteriors(model: MLPModel, features) -> np.ndarray:
@@ -316,12 +324,12 @@ def cross_entropy_risk(model: MLPModel, dataset: LabeledDataset) -> float:
     return float(-np.mean(logp[np.arange(len(dataset)), idx]))
 
 
-def _project_columns(w: np.ndarray, bound: float) -> np.ndarray:
+def _project_columns(w: np.ndarray, bound: float, out=None) -> np.ndarray:
     # rescale columns whose absolute sum exceeds the bound; any leading axes
     # stack independent matrices
     sums = np.abs(w).sum(axis=-2, keepdims=True)
     factor = np.where(sums > bound, bound / np.maximum(sums, 1e-300), 1.0)
-    return w * factor
+    return np.multiply(w, factor, out=out)
 
 
 @dataclass(frozen=True)
@@ -340,11 +348,13 @@ def _stack_risk(weights, h, picks, row_weights, activation) -> np.ndarray:
     return -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
 
 
-def _stack_gradients(weights, h, picks, row_weights, activation):
+def _stack_gradients(weights, h, picks, row_weights, activation, grads=None):
     """Per-model weighted cross-entropy and its gradient for every layer.
 
     Backpropagation reuses the forward activations: each derivative is
-    written in terms of the activation's output.
+    written in terms of the activation's output, over that output once the
+    layer's gradient has read it.  The gradients are written into ``grads``,
+    arrays shaped like ``weights``, or into fresh arrays when it is None.
     """
     act_fn, act_deriv, _ = _ACTIVATIONS[activation]
     acts = _stack_forward(weights, h, act_fn)
@@ -355,11 +365,13 @@ def _stack_gradients(weights, h, picks, row_weights, activation):
     delta.reshape(-1)[picks] -= 1.0
     delta *= row_weights[:, :, None]
 
-    grads = [None] * len(weights)
+    if grads is None:
+        grads = [np.empty_like(w) for w in weights]
     for ell in range(len(weights) - 1, -1, -1):
-        grads[ell] = np.matmul(delta.transpose(0, 2, 1), acts[ell])
+        np.matmul(delta.transpose(0, 2, 1), acts[ell], out=grads[ell])
         if ell > 0:
-            delta = np.matmul(delta, weights[ell]) * act_deriv(acts[ell])
+            delta = np.matmul(delta, weights[ell])
+            delta *= act_deriv(acts[ell])
     return loss, grads
 
 
@@ -423,6 +435,16 @@ def _check_stack(datasets, arch: MLPArchitecture, seeds, sample_weights) -> np.n
     return np.stack(rows)
 
 
+def _flat_views(buffer: np.ndarray, shapes) -> list:
+    """Consecutive C-ordered views of the flat ``buffer``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(buffer[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 def _first_nonfinite(values: np.ndarray) -> int:
     return int(np.flatnonzero(~np.isfinite(values))[0])
 
@@ -440,7 +462,8 @@ def train_stack(
     generator ``generators(seeds)[m]`` draws the initial weights and then one
     permutation per epoch, and its optional ``sample_weights[m]`` multiply the
     per-sample losses (weighted mean per batch).  Every step is one batched
-    matmul per layer over the model axis; with a norm bound set, every update
+    matmul per layer over the model axis and one optimizer pass over all
+    weights, which share one flat buffer; with a norm bound set, every update
     is followed by a column-sum projection.  The datasets must share their
     length and classes; a non-finite loss raises ``TrainingDiverged`` naming
     the first diverged model's stack index.
@@ -448,8 +471,14 @@ def train_stack(
     row_weights = _check_stack(datasets, arch, seeds, sample_weights)
     n_models, n = row_weights.shape
     rngs = generators(seeds)
+    sizes = arch.layer_sizes
+    shapes = [(n_models, sizes[ell], sizes[ell - 1]) for ell in range(1, len(sizes))]
+    params = np.empty(sum(math.prod(shape) for shape in shapes))
+    gflat = np.empty_like(params)
+    weights, grads = _flat_views(params, shapes), _flat_views(gflat, shapes)
     inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
-    weights = [np.stack(layer) for layer in zip(*inits)]
+    for w, layer in zip(weights, zip(*inits)):
+        np.stack(layer, out=w)
     h = np.stack([_augment(arch, dataset.features) for dataset in datasets])
     labels = np.stack([dataset.label_indices() for dataset in datasets])
     rows = np.arange(n_models)[:, None]
@@ -460,8 +489,9 @@ def train_stack(
     adam = hyper.optimizer == "adam"
     if adam:
         beta1, beta2, tiny = 0.9, 0.999, 1e-8
-        first = [np.zeros_like(w) for w in weights]
-        second = [np.zeros_like(w) for w in weights]
+        first = np.zeros_like(params)
+        second = np.zeros_like(params)
+        scratch = np.empty_like(params)
         step = 0
 
     trace = np.empty((n_models, hyper.epochs))
@@ -472,33 +502,46 @@ def train_stack(
         weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
         for start in range(0, n, hyper.batch_size):
             batch = slice(start, start + hyper.batch_size)
-            loss, grads = _stack_gradients(
+            loss, _ = _stack_gradients(
                 weights,
                 h_epoch[:, batch],
                 picks_epoch[:, batch],
                 weights_epoch[:, batch],
                 arch.activation,
+                grads,
             )
             if not np.isfinite(loss).all():
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch start {start} (lr={lr})",
                     _first_nonfinite(loss),
                 )
+            # one pass over the flat buffers: the operations and their order
+            # are those of the per-layer update, so the bits are too; the
+            # step overwrites the gradients, which the next batch recomputes
             if adam:
+                # first = beta1 first + (1 - beta1) g
+                # second = beta2 second + (1 - beta2) g^2
+                # w -= lr (first / (1 - beta1^t)) / (sqrt(second / (1 - beta2^t)) + tiny)
                 step += 1
-                for ell, g in enumerate(grads):
-                    first[ell] = beta1 * first[ell] + (1 - beta1) * g
-                    second[ell] = beta2 * second[ell] + (1 - beta2) * g**2
-                    m_hat = first[ell] / (1 - beta1**step)
-                    v_hat = second[ell] / (1 - beta2**step)
-                    weights[ell] -= lr * m_hat / (np.sqrt(v_hat) + tiny)
-                    if bound is not None:
-                        weights[ell] = _project_columns(weights[ell], bound)
-                continue
-            for ell, g in enumerate(grads):
-                weights[ell] -= lr * g
-                if bound is not None:
-                    weights[ell] = _project_columns(weights[ell], bound)
+                np.multiply(first, beta1, out=first)
+                np.multiply(gflat, 1 - beta1, out=scratch)
+                np.add(first, scratch, out=first)
+                np.square(gflat, out=gflat)
+                np.multiply(second, beta2, out=second)
+                np.multiply(gflat, 1 - beta2, out=gflat)
+                np.add(second, gflat, out=second)
+                np.divide(second, 1 - beta2**step, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                np.add(scratch, tiny, out=scratch)
+                np.divide(first, 1 - beta1**step, out=gflat)
+                np.multiply(gflat, lr, out=gflat)
+                np.divide(gflat, scratch, out=gflat)
+            else:
+                np.multiply(gflat, lr, out=gflat)
+            np.subtract(params, gflat, out=params)
+            if bound is not None:
+                for w in weights:
+                    _project_columns(w, bound, out=w)
         risk = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
         if not np.isfinite(risk).all():
             raise TrainingDiverged(

@@ -484,6 +484,8 @@ class TestScheduleValidation:
             {"period": 5, "states": []},
             {"period": 5, "states": [1, 2]},
             [[0, 1]],
+            {"period": 10, "segments": [[0, -1]]},
+            {"segments": [[0, -1]], "states": [-1]},
         ],
     )
     def test_bad_schedule_exits_1_naming_it(self, tmp_path, capsys, command, schedule):
@@ -521,6 +523,12 @@ class TestNumericFields:
             ("model.optimizer", ["adam"]),
             ("model.optimizer", "sgd"),
             ("model.optimizer", 1),
+            ("model.learning_rate", float("nan")),
+            ("model.learning_rate", float("inf")),
+            pytest.param("model.learning_rate", 10**400, id="model.learning_rate-10**400"),
+            ("model.init_scale", float("nan")),
+            ("model.input_bound", float("nan")),
+            ("model.norm_bound", float("inf")),
         ],
     )
     def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, field, value):

@@ -14,6 +14,11 @@ from socialml.mlp import (
     TrainingDiverged,
     TrainingHyperparameters,
     _ACTIVATIONS,
+    _augment,
+    _batch_normalized,
+    _check_stack,
+    _pick_offsets,
+    _project_columns,
     _stack_forward,
     binary_logit,
     cross_entropy_risk,
@@ -29,6 +34,7 @@ from socialml.mlp import (
     train_erm,
     train_stack,
 )
+from socialml.seeds import generators
 from socialml.stats import DebiasedStatistic
 
 
@@ -47,6 +53,72 @@ def zero_model(layer_sizes, **kwargs):
         np.zeros((sizes[ell], sizes[ell - 1])) for ell in range(1, len(sizes))
     )
     return MLPModel(arch, weights)
+
+
+def per_layer_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
+    """``train_stack``'s reference: out-of-place backpropagation and an update
+    of fresh arrays one layer at a time.  Returns the stacked weights and the
+    (S, epochs) risk traces."""
+    act_fn = _ACTIVATIONS[arch.activation][0]
+    act_deriv = {
+        "tanh": lambda y: 1.0 - y**2,
+        "relu": lambda y: (y > 0).astype(float),
+        "identity": lambda y: 1.0,
+    }[arch.activation]
+    row_weights = _check_stack(datasets, arch, seeds, sample_weights)
+    n_models, n = row_weights.shape
+    rngs = generators(seeds)
+    inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
+    weights = [np.stack(layer) for layer in zip(*inits)]
+    h = np.stack([_augment(arch, dataset.features) for dataset in datasets])
+    labels = np.stack([dataset.label_indices() for dataset in datasets])
+    rows = np.arange(n_models)[:, None]
+    risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
+    offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
+    bound, lr = arch.norm_bound, hyper.learning_rate
+
+    def forward(h, picks, row_weights):
+        acts = _stack_forward(weights, h, act_fn)
+        shifted = acts[-1] - acts[-1].max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        return acts, logp, -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
+
+    beta1, beta2, tiny = 0.9, 0.999, 1e-8
+    first = [np.zeros_like(w) for w in weights]
+    second = [np.zeros_like(w) for w in weights]
+    step = 0
+    trace = np.empty((n_models, hyper.epochs))
+    for epoch in range(hyper.epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        h_epoch = h[rows, order]
+        picks_epoch = offsets + labels[rows, order]
+        weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
+        for start in range(0, n, hyper.batch_size):
+            batch = slice(start, start + hyper.batch_size)
+            picks, batch_weights = picks_epoch[:, batch], weights_epoch[:, batch]
+            acts, logp, _ = forward(h_epoch[:, batch], picks, batch_weights)
+            delta = np.exp(logp)
+            delta.reshape(-1)[picks] -= 1.0
+            delta *= batch_weights[:, :, None]
+            grads = [None] * len(weights)
+            for ell in range(len(weights) - 1, -1, -1):
+                grads[ell] = np.matmul(delta.transpose(0, 2, 1), acts[ell])
+                if ell > 0:
+                    delta = np.matmul(delta, weights[ell]) * act_deriv(acts[ell])
+            step += 1
+            for ell, g in enumerate(grads):
+                if hyper.optimizer == "adam":
+                    first[ell] = beta1 * first[ell] + (1 - beta1) * g
+                    second[ell] = beta2 * second[ell] + (1 - beta2) * g**2
+                    m_hat = first[ell] / (1 - beta1**step)
+                    v_hat = second[ell] / (1 - beta2**step)
+                    weights[ell] -= lr * m_hat / (np.sqrt(v_hat) + tiny)
+                else:
+                    weights[ell] -= lr * g
+                if bound is not None:
+                    weights[ell] = _project_columns(weights[ell], bound)
+        trace[:, epoch] = forward(h, risk_picks, row_weights)[2]
+    return weights, trace
 
 
 class TestForward:
@@ -426,6 +498,46 @@ class TestTrainStack:
                 assert np.array_equal(got, want)
             assert np.array_equal(result.risk_trace, alone.risk_trace)
 
+    @given(
+        activation=st.sampled_from(["tanh", "relu", "identity"]),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        norm_bound=st.sampled_from([None, 0.9]),
+        weighted=st.booleans(),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        batch_size=st.integers(2, 8),
+        n_models=st.sampled_from([1, 3]),
+        n_classes=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_per_layer_update_loop(
+        self, activation, optimizer, norm_bound, weighted, hidden, batch_size, n_models,
+        n_classes, seed,
+    ):
+        # 23 rows: no batch size in 2..8 divides it, so every epoch ends short
+        rng = np.random.default_rng(seed)
+        n, classes = 23, tuple(range(n_classes))
+        datasets = [
+            LabeledDataset(rng.normal(size=(n, 2)), rng.integers(0, n_classes, n), classes)
+            for _ in range(n_models)
+        ]
+        weights = (
+            [rng.random(n) * (rng.random(n) < 0.7) + 1e-3 for _ in range(n_models)]
+            if weighted
+            else None
+        )
+        arch = MLPArchitecture(
+            (3, *hidden, n_classes), activation=activation, norm_bound=norm_bound
+        )
+        hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
+        seeds = rng.integers(0, 2**31, n_models).tolist()
+        stacked = train_stack(datasets, arch, hyper, seeds, weights)
+        want_weights, want_trace = per_layer_train_stack(datasets, arch, hyper, seeds, weights)
+        for m, result in enumerate(stacked):
+            for got, want in zip(result.model.weights, want_weights):
+                assert np.array_equal(got, want[m])
+            assert np.array_equal(result.risk_trace, want_trace[m])
+
     def test_first_diverged_model_named(self):
         # only model 1 sees features huge enough to overflow its logits
         rng = np.random.default_rng(0)
@@ -438,6 +550,9 @@ class TestTrainStack:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
             train_stack(datasets, arch, TrainingHyperparameters(2, 5, 1e10), [1, 2, 3])
         assert info.value.model == 1
+        assert str(info.value) == (
+            "non-finite loss at epoch 0, batch start 5 (lr=10000000000.0)"
+        )
 
     def test_unstackable_inputs_name_the_field(self):
         rng = np.random.default_rng(1)
