@@ -17,7 +17,6 @@ import numpy as np
 
 from .mlp import (
     LabeledDataset,
-    MLPArchitecture,
     TrainingDiverged,
     TrainingHyperparameters,
     binary_logit,
@@ -49,36 +48,20 @@ class BoostedEnsemble:
             raise BoostingError("vote weights must be finite")
 
 
-def adaboost_train(
-    views,
-    labels,
-    arch_per_agent,
-    hyper: TrainingHyperparameters,
-    seeds,
-) -> BoostedEnsemble:
-    """Sequential boosting rounds over agents in ascending index order.
-
-    ``views[k]`` holds agent k's features for the same underlying samples
-    (one shared label vector with values in {-1, +1}), and ``seeds[k]`` is
-    agent k's training seed.  A stack of one in ``adaboost_train_stack``.
-    """
-    return adaboost_train_stack([(views, labels)], arch_per_agent, hyper, [seeds])[0]
-
-
 def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters, seeds) -> list:
     """Boosting on S independent scenes in lockstep, one ensemble per scene.
 
-    ``scenes[r]`` is a ``(views, labels)`` pair as ``adaboost_train`` takes
-    it and ``seeds[r]`` holds its per-agent training seeds.  Rounds stay
-    sequential over agents: round k trains agent k of every scene in one
-    ``train_stack`` call, each scene under its own sample weights, so every
-    ensemble equals its own ``adaboost_train`` run.  The scenes must share
-    their sample count.  A diverging round raises ``TrainingDiverged`` whose
+    ``scenes[r]`` is a ``(views, labels)`` pair: ``views[k]`` holds agent k's
+    features for the same underlying samples, ``labels`` their one shared
+    label vector with values in {-1, +1}.  ``seeds[r][k]`` is agent k's
+    training seed in scene r, and ``arch_per_agent[k]`` its architecture.
+    Rounds stay sequential over agents: round k trains agent k of every scene
+    in one ``train_stack`` call, each scene under its own sample weights, so
+    each scene's ensemble equals a stack of one.  The scenes must share their
+    sample count.  A diverging round raises ``TrainingDiverged`` whose
     ``model`` is the scene's index.
     """
     n_agents = len(scenes[0][0])
-    if isinstance(arch_per_agent, MLPArchitecture):
-        arch_per_agent = [arch_per_agent] * n_agents
     ys = []
     for views, labels in scenes:
         labels = np.asarray(labels)

@@ -7,8 +7,7 @@ consumer (training data, model init, streams, ...).  Because every consumer
 owns a distinct path, adding replications or agents never perturbs the draws
 of existing ones.  Derived seeds and the generators they seed come from one
 vectorized kernel, ``seeds.derived_seeds`` and ``seeds.generators``, which
-is bit-equal to ``SeedSequence`` and ``default_rng``; ``derived_seed`` is
-its one-row form.
+is bit-equal to ``SeedSequence`` and ``default_rng``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .graph import (
     load_combination_matrix,
 )
 from .mlp import ACTIVATIONS, OPTIMIZERS, MLPArchitecture, TrainingHyperparameters
-from .seeds import derived_seeds
 from .social import RegimeSchedule, SocialLearningError, periodic_schedule
 
 
@@ -46,11 +44,6 @@ PHASE_TRAIN_MODEL = 1
 PHASE_BOOST_MODEL = 2
 PHASE_STREAM = 3
 PHASE_SAMPLER = 4
-
-
-def derived_seed(master: int, phase: int, *indices) -> int:
-    """Stable 64-bit seed for one consumer of the master seed."""
-    return int(derived_seeds(master, phase, [indices])[0])
 
 
 def config_digest(raw: dict) -> str:
@@ -359,6 +352,16 @@ def _validate_theory(block) -> dict:
     for key in ("target_risk", "epsilon"):
         if key in block:
             _number(block[key], f"theory.{key}")
+    beta = block.get("beta", 1.0)
+    if beta != "analytic":
+        for b in beta if isinstance(beta, list) else [beta]:
+            _number(b, "theory.beta")
+    if "complexity_constants" in block:
+        constants = block["complexity_constants"]
+        if not isinstance(constants, list):
+            raise ConfigError(f"theory.complexity_constants must be a list, got {constants!r}")
+        for c in constants:
+            _number(c, "theory.complexity_constants")
     return dict(block)
 
 

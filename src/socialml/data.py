@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -247,21 +248,8 @@ def reassemble_patches(views, layout: PatchLayout) -> np.ndarray:
 class PredictionStream:
     """Time-indexed per-agent features plus the true-state track."""
 
-    features_per_agent: tuple  # K arrays of shape (T, d_k), or (S, T, d_k) for S streams
+    features_per_agent: tuple  # K arrays of shape (S, T, d_k), one row per stream
     true_states: np.ndarray  # (T,) labels, shared by every stream of a batch
-
-    @property
-    def horizon(self) -> int:
-        return len(self.true_states)
-
-
-def prediction_stream(
-    source, schedule: RegimeSchedule, length: int, seed, layout: PatchLayout | None = None
-) -> PredictionStream:
-    """One stream of ``length`` steps: ``prediction_streams`` with one seed,
-    so each agent's features have shape (T, d_k)."""
-    batch = prediction_streams(source, schedule, length, [seed], layout)
-    return PredictionStream(tuple(v[0] for v in batch.features_per_agent), batch.true_states)
 
 
 def prediction_streams(
@@ -381,8 +369,6 @@ def verify_manifest(manifest_path) -> list:
     The manifest is JSON with a ``files`` map of name -> {path, sha256};
     relative paths resolve against the manifest location.
     """
-    import os
-
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))

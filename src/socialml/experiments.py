@@ -25,12 +25,11 @@ from .config import (
     PHASE_TRAIN_MODEL,
     ConfigError,
     ExperimentConfig,
-    derived_seed,
 )
-from .mlp import LabeledDataset, TrainingDiverged, save_model, train_stack
+from .mlp import LabeledDataset, TrainingDiverged, logit_bound, save_model, train_stack
 from .seeds import derived_seeds, generators
 from .social import PredictionRun, RegimeSchedule, periodic_schedule, run_prediction
-from .stats import make_debiased_statistic
+from .stats import make_debiased_statistic, mlp_rademacher_bound
 from .theory import (
     BoundInputs,
     TrainingProfile,
@@ -260,13 +259,13 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     _, (statistics,) = train_agents(cfg, [0], [shared_scene_training(cfg, rep=0)])
     schedule = build_schedule(cfg, cfg.stream_length)
     source, layout = cfg.scene
-    seed = derived_seed(cfg.seed, PHASE_STREAM, 0, 0)
-    stream = data_mod.prediction_stream(source, schedule, cfg.stream_length, seed, layout)
+    seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
+    stream = data_mod.prediction_streams(source, schedule, cfg.stream_length, seeds, layout)
     run = run_prediction(
         cfg.engine,
         cfg.matrix,
         statistics,
-        stream.features_per_agent,
+        [v[0] for v in stream.features_per_agent],
         stream.true_states,
         cfg.classes,
         delta=cfg.delta,
@@ -301,11 +300,6 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     _write_json(os.path.join(out_dir, "summary.json"), cfg, summary, "predict")
     _write_manifest(out_dir, cfg, "predict", ["trajectory.csv", "summary.json", "manifest.json"])
     return summary
-
-
-def montecarlo_replication(cfg: ExperimentConfig, rep: int) -> dict:
-    """One train+evaluate replication: ``montecarlo_chunk`` of one."""
-    return montecarlo_chunk(cfg, [rep])[0]
 
 
 def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
@@ -466,8 +460,6 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
     beta = block.get("beta", 1.0)
     if beta == "analytic":
         # per-agent logit bounds from the norm-constrained architectures
-        from .mlp import logit_bound
-
         try:
             beta_val = np.array([logit_bound(arch) for arch in cfg.arch_by_agent])
         except Exception as exc:
@@ -481,8 +473,6 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
 
     constants = block.get("complexity_constants")
     if constants is None:
-        from .stats import mlp_rademacher_bound
-
         try:
             # the bound scales as C_k / sqrt(N), so C_k is the bound at N = 1
             constants = [mlp_rademacher_bound(arch, 1) for arch in cfg.arch_by_agent]

@@ -555,25 +555,6 @@ def train_stack(
     ]
 
 
-def train_erm(
-    dataset: LabeledDataset,
-    arch: MLPArchitecture,
-    hyper: TrainingHyperparameters,
-    seed: int,
-    sample_weights=None,
-) -> TrainResult:
-    """Mini-batch gradient descent on the empirical cross-entropy risk.
-
-    A stack of one in ``train_stack``, seeded with ``seed``:
-    deterministic given the seed (initialization and per-epoch shuffles come
-    from one generator).  Optional ``sample_weights`` multiply per-sample
-    losses (weighted mean per batch); with a norm bound set, every update is
-    followed by a column-sum projection.
-    """
-    weights = None if sample_weights is None else [sample_weights]
-    return train_stack([dataset], arch, hyper, [seed], weights)[0]
-
-
 def gradient_check(model: MLPModel, dataset: LabeledDataset, eps: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences.
 

@@ -257,14 +257,6 @@ class ConsistencyReport:
     satisfied: bool
     details: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "margin_plus": self.margin_plus,
-            "margin_minus": self.margin_minus,
-            "satisfied": self.satisfied,
-            **self.details,
-        }
-
 
 def check_consistency_conditions(means: ConditionalMeans) -> ConsistencyReport:
     """Verify that the statistic separates the classes around its training mean.

@@ -144,21 +144,6 @@ class ConditionalMeans:
         w2 = np.asarray(self.perron) ** 2
         return float(np.sqrt(w2 @ (self.stderr_plus**2 + self.stderr_minus**2)))
 
-    def to_dict(self) -> dict:
-        return {
-            "per_agent_plus": self.per_agent_plus.tolist(),
-            "per_agent_minus": self.per_agent_minus.tolist(),
-            "stderr_plus": self.stderr_plus.tolist(),
-            "stderr_minus": self.stderr_minus.tolist(),
-            "train_means": self.train_means.tolist(),
-            "mu_plus": self.mu_plus,
-            "mu_minus": self.mu_minus,
-            "mu": self.mu,
-            "mu_train": self.mu_train,
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-        }
-
 
 def conditional_means(
     functions,

@@ -14,7 +14,7 @@ from socialml.data import (
     gaussian_training_set,
     mean_shift_gaussian_spec,
     one_informative_gaussian_spec,
-    prediction_stream,
+    prediction_streams,
     true_log_ratio,
 )
 from socialml.experiments import cmd_montecarlo
@@ -33,7 +33,6 @@ from socialml.mlp import (
     gradient_check,
     initialize_model,
     logistic_risk,
-    train_erm,
     train_stack,
 )
 from socialml.social import (
@@ -170,7 +169,7 @@ def test_criterion_05_debias_invariants():
         feats = rng.normal(size=(60, 2)) + np.repeat([[0.4], [-0.4]], 30, axis=0)
         labels = np.array([1] * 30 + [-1] * 30)
         ds = LabeledDataset(feats, labels, (1, -1))
-        model = train_erm(ds, MLPArchitecture((3, 6, 2)), hyper, trial).model
+        model = train_stack([ds], MLPArchitecture((3, 6, 2)), hyper, [trial])[0].model
         stat = make_debiased_statistic(model, ds)
         worst_center = max(worst_center, abs(float(stat.scalar(ds.features).mean())))
 
@@ -189,7 +188,7 @@ def test_criterion_05_debias_invariants():
         )
         labels3 = np.repeat([0, 1, 2], 20)
         ds3 = LabeledDataset(feats3, labels3, (0, 1, 2))
-        model3 = train_erm(ds3, MLPArchitecture((3, 6, 3)), hyper, 100 + trial).model
+        model3 = train_stack([ds3], MLPArchitecture((3, 6, 3)), hyper, [100 + trial])[0].model
         stat3 = make_debiased_statistic(model3, ds3)
         values = stat3(ds3.features)
         for j, cls in enumerate((1, 2)):
@@ -253,9 +252,9 @@ def test_criterion_07_gaussian_scene_growth():
         providers = [
             make_debiased_statistic(models[s, k], datasets[s, k], agent=k) for k in range(4)
         ]
-        stream = prediction_stream(spec, sched, 200, seed=3000 + s)
+        stream = prediction_streams(spec, sched, 200, [3000 + s])
         run = run_prediction(
-            "sl", RING4, providers, stream.features_per_agent, stream.true_states,
+            "sl", RING4, providers, [v[0] for v in stream.features_per_agent], stream.true_states,
             (+1, -1),
         )
         lam100.append(float(run.lam[99, 0, 0]))
@@ -284,9 +283,9 @@ def test_criterion_08_adaptation_time():
     sched = RegimeSchedule(((0, +1), (flip, -1)))
     recovered = 0
     for seed in range(100):
-        stream = prediction_stream(spec, sched, horizon, seed=seed)
+        stream = prediction_streams(spec, sched, horizon, [seed])
         run = run_prediction(
-            "asl", RING4, providers, stream.features_per_agent, stream.true_states,
+            "asl", RING4, providers, [v[0] for v in stream.features_per_agent], stream.true_states,
             (+1, -1), delta=delta,
         )
         recovered += bool(np.all(run.correct[flip + window :]))

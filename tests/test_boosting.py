@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from socialml.boosting import (
     BoostingError,
     adaboost_decide,
-    adaboost_train,
     adaboost_train_stack,
     sign_decision,
 )
@@ -41,21 +40,21 @@ ARCH = MLPArchitecture((2, 2))  # scalar view + bias, linear scorer
 class TestAdaboostTrain:
     def test_single_agent_reduces_to_weighted_training(self):
         views, labels = flipped_views(flip_sets=((0, 1),))
-        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
+        (ensemble,) = adaboost_train_stack([(views, labels)], [ARCH], HYPER, [SEEDS])
         assert len(ensemble.models) == 1
         err = ensemble.errors[0]
         assert ensemble.votes[0] == pytest.approx(0.5 * math.log((1 - err) / err))
 
     def test_perfect_learner_clamped_vote(self):
         views, labels = flipped_views(flip_sets=((),))  # view equals the label
-        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
+        (ensemble,) = adaboost_train_stack([(views, labels)], [ARCH], HYPER, [SEEDS])
         assert ensemble.degenerate == (0,)
         assert ensemble.votes[0] == pytest.approx(0.5 * math.log((1 - 1e-10) / 1e-10), rel=1e-6)
         assert ensemble.votes[0] == pytest.approx(11.51, abs=0.01)
 
     def test_complementary_agents_reach_zero_ensemble_error(self):
         views, labels = flipped_views()
-        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
+        (ensemble,) = adaboost_train_stack([(views, labels)], [ARCH] * 3, HYPER, [SEEDS])
 
         # each agent alone errs on its flip set
         for k, view in enumerate(views):
@@ -76,18 +75,20 @@ class TestAdaboostTrain:
 
     def test_sample_weights_remain_pmf(self):
         views, labels = flipped_views()
-        ensemble = adaboost_train(views, labels, ARCH, HYPER, SEEDS)
+        (ensemble,) = adaboost_train_stack([(views, labels)], [ARCH] * 3, HYPER, [SEEDS])
         for weights in ensemble.weight_history:
             assert np.all(weights >= 0)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_labels_must_be_binary(self):
         with pytest.raises(BoostingError):
-            adaboost_train([np.zeros((4, 1))], np.array([0, 1, 2, 0]), ARCH, HYPER, SEEDS)
+            adaboost_train_stack(
+                [([np.zeros((4, 1))], np.array([0, 1, 2, 0]))], [ARCH], HYPER, [SEEDS]
+            )
 
     def test_view_length_mismatch_rejected(self):
         with pytest.raises(BoostingError):
-            adaboost_train([np.zeros((3, 1))], np.array([1, -1]), ARCH, HYPER, SEEDS)
+            adaboost_train_stack([([np.zeros((3, 1))], np.array([1, -1]))], [ARCH], HYPER, [SEEDS])
 
 
     def test_diverged_round_names_the_agent(self):
@@ -96,7 +97,9 @@ class TestAdaboostTrain:
         views = [rng.normal(size=(20, 2)) * scale for scale in (1.0, 1e300)]
         arch = MLPArchitecture((3, 4, 2), activation="identity")
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="agent 1"):
-            adaboost_train(views, labels, arch, TrainingHyperparameters(2, 5, 1e10), [0, 1])
+            adaboost_train_stack(
+                [(views, labels)], [arch] * 2, TrainingHyperparameters(2, 5, 1e10), [[0, 1]]
+            )
 
 
 class TestAdaboostTrainStack:
@@ -112,6 +115,7 @@ class TestAdaboostTrainStack:
     def test_each_scene_equals_its_own_run(
         self, dims, n_scenes, shift, optimizer, batch_size, seed
     ):
+        # a stack of many scenes equals a stack of one per scene, bit for bit;
         # a shift of 6 makes agents perfect learners, so rounds hit the clamp
         rng = np.random.default_rng(seed)
         n = 22
@@ -125,7 +129,7 @@ class TestAdaboostTrainStack:
         hyper = TrainingHyperparameters(3, batch_size, 0.2, optimizer=optimizer)
         stacked = adaboost_train_stack(scenes, archs, hyper, seeds)
         for (views, labels), own_seeds, got in zip(scenes, seeds, stacked):
-            want = adaboost_train(views, labels, archs, hyper, seeds=own_seeds)
+            (want,) = adaboost_train_stack([(views, labels)], archs, hyper, [own_seeds])
             for a, b in zip(got.models, want.models):
                 assert all(np.array_equal(u, v) for u, v in zip(a.weights, b.weights))
             assert np.array_equal(got.votes, want.votes)
@@ -143,7 +147,7 @@ class TestAdaboostTrainStack:
         arch = MLPArchitecture((3, 4, 2), activation="identity")
         hyper = TrainingHyperparameters(2, 5, 1e10)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-            adaboost_train_stack(scenes, arch, hyper, [[1, 2], [3, 4]])
+            adaboost_train_stack(scenes, [arch] * 2, hyper, [[1, 2], [3, 4]])
         assert info.value.model == 1
         assert "AdaBoost round 1, agent 1" in str(info.value)
 
@@ -151,7 +155,8 @@ class TestAdaboostTrainStack:
 class TestAdaboostDecide:
     def trained(self):
         views, labels = flipped_views()
-        return adaboost_train(views, labels, ARCH, HYPER, SEEDS), views, labels
+        (ensemble,) = adaboost_train_stack([(views, labels)], [ARCH] * 3, HYPER, [SEEDS])
+        return ensemble, views, labels
 
     def test_unanimous_agreement(self):
         ensemble, _, _ = self.trained()

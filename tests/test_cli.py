@@ -11,7 +11,6 @@ from socialml.cli import main
 from socialml.config import (
     PHASE_TRAIN_MODEL,
     ConfigError,
-    derived_seed,
     load_config,
     validate_config,
 )
@@ -21,11 +20,11 @@ from socialml.experiments import (
     cmd_theory,
     cmd_train,
     montecarlo_chunk,
-    montecarlo_replication,
     replication_chunks,
     shared_scene_training,
 )
-from socialml.mlp import LabeledDataset, load_model, train_erm
+from socialml.mlp import LabeledDataset, load_model, train_stack
+from socialml.seeds import derived_seeds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_images_end_to_end import image_config, write_idx_dataset
@@ -119,11 +118,11 @@ class TestConfigValidation:
             validate_config(base_config(seed=-3))
 
     def test_derived_seeds_are_stable_and_distinct(self):
-        a = derived_seed(42, 1, 0, 0)
-        assert a == derived_seed(42, 1, 0, 0)
-        assert a != derived_seed(42, 1, 0, 1)
-        assert a != derived_seed(42, 2, 0, 0)
-        assert a != derived_seed(43, 1, 0, 0)
+        (a,) = derived_seeds(42, 1, [(0, 0)])
+        assert a == derived_seeds(42, 1, [(0, 0)])[0]
+        assert a != derived_seeds(42, 1, [(0, 1)])[0]
+        assert a != derived_seeds(42, 2, [(0, 0)])[0]
+        assert a != derived_seeds(43, 1, [(0, 0)])[0]
 
     def test_graph_file_resolved_relative_to_config(self, tmp_path):
         weights = np.full((4, 4), 0.25)
@@ -235,6 +234,12 @@ NUMBER_CASES = [
     ("theory", _theory_override(grid_points=12.9), "theory.grid_points"),
     ("theory", _theory_override(sample_counts=[40.7, 40, 40, 40]), "theory.sample_counts"),
     ("theory", _theory_override(epsilon="0.1"), "theory.epsilon"),
+    ("theory", _theory_override(beta="x"), "theory.beta"),
+    ("theory", _theory_override(beta=float("nan")), "theory.beta"),
+    ("theory", _theory_override(beta=True), "theory.beta"),
+    ("theory", _theory_override(complexity_constants="x"), "theory.complexity_constants"),
+    ("theory", _theory_override(complexity_constants=[float("nan")] * 4),
+     "theory.complexity_constants"),
     ("train", _image_override(height=8.0), "data.height"),
     ("train", _image_override(width=8.5), "data.width"),
     ("train", _image_override(layout=[2.0, 2]), "data.layout"),
@@ -243,7 +248,8 @@ NUMBER_CASES = [
 
 class TestConfigNumbers:
     """Numbers that must be integers exit 1 naming their field instead of
-    being truncated."""
+    being truncated; theory numbers that are not finite numbers exit 1
+    naming their field instead of failing inside the command."""
 
     @pytest.mark.parametrize(
         "command, overrides, field",
@@ -291,7 +297,7 @@ class TestCmdTrain:
 
     def test_mixed_feature_dims_match_serial_training(self, tmp_path):
         # agents 0/2 see 1-D features and 1/3 see 2-D ones: two stacks, each
-        # model equal to its own train_erm run with the derived seed
+        # model equal to a stack of one trained with its derived seed
         agents = [gaussian_agents(1, dim=d)[0] for d in (1, 2, 1, 2)]
         cfg = validate_config(
             base_config(data={"type": "gaussian", "agents": agents}), str(tmp_path)
@@ -300,9 +306,9 @@ class TestCmdTrain:
         cmd_train(cfg, str(out))
         views, labels = shared_scene_training(cfg, rep=0)
         for k in range(4):
-            seed = derived_seed(cfg.seed, PHASE_TRAIN_MODEL, 0, k)
+            seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(0, k)])
             dataset = LabeledDataset(views[k], labels, cfg.classes)
-            alone = train_erm(dataset, cfg.arch_by_agent[k], cfg.hyper, seed)
+            (alone,) = train_stack([dataset], cfg.arch_by_agent[k], cfg.hyper, seeds)
             saved = load_model(out / "models" / f"agent_{k}.json")
             assert saved.architecture.n_features == (1, 2, 1, 2)[k]
             for got, want in zip(saved.weights, alone.model.weights):
@@ -413,8 +419,8 @@ class TestCmdMontecarlo:
 
     def test_replication_is_pure_function_of_config_and_index(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
-        a = montecarlo_replication(cfg, 1)
-        b = montecarlo_replication(cfg, 1)
+        (a,) = montecarlo_chunk(cfg, [1])
+        (b,) = montecarlo_chunk(cfg, [1])
         np.testing.assert_array_equal(a["sml"], b["sml"])
         np.testing.assert_array_equal(a["adaboost"], b["adaboost"])
 
@@ -557,7 +563,7 @@ class TestMontecarloChunks:
         chunks = [range(lo, min(lo + size, 4)) for lo in range(0, 4, size)]
         chunked = [res for chunk in chunks for res in montecarlo_chunk(cfg, chunk)]
         for rep, got in enumerate(chunked):
-            want = montecarlo_replication(cfg, rep)
+            (want,) = montecarlo_chunk(cfg, [rep])
             assert got.keys() == want.keys()
             for strategy in want:
                 assert np.array_equal(got[strategy], want[strategy])

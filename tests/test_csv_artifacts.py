@@ -22,7 +22,7 @@ from socialml.experiments import (
     cmd_montecarlo,
     cmd_theory,
     cmd_train,
-    montecarlo_replication,
+    montecarlo_chunk,
     shared_scene_training,
     train_agents,
 )
@@ -164,7 +164,7 @@ class TestOtherArtifacts:
         cmd_montecarlo(cfg, str(tmp_path / "out"))
         mc = cfg.montecarlo
         reps = mc["replications"]
-        results = [montecarlo_replication(cfg, rep) for rep in range(reps)]
+        results = [montecarlo_chunk(cfg, [rep])[0] for rep in range(reps)]
         rows = []
         for strategy in sorted(mc["strategies"]):
             table = np.stack([res[strategy] for res in results])

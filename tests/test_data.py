@@ -15,7 +15,6 @@ from socialml.data import (
     gaussian_training_set,
     mean_shift_gaussian_spec,
     one_informative_gaussian_spec,
-    prediction_stream,
     prediction_streams,
     read_idx_images,
     read_idx_labels,
@@ -142,14 +141,14 @@ class TestPatchLayout:
 class TestPredictionStream:
     def test_single_segment_constant_state(self):
         spec = mean_shift_gaussian_spec(2)
-        stream = prediction_stream(spec, RegimeSchedule(((0, 1),)), 25, seed=0)
+        stream = prediction_streams(spec, RegimeSchedule(((0, 1),)), 25, [0])
         assert set(stream.true_states.tolist()) == {1}
-        assert stream.features_per_agent[0].shape == (25, 1)
+        assert stream.features_per_agent[0][0].shape == (25, 1)
 
     def test_periodic_square_wave(self):
         spec = mean_shift_gaussian_spec(1)
         sched = periodic_schedule(1000, [1, -1], 4000)
-        stream = prediction_stream(spec, sched, 4000, seed=1)
+        stream = prediction_streams(spec, sched, 4000, [1])
         states = stream.true_states
         assert np.all(states[:1000] == 1)
         assert np.all(states[1000:2000] == -1)
@@ -159,10 +158,10 @@ class TestPredictionStream:
     def test_seed_determinism(self):
         spec = one_informative_gaussian_spec()
         sched = periodic_schedule(10, [1, -1], 30)
-        a = prediction_stream(spec, sched, 30, seed=5)
-        b = prediction_stream(spec, sched, 30, seed=5)
+        a = prediction_streams(spec, sched, 30, [5])
+        b = prediction_streams(spec, sched, 30, [5])
         for va, vb in zip(a.features_per_agent, b.features_per_agent):
-            np.testing.assert_array_equal(va, vb)
+            np.testing.assert_array_equal(va[0], vb[0])
 
     def test_image_source_views(self):
         rng = np.random.default_rng(10)
@@ -172,10 +171,10 @@ class TestPredictionStream:
         }
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        stream = prediction_stream(pools, sched, 10, seed=2, layout=layout)
+        stream = prediction_streams(pools, sched, 10, [2], layout)
         assert len(stream.features_per_agent) == 4
-        assert stream.features_per_agent[0].shape == (10, 9)
-        assert np.all(stream.features_per_agent[0] <= 1.0)
+        assert stream.features_per_agent[0][0].shape == (10, 9)
+        assert np.all(stream.features_per_agent[0][0] <= 1.0)
 
     def test_image_stream_scales_only_picked_images(self, monkeypatch):
         import socialml.data as data_mod
@@ -192,19 +191,19 @@ class TestPredictionStream:
         pools = {c: rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for c in (0, 1)}
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        stream = prediction_stream(pools, sched, 10, seed=2, layout=layout)
+        stream = prediction_streams(pools, sched, 10, [2], layout)
         assert sum(scaled) <= 10 * 6 * 6
         # the same draws from pools scaled up front give the same views
         prescaled = {c: images / 255.0 for c, images in pools.items()}
-        again = prediction_stream(prescaled, sched, 10, seed=2, layout=layout)
+        again = prediction_streams(prescaled, sched, 10, [2], layout)
         for got, want in zip(stream.features_per_agent, again.features_per_agent):
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got[0], want[0])
 
     def test_missing_class_rejected(self):
         pools = {0: np.zeros((3, 4, 4), dtype=np.uint8)}
         layout = PatchLayout(4, 4, 2, 2)
         with pytest.raises(DataError):
-            prediction_stream(pools, RegimeSchedule(((0, 1),)), 5, seed=0, layout=layout)
+            prediction_streams(pools, RegimeSchedule(((0, 1),)), 5, [0], layout)
 
 
 def per_block_stream(source, schedule, length, seed, layout=None):
@@ -259,11 +258,11 @@ class TestPredictionStreams:
         batch = prediction_streams(spec, schedule, length, seeds)
         assert np.array_equal(batch.true_states, schedule.states(length))
         for s, seed_s in enumerate(seeds):
-            alone = prediction_stream(spec, schedule, length, seed_s)
+            alone = prediction_streams(spec, schedule, length, [seed_s]).features_per_agent
             reference = per_block_stream(spec, schedule, length, seed_s)
             for k, d in enumerate(dims):
                 assert batch.features_per_agent[k].shape == (n_streams, length, d)
-                assert np.array_equal(batch.features_per_agent[k][s], alone.features_per_agent[k])
+                assert np.array_equal(batch.features_per_agent[k][s], alone[k][0])
                 assert np.array_equal(batch.features_per_agent[k][s], reference[k])
 
     @given(
@@ -282,11 +281,11 @@ class TestPredictionStreams:
         seeds = rng.integers(0, 2**63, n_streams).tolist()
         batch = prediction_streams(pools, schedule, length, seeds, layout)
         for s, seed_s in enumerate(seeds):
-            alone = prediction_stream(pools, schedule, length, seed_s, layout)
+            alone = prediction_streams(pools, schedule, length, [seed_s], layout).features_per_agent
             reference = per_block_stream(pools, schedule, length, seed_s, layout)
             for k in range(layout.n_agents):
                 assert batch.features_per_agent[k].shape == (n_streams, length, layout.view_dim(k))
-                assert np.array_equal(batch.features_per_agent[k][s], alone.features_per_agent[k])
+                assert np.array_equal(batch.features_per_agent[k][s], alone[k][0])
                 assert np.array_equal(batch.features_per_agent[k][s], reference[k])
 
 

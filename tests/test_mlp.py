@@ -31,7 +31,6 @@ from socialml.mlp import (
     reference_logits,
     save_model,
     softplus,
-    train_erm,
     train_stack,
 )
 from socialml.seeds import generators
@@ -327,6 +326,8 @@ class TestCrossEntropyRisk:
 
 
 class TestTrainErm:
+    """One model trained alone: ``train_stack`` on a stack of one."""
+
     def test_separable_blobs_reach_low_risk(self):
         rng = np.random.default_rng(3)
         x = np.vstack(
@@ -335,7 +336,7 @@ class TestTrainErm:
         y = np.array([1] * 100 + [-1] * 100)
         ds = LabeledDataset(x, y, (1, -1))
         hyper = TrainingHyperparameters(30, 10, 0.05)
-        result = train_erm(ds, MLPArchitecture((3, 16, 2)), hyper, 9)
+        result = train_stack([ds], MLPArchitecture((3, 16, 2)), hyper, [9])[0]
         assert result.risk_trace[-1] < 0.1
 
         # oracle: plain full-batch logistic regression on the same data
@@ -353,7 +354,7 @@ class TestTrainErm:
         ds = binary_dataset(rng, n=16)
         arch = MLPArchitecture((3, 5, 2))
         hyper = TrainingHyperparameters(5, 4, 0.0)
-        result = train_erm(ds, arch, hyper, 21)
+        result = train_stack([ds], arch, hyper, [21])[0]
         init = initialize_model(arch, np.random.default_rng(21))
         for got, want in zip(result.model.weights, init.weights):
             np.testing.assert_array_equal(got, want)
@@ -364,8 +365,8 @@ class TestTrainErm:
         ds = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.02)
-        a = train_erm(ds, arch, hyper, 77)
-        b = train_erm(ds, arch, hyper, 77)
+        a = train_stack([ds], arch, hyper, [77])[0]
+        b = train_stack([ds], arch, hyper, [77])[0]
         for wa, wb in zip(a.model.weights, b.model.weights):
             np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(a.risk_trace, b.risk_trace)
@@ -375,8 +376,8 @@ class TestTrainErm:
         ds = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.01, optimizer="adam")
-        a = train_erm(ds, arch, hyper, 77)
-        b = train_erm(ds, arch, hyper, 77)
+        a = train_stack([ds], arch, hyper, [77])[0]
+        b = train_stack([ds], arch, hyper, [77])[0]
         for wa, wb in zip(a.model.weights, b.model.weights):
             np.testing.assert_array_equal(wa, wb)
 
@@ -385,7 +386,7 @@ class TestTrainErm:
         ds = binary_dataset(rng, n=40, dim=2)
         arch = MLPArchitecture((3, 8, 2), norm_bound=0.8)
         hyper = TrainingHyperparameters(10, 5, 0.5)
-        result = train_erm(ds, arch, hyper, 3)
+        result = train_stack([ds], arch, hyper, [3])[0]
         for w in result.model.weights:
             assert np.abs(w).sum(axis=0).max() <= 0.8 + 1e-12
 
@@ -393,7 +394,7 @@ class TestTrainErm:
         rng = np.random.default_rng(8)
         ds = binary_dataset(rng, n=10, dim=4)
         with pytest.raises(ModelError):
-            train_erm(ds, MLPArchitecture((3, 2)), TrainingHyperparameters(1, 2, 0.1), 0)
+            train_stack([ds], MLPArchitecture((3, 2)), TrainingHyperparameters(1, 2, 0.1), [0])
 
     def test_weighted_training_prioritizes_heavy_samples(self):
         # two contradictory points; all weight on the first decides the fit
@@ -402,7 +403,7 @@ class TestTrainErm:
         ds = LabeledDataset(feats, labels, (1, -1))
         hyper = TrainingHyperparameters(60, 2, 0.5)
         weights = np.array([0.999, 0.001])
-        result = train_erm(ds, MLPArchitecture((2, 2)), hyper, 5, sample_weights=weights)
+        result = train_stack([ds], MLPArchitecture((2, 2)), hyper, [5], [weights])[0]
         assert binary_logit(result.model, [1.0]) > 0
 
 
@@ -448,11 +449,11 @@ class TestTrainingGolden:
         rng = np.random.default_rng(2024)
         labels = np.tile([1, -1], 10)
         feats = rng.normal(size=(20, 2)) + 0.8 * labels[:, None]
-        result = train_erm(
-            LabeledDataset(feats, labels, (1, -1)),
+        (result,) = train_stack(
+            [LabeledDataset(feats, labels, (1, -1))],
             MLPArchitecture((3, 3, 2), activation=activation),
             TrainingHyperparameters(4, 5, 0.3, optimizer=optimizer),
-            seed=11,
+            [11],
         )
         weights, trace = self.GOLDEN[activation, optimizer]
         for got, want in zip(result.model.weights, weights):
@@ -475,6 +476,7 @@ class TestTrainStack:
     def test_each_model_equals_its_serial_run(
         self, activation, optimizer, norm_bound, weighted, batch_size, n_models, n_classes, seed
     ):
+        # a stack of many equals a stack of one per model, bit for bit
         # 23 rows: no batch size in 2..8 divides it, so every epoch ends short
         rng = np.random.default_rng(seed)
         n, classes = 23, tuple(range(n_classes))
@@ -492,8 +494,8 @@ class TestTrainStack:
         seeds = rng.integers(0, 2**31, n_models).tolist()
         stacked = train_stack(datasets, arch, hyper, seeds, weights)
         for m, result in enumerate(stacked):
-            own = None if weights is None else weights[m]
-            alone = train_erm(datasets[m], arch, hyper, seeds[m], own)
+            own = None if weights is None else [weights[m]]
+            (alone,) = train_stack([datasets[m]], arch, hyper, [seeds[m]], own)
             for got, want in zip(result.model.weights, alone.model.weights):
                 assert np.array_equal(got, want)
             assert np.array_equal(result.risk_trace, alone.risk_trace)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socialml.config import PHASE_STREAM, PHASE_TRAIN_MODEL, build_gaussian_spec, derived_seed
-from socialml.data import PatchLayout, prediction_stream
+from socialml.config import PHASE_STREAM, PHASE_TRAIN_MODEL, build_gaussian_spec
+from socialml.data import PatchLayout, prediction_streams
 from socialml.seeds import derived_seeds, generators
 from socialml.social import periodic_schedule
 from test_cli import loaded_after_cli_import
@@ -28,30 +28,32 @@ class TestGoldenValues:
         ],
     )
     def test_derived_seed(self, master, seed):
-        assert derived_seed(master, PHASE_STREAM, 1, 2) == seed
+        assert derived_seeds(master, PHASE_STREAM, [(1, 2)]).tolist() == [seed]
 
     def test_derived_seed_past_the_pool(self):
         # two master words, the phase and three indices: six entropy words
-        assert derived_seed(2**64 - 1, PHASE_TRAIN_MODEL, 5, 3, 9) == 4178952250248686460
+        seeds = derived_seeds(2**64 - 1, PHASE_TRAIN_MODEL, [(5, 3, 9)])
+        assert seeds.tolist() == [4178952250248686460]
 
     def test_prediction_stream_draws(self):
-        seed = derived_seed(42, PHASE_STREAM, 0, 0)
+        (seed,) = derived_seeds(42, PHASE_STREAM, [(0, 0)]).tolist()
         assert seed == 18141372322412330060
         agent = {"1": {"mean": [0.6], "cov": [[1.0]]}, "-1": {"mean": [-0.6], "cov": [[1.0]]}}
         spec = build_gaussian_spec({"type": "gaussian", "agents": [agent, agent]}, (1, -1))
         schedule = periodic_schedule(2, [1, -1], 4)
         # standard_normal draws, shifted by the class means
-        gaussian = prediction_stream(spec, schedule, 4, seed)
-        assert gaussian.features_per_agent[0][:, 0].tolist() == [
+        gaussian = prediction_streams(spec, schedule, 4, [seed]).features_per_agent
+        assert gaussian[0][0, :, 0].tolist() == [
             -0.0751994713914369, 0.3688888608584663, -1.102276643679537, -0.3812732300485046,
         ]
-        assert gaussian.features_per_agent[1][:, 0].tolist() == [
+        assert gaussian[1][0, :, 0].tolist() == [
             0.8804795411877423, 0.3515019056721465, -0.7604175560517222, -2.308431590316573,
         ]
         # integers draws: image i of the pool has every pixel equal to i
         pool = np.repeat(np.arange(200, dtype=np.uint8), 4).reshape(200, 2, 2)
-        images = prediction_stream({1: pool, -1: pool}, schedule, 4, seed, PatchLayout(2, 2, 1, 2))
-        picks = np.rint(images.features_per_agent[0][:, 0] * 255).astype(int)
+        layout = PatchLayout(2, 2, 1, 2)
+        images = prediction_streams({1: pool, -1: pool}, schedule, 4, [seed], layout)
+        picks = np.rint(images.features_per_agent[0][0, :, 0] * 255).astype(int)
         assert picks.tolist() == [97, 139, 101, 178]
 
 
@@ -114,7 +116,7 @@ class TestRejection:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             derived_seeds(7, 0, [(1, 2), (3, bad)])
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            derived_seed(7, 0, bad)
+            derived_seeds(7, 0, [(bad,)])
 
     @pytest.mark.parametrize(
         "rows",
@@ -128,9 +130,9 @@ class TestRejection:
     @pytest.mark.parametrize("bad", [-1, True, 2.0])
     def test_bad_master_and_phase(self, bad):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            derived_seed(bad, 0, 1)
+            derived_seeds(bad, 0, [(1,)])
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            derived_seed(1, bad, 1)
+            derived_seeds(1, bad, [(1,)])
 
     @pytest.mark.parametrize("bad", [-1, 2.5, 2**64, True])
     def test_bad_generator_seed(self, bad):

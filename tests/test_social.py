@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from socialml.data import (
     mean_shift_gaussian_spec,
     one_informative_gaussian_spec,
-    prediction_stream,
+    prediction_streams,
     true_log_ratio,
     two_class_log_likelihood,
 )
@@ -324,12 +324,12 @@ class TestRunPrediction:
         provider = true_log_ratio(spec, 0)
         sched = RegimeSchedule(((0, 1),))
         for seed in range(10):
-            stream = prediction_stream(spec, sched, 60, seed=seed)
+            stream = prediction_streams(spec, sched, 60, [seed])
             run = run_prediction(
                 "sl",
                 SINGLE,
                 [provider],
-                stream.features_per_agent,
+                [v[0] for v in stream.features_per_agent],
                 stream.true_states,
                 (1, -1),
             )
@@ -345,12 +345,12 @@ class TestRunPrediction:
         sched = RegimeSchedule(((0, 1), (flip, -1)))
         recovered = 0
         for seed in range(10):
-            stream = prediction_stream(spec, sched, horizon, seed=100 + seed)
+            stream = prediction_streams(spec, sched, horizon, [100 + seed])
             run = run_prediction(
                 "asl",
                 RING4,
                 providers,
-                stream.features_per_agent,
+                [v[0] for v in stream.features_per_agent],
                 stream.true_states,
                 (1, -1),
                 delta=delta,

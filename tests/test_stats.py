@@ -10,7 +10,7 @@ from socialml.mlp import (
     MLPArchitecture,
     TrainingHyperparameters,
     initialize_model,
-    train_erm,
+    train_stack,
 )
 from socialml.stats import (
     StatisticError,
@@ -25,7 +25,7 @@ from socialml.stats import (
 def train_small(dataset, seed, hidden=(6,)):
     arch = MLPArchitecture((dataset.dim + 1, *hidden, len(dataset.classes)))
     hyper = TrainingHyperparameters(6, 8, 0.05)
-    return train_erm(dataset, arch, hyper, seed).model
+    return train_stack([dataset], arch, hyper, [seed])[0].model
 
 
 def random_binary_dataset(rng, n_per_class=25, dim=2):
