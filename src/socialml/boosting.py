@@ -89,14 +89,14 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
             for view, (_, labels) in zip(round_views, scenes)
         ]
         try:
-            trained = train_stack(
+            trained, _ = train_stack(
                 datasets, arch_per_agent[k], hyper, [s[k] for s in seeds], sample_w
             )
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"AdaBoost round {k}, agent {k}: {exc}", exc.model) from exc
-        for r, (result, view, y) in enumerate(zip(trained, round_views, ys)):
-            models[r].append(result.model)
-            decisions = sign_decision(binary_logit(result.model, view))
+        for r, (model, view, y) in enumerate(zip(trained, round_views, ys)):
+            models[r].append(model)
+            decisions = sign_decision(binary_logit(model, view))
             err = float(np.sum(sample_w[r] * (decisions != y)))
             if err < ERROR_CLAMP or err > 1.0 - ERROR_CLAMP:
                 degenerate[r].append(k)

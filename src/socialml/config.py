@@ -336,23 +336,23 @@ def _validate_schedule(spec, classes) -> None:
 
 
 def _validate_theory(block) -> dict:
-    """The ``theory`` block, its counts and numbers checked; ``cmd_theory``
-    supplies the defaults."""
+    """The ``theory`` block with its constant defaults filled in, its counts
+    and numbers checked; ``cmd_theory`` derives the sample counts and the
+    complexity constants that the block leaves out."""
     if not isinstance(block, dict):
         raise ConfigError("theory must be an object")
     _known_keys(block, "theory", _THEORY_KEYS)
+    block = {"target_risk": 0.0, "beta": 1.0, "epsilon": 0.05, "grid_points": 50, **block}
     if "sample_counts" in block:
         counts = block["sample_counts"]
         if not isinstance(counts, list):
             raise ConfigError(f"theory.sample_counts must be a list, got {counts!r}")
         for n in counts:
             _integer(n, "theory.sample_counts", 1)
-    if "grid_points" in block:
-        _integer(block["grid_points"], "theory.grid_points", 1)
+    _integer(block["grid_points"], "theory.grid_points", 1)
     for key in ("target_risk", "epsilon"):
-        if key in block:
-            _number(block[key], f"theory.{key}")
-    beta = block.get("beta", 1.0)
+        _number(block[key], f"theory.{key}")
+    beta = block["beta"]
     if beta != "analytic":
         for b in beta if isinstance(beta, list) else [beta]:
             _number(b, "theory.beta")
@@ -362,7 +362,7 @@ def _validate_theory(block) -> dict:
             raise ConfigError(f"theory.complexity_constants must be a list, got {constants!r}")
         for c in constants:
             _number(c, "theory.complexity_constants")
-    return dict(block)
+    return block
 
 
 def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:

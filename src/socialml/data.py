@@ -244,19 +244,15 @@ def reassemble_patches(views, layout: PatchLayout) -> np.ndarray:
     return out[0] if np.asarray(views[0]).ndim == 1 else out
 
 
-@dataclass(frozen=True)
-class PredictionStream:
-    """Time-indexed per-agent features plus the true-state track."""
-
-    features_per_agent: tuple  # K arrays of shape (S, T, d_k), one row per stream
-    true_states: np.ndarray  # (T,) labels, shared by every stream of a batch
-
-
 def prediction_streams(
     source, schedule: RegimeSchedule, length: int, seeds, layout: PatchLayout | None = None
-) -> PredictionStream:
+) -> tuple:
     """One stream per seed, each drawn one scene per step from the class the
-    schedule puts in force; agent k's features have shape (S, T, d_k).
+    schedule puts in force.
+
+    Returns ``(views, states)``: ``views[k]`` holds agent k's features, shape
+    (S, T, d_k) with one row per stream, and ``states`` the (T,) true-state
+    track that every stream of the batch shares.
 
     ``source`` is either a ``GaussianSceneSpec`` (each agent gets a fresh
     draw from its own likelihood) or a mapping label -> image array, in which
@@ -286,7 +282,7 @@ def prediction_streams(
                 block = z[:, offset : offset + idx.size * d].reshape(n_streams, idx.size, d)
                 views[k][:, idx] = source.models[k][label].transform(block)
                 offset += idx.size * d
-        return PredictionStream(tuple(views), states)
+        return views, states
     if layout is None:
         raise DataError("image sources need a patch layout")
     for label in active:
@@ -302,7 +298,7 @@ def prediction_streams(
         chosen = np.stack([rng.integers(pool.shape[0], size=idx.size) for rng in rngs])
         picks[:, idx] = scale_pixels(pool[chosen])
     flat = _patches(picks.reshape(-1, layout.height, layout.width), layout)
-    return PredictionStream(tuple(v.reshape(n_streams, length, -1) for v in flat), states)
+    return [v.reshape(n_streams, length, -1) for v in flat], states
 
 
 # --- image file ingestion -------------------------------------------------
@@ -342,7 +338,11 @@ def read_idx_labels(path) -> np.ndarray:
 
 
 def read_label_pixel_csv(path, height: int, width: int) -> tuple:
-    """CSV fallback ``label,p0,...,pN`` -> (images uint-valued, labels)."""
+    """CSV fallback ``label,p0,...,pN`` -> (uint8 images, labels).
+
+    Pixels are integers in [0, 255], as in an IDX file, so both formats give
+    the models the same scaled inputs.
+    """
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
     if rows.shape[1] != height * width + 1:
         raise DataError(
@@ -351,8 +351,12 @@ def read_label_pixel_csv(path, height: int, width: int) -> tuple:
     if not np.array_equal(rows[:, 0], np.round(rows[:, 0])):
         raise DataError(f"{path}: label column (column 0) holds non-integer values")
     labels = rows[:, 0].astype(int)
-    images = rows[:, 1:].reshape(-1, height, width)
-    return images, labels
+    # the cast changes every pixel that is not an integer in [0, 255], NaN too
+    with np.errstate(invalid="ignore"):
+        images = rows[:, 1:].astype(np.uint8)
+    if not np.array_equal(images, rows[:, 1:]):
+        raise DataError(f"{path}: pixel columns hold values that are not integers in [0, 255]")
+    return images.reshape(-1, height, width), labels
 
 
 def file_sha256(path) -> str:

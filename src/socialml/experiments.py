@@ -31,7 +31,6 @@ from .seeds import derived_seeds, generators
 from .social import PredictionRun, RegimeSchedule, periodic_schedule, run_prediction
 from .stats import make_debiased_statistic, mlp_rademacher_bound
 from .theory import (
-    BoundInputs,
     TrainingProfile,
     approx_exponent,
     exact_exponent,
@@ -162,14 +161,16 @@ def shared_scene_training(cfg: ExperimentConfig, rep: int, rng=None) -> tuple:
                 view[idx] = source.models[k][label].sample(rng, idx.size)
             views.append(view)
         return views, labels
-    picks = np.empty((labels.size, layout.height, layout.width))
+    # the picked images keep their pixel type, so split_patches scales each once
+    dtype = np.result_type(*(source[label] for label in cfg.classes))
+    picks = np.empty((labels.size, layout.height, layout.width), dtype=dtype)
     for label in cfg.classes:
         idx = np.flatnonzero(labels == label)
         pool = source[label]
         if pool.shape[0] < per_class:
             raise ConfigError(f"class {label!r}: {pool.shape[0]} images < {per_class}")
         chosen = rng.choice(pool.shape[0], size=idx.size, replace=False)
-        picks[idx] = data_mod.scale_pixels(pool[chosen])
+        picks[idx] = pool[chosen]
     return data_mod.split_patches(picks, layout), labels
 
 
@@ -179,8 +180,10 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
     ``scenes[i]`` is the ``(views, labels)`` scene repetition ``reps[i]``
     trains on, and the model seeds follow the repetition index.  All
     (repetition, agent) pairs whose agents share an architecture train in
-    one ``train_stack`` call.  Returns ``(results, statistics)``, each
-    indexed ``[position in reps][agent]``.  A diverging model raises
+    one ``train_stack`` call.  Returns ``(models, risks, statistics)``:
+    ``models`` and ``statistics`` indexed ``[position in reps][agent]``, and
+    ``risks`` the (len(reps), K, epochs) empirical risk of every model after
+    each epoch.  A diverging model raises
     ``TrainingDiverged`` naming its agent, with ``model`` set to its
     position in ``reps``.
     """
@@ -192,21 +195,25 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
     for i in range(len(reps)):
         for k, arch in enumerate(cfg.arch_by_agent):
             groups.setdefault(arch, []).append((i, k))
-    results = [[None] * cfg.n_agents for _ in reps]
+    models = [[None] * cfg.n_agents for _ in reps]
+    risks = np.empty((len(reps), cfg.n_agents, cfg.hyper.epochs))
     for arch, pairs in groups.items():
         seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(reps[i], k) for i, k in pairs])
         try:
-            trained = train_stack([datasets[i][k] for i, k in pairs], arch, cfg.hyper, seeds)
+            trained, risk = train_stack(
+                [datasets[i][k] for i, k in pairs], arch, cfg.hyper, seeds
+            )
         except TrainingDiverged as exc:
             i, k = pairs[exc.model]
             raise TrainingDiverged(f"agent {k}: {exc}", i) from exc
-        for (i, k), result in zip(pairs, trained):
-            results[i][k] = result
+        for (i, k), model, trace in zip(pairs, trained, risk):
+            models[i][k] = model
+            risks[i, k] = trace
     statistics = [
-        [make_debiased_statistic(r.model, datasets[i][k], agent=k) for k, r in enumerate(row)]
-        for i, row in enumerate(results)
+        [make_debiased_statistic(model, datasets[i][k], agent=k) for k, model in enumerate(row)]
+        for i, row in enumerate(models)
     ]
-    return results, statistics
+    return models, risks, statistics
 
 
 # --- commands ---------------------------------------------------------------
@@ -221,18 +228,18 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     lines = []
     artifacts = ["risk_trace.csv", "manifest.json"]
     try:
-        results, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
+        models, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"repetition {exc.model}, {exc}", exc.model) from exc
-    for rep, row in enumerate(results):
-        for k, result in enumerate(row):
+    for rep, row in enumerate(models):
+        for k, model in enumerate(row):
             if rep == 0:
                 name = f"models/agent_{k}.json"
-                save_model(result.model, os.path.join(out_dir, name))
+                save_model(model, os.path.join(out_dir, name))
                 artifacts.append(name)
             lines += (
                 f"{k},{rep},{epoch},{risk!r}\n"
-                for epoch, risk in enumerate(result.risk_trace.tolist())
+                for epoch, risk in enumerate(risks[rep, k].tolist())
             )
     _write_csv(
         os.path.join(out_dir, "risk_trace.csv"),
@@ -256,19 +263,13 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.stream_length < 1:
         raise ConfigError("prediction needs stream_length >= 1")
     os.makedirs(out_dir, exist_ok=True)
-    _, (statistics,) = train_agents(cfg, [0], [shared_scene_training(cfg, rep=0)])
+    _, _, (statistics,) = train_agents(cfg, [0], [shared_scene_training(cfg, rep=0)])
     schedule = build_schedule(cfg, cfg.stream_length)
     source, layout = cfg.scene
     seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
-    stream = data_mod.prediction_streams(source, schedule, cfg.stream_length, seeds, layout)
+    views, states = data_mod.prediction_streams(source, schedule, cfg.stream_length, seeds, layout)
     run = run_prediction(
-        cfg.engine,
-        cfg.matrix,
-        statistics,
-        [v[0] for v in stream.features_per_agent],
-        stream.true_states,
-        cfg.classes,
-        delta=cfg.delta,
+        cfg.matrix, statistics, [v[0] for v in views], states, cfg.classes, delta=cfg.delta
     )
 
     _write_csv(
@@ -325,7 +326,7 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     stats = ensembles = None
     try:
         if "sml" in strategies:
-            _, stats = train_agents(cfg, reps, scenes)
+            _, _, stats = train_agents(cfg, reps, scenes)
         if "adaboost" in strategies:
             rows = [(rep, k) for rep in reps for k in range(cfg.n_agents)]
             seeds = derived_seeds(cfg.seed, PHASE_BOOST_MODEL, rows).reshape(len(reps), -1)
@@ -340,24 +341,16 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     for i, rep in enumerate(reps):
         rows = np.column_stack((np.full(n_streams, rep), np.arange(n_streams)))
         seeds = derived_seeds(cfg.seed, PHASE_STREAM, rows)
-        stream = data_mod.prediction_streams(source, schedule, horizon, seeds, layout)
+        views, states = data_mod.prediction_streams(source, schedule, horizon, seeds, layout)
         errors = {}
         if stats is not None:
-            run = run_prediction(
-                cfg.engine,
-                cfg.matrix,
-                stats[i],
-                stream.features_per_agent,
-                stream.true_states,
-                cfg.classes,
-                delta=cfg.delta,
-            )
+            run = run_prediction(cfg.matrix, stats[i], views, states, cfg.classes, delta=cfg.delta)
             errors["sml"] = np.mean(~run.correct[:, :, mc["observe_agent"]], axis=0)
             del run  # freed before the AdaBoost pass evaluates its models
         if ensembles is not None:
-            flat = [feats.reshape(n_streams * horizon, -1) for feats in stream.features_per_agent]
+            flat = [feats.reshape(n_streams * horizon, -1) for feats in views]
             picks = adaboost_decide(ensembles[i], flat).reshape(n_streams, horizon)
-            errors["adaboost"] = np.mean(picks != stream.true_states, axis=0)
+            errors["adaboost"] = np.mean(picks != states, axis=0)
         out.append(errors)
     return out
 
@@ -444,10 +437,10 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
 def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Evaluate the consistency bounds on supplied numbers, plus the exponent grid."""
     os.makedirs(out_dir, exist_ok=True)
-    block = cfg.theory
-    if not block:
+    if not cfg.raw.get("theory"):
         raise ConfigError("theory command needs a 'theory' config block")
-    pi = perron_eigenvector(cfg.matrix).values
+    block = cfg.theory
+    pi = perron_eigenvector(cfg.matrix)
 
     counts = block.get("sample_counts")
     if counts is None:
@@ -456,8 +449,8 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         counts = [cfg.train_per_class * len(cfg.classes)] * cfg.n_agents
     profile = TrainingProfile(tuple(counts), pi)
 
-    target_risk = float(block.get("target_risk", 0.0))
-    beta = block.get("beta", 1.0)
+    target_risk = float(block["target_risk"])
+    beta = block["beta"]
     if beta == "analytic":
         # per-agent logit bounds from the norm-constrained architectures
         try:
@@ -484,17 +477,16 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
     constants = [float(c) for c in constants]
     rho_bound, c_mixed = network_complexity_bound(constants, profile)
 
-    inputs = BoundInputs(target_risk, beta_val if beta_val.ndim else float(beta_val), rho_bound, profile)
-    bound = pc_lower_bound(inputs)
+    bound = pc_lower_bound(target_risk, beta_val, rho_bound, profile)
 
-    epsilon = float(block.get("epsilon", 0.05))
+    epsilon = float(block["epsilon"])
     beta_scalar = float(np.max(beta_val))
     n_needed = sample_complexity(c_mixed, target_risk, profile.alpha, beta_scalar, epsilon)
     consistent, check = self_consistency_check(
         c_mixed, target_risk, profile.alpha, beta_scalar, epsilon
     )
 
-    grid_points = block.get("grid_points", 50)
+    grid_points = block["grid_points"]
     risks = [0.999 * math.log(2) * j / max(grid_points - 1, 1) for j in range(grid_points)]
     _write_csv(
         os.path.join(out_dir, "exponent_grid.csv"),

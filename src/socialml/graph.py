@@ -47,21 +47,6 @@ class CombinationMatrix:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class PerronVector:
-    """Positive unit-sum eigenvector of a primitive combination matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if np.any(v <= 0):
-            raise GraphError("Perron entries must be strictly positive")
-        if abs(v.sum() - 1.0) > COLUMN_SUM_TOL:
-            raise GraphError("Perron entries must sum to 1")
-        object.__setattr__(self, "values", v)
-
-
 def build_averaging_matrix(adjacency) -> CombinationMatrix:
     """Uniform averaging weights: A[l, k] = 1/|N_k| for each in-neighbor l of k.
 
@@ -110,7 +95,7 @@ def _reaches_all(support: np.ndarray, start: int) -> bool:
     return bool(seen.all())
 
 
-def perron_eigenvector(matrix: CombinationMatrix, tol: float = 1e-12) -> PerronVector:
+def perron_eigenvector(matrix: CombinationMatrix, tol: float = 1e-12) -> np.ndarray:
     """Power iteration for the eigenvector at eigenvalue 1, normalized to sum 1.
 
     Iterates x <- A x until the max-norm change drops below ``tol``.  Requires
@@ -129,7 +114,7 @@ def perron_eigenvector(matrix: CombinationMatrix, tol: float = 1e-12) -> PerronV
         x_next = a @ x
         x_next /= x_next.sum()
         if np.max(np.abs(x_next - x)) < tol:
-            return PerronVector(x_next)
+            return x_next
         x = x_next
     residual = np.max(np.abs(a @ x - x))
     raise GraphError(

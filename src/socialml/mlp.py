@@ -332,12 +332,6 @@ def _project_columns(w: np.ndarray, bound: float, out=None) -> np.ndarray:
     return np.multiply(w, factor, out=out)
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    model: MLPModel
-    risk_trace: np.ndarray  # empirical risk after each epoch
-
-
 def _stack_risk(weights, h, picks, row_weights, activation) -> np.ndarray:
     """Weighted cross-entropy of each stacked model, forward pass only.
 
@@ -455,8 +449,11 @@ def train_stack(
     hyper: TrainingHyperparameters,
     seeds,
     sample_weights=None,
-) -> list:
-    """Mini-batch ERM of S same-shape models in lockstep, one result per dataset.
+) -> tuple:
+    """Mini-batch ERM of S same-shape models in lockstep, one per dataset.
+
+    Returns ``(models, risk)``: the S trained models in dataset order and the
+    (S, epochs) empirical risk of each model after every epoch.
 
     Model m trains on ``datasets[m]`` exactly as it would alone: its own
     generator ``generators(seeds)[m]`` draws the initial weights and then one
@@ -549,10 +546,8 @@ def train_stack(
             )
         trace[:, epoch] = risk
 
-    return [
-        TrainResult(MLPModel(arch, tuple(w[m].copy() for w in weights)), trace[m].copy())
-        for m in range(n_models)
-    ]
+    models = [MLPModel(arch, tuple(w[m].copy() for w in weights)) for m in range(n_models)]
+    return models, trace
 
 
 def gradient_check(model: MLPModel, dataset: LabeledDataset, eps: float = 1e-5) -> float:

@@ -28,30 +28,6 @@ class SocialLearningError(ValueError):
 
 
 @dataclass(frozen=True)
-class BeliefState:
-    """Per-agent log-belief ratios at one time step.
-
-    ``lam`` has shape (K,) for two classes or (K, M-1) otherwise; entries are
-    log beliefs of the reference class over each alternative.
-    """
-
-    lam: np.ndarray
-    step: int = 0
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim not in (1, 2):
-            raise SocialLearningError(f"lambda must be 1- or 2-d, got shape {lam.shape}")
-        if not np.all(np.isfinite(lam)):
-            raise SocialLearningError("lambda contains non-finite values")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def n_agents(self) -> int:
-        return self.lam.shape[0]
-
-
-@dataclass(frozen=True)
 class RegimeSchedule:
     """Contiguous segments of (start index, true state) covering the stream."""
 
@@ -88,13 +64,23 @@ def periodic_schedule(period: int, states, length: int) -> RegimeSchedule:
     return RegimeSchedule(tuple(segments))
 
 
-def _check_stats(values: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _check_stats(lam, values) -> tuple:
+    """``(lam, stats)`` as float arrays, checked for one reference step.
+
+    ``lam`` holds the per-agent log-belief ratios, shape (K,) for two classes
+    or (K, M-1) otherwise; ``values`` the statistics, of the same shape.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim not in (1, 2):
+        raise SocialLearningError(f"lambda must be 1- or 2-d, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise SocialLearningError("lambda contains non-finite values")
     stats = np.asarray(values, dtype=float)
     if stats.shape != lam.shape:
         raise SocialLearningError(f"statistics shape {stats.shape} vs state {lam.shape}")
     if not np.all(np.isfinite(stats)):
         raise SocialLearningError("non-finite statistic value")
-    return stats
+    return lam, stats
 
 
 def _mix(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -104,11 +90,10 @@ def _mix(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.einsum("lk,ld->kd", weights, values)
 
 
-def sl_step(state: BeliefState, matrix, stats) -> BeliefState:
+def sl_step(lam, matrix, stats) -> np.ndarray:
     """One standard diffusion step; past evidence is kept in full."""
-    a = matrix.weights
-    c = _check_stats(stats, state.lam)
-    return BeliefState(_mix(a, state.lam + c), state.step + 1)
+    lam, c = _check_stats(lam, stats)
+    return _mix(matrix.weights, lam + c)
 
 
 def _check_delta(delta: float) -> float:
@@ -117,12 +102,11 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
-def asl_step(state: BeliefState, matrix, stats, delta: float) -> BeliefState:
+def asl_step(lam, matrix, stats, delta: float) -> np.ndarray:
     """One adaptive diffusion step; past evidence decays by (1 - delta)."""
     delta = _check_delta(delta)
-    a = matrix.weights
-    c = _check_stats(stats, state.lam)
-    return BeliefState(_mix(a, (1.0 - delta) * state.lam + c), state.step + 1)
+    lam, c = _check_stats(lam, stats)
+    return _mix(matrix.weights, (1.0 - delta) * lam + c)
 
 
 def diffuse(stats, weights, delta: float | None = None) -> np.ndarray:
@@ -189,7 +173,6 @@ class PredictionRun:
 
 
 def run_prediction(
-    engine: str,
     matrix,
     providers,
     features_per_agent,
@@ -202,17 +185,12 @@ def run_prediction(
     ``features_per_agent[k]`` holds agent k's observations, shape (T, d_k) for
     one stream or (..., T, d_k) for a batch of streams (ndim >= 3);
     ``true_states`` is the label track, shared by every stream, that the
-    decisions are scored against.  Providers must be pure functions of the
-    observation; they are applied to each agent's whole batch in one
-    vectorized pass and the recursion consumes the values in time order, so
-    no engine-level caching exists.
+    decisions are scored against.  Without ``delta`` the beliefs diffuse by
+    the standard step, with it by the adaptive one, as in ``diffuse``.
+    Providers must be pure functions of the observation; they are applied to
+    each agent's whole batch in one vectorized pass and the recursion consumes
+    the values in time order, so no engine-level caching exists.
     """
-    if engine not in ("sl", "asl"):
-        raise SocialLearningError(f"engine must be 'sl' or 'asl', got {engine!r}")
-    if engine == "asl" and delta is None:
-        raise SocialLearningError("adaptive engine needs delta")
-    if engine == "sl" and delta is not None:
-        raise SocialLearningError("standard engine takes no delta")
     classes = tuple(classes)
     n_agents = matrix.size
     if len(providers) != n_agents or len(features_per_agent) != n_agents:

@@ -106,29 +106,6 @@ class TrainingProfile:
 
 
 @dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients of the consistency-probability bound."""
-
-    target_risk: float
-    beta: float | np.ndarray  # scalar bound, or one bound per agent
-    complexity: float  # network-averaged classifier complexity
-    profile: TrainingProfile
-
-    def __post_init__(self):
-        if not 0.0 <= self.target_risk < LOG2:
-            raise TheoryError("target risk must lie in [0, log 2)")
-        beta = np.asarray(self.beta, dtype=float)
-        if np.any(beta <= 0):
-            raise TheoryError("beta must be positive")
-        if beta.ndim not in (0, 1):
-            raise TheoryError("beta must be a scalar or one value per agent")
-        if beta.ndim == 1 and beta.shape[0] != len(self.profile.sample_counts):
-            raise TheoryError("per-agent beta length must match the agent count")
-        if self.complexity < 0:
-            raise TheoryError("complexity must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ConsistencyBound:
     exponent: float  # exact exponent at the target risk
     raw: float  # 1 - 2 exp(-...), may be negative
@@ -136,25 +113,36 @@ class ConsistencyBound:
     vacuous: bool  # complexity at or above the exponent
 
 
-def pc_lower_bound(inputs: BoundInputs) -> ConsistencyBound:
+def pc_lower_bound(
+    target_risk: float, beta, complexity: float, profile: TrainingProfile
+) -> ConsistencyBound:
     """Lower bound on the probability that training yields consistent models.
 
-    With a scalar beta the exponent reads
+    ``beta`` is one logit bound for every agent or one per agent, and
+    ``complexity`` the network-averaged classifier complexity.  With a scalar
+    beta the exponent reads
     ``8 N_max (exponent - complexity)^2 / (alpha beta)^2``; with per-agent
     betas the denominator uses the network average of alpha_k * beta_k.  When
     the complexity is not strictly below the exponent the bound carries no
     information and is reported with the vacuous flag set and value 0.
     """
-    profile = inputs.profile
-    eps = exact_exponent(inputs.target_risk)
-    beta = np.asarray(inputs.beta, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
+        raise TheoryError("beta must be positive")
+    if beta.ndim not in (0, 1):
+        raise TheoryError("beta must be a scalar or one value per agent")
+    if beta.ndim == 1 and beta.shape[0] != len(profile.sample_counts):
+        raise TheoryError("per-agent beta length must match the agent count")
+    if complexity < 0:
+        raise TheoryError("complexity must be nonnegative")
+    eps = exact_exponent(target_risk)
     if beta.ndim == 0:
         denom = profile.alpha * float(beta)
     else:
         denom = float(profile.perron @ (profile.alpha_k * beta))
-    gap = eps - inputs.complexity
+    gap = eps - complexity
     raw = 1.0 - 2.0 * math.exp(-8.0 * profile.n_max * gap**2 / denom**2)
-    vacuous = not inputs.complexity < eps
+    vacuous = not complexity < eps
     value = 0.0 if vacuous else max(0.0, raw)
     return ConsistencyBound(exponent=eps, raw=raw, value=value, vacuous=vacuous)
 
@@ -205,9 +193,7 @@ def self_consistency_check(
     profile = TrainingProfile((n_needed,), np.array([1.0]))
     # alpha/beta enter only through their product; fold alpha into beta so the
     # single-agent profile reproduces the requested penalty
-    bound = pc_lower_bound(
-        BoundInputs(target_risk, alpha * beta, rho, profile)
-    )
+    bound = pc_lower_bound(target_risk, alpha * beta, rho, profile)
     details = {
         "n_max": n_needed,
         "plug_in_complexity": rho,

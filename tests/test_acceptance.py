@@ -36,7 +36,6 @@ from socialml.mlp import (
     train_stack,
 )
 from socialml.social import (
-    BeliefState,
     RegimeSchedule,
     run_prediction,
     sl_step,
@@ -121,10 +120,10 @@ def test_criterion_02_exponent_constants():
 def test_criterion_03_perron_suite():
     start = time.monotonic()
     pi = perron_eigenvector(RING4)
-    assert np.max(np.abs(pi.values - 0.25)) < 1e-10
+    assert np.max(np.abs(pi - 0.25)) < 1e-10
 
     doubly = CombinationMatrix(np.full((5, 5), 0.2))
-    assert np.max(np.abs(perron_eigenvector(doubly).values - 0.2)) < 1e-10
+    assert np.max(np.abs(perron_eigenvector(doubly) - 0.2)) < 1e-10
 
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -137,7 +136,7 @@ def test_criterion_03_perron_suite():
         extra = rng.random((size, size)) < 0.25
         adj |= extra & extra.T
         matrix = build_averaging_matrix(adj)
-        values = perron_eigenvector(matrix).values
+        values = perron_eigenvector(matrix)
         worst = max(worst, float(np.max(np.abs(matrix.weights @ values - values))))
     assert worst < 1e-10
     elapsed = time.monotonic() - start
@@ -148,11 +147,11 @@ def test_criterion_03_perron_suite():
 def test_criterion_04_sl_time_average_limit():
     start = time.monotonic()
     c = np.array([0.0, 0.1, 0.0, 0.0])
-    target = float(perron_eigenvector(RING4).values @ c)
-    state = BeliefState(np.zeros(4))
+    target = float(perron_eigenvector(RING4) @ c)
+    lam = np.zeros(4)
     for _ in range(2000):
-        state = sl_step(state, RING4, c)
-    gap = float(np.max(np.abs(state.lam / 2000 - target)))
+        lam = sl_step(lam, RING4, c)
+    gap = float(np.max(np.abs(lam / 2000 - target)))
     assert gap < 1e-2
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -169,7 +168,7 @@ def test_criterion_05_debias_invariants():
         feats = rng.normal(size=(60, 2)) + np.repeat([[0.4], [-0.4]], 30, axis=0)
         labels = np.array([1] * 30 + [-1] * 30)
         ds = LabeledDataset(feats, labels, (1, -1))
-        model = train_stack([ds], MLPArchitecture((3, 6, 2)), hyper, [trial])[0].model
+        (model,), _ = train_stack([ds], MLPArchitecture((3, 6, 2)), hyper, [trial])
         stat = make_debiased_statistic(model, ds)
         worst_center = max(worst_center, abs(float(stat.scalar(ds.features).mean())))
 
@@ -188,7 +187,7 @@ def test_criterion_05_debias_invariants():
         )
         labels3 = np.repeat([0, 1, 2], 20)
         ds3 = LabeledDataset(feats3, labels3, (0, 1, 2))
-        model3 = train_stack([ds3], MLPArchitecture((3, 6, 3)), hyper, [100 + trial])[0].model
+        (model3,), _ = train_stack([ds3], MLPArchitecture((3, 6, 3)), hyper, [100 + trial])
         stat3 = make_debiased_statistic(model3, ds3)
         values = stat3(ds3.features)
         for j, cls in enumerate((1, 2)):
@@ -241,22 +240,19 @@ def test_criterion_07_gaussian_scene_growth():
         for s in range(10, 20)
         for k in range(4)
     }
-    trained = train_stack(
+    trained, _ = train_stack(
         list(datasets.values()),
         MLPArchitecture((3, 10, 10, 2)),
         hyper,
         [2000 + 13 * s + k for s, k in datasets],
     )
-    models = dict(zip(datasets, (res.model for res in trained)))
+    models = dict(zip(datasets, trained))
     for s in range(10, 20):
         providers = [
             make_debiased_statistic(models[s, k], datasets[s, k], agent=k) for k in range(4)
         ]
-        stream = prediction_streams(spec, sched, 200, [3000 + s])
-        run = run_prediction(
-            "sl", RING4, providers, [v[0] for v in stream.features_per_agent], stream.true_states,
-            (+1, -1),
-        )
+        views, states = prediction_streams(spec, sched, 200, [3000 + s])
+        run = run_prediction(RING4, providers, [v[0] for v in views], states, (+1, -1))
         lam100.append(float(run.lam[99, 0, 0]))
         lam200.append(float(run.lam[199, 0, 0]))
     mean100 = float(np.mean(lam100))
@@ -283,10 +279,9 @@ def test_criterion_08_adaptation_time():
     sched = RegimeSchedule(((0, +1), (flip, -1)))
     recovered = 0
     for seed in range(100):
-        stream = prediction_streams(spec, sched, horizon, [seed])
+        views, states = prediction_streams(spec, sched, horizon, [seed])
         run = run_prediction(
-            "asl", RING4, providers, [v[0] for v in stream.features_per_agent], stream.true_states,
-            (+1, -1), delta=delta,
+            RING4, providers, [v[0] for v in views], states, (+1, -1), delta=delta
         )
         recovered += bool(np.all(run.correct[flip + window :]))
     assert recovered >= 90

@@ -308,10 +308,10 @@ class TestCmdTrain:
         for k in range(4):
             seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(0, k)])
             dataset = LabeledDataset(views[k], labels, cfg.classes)
-            (alone,) = train_stack([dataset], cfg.arch_by_agent[k], cfg.hyper, seeds)
+            (alone,), _ = train_stack([dataset], cfg.arch_by_agent[k], cfg.hyper, seeds)
             saved = load_model(out / "models" / f"agent_{k}.json")
             assert saved.architecture.n_features == (1, 2, 1, 2)[k]
-            for got, want in zip(saved.weights, alone.model.weights):
+            for got, want in zip(saved.weights, alone.weights):
                 np.testing.assert_array_equal(got, want)
 
 

@@ -148,12 +148,12 @@ class TestOtherArtifacts:
         cfg = validate_config(base_config(), str(tmp_path))
         cmd_train(cfg, str(tmp_path / "out"))
         scene = shared_scene_training(cfg, rep=0)
-        results, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
+        _, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
         rows = [
             (k, rep, epoch, float(risk))
-            for rep, row in enumerate(results)
-            for k, result in enumerate(row)
-            for epoch, risk in enumerate(result.risk_trace)
+            for rep, row in enumerate(risks)
+            for k, trace in enumerate(row)
+            for epoch, risk in enumerate(trace)
         ]
         columns = ("agent", "repetition", "epoch", "empirical_risk")
         text = (tmp_path / "out" / "risk_trace.csv").read_text()

@@ -141,15 +141,14 @@ class TestPatchLayout:
 class TestPredictionStream:
     def test_single_segment_constant_state(self):
         spec = mean_shift_gaussian_spec(2)
-        stream = prediction_streams(spec, RegimeSchedule(((0, 1),)), 25, [0])
-        assert set(stream.true_states.tolist()) == {1}
-        assert stream.features_per_agent[0][0].shape == (25, 1)
+        views, states = prediction_streams(spec, RegimeSchedule(((0, 1),)), 25, [0])
+        assert set(states.tolist()) == {1}
+        assert views[0][0].shape == (25, 1)
 
     def test_periodic_square_wave(self):
         spec = mean_shift_gaussian_spec(1)
         sched = periodic_schedule(1000, [1, -1], 4000)
-        stream = prediction_streams(spec, sched, 4000, [1])
-        states = stream.true_states
+        _, states = prediction_streams(spec, sched, 4000, [1])
         assert np.all(states[:1000] == 1)
         assert np.all(states[1000:2000] == -1)
         assert np.all(states[2000:3000] == 1)
@@ -158,9 +157,9 @@ class TestPredictionStream:
     def test_seed_determinism(self):
         spec = one_informative_gaussian_spec()
         sched = periodic_schedule(10, [1, -1], 30)
-        a = prediction_streams(spec, sched, 30, [5])
-        b = prediction_streams(spec, sched, 30, [5])
-        for va, vb in zip(a.features_per_agent, b.features_per_agent):
+        a, _ = prediction_streams(spec, sched, 30, [5])
+        b, _ = prediction_streams(spec, sched, 30, [5])
+        for va, vb in zip(a, b):
             np.testing.assert_array_equal(va[0], vb[0])
 
     def test_image_source_views(self):
@@ -171,10 +170,10 @@ class TestPredictionStream:
         }
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        stream = prediction_streams(pools, sched, 10, [2], layout)
-        assert len(stream.features_per_agent) == 4
-        assert stream.features_per_agent[0][0].shape == (10, 9)
-        assert np.all(stream.features_per_agent[0][0] <= 1.0)
+        views, _ = prediction_streams(pools, sched, 10, [2], layout)
+        assert len(views) == 4
+        assert views[0][0].shape == (10, 9)
+        assert np.all(views[0][0] <= 1.0)
 
     def test_image_stream_scales_only_picked_images(self, monkeypatch):
         import socialml.data as data_mod
@@ -191,12 +190,12 @@ class TestPredictionStream:
         pools = {c: rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for c in (0, 1)}
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        stream = prediction_streams(pools, sched, 10, [2], layout)
+        views, _ = prediction_streams(pools, sched, 10, [2], layout)
         assert sum(scaled) <= 10 * 6 * 6
         # the same draws from pools scaled up front give the same views
         prescaled = {c: images / 255.0 for c, images in pools.items()}
-        again = prediction_streams(prescaled, sched, 10, [2], layout)
-        for got, want in zip(stream.features_per_agent, again.features_per_agent):
+        again, _ = prediction_streams(prescaled, sched, 10, [2], layout)
+        for got, want in zip(views, again):
             np.testing.assert_array_equal(got[0], want[0])
 
     def test_missing_class_rejected(self):
@@ -255,15 +254,15 @@ class TestPredictionStreams:
             tuple((s, classes[int(rng.integers(n_classes))]) for s in bounds)
         )
         seeds = rng.integers(0, 2**63, n_streams).tolist()
-        batch = prediction_streams(spec, schedule, length, seeds)
-        assert np.array_equal(batch.true_states, schedule.states(length))
+        batch, states = prediction_streams(spec, schedule, length, seeds)
+        assert np.array_equal(states, schedule.states(length))
         for s, seed_s in enumerate(seeds):
-            alone = prediction_streams(spec, schedule, length, [seed_s]).features_per_agent
+            alone, _ = prediction_streams(spec, schedule, length, [seed_s])
             reference = per_block_stream(spec, schedule, length, seed_s)
             for k, d in enumerate(dims):
-                assert batch.features_per_agent[k].shape == (n_streams, length, d)
-                assert np.array_equal(batch.features_per_agent[k][s], alone[k][0])
-                assert np.array_equal(batch.features_per_agent[k][s], reference[k])
+                assert batch[k].shape == (n_streams, length, d)
+                assert np.array_equal(batch[k][s], alone[k][0])
+                assert np.array_equal(batch[k][s], reference[k])
 
     @given(
         grid=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2)]),
@@ -279,14 +278,14 @@ class TestPredictionStreams:
         layout = PatchLayout(7, 8, *grid)
         schedule = periodic_schedule(period, [2, 0, 1], length)
         seeds = rng.integers(0, 2**63, n_streams).tolist()
-        batch = prediction_streams(pools, schedule, length, seeds, layout)
+        batch, _ = prediction_streams(pools, schedule, length, seeds, layout)
         for s, seed_s in enumerate(seeds):
-            alone = prediction_streams(pools, schedule, length, [seed_s], layout).features_per_agent
+            alone, _ = prediction_streams(pools, schedule, length, [seed_s], layout)
             reference = per_block_stream(pools, schedule, length, seed_s, layout)
             for k in range(layout.n_agents):
-                assert batch.features_per_agent[k].shape == (n_streams, length, layout.view_dim(k))
-                assert np.array_equal(batch.features_per_agent[k][s], alone[k][0])
-                assert np.array_equal(batch.features_per_agent[k][s], reference[k])
+                assert batch[k].shape == (n_streams, length, layout.view_dim(k))
+                assert np.array_equal(batch[k][s], alone[k][0])
+                assert np.array_equal(batch[k][s], reference[k])
 
 
 class TestIdxFiles:
@@ -327,7 +326,38 @@ class TestIdxFiles:
         images, labels = read_label_pixel_csv(path, 2, 2)
         assert images.shape == (2, 2, 2)
         np.testing.assert_array_equal(labels, [1, 0])
+        assert images.dtype == np.uint8
         assert images[0, 0, 0] == 128
+
+    def test_csv_and_idx_give_the_same_views(self, tmp_path):
+        # the same pixels in either format reach the agents identically scaled
+        rng = np.random.default_rng(12)
+        images = rng.integers(0, 256, size=(6, 4, 5), dtype=np.uint8)
+        images[0, 0, 0], images[1, 0, 0] = 0, 255
+        labels = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
+        img_path, _ = self.write_idx(tmp_path, images, labels)
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "".join(
+                f"{label}," + ",".join(str(p) for p in image.ravel()) + "\n"
+                for label, image in zip(labels, images)
+            )
+        )
+        from_csv, csv_labels = read_label_pixel_csv(path, 4, 5)
+        np.testing.assert_array_equal(csv_labels, labels)
+        layout = PatchLayout(4, 5, 2, 2)
+        csv_views = split_patches(from_csv, layout)
+        idx_views = split_patches(read_idx_images(img_path), layout)
+        for got, want in zip(csv_views, idx_views):
+            assert np.array_equal(got, want)
+        assert max(float(v.max()) for v in csv_views) == 1.0
+
+    @pytest.mark.parametrize("pixel", ["0.5", "256", "-1", "nan", "inf", "1e300", "255.5"])
+    def test_csv_pixel_outside_0_255_rejected(self, tmp_path, pixel):
+        path = tmp_path / "data.csv"
+        path.write_text("1," + ",".join(["128"] * 3 + [pixel]) + "\n")
+        with pytest.raises(DataError, match="data.csv: pixel columns"):
+            read_label_pixel_csv(path, 2, 2)
 
     def test_csv_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from socialml.graph import (
     CombinationMatrix,
     GraphError,
-    PerronVector,
     build_averaging_matrix,
     directed_ring_adjacency,
     grid_adjacency,
@@ -106,11 +105,11 @@ class TestStrongConnectivity:
 class TestPerronEigenvector:
     def test_doubly_stochastic_gives_uniform(self):
         pi = perron_eigenvector(CombinationMatrix(RING4))
-        np.testing.assert_allclose(pi.values, 0.25, atol=1e-10)
+        np.testing.assert_allclose(pi, 0.25, atol=1e-10)
 
     def test_single_agent(self):
         pi = perron_eigenvector(CombinationMatrix([[1.0]]))
-        assert pi.values.tolist() == [1.0]
+        assert pi.tolist() == [1.0]
 
     def test_matches_dense_eigensolver_on_grid(self):
         # independent oracle: dense eigendecomposition of the same matrix
@@ -120,19 +119,19 @@ class TestPerronEigenvector:
         oracle = np.real(vectors[:, lead])
         oracle = oracle / oracle.sum()
         pi = perron_eigenvector(m, tol=1e-12)
-        np.testing.assert_allclose(pi.values, oracle, atol=1e-8)
+        np.testing.assert_allclose(pi, oracle, atol=1e-8)
 
     def test_fixed_point_residual(self):
         m = build_averaging_matrix(grid_adjacency(3, 3))
         pi = perron_eigenvector(m, tol=1e-12)
-        np.testing.assert_allclose(m.weights @ pi.values, pi.values, atol=1e-10)
+        np.testing.assert_allclose(m.weights @ pi, pi, atol=1e-10)
 
     def test_invariant_to_start_is_implicit_by_determinism(self):
         # power iteration starts from the uniform vector; verify the result
         # is the unique fixed point by comparing against 5 random warm starts
         rng = np.random.default_rng(42)
         m = build_averaging_matrix(grid_adjacency(2, 3))
-        pi = perron_eigenvector(m).values
+        pi = perron_eigenvector(m)
         for _ in range(5):
             x = rng.random(m.size) + 0.05
             x /= x.sum()
@@ -145,11 +144,16 @@ class TestPerronEigenvector:
         with pytest.raises(GraphError, match="primitive"):
             perron_eigenvector(CombinationMatrix(np.eye(3)))
 
-    def test_perron_type_invariants(self):
-        with pytest.raises(GraphError):
-            PerronVector(np.array([0.5, 0.5, 0.0]))
-        with pytest.raises(GraphError):
-            PerronVector(np.array([0.7, 0.7]))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_positive_unit_sum_on_primitive_matrices(self, seed, size):
+        # a directed ring with random extra edges and random positive weights
+        rng = np.random.default_rng(seed)
+        adj = directed_ring_adjacency(size) | (rng.random((size, size)) < 0.3)
+        weights = np.where(adj, rng.uniform(0.1, 1.0, (size, size)), 0.0)
+        pi = perron_eigenvector(CombinationMatrix(weights / weights.sum(axis=0)))
+        assert np.all(pi > 0)
+        assert abs(pi.sum() - 1.0) <= 1e-12
 
 
 class TestMatrixFileFormat:

@@ -10,8 +10,8 @@ import pytest
 
 from socialml.cli import main
 from socialml.config import validate_config
-from socialml.data import file_sha256
-from socialml.experiments import cmd_montecarlo, cmd_predict, cmd_train
+from socialml.data import file_sha256, read_idx_images, read_idx_labels
+from socialml.experiments import cmd_montecarlo, cmd_predict, cmd_train, shared_scene_training
 
 
 def synthetic_digit_images(rng, n, bright="top"):
@@ -52,6 +52,25 @@ def write_idx_dataset(tmp_path, rng, n_per_class=160):
         )
     )
     return manifest
+
+
+def write_csv_dataset(directory, images, labels):
+    """The same pixels as ``write_idx_dataset``, as a ``label,p0,...`` CSV."""
+    directory.mkdir(exist_ok=True)
+    path = directory / "data.csv"
+    path.write_text(
+        "".join(
+            f"{label}," + ",".join(str(p) for p in image.ravel()) + "\n"
+            for label, image in zip(labels, images)
+        )
+    )
+    manifest = directory / "dataset.json"
+    manifest.write_text(
+        json.dumps(
+            {"format": "csv", "files": {"data": {"path": "data.csv", "sha256": file_sha256(path)}}}
+        )
+    )
+    return path
 
 
 def image_config(manifest_name, **overrides):
@@ -118,6 +137,31 @@ class TestSyntheticImagePipeline:
         assert sml_errors[30] < 0.05
 
 
+class TestImageTrainingScene:
+    def test_scene_scales_each_picked_pixel_once(self, tmp_path, monkeypatch):
+        import socialml.data as data_mod
+
+        write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=40)
+        cfg = validate_config(image_config("dataset.json"), str(tmp_path))
+        scaled = []
+        original = data_mod.scale_pixels
+
+        def counting(images):
+            scaled.append(np.asarray(images).size)
+            return original(images)
+
+        monkeypatch.setattr(data_mod, "scale_pixels", counting)
+        views, labels = shared_scene_training(cfg, rep=0)
+        assert sum(scaled) == labels.size * 8 * 8
+        # the same draws from pools scaled up front give the same views
+        pools, layout = cfg.scene
+        vars(cfg)["scene"] = ({c: images / 255.0 for c, images in pools.items()}, layout)
+        again, again_labels = shared_scene_training(cfg, rep=0)
+        assert np.array_equal(labels, again_labels)
+        for got, want in zip(views, again):
+            assert np.array_equal(got, want)
+
+
 class TestImageSceneLoading:
     """Each loaded config reads its own image pools; bad datasets exit 1."""
 
@@ -139,6 +183,25 @@ class TestImageSceneLoading:
         capsys.readouterr()
         assert self.train(tmp_path, image_config("dataset.json")) == 1
         assert "class -1" in capsys.readouterr().err
+
+    def test_csv_and_idx_datasets_train_alike(self, tmp_path):
+        write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
+        images, labels = read_idx_images(tmp_path / "images.idx"), read_idx_labels(
+            tmp_path / "labels.idx"
+        )
+        write_csv_dataset(tmp_path / "csv", images, labels)
+        assert self.train(tmp_path, image_config("dataset.json")) == 0
+        assert self.train(tmp_path / "csv", image_config("dataset.json")) == 0
+        for name in ("risk_trace.csv", "models/agent_0.json"):
+            idx_bytes = (tmp_path / "out" / name).read_bytes()
+            assert (tmp_path / "csv" / "out" / name).read_bytes() == idx_bytes
+
+    def test_csv_fractional_pixel_exits_1(self, tmp_path, capsys):
+        images = np.full((2, 8, 8), 128.0)
+        images[1, 3, 3] = 0.5
+        write_csv_dataset(tmp_path, images, [0, 1])
+        assert self.train(tmp_path, image_config("dataset.json")) == 1
+        assert "data.csv: pixel columns" in capsys.readouterr().err
 
     def test_unknown_format(self, tmp_path, capsys):
         manifest = write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)

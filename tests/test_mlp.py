@@ -336,8 +336,8 @@ class TestTrainErm:
         y = np.array([1] * 100 + [-1] * 100)
         ds = LabeledDataset(x, y, (1, -1))
         hyper = TrainingHyperparameters(30, 10, 0.05)
-        result = train_stack([ds], MLPArchitecture((3, 16, 2)), hyper, [9])[0]
-        assert result.risk_trace[-1] < 0.1
+        _, risk = train_stack([ds], MLPArchitecture((3, 16, 2)), hyper, [9])
+        assert risk[0, -1] < 0.1
 
         # oracle: plain full-batch logistic regression on the same data
         w = np.zeros(3)
@@ -354,31 +354,31 @@ class TestTrainErm:
         ds = binary_dataset(rng, n=16)
         arch = MLPArchitecture((3, 5, 2))
         hyper = TrainingHyperparameters(5, 4, 0.0)
-        result = train_stack([ds], arch, hyper, [21])[0]
+        (model,), risk = train_stack([ds], arch, hyper, [21])
         init = initialize_model(arch, np.random.default_rng(21))
-        for got, want in zip(result.model.weights, init.weights):
+        for got, want in zip(model.weights, init.weights):
             np.testing.assert_array_equal(got, want)
-        assert np.all(result.risk_trace == result.risk_trace[0])
+        assert np.all(risk == risk[0, 0])
 
     def test_same_seed_bitwise_identical(self):
         rng = np.random.default_rng(6)
         ds = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.02)
-        a = train_stack([ds], arch, hyper, [77])[0]
-        b = train_stack([ds], arch, hyper, [77])[0]
-        for wa, wb in zip(a.model.weights, b.model.weights):
+        (a,), risk_a = train_stack([ds], arch, hyper, [77])
+        (b,), risk_b = train_stack([ds], arch, hyper, [77])
+        for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
-        np.testing.assert_array_equal(a.risk_trace, b.risk_trace)
+        np.testing.assert_array_equal(risk_a, risk_b)
 
     def test_adam_same_seed_identical(self):
         rng = np.random.default_rng(6)
         ds = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.01, optimizer="adam")
-        a = train_stack([ds], arch, hyper, [77])[0]
-        b = train_stack([ds], arch, hyper, [77])[0]
-        for wa, wb in zip(a.model.weights, b.model.weights):
+        (a,), _ = train_stack([ds], arch, hyper, [77])
+        (b,), _ = train_stack([ds], arch, hyper, [77])
+        for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_norm_bound_projection_enforced(self):
@@ -386,8 +386,8 @@ class TestTrainErm:
         ds = binary_dataset(rng, n=40, dim=2)
         arch = MLPArchitecture((3, 8, 2), norm_bound=0.8)
         hyper = TrainingHyperparameters(10, 5, 0.5)
-        result = train_stack([ds], arch, hyper, [3])[0]
-        for w in result.model.weights:
+        (model,), _ = train_stack([ds], arch, hyper, [3])
+        for w in model.weights:
             assert np.abs(w).sum(axis=0).max() <= 0.8 + 1e-12
 
     def test_dimension_mismatch_rejected(self):
@@ -403,8 +403,8 @@ class TestTrainErm:
         ds = LabeledDataset(feats, labels, (1, -1))
         hyper = TrainingHyperparameters(60, 2, 0.5)
         weights = np.array([0.999, 0.001])
-        result = train_stack([ds], MLPArchitecture((2, 2)), hyper, [5], [weights])[0]
-        assert binary_logit(result.model, [1.0]) > 0
+        (model,), _ = train_stack([ds], MLPArchitecture((2, 2)), hyper, [5], [weights])
+        assert binary_logit(model, [1.0]) > 0
 
 
 class TestTrainingGolden:
@@ -449,16 +449,16 @@ class TestTrainingGolden:
         rng = np.random.default_rng(2024)
         labels = np.tile([1, -1], 10)
         feats = rng.normal(size=(20, 2)) + 0.8 * labels[:, None]
-        (result,) = train_stack(
+        (model,), risk = train_stack(
             [LabeledDataset(feats, labels, (1, -1))],
             MLPArchitecture((3, 3, 2), activation=activation),
             TrainingHyperparameters(4, 5, 0.3, optimizer=optimizer),
             [11],
         )
         weights, trace = self.GOLDEN[activation, optimizer]
-        for got, want in zip(result.model.weights, weights):
+        for got, want in zip(model.weights, weights):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
-        np.testing.assert_allclose(result.risk_trace, trace, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(risk[0], trace, rtol=1e-10, atol=0)
 
 
 class TestTrainStack:
@@ -492,13 +492,14 @@ class TestTrainStack:
         arch = MLPArchitecture((3, 5, 4, n_classes), activation=activation, norm_bound=norm_bound)
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        stacked = train_stack(datasets, arch, hyper, seeds, weights)
-        for m, result in enumerate(stacked):
+        models, risk = train_stack(datasets, arch, hyper, seeds, weights)
+        assert risk.shape == (n_models, hyper.epochs)
+        for m, model in enumerate(models):
             own = None if weights is None else [weights[m]]
-            (alone,) = train_stack([datasets[m]], arch, hyper, [seeds[m]], own)
-            for got, want in zip(result.model.weights, alone.model.weights):
+            (alone,), alone_risk = train_stack([datasets[m]], arch, hyper, [seeds[m]], own)
+            for got, want in zip(model.weights, alone.weights):
                 assert np.array_equal(got, want)
-            assert np.array_equal(result.risk_trace, alone.risk_trace)
+            assert np.array_equal(risk[m], alone_risk[0])
 
     @given(
         activation=st.sampled_from(["tanh", "relu", "identity"]),
@@ -533,12 +534,26 @@ class TestTrainStack:
         )
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        stacked = train_stack(datasets, arch, hyper, seeds, weights)
+        models, risk = train_stack(datasets, arch, hyper, seeds, weights)
         want_weights, want_trace = per_layer_train_stack(datasets, arch, hyper, seeds, weights)
-        for m, result in enumerate(stacked):
-            for got, want in zip(result.model.weights, want_weights):
+        for m, model in enumerate(models):
+            for got, want in zip(model.weights, want_weights):
                 assert np.array_equal(got, want[m])
-            assert np.array_equal(result.risk_trace, want_trace[m])
+        assert np.array_equal(risk, want_trace)
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("n_models", [1, 3])
+    def test_last_risk_is_the_returned_models_risk(self, n_models, optimizer):
+        # the trace's last epoch scores the very models returned beside it
+        rng = np.random.default_rng(30 + n_models)
+        datasets = [binary_dataset(rng, n=17, dim=2) for _ in range(n_models)]
+        hyper = TrainingHyperparameters(3, 4, 0.05, optimizer=optimizer)
+        models, risk = train_stack(
+            datasets, MLPArchitecture((3, 5, 2)), hyper, list(range(n_models))
+        )
+        assert risk.shape == (n_models, 3)
+        for m, model in enumerate(models):
+            assert abs(risk[m, -1] - cross_entropy_risk(model, datasets[m])) <= 1e-12
 
     def test_first_diverged_model_named(self):
         # only model 1 sees features huge enough to overflow its logits

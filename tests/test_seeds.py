@@ -42,7 +42,7 @@ class TestGoldenValues:
         spec = build_gaussian_spec({"type": "gaussian", "agents": [agent, agent]}, (1, -1))
         schedule = periodic_schedule(2, [1, -1], 4)
         # standard_normal draws, shifted by the class means
-        gaussian = prediction_streams(spec, schedule, 4, [seed]).features_per_agent
+        gaussian, _ = prediction_streams(spec, schedule, 4, [seed])
         assert gaussian[0][0, :, 0].tolist() == [
             -0.0751994713914369, 0.3688888608584663, -1.102276643679537, -0.3812732300485046,
         ]
@@ -52,8 +52,8 @@ class TestGoldenValues:
         # integers draws: image i of the pool has every pixel equal to i
         pool = np.repeat(np.arange(200, dtype=np.uint8), 4).reshape(200, 2, 2)
         layout = PatchLayout(2, 2, 1, 2)
-        images = prediction_streams({1: pool, -1: pool}, schedule, 4, [seed], layout)
-        picks = np.rint(images.features_per_agent[0][0, :, 0] * 255).astype(int)
+        images, _ = prediction_streams({1: pool, -1: pool}, schedule, 4, [seed], layout)
+        picks = np.rint(images[0][0, :, 0] * 255).astype(int)
         assert picks.tolist() == [97, 139, 101, 178]
 
 

@@ -15,7 +15,6 @@ from socialml.data import (
 )
 from socialml.graph import CombinationMatrix, build_averaging_matrix, directed_ring_adjacency, perron_eigenvector
 from socialml.social import (
-    BeliefState,
     RegimeSchedule,
     SocialLearningError,
     asl_step,
@@ -43,29 +42,34 @@ SINGLE = CombinationMatrix(np.array([[1.0]]))
 
 class TestSlStep:
     def test_single_agent_accumulates(self):
-        state = sl_step(BeliefState(np.zeros(1)), SINGLE, np.array([0.3]))
-        assert state.lam[0] == pytest.approx(0.3)
-        assert state.step == 1
+        lam = sl_step(np.zeros(1), SINGLE, np.array([0.3]))
+        assert lam[0] == pytest.approx(0.3)
 
     def test_symmetric_cancellation(self):
         m = CombinationMatrix(np.full((2, 2), 0.5))
-        state = BeliefState(np.zeros(2))
+        lam = np.zeros(2)
         for _ in range(10):
-            state = sl_step(state, m, np.array([1.0, -1.0]))
-        np.testing.assert_allclose(state.lam, 0.0, atol=1e-12)
+            lam = sl_step(lam, m, np.array([1.0, -1.0]))
+        np.testing.assert_allclose(lam, 0.0, atol=1e-12)
 
     def test_time_average_converges_to_perron_mean(self):
         c = np.array([0.0, 0.1, 0.0, 0.0])
-        pi = perron_eigenvector(RING4).values
+        pi = perron_eigenvector(RING4)
         target = float(pi @ c)
-        state = BeliefState(np.zeros(4))
+        lam = np.zeros(4)
         for _ in range(2000):
-            state = sl_step(state, RING4, c)
-        np.testing.assert_allclose(state.lam / 2000, target, atol=1e-2)
+            lam = sl_step(lam, RING4, c)
+        np.testing.assert_allclose(lam / 2000, target, atol=1e-2)
 
     def test_nan_statistic_rejected(self):
         with pytest.raises(SocialLearningError):
-            sl_step(BeliefState(np.zeros(1)), SINGLE, np.array([np.nan]))
+            sl_step(np.zeros(1), SINGLE, np.array([np.nan]))
+
+    def test_bad_lambda_rejected(self):
+        with pytest.raises(SocialLearningError, match="1- or 2-d"):
+            sl_step(np.zeros((1, 1, 1)), SINGLE, np.zeros((1, 1, 1)))
+        with pytest.raises(SocialLearningError, match="lambda contains non-finite"):
+            asl_step(np.array([np.inf]), SINGLE, np.zeros(1), 0.5)
 
     @given(
         hnp.arrays(np.float64, (4,), elements=st.floats(-10, 10)),
@@ -77,46 +81,44 @@ class TestSlStep:
     )
     @settings(max_examples=60, deadline=None)
     def test_step_linear_in_state_and_statistics(self, l1, l2, c1, c2, a, b):
-        combined = sl_step(BeliefState(a * l1 + b * l2), RING4, a * c1 + b * c2)
-        separate = a * sl_step(BeliefState(l1), RING4, c1).lam + b * sl_step(
-            BeliefState(l2), RING4, c2
-        ).lam
-        np.testing.assert_allclose(combined.lam, separate, atol=1e-9)
+        combined = sl_step(a * l1 + b * l2, RING4, a * c1 + b * c2)
+        separate = a * sl_step(l1, RING4, c1) + b * sl_step(l2, RING4, c2)
+        np.testing.assert_allclose(combined, separate, atol=1e-9)
 
 
 class TestAslStep:
     def test_near_one_delta_is_memoryless(self):
-        state = BeliefState(np.array([5.0, -3.0, 2.0, 1.0]))
+        lam = np.array([5.0, -3.0, 2.0, 1.0])
         c = np.array([0.2, -0.4, 0.6, 0.0])
-        stepped = asl_step(state, RING4, c, delta=1 - 1e-12)
+        stepped = asl_step(lam, RING4, c, delta=1 - 1e-12)
         memoryless = RING4.weights.T @ c
-        np.testing.assert_allclose(stepped.lam, memoryless, atol=1e-9)
+        np.testing.assert_allclose(stepped, memoryless, atol=1e-9)
 
     def test_geometric_fixed_point_single_agent(self):
         delta, c = 0.1, 0.5
-        state = BeliefState(np.zeros(1))
+        lam = np.zeros(1)
         for i in range(1, 201):
-            state = asl_step(state, SINGLE, np.array([c]), delta)
+            lam = asl_step(lam, SINGLE, np.array([c]), delta)
             expect = c * (1 - (1 - delta) ** i) / delta
-            assert state.lam[0] == pytest.approx(expect, rel=1e-12)
-        assert state.lam[0] == pytest.approx(c / delta, rel=0.01)
+            assert lam[0] == pytest.approx(expect, rel=1e-12)
+        assert lam[0] == pytest.approx(c / delta, rel=0.01)
 
     def test_delta_zero_rejected(self):
         with pytest.raises(SocialLearningError):
-            asl_step(BeliefState(np.zeros(4)), RING4, np.zeros(4), delta=0.0)
+            asl_step(np.zeros(4), RING4, np.zeros(4), delta=0.0)
         with pytest.raises(SocialLearningError):
-            asl_step(BeliefState(np.zeros(4)), RING4, np.zeros(4), delta=1.0)
+            asl_step(np.zeros(4), RING4, np.zeros(4), delta=1.0)
 
     def test_bounded_by_saturation_level(self):
         rng = np.random.default_rng(0)
         delta = 0.2
-        state = BeliefState(rng.normal(size=4))
-        lam0_max = np.abs(state.lam).max()
+        lam = rng.normal(size=4)
+        lam0_max = np.abs(lam).max()
         cap = 1.0 / delta + lam0_max
         for _ in range(300):
             c = rng.uniform(-1.0, 1.0, 4)
-            state = asl_step(state, RING4, c, delta)
-            assert np.all(np.abs(state.lam) <= cap + 1e-9)
+            lam = asl_step(lam, RING4, c, delta)
+            assert np.all(np.abs(lam) <= cap + 1e-9)
 
 
 class TestDecide:
@@ -204,14 +206,14 @@ class TestDiffuse:
         lam = diffuse(stats, matrix.weights, delta)
         assert lam.shape == stats.shape
         for s in range(3):
-            state = BeliefState(np.zeros((n_agents, width)) if width > 1 else np.zeros(n_agents))
+            state = np.zeros((n_agents, width)) if width > 1 else np.zeros(n_agents)
             for t in range(25):
                 c = stats[s, t] if width > 1 else stats[s, t, :, 0]
                 if delta is None:
                     state = sl_step(state, matrix, c)
                 else:
                     state = asl_step(state, matrix, c, delta)
-                expect = state.lam if width > 1 else state.lam[:, None]
+                expect = state if width > 1 else state[:, None]
                 np.testing.assert_allclose(lam[s, t], expect, rtol=1e-12, atol=1e-12)
 
     @given(
@@ -273,32 +275,30 @@ class TestRunPrediction:
         feats = [np.zeros((5, 1))] * 4
         states = np.array([1] * 5, dtype=object)
         run = run_prediction(
-            "sl", RING4, self.constant_providers([0.0] * 4), feats, states, (1, -1)
+            RING4, self.constant_providers([0.0] * 4), feats, states, (1, -1)
         )
         assert np.all(run.lam == 0.0)
         assert np.all(run.decisions == 1)  # ties go to the reference class
 
     def test_engine_delta_contract(self):
+        # no delta runs the standard engine; a delta must lie in (0, 1)
         feats = [np.zeros((2, 1))] * 4
         states = np.array([1, 1], dtype=object)
         providers = self.constant_providers([0.0] * 4)
-        with pytest.raises(SocialLearningError):
-            run_prediction("sl", RING4, providers, feats, states, (1, -1), delta=0.1)
-        with pytest.raises(SocialLearningError):
-            run_prediction("asl", RING4, providers, feats, states, (1, -1))
-        with pytest.raises(SocialLearningError):
-            run_prediction("other", RING4, providers, feats, states, (1, -1))
+        for delta in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(SocialLearningError, match="delta must lie"):
+                run_prediction(RING4, providers, feats, states, (1, -1), delta=delta)
 
     def test_shape_mismatches_rejected(self):
         states = np.array([1, 1], dtype=object)
         with pytest.raises(SocialLearningError, match="cover all agents"):
             run_prediction(
-                "sl", RING4, self.constant_providers([0.0] * 3),
+                RING4, self.constant_providers([0.0] * 3),
                 [np.zeros((2, 1))] * 3, states, (1, -1),
             )
         with pytest.raises(SocialLearningError, match="stream length"):
             run_prediction(
-                "sl", RING4, self.constant_providers([0.0] * 4),
+                RING4, self.constant_providers([0.0] * 4),
                 [np.zeros((2, 1))] * 3 + [np.zeros((5, 1))], states, (1, -1),
             )
 
@@ -307,7 +307,7 @@ class TestRunPrediction:
         states = np.array([1] * 5, dtype=object)
         providers = self.constant_providers([0.0, np.nan, 0.0, 0.0])
         with pytest.raises(SocialLearningError, match="non-finite statistic"):
-            run_prediction("sl", RING4, providers, feats, states, (1, -1))
+            run_prediction(RING4, providers, feats, states, (1, -1))
 
     def test_overflowing_lambda_rejected(self):
         feats = [np.zeros((5, 1))] * 4
@@ -315,7 +315,7 @@ class TestRunPrediction:
         providers = self.constant_providers([1e308] * 4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SocialLearningError, match="non-finite"):
-                run_prediction("sl", RING4, providers, feats, states, (1, -1))
+                run_prediction(RING4, providers, feats, states, (1, -1))
 
     def test_single_agent_true_ratio_learns_truth(self):
         # known-likelihood statistic at one informative agent: decisions settle
@@ -324,15 +324,8 @@ class TestRunPrediction:
         provider = true_log_ratio(spec, 0)
         sched = RegimeSchedule(((0, 1),))
         for seed in range(10):
-            stream = prediction_streams(spec, sched, 60, [seed])
-            run = run_prediction(
-                "sl",
-                SINGLE,
-                [provider],
-                [v[0] for v in stream.features_per_agent],
-                stream.true_states,
-                (1, -1),
-            )
+            views, states = prediction_streams(spec, sched, 60, [seed])
+            run = run_prediction(SINGLE, [provider], [v[0] for v in views], states, (1, -1))
             assert np.all(run.decisions[25:, 0] == 1)
 
     def test_asl_recovers_after_flip_within_five_over_delta(self):
@@ -345,15 +338,9 @@ class TestRunPrediction:
         sched = RegimeSchedule(((0, 1), (flip, -1)))
         recovered = 0
         for seed in range(10):
-            stream = prediction_streams(spec, sched, horizon, [100 + seed])
+            views, states = prediction_streams(spec, sched, horizon, [100 + seed])
             run = run_prediction(
-                "asl",
-                RING4,
-                providers,
-                [v[0] for v in stream.features_per_agent],
-                stream.true_states,
-                (1, -1),
-                delta=delta,
+                RING4, providers, [v[0] for v in views], states, (1, -1), delta=delta
             )
             recovered += bool(np.all(run.correct[flip + window :]))
         assert recovered >= 9
@@ -372,8 +359,8 @@ class TestRunPrediction:
             (lambda c: (lambda h: (c * np.asarray(h)[:, 0])[:, None]))(c)
             for c in (0.5, -0.2, 0.8, 0.1)
         ]
-        run_b = run_prediction("sl", RING4, scalar_providers, feats, states, (1, -1))
-        run_v = run_prediction("sl", RING4, vector_providers, feats, states, (1, -1))
+        run_b = run_prediction(RING4, scalar_providers, feats, states, (1, -1))
+        run_v = run_prediction(RING4, vector_providers, feats, states, (1, -1))
         np.testing.assert_array_equal(run_b.decisions, run_v.decisions)
         np.testing.assert_allclose(run_b.lam, run_v.lam, atol=0)
 
@@ -403,13 +390,12 @@ class TestRunPredictionBatch:
             for c in rng.uniform(0.5, 2.0, n_agents)
         ]
         states = np.array(rng.choice(classes, horizon).tolist(), dtype=object)
-        engine = "sl" if delta is None else "asl"
-        batch = run_prediction(engine, matrix, providers, feats, states, classes, delta)
+        batch = run_prediction(matrix, providers, feats, states, classes, delta)
         assert batch.horizon == horizon
         assert batch.lam.shape == (n_streams, horizon, n_agents, width)
         for s in range(n_streams):
             single = run_prediction(
-                engine, matrix, providers, [f[s] for f in feats], states, classes, delta
+                matrix, providers, [f[s] for f in feats], states, classes, delta
             )
             if width > 1:
                 assert np.array_equal(batch.lam[s], single.lam)
@@ -426,14 +412,14 @@ class TestRunPredictionBatch:
         providers = [lambda h: np.zeros(len(h))] * 4
         states = np.array([1, 0, 1], dtype=object)
         with pytest.raises(SocialLearningError, match="true state 0 not in classes"):
-            run_prediction("sl", RING4, providers, feats, states, (1, -1))
+            run_prediction(RING4, providers, feats, states, (1, -1))
 
     def test_batch_shapes_must_agree(self):
         feats = [np.zeros((2, 3, 1))] * 3 + [np.zeros((3, 1))]
         providers = [lambda h: np.zeros(len(h))] * 4
         states = np.array([1, 1, 1], dtype=object)
         with pytest.raises(SocialLearningError, match="agent 3 batch"):
-            run_prediction("sl", RING4, providers, feats, states, (1, -1))
+            run_prediction(RING4, providers, feats, states, (1, -1))
 
 
 class TestConsistencyConditions:
@@ -502,7 +488,7 @@ class TestBayesClassifier:
         rng = np.random.default_rng(3)
         feats = rng.normal(1.0, 1.0, (10_000, 50, 1))
         run = run_prediction(
-            "sl", CombinationMatrix([[1.0]]), [lambda h: np.subtract(*pair(h))],
+            CombinationMatrix([[1.0]]), [lambda h: np.subtract(*pair(h))],
             [feats], [1] * 50, (1, -1),
         )
         errors = int(np.sum(~run.correct[:, -1, 0]))

@@ -25,7 +25,8 @@ from socialml.stats import (
 def train_small(dataset, seed, hidden=(6,)):
     arch = MLPArchitecture((dataset.dim + 1, *hidden, len(dataset.classes)))
     hyper = TrainingHyperparameters(6, 8, 0.05)
-    return train_stack([dataset], arch, hyper, [seed])[0].model
+    (model,), _ = train_stack([dataset], arch, hyper, [seed])
+    return model
 
 
 def random_binary_dataset(rng, n_per_class=25, dim=2):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from socialml.theory import (
     LOG2,
-    BoundInputs,
     TheoryError,
     TrainingProfile,
     approx_exponent,
@@ -117,39 +116,45 @@ class TestPcLowerBound:
 
     def test_vacuous_at_exponent(self):
         eps = exact_exponent(0.0)
-        bound = pc_lower_bound(BoundInputs(0.0, 1.0, eps, self.profile(100)))
+        bound = pc_lower_bound(0.0, 1.0, eps, self.profile(100))
         assert bound.vacuous
         assert bound.raw == pytest.approx(-1.0)
         assert bound.value == 0.0
 
     def test_plug_in_arithmetic(self):
         eps = exact_exponent(0.0)
-        bound = pc_lower_bound(BoundInputs(0.0, 1.0, 0.0, self.profile(100)))
+        bound = pc_lower_bound(0.0, 1.0, 0.0, self.profile(100))
         expected = 1.0 - 2.0 * math.exp(-800.0 * eps**2)
         assert bound.value == pytest.approx(expected, abs=1e-12)
         assert bound.value == pytest.approx(0.9617, abs=5e-4)
 
     def test_uniform_per_agent_beta_reduces_to_scalar(self):
         profile = TrainingProfile((100, 50, 100), np.array([0.2, 0.5, 0.3]))
-        scalar = pc_lower_bound(BoundInputs(0.1, 2.0, 0.01, profile))
-        vector = pc_lower_bound(BoundInputs(0.1, np.full(3, 2.0), 0.01, profile))
+        scalar = pc_lower_bound(0.1, 2.0, 0.01, profile)
+        vector = pc_lower_bound(0.1, np.full(3, 2.0), 0.01, profile)
         assert scalar.raw == pytest.approx(vector.raw, abs=1e-12)
 
     def test_monotonicity(self):
         eps = exact_exponent(0.2)
-        base = BoundInputs(0.2, 1.0, eps / 2, self.profile(100))
-        grow_n = pc_lower_bound(BoundInputs(0.2, 1.0, eps / 2, self.profile(400)))
-        assert grow_n.raw >= pc_lower_bound(base).raw
-        more_rho = pc_lower_bound(BoundInputs(0.2, 1.0, eps * 0.75, self.profile(100)))
-        assert more_rho.raw <= pc_lower_bound(base).raw
-        more_beta = pc_lower_bound(BoundInputs(0.2, 2.0, eps / 2, self.profile(100)))
-        assert more_beta.raw <= pc_lower_bound(base).raw
+        base = pc_lower_bound(0.2, 1.0, eps / 2, self.profile(100))
+        grow_n = pc_lower_bound(0.2, 1.0, eps / 2, self.profile(400))
+        assert grow_n.raw >= base.raw
+        more_rho = pc_lower_bound(0.2, 1.0, eps * 0.75, self.profile(100))
+        assert more_rho.raw <= base.raw
+        more_beta = pc_lower_bound(0.2, 2.0, eps / 2, self.profile(100))
+        assert more_beta.raw <= base.raw
 
     def test_invalid_inputs(self):
-        with pytest.raises(TheoryError):
-            BoundInputs(0.0, -1.0, 0.0, self.profile(10))
-        with pytest.raises(TheoryError):
-            BoundInputs(0.9, 1.0, 0.0, self.profile(10))
+        with pytest.raises(TheoryError, match="beta must be positive"):
+            pc_lower_bound(0.0, -1.0, 0.0, self.profile(10))
+        with pytest.raises(TheoryError, match="target risk"):
+            pc_lower_bound(0.9, 1.0, 0.0, self.profile(10))
+        with pytest.raises(TheoryError, match="one value per agent"):
+            pc_lower_bound(0.0, np.ones((2, 2)), 0.0, self.profile(10, 2))
+        with pytest.raises(TheoryError, match="length must match"):
+            pc_lower_bound(0.0, np.ones(3), 0.0, self.profile(10, 2))
+        with pytest.raises(TheoryError, match="complexity must be nonnegative"):
+            pc_lower_bound(0.0, 1.0, -0.1, self.profile(10))
 
 
 class TestNetworkComplexityBound:
