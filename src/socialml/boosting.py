@@ -11,10 +11,9 @@ memoryless in time and needs every agent's decision at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .base import Record
 from .mlp import (
     LabeledDataset,
     TrainingDiverged,
@@ -35,8 +34,7 @@ def sign_decision(values) -> np.ndarray:
     return np.where(np.asarray(values, dtype=float) >= 0.0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class BoostedEnsemble:
+class BoostedEnsemble(Record):
     models: tuple  # trained per-agent models, ascending agent order
     votes: np.ndarray  # boosting weight per agent
     errors: np.ndarray  # weighted training error per round

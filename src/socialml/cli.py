@@ -5,6 +5,13 @@ config-driven experiment and write artifacts under ``--out``;
 ``validate-data`` checks the SHA-256 entries of a dataset manifest
 (passed via ``--config``).  Exit codes: 0 success, 1 validation error,
 2 runtime failure.
+
+A validation error is any ``base.ValidationError``: every layer's input
+error (``ConfigError``, ``DataError``, ``GraphError``, ``ModelError``,
+``SocialLearningError``, ``StatisticError``, ``TheoryError``) subclasses it,
+so this module catches the one base and never imports ``theory``, which
+only the ``theory`` command loads.  ``BoostingError`` is not one of them and
+exits 2, as does any other exception.
 """
 
 from __future__ import annotations
@@ -12,24 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .base import ValidationError
 from .config import ConfigError, load_config, validate_config
-from .data import DataError, verify_manifest
+from .data import verify_manifest
 from .experiments import cmd_montecarlo, cmd_predict, cmd_theory, cmd_train
-from .graph import GraphError
-from .mlp import ModelError
-from .social import SocialLearningError
-from .stats import StatisticError
-from .theory import TheoryError
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    DataError,
-    GraphError,
-    ModelError,
-    SocialLearningError,
-    StatisticError,
-    TheoryError,
-)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -95,7 +88,7 @@ def main(argv=None) -> int:
                 f"bound={result['pc_lower_bound']:.6f}{flag} "
                 f"sample_complexity={result['sample_complexity']}"
             )
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

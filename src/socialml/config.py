@@ -17,11 +17,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as data_mod
+from .base import Record, ValidationError
 from .data import DataError, GaussianClassModel, GaussianSceneSpec, PatchLayout
 from .graph import (
     CombinationMatrix,
@@ -34,7 +34,7 @@ from .mlp import ACTIVATIONS, OPTIMIZERS, MLPArchitecture, TrainingHyperparamete
 from .social import RegimeSchedule, SocialLearningError, periodic_schedule
 
 
-class ConfigError(ValueError):
+class ConfigError(ValidationError):
     """Configuration fails schema validation."""
 
 
@@ -52,9 +52,8 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    raw: dict = field(repr=False)
+class ExperimentConfig(Record, hidden=("raw",)):
+    raw: dict
     base_dir: str
     seed: int
     classes: tuple
@@ -335,32 +334,41 @@ def _validate_schedule(spec, classes) -> None:
         raise ConfigError(f"schedule: {exc}") from exc
 
 
-def _validate_theory(block) -> dict:
+def _per_agent(block: dict, key: str, n_agents: int) -> list:
+    """``block[key]`` if it is a list with one entry per agent."""
+    values = block[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"theory.{key} must be a list, got {values!r}")
+    if len(values) != n_agents:
+        raise ConfigError(
+            f"theory.{key} must hold one entry per agent ({n_agents}), got {len(values)}"
+        )
+    return values
+
+
+def _validate_theory(block, n_agents: int) -> dict:
     """The ``theory`` block with its constant defaults filled in, its counts
-    and numbers checked; ``cmd_theory`` derives the sample counts and the
-    complexity constants that the block leaves out."""
+    and numbers checked, and its per-agent lists one entry per agent;
+    ``cmd_theory`` derives the sample counts and the complexity constants
+    that the block leaves out."""
     if not isinstance(block, dict):
         raise ConfigError("theory must be an object")
     _known_keys(block, "theory", _THEORY_KEYS)
     block = {"target_risk": 0.0, "beta": 1.0, "epsilon": 0.05, "grid_points": 50, **block}
     if "sample_counts" in block:
-        counts = block["sample_counts"]
-        if not isinstance(counts, list):
-            raise ConfigError(f"theory.sample_counts must be a list, got {counts!r}")
-        for n in counts:
+        for n in _per_agent(block, "sample_counts", n_agents):
             _integer(n, "theory.sample_counts", 1)
     _integer(block["grid_points"], "theory.grid_points", 1)
     for key in ("target_risk", "epsilon"):
         _number(block[key], f"theory.{key}")
     beta = block["beta"]
-    if beta != "analytic":
-        for b in beta if isinstance(beta, list) else [beta]:
+    if isinstance(beta, list):
+        for b in _per_agent(block, "beta", n_agents):
             _number(b, "theory.beta")
+    elif beta != "analytic":
+        _number(beta, "theory.beta")
     if "complexity_constants" in block:
-        constants = block["complexity_constants"]
-        if not isinstance(constants, list):
-            raise ConfigError(f"theory.complexity_constants must be a list, got {constants!r}")
-        for c in constants:
+        for c in _per_agent(block, "complexity_constants", n_agents):
             _number(c, "theory.complexity_constants")
     return block
 
@@ -499,6 +507,6 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         schedule_spec=schedule_spec,
         stream_length=stream_length,
         montecarlo=montecarlo,
-        theory=_validate_theory(raw.get("theory", {})),
+        theory=_validate_theory(raw.get("theory", {}), matrix.size),
         data_spec=data_spec,
     )

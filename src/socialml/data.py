@@ -10,24 +10,25 @@ that are deterministic given their seed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import struct
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
+from .base import Record, ValidationError
 from .mlp import LabeledDataset
 from .seeds import generators
 from .social import RegimeSchedule
 
 
-class DataError(ValueError):
+class DataError(ValidationError):
     """Invalid data specification or file content."""
 
 
-@dataclass(frozen=True)
-class GaussianClassModel:
+class GaussianClassModel(Record):
     """Mean and covariance of one agent's features under one class."""
 
     mean: np.ndarray
@@ -65,8 +66,7 @@ class GaussianClassModel:
         return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class GaussianSceneSpec:
+class GaussianSceneSpec(Record):
     """Per-agent, per-class Gaussian models: ``models[k][label]``."""
 
     models: tuple
@@ -151,8 +151,7 @@ def true_log_ratio(spec: GaussianSceneSpec, agent: int):
     return ratio
 
 
-@dataclass(frozen=True)
-class PatchLayout:
+class PatchLayout(Record):
     """Grid partition of an image; agents read patches in row-major order.
 
     When the image size is not divisible by the grid, the last row/column of
@@ -305,6 +304,9 @@ def prediction_streams(
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# Lines per parsed block of a label-pixel CSV.  A block is parsed as float64,
+# 8 bytes per one-byte pixel: 256 lines of 28x28 images take 1.6 MB.
+CSV_BLOCK_LINES = 256
 
 
 def read_idx_images(path) -> np.ndarray:
@@ -341,22 +343,35 @@ def read_label_pixel_csv(path, height: int, width: int) -> tuple:
     """CSV fallback ``label,p0,...,pN`` -> (uint8 images, labels).
 
     Pixels are integers in [0, 255], as in an IDX file, so both formats give
-    the models the same scaled inputs.
+    the models the same scaled inputs.  The file is parsed ``CSV_BLOCK_LINES``
+    lines at a time, so only one block is ever held as float64.
     """
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] != height * width + 1:
-        raise DataError(
-            f"{path}: {rows.shape[1]} columns, expected {height * width + 1}"
-        )
-    if not np.array_equal(rows[:, 0], np.round(rows[:, 0])):
-        raise DataError(f"{path}: label column (column 0) holds non-integer values")
-    labels = rows[:, 0].astype(int)
-    # the cast changes every pixel that is not an integer in [0, 255], NaN too
-    with np.errstate(invalid="ignore"):
-        images = rows[:, 1:].astype(np.uint8)
-    if not np.array_equal(images, rows[:, 1:]):
-        raise DataError(f"{path}: pixel columns hold values that are not integers in [0, 255]")
-    return images.reshape(-1, height, width), labels
+    images, labels = [], []
+    with open(path) as fh:
+        while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
+            with warnings.catch_warnings():
+                # a block of comment or blank lines holds no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+            if rows.shape[0] == 0:
+                continue
+            if rows.shape[1] != height * width + 1:
+                raise DataError(
+                    f"{path}: {rows.shape[1]} columns, expected {height * width + 1}"
+                )
+            if not np.array_equal(rows[:, 0], np.round(rows[:, 0])):
+                raise DataError(f"{path}: label column (column 0) holds non-integer values")
+            labels.append(rows[:, 0].astype(int))
+            # the cast changes every pixel that is not an integer in [0, 255], NaN too
+            with np.errstate(invalid="ignore"):
+                images.append(rows[:, 1:].astype(np.uint8))
+            if not np.array_equal(images[-1], rows[:, 1:]):
+                raise DataError(
+                    f"{path}: pixel columns hold values that are not integers in [0, 255]"
+                )
+    if not images:
+        raise DataError(f"{path}: no data rows")
+    return np.concatenate(images).reshape(-1, height, width), np.concatenate(labels)
 
 
 def file_sha256(path) -> str:

@@ -26,20 +26,11 @@ from .config import (
     ConfigError,
     ExperimentConfig,
 )
-from .mlp import LabeledDataset, TrainingDiverged, logit_bound, save_model, train_stack
+from .graph import perron_eigenvector
+from .mlp import LabeledDataset, TrainingDiverged, save_model, train_stack
 from .seeds import derived_seeds, generators
 from .social import PredictionRun, RegimeSchedule, periodic_schedule, run_prediction
-from .stats import make_debiased_statistic, mlp_rademacher_bound
-from .theory import (
-    TrainingProfile,
-    approx_exponent,
-    exact_exponent,
-    network_complexity_bound,
-    pc_lower_bound,
-    sample_complexity,
-    self_consistency_check,
-)
-from .graph import perron_eigenvector
+from .stats import make_debiased_statistic
 
 # Cap on the stacked SML training inputs of one Monte Carlo chunk (8 bytes
 # per augmented input entry, summed over agents and replications).  Peak
@@ -436,7 +427,19 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
 
 def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Evaluate the consistency bounds on supplied numbers, plus the exponent grid."""
-    os.makedirs(out_dir, exist_ok=True)
+    # imported here: only this command pays for the theory module
+    from .theory import (
+        TrainingProfile,
+        approx_exponent,
+        exact_exponent,
+        logit_bound,
+        mlp_rademacher_bound,
+        network_complexity_bound,
+        pc_lower_bound,
+        sample_complexity,
+        self_consistency_check,
+    )
+
     if not cfg.raw.get("theory"):
         raise ConfigError("theory command needs a 'theory' config block")
     block = cfg.theory
@@ -486,6 +489,8 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         c_mixed, target_risk, profile.alpha, beta_scalar, epsilon
     )
 
+    # created once every input has passed, so a rejected config writes nothing
+    os.makedirs(out_dir, exist_ok=True)
     grid_points = block["grid_points"]
     risks = [0.999 * math.log(2) * j / max(grid_points - 1, 1) for j in range(grid_points)]
     _write_csv(

@@ -11,20 +11,20 @@ entries summing to one; it weights every network average in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
+
+from .base import Record, ValidationError
 
 COLUMN_SUM_TOL = 1e-12
 PERRON_MAX_ITER = 10**6
 
 
-class GraphError(ValueError):
+class GraphError(ValidationError):
     """Invalid network input (shape, stochasticity, connectivity)."""
 
 
-@dataclass(frozen=True)
-class CombinationMatrix:
+class CombinationMatrix(Record):
     """Left-stochastic K x K weight matrix; entry [l, k] flows from l to k."""
 
     weights: np.ndarray

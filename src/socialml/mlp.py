@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import Record, ValidationError
 from .seeds import generators
 
 EXP_CLAMP = 500.0  # exp argument clamp used by the stable loss helpers
 
 
-class ModelError(ValueError):
+class ModelError(ValidationError):
     """Invalid classifier configuration or input."""
 
 
@@ -53,8 +53,7 @@ ACTIVATIONS = tuple(_ACTIVATIONS)
 OPTIMIZERS = ("gd", "adam")
 
 
-@dataclass(frozen=True)
-class MLPArchitecture:
+class MLPArchitecture(Record):
     """Layer widths and constraints of one agent's classifier.
 
     ``layer_sizes[0]`` is the input-layer width as seen by the first weight
@@ -102,8 +101,7 @@ class MLPArchitecture:
         return _ACTIVATIONS[self.activation][2]
 
 
-@dataclass(frozen=True)
-class TrainingHyperparameters:
+class TrainingHyperparameters(Record):
     """Optimizer settings; ``optimizer`` is plain mini-batch gradient descent
     by default, with diagonally adaptive steps ("adam") available for small
     learning rates that plain descent cannot exploit.  ``init_scale``
@@ -127,8 +125,7 @@ class TrainingHyperparameters:
             raise ModelError("init scale must be positive")
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(Record):
     """One agent's feature view with labels drawn from ``classes``."""
 
     features: np.ndarray
@@ -173,10 +170,9 @@ class LabeledDataset:
         return np.array([lookup[l] for l in self.labels.tolist()], dtype=int)
 
 
-@dataclass(frozen=True)
-class MLPModel:
+class MLPModel(Record, hidden=("weights",)):
     architecture: MLPArchitecture
-    weights: tuple = field(repr=False)
+    weights: tuple
 
     def __post_init__(self):
         sizes = self.architecture.layer_sizes
@@ -588,15 +584,6 @@ def gradient_check(model: MLPModel, dataset: LabeledDataset, eps: float = 1e-5) 
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
         worst = max(worst, float(np.abs(grad - fd).max() / scale))
     return worst
-
-
-def logit_bound(arch: MLPArchitecture) -> float:
-    """Analytic bound on |logit| from norm-constrained weights and inputs."""
-    if arch.norm_bound is None:
-        raise ModelError("logit bound needs a norm-constrained architecture")
-    b, c = arch.norm_bound, arch.input_bound
-    depth, width0 = arch.n_layers, arch.layer_sizes[0]
-    return 2.0 * (b * arch.lipschitz) ** (depth - 1) * b * c * width0
 
 
 def save_model(model: MLPModel, path) -> None:

@@ -16,19 +16,17 @@ adaptation time on the order of 1/delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import ConditionalMeans
+from .base import Record, ValidationError
 
 
-class SocialLearningError(ValueError):
+class SocialLearningError(ValidationError):
     """Invalid engine input (shapes, step size, non-finite statistics)."""
 
 
-@dataclass(frozen=True)
-class RegimeSchedule:
+class RegimeSchedule(Record):
     """Contiguous segments of (start index, true state) covering the stream."""
 
     segments: tuple
@@ -158,8 +156,7 @@ def decide(lam) -> np.ndarray:
     return picks
 
 
-@dataclass(frozen=True)
-class PredictionRun:
+class PredictionRun(Record):
     """Trajectory of one prediction-phase run, or of a batch of streams."""
 
     lam: np.ndarray  # (..., T, K, M-1)
@@ -226,34 +223,3 @@ def run_prediction(
     correct = picks == truth[:, None]
     decisions = np.array(classes, dtype=object)[picks]
     return PredictionRun(lam, decisions, true_states, correct)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    margin_plus: float  # mu+ minus the network training mean
-    margin_minus: float  # network training mean minus mu-
-    satisfied: bool
-    details: dict
-
-
-def check_consistency_conditions(means: ConditionalMeans) -> ConsistencyReport:
-    """Verify that the statistic separates the classes around its training mean.
-
-    Requires the network conditional mean under +1 to exceed the network
-    training mean and the one under -1 to fall below it, strictly.
-    """
-    margin_plus = means.mu_plus - means.mu_train
-    margin_minus = means.mu_train - means.mu_minus
-    satisfied = margin_plus > 0.0 and margin_minus > 0.0
-    return ConsistencyReport(
-        margin_plus,
-        margin_minus,
-        satisfied,
-        {
-            "mu_plus": means.mu_plus,
-            "mu_minus": means.mu_minus,
-            "mu_train": means.mu_train,
-            "stderr_network": means.stderr_network,
-        },
-    )
-

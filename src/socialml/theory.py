@@ -12,21 +12,34 @@ a cross-check).  The exponent feeds an exponential lower bound on the
 probability that training produces models consistent during prediction, and
 inverting that bound gives the training-set size needed for a target
 confidence.
+
+The same module holds the checks that put the theory's assumptions to
+trained statistics: Monte Carlo class-conditional means and the margins they
+leave around the training mean, classifier complexity estimated two ways (a
+Monte Carlo estimate of the expected sup-correlation with random signs over a
+sampled candidate family, which approximates the true sup from below, and
+the analytic bound for norm-constrained feedforward networks), and the
+analytic logit bound.  Only the ``theory`` command uses them, so the
+pipeline commands never import this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .base import Record, ValidationError
+from .mlp import MLPArchitecture, ModelError
+from .seeds import generators
+from .stats import StatisticError
 
 LOG2 = math.log(2.0)
 # 4 * exponent(0), the reported constant for the zero-risk endpoint
 FOUR_EXPONENT_AT_ZERO = 0.2812
 
 
-class TheoryError(ValueError):
+class TheoryError(ValidationError):
     """Inputs outside the validity region of a bound."""
 
 
@@ -73,8 +86,7 @@ def approx_exponent(target_risk: float) -> float:
     return 0.25 * FOUR_EXPONENT_AT_ZERO * (1.0 - target_risk / LOG2)
 
 
-@dataclass(frozen=True)
-class TrainingProfile:
+class TrainingProfile(Record):
     """Per-agent training-set sizes and the derived imbalance penalties."""
 
     sample_counts: tuple
@@ -105,8 +117,7 @@ class TrainingProfile:
         return float(self.perron @ self.alpha_k)
 
 
-@dataclass(frozen=True)
-class ConsistencyBound:
+class ConsistencyBound(Record):
     exponent: float  # exact exponent at the target risk
     raw: float  # 1 - 2 exp(-...), may be negative
     value: float  # clamped to [0, 1)
@@ -204,3 +215,196 @@ def self_consistency_check(
     if bound.vacuous:
         return False, details
     return bound.value >= 1.0 - epsilon, details
+
+
+# --- consistency conditions and classifier complexity ----------------------
+
+
+class ConditionalMeans(Record):
+    """Class-conditional means of per-agent statistics plus network averages."""
+
+    per_agent_plus: np.ndarray
+    per_agent_minus: np.ndarray
+    stderr_plus: np.ndarray
+    stderr_minus: np.ndarray
+    perron: np.ndarray
+    train_means: np.ndarray
+    n_draws: int = 0
+    seed: int | None = None
+
+    @property
+    def mu_plus(self) -> float:
+        return float(self.perron @ self.per_agent_plus)
+
+    @property
+    def mu_minus(self) -> float:
+        return float(self.perron @ self.per_agent_minus)
+
+    @property
+    def mu(self) -> float:
+        """Prediction-phase mean under uniform priors, (mu+ + mu-)/2."""
+        return 0.5 * (self.mu_plus + self.mu_minus)
+
+    @property
+    def mu_train(self) -> float:
+        return float(self.perron @ self.train_means)
+
+    @property
+    def stderr_network(self) -> float:
+        w2 = np.asarray(self.perron) ** 2
+        return float(np.sqrt(w2 @ (self.stderr_plus**2 + self.stderr_minus**2)))
+
+
+def conditional_means(
+    functions,
+    samplers,
+    perron,
+    n_mc: int,
+    seed: int,
+    train_means=None,
+) -> ConditionalMeans:
+    """Monte Carlo estimate of per-agent conditional means under both classes.
+
+    ``functions[k]`` maps a feature batch to scalar statistic values;
+    ``samplers[k]`` maps ``(rng, label, n)`` to n feature rows drawn from
+    agent k's likelihood under that label (labels +1 and -1).  ``train_means``
+    optionally supplies each agent's empirical training mean (defaults to 0,
+    appropriate for already-centered statistics).
+    """
+    if n_mc < 1:
+        raise StatisticError("n_mc must be at least 1")
+    pi = np.asarray(perron, dtype=float)
+    n_agents = len(functions)
+    if len(samplers) != n_agents or pi.shape != (n_agents,):
+        raise StatisticError("functions, samplers and perron must align")
+    train_mean_arr = np.zeros(n_agents) if train_means is None else np.asarray(train_means, float)
+    (rng,) = generators([seed])
+    plus = np.empty(n_agents)
+    minus = np.empty(n_agents)
+    se_plus = np.empty(n_agents)
+    se_minus = np.empty(n_agents)
+    for k in range(n_agents):
+        for label, mean_arr, se_arr in ((+1, plus, se_plus), (-1, minus, se_minus)):
+            values = np.asarray(functions[k](samplers[k](rng, label, n_mc)), float)
+            values = values.reshape(n_mc)
+            mean_arr[k] = values.mean()
+            se_arr[k] = values.std(ddof=1) / math.sqrt(n_mc) if n_mc > 1 else 0.0
+    return ConditionalMeans(
+        plus, minus, se_plus, se_minus, pi, train_mean_arr, n_draws=n_mc, seed=seed
+    )
+
+
+class RademacherEstimate(Record):
+    value: float
+    stderr: float
+    n_draws: int
+    method: str  # "monte-carlo" or "exhaustive"
+    seed: int | None = None
+
+
+def rademacher_monte_carlo(
+    candidates, features, n_draws: int = 200, seed: int = 0, exact: bool = False
+) -> RademacherEstimate:
+    """Approximate the expected sup-correlation with random sign vectors.
+
+    For each sign draw r the sup over the function family is replaced by a
+    max over the supplied candidate functions, so the result approximates the
+    true quantity from below.  With ``exact=True`` all 2^N sign patterns are
+    enumerated instead of sampled (N capped at 20).
+    """
+    feats = np.atleast_2d(np.asarray(features, dtype=float))
+    n = feats.shape[0]
+    if n == 0:
+        raise StatisticError("empty feature set")
+    table = _candidate_table(candidates, feats)  # (n_candidates, N)
+    if table.shape[0] == 0:
+        raise StatisticError("empty candidate family")
+    if exact:
+        if n > 20:
+            raise StatisticError(f"exhaustive enumeration capped at N=20, got {n}")
+        signs = _all_sign_patterns(n)
+        sups = np.abs(table @ signs.T / n).max(axis=0)
+        return RademacherEstimate(
+            float(sups.mean()), 0.0, signs.shape[0], "exhaustive", seed=None
+        )
+    if n_draws < 1:
+        raise StatisticError("need at least one sign draw")
+    (rng,) = generators([seed])
+    signs = rng.integers(0, 2, size=(n_draws, n)) * 2.0 - 1.0
+    sups = np.abs(table @ signs.T / n).max(axis=0)
+    stderr = float(sups.std(ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
+    return RademacherEstimate(
+        float(sups.mean()), stderr, n_draws, "monte-carlo", seed=seed
+    )
+
+
+def _candidate_table(candidates, feats: np.ndarray) -> np.ndarray:
+    rows = []
+    for fn in candidates:
+        rows.append(np.asarray(fn(feats), dtype=float).reshape(feats.shape[0]))
+    return np.asarray(rows) if rows else np.empty((0, feats.shape[0]))
+
+
+def _all_sign_patterns(n: int) -> np.ndarray:
+    grid = np.indices((2,) * n).reshape(n, -1).T
+    return grid * 2.0 - 1.0
+
+
+def mlp_rademacher_bound(arch: MLPArchitecture, n_samples: int) -> float:
+    """Complexity bound for norm-constrained networks on n training samples:
+    (4 / sqrt(N)) (2 b L_sigma)^(L-1) b c sqrt(log(2 n_0)).
+    """
+    if arch.norm_bound is None:
+        raise StatisticError("bound needs the column-sum norm bound b")
+    if arch.input_bound is None or arch.input_bound <= 0:
+        raise StatisticError("bound needs the input bound c")
+    if n_samples < 1:
+        raise StatisticError("sample count must be positive")
+    b, c = arch.norm_bound, arch.input_bound
+    depth, width0 = arch.n_layers, arch.layer_sizes[0]
+    return (
+        4.0
+        / math.sqrt(n_samples)
+        * (2.0 * b * arch.lipschitz) ** (depth - 1)
+        * b
+        * c
+        * math.sqrt(math.log(2.0 * width0))
+    )
+
+
+class ConsistencyReport(Record):
+    margin_plus: float  # mu+ minus the network training mean
+    margin_minus: float  # network training mean minus mu-
+    satisfied: bool
+    details: dict
+
+
+def check_consistency_conditions(means: ConditionalMeans) -> ConsistencyReport:
+    """Verify that the statistic separates the classes around its training mean.
+
+    Requires the network conditional mean under +1 to exceed the network
+    training mean and the one under -1 to fall below it, strictly.
+    """
+    margin_plus = means.mu_plus - means.mu_train
+    margin_minus = means.mu_train - means.mu_minus
+    satisfied = margin_plus > 0.0 and margin_minus > 0.0
+    return ConsistencyReport(
+        margin_plus,
+        margin_minus,
+        satisfied,
+        {
+            "mu_plus": means.mu_plus,
+            "mu_minus": means.mu_minus,
+            "mu_train": means.mu_train,
+            "stderr_network": means.stderr_network,
+        },
+    )
+
+
+def logit_bound(arch: MLPArchitecture) -> float:
+    """Analytic bound on |logit| from norm-constrained weights and inputs."""
+    if arch.norm_bound is None:
+        raise ModelError("logit bound needs a norm-constrained architecture")
+    b, c = arch.norm_bound, arch.input_bound
+    depth, width0 = arch.n_layers, arch.layer_sizes[0]
+    return 2.0 * (b * arch.lipschitz) ** (depth - 1) * b * c * width0

@@ -40,16 +40,13 @@ from socialml.social import (
     run_prediction,
     sl_step,
 )
-from socialml.stats import (
-    empirical_training_mean,
-    make_debiased_statistic,
-    mlp_rademacher_bound,
-    rademacher_monte_carlo,
-)
+from socialml.stats import empirical_training_mean, make_debiased_statistic
 from socialml.theory import (
     LOG2,
     approx_exponent,
     exact_exponent,
+    mlp_rademacher_bound,
+    rademacher_monte_carlo,
     self_consistency_check,
 )
 

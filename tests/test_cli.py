@@ -268,6 +268,30 @@ class TestConfigNumbers:
         assert not out.exists()
 
 
+class TestTheoryListLengths:
+    """A per-agent theory list of the wrong length exits 1 naming its field,
+    before any output is written."""
+
+    @pytest.mark.parametrize("length", [2, 5])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("beta", 1.0), ("sample_counts", 40), ("complexity_constants", 0.5)],
+    )
+    def test_wrong_length_exits_1_naming_field(self, tmp_path, capsys, field, value, length):
+        path = write_config(tmp_path, base_config(**_theory_override(**{field: [value] * length})))
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"theory.{field}" in err and "one entry per agent (4)" in err
+        assert not out.exists()
+
+    def test_one_entry_per_agent_runs(self, tmp_path):
+        cfg = base_config(**_theory_override(beta=[1.0, 2.0, 1.0, 2.0], sample_counts=[40] * 4))
+        report = cmd_theory(validate_config(cfg, str(tmp_path)), str(tmp_path / "out"))
+        assert report["inputs"]["beta"] == [1.0, 2.0, 1.0, 2.0]
+        assert report["inputs"]["sample_counts"] == [40] * 4
+
+
 class TestCmdTrain:
     def test_artifacts_and_trace_shape(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
@@ -289,6 +313,7 @@ class TestCmdTrain:
         cfg = base_config(
             graph={"ring": 1},
             data={"type": "gaussian", "agents": gaussian_agents(1)},
+            **_theory_override(complexity_constants=[0.5]),
         )
         out = tmp_path / "out"
         result = cmd_train(validate_config(cfg, str(tmp_path)), str(out))
@@ -627,6 +652,26 @@ class TestCmdTheory:
         # complexity constants were derived from the same norm bounds
         assert len(report["inputs"]["complexity_constants"]) == 4
 
+    @pytest.mark.parametrize(
+        "theory, message",
+        [
+            (None, "needs a 'theory' config block"),
+            ({"target_risk": 0.1, "beta": "analytic"}, "analytic"),
+            ({"target_risk": 0.1}, "complexity_constants"),
+        ],
+    )
+    def test_rejected_inputs_write_nothing(self, tmp_path, capsys, theory, message):
+        cfg = base_config()
+        if theory is None:
+            del cfg["theory"]
+        else:
+            cfg["theory"] = theory
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analytic_beta_requires_norm_bound(self, tmp_path):
         cfg = base_config()
         cfg["theory"] = {"target_risk": 0.1, "beta": "analytic", "epsilon": 0.1}
@@ -880,6 +925,59 @@ def loaded_after_cli_import(tmp_path, module: str) -> bool:
 def test_package_import_leaves_process_pool_unloaded(tmp_path):
     # only a montecarlo run with --threads above 1 starts a pool
     assert not loaded_after_cli_import(tmp_path, "concurrent.futures.process")
+
+
+def test_package_import_leaves_theory_unloaded(tmp_path):
+    # only the theory command imports it
+    assert not loaded_after_cli_import(tmp_path, "socialml.theory")
+
+
+def test_package_import_leaves_dataclasses_unloaded(tmp_path):
+    # the records are built on base.Record, not @dataclass
+    assert not loaded_after_cli_import(tmp_path, "dataclasses")
+
+
+def test_theory_error_in_cmd_theory_exits_1(tmp_path, capsys, monkeypatch):
+    import socialml.theory
+
+    def fail(*args):
+        raise socialml.theory.TheoryError("injected bound failure")
+
+    monkeypatch.setattr(socialml.theory, "pc_lower_bound", fail)
+    path = write_config(tmp_path, base_config())
+    assert main(["theory", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "validation error: injected bound failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module, error, code",
+    [
+        ("config", "ConfigError", 1),
+        ("data", "DataError", 1),
+        ("graph", "GraphError", 1),
+        ("mlp", "ModelError", 1),
+        ("social", "SocialLearningError", 1),
+        ("stats", "StatisticError", 1),
+        ("theory", "TheoryError", 1),
+        ("boosting", "BoostingError", 2),
+        ("mlp", "TrainingDiverged", 2),
+    ],
+)
+def test_error_exit_codes(tmp_path, capsys, monkeypatch, module, error, code):
+    import importlib
+
+    import socialml.cli
+
+    error_class = getattr(importlib.import_module(f"socialml.{module}"), error)
+
+    def fail(*args):
+        raise error_class("injected")
+
+    monkeypatch.setattr(socialml.cli, "cmd_train", fail)
+    path = write_config(tmp_path, base_config())
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    prefix = "validation error: " if code == 1 else f"runtime failure: {error}: "
+    assert capsys.readouterr().err == prefix + "injected\n"
 
 
 class TestThreadsFlag:

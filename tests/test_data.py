@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialml import data as data_mod
 from socialml.data import (
     DataError,
     GaussianClassModel,
@@ -357,6 +358,58 @@ class TestIdxFiles:
         path = tmp_path / "data.csv"
         path.write_text("1," + ",".join(["128"] * 3 + [pixel]) + "\n")
         with pytest.raises(DataError, match="data.csv: pixel columns"):
+            read_label_pixel_csv(path, 2, 2)
+
+    def write_csv(self, path, n_rows, seed=13):
+        rng = np.random.default_rng(seed)
+        images = rng.integers(0, 256, size=(n_rows, 4), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=n_rows)
+        path.write_text(
+            "".join(f"{l}," + ",".join(map(str, row)) + "\n" for l, row in zip(labels, images))
+        )
+        return images.reshape(-1, 2, 2), labels
+
+    def test_csv_longer_than_a_block_matches_one_parse(self, tmp_path):
+        path = tmp_path / "data.csv"
+        images, labels = self.write_csv(path, 2 * data_mod.CSV_BLOCK_LINES + 7)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        got_images, got_labels = read_label_pixel_csv(path, 2, 2)
+        assert got_images.dtype == np.uint8 and got_labels.dtype == rows[:, 0].astype(int).dtype
+        np.testing.assert_array_equal(got_images, rows[:, 1:].reshape(-1, 2, 2))
+        np.testing.assert_array_equal(got_labels, rows[:, 0])
+        np.testing.assert_array_equal(got_images, images)
+        np.testing.assert_array_equal(got_labels, labels)
+
+    def test_csv_comment_block_skipped(self, tmp_path, monkeypatch):
+        # a block holding only comment and blank lines adds no rows
+        monkeypatch.setattr(data_mod, "CSV_BLOCK_LINES", 4)
+        path = tmp_path / "data.csv"
+        path.write_text("1,0,0,0,0\n# a\n\n# b\n# c\n\n# d\n# e\n2,255,1,2,3\n")
+        images, labels = read_label_pixel_csv(path, 2, 2)
+        np.testing.assert_array_equal(labels, [1, 2])
+        np.testing.assert_array_equal(images[1].ravel(), [255, 1, 2, 3])
+
+    def test_csv_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# no rows\n")
+        with pytest.raises(DataError, match="data.csv: no data rows"):
+            read_label_pixel_csv(path, 2, 2)
+
+    @pytest.mark.parametrize("pixel", ["0.5", "256", "-1", "nan", "inf", "1e300", "255.5"])
+    def test_csv_bad_pixel_in_a_later_block_rejected(self, tmp_path, pixel):
+        path = tmp_path / "data.csv"
+        self.write_csv(path, data_mod.CSV_BLOCK_LINES + 3)
+        with open(path, "a") as fh:
+            fh.write("1," + ",".join(["128"] * 3 + [pixel]) + "\n")
+        with pytest.raises(DataError, match="data.csv: pixel columns"):
+            read_label_pixel_csv(path, 2, 2)
+
+    def test_csv_width_change_in_a_later_block_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        self.write_csv(path, data_mod.CSV_BLOCK_LINES)
+        with open(path, "a") as fh:
+            fh.write("1,2,3\n")
+        with pytest.raises(DataError, match="data.csv: 3 columns"):
             read_label_pixel_csv(path, 2, 2)
 
     def test_csv_wrong_width_rejected(self, tmp_path):

@@ -26,7 +26,6 @@ from socialml.mlp import (
     initialize_model,
     load_model,
     logistic_risk,
-    logit_bound,
     output_preactivations,
     reference_logits,
     save_model,
@@ -35,6 +34,7 @@ from socialml.mlp import (
 )
 from socialml.seeds import generators
 from socialml.stats import DebiasedStatistic
+from socialml.theory import logit_bound
 
 
 def binary_dataset(rng, n=20, dim=2):

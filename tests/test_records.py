@@ -1,0 +1,185 @@
+import pickle
+
+import numpy as np
+import pytest
+
+import socialml.theory  # noqa: F401 - loads the theory records for the coverage check
+from socialml.base import Record
+from socialml.boosting import BoostedEnsemble
+from socialml.config import gaussian_spec_to_json, validate_config
+from socialml.data import GaussianClassModel, PatchLayout, mean_shift_gaussian_spec
+from socialml.graph import CombinationMatrix
+from socialml.mlp import (
+    LabeledDataset,
+    MLPArchitecture,
+    TrainingHyperparameters,
+    initialize_model,
+)
+from socialml.social import PredictionRun, RegimeSchedule
+from socialml.stats import DebiasedStatistic
+from socialml.theory import (
+    ConditionalMeans,
+    ConsistencyBound,
+    ConsistencyReport,
+    RademacherEstimate,
+    TrainingProfile,
+)
+from test_cli import base_config
+
+
+def _model():
+    return initialize_model(MLPArchitecture((3, 4, 2)), np.random.default_rng(0))
+
+
+def _config():
+    return validate_config(base_config(), ".")
+
+
+EXAMPLES = {
+    "MLPArchitecture": lambda: MLPArchitecture((3, 4, 2), norm_bound=2.0),
+    "TrainingHyperparameters": lambda: TrainingHyperparameters(3, 10, 0.05, optimizer="adam"),
+    "LabeledDataset": lambda: LabeledDataset(np.zeros((4, 2)), np.array([1, -1, 1, -1]), (1, -1)),
+    "MLPModel": _model,
+    "DebiasedStatistic": lambda: DebiasedStatistic(0, _model(), (1, -1), np.zeros(1)),
+    "CombinationMatrix": lambda: CombinationMatrix(np.full((2, 2), 0.5)),
+    "GaussianClassModel": lambda: GaussianClassModel(np.zeros(2), np.eye(2)),
+    "GaussianSceneSpec": lambda: mean_shift_gaussian_spec(2),
+    "PatchLayout": lambda: PatchLayout(4, 4, 2, 2),
+    "RegimeSchedule": lambda: RegimeSchedule(((0, 1), (5, -1))),
+    "PredictionRun": lambda: PredictionRun(
+        np.zeros((3, 2, 1)),
+        np.ones((3, 2), dtype=object),
+        np.ones(3, dtype=object),
+        np.ones((3, 2), dtype=bool),
+    ),
+    "BoostedEnsemble": lambda: BoostedEnsemble(
+        (_model(),), np.ones(1), np.zeros(1), np.full((2, 4), 0.25), ()
+    ),
+    "ExperimentConfig": _config,
+    "TrainingProfile": lambda: TrainingProfile((10, 20), np.array([0.5, 0.5])),
+    "ConsistencyBound": lambda: ConsistencyBound(0.1, 0.5, 0.5, False),
+    "ConditionalMeans": lambda: ConditionalMeans(
+        *(np.full(2, v) for v in (1.0, -1.0, 0.1, 0.1, 0.5, 0.0)), n_draws=5, seed=1
+    ),
+    "RademacherEstimate": lambda: RademacherEstimate(0.1, 0.01, 10, "monte-carlo"),
+    "ConsistencyReport": lambda: ConsistencyReport(0.1, 0.2, True, {"mu_plus": 1.0}),
+}
+
+
+# the field each record leaves out of its repr: the raw config and the weights
+HIDDEN = {"ExperimentConfig": "raw", "MLPModel": "weights"}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _copy(record):
+    """A second record built from the same field values."""
+    return type(record)(*(getattr(record, name) for name in record.__match_args__))
+
+
+def test_every_record_class_has_an_example():
+    names = {cls.__name__ for cls in _subclasses(Record) if cls.__module__.startswith("socialml.")}
+    assert names == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+class TestRecordSemantics:
+    def test_fields_are_frozen(self, name):
+        record = EXAMPLES[name]()
+        field = record.__match_args__[0]
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+
+    def test_equal_fields_equal_records(self, name):
+        record = EXAMPLES[name]()
+        twin = _copy(record)
+        assert twin is not record
+        assert twin == record
+        try:
+            hash(tuple(getattr(record, field) for field in record.__match_args__))
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record)
+
+    def test_repr_shows_the_fields_but_raw_and_weights(self, name):
+        record = EXAMPLES[name]()
+        text = repr(record)
+        assert text.startswith(f"{name}(")
+        for field in record.__match_args__:
+            assert (f"{field}=" in text) == (field != HIDDEN.get(name))
+
+
+def test_hashable_records_key_dicts():
+    # train_agents groups agents by architecture
+    groups = {MLPArchitecture((3, 4, 2)): "a", MLPArchitecture((3, 4, 2), activation="relu"): "b"}
+    assert groups[MLPArchitecture((3, 4, 2))] == "a"
+    assert MLPArchitecture((3, 4, 2)) != MLPArchitecture((3, 5, 2))
+    assert MLPArchitecture((3, 4, 2)) != (3, 4, 2)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_experiment_config_pickles(cached):
+    cfg = _config()
+    if cached:
+        cfg.scene
+    restored = pickle.loads(pickle.dumps(cfg))
+    assert restored.digest == cfg.digest
+    assert restored.raw == cfg.raw and restored.arch_by_agent == cfg.arch_by_agent
+    spec, layout = restored.scene
+    assert layout is None
+    assert gaussian_spec_to_json(spec) == gaussian_spec_to_json(cfg.scene[0])
+
+
+class Point(Record):
+    x: int
+    y: int = 0
+    label: str = "p"
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", int(self.x))
+
+
+class TestRecordBase:
+    def test_fields_in_annotation_order_with_defaults(self):
+        assert Point.__match_args__ == ("x", "y", "label")
+        assert Point(1) == Point(1, 0, "p") == Point(x=1, label="p")
+        assert Point(1, label="q").label == "q"
+
+    def test_post_init_normalizes(self):
+        assert Point(2.0).x == 2 and type(Point(2.0).x) is int
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(TypeError, match="missing field 'x'"):
+            Point()
+        with pytest.raises(TypeError, match="'z'"):
+            Point(1, z=2)
+        with pytest.raises(TypeError, match="'x'"):
+            Point(1, x=2)
+        with pytest.raises(TypeError, match="takes 3 fields"):
+            Point(1, 2, "a", 4)
+
+    def test_not_equal_to_a_tuple_or_another_class(self):
+        class Other(Record):
+            x: int
+            y: int = 0
+            label: str = "p"
+
+        assert Point(1) != (1, 0, "p")
+        assert Point(1) != Other(1)
+        assert len({Point(1), Point(1), Point(2)}) == 2
+        with pytest.raises(TypeError):
+            iter(Point(1))
+
+    def test_pickle_round_trip(self):
+        point = Point(3, 4)
+        assert pickle.loads(pickle.dumps(point)) == point

@@ -18,14 +18,13 @@ from socialml.social import (
     RegimeSchedule,
     SocialLearningError,
     asl_step,
-    check_consistency_conditions,
     decide,
     diffuse,
     periodic_schedule,
     run_prediction,
     sl_step,
 )
-from socialml.stats import conditional_means
+from socialml.theory import check_consistency_conditions, conditional_means
 
 RING4 = CombinationMatrix(
     np.array(

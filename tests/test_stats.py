@@ -12,14 +12,8 @@ from socialml.mlp import (
     initialize_model,
     train_stack,
 )
-from socialml.stats import (
-    StatisticError,
-    conditional_means,
-    empirical_training_mean,
-    make_debiased_statistic,
-    mlp_rademacher_bound,
-    rademacher_monte_carlo,
-)
+from socialml.stats import StatisticError, empirical_training_mean, make_debiased_statistic
+from socialml.theory import conditional_means, mlp_rademacher_bound, rademacher_monte_carlo
 
 
 def train_small(dataset, seed, hidden=(6,)):
