@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .base import ValidationError
-from .config import ConfigError, load_config, validate_config
+from .config import ConfigError, read_config, validate_config
 from .data import verify_manifest
 from .experiments import cmd_montecarlo, cmd_predict, cmd_theory, cmd_train
 
@@ -59,14 +59,14 @@ def main(argv=None) -> int:
         replications = getattr(args, "replications_override", None)
         if args.command == "montecarlo" and args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        cfg = load_config(args.config)
-        if args.seed_override is not None or replications is not None:
-            raw = dict(cfg.raw)
-            if args.seed_override is not None:
-                raw["seed"] = args.seed_override
-            if replications is not None:
-                raw["montecarlo"] = {**raw.get("montecarlo", {}), "replications": replications}
-            cfg = validate_config(raw, cfg.base_dir)
+        # the overrides go into the raw JSON, so the config is validated once
+        raw, base_dir = read_config(args.config)
+        if args.seed_override is not None:
+            raw["seed"] = args.seed_override
+        # a montecarlo block that is not an object is left for validation to name
+        if replications is not None and isinstance(raw.get("montecarlo", {}), dict):
+            raw["montecarlo"] = {**raw.get("montecarlo", {}), "replications": replications}
+        cfg = validate_config(raw, base_dir)
 
         if args.command == "train":
             result = cmd_train(cfg, args.out)

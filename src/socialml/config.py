@@ -64,11 +64,15 @@ class ExperimentConfig(Record, hidden=("raw",)):
     hyper: TrainingHyperparameters
     repetitions: int
     train_per_class: int
-    schedule_spec: dict
+    schedule: RegimeSchedule  # covers max(stream_length, montecarlo horizon) steps
     stream_length: int
     montecarlo: dict
     theory: dict
-    data_spec: dict
+    # the data block's inputs, as ``_validate_data`` returns them
+    gaussian: GaussianSceneSpec | None
+    layout: PatchLayout | None
+    dataset: dict | None
+    raw_labels: tuple | None
 
     @property
     def digest(self) -> str:
@@ -80,11 +84,11 @@ class ExperimentConfig(Record, hidden=("raw",)):
 
     @functools.cached_property
     def scene(self) -> tuple:
-        """The data source, built once per config: (gaussian spec, None) or
-        (label -> image pool, patch layout)."""
-        if self.data_spec["type"] == "gaussian":
-            return build_gaussian_spec(self.data_spec, self.classes), None
-        return _image_pools(self), image_layout(self.data_spec)
+        """The data source: (gaussian spec, None), or (label -> image pool,
+        patch layout) with the pools read on first use, once per process."""
+        if self.layout is None:
+            return self.gaussian, None
+        return _image_pools(self), self.layout
 
 
 def _require(raw: dict, key: str, kind=None):
@@ -115,20 +119,6 @@ def _build_matrix(spec: dict, base_dir: str) -> CombinationMatrix:
     raise ConfigError(f"unknown graph spec {kind!r}")
 
 
-def _feature_dims(data_spec: dict, classes, n_agents: int) -> list:
-    if data_spec["type"] == "gaussian":
-        spec = build_gaussian_spec(data_spec, classes)
-        if spec.n_agents != n_agents:
-            raise ConfigError(
-                f"data describes {spec.n_agents} agents, graph has {n_agents}"
-            )
-        return [spec.dimension(k) for k in range(n_agents)]
-    layout = image_layout(data_spec)
-    if layout.n_agents != n_agents:
-        raise ConfigError(f"layout has {layout.n_agents} patches, graph {n_agents} agents")
-    return [layout.view_dim(k) for k in range(n_agents)]
-
-
 def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
     """Gaussian scene from the JSON block; class keys are stringified labels."""
     agents = data_spec.get("agents")
@@ -149,45 +139,19 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
     return GaussianSceneSpec(tuple(models), tuple(classes))
 
 
-def image_layout(data_spec: dict) -> PatchLayout:
-    return PatchLayout(
-        _integer(data_spec["height"], "data.height", 1),
-        _integer(data_spec["width"], "data.width", 1),
-        *_integer_pair(data_spec["layout"], "data.layout"),
-    )
-
-
 def _image_pools(cfg: ExperimentConfig) -> dict:
-    """label -> image array (uint-valued), read from the dataset manifest."""
-    manifest_rel = cfg.data_spec["manifest"]
-    manifest_path = (
-        manifest_rel
-        if os.path.isabs(manifest_rel)
-        else os.path.join(cfg.base_dir, manifest_rel)
-    )
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-
-    def _resolve(name):
-        path = manifest["files"][name]["path"]
-        return path if os.path.isabs(path) else os.path.join(base, path)
-
-    height, width = cfg.data_spec["height"], cfg.data_spec["width"]
-    if manifest.get("format") == "idx":
-        images = data_mod.read_idx_images(_resolve("images"))
-        labels = data_mod.read_idx_labels(_resolve("labels"))
-    elif manifest.get("format") == "csv":
-        images, labels = data_mod.read_label_pixel_csv(_resolve("data"), height, width)
+    """label -> image array (uint-valued), read from the dataset's files."""
+    files = {name: entry["path"] for name, entry in cfg.dataset["files"].items()}
+    height, width = cfg.layout.height, cfg.layout.width
+    if cfg.dataset["format"] == "idx":
+        images = data_mod.read_idx_images(files["images"])
+        labels = data_mod.read_idx_labels(files["labels"])
     else:
-        raise ConfigError(f"unknown dataset format {manifest.get('format')!r}")
+        images, labels = data_mod.read_label_pixel_csv(files["data"], height, width)
     if images.shape[1:] != (height, width):
         raise ConfigError(f"images {images.shape[1:]} vs config {(height, width)}")
-    # optional class -> raw-label map, e.g. {"1": 0, "-1": 1} for digit pairs
-    label_map = cfg.data_spec.get("label_map", {})
     pools = {}
-    for label in cfg.classes:
-        raw = label_map.get(str(label), label)
+    for label, raw in zip(cfg.classes, cfg.raw_labels):
         mask = labels == raw
         if not np.any(mask):
             raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
@@ -210,15 +174,23 @@ def gaussian_spec_to_json(spec: GaussianSceneSpec) -> dict:
     return {"type": "gaussian", "agents": agents}
 
 
-def load_config(path) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
+def read_config(path) -> tuple:
+    """``(raw, base_dir)``: the JSON object in the config file at ``path``
+    and the directory its relative paths resolve against."""
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw, os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    return raw, os.path.dirname(os.path.abspath(path))
+
+
+def load_config(path) -> ExperimentConfig:
+    return validate_config(*read_config(path))
 
 
 def _integer(value, name: str, minimum: int | None = None) -> int:
@@ -292,8 +264,9 @@ _THEORY_KEYS = (
 _MONTECARLO_KEYS = ("replications", "eval_streams", "horizon", "observe_agent", "strategies")
 
 
-def _validate_schedule(spec, classes) -> None:
-    """Reject a schedule that ``experiments.build_schedule`` cannot build.
+def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
+    """The true-state schedule of ``spec``, a periodic one over ``length``
+    steps: the longest stream a command draws, each reading a prefix.
 
     Every state must equal a class label of the same type, so ``true`` or
     ``1.0`` does not pass for the class ``1``.  The ordering rules are the
@@ -304,10 +277,9 @@ def _validate_schedule(spec, classes) -> None:
     if not isinstance(spec, dict):
         raise ConfigError(f"schedule must be an object, got {spec!r}")
     _known_keys(spec, "schedule", _SCHEDULE_KEYS)
-    if "segments" in spec:
-        for key in ("period", "states"):
-            if key in spec:
-                raise ConfigError(f"schedule.{key} cannot be combined with schedule.segments")
+    if "segments" in spec and len(spec) > 1:
+        other = min(set(spec) - {"segments"})  # "period" before "states"
+        raise ConfigError(f"schedule.{other} cannot be combined with schedule.segments")
     if "period" in spec:
         period = _integer(spec["period"], "schedule.period")
         states = spec.get("states", list(classes))
@@ -327,11 +299,51 @@ def _validate_schedule(spec, classes) -> None:
             raise ConfigError(f"schedule state {state!r} is not one of the classes {list(classes)}")
     try:
         if "period" in spec:
-            periodic_schedule(period, states, 1)
-        else:
-            RegimeSchedule(tuple(segments))
+            return periodic_schedule(period, states, length)
+        return RegimeSchedule(tuple(segments))
     except SocialLearningError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
+
+
+def _validate_data(block: dict, classes, n_agents: int, base_dir: str) -> tuple:
+    """The data block as ``(gaussian, layout, dataset, raw_labels)``: a
+    Gaussian spec, or an image patch layout, the manifest ``data.read_manifest``
+    parsed and each class's raw dataset label; the rest are None.  The
+    images are read on first use of ``ExperimentConfig.scene``."""
+    kind = block.get("type")
+    if kind not in _DATA_KEYS:
+        raise ConfigError("data type must be 'gaussian' or 'images'")
+    _known_keys(block, "data", _DATA_KEYS[kind])
+    if kind == "gaussian":
+        spec = build_gaussian_spec(block, classes)
+        if spec.n_agents != n_agents:
+            raise ConfigError(f"data describes {spec.n_agents} agents, graph has {n_agents}")
+        return spec, None, None, None
+    manifest = _require(block, "manifest", str)
+    layout = PatchLayout(
+        _integer(_require(block, "height"), "data.height", 1),
+        _integer(_require(block, "width"), "data.width", 1),
+        *_integer_pair(_require(block, "layout"), "data.layout"),
+    )
+    if layout.n_agents != n_agents:
+        raise ConfigError(f"layout has {layout.n_agents} patches, graph {n_agents} agents")
+    try:
+        # a relative path resolves against the config's directory
+        dataset = data_mod.read_manifest(os.path.join(base_dir, manifest))
+    except DataError as exc:
+        raise ConfigError(f"data.manifest: {exc}") from exc
+    if dataset["format"] is None:
+        raise ConfigError(f"data.manifest: {manifest} names no dataset format")
+    # optional class -> raw-label map, e.g. {"1": 0, "-1": 1} for digit pairs
+    label_map = block.get("label_map", {})
+    if not isinstance(label_map, dict) or not all(
+        key in map(str, classes) and type(raw) is int for key, raw in label_map.items()
+    ):
+        raise ConfigError(
+            f"data.label_map must map class labels, written as strings, to integers, "
+            f"got {label_map!r}"
+        )
+    return None, layout, dataset, tuple(label_map.get(str(c), c) for c in classes)
 
 
 def _per_agent(block: dict, key: str, n_agents: int) -> list:
@@ -405,8 +417,7 @@ def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
 
 
 def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    """The checked config, with the schedule and data inputs built once."""
     _known_keys(raw, "", _TOP_LEVEL_KEYS)
     seed = _integer(_require(raw, "seed"), "seed", 0)
     classes = tuple(_require(raw, "classes", list))
@@ -436,22 +447,9 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
     matrix = _build_matrix(_require(raw, "graph", dict), base_dir)
 
-    data_spec = _require(raw, "data", dict)
-    if data_spec.get("type") not in ("gaussian", "images"):
-        raise ConfigError("data type must be 'gaussian' or 'images'")
-    _known_keys(data_spec, "data", _DATA_KEYS[data_spec["type"]])
-    if data_spec["type"] == "images":
-        manifest = data_spec.get("manifest")
-        if manifest is None:
-            raise ConfigError("image data needs a 'manifest' path")
-        manifest_path = (
-            manifest if os.path.isabs(manifest) else os.path.join(base_dir, manifest)
-        )
-        if not os.path.exists(manifest_path):
-            raise ConfigError(f"dataset manifest not found: {manifest_path}")
-        for key in ("height", "width", "layout"):
-            _require(data_spec, key)
-    dims = _feature_dims(data_spec, classes, matrix.size)
+    gaussian, layout, dataset, raw_labels = _validate_data(
+        _require(raw, "data", dict), classes, matrix.size, base_dir
+    )
 
     model = _require(raw, "model", dict)
     _known_keys(model, "model", _MODEL_KEYS)
@@ -465,18 +463,12 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         # kept as written: saved models carry it verbatim
         _number(norm_bound, "model.norm_bound")
     input_bound = _number(model.get("input_bound", 1.0), "model.input_bound")
-    archs = []
-    for k in range(matrix.size):
-        layer_sizes = (dims[k] + 1, *hidden, len(classes))
-        archs.append(
-            MLPArchitecture(
-                layer_sizes,
-                activation=activation,
-                bias=True,
-                norm_bound=norm_bound,
-                input_bound=input_bound,
-            )
-        )
+    dims = [layout.view_dim(k) if layout else gaussian.dimension(k) for k in range(matrix.size)]
+    archs = tuple(
+        # layer sizes, activation, bias, norm bound, input bound
+        MLPArchitecture((d + 1, *hidden, len(classes)), activation, True, norm_bound, input_bound)
+        for d in dims
+    )
     hyper = TrainingHyperparameters(
         epochs=_integer(_require(model, "epochs"), "model.epochs", 1),
         batch_size=_integer(_require(model, "batch_size"), "model.batch_size", 1),
@@ -486,11 +478,13 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     )
     repetitions = _integer(model.get("repetitions", 1), "model.repetitions", 1)
     train_per_class = _integer(raw.get("train_per_class", 0), "train_per_class", 0)
-    schedule_spec = raw.get("schedule", {"segments": [[0, classes[0]]]})
-    _validate_schedule(schedule_spec, classes)
     stream_length = _integer(raw.get("stream_length", 0), "stream_length", 0)
-
     montecarlo = _validate_montecarlo(raw.get("montecarlo", {}), stream_length, matrix.size)
+    schedule = _validate_schedule(
+        raw.get("schedule", {"segments": [[0, classes[0]]]}),
+        classes,
+        max(stream_length, montecarlo["horizon"]),
+    )
 
     return ExperimentConfig(
         raw=raw,
@@ -500,13 +494,16 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         engine=engine,
         delta=delta,
         matrix=matrix,
-        arch_by_agent=tuple(archs),
+        arch_by_agent=archs,
         hyper=hyper,
         repetitions=repetitions,
         train_per_class=train_per_class,
-        schedule_spec=schedule_spec,
+        schedule=schedule,
         stream_length=stream_length,
         montecarlo=montecarlo,
         theory=_validate_theory(raw.get("theory", {}), matrix.size),
-        data_spec=data_spec,
+        gaussian=gaussian,
+        layout=layout,
+        dataset=dataset,
+        raw_labels=raw_labels,
     )

@@ -131,24 +131,12 @@ def mean_shift_gaussian_spec(
     return GaussianSceneSpec(tuple({+1: plus, -1: minus} for _ in range(n_agents)), (+1, -1))
 
 
-def two_class_log_likelihood(spec: GaussianSceneSpec, agent: int):
-    """Evaluator returning (log p(h|+1), log p(h|-1)) for one agent."""
-    if set(spec.classes) != {-1, +1}:
-        raise DataError("likelihood pair is defined for classes {-1, +1}")
-    plus = spec.models[agent][+1]
-    minus = spec.models[agent][-1]
-    return lambda h: (plus.log_density(h), minus.log_density(h))
-
-
 def true_log_ratio(spec: GaussianSceneSpec, agent: int):
     """True log-likelihood-ratio statistic for one agent, +1 over -1."""
-    pair = two_class_log_likelihood(spec, agent)
-
-    def ratio(features):
-        lp, lm = pair(features)
-        return lp - lm
-
-    return ratio
+    if set(spec.classes) != {-1, +1}:
+        raise DataError("likelihood pair is defined for classes {-1, +1}")
+    plus, minus = spec.models[agent][+1], spec.models[agent][-1]
+    return lambda features: plus.log_density(features) - minus.log_density(features)
 
 
 class PatchLayout(Record):
@@ -382,24 +370,50 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def verify_manifest(manifest_path) -> list:
-    """Check SHA-256 entries of a dataset manifest; returns failures.
+# the manifest entries each dataset format reads
+FORMAT_FILES = {"idx": ("images", "labels"), "csv": ("data",)}
 
-    The manifest is JSON with a ``files`` map of name -> {path, sha256};
-    relative paths resolve against the manifest location.
-    """
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    base = os.path.dirname(os.path.abspath(manifest_path))
+
+def read_manifest(path) -> dict:
+    """The dataset manifest at ``path``, ``{"format": ..., "files": {name:
+    {"path": ..., "sha256": ...}}}``, with every path resolved against its
+    directory.  ``format`` may be left out by a checksum-only manifest; a
+    given one must be a key of ``FORMAT_FILES`` whose files are listed and
+    exist.  A bad field raises ``DataError`` naming it and the file."""
+    where = f"dataset manifest {path}"
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{where} is not a readable JSON file: {exc}") from None
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict):
+        raise DataError(f"{where}: files must be an object of name -> {{path, sha256}}")
+    for name, entry in files.items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise DataError(f"{where}: files.{name}.path must be a string")
+        entry["path"] = os.path.join(os.path.dirname(os.path.abspath(path)), entry["path"])
+    fmt = manifest.setdefault("format", None)
+    if fmt is not None and fmt not in FORMAT_FILES:
+        raise DataError(f"{where}: unknown dataset format {fmt!r}")
+    for name in FORMAT_FILES.get(fmt, ()):
+        if name not in files:
+            raise DataError(f"{where}: files.{name} is missing; format {fmt!r} reads it")
+        if not os.path.exists(files[name]["path"]):
+            raise DataError(f"{where}: files.{name}.path: no file {files[name]['path']}")
+    return manifest
+
+
+def verify_manifest(manifest_path) -> list:
+    """Check the ``sha256`` entry that every file of a dataset manifest must
+    carry; returns the failures."""
     failures = []
-    for name, entry in manifest.get("files", {}).items():
+    for name, entry in read_manifest(manifest_path)["files"].items():
+        if not isinstance(entry.get("sha256"), str):
+            raise DataError(f"dataset manifest {manifest_path}: files.{name}.sha256 is missing")
         path = entry["path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
         if not os.path.exists(path):
             failures.append(f"{name}: missing file {path}")
-            continue
-        actual = file_sha256(path)
-        if actual != entry["sha256"]:
+        elif (actual := file_sha256(path)) != entry["sha256"]:
             failures.append(f"{name}: sha256 {actual} != expected {entry['sha256']}")
     return failures

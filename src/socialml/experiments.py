@@ -29,7 +29,7 @@ from .config import (
 from .graph import perron_eigenvector
 from .mlp import LabeledDataset, TrainingDiverged, save_model, train_stack
 from .seeds import derived_seeds, generators
-from .social import PredictionRun, RegimeSchedule, periodic_schedule, run_prediction
+from .social import PredictionRun, run_prediction
 from .stats import make_debiased_statistic
 
 # Cap on the stacked SML training inputs of one Monte Carlo chunk (8 bytes
@@ -82,11 +82,12 @@ def _write_manifest(out_dir, cfg, command, artifacts) -> None:
     _write_json(path, cfg, {"artifacts": sorted(artifacts)}, command)
 
 
-def _trajectory_lines(run: PredictionRun, gammas):
+def _trajectory_lines(run: PredictionRun, states, classes):
     """trajectory.csv rows of one run, one text block per few hundred rows.
 
     A row is (run_id, i, agent, gamma, lambda, decision, true_state,
-    correct) for every step i, agent and lambda component ``gammas[j]``.
+    correct) for every step i, agent and lambda component ``gammas[j]``,
+    the classes after the reference one; ``states`` is the true-state track.
     """
     _, n_agents, width = run.lam.shape
     steps = max(1, TRAJECTORY_BLOCK_ROWS // (n_agents * width))
@@ -94,8 +95,9 @@ def _trajectory_lines(run: PredictionRun, gammas):
     step_rows = "".join(
         f"0,%d,{k},{str(gamma).replace('%', '%%')},%r,%s,%s,%d\n"
         for k in range(n_agents)
-        for gamma in gammas
+        for gamma in classes[1:]
     )
+    labels = np.array(classes, dtype=object)
     # a block's (i, lambda, decision, true_state, correct) per row, as Python
     # objects: %r on a float is its repr, %s on a label its str
     args = np.empty((steps, n_agents, width, 5), dtype=object)
@@ -104,19 +106,10 @@ def _trajectory_lines(run: PredictionRun, gammas):
         cells = args[: hi - lo]
         cells[..., 0] = np.arange(lo, hi)[:, None, None]
         cells[..., 1] = run.lam[lo:hi]
-        cells[..., 2] = run.decisions[lo:hi, :, None]
-        cells[..., 3] = run.true_states[lo:hi, None, None]
+        cells[..., 2] = labels[run.picks[lo:hi, :, None]]
+        cells[..., 3] = states[lo:hi, None, None]
         cells[..., 4] = run.correct[lo:hi, :, None]
         yield step_rows * (hi - lo) % tuple(cells.reshape(-1).tolist())
-
-
-def build_schedule(cfg: ExperimentConfig, length: int) -> RegimeSchedule:
-    """The true-state schedule over ``length`` steps; ``validate_config`` has
-    already checked the spec."""
-    spec = cfg.schedule_spec
-    if "period" in spec:
-        return periodic_schedule(spec["period"], spec.get("states", list(cfg.classes)), length)
-    return RegimeSchedule(tuple(spec["segments"]))
 
 
 # --- data assembly ---------------------------------------------------------
@@ -242,23 +235,17 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     return {"models": cfg.n_agents, "trace_rows": len(lines)}
 
 
-def _segment_bounds(schedule: RegimeSchedule, horizon: int):
-    starts = [s for s, _ in schedule.segments if s < horizon]
-    ends = starts[1:] + [horizon]
-    states = [g for s, g in schedule.segments if s < horizon]
-    return list(zip(starts, ends, states))
-
-
 def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Train once, run one prediction stream, write trajectory and summary."""
     if cfg.stream_length < 1:
         raise ConfigError("prediction needs stream_length >= 1")
     os.makedirs(out_dir, exist_ok=True)
     _, _, (statistics,) = train_agents(cfg, [0], [shared_scene_training(cfg, rep=0)])
-    schedule = build_schedule(cfg, cfg.stream_length)
     source, layout = cfg.scene
     seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
-    views, states = data_mod.prediction_streams(source, schedule, cfg.stream_length, seeds, layout)
+    views, states = data_mod.prediction_streams(
+        source, cfg.schedule, cfg.stream_length, seeds, layout
+    )
     run = run_prediction(
         cfg.matrix, statistics, [v[0] for v in views], states, cfg.classes, delta=cfg.delta
     )
@@ -267,11 +254,14 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         os.path.join(out_dir, "trajectory.csv"),
         cfg,
         ("run_id", "i", "agent", "gamma_or_binary", "lambda", "decision", "true_state", "correct"),
-        _trajectory_lines(run, cfg.classes[1:]),
+        _trajectory_lines(run, states, cfg.classes),
     )
 
     cycles = []
-    for start, end, state in _segment_bounds(schedule, run.horizon):
+    # the schedule's segments that start within the stream, each to the next
+    segments = [seg for seg in cfg.schedule.segments if seg[0] < run.horizon]
+    ends = [start for start, _ in segments[1:]] + [run.horizon]
+    for (start, state), end in zip(segments, ends):
         window = run.correct[start:end]
         accuracy = window.mean(axis=0)
         adaptation = []
@@ -326,13 +316,12 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
         raise TrainingDiverged(f"replication {reps[exc.model]}, {exc}", exc.model) from exc
     del scenes
 
-    schedule = build_schedule(cfg, horizon)
     source, layout = cfg.scene
     out = []
     for i, rep in enumerate(reps):
         rows = np.column_stack((np.full(n_streams, rep), np.arange(n_streams)))
         seeds = derived_seeds(cfg.seed, PHASE_STREAM, rows)
-        views, states = data_mod.prediction_streams(source, schedule, horizon, seeds, layout)
+        views, states = data_mod.prediction_streams(source, cfg.schedule, horizon, seeds, layout)
         errors = {}
         if stats is not None:
             run = run_prediction(cfg.matrix, stats[i], views, states, cfg.classes, delta=cfg.delta)

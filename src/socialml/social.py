@@ -160,8 +160,7 @@ class PredictionRun(Record):
     """Trajectory of one prediction-phase run, or of a batch of streams."""
 
     lam: np.ndarray  # (..., T, K, M-1)
-    decisions: np.ndarray  # (..., T, K) labels
-    true_states: np.ndarray  # (T,)
+    picks: np.ndarray  # (..., T, K) decided class indices, as ``decide`` gives
     correct: np.ndarray  # (..., T, K) bool
 
     @property
@@ -177,13 +176,15 @@ def run_prediction(
     classes,
     delta: float | None = None,
 ) -> PredictionRun:
-    """Diffuse the agents' statistics over feature streams and record everything.
+    """Diffuse the agents' statistics over feature streams and decide.
 
     ``features_per_agent[k]`` holds agent k's observations, shape (T, d_k) for
     one stream or (..., T, d_k) for a batch of streams (ndim >= 3);
     ``true_states`` is the label track, shared by every stream, that the
-    decisions are scored against.  Without ``delta`` the beliefs diffuse by
-    the standard step, with it by the adaptive one, as in ``diffuse``.
+    decisions are scored against.  The run holds lambda, the decided class
+    indices into ``classes`` and whether each is right.  Without ``delta``
+    the beliefs diffuse by the standard step, with it by the adaptive one, as
+    in ``diffuse``.
     Providers must be pure functions of the observation; they are applied to
     each agent's whole batch in one vectorized pass and the recursion consumes
     the values in time order, so no engine-level caching exists.
@@ -220,6 +221,4 @@ def run_prediction(
     if not np.all(np.isfinite(lam)):
         raise SocialLearningError("lambda contains non-finite values")
     picks = decide(lam)
-    correct = picks == truth[:, None]
-    decisions = np.array(classes, dtype=object)[picks]
-    return PredictionRun(lam, decisions, true_states, correct)
+    return PredictionRun(lam, picks, picks == truth[:, None])

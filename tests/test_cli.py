@@ -14,6 +14,7 @@ from socialml.config import (
     load_config,
     validate_config,
 )
+from socialml.data import GaussianClassModel
 from socialml.experiments import (
     cmd_montecarlo,
     cmd_predict,
@@ -25,6 +26,7 @@ from socialml.experiments import (
 )
 from socialml.mlp import LabeledDataset, load_model, train_stack
 from socialml.seeds import derived_seeds
+from socialml.social import periodic_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_images_end_to_end import image_config, write_idx_dataset
@@ -243,6 +245,7 @@ NUMBER_CASES = [
     ("train", _image_override(height=8.0), "data.height"),
     ("train", _image_override(width=8.5), "data.width"),
     ("train", _image_override(layout=[2.0, 2]), "data.layout"),
+    ("train", _image_override(label_map=[0, 1]), "data.label_map"),
 ]
 
 
@@ -526,6 +529,19 @@ class TestScheduleValidation:
         assert "schedule" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("period", [1, 7, 500])
+    @pytest.mark.parametrize("stream_length, horizon", [(20, 12), (12, 45)])
+    def test_one_schedule_serves_every_length(self, period, stream_length, horizon):
+        # the config builds the schedule once, over the longer of the two
+        # streams; the shorter one reads a prefix of it
+        raw = base_config(schedule={"period": period}, stream_length=stream_length)
+        raw["montecarlo"]["horizon"] = horizon
+        schedule = validate_config(raw).schedule
+        for length in (stream_length, horizon):
+            alone = periodic_schedule(period, [1, -1], length)
+            assert np.array_equal(schedule.states(length), alone.states(length))
+            assert [s for s in schedule.segments if s[0] < length] == list(alone.segments)
+
 
 class TestNumericFields:
     @pytest.mark.parametrize(
@@ -717,6 +733,30 @@ class TestCliEntry:
         base = (out1 / "montecarlo.csv").read_bytes()
         assert base != (out2 / "montecarlo.csv").read_bytes()
         assert base == (out3 / "montecarlo.csv").read_bytes()
+
+    def test_seed_override_validates_and_builds_the_scene_once(self, tmp_path, monkeypatch):
+        import socialml.cli
+        import socialml.config
+
+        counts = {"validate_config": 0, "GaussianClassModel": 0}
+        validate, post_init = validate_config, GaussianClassModel.__post_init__
+
+        def counting_validate(*args, **kwargs):
+            counts["validate_config"] += 1
+            return validate(*args, **kwargs)
+
+        def counting_post_init(model):
+            counts["GaussianClassModel"] += 1
+            post_init(model)
+
+        for module in (socialml.cli, socialml.config):
+            monkeypatch.setattr(module, "validate_config", counting_validate)
+        monkeypatch.setattr(GaussianClassModel, "__post_init__", counting_post_init)
+        path = write_config(tmp_path, base_config())
+        assert main(["predict", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed-override", "43"]) == 0
+        # one model per (agent, class): 4 agents, 2 classes
+        assert counts == {"validate_config": 1, "GaussianClassModel": 4 * 2}
 
     def test_replications_override(self, tmp_path):
         path = write_config(tmp_path, base_config())

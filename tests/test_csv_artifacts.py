@@ -54,8 +54,8 @@ def reference_csv(cfg, columns, rows) -> str:
     return head + reference_lines(rows)
 
 
-def reference_trajectory_rows(run, gammas):
-    gammas = [str(g) for g in gammas]
+def reference_trajectory_rows(run, states, classes):
+    gammas = [str(g) for g in classes[1:]]
     return (
         (
             0,
@@ -63,8 +63,8 @@ def reference_trajectory_rows(run, gammas):
             k,
             gamma,
             float(run.lam[i, k, j]),
-            run.decisions[i, k],
-            run.true_states[i],
+            classes[run.picks[i, k]],
+            states[i],
             int(run.correct[i, k]),
         )
         for i in range(run.horizon)
@@ -80,8 +80,9 @@ def block_steps(n_agents: int, n_classes: int) -> int:
     return max(1, TRAJECTORY_BLOCK_ROWS // (n_agents * (n_classes - 1)))
 
 
-def built_run(classes, n_agents: int, horizon: int, seed: int) -> PredictionRun:
-    """A run with random labels and lambdas that mix every extreme value in."""
+def built_run(classes, n_agents: int, horizon: int, seed: int) -> tuple:
+    """A run with random picks and lambdas that mix every extreme value in,
+    and its true-state track: ``(run, states)``."""
     rng = np.random.default_rng(seed)
     shape = (horizon, n_agents, len(classes) - 1)
     lam = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
@@ -93,7 +94,7 @@ def built_run(classes, n_agents: int, horizon: int, seed: int) -> PredictionRun:
     labels = np.array(classes, dtype=object)
     truth = rng.integers(len(classes), size=horizon)
     picks = rng.integers(len(classes), size=(horizon, n_agents))
-    return PredictionRun(lam, labels[picks], labels[truth], picks == truth[:, None])
+    return PredictionRun(lam, picks, picks == truth[:, None]), labels[truth]
 
 
 @st.composite
@@ -107,30 +108,31 @@ def runs(draw):
     block = block_steps(n_agents, len(classes))
     rest = draw(st.integers(1, block - 1)) if block > 1 else 0
     horizon = draw(st.sampled_from([1, max(block - 1, 1), block, block + 1, 3 * block + rest]))
-    return built_run(classes, n_agents, horizon, draw(st.integers(0, 2**32 - 1))), classes
+    run, states = built_run(classes, n_agents, horizon, draw(st.integers(0, 2**32 - 1)))
+    return run, states, classes
 
 
 class TestTrajectoryLines:
     @settings(max_examples=40, deadline=None)
     @given(runs())
     def test_equals_reference_rows(self, drawn):
-        run, classes = drawn
-        got = "".join(_trajectory_lines(run, classes[1:]))
-        assert got == reference_lines(reference_trajectory_rows(run, classes[1:]))
+        run, states, classes = drawn
+        got = "".join(_trajectory_lines(run, states, classes))
+        assert got == reference_lines(reference_trajectory_rows(run, states, classes))
 
     def test_blocks_hold_a_fixed_number_of_rows(self):
-        run = built_run((1, 2, 3), 4, 3 * block_steps(4, 3) + 5, seed=0)
-        sizes = [block.count("\n") for block in _trajectory_lines(run, (2, 3))]
+        run, states = built_run((1, 2, 3), 4, 3 * block_steps(4, 3) + 5, seed=0)
+        sizes = [block.count("\n") for block in _trajectory_lines(run, states, (1, 2, 3))]
         assert sizes == [TRAJECTORY_BLOCK_ROWS] * 3 + [5 * 4 * 2]
 
     def test_write_memory_flat_in_stream_length(self, tmp_path):
         cfg = SimpleNamespace(digest="0" * 64, seed=0)
 
         def peak(horizon: int) -> int:
-            run = built_run((1, -1), 1, horizon, seed=horizon)
+            run, states = built_run((1, -1), 1, horizon, seed=horizon)
             tracemalloc.start()
             try:
-                lines = _trajectory_lines(run, (-1,))
+                lines = _trajectory_lines(run, states, (1, -1))
                 _write_csv(tmp_path / "trajectory.csv", cfg, TRAJECTORY_COLUMNS, lines)
                 return tracemalloc.get_traced_memory()[1]
             finally:

@@ -224,6 +224,66 @@ class TestImageSceneLoading:
         assert "class -1 (raw label 7) absent" in capsys.readouterr().err
 
 
+def _not_json(manifest, tmp_path):
+    manifest.write_text("{not json")
+
+
+def _without_images(manifest, tmp_path):
+    payload = json.loads(manifest.read_text())
+    del payload["files"]["images"]
+    manifest.write_text(json.dumps(payload))
+
+
+def _images_file_gone(manifest, tmp_path):
+    (tmp_path / "images.idx").unlink()
+
+
+def _without_sha256(manifest, tmp_path):
+    payload = json.loads(manifest.read_text())
+    del payload["files"]["labels"]["sha256"]
+    manifest.write_text(json.dumps(payload))
+
+
+# how the manifest is broken, what the error names besides the manifest file,
+# and whether training needs the broken field
+MALFORMED_MANIFESTS = [
+    (_not_json, "not a readable JSON file", True),
+    (_without_images, "files.images", True),
+    (_images_file_gone, "files.images.path", True),
+    (_without_sha256, "files.labels.sha256", False),
+]
+
+
+class TestMalformedManifests:
+    """A broken dataset manifest exits 1 naming the file and the field,
+    from ``train`` before any output is written and from ``validate-data``."""
+
+    @pytest.mark.parametrize(
+        "breaks, field, trains",
+        MALFORMED_MANIFESTS,
+        ids=[breaks.__name__.strip("_") for breaks, _, _ in MALFORMED_MANIFESTS],
+    )
+    def test_exits_1_naming_file_and_field(self, tmp_path, capsys, breaks, field, trains):
+        manifest = write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
+        breaks(manifest, tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(image_config("dataset.json")))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(config), "--out", str(out)])
+        if trains:
+            assert code == 1
+            err = capsys.readouterr().err
+            assert str(manifest) in err and field in err
+            assert not out.exists()
+        else:
+            # the checksums are for validate-data only
+            assert code == 0
+        capsys.readouterr()
+        assert main(["validate-data", "--config", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and field in err
+
+
 MNIST_DIR = os.environ.get("SOCIALML_MNIST_DIR")
 
 

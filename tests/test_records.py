@@ -47,10 +47,7 @@ EXAMPLES = {
     "PatchLayout": lambda: PatchLayout(4, 4, 2, 2),
     "RegimeSchedule": lambda: RegimeSchedule(((0, 1), (5, -1))),
     "PredictionRun": lambda: PredictionRun(
-        np.zeros((3, 2, 1)),
-        np.ones((3, 2), dtype=object),
-        np.ones(3, dtype=object),
-        np.ones((3, 2), dtype=bool),
+        np.zeros((3, 2, 1)), np.zeros((3, 2), dtype=np.intp), np.ones((3, 2), dtype=bool)
     ),
     "BoostedEnsemble": lambda: BoostedEnsemble(
         (_model(),), np.ones(1), np.zeros(1), np.full((2, 4), 0.25), ()

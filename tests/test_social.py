@@ -11,7 +11,6 @@ from socialml.data import (
     one_informative_gaussian_spec,
     prediction_streams,
     true_log_ratio,
-    two_class_log_likelihood,
 )
 from socialml.graph import CombinationMatrix, build_averaging_matrix, directed_ring_adjacency, perron_eigenvector
 from socialml.social import (
@@ -277,7 +276,7 @@ class TestRunPrediction:
             RING4, self.constant_providers([0.0] * 4), feats, states, (1, -1)
         )
         assert np.all(run.lam == 0.0)
-        assert np.all(run.decisions == 1)  # ties go to the reference class
+        assert np.all(run.picks == 0)  # ties go to the reference class
 
     def test_engine_delta_contract(self):
         # no delta runs the standard engine; a delta must lie in (0, 1)
@@ -325,7 +324,7 @@ class TestRunPrediction:
         for seed in range(10):
             views, states = prediction_streams(spec, sched, 60, [seed])
             run = run_prediction(SINGLE, [provider], [v[0] for v in views], states, (1, -1))
-            assert np.all(run.decisions[25:, 0] == 1)
+            assert np.all(run.picks[25:, 0] == 0)
 
     def test_asl_recovers_after_flip_within_five_over_delta(self):
         # strongly informative fixed statistics, flip mid-stream; all agents
@@ -360,7 +359,7 @@ class TestRunPrediction:
         ]
         run_b = run_prediction(RING4, scalar_providers, feats, states, (1, -1))
         run_v = run_prediction(RING4, vector_providers, feats, states, (1, -1))
-        np.testing.assert_array_equal(run_b.decisions, run_v.decisions)
+        np.testing.assert_array_equal(run_b.picks, run_v.picks)
         np.testing.assert_allclose(run_b.lam, run_v.lam, atol=0)
 
 
@@ -403,7 +402,7 @@ class TestRunPredictionBatch:
                 # runs as a matrix-vector product; its K-term sums may round
                 # differently from the matrix-matrix product of a batch
                 np.testing.assert_allclose(batch.lam[s], single.lam, rtol=1e-12, atol=1e-12)
-            assert np.array_equal(batch.decisions[s], single.decisions)
+            assert np.array_equal(batch.picks[s], single.picks)
             assert np.array_equal(batch.correct[s], single.correct)
 
     def test_true_state_outside_classes_rejected(self):
@@ -481,13 +480,12 @@ class TestBayesClassifier:
         # +1, the error at step i is Q(sqrt(i)); at i = 50 that is ~7.7e-13,
         # so no errors in 1e4 runs
         spec = mean_shift_gaussian_spec(1, dim=1, shift=1.0)
-        pair = two_class_log_likelihood(spec, 0)
         q50 = 0.5 * math.erfc(math.sqrt(50.0) / math.sqrt(2.0))
         assert q50 < 1e-3
         rng = np.random.default_rng(3)
         feats = rng.normal(1.0, 1.0, (10_000, 50, 1))
         run = run_prediction(
-            CombinationMatrix([[1.0]]), [lambda h: np.subtract(*pair(h))],
+            CombinationMatrix([[1.0]]), [true_log_ratio(spec, 0)],
             [feats], [1] * 50, (1, -1),
         )
         errors = int(np.sum(~run.correct[:, -1, 0]))
