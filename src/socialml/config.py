@@ -115,26 +115,37 @@ def _build_matrix(spec: dict, base_dir: str) -> CombinationMatrix:
             raise ConfigError(f"graph file not found: {path}")
         return load_combination_matrix(path)
     if kind == "matrix":
-        return CombinationMatrix(np.asarray(value, dtype=float))
+        rows = _numbers(value, "graph.matrix")
+        try:
+            return CombinationMatrix(np.asarray(rows, dtype=float))
+        except ValueError as exc:
+            # GraphError, or rows of uneven lengths
+            raise ConfigError(f"graph.matrix: {exc}") from exc
     raise ConfigError(f"unknown graph spec {kind!r}")
 
 
 def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
     """Gaussian scene from the JSON block; class keys are stringified labels."""
     agents = data_spec.get("agents")
-    if not agents:
-        raise ConfigError("gaussian data needs an 'agents' list")
+    if not isinstance(agents, list) or not agents:
+        raise ConfigError("gaussian data needs a non-empty 'agents' list")
     models = []
     for k, per_agent in enumerate(agents):
+        where = f"data.agents[{k}]"
+        if not isinstance(per_agent, dict):
+            raise ConfigError(f"{where} must be an object of class -> {{mean, cov}}")
         table = {}
         for label in classes:
             entry = per_agent.get(str(label))
-            if entry is None:
-                raise ConfigError(f"agent {k}: no gaussian block for class {label!r}")
+            if not isinstance(entry, dict) or not {"mean", "cov"} <= entry.keys():
+                raise ConfigError(f"{where}: class {label!r} needs a {{mean, cov}} block")
+            name = f"{where}, class {label!r}"
+            mean, cov = (_numbers(entry[key], f"{name}, {key}") for key in ("mean", "cov"))
             try:
-                table[label] = GaussianClassModel(entry["mean"], entry["cov"])
-            except (KeyError, DataError) as exc:
-                raise ConfigError(f"agent {k}, class {label!r}: {exc}") from exc
+                table[label] = GaussianClassModel(mean, cov)
+            except ValueError as exc:
+                # DataError, or lists of uneven lengths
+                raise ConfigError(f"{name}: {exc}") from exc
         models.append(table)
     return GaussianSceneSpec(tuple(models), tuple(classes))
 
@@ -146,6 +157,11 @@ def _image_pools(cfg: ExperimentConfig) -> dict:
     if cfg.dataset["format"] == "idx":
         images = data_mod.read_idx_images(files["images"])
         labels = data_mod.read_idx_labels(files["labels"])
+        if labels.shape[0] != images.shape[0]:
+            raise ConfigError(
+                f"{files['labels']} holds {labels.shape[0]} labels but "
+                f"{files['images']} holds {images.shape[0]} images"
+            )
     else:
         images, labels = data_mod.read_label_pixel_csv(files["data"], height, width)
     if images.shape[1:] != (height, width):
@@ -224,6 +240,13 @@ def _number(value, name: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def _numbers(value, name: str):
+    """``value``, a number or nested lists of numbers, each checked by ``_number``."""
+    if isinstance(value, list):
+        return [_numbers(item, name) for item in value]
+    return _number(value, name)
 
 
 def _choice(value, name: str, choices) -> str:

@@ -45,10 +45,12 @@ CHUNK_INPUT_BYTES = 1 << 19
 
 # Rows per trajectory.csv text block.  Each block's lists and strings are
 # freed before the next is built, so memory stays flat as the stream grows.
-# 128 rows already amortise the per-block ``.tolist()`` calls, and keep the
-# benchmark's peak RSS at the row-at-a-time writer's; 512 rows cost
-# demo_train about 0.2 MiB more.
-TRAJECTORY_BLOCK_ROWS = 128
+# On long_stream's 64,000 rows (one vCPU in a slow phase, numpy 2.4.6) the
+# float reprs alone took 57.5 ms and the writer 72.6, 69.8 and 67.0 ms at
+# 128, 256 and 512 rows a block, its traced allocations peaking at 37, 71
+# and 139 KiB.  256 rows gives the benchmark the peak RSS of 128 on
+# demo_train and long_stream; 512 added about 0.1 MiB on long_stream.
+TRAJECTORY_BLOCK_ROWS = 256
 
 
 def _header(cfg: ExperimentConfig) -> str:
@@ -83,33 +85,43 @@ def _write_manifest(out_dir, cfg, command, artifacts) -> None:
 
 
 def _trajectory_lines(run: PredictionRun, states, classes):
-    """trajectory.csv rows of one run, one text block per few hundred rows.
+    """trajectory.csv rows of one run, one text block per
+    ``TRAJECTORY_BLOCK_ROWS`` rows.
 
     A row is (run_id, i, agent, gamma, lambda, decision, true_state,
-    correct) for every step i, agent and lambda component ``gammas[j]``,
-    the classes after the reference one; ``states`` is the true-state track.
+    correct) for every step i, agent and lambda component ``gamma``, the
+    classes after the reference one; ``states`` is the true-state track.
     """
     _, n_agents, width = run.lam.shape
-    steps = max(1, TRAJECTORY_BLOCK_ROWS // (n_agents * width))
-    # one step's rows as a %-template; labels are text in it, so '%' doubles
-    step_rows = "".join(
-        f"0,%d,{k},{str(gamma).replace('%', '%%')},%r,%s,%s,%d\n"
-        for k in range(n_agents)
-        for gamma in classes[1:]
-    )
-    labels = np.array(classes, dtype=object)
-    # a block's (i, lambda, decision, true_state, correct) per row, as Python
-    # objects: %r on a float is its repr, %s on a label its str
-    args = np.empty((steps, n_agents, width, 5), dtype=object)
+    per_step = n_agents * width
+    steps = max(1, TRAJECTORY_BLOCK_ROWS // per_step)
+    # a row is four pieces, each built a column at a time: "0,<i>",
+    # ",<agent>,<gamma>,", repr(lambda) and ",<decision>,<true_state>,<correct>\n"
+    fixed = [f",{k},{gamma}," for k in range(n_agents) for gamma in classes[1:]] * steps
+    decisions = [str(label) for label in classes]
+    # tails[t, p, c] ends a row whose true state has the t-th text seen, whose
+    # pick is class p and whose correct flag is c
+    texts: dict = {}
+    tails = ()
+    pieces = [None] * (4 * steps * per_step)
     for lo in range(0, run.horizon, steps):
         hi = min(lo + steps, run.horizon)
-        cells = args[: hi - lo]
-        cells[..., 0] = np.arange(lo, hi)[:, None, None]
-        cells[..., 1] = run.lam[lo:hi]
-        cells[..., 2] = labels[run.picks[lo:hi, :, None]]
-        cells[..., 3] = states[lo:hi, None, None]
-        cells[..., 4] = run.correct[lo:hi, :, None]
-        yield step_rows * (hi - lo) % tuple(cells.reshape(-1).tolist())
+        rows = (hi - lo) * per_step
+        del pieces[4 * rows :]  # only the last block can be shorter
+        truth = [texts.setdefault(str(state), len(texts)) for state in states[lo:hi].tolist()]
+        if len(texts) > len(tails):  # a true state not seen before
+            tails = np.array(
+                [[[f",{d},{text},{c}\n" for c in (0, 1)] for d in decisions] for text in texts],
+                dtype=object,
+            )
+        lead = np.array([f"0,{i}" for i in range(lo, hi)], dtype=object)
+        pieces[0::4] = np.repeat(lead, per_step).tolist()
+        pieces[1::4] = fixed[:rows]
+        pieces[2::4] = map(repr, run.lam[lo:hi].ravel().tolist())
+        # a bool array would index as a mask, so correct goes in as 0 or 1
+        tail = tails[np.array(truth)[:, None], run.picks[lo:hi], run.correct[lo:hi].view(np.uint8)]
+        pieces[3::4] = np.repeat(tail, width, axis=1).ravel().tolist()
+        yield "".join(pieces)
 
 
 # --- data assembly ---------------------------------------------------------

@@ -35,6 +35,8 @@ class CombinationMatrix(Record):
             raise GraphError(f"combination matrix must be square, got {w.shape}")
         if w.shape[0] == 0:
             raise GraphError("empty graph")
+        if not np.all(np.isfinite(w)):
+            raise GraphError("combination weights must be finite")
         if np.any(w < 0):
             raise GraphError("combination weights must be nonnegative")
         col_err = np.max(np.abs(w.sum(axis=0) - 1.0))
@@ -151,17 +153,19 @@ def grid_adjacency(rows: int, cols: int) -> np.ndarray:
 
 def load_combination_matrix(path) -> CombinationMatrix:
     """Read ``{"K": int, "rows": [[...], ...]}`` and validate on load."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise GraphError(f"matrix file {path} is not a readable JSON file: {exc}") from None
+    if not isinstance(payload, dict) or "K" not in payload or "rows" not in payload:
+        raise GraphError(f"matrix file {path} needs a JSON object with keys 'K' and 'rows'")
     try:
         size = int(payload["K"])
-        rows = payload["rows"]
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"matrix file {path} needs keys 'K' and 'rows'") from exc
-    weights = np.asarray(rows, dtype=float)
-    if weights.shape != (size, size):
-        raise GraphError(
-            f"matrix file {path}: 'rows' shape {weights.shape} does not match K={size}"
-        )
-    return CombinationMatrix(weights)
-
+        weights = np.asarray(payload["rows"], dtype=float)
+        if weights.shape != (size, size):
+            raise GraphError(f"'rows' shape {weights.shape} does not match K={size}")
+        return CombinationMatrix(weights)
+    except (TypeError, ValueError) as exc:
+        # GraphError, or entries that are not numbers
+        raise GraphError(f"matrix file {path}: {exc}") from None

@@ -590,7 +590,9 @@ def save_model(model: MLPModel, path) -> None:
     """JSON with the architecture block and row-major weight arrays.
 
     Floats serialize via shortest round-trip repr (17 significant digits at
-    most), so save -> load -> save is byte-stable.
+    most), so save -> load -> save is byte-stable.  ``json.dumps`` encodes
+    the payload in one C-encoder pass; ``json.dump`` would take the pure
+    Python encoder for the same bytes.
     """
     arch = model.architecture
     payload = {
@@ -605,8 +607,7 @@ def save_model(model: MLPModel, path) -> None:
         "weights": [w.tolist() for w in model.weights],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_model(path) -> MLPModel:

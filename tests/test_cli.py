@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -587,6 +588,92 @@ class TestNumericFields:
         assert main(["predict", "--config", str(path), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+
+def _gaussian_scene(agents):
+    return base_config(data={"type": "gaussian", "agents": agents})
+
+
+def _gaussian_override(k, label, **entries):
+    """The base scene with agent ``k``'s block for class ``label`` updated."""
+    agents = gaussian_agents()
+    agents[k][label] = {**agents[k][label], **entries}
+    return _gaussian_scene(agents)
+
+
+GAUSSIAN_CASES = [
+    ("agents-not-objects", _gaussian_scene([1, 2, 3, 4]), ["data.agents[0]"]),
+    ("class-block-not-object", _gaussian_scene([{"1": 5, "-1": 5}] * 4),
+     ["data.agents[0]", "class 1"]),
+    ("cov-missing", _gaussian_scene([{"1": {"mean": [0.5]}, "-1": {"mean": [-0.5]}}] * 4),
+     ["data.agents[0]", "class 1", "cov"]),
+    ("mean-not-numeric", _gaussian_override(2, "-1", mean="x"), ["data.agents[2]", "class -1"]),
+    ("mean-null", _gaussian_override(1, "-1", mean=None), ["data.agents[1]", "class -1"]),
+    ("mean-bool", _gaussian_override(0, "1", mean=[True]), ["data.agents[0]", "class 1", "mean"]),
+    ("mean-ragged", _gaussian_override(1, "1", mean=[[0.5], []]), ["data.agents[1]", "class 1"]),
+    ("mean-nan", _gaussian_override(0, "-1", mean=[float("nan")]), ["data.agents[0]", "class -1"]),
+    ("cov-not-numeric", _gaussian_override(3, "1", cov={"a": 1}), ["data.agents[3]", "class 1"]),
+    ("cov-overflow", _gaussian_override(2, "1", cov=[[10**400]]), ["data.agents[2]", "class 1"]),
+]
+
+
+class TestGaussianBlock:
+    """A malformed Gaussian block exits 1 naming the agent's entry and the
+    class, instead of failing inside the scene's construction."""
+
+    @pytest.mark.parametrize(
+        "cfg, fields", [case[1:] for case in GAUSSIAN_CASES], ids=[c[0] for c in GAUSSIAN_CASES]
+    )
+    def test_bad_block_exits_1_naming_it(self, tmp_path, capsys, cfg, fields):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(field in err for field in fields), err
+        assert not out.exists()
+
+
+class TestGraphFile:
+    """A graph file that cannot be read as the matrix exits 1 naming it."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[[0.5, 0.5], [0.5, 0.5]]",
+            '{"K": "x", "rows": []}',
+            '{"K": 2, "rows": [["a", "b"], ["c", "d"]]}',
+            '{"K": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}',
+        ],
+        ids=["not-json", "not-an-object", "bad-size", "rows-not-numeric", "rows-nan"],
+    )
+    def test_bad_file_exits_1_naming_it(self, tmp_path, capsys, text):
+        (tmp_path / "net.json").write_text(text)
+        path = write_config(tmp_path, base_config(graph={"file": "net.json"}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "net.json" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [[["a"]], [[True]], [[1.0], [0.5, 0.5]]])
+    def test_bad_inline_matrix_exits_1(self, tmp_path, capsys, rows):
+        path = write_config(tmp_path, base_config(graph={"matrix": rows}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "graph.matrix" in capsys.readouterr().err
+
+
+class TestIdxCounts:
+    def test_fewer_labels_than_images_exits_1_naming_both(self, tmp_path, capsys):
+        write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=40)
+        labels = tmp_path / "labels.idx"
+        kept = labels.read_bytes()[8 : 8 + 70]
+        labels.write_bytes(struct.pack(">II", 0x00000801, 70) + kept)
+        path = write_config(tmp_path, image_config("dataset.json"))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "labels.idx" in err and "images.idx" in err, err
+        assert "70" in err and "80" in err, err
 
 
 class TestMontecarloChunks:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -647,6 +648,35 @@ class TestSerialization:
         path2 = tmp_path / "model2.json"
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("norm_bound", [2.0, None])
+    def test_bytes_equal_json_dump_reference(self, tmp_path, norm_bound):
+        rng = np.random.default_rng(15)
+        arch = MLPArchitecture((4, 6, 3, 2), input_bound=1.5, norm_bound=norm_bound)
+        model = initialize_model(arch, rng)
+        if norm_bound is None:
+            # no bound to keep, so the weights span the float range
+            weights = [w * 10.0 ** rng.uniform(-300, 300, w.shape) for w in model.weights]
+            weights[0].flat[:3] = (-0.0, 5e-324, 1.7976931348623157e308)
+            model = MLPModel(arch, tuple(weights))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = {
+            "format": "mlp-v1",
+            "architecture": {
+                "layer_sizes": list(arch.layer_sizes),
+                "activation": arch.activation,
+                "bias": arch.bias,
+                "norm_bound": arch.norm_bound,
+                "input_bound": arch.input_bound,
+            },
+            "weights": [w.tolist() for w in model.weights],
+        }
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
