@@ -151,27 +151,32 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
 
 
 def _image_pools(cfg: ExperimentConfig) -> dict:
-    """label -> image array (uint-valued), read from the dataset's files."""
+    """label -> uint8 images of that class, in file order: views of one
+    class-sorted array, which never holds rows of labels no class uses."""
     files = {name: entry["path"] for name, entry in cfg.dataset["files"].items()}
     height, width = cfg.layout.height, cfg.layout.width
+    raws = tuple(dict.fromkeys(cfg.raw_labels))
     if cfg.dataset["format"] == "idx":
-        images = data_mod.read_idx_images(files["images"])
         labels = data_mod.read_idx_labels(files["labels"])
-        if labels.shape[0] != images.shape[0]:
+        positions, counts = data_mod.class_positions(labels, raws)
+        pooled = data_mod.read_idx_images(files["images"], positions, files["labels"])
+        if pooled.shape[1:] != (height, width):
             raise ConfigError(
-                f"{files['labels']} holds {labels.shape[0]} labels but "
-                f"{files['images']} holds {images.shape[0]} images"
+                f"{files['images']}: images {pooled.shape[1:]} vs config {(height, width)}"
             )
     else:
         images, labels = data_mod.read_label_pixel_csv(files["data"], height, width)
-    if images.shape[1:] != (height, width):
-        raise ConfigError(f"images {images.shape[1:]} vs config {(height, width)}")
+        positions, counts = data_mod.class_positions(labels, raws)
+        kept = positions >= 0
+        pooled = np.empty((kept.sum(), height, width), dtype=np.uint8)
+        pooled[positions[kept]] = images[kept]
     pools = {}
     for label, raw in zip(cfg.classes, cfg.raw_labels):
-        mask = labels == raw
-        if not np.any(mask):
+        c = raws.index(raw)
+        if counts[c] == 0:
             raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
-        pools[label] = images[mask]
+        start = counts[:c].sum()
+        pools[label] = pooled[start : start + counts[c]]
     return pools
 
 

@@ -198,13 +198,14 @@ def split_patches(images, layout: PatchLayout) -> list:
 
     Returns a list of (n, d_k) arrays in the layout's agent order; stacking
     the views back with ``reassemble_patches`` reproduces the scaled images
-    exactly.
+    exactly.  Each patch is scaled on its own, so no scaled copy of the
+    whole batch is ever held.
     """
-    return _patches(scale_pixels(images), layout)
+    return [scale_pixels(view) for view in _patches(np.asarray(images), layout)]
 
 
 def _patches(arr: np.ndarray, layout: PatchLayout) -> list:
-    """``split_patches`` on images that are already scaled."""
+    """``split_patches`` without the scaling."""
     single = arr.ndim == 2
     if single:
         arr = arr[None]
@@ -292,35 +293,80 @@ def prediction_streams(
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-# Lines per parsed block of a label-pixel CSV.  A block is parsed as float64,
-# 8 bytes per one-byte pixel: 256 lines of 28x28 images take 1.6 MB.
-CSV_BLOCK_LINES = 256
+# Images per block of an image file: an IDX body is read, and a label-pixel
+# CSV parsed, this many rows at a time.  A CSV block is parsed as float64, 8
+# bytes per one-byte pixel: 256 lines of 28x28 images take 1.6 MB; an IDX
+# block of them takes 200 KB.
+IMAGE_BLOCK_ROWS = 256
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Big-endian IDX image file -> uint8 array (n, rows, cols)."""
+def class_positions(labels, raw_labels) -> tuple:
+    """Where each labelled row goes in one class-sorted array.
+
+    Returns ``(positions, counts)``.  The array holds the rows labelled
+    ``raw_labels[0]``, then those labelled ``raw_labels[1]``, and so on, each
+    class in file order; row i goes to ``positions[i]``, or nowhere (-1) when
+    its label is not listed.  ``counts[c]`` is the number of rows labelled
+    ``raw_labels[c]``.  The raw labels must be distinct.
+    """
+    labels = np.asarray(labels)
+    # unlisted rows take the class after the last, so they sort to the end
+    which = np.full(labels.shape, len(raw_labels))
+    for c, raw in enumerate(raw_labels):
+        which[labels == raw] = c
+    counts = np.bincount(which, minlength=len(raw_labels) + 1)[:-1]
+    order = np.argsort(which, kind="stable")[: counts.sum()]
+    positions = np.full(labels.shape, -1, dtype=np.intp)
+    positions[order] = np.arange(order.size)
+    return positions, counts
+
+
+def _idx_header(fh, path, magic: int, kind: str) -> tuple:
+    """The fields after the magic number of an IDX file's header."""
+    size = 16 if magic == IDX_IMAGES_MAGIC else 8
+    header = fh.read(size)
+    if len(header) != size:
+        raise DataError(f"{path}: truncated IDX header")
+    found, *fields = struct.unpack(f">{size // 4}I", header)
+    if found != magic:
+        raise DataError(f"{path}: bad {kind} magic 0x{found:08x}")
+    return fields
+
+
+def read_idx_images(path, positions, labels_path) -> np.ndarray:
+    """Big-endian IDX image file -> uint8 array (kept rows, rows, cols).
+
+    Image i goes to row ``positions[i]`` of the result, and an image whose
+    position is negative is never kept.  ``positions`` holds one entry per
+    image, from the label file ``labels_path``, which a count mismatch names.
+    The body is read ``IMAGE_BLOCK_ROWS`` images at a time into one reused
+    buffer, so besides the result only one block is held.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise DataError(f"{path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataError(f"{path}: bad image magic 0x{magic:08x}")
-        body = fh.read(count * rows * cols)
-    if len(body) != count * rows * cols:
-        raise DataError(f"{path}: truncated IDX image body")
-    return np.frombuffer(body, dtype=np.uint8).reshape(count, rows, cols)
+        count, rows, cols = _idx_header(fh, path, IDX_IMAGES_MAGIC, "image")
+        # the header's sizes are checked against the file before any is allocated
+        if os.fstat(fh.fileno()).st_size - 16 < count * rows * cols:
+            raise DataError(f"{path}: truncated IDX image body")
+        if len(positions) != count:
+            raise DataError(
+                f"{labels_path} holds {len(positions)} labels but {path} holds {count} images"
+            )
+        out = np.empty((int(np.count_nonzero(positions >= 0)), rows, cols), dtype=np.uint8)
+        buffer = np.empty((min(count, IMAGE_BLOCK_ROWS), rows, cols), dtype=np.uint8)
+        for start in range(0, count, IMAGE_BLOCK_ROWS):
+            block = buffer[: min(IMAGE_BLOCK_ROWS, count - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise DataError(f"{path}: truncated IDX image body")
+            dest = positions[start : start + len(block)]
+            kept = dest >= 0
+            out[dest[kept]] = block[kept]
+    return out
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Big-endian IDX label file -> uint8 array (n,)."""
     with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DataError(f"{path}: truncated IDX header")
-        magic, count = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataError(f"{path}: bad label magic 0x{magic:08x}")
+        (count,) = _idx_header(fh, path, IDX_LABELS_MAGIC, "label")
         body = fh.read(count)
     if len(body) != count:
         raise DataError(f"{path}: truncated IDX label body")
@@ -331,12 +377,12 @@ def read_label_pixel_csv(path, height: int, width: int) -> tuple:
     """CSV fallback ``label,p0,...,pN`` -> (uint8 images, labels).
 
     Pixels are integers in [0, 255], as in an IDX file, so both formats give
-    the models the same scaled inputs.  The file is parsed ``CSV_BLOCK_LINES``
+    the models the same scaled inputs.  The file is parsed ``IMAGE_BLOCK_ROWS``
     lines at a time, so only one block is ever held as float64.
     """
     images, labels = [], []
     with open(path) as fh:
-        while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
+        while lines := list(itertools.islice(fh, IMAGE_BLOCK_ROWS)):
             with warnings.catch_warnings():
                 # a block of comment or blank lines holds no rows
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -33,14 +33,18 @@ from .social import PredictionRun, run_prediction
 from .stats import make_debiased_statistic
 
 # Cap on the stacked SML training inputs of one Monte Carlo chunk (8 bytes
-# per augmented input entry, summed over agents and replications).  Peak
-# memory grows by about four times the inputs a chunk stacks beyond one
-# replication: three 28x28 image replications of 4 patch agents in one chunk
-# stack 2.5 MB more inputs than one and peak 10.4 MiB higher.  So 512 KiB
-# keeps a chunk within about 2 MiB of a one-replication run, under 5% of that
-# image run's 55 MiB.  The criterion-09 scene (4 agents, 40 rows of 1
-# feature) fits 204 replications in one chunk; a 28x28 image scene, one.
-CHUNK_INPUT_BYTES = 1 << 19
+# per augmented input entry, summed over agents and replications).  A chunk
+# holds its replications' training scenes, and ``train_stack`` one stacked
+# copy of their inputs, so peak memory grows by about twice the inputs a
+# chunk stacks beyond one replication.  A 28x28 image replication of 4 patch
+# agents with 200 training rows stacks 1.26 MB.  Three of them (the image_mc
+# benchmark scene, one process, 2 vCPUs, numpy 2.4.6) peak at 53.6 MiB in one
+# chunk and at 48.5 MiB one per chunk: 2.5 MB more inputs, 5.1 MiB higher.
+# The one-chunk peak stays under the 53.9 MiB that reading the IDX images
+# whole peaked at before the class pools were built in place.  4 MiB fits
+# those 3 replications in one chunk, and 1,638 of the criterion-09 scene (4
+# agents, 40 rows of 1 feature).
+CHUNK_INPUT_BYTES = 1 << 22
 
 
 # Rows per trajectory.csv text block.  Each block's lists and strings are

@@ -469,10 +469,19 @@ def train_stack(
     params = np.empty(sum(math.prod(shape) for shape in shapes))
     gflat = np.empty_like(params)
     weights, grads = _flat_views(params, shapes), _flat_views(gflat, shapes)
-    inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
-    for w, layer in zip(weights, zip(*inits)):
-        np.stack(layer, out=w)
-    h = np.stack([_augment(arch, dataset.features) for dataset in datasets])
+    for m, rng in enumerate(rngs):
+        for w, init in zip(weights, initialize_model(arch, rng, hyper.init_scale).weights):
+            w[m] = init
+    # the inputs in dataset order, augmented in place: the one stacked copy
+    # of them, which every mini-batch is gathered from
+    h = np.empty((n_models, n, sizes[0]))
+    for m, dataset in enumerate(datasets):
+        h[m, :, : arch.n_features] = dataset.features
+    if arch.bias:
+        h[:, :, -1] = 1.0
+    # one ``take`` on the rows of all models gathers a mini-batch: a third of
+    # the per-step cost of indexing h with (model, row) pairs at small batches
+    h_rows = h.reshape(n_models * n, -1)
     labels = np.stack([dataset.label_indices() for dataset in datasets])
     rows = np.arange(n_models)[:, None]
     risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
@@ -490,14 +499,14 @@ def train_stack(
     trace = np.empty((n_models, hyper.epochs))
     for epoch in range(hyper.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
-        h_epoch = h[rows, order]
+        flat = order + rows * n
         picks_epoch = offsets + labels[rows, order]
         weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
         for start in range(0, n, hyper.batch_size):
             batch = slice(start, start + hyper.batch_size)
             loss, _ = _stack_gradients(
                 weights,
-                h_epoch[:, batch],
+                h_rows.take(flat[:, batch], 0),
                 picks_epoch[:, batch],
                 weights_epoch[:, batch],
                 arch.activation,

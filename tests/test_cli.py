@@ -718,6 +718,47 @@ class TestMontecarloChunks:
             tmp_path / "split" / "montecarlo.csv"
         ).read_bytes()
 
+    def test_image_mc_replications_share_one_chunk(self, tmp_path):
+        # the image_mc benchmark scene: 28x28 images, 2x2 patch agents with
+        # one hidden layer of 8, 200 training rows, 3 replications
+        images = np.zeros((4, 28, 28), dtype=np.uint8)
+        (tmp_path / "images.idx").write_bytes(
+            struct.pack(">IIII", 0x00000803, 4, 28, 28) + images.tobytes()
+        )
+        (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 0x00000801, 4) + bytes(4))
+        (tmp_path / "dataset.json").write_text(
+            json.dumps(
+                {
+                    "format": "idx",
+                    "files": {
+                        "images": {"path": "images.idx", "sha256": "0" * 64},
+                        "labels": {"path": "labels.idx", "sha256": "0" * 64},
+                    },
+                }
+            )
+        )
+        cfg_dict = image_config("dataset.json", train_per_class=100)
+        cfg_dict["data"].update(height=28, width=28)
+        cfg_dict["montecarlo"]["replications"] = 3
+        cfg = validate_config(cfg_dict, str(tmp_path))
+        assert replication_chunks(cfg, 1) == [[range(0, 3)]]
+
+    def test_image_montecarlo_bytes_do_not_depend_on_the_cap(self, tmp_path, monkeypatch):
+        import socialml.experiments as experiments
+
+        write_idx_dataset(tmp_path, np.random.default_rng(8), n_per_class=40)
+        cfg_dict = image_config("dataset.json")
+        cfg_dict["montecarlo"].update(replications=3, eval_streams=6, horizon=12)
+        cfg = validate_config(cfg_dict, str(tmp_path))
+        assert replication_chunks(cfg, 1) == [[range(0, 3)]]
+        cmd_montecarlo(cfg, str(tmp_path / "whole"))
+        monkeypatch.setattr(experiments, "CHUNK_INPUT_BYTES", 1)
+        assert replication_chunks(cfg, 1) == [[range(r, r + 1) for r in range(3)]]
+        cmd_montecarlo(cfg, str(tmp_path / "split"))
+        assert (tmp_path / "whole" / "montecarlo.csv").read_bytes() == (
+            tmp_path / "split" / "montecarlo.csv"
+        ).read_bytes()
+
 
 class TestCmdTheory:
     def test_report_contents(self, tmp_path):

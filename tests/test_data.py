@@ -1,17 +1,24 @@
 import json
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socialml import data as data_mod
+from socialml.cli import main
+from socialml.config import _image_pools, validate_config
 from socialml.data import (
     DataError,
     GaussianClassModel,
     GaussianSceneSpec,
     PatchLayout,
+    class_positions,
     file_sha256,
     gaussian_training_set,
     mean_shift_gaussian_spec,
@@ -25,6 +32,7 @@ from socialml.data import (
     verify_manifest,
 )
 from socialml.social import RegimeSchedule, periodic_schedule
+from test_images_end_to_end import image_config
 
 
 class TestGaussianModels:
@@ -305,20 +313,20 @@ class TestIdxFiles:
         images = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
         labels = np.array([0, 1, 1, 0], dtype=np.uint8)
         img_path, lab_path = self.write_idx(tmp_path, images, labels)
-        np.testing.assert_array_equal(read_idx_images(img_path), images)
+        np.testing.assert_array_equal(read_idx_images(img_path, np.arange(4), lab_path), images)
         np.testing.assert_array_equal(read_idx_labels(lab_path), labels)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(struct.pack(">IIII", 0x00000999, 1, 2, 2) + b"\x00" * 4)
         with pytest.raises(DataError, match="magic"):
-            read_idx_images(path)
+            read_idx_images(path, np.arange(1), "labels.idx")
 
     def test_truncated_body_rejected(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 5)
         with pytest.raises(DataError, match="truncated"):
-            read_idx_images(path)
+            read_idx_images(path, np.arange(2), "labels.idx")
 
     def test_csv_fallback(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -336,7 +344,7 @@ class TestIdxFiles:
         images = rng.integers(0, 256, size=(6, 4, 5), dtype=np.uint8)
         images[0, 0, 0], images[1, 0, 0] = 0, 255
         labels = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
-        img_path, _ = self.write_idx(tmp_path, images, labels)
+        img_path, lab_path = self.write_idx(tmp_path, images, labels)
         path = tmp_path / "data.csv"
         path.write_text(
             "".join(
@@ -348,7 +356,7 @@ class TestIdxFiles:
         np.testing.assert_array_equal(csv_labels, labels)
         layout = PatchLayout(4, 5, 2, 2)
         csv_views = split_patches(from_csv, layout)
-        idx_views = split_patches(read_idx_images(img_path), layout)
+        idx_views = split_patches(read_idx_images(img_path, np.arange(6), lab_path), layout)
         for got, want in zip(csv_views, idx_views):
             assert np.array_equal(got, want)
         assert max(float(v.max()) for v in csv_views) == 1.0
@@ -371,7 +379,7 @@ class TestIdxFiles:
 
     def test_csv_longer_than_a_block_matches_one_parse(self, tmp_path):
         path = tmp_path / "data.csv"
-        images, labels = self.write_csv(path, 2 * data_mod.CSV_BLOCK_LINES + 7)
+        images, labels = self.write_csv(path, 2 * data_mod.IMAGE_BLOCK_ROWS + 7)
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
         got_images, got_labels = read_label_pixel_csv(path, 2, 2)
         assert got_images.dtype == np.uint8 and got_labels.dtype == rows[:, 0].astype(int).dtype
@@ -382,7 +390,7 @@ class TestIdxFiles:
 
     def test_csv_comment_block_skipped(self, tmp_path, monkeypatch):
         # a block holding only comment and blank lines adds no rows
-        monkeypatch.setattr(data_mod, "CSV_BLOCK_LINES", 4)
+        monkeypatch.setattr(data_mod, "IMAGE_BLOCK_ROWS", 4)
         path = tmp_path / "data.csv"
         path.write_text("1,0,0,0,0\n# a\n\n# b\n# c\n\n# d\n# e\n2,255,1,2,3\n")
         images, labels = read_label_pixel_csv(path, 2, 2)
@@ -398,7 +406,7 @@ class TestIdxFiles:
     @pytest.mark.parametrize("pixel", ["0.5", "256", "-1", "nan", "inf", "1e300", "255.5"])
     def test_csv_bad_pixel_in_a_later_block_rejected(self, tmp_path, pixel):
         path = tmp_path / "data.csv"
-        self.write_csv(path, data_mod.CSV_BLOCK_LINES + 3)
+        self.write_csv(path, data_mod.IMAGE_BLOCK_ROWS + 3)
         with open(path, "a") as fh:
             fh.write("1," + ",".join(["128"] * 3 + [pixel]) + "\n")
         with pytest.raises(DataError, match="data.csv: pixel columns"):
@@ -406,7 +414,7 @@ class TestIdxFiles:
 
     def test_csv_width_change_in_a_later_block_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
-        self.write_csv(path, data_mod.CSV_BLOCK_LINES)
+        self.write_csv(path, data_mod.IMAGE_BLOCK_ROWS)
         with open(path, "a") as fh:
             fh.write("1,2,3\n")
         with pytest.raises(DataError, match="data.csv: 3 columns"):
@@ -424,6 +432,156 @@ class TestIdxFiles:
         path.write_text("1.5," + ",".join(["128"] * 4) + "\n")
         with pytest.raises(DataError, match="label column"):
             read_label_pixel_csv(path, 2, 2)
+
+
+def write_image_files(directory, images, labels, fmt):
+    """``images`` and ``labels`` as an IDX pair or a label-pixel CSV, plus the
+    dataset manifest naming them."""
+    if fmt == "idx":
+        n, height, width = images.shape
+        (directory / "images.idx").write_bytes(
+            struct.pack(">IIII", 0x00000803, n, height, width) + images.tobytes()
+        )
+        (directory / "labels.idx").write_bytes(
+            struct.pack(">II", 0x00000801, n) + labels.astype(np.uint8).tobytes()
+        )
+        files = {"images": "images.idx", "labels": "labels.idx"}
+    else:
+        (directory / "data.csv").write_text(
+            "".join(
+                f"{label}," + ",".join(map(str, image.ravel())) + "\n"
+                for label, image in zip(labels.tolist(), images)
+            )
+        )
+        files = {"data": "data.csv"}
+    manifest = {
+        "format": fmt,
+        "files": {
+            name: {"path": path, "sha256": file_sha256(directory / path)}
+            for name, path in files.items()
+        },
+    }
+    (directory / "dataset.json").write_text(json.dumps(manifest))
+
+
+def pooled_config(directory, shape, label_map):
+    """An image config over ``directory``'s dataset, one agent reading the
+    whole image, with class labels 100, 101, ... mapped to ``label_map``."""
+    classes = [100 + c for c in range(len(label_map))]
+    cfg = image_config("dataset.json", classes=classes, graph={"ring": 1})
+    cfg["data"].update(
+        height=shape[0],
+        width=shape[1],
+        layout=[1, 1],
+        label_map={str(c): raw for c, raw in zip(classes, label_map)},
+    )
+    cfg["schedule"] = {"segments": [[0, classes[0]]]}
+    del cfg["montecarlo"]
+    return validate_config(cfg, str(directory))
+
+
+class TestClassPools:
+    """The class pools equal the per-class masks of the whole file."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 40),
+        n_values=st.integers(2, 6),
+        block=st.integers(1, 9),
+        fmt=st.sampled_from(["idx", "csv"]),
+    )
+    @example(data=None, n=9, n_values=3, block=4, fmt="idx")
+    @settings(max_examples=40, deadline=None)
+    def test_pools_equal_the_label_masks(self, data, n, n_values, block, fmt):
+        rng = np.random.default_rng(n * 101 + n_values * 7 + block)
+        if data is None:
+            # three one-image classes and unused rows; 9 rows, blocks of 4
+            labels = np.array([5, 0, 5, 1, 5, 5, 2, 5, 5])
+            label_map = [2, 0, 1]
+        else:
+            values = st.integers(0, n_values - 1)
+            labels = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+            present = sorted(set(labels.tolist()))
+            if len(present) < 2:
+                labels[0], labels[-1] = 0, 1
+                present = sorted(set(labels.tolist()))
+            # classes use any subset of the present labels, in any order
+            used = data.draw(st.integers(2, len(present)))
+            label_map = data.draw(st.permutations(present))[:used]
+        images = rng.integers(0, 256, size=(labels.size, 2, 3), dtype=np.uint8)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            data_mod, "IMAGE_BLOCK_ROWS", block
+        ):
+            write_image_files(Path(tmp), images, labels, fmt)
+            cfg = pooled_config(Path(tmp), (2, 3), label_map)
+            pools = _image_pools(cfg)
+        assert list(pools) == list(cfg.classes)
+        pooled = None
+        for label, raw in zip(cfg.classes, label_map):
+            want = images[labels == raw]
+            assert pools[label].dtype == np.uint8 and pools[label].flags.c_contiguous
+            assert np.array_equal(pools[label], want)
+            # every pool is a view of one class-sorted array
+            pooled = pools[label].base if pooled is None else pooled
+            assert pools[label].base is pooled
+        assert pooled.shape[0] == sum(np.sum(labels == raw) for raw in label_map)
+
+    def test_positions_sort_kept_rows_by_class(self):
+        positions, counts = class_positions(np.array([3, 1, 2, 3, 1, 9]), (1, 3))
+        assert positions.tolist() == [2, 0, -1, 3, 1, -1]
+        assert counts.tolist() == [2, 2]
+
+    def test_classes_sharing_a_raw_label_share_its_pool(self, tmp_path):
+        labels = np.array([0, 1, 0, 2])
+        images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
+        write_image_files(tmp_path, images, labels, "idx")
+        pools = _image_pools(pooled_config(tmp_path, (2, 3), [0, 0, 2]))
+        assert np.array_equal(pools[100], images[[0, 2]])
+        assert np.array_equal(pools[101], images[[0, 2]])
+        assert np.array_equal(pools[102], images[[3]])
+
+    def test_reading_peaks_at_the_kept_pools_plus_one_block(self, tmp_path):
+        rng = np.random.default_rng(21)
+        labels = rng.integers(0, 4, 5000)
+        images = rng.integers(0, 256, size=(5000, 28, 28), dtype=np.uint8)
+        write_image_files(tmp_path, images, labels, "idx")
+        cfg = pooled_config(tmp_path, (28, 28), [3, 1])
+        tracemalloc.start()
+        try:
+            pools = _image_pools(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(pool.nbytes for pool in pools.values())
+        assert kept == np.isin(labels, [1, 3]).sum() * 28 * 28
+        assert peak < 1.1 * (kept + data_mod.IMAGE_BLOCK_ROWS * 28 * 28), (peak, kept)
+
+    def train(self, directory):
+        path = directory / "config.json"
+        cfg = image_config("dataset.json")
+        path.write_text(json.dumps(cfg))
+        return main(["train", "--config", str(path), "--out", str(directory / "out")])
+
+    @pytest.mark.parametrize(
+        "name, cut, words",
+        [
+            ("images.idx", lambda b: b[:-5], "truncated IDX image body"),
+            ("images.idx", lambda b: b[:10], "truncated IDX header"),
+            ("images.idx", lambda b: struct.pack(">IIII", 0x803, 40, 16, 4) + b[16:], "vs config"),
+            ("labels.idx", lambda b: b[:-3], "truncated IDX label body"),
+            ("labels.idx", lambda b: b[:6], "truncated IDX header"),
+        ],
+    )
+    def test_bad_idx_file_exits_1_naming_it(self, tmp_path, capsys, name, cut, words):
+        rng = np.random.default_rng(22)
+        labels = np.repeat([0, 1], 20)
+        images = rng.integers(0, 256, size=(40, 8, 8), dtype=np.uint8)
+        write_image_files(tmp_path, images, labels, "idx")
+        path = tmp_path / name
+        path.write_bytes(cut(path.read_bytes()))
+        assert self.train(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and words in err, err
 
 
 class TestManifestVerification:

@@ -186,8 +186,9 @@ class TestImageSceneLoading:
 
     def test_csv_and_idx_datasets_train_alike(self, tmp_path):
         write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
-        images, labels = read_idx_images(tmp_path / "images.idx"), read_idx_labels(
-            tmp_path / "labels.idx"
+        labels = read_idx_labels(tmp_path / "labels.idx")
+        images = read_idx_images(
+            tmp_path / "images.idx", np.arange(labels.size), tmp_path / "labels.idx"
         )
         write_csv_dataset(tmp_path / "csv", images, labels)
         assert self.train(tmp_path, image_config("dataset.json")) == 0

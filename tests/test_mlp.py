@@ -18,9 +18,12 @@ from socialml.mlp import (
     _augment,
     _batch_normalized,
     _check_stack,
+    _flat_views,
     _pick_offsets,
     _project_columns,
     _stack_forward,
+    _stack_gradients,
+    _stack_risk,
     binary_logit,
     cross_entropy_risk,
     gradient_check,
@@ -118,6 +121,70 @@ def per_layer_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
                 if bound is not None:
                     weights[ell] = _project_columns(weights[ell], bound)
         trace[:, epoch] = forward(h, risk_picks, row_weights)[2]
+    return weights, trace
+
+
+def epoch_copy_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
+    """``train_stack``'s earlier algorithm: the augmented inputs stacked from
+    per-dataset copies, and one permuted copy of the whole stack per epoch
+    that the mini-batches are sliced from.  Returns the stacked weights and
+    the (S, epochs) risk traces."""
+    row_weights = _check_stack(datasets, arch, seeds, sample_weights)
+    n_models, n = row_weights.shape
+    rngs = generators(seeds)
+    inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
+    weights = [np.stack(layer) for layer in zip(*inits)]
+    params = np.concatenate([w.ravel() for w in weights])
+    weights = _flat_views(params, [w.shape for w in weights])
+    gflat = np.empty_like(params)
+    grads = _flat_views(gflat, [w.shape for w in weights])
+    h = np.stack([_augment(arch, dataset.features) for dataset in datasets])
+    labels = np.stack([dataset.label_indices() for dataset in datasets])
+    rows = np.arange(n_models)[:, None]
+    risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
+    offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
+    bound, lr = arch.norm_bound, hyper.learning_rate
+    beta1, beta2, tiny = 0.9, 0.999, 1e-8
+    first, second, scratch = (np.zeros_like(params) for _ in range(3))
+    step = 0
+    trace = np.empty((n_models, hyper.epochs))
+    for epoch in range(hyper.epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        h_epoch = h[rows, order]
+        picks_epoch = offsets + labels[rows, order]
+        weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
+        for start in range(0, n, hyper.batch_size):
+            batch = slice(start, start + hyper.batch_size)
+            _stack_gradients(
+                weights,
+                h_epoch[:, batch],
+                picks_epoch[:, batch],
+                weights_epoch[:, batch],
+                arch.activation,
+                grads,
+            )
+            if hyper.optimizer == "adam":
+                step += 1
+                np.multiply(first, beta1, out=first)
+                np.multiply(gflat, 1 - beta1, out=scratch)
+                np.add(first, scratch, out=first)
+                np.square(gflat, out=gflat)
+                np.multiply(second, beta2, out=second)
+                np.multiply(gflat, 1 - beta2, out=gflat)
+                np.add(second, gflat, out=second)
+                np.divide(second, 1 - beta2**step, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                np.add(scratch, tiny, out=scratch)
+                np.divide(first, 1 - beta1**step, out=gflat)
+                np.multiply(gflat, lr, out=gflat)
+                np.divide(gflat, scratch, out=gflat)
+            else:
+                np.multiply(gflat, lr, out=gflat)
+            np.subtract(params, gflat, out=params)
+            if bound is not None:
+                for w in weights:
+                    _project_columns(w, bound, out=w)
+        trace[:, epoch] = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
     return weights, trace
 
 
@@ -541,6 +608,63 @@ class TestTrainStack:
             for got, want in zip(model.weights, want_weights):
                 assert np.array_equal(got, want[m])
         assert np.array_equal(risk, want_trace)
+
+    @given(
+        n_models=st.integers(1, 5),
+        n=st.integers(2, 30),
+        batch_size=st.integers(1, 9),
+        bias=st.booleans(),
+        weighted=st.booleans(),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        norm_bound=st.sampled_from([None, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_epoch_copy_algorithm(
+        self, n_models, n, batch_size, bias, weighted, optimizer, norm_bound, seed
+    ):
+        # batches gathered from the one stacked input equal slices of a
+        # permuted copy of it, partial last batches included
+        rng = np.random.default_rng(seed)
+        datasets = [
+            LabeledDataset(rng.normal(size=(n, 3)), rng.integers(0, 2, n), (0, 1))
+            for _ in range(n_models)
+        ]
+        weights = (
+            [rng.random(n) * (rng.random(n) < 0.7) + 1e-3 for _ in range(n_models)]
+            if weighted
+            else None
+        )
+        arch = MLPArchitecture((4 if bias else 3, 5, 2), bias=bias, norm_bound=norm_bound)
+        hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
+        seeds = rng.integers(0, 2**31, n_models).tolist()
+        models, risk = train_stack(datasets, arch, hyper, seeds, weights)
+        want_weights, want_trace = epoch_copy_train_stack(datasets, arch, hyper, seeds, weights)
+        for m, model in enumerate(models):
+            for got, want in zip(model.weights, want_weights):
+                assert np.array_equal(got, want[m])
+        assert np.array_equal(risk, want_trace)
+
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    def test_training_holds_one_stacked_input_copy(self, optimizer):
+        # an image-sized stack: 12 models of 200 rows of 196 pixels plus bias
+        rng = np.random.default_rng(40)
+        datasets = [
+            LabeledDataset(rng.random((200, 196)), np.repeat([1, -1], 100), (1, -1))
+            for _ in range(12)
+        ]
+        arch = MLPArchitecture((197, 8, 2))
+        hyper = TrainingHyperparameters(2, 20, 0.05, optimizer=optimizer)
+        tracemalloc.start()
+        try:
+            train_stack(datasets, arch, hyper, list(range(12)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stacked = 8 * 12 * 200 * 197
+        # the weights and gradients, and Adam's two moments and its scratch
+        params = 8 * 12 * (8 * 197 + 2 * 8) * (5 if optimizer == "adam" else 2)
+        assert peak < 1.3 * (stacked + params), (peak, stacked + params)
 
     @pytest.mark.parametrize("optimizer", ["gd", "adam"])
     @pytest.mark.parametrize("n_models", [1, 3])
