@@ -14,13 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Record
-from .mlp import (
-    LabeledDataset,
-    TrainingDiverged,
-    TrainingHyperparameters,
-    binary_logit,
-    train_stack,
-)
+from .mlp import TrainingDiverged, TrainingHyperparameters, reference_logits, train_stack
 
 ERROR_CLAMP = 1e-10
 
@@ -68,6 +62,9 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
         if len(views) != n_agents or len(arch_per_agent) != n_agents:
             raise BoostingError("need one view and one architecture per agent")
         ys.append(labels.astype(float))
+    # the models' class indices: output 0 scores +1 and output 1 scores -1,
+    # so a positive logit decides +1
+    indices = [(y < 0).astype(np.intp) for y in ys]
 
     sample_w = [np.full(y.size, 1.0 / y.size) for y in ys]
     history = [[w.copy()] for w in sample_w]
@@ -82,19 +79,15 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
             if view.shape[0] != y.size:
                 raise BoostingError(f"agent {k} view has {view.shape[0]} rows, labels {y.size}")
             round_views.append(view)
-        datasets = [
-            LabeledDataset(view, labels, (+1, -1))
-            for view, (_, labels) in zip(round_views, scenes)
-        ]
         try:
             trained, _ = train_stack(
-                datasets, arch_per_agent[k], hyper, [s[k] for s in seeds], sample_w
+                round_views, indices, arch_per_agent[k], hyper, [s[k] for s in seeds], sample_w
             )
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"AdaBoost round {k}, agent {k}: {exc}", exc.model) from exc
         for r, (model, view, y) in enumerate(zip(trained, round_views, ys)):
             models[r].append(model)
-            decisions = sign_decision(binary_logit(model, view))
+            decisions = sign_decision(reference_logits(model, view)[..., 0])
             err = float(np.sum(sample_w[r] * (decisions != y)))
             if err < ERROR_CLAMP or err > 1.0 - ERROR_CLAMP:
                 degenerate[r].append(k)
@@ -120,7 +113,7 @@ def adaboost_decide(ensemble: BoostedEnsemble, features_per_agent) -> np.ndarray
         raise BoostingError("need one feature view per trained agent")
     total = None
     for model, vote, feats in zip(ensemble.models, ensemble.votes, features_per_agent):
-        contribution = sign_decision(binary_logit(model, feats))
+        contribution = sign_decision(reference_logits(model, feats)[..., 0])
         contribution *= vote
         if total is None:
             total = contribution

@@ -64,7 +64,7 @@ class ExperimentConfig(Record, hidden=("raw",)):
     hyper: TrainingHyperparameters
     repetitions: int
     train_per_class: int
-    schedule: RegimeSchedule  # covers max(stream_length, montecarlo horizon) steps
+    schedule: RegimeSchedule  # class indices over max(stream_length, montecarlo horizon) steps
     stream_length: int
     montecarlo: dict
     theory: dict
@@ -84,8 +84,9 @@ class ExperimentConfig(Record, hidden=("raw",)):
 
     @functools.cached_property
     def scene(self) -> tuple:
-        """The data source: (gaussian spec, None), or (label -> image pool,
-        patch layout) with the pools read on first use, once per process."""
+        """The data source: (gaussian spec, None), or (the image pools in
+        class order, patch layout) with the pools read on first use, once per
+        process."""
         if self.layout is None:
             return self.gaussian, None
         return _image_pools(self), self.layout
@@ -150,9 +151,10 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
     return GaussianSceneSpec(tuple(models), tuple(classes))
 
 
-def _image_pools(cfg: ExperimentConfig) -> dict:
-    """label -> uint8 images of that class, in file order: views of one
-    class-sorted array, which never holds rows of labels no class uses."""
+def _image_pools(cfg: ExperimentConfig) -> tuple:
+    """The uint8 images of each class in class order, each pool in file
+    order: views of one class-sorted array, which never holds rows of labels
+    no class uses."""
     files = {name: entry["path"] for name, entry in cfg.dataset["files"].items()}
     height, width = cfg.layout.height, cfg.layout.width
     raws = tuple(dict.fromkeys(cfg.raw_labels))
@@ -170,14 +172,14 @@ def _image_pools(cfg: ExperimentConfig) -> dict:
         kept = positions >= 0
         pooled = np.empty((kept.sum(), height, width), dtype=np.uint8)
         pooled[positions[kept]] = images[kept]
-    pools = {}
+    pools = []
     for label, raw in zip(cfg.classes, cfg.raw_labels):
         c = raws.index(raw)
         if counts[c] == 0:
             raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
         start = counts[:c].sum()
-        pools[label] = pooled[start : start + counts[c]]
-    return pools
+        pools.append(pooled[start : start + counts[c]])
+    return tuple(pools)
 
 
 def gaussian_spec_to_json(spec: GaussianSceneSpec) -> dict:
@@ -293,8 +295,9 @@ _MONTECARLO_KEYS = ("replications", "eval_streams", "horizon", "observe_agent", 
 
 
 def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
-    """The true-state schedule of ``spec``, a periodic one over ``length``
-    steps: the longest stream a command draws, each reading a prefix.
+    """The true-state schedule of ``spec`` in class indices, a periodic one
+    over ``length`` steps: the longest stream a command draws, each reading a
+    prefix.
 
     Every state must equal a class label of the same type, so ``true`` or
     ``1.0`` does not pass for the class ``1``.  The ordering rules are the
@@ -322,13 +325,15 @@ def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
                 raise ConfigError(f"schedule segments must be [start, state] pairs, got {pair!r}")
             _integer(pair[0], "schedule segment start")
         states = [state for _, state in segments]
+    keys = [(type(label), label) for label in classes]
     for state in states:
-        if not any(type(state) is type(label) and state == label for label in classes):
+        if (type(state), state) not in keys:
             raise ConfigError(f"schedule state {state!r} is not one of the classes {list(classes)}")
+    indices = [keys.index((type(state), state)) for state in states]
     try:
         if "period" in spec:
-            return periodic_schedule(period, states, length)
-        return RegimeSchedule(tuple(segments))
+            return periodic_schedule(period, indices, length)
+        return RegimeSchedule(tuple(zip((start for start, _ in segments), indices)))
     except SocialLearningError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 

@@ -19,7 +19,6 @@ import warnings
 import numpy as np
 
 from .base import Record, ValidationError
-from .mlp import LabeledDataset
 from .seeds import generators
 from .social import RegimeSchedule
 
@@ -90,19 +89,13 @@ class GaussianSceneSpec(Record):
         return self.models[agent][self.classes[0]].mean.size
 
 
-def gaussian_training_set(
-    spec: GaussianSceneSpec, agent: int, per_class: int, seed
-) -> LabeledDataset:
-    """Balanced labeled draws, ``per_class`` samples for every class."""
+def gaussian_training_set(spec: GaussianSceneSpec, agent: int, per_class: int, seed) -> tuple:
+    """Balanced labeled draws, ``per_class`` samples for every class:
+    ``(features, labels)``, each label an index into ``spec.classes``."""
     (rng,) = generators([seed])
-    feats = []
-    labels = []
-    for label in spec.classes:
-        feats.append(spec.models[agent][label].sample(rng, per_class))
-        labels.extend([label] * per_class)
-    dataset = LabeledDataset(np.vstack(feats), np.array(labels, dtype=object), spec.classes)
-    order = rng.permutation(len(dataset))
-    return LabeledDataset(dataset.features[order], dataset.labels[order], spec.classes)
+    feats = np.vstack([spec.models[agent][label].sample(rng, per_class) for label in spec.classes])
+    order = rng.permutation(feats.shape[0])
+    return feats[order], np.repeat(np.arange(len(spec.classes)), per_class)[order]
 
 
 def one_informative_gaussian_spec(
@@ -239,15 +232,15 @@ def prediction_streams(
     schedule puts in force.
 
     Returns ``(views, states)``: ``views[k]`` holds agent k's features, shape
-    (S, T, d_k) with one row per stream, and ``states`` the (T,) true-state
-    track that every stream of the batch shares.
+    (S, T, d_k) with one row per stream, and ``states`` the (T,) true
+    class-index track that every stream of the batch shares.
 
     ``source`` is either a ``GaussianSceneSpec`` (each agent gets a fresh
-    draw from its own likelihood) or a mapping label -> image array, in which
-    case one image per step is picked with replacement and split through
-    ``layout``.  Draws are independent across steps, and stream s reads only
-    its own generator ``generators(seeds)[s]``, so it is the same stream
-    whatever batch it is drawn in.
+    draw from its own likelihood) or the image arrays of the classes in class
+    order, in which case one image per step is picked with replacement and
+    split through ``layout``.  Draws are independent across steps, and stream
+    s reads only its own generator ``generators(seeds)[s]``, so it is the
+    same stream whatever batch it is drawn in.
     """
     states = schedule.states(length)
     rngs = generators(seeds)
@@ -264,25 +257,23 @@ def prediction_streams(
             rng.standard_normal(out=row)
         views = [np.empty((n_streams, length, d)) for d in dims]
         offset = 0
-        for label in active:
-            idx = np.flatnonzero(states == label)
+        for j in active:
+            idx = np.flatnonzero(states == j)
             for k, d in enumerate(dims):
                 block = z[:, offset : offset + idx.size * d].reshape(n_streams, idx.size, d)
-                views[k][:, idx] = source.models[k][label].transform(block)
+                views[k][:, idx] = source.models[k][source.classes[j]].transform(block)
                 offset += idx.size * d
         return views, states
     if layout is None:
         raise DataError("image sources need a patch layout")
-    for label in active:
-        if label not in source:
-            raise DataError(f"class {label!r} missing from the image source")
-        if len(source[label]) == 0:
-            raise DataError(f"class {label!r} has no images")
+    for j in active:
+        if j >= len(source) or len(source[j]) == 0:
+            raise DataError(f"class {j} has no images in the image source")
     # only the picked images are scaled, never a whole pool
     picks = np.empty((n_streams, length, layout.height, layout.width))
-    for label in active:
-        idx = np.flatnonzero(states == label)
-        pool = np.asarray(source[label])
+    for j in active:
+        idx = np.flatnonzero(states == j)
+        pool = np.asarray(source[j])
         chosen = np.stack([rng.integers(pool.shape[0], size=idx.size) for rng in rngs])
         picks[:, idx] = scale_pixels(pool[chosen])
     flat = _patches(picks.reshape(-1, layout.height, layout.width), layout)

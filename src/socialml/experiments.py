@@ -27,7 +27,7 @@ from .config import (
     ExperimentConfig,
 )
 from .graph import perron_eigenvector
-from .mlp import LabeledDataset, TrainingDiverged, save_model, train_stack
+from .mlp import TrainingDiverged, save_model, train_stack
 from .seeds import derived_seeds, generators
 from .social import PredictionRun, run_prediction
 from .stats import make_debiased_statistic
@@ -94,36 +94,32 @@ def _trajectory_lines(run: PredictionRun, states, classes):
 
     A row is (run_id, i, agent, gamma, lambda, decision, true_state,
     correct) for every step i, agent and lambda component ``gamma``, the
-    classes after the reference one; ``states`` is the true-state track.
+    classes after the reference one; ``states`` is the true class-index
+    track.  The class labels become text here.
     """
     _, n_agents, width = run.lam.shape
     per_step = n_agents * width
     steps = max(1, TRAJECTORY_BLOCK_ROWS // per_step)
+    texts = [str(label) for label in classes]
     # a row is four pieces, each built a column at a time: "0,<i>",
     # ",<agent>,<gamma>,", repr(lambda) and ",<decision>,<true_state>,<correct>\n"
-    fixed = [f",{k},{gamma}," for k in range(n_agents) for gamma in classes[1:]] * steps
-    decisions = [str(label) for label in classes]
-    # tails[t, p, c] ends a row whose true state has the t-th text seen, whose
-    # pick is class p and whose correct flag is c
-    texts: dict = {}
-    tails = ()
+    fixed = [f",{k},{gamma}," for k in range(n_agents) for gamma in texts[1:]] * steps
+    # tails[t, p, c] ends a row whose true state is class t, whose pick is
+    # class p and whose correct flag is c
+    tails = np.array(
+        [[[f",{d},{t},{c}\n" for c in (0, 1)] for d in texts] for t in texts], dtype=object
+    )
     pieces = [None] * (4 * steps * per_step)
     for lo in range(0, run.horizon, steps):
         hi = min(lo + steps, run.horizon)
         rows = (hi - lo) * per_step
         del pieces[4 * rows :]  # only the last block can be shorter
-        truth = [texts.setdefault(str(state), len(texts)) for state in states[lo:hi].tolist()]
-        if len(texts) > len(tails):  # a true state not seen before
-            tails = np.array(
-                [[[f",{d},{text},{c}\n" for c in (0, 1)] for d in decisions] for text in texts],
-                dtype=object,
-            )
         lead = np.array([f"0,{i}" for i in range(lo, hi)], dtype=object)
         pieces[0::4] = np.repeat(lead, per_step).tolist()
         pieces[1::4] = fixed[:rows]
         pieces[2::4] = map(repr, run.lam[lo:hi].ravel().tolist())
         # a bool array would index as a mask, so correct goes in as 0 or 1
-        tail = tails[np.array(truth)[:, None], run.picks[lo:hi], run.correct[lo:hi].view(np.uint8)]
+        tail = tails[states[lo:hi, None], run.picks[lo:hi], run.correct[lo:hi].view(np.uint8)]
         pieces[3::4] = np.repeat(tail, width, axis=1).ravel().tolist()
         yield "".join(pieces)
 
@@ -139,36 +135,36 @@ def _scene_generators(cfg: ExperimentConfig, reps) -> list:
 def shared_scene_training(cfg: ExperimentConfig, rep: int, rng=None) -> tuple:
     """Balanced training scenes shared by all agents: (views, labels).
 
-    Labels are common to the network (all agents observe the same scenes);
-    each agent's view is its own draw (gaussian) or patch (images).  ``rng``
-    is repetition ``rep``'s training-data generator, for callers that derive
-    those of many repetitions at once; by default it is derived here.
+    Labels are class indices, common to the network (all agents observe the
+    same scenes); each agent's view is its own draw (gaussian) or patch
+    (images).  ``rng`` is repetition ``rep``'s training-data generator, for
+    callers that derive those of many repetitions at once; by default it is
+    derived here.
     """
     per_class = cfg.train_per_class
     if per_class < 1:
         raise ConfigError("training needs train_per_class >= 1")
     if rng is None:
         (rng,) = _scene_generators(cfg, [rep])
-    labels = np.repeat(np.array(cfg.classes, dtype=object), per_class)
+    labels = np.repeat(np.arange(len(cfg.classes)), per_class)
     labels = labels[rng.permutation(labels.size)]
     source, layout = cfg.scene
     if layout is None:
         views = []
         for k in range(cfg.n_agents):
             view = np.empty((labels.size, source.dimension(k)))
-            for label in cfg.classes:
-                idx = np.flatnonzero(labels == label)
+            for j, label in enumerate(cfg.classes):
+                idx = np.flatnonzero(labels == j)
                 view[idx] = source.models[k][label].sample(rng, idx.size)
             views.append(view)
         return views, labels
     # the picked images keep their pixel type, so split_patches scales each once
-    dtype = np.result_type(*(source[label] for label in cfg.classes))
+    dtype = np.result_type(*source)
     picks = np.empty((labels.size, layout.height, layout.width), dtype=dtype)
-    for label in cfg.classes:
-        idx = np.flatnonzero(labels == label)
-        pool = source[label]
+    for j, pool in enumerate(source):
+        idx = np.flatnonzero(labels == j)
         if pool.shape[0] < per_class:
-            raise ConfigError(f"class {label!r}: {pool.shape[0]} images < {per_class}")
+            raise ConfigError(f"class {cfg.classes[j]!r}: {pool.shape[0]} images < {per_class}")
         chosen = rng.choice(pool.shape[0], size=idx.size, replace=False)
         picks[idx] = pool[chosen]
     return data_mod.split_patches(picks, layout), labels
@@ -187,10 +183,6 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
     ``TrainingDiverged`` naming its agent, with ``model`` set to its
     position in ``reps``.
     """
-    datasets = [
-        [LabeledDataset(views[k], labels, cfg.classes) for k in range(cfg.n_agents)]
-        for views, labels in scenes
-    ]
     groups: dict = {}
     for i in range(len(reps)):
         for k, arch in enumerate(cfg.arch_by_agent):
@@ -201,7 +193,11 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
         seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(reps[i], k) for i, k in pairs])
         try:
             trained, risk = train_stack(
-                [datasets[i][k] for i, k in pairs], arch, cfg.hyper, seeds
+                [scenes[i][0][k] for i, k in pairs],
+                [scenes[i][1] for i, _ in pairs],
+                arch,
+                cfg.hyper,
+                seeds,
             )
         except TrainingDiverged as exc:
             i, k = pairs[exc.model]
@@ -210,8 +206,11 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
             models[i][k] = model
             risks[i, k] = trace
     statistics = [
-        [make_debiased_statistic(model, datasets[i][k], agent=k) for k, model in enumerate(row)]
-        for i, row in enumerate(models)
+        [
+            make_debiased_statistic(model, views[k], labels, cfg.classes, agent=k)
+            for k, model in enumerate(row)
+        ]
+        for row, (views, labels) in zip(models, scenes)
     ]
     return models, risks, statistics
 
@@ -263,7 +262,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         source, cfg.schedule, cfg.stream_length, seeds, layout
     )
     run = run_prediction(
-        cfg.matrix, statistics, [v[0] for v in views], states, cfg.classes, delta=cfg.delta
+        cfg.matrix, statistics, [v[0] for v in views], states, len(cfg.classes), delta=cfg.delta
     )
 
     _write_csv(
@@ -289,7 +288,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
             {
                 "start": start,
                 "end": end,
-                "state": str(state),
+                "state": str(cfg.classes[state]),
                 "accuracy_per_agent": accuracy.tolist(),
                 "adaptation_steps_per_agent": adaptation,
             }
@@ -325,9 +324,16 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
         if "sml" in strategies:
             _, _, stats = train_agents(cfg, reps, scenes)
         if "adaboost" in strategies:
+            # AdaBoost takes the labels +1 and -1 themselves: signs[j] for class j
+            signs = np.array(cfg.classes)
             rows = [(rep, k) for rep in reps for k in range(cfg.n_agents)]
             seeds = derived_seeds(cfg.seed, PHASE_BOOST_MODEL, rows).reshape(len(reps), -1)
-            ensembles = adaboost_train_stack(scenes, list(cfg.arch_by_agent), cfg.hyper, seeds)
+            ensembles = adaboost_train_stack(
+                [(views, signs[labels]) for views, labels in scenes],
+                list(cfg.arch_by_agent),
+                cfg.hyper,
+                seeds,
+            )
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"replication {reps[exc.model]}, {exc}", exc.model) from exc
     del scenes
@@ -340,13 +346,15 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
         views, states = data_mod.prediction_streams(source, cfg.schedule, horizon, seeds, layout)
         errors = {}
         if stats is not None:
-            run = run_prediction(cfg.matrix, stats[i], views, states, cfg.classes, delta=cfg.delta)
+            run = run_prediction(
+                cfg.matrix, stats[i], views, states, len(cfg.classes), delta=cfg.delta
+            )
             errors["sml"] = np.mean(~run.correct[:, :, mc["observe_agent"]], axis=0)
             del run  # freed before the AdaBoost pass evaluates its models
         if ensembles is not None:
             flat = [feats.reshape(n_streams * horizon, -1) for feats in views]
             picks = adaboost_decide(ensembles[i], flat).reshape(n_streams, horizon)
-            errors["adaboost"] = np.mean(picks != states, axis=0)
+            errors["adaboost"] = np.mean(picks != signs[states], axis=0)
         out.append(errors)
     return out
 

@@ -2,9 +2,9 @@
 
 The network computes pre-activations layer by layer, applies the activation
 between layers only, and turns the final pre-activations z into approximate
-posteriors with a softmax.  Class order is fixed by the dataset's ``classes``
-tuple: output unit j scores ``classes[j]`` and ``classes[0]`` is the reference
-class for every logit.  A bias is folded in as a constant trailing input
+posteriors with a softmax.  A class is an index 0..M-1: output unit j scores
+class j, and class 0 is the reference class for every logit.  Training
+labels are these indices.  A bias is folded in as a constant trailing input
 feature, so the first layer width counts one slot more than the raw feature
 dimension when ``bias`` is set.
 """
@@ -125,51 +125,6 @@ class TrainingHyperparameters(Record):
             raise ModelError("init scale must be positive")
 
 
-class LabeledDataset(Record):
-    """One agent's feature view with labels drawn from ``classes``."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    classes: tuple
-
-    def __post_init__(self):
-        feats = np.atleast_2d(np.asarray(self.features, dtype=float))
-        labels = np.asarray(self.labels)
-        if feats.shape[0] != labels.shape[0]:
-            raise ModelError(
-                f"{feats.shape[0]} feature rows vs {labels.shape[0]} labels"
-            )
-        classes = tuple(self.classes)
-        if len(set(classes)) != len(classes) or len(classes) < 2:
-            raise ModelError("classes must be at least two distinct labels")
-        unknown = set(labels.tolist()) - set(classes)
-        if unknown:
-            raise ModelError(f"labels {unknown} not in classes {classes}")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "classes", classes)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def class_counts(self) -> dict:
-        return {c: int(np.sum(self.labels == c)) for c in self.classes}
-
-    @property
-    def balanced(self) -> bool:
-        counts = list(self.class_counts.values())
-        return len(set(counts)) == 1
-
-    def label_indices(self) -> np.ndarray:
-        lookup = {c: j for j, c in enumerate(self.classes)}
-        return np.array([lookup[l] for l in self.labels.tolist()], dtype=int)
-
-
 class MLPModel(Record, hidden=("weights",)):
     architecture: MLPArchitecture
     weights: tuple
@@ -245,14 +200,6 @@ def output_preactivations(model: MLPModel, features) -> np.ndarray:
     return z[0] if single else z
 
 
-def binary_logit(model: MLPModel, features) -> np.ndarray:
-    """Log posterior ratio of the reference class versus the other, z_0 - z_1."""
-    if model.architecture.n_outputs != 2:
-        raise ModelError("binary logit needs a 2-output model")
-    z = output_preactivations(model, features)
-    return z[..., 0] - z[..., 1]
-
-
 def reference_logits(model: MLPModel, features) -> np.ndarray:
     """Pairwise logits against the reference class: z_0 - z_gamma, gamma > 0.
 
@@ -272,25 +219,28 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(np.clip(-np.abs(x), -EXP_CLAMP, 0.0)))
 
 
-def logistic_risk(logit_source, dataset: LabeledDataset) -> float:
-    """Mean log(1 + exp(-y f(h))) over the dataset, labels in {-1, +1}.
+def logistic_risk(logit_source, features, labels) -> float:
+    """Mean log(1 + exp(-y f(h))) over feature rows h with labels y in {-1, +1}.
 
-    ``logit_source`` may be a trained 2-output model, a callable mapping a
-    feature batch to logit values, or precomputed per-sample logits.
+    ``logit_source`` may be a trained 2-output model, whose output 0 scores
+    +1, a callable mapping a feature batch to logit values, or precomputed
+    per-sample logits.
     """
-    if len(dataset) == 0:
+    y = np.asarray(labels, dtype=float)
+    if y.size == 0:
         raise ModelError("empty dataset")
-    if set(dataset.classes) != {-1, +1}:
+    if set(y.tolist()) - {-1.0, 1.0}:
         raise ModelError("logistic risk is defined for labels {-1, +1}")
     if isinstance(logit_source, MLPModel):
-        values = binary_logit(logit_source, dataset.features)
+        if logit_source.architecture.n_outputs != 2:
+            raise ModelError("logistic risk needs a 2-output model")
+        values = reference_logits(logit_source, features)[..., 0]
     elif callable(logit_source):
-        values = np.asarray(logit_source(dataset.features), dtype=float)
+        values = np.asarray(logit_source(features), dtype=float)
     else:
         values = np.asarray(logit_source, dtype=float)
-    if values.shape != (len(dataset),):
-        raise ModelError(f"expected {len(dataset)} logit values, got {values.shape}")
-    y = dataset.labels.astype(float)
+    if values.shape != y.shape:
+        raise ModelError(f"expected {y.size} logit values, got {values.shape}")
     return float(np.mean(softplus(-y * values)))
 
 
@@ -302,22 +252,12 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _log_posteriors(model: MLPModel, features) -> np.ndarray:
-    return _log_softmax(output_preactivations(model, np.atleast_2d(features)))
-
-
-def cross_entropy_risk(model: MLPModel, dataset: LabeledDataset) -> float:
-    """Mean negative log approximate posterior of the true class."""
-    if len(dataset) == 0:
-        raise ModelError("empty dataset")
-    if model.architecture.n_outputs != len(dataset.classes):
-        raise ModelError(
-            f"model has {model.architecture.n_outputs} outputs for "
-            f"{len(dataset.classes)} classes"
-        )
-    logp = _log_posteriors(model, dataset.features)
-    idx = dataset.label_indices()
-    return float(-np.mean(logp[np.arange(len(dataset)), idx]))
+def cross_entropy_risk(model: MLPModel, features, labels) -> float:
+    """Mean negative log approximate posterior of the true class, over
+    feature rows and their class indices."""
+    (labels,), _ = _check_stack([features], [labels], model.architecture, None)
+    logp = _log_softmax(output_preactivations(model, features))
+    return float(-np.mean(logp[np.arange(labels.size), labels]))
 
 
 def _project_columns(w: np.ndarray, bound: float, out=None) -> np.ndarray:
@@ -390,31 +330,30 @@ def _batch_normalized(row_weights: np.ndarray, batch_size: int) -> np.ndarray:
     return out
 
 
-def _check_stack(datasets, arch: MLPArchitecture, seeds, sample_weights) -> np.ndarray:
-    """Validate a stack of training sets; returns the normalized (S, n) weights."""
-    if len(datasets) == 0:
-        raise ModelError("datasets: need at least one training set")
-    if len(seeds) != len(datasets):
-        raise ModelError(f"seeds: {len(seeds)} seeds for {len(datasets)} datasets")
-    n, classes = len(datasets[0]), datasets[0].classes
-    for m, dataset in enumerate(datasets):
-        if len(dataset) != n:
-            raise ModelError(f"datasets: dataset {m} has {len(dataset)} rows, dataset 0 has {n}")
-        if dataset.classes != classes:
-            raise ModelError(
-                f"classes: dataset {m} has classes {dataset.classes}, dataset 0 has {classes}"
-            )
-        if dataset.dim != arch.n_features:
-            raise ModelError(f"dataset dim {dataset.dim} vs arch features {arch.n_features}")
+def _check_stack(features, labels, arch: MLPArchitecture, sample_weights) -> tuple:
+    """Validate a stack of training sets: ``features[m]`` holds set m's rows,
+    ``labels[m]`` their class indices.  Returns the (S, n) labels and the
+    normalized (S, n) sample weights."""
+    if len(features) == 0:
+        raise ModelError("features: need at least one training set")
+    if len(labels) != len(features):
+        raise ModelError(f"labels: {len(labels)} label vectors for {len(features)} training sets")
+    n = len(labels[0])
+    for m, (feats, labs) in enumerate(zip(features, labels)):
+        if np.shape(labs) != (n,):
+            raise ModelError(f"labels: set {m} has labels of shape {np.shape(labs)}, set 0 has {n}")
+        if np.shape(feats) != (n, arch.n_features):
+            raise ModelError(f"features: set {m} is {np.shape(feats)}, not {(n, arch.n_features)}")
     if n == 0:
         raise ModelError("empty dataset")
-    if arch.n_outputs != len(classes):
-        raise ModelError("output layer width must match the number of classes")
+    labels = np.stack(labels)
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= arch.n_outputs:
+        raise ModelError(f"labels: class indices must be integers in [0, {arch.n_outputs})")
     if sample_weights is None:
-        return np.full((len(datasets), n), 1.0 / n)
-    if len(sample_weights) != len(datasets):
+        return labels, np.full((len(features), n), 1.0 / n)
+    if len(sample_weights) != len(features):
         raise ModelError(
-            f"sample_weights: {len(sample_weights)} weight vectors for {len(datasets)} datasets"
+            f"sample_weights: {len(sample_weights)} weight vectors for {len(features)} sets"
         )
     rows = []
     for sw in sample_weights:
@@ -422,7 +361,7 @@ def _check_stack(datasets, arch: MLPArchitecture, seeds, sample_weights) -> np.n
         if sw.shape != (n,) or np.any(sw < 0) or sw.sum() <= 0:
             raise ModelError("sample weights must be nonnegative with positive sum")
         rows.append(sw / sw.sum())
-    return np.stack(rows)
+    return labels, np.stack(rows)
 
 
 def _flat_views(buffer: np.ndarray, shapes) -> list:
@@ -440,28 +379,33 @@ def _first_nonfinite(values: np.ndarray) -> int:
 
 
 def train_stack(
-    datasets,
+    features,
+    labels,
     arch: MLPArchitecture,
     hyper: TrainingHyperparameters,
     seeds,
     sample_weights=None,
 ) -> tuple:
-    """Mini-batch ERM of S same-shape models in lockstep, one per dataset.
+    """Mini-batch ERM of S same-shape models in lockstep, one per training set.
 
-    Returns ``(models, risk)``: the S trained models in dataset order and the
-    (S, epochs) empirical risk of each model after every epoch.
+    Returns ``(models, risk)``: the S trained models in training-set order
+    and the (S, epochs) empirical risk of each model after every epoch.
 
-    Model m trains on ``datasets[m]`` exactly as it would alone: its own
+    Model m trains on the (n, d) rows ``features[m]``, labeled with the class
+    indices ``labels[m]``, exactly as it would alone: its own
     generator ``generators(seeds)[m]`` draws the initial weights and then one
     permutation per epoch, and its optional ``sample_weights[m]`` multiply the
     per-sample losses (weighted mean per batch).  Every step is one batched
     matmul per layer over the model axis and one optimizer pass over all
     weights, which share one flat buffer; with a norm bound set, every update
-    is followed by a column-sum projection.  The datasets must share their
-    length and classes; a non-finite loss raises ``TrainingDiverged`` naming
-    the first diverged model's stack index.
+    is followed by a column-sum projection.  The training sets must share
+    their length, and the class indices lie below the output width; a
+    non-finite loss raises ``TrainingDiverged`` naming the first diverged
+    model's stack index.
     """
-    row_weights = _check_stack(datasets, arch, seeds, sample_weights)
+    labels, row_weights = _check_stack(features, labels, arch, sample_weights)
+    if len(seeds) != len(features):
+        raise ModelError(f"seeds: {len(seeds)} seeds for {len(features)} training sets")
     n_models, n = row_weights.shape
     rngs = generators(seeds)
     sizes = arch.layer_sizes
@@ -472,17 +416,16 @@ def train_stack(
     for m, rng in enumerate(rngs):
         for w, init in zip(weights, initialize_model(arch, rng, hyper.init_scale).weights):
             w[m] = init
-    # the inputs in dataset order, augmented in place: the one stacked copy
-    # of them, which every mini-batch is gathered from
+    # the inputs in training-set order, augmented in place: the one stacked
+    # copy of them, which every mini-batch is gathered from
     h = np.empty((n_models, n, sizes[0]))
-    for m, dataset in enumerate(datasets):
-        h[m, :, : arch.n_features] = dataset.features
+    for m, feats in enumerate(features):
+        h[m, :, : arch.n_features] = feats
     if arch.bias:
         h[:, :, -1] = 1.0
     # one ``take`` on the rows of all models gathers a mini-batch: a third of
     # the per-step cost of indexing h with (model, row) pairs at small batches
     h_rows = h.reshape(n_models * n, -1)
-    labels = np.stack([dataset.label_indices() for dataset in datasets])
     rows = np.arange(n_models)[:, None]
     risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
     offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
@@ -555,23 +498,21 @@ def train_stack(
     return models, trace
 
 
-def gradient_check(model: MLPModel, dataset: LabeledDataset, eps: float = 1e-5) -> float:
+def gradient_check(model: MLPModel, features, labels, eps: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences.
 
     The error of each weight matrix is the largest entrywise deviation scaled
     by the largest gradient entry of that matrix, so near-zero entries do not
     blow up the ratio.  Intended for small models (< 1e4 parameters).
     """
-    if len(dataset) == 0:
-        raise ModelError("empty dataset")
+    arch = model.architecture
+    labels, uniform = _check_stack([features], [labels], arch, None)
     n_params = sum(w.size for w in model.weights)
     if n_params > 10_000:
         raise ModelError(f"{n_params} parameters is too large for finite differences")
-    arch = model.architecture
-    n = len(dataset)
-    h = _augment(arch, dataset.features)[None]
-    picks = _pick_offsets(1, n, n, arch.n_outputs) + dataset.label_indices()
-    uniform = np.full((1, n), 1.0 / n)
+    n = labels.shape[1]
+    h = _augment(arch, features)[None]
+    picks = _pick_offsets(1, n, n, arch.n_outputs) + labels
     weights = [w[None].copy() for w in model.weights]
     _, grads = _stack_gradients(weights, h, picks, uniform, arch.activation)
 

@@ -27,7 +27,7 @@ class SocialLearningError(ValidationError):
 
 
 class RegimeSchedule(Record):
-    """Contiguous segments of (start index, true state) covering the stream."""
+    """Contiguous segments of (start index, true class index) covering the stream."""
 
     segments: tuple
 
@@ -41,18 +41,16 @@ class RegimeSchedule(Record):
         object.__setattr__(self, "segments", segs)
 
     def states(self, length: int) -> np.ndarray:
-        """True-state track over [0, length)."""
-        track = np.empty(length, dtype=object)
+        """True class-index track over [0, length), which the segments cover."""
+        track = np.empty(length, dtype=np.intp)
         starts = [s for s, _ in self.segments] + [length]
         for (start, state), end in zip(self.segments, starts[1:]):
             track[start:min(end, length)] = state
-        if length > 0 and track[length - 1] is None:
-            raise SocialLearningError("schedule does not cover the stream")
         return track
 
 
 def periodic_schedule(period: int, states, length: int) -> RegimeSchedule:
-    """Cycle through ``states``, switching every ``period`` steps."""
+    """Cycle through the class indices ``states``, switching every ``period`` steps."""
     if period < 1:
         raise SocialLearningError("period must be positive")
     segments = [
@@ -178,33 +176,30 @@ def run_prediction(
     providers,
     features_per_agent,
     true_states,
-    classes,
+    n_classes: int,
     delta: float | None = None,
 ) -> PredictionRun:
     """Diffuse the agents' statistics over feature streams and decide.
 
     ``features_per_agent[k]`` holds agent k's observations, shape (T, d_k) for
     one stream or (..., T, d_k) for a batch of streams (ndim >= 3);
-    ``true_states`` is the label track, shared by every stream, that the
-    decisions are scored against.  The run holds lambda, the decided class
-    indices into ``classes`` and whether each is right.  Without ``delta``
+    ``true_states`` is the class-index track, shared by every stream, that
+    the decisions are scored against.  The run holds lambda, the decided
+    class indices and whether each is right.  Without ``delta``
     the beliefs diffuse by the standard step, with it by the adaptive one, as
     in ``diffuse``.
     Providers must be pure functions of the observation; they are applied to
     each agent's whole batch in one vectorized pass and the recursion consumes
     the values in time order, so no engine-level caching exists.
     """
-    classes = tuple(classes)
     n_agents = matrix.size
     if len(providers) != n_agents or len(features_per_agent) != n_agents:
         raise SocialLearningError("providers and feature views must cover all agents")
-    true_states = np.asarray(true_states, dtype=object)
-    index = {label: i for i, label in enumerate(classes)}
-    try:
-        truth = np.array([index[g] for g in true_states.tolist()], dtype=int)
-    except KeyError as exc:
-        raise SocialLearningError(f"true state {exc.args[0]!r} not in classes") from None
-    horizon = len(true_states)
+    truth = np.asarray(true_states)
+    outside = truth[(truth < 0) | (truth >= n_classes)]
+    if outside.size:
+        raise SocialLearningError(f"true state {outside[0]} is not a class index below {n_classes}")
+    horizon = len(truth)
     feats = [np.asarray(f) for f in features_per_agent]
     batch = feats[0].shape[:-2]
     for k, f in enumerate(feats):
@@ -214,7 +209,7 @@ def run_prediction(
             raise SocialLearningError(f"agent {k} stream length != {horizon}")
 
     # statistics for all streams in one vectorized pass per agent
-    width = len(classes) - 1
+    width = n_classes - 1
     stat_track = np.empty(batch + (horizon, n_agents, width))
     for k, f in enumerate(feats):
         flat = f.reshape(-1, f.shape[-1]) if batch else f

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .base import Record, ValidationError
-from .mlp import LabeledDataset, MLPModel, reference_logits
+from .mlp import MLPModel, reference_logits
 
 DEBIAS_TOL = 1e-10
 
@@ -73,30 +73,30 @@ class DebiasedStatistic(Record):
 
 
 def make_debiased_statistic(
-    model: MLPModel, training: LabeledDataset, agent: int = 0
+    model: MLPModel, features, labels, classes, agent: int = 0
 ) -> DebiasedStatistic:
-    """Center the model's pairwise logits on the agent's training set.
+    """Center the model's pairwise logits on the agent's training set: the
+    rows ``features`` and their ``labels``, indices into ``classes``.
 
     Warns (rather than fails) on unbalanced training sets: the centering is
     still well defined, it just no longer symmetrizes the class-conditional
     means exactly.  Fails if some non-reference class has no training sample
     labeled with it or the reference class.
     """
-    if model.architecture.n_outputs != len(training.classes):
-        raise StatisticError("model outputs must match the dataset classes")
-    if not training.balanced:
+    if model.architecture.n_outputs != len(classes):
+        raise StatisticError("model outputs must match the classes")
+    counts = np.bincount(labels, minlength=len(classes)).tolist()
+    if len(set(counts)) != 1:
         warnings.warn(
-            f"agent {agent}: unbalanced training set {training.class_counts}; "
+            f"agent {agent}: unbalanced training set {dict(zip(classes, counts))}; "
             "centering uses the plain mean",
             stacklevel=2,
         )
-    logits = reference_logits(model, training.features)  # (N, M-1)
-    labels = training.labels
-    reference = training.classes[0]
-    means = np.empty(len(training.classes) - 1)
-    for j, cls in enumerate(training.classes[1:]):
-        pair = (labels == reference) | (labels == cls)
+    logits = reference_logits(model, features)  # (N, M-1)
+    means = np.empty(len(classes) - 1)
+    for j in range(1, len(classes)):
+        pair = (labels == 0) | (labels == j)
         if not np.any(pair):
-            raise StatisticError(f"no training samples labeled {reference} or {cls}")
-        means[j] = logits[pair, j].mean()
-    return DebiasedStatistic(agent, model, tuple(training.classes), means)
+            raise StatisticError(f"no training samples labeled {classes[0]} or {classes[j]}")
+        means[j - 1] = logits[pair, j - 1].mean()
+    return DebiasedStatistic(agent, model, tuple(classes), means)

@@ -25,7 +25,6 @@ from socialml.graph import (
     perron_eigenvector,
 )
 from socialml.mlp import (
-    LabeledDataset,
     MLPArchitecture,
     MLPModel,
     TrainingHyperparameters,
@@ -33,6 +32,7 @@ from socialml.mlp import (
     gradient_check,
     initialize_model,
     logistic_risk,
+    reference_logits,
     train_stack,
 )
 from socialml.social import (
@@ -68,21 +68,20 @@ def report(n, name, detail):
 
 def test_criterion_01_uninformed_risks():
     rng = np.random.default_rng(0)
-    ds = LabeledDataset(rng.normal(size=(64, 3)), np.array([1, -1] * 32), (1, -1))
-    gap = abs(logistic_risk(np.zeros(64), ds) - math.log(2))
+    feats = rng.normal(size=(64, 3))
+    gap = abs(logistic_risk(np.zeros(64), feats, np.array([1, -1] * 32)) - math.log(2))
     assert gap < 1e-15
 
     worst_ce = 0.0
     for m in (2, 3, 5, 10):
         feats = rng.normal(size=(30, 4))
         labels = np.arange(30) % m
-        dsm = LabeledDataset(feats, labels, tuple(range(m)))
         sizes = (5, m)
         zero = MLPModel(
             MLPArchitecture(sizes),
             (np.zeros((m, 5)),),
         )
-        worst_ce = max(worst_ce, abs(cross_entropy_risk(zero, dsm) - math.log(m)))
+        worst_ce = max(worst_ce, abs(cross_entropy_risk(zero, feats, labels) - math.log(m)))
     assert worst_ce < 1e-12
     report(1, "uninformed risks", f"log2 gap {gap:.1e}, worst logM gap {worst_ce:.1e}")
 
@@ -163,11 +162,10 @@ def test_criterion_05_debias_invariants():
     for trial in range(10):
         # binary agent
         feats = rng.normal(size=(60, 2)) + np.repeat([[0.4], [-0.4]], 30, axis=0)
-        labels = np.array([1] * 30 + [-1] * 30)
-        ds = LabeledDataset(feats, labels, (1, -1))
-        (model,), _ = train_stack([ds], MLPArchitecture((3, 6, 2)), hyper, [trial])
-        stat = make_debiased_statistic(model, ds)
-        worst_center = max(worst_center, abs(float(stat.scalar(ds.features).mean())))
+        labels = np.repeat([0, 1], 30)
+        (model,), _ = train_stack([feats], [labels], MLPArchitecture((3, 6, 2)), hyper, [trial])
+        stat = make_debiased_statistic(model, feats, labels, (1, -1))
+        worst_center = max(worst_center, abs(float(stat.scalar(feats).mean())))
 
         # the single general-path component must equal the binary path, and
         # its centering constant must equal the plain training mean
@@ -175,7 +173,7 @@ def test_criterion_05_debias_invariants():
         worst_reduction = max(
             worst_reduction,
             float(np.max(np.abs(stat.scalar(h) - stat(h)[:, 0]))),
-            abs(stat.train_means[0] - empirical_training_mean(model, ds.features)),
+            abs(stat.train_means[0] - empirical_training_mean(model, feats)),
         )
 
         # three-class agent
@@ -183,10 +181,10 @@ def test_criterion_05_debias_invariants():
             [[0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]], 20, axis=0
         )
         labels3 = np.repeat([0, 1, 2], 20)
-        ds3 = LabeledDataset(feats3, labels3, (0, 1, 2))
-        (model3,), _ = train_stack([ds3], MLPArchitecture((3, 6, 3)), hyper, [100 + trial])
-        stat3 = make_debiased_statistic(model3, ds3)
-        values = stat3(ds3.features)
+        arch3 = MLPArchitecture((3, 6, 3))
+        (model3,), _ = train_stack([feats3], [labels3], arch3, hyper, [100 + trial])
+        stat3 = make_debiased_statistic(model3, feats3, labels3, (0, 1, 2))
+        values = stat3(feats3)
         for j, cls in enumerate((1, 2)):
             pair = (labels3 == 0) | (labels3 == cls)
             worst_center = max(worst_center, abs(float(values[pair, j].mean())))
@@ -207,10 +205,8 @@ def test_criterion_06_gradient_check():
     for sizes, n_classes in (((2, 8, 2), 2), ((2, 8, 8, 3), 3)):
         feats = rng.normal(size=(16, sizes[0] - 1))
         labels = np.arange(16) % n_classes
-        classes = (1, -1) if n_classes == 2 else tuple(range(n_classes))
-        ds = LabeledDataset(feats, np.array([classes[j] for j in labels]), classes)
         model = initialize_model(MLPArchitecture(sizes), rng)
-        worst = max(worst, gradient_check(model, ds, eps=1e-5))
+        worst = max(worst, gradient_check(model, feats, labels, eps=1e-5))
     assert worst < 1e-5
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -225,7 +221,7 @@ def test_criterion_07_gaussian_scene_growth():
     # at this training budget individual runs stay noisy.
     start = time.monotonic()
     spec = one_informative_gaussian_spec()
-    sched = RegimeSchedule(((0, +1),))
+    sched = RegimeSchedule(((0, 0),))  # class +1
     hyper = TrainingHyperparameters(
         epochs=300, batch_size=3, learning_rate=1e-4,
         optimizer="adam", init_scale=3.0,
@@ -238,7 +234,8 @@ def test_criterion_07_gaussian_scene_growth():
         for k in range(4)
     }
     trained, _ = train_stack(
-        list(datasets.values()),
+        [feats for feats, _ in datasets.values()],
+        [labels for _, labels in datasets.values()],
         MLPArchitecture((3, 10, 10, 2)),
         hyper,
         [2000 + 13 * s + k for s, k in datasets],
@@ -246,10 +243,11 @@ def test_criterion_07_gaussian_scene_growth():
     models = dict(zip(datasets, trained))
     for s in range(10, 20):
         providers = [
-            make_debiased_statistic(models[s, k], datasets[s, k], agent=k) for k in range(4)
+            make_debiased_statistic(models[s, k], *datasets[s, k], spec.classes, agent=k)
+            for k in range(4)
         ]
         views, states = prediction_streams(spec, sched, 200, [3000 + s])
-        run = run_prediction(RING4, providers, [v[0] for v in views], states, (+1, -1))
+        run = run_prediction(RING4, providers, [v[0] for v in views], states, 2)
         lam100.append(float(run.lam[99, 0, 0]))
         lam200.append(float(run.lam[199, 0, 0]))
     mean100 = float(np.mean(lam100))
@@ -273,13 +271,11 @@ def test_criterion_08_adaptation_time():
     window = int(5 / delta)  # 50 steps
     spec = mean_shift_gaussian_spec(4, dim=1, shift=1.0)
     providers = [true_log_ratio(spec, k) for k in range(4)]
-    sched = RegimeSchedule(((0, +1), (flip, -1)))
+    sched = RegimeSchedule(((0, 0), (flip, 1)))  # +1, then -1
     recovered = 0
     for seed in range(100):
         views, states = prediction_streams(spec, sched, horizon, [seed])
-        run = run_prediction(
-            RING4, providers, [v[0] for v in views], states, (+1, -1), delta=delta
-        )
+        run = run_prediction(RING4, providers, [v[0] for v in views], states, 2, delta=delta)
         recovered += bool(np.all(run.correct[flip + window :]))
     assert recovered >= 90
     elapsed = time.monotonic() - start
@@ -400,8 +396,6 @@ def test_criterion_11_rademacher_suite():
     assert worst < 1e-12
 
     # norm-feasible families never exceed the analytic bound
-    from socialml.mlp import binary_logit
-
     for trial in range(20):
         n0 = int(rng.integers(2, 5))
         depth = int(rng.integers(1, 4))
@@ -410,7 +404,7 @@ def test_criterion_11_rademacher_suite():
         arch = MLPArchitecture(sizes, bias=False, norm_bound=b, input_bound=1.0)
         feats = rng.uniform(-1.0, 1.0, size=(8, n0))
         candidates = [
-            (lambda m: (lambda h: binary_logit(m, h)))(initialize_model(arch, rng))
+            (lambda m: (lambda h: reference_logits(m, h)[..., 0]))(initialize_model(arch, rng))
             for _ in range(12)
         ]
         est = rademacher_monte_carlo(candidates, feats, exact=True)

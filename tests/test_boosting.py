@@ -15,7 +15,7 @@ from socialml.mlp import (
     MLPArchitecture,
     TrainingDiverged,
     TrainingHyperparameters,
-    binary_logit,
+    reference_logits,
 )
 
 
@@ -58,7 +58,7 @@ class TestAdaboostTrain:
 
         # each agent alone errs on its flip set
         for k, view in enumerate(views):
-            own = sign_decision(binary_logit(ensemble.models[k], view))
+            own = sign_decision(reference_logits(ensemble.models[k], view)[:, 0])
             assert np.any(own != labels)
 
         # exhaustive-evaluation oracle over all 20 points: recompute the
@@ -67,7 +67,7 @@ class TestAdaboostTrain:
         for n in range(len(labels)):
             vote = 0.0
             for k in range(len(views)):
-                f = float(binary_logit(ensemble.models[k], views[k][n]))
+                f = float(reference_logits(ensemble.models[k], views[k][n])[..., 0])
                 vote += ensemble.votes[k] * (1.0 if f >= 0 else -1.0)
             expect = 1 if vote >= 0 else -1
             assert decisions[n] == expect

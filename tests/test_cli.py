@@ -25,9 +25,9 @@ from socialml.experiments import (
     replication_chunks,
     shared_scene_training,
 )
-from socialml.mlp import LabeledDataset, load_model, train_stack
+from socialml.mlp import load_model, train_stack
 from socialml.seeds import derived_seeds
-from socialml.social import periodic_schedule
+from socialml.social import decide, periodic_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_images_end_to_end import image_config, write_idx_dataset
@@ -219,6 +219,36 @@ class TestClassLabels:
         assert {len(row.split(",")) for row in rows} == {8}
         assert {row.split(",")[3] for row in rows} == {"2", "-x"}
 
+    def test_mixed_labels_keep_their_text(self, tmp_path):
+        # 1 and "1" are two classes written as one text: each row's decision,
+        # true state and correct flag follow the class indices, and a rerun
+        # writes the same bytes
+        classes = [1, "1", 3]
+        cfg = labelled_config(classes)
+        cfg["schedule"] = {"segments": [[0, 1], [7, "1"], [12, 3], [16, "1"]]}
+        truth = [0] * 7 + [1] * 5 + [2] * 4 + [1] * 4
+        path = write_config(tmp_path, cfg)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (outs[0] / "trajectory.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 20 * 4 * 2
+        assert [row[3] for row in rows] == ["1", "3"] * 20 * 4
+        # the lambda pair of a step and agent decides its class
+        picks = decide(np.array([float(row[4]) for row in rows]).reshape(20, 4, 2)).ravel()
+        tails = [row[5:] for row in rows[::2]]
+        assert tails == [row[5:] for row in rows[1::2]]
+        for (decision, state, correct), pick, i in zip(tails, picks, np.repeat(range(20), 4)):
+            assert decision == str(classes[pick])
+            assert state == str(classes[truth[i]])
+            assert correct == str(int(pick == truth[i]))
+        # some picks of class 1 during a "1" segment: same text, not correct
+        assert ["1", "1", "0"] in tails
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert [cycle["state"] for cycle in summary["cycles"]] == ["1", "1", "3", "1"]
+        for name in ("trajectory.csv", "summary.json", "manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 def _theory_override(**entries):
     return {"theory": {**base_config()["theory"], **entries}}
@@ -336,8 +366,7 @@ class TestCmdTrain:
         views, labels = shared_scene_training(cfg, rep=0)
         for k in range(4):
             seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(0, k)])
-            dataset = LabeledDataset(views[k], labels, cfg.classes)
-            (alone,), _ = train_stack([dataset], cfg.arch_by_agent[k], cfg.hyper, seeds)
+            (alone,), _ = train_stack([views[k]], [labels], cfg.arch_by_agent[k], cfg.hyper, seeds)
             saved = load_model(out / "models" / f"agent_{k}.json")
             assert saved.architecture.n_features == (1, 2, 1, 2)[k]
             for got, want in zip(saved.weights, alone.weights):
@@ -539,7 +568,7 @@ class TestScheduleValidation:
         raw["montecarlo"]["horizon"] = horizon
         schedule = validate_config(raw).schedule
         for length in (stream_length, horizon):
-            alone = periodic_schedule(period, [1, -1], length)
+            alone = periodic_schedule(period, [0, 1], length)
             assert np.array_equal(schedule.states(length), alone.states(length))
             assert [s for s in schedule.segments if s[0] < length] == list(alone.segments)
 
@@ -1030,8 +1059,9 @@ def fake_pool(monkeypatch):
 
 class TestMontecarloClasses:
     def test_reference_class_minus_one(self, tmp_path):
-        # with -1 as the reference class, lambda >= 0 decides -1; a well
-        # separated scene must then be classified, not inverted
+        # with -1 as the reference class, lambda >= 0 decides -1, and AdaBoost
+        # still takes +1 and -1 as they are; a well separated scene must then
+        # be classified, not inverted, by both strategies
         cfg = base_config(
             classes=[-1, 1],
             data={"type": "gaussian", "agents": gaussian_agents(4, 1, 1.0)},
@@ -1043,13 +1073,14 @@ class TestMontecarloClasses:
             "eval_streams": 10,
             "horizon": 20,
             "observe_agent": 0,
-            "strategies": ["sml"],
+            "strategies": ["sml", "adaboost"],
         }
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "mc_summary.json").read_text())
         assert summary["final_error"]["sml"] < 0.5
+        assert summary["final_error"]["adaboost"] < 0.5
 
     def test_three_class_sml(self, tmp_path):
         path = write_config(tmp_path, three_class_config())

@@ -64,7 +64,7 @@ def reference_trajectory_rows(run, states, classes):
             gamma,
             float(run.lam[i, k, j]),
             classes[run.picks[i, k]],
-            states[i],
+            classes[states[i]],
             int(run.correct[i, k]),
         )
         for i in range(run.horizon)
@@ -82,7 +82,7 @@ def block_steps(n_agents: int, n_classes: int) -> int:
 
 def built_run(classes, n_agents: int, horizon: int, seed: int) -> tuple:
     """A run with random picks and lambdas that mix every extreme value in,
-    and its true-state track: ``(run, states)``."""
+    and its true class-index track: ``(run, states)``."""
     rng = np.random.default_rng(seed)
     shape = (horizon, n_agents, len(classes) - 1)
     lam = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
@@ -91,17 +91,24 @@ def built_run(classes, n_agents: int, horizon: int, seed: int) -> tuple:
     flat[: signed.size] = signed[: flat.size]
     pick = rng.random(flat.size) < 0.3
     flat[pick] = rng.choice(signed, int(pick.sum()))
-    labels = np.array(classes, dtype=object)
     truth = rng.integers(len(classes), size=horizon)
     picks = rng.integers(len(classes), size=(horizon, n_agents))
-    return PredictionRun(lam, picks, picks == truth[:, None]), labels[truth]
+    return PredictionRun(lam, picks, picks == truth[:, None]), truth
 
 
 @st.composite
 def runs(draw):
     classes = draw(
         st.sampled_from(
-            [(1, -1), (-1, 1), (0, -2, 5), (-3, 0, 7), ("a", "b", "c"), ("a", "5%", "%d")]
+            [
+                (1, -1),
+                (-1, 1),
+                (0, -2, 5),
+                (-3, 0, 7),
+                ("a", "b", "c"),
+                ("a", "5%", "%d"),
+                (1, "1", 3),
+            ]
         )
     )
     n_agents = draw(st.integers(1, 4))

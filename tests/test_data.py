@@ -152,20 +152,22 @@ class TestPredictionStream:
         spec = mean_shift_gaussian_spec(2)
         views, states = prediction_streams(spec, RegimeSchedule(((0, 1),)), 25, [0])
         assert set(states.tolist()) == {1}
+        # class 1 of the spec is -1: its features center on -1
+        assert views[0][0].mean() < 0
         assert views[0][0].shape == (25, 1)
 
     def test_periodic_square_wave(self):
         spec = mean_shift_gaussian_spec(1)
-        sched = periodic_schedule(1000, [1, -1], 4000)
+        sched = periodic_schedule(1000, [0, 1], 4000)
         _, states = prediction_streams(spec, sched, 4000, [1])
-        assert np.all(states[:1000] == 1)
-        assert np.all(states[1000:2000] == -1)
-        assert np.all(states[2000:3000] == 1)
-        assert np.all(states[3000:] == -1)
+        assert np.all(states[:1000] == 0)
+        assert np.all(states[1000:2000] == 1)
+        assert np.all(states[2000:3000] == 0)
+        assert np.all(states[3000:] == 1)
 
     def test_seed_determinism(self):
         spec = one_informative_gaussian_spec()
-        sched = periodic_schedule(10, [1, -1], 30)
+        sched = periodic_schedule(10, [0, 1], 30)
         a, _ = prediction_streams(spec, sched, 30, [5])
         b, _ = prediction_streams(spec, sched, 30, [5])
         for va, vb in zip(a, b):
@@ -173,10 +175,7 @@ class TestPredictionStream:
 
     def test_image_source_views(self):
         rng = np.random.default_rng(10)
-        pools = {
-            0: rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8),
-            1: rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8),
-        }
+        pools = [rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
         views, _ = prediction_streams(pools, sched, 10, [2], layout)
@@ -196,22 +195,23 @@ class TestPredictionStream:
 
         monkeypatch.setattr(data_mod, "scale_pixels", counting)
         rng = np.random.default_rng(11)
-        pools = {c: rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for c in (0, 1)}
+        pools = [rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
         views, _ = prediction_streams(pools, sched, 10, [2], layout)
         assert sum(scaled) <= 10 * 6 * 6
         # the same draws from pools scaled up front give the same views
-        prescaled = {c: images / 255.0 for c, images in pools.items()}
+        prescaled = [images / 255.0 for images in pools]
         again, _ = prediction_streams(prescaled, sched, 10, [2], layout)
         for got, want in zip(views, again):
             np.testing.assert_array_equal(got[0], want[0])
 
     def test_missing_class_rejected(self):
-        pools = {0: np.zeros((3, 4, 4), dtype=np.uint8)}
         layout = PatchLayout(4, 4, 2, 2)
-        with pytest.raises(DataError):
-            prediction_streams(pools, RegimeSchedule(((0, 1),)), 5, [0], layout)
+        schedule = RegimeSchedule(((0, 1),))
+        for pools in ([np.zeros((3, 4, 4), dtype=np.uint8)], [np.zeros((3, 4, 4))] + [[]]):
+            with pytest.raises(DataError, match="class 1 has no images"):
+                prediction_streams(pools, schedule, 5, [0], layout)
 
 
 def per_block_stream(source, schedule, length, seed, layout=None):
@@ -222,15 +222,15 @@ def per_block_stream(source, schedule, length, seed, layout=None):
     active = list(dict.fromkeys(states.tolist()))
     if isinstance(source, GaussianSceneSpec):
         views = [np.empty((length, source.dimension(k))) for k in range(source.n_agents)]
-        for label in active:
-            idx = np.flatnonzero(states == label)
+        for j in active:
+            idx = np.flatnonzero(states == j)
             for k in range(source.n_agents):
-                views[k][idx] = source.models[k][label].sample(rng, idx.size)
+                views[k][idx] = source.models[k][source.classes[j]].sample(rng, idx.size)
         return views
     images = np.empty((length, layout.height, layout.width))
-    for label in active:
-        idx = np.flatnonzero(states == label)
-        pool = source[label]
+    for j in active:
+        idx = np.flatnonzero(states == j)
+        pool = source[j]
         images[idx] = pool[rng.integers(pool.shape[0], size=idx.size)] / 255.0
     return split_patches(images, layout)
 
@@ -249,7 +249,7 @@ class TestPredictionStreams:
         self, dims, n_classes, length, starts, n_streams, seed
     ):
         rng = np.random.default_rng(seed)
-        classes = tuple(range(n_classes))
+        classes = ("b", "a", "c")[:n_classes]
         models = []
         for d in dims:
             per_class = {}
@@ -259,9 +259,7 @@ class TestPredictionStreams:
             models.append(per_class)
         spec = GaussianSceneSpec(tuple(models), classes)
         bounds = sorted({0, *starts})
-        schedule = RegimeSchedule(
-            tuple((s, classes[int(rng.integers(n_classes))]) for s in bounds)
-        )
+        schedule = RegimeSchedule(tuple((s, int(rng.integers(n_classes))) for s in bounds))
         seeds = rng.integers(0, 2**63, n_streams).tolist()
         batch, states = prediction_streams(spec, schedule, length, seeds)
         assert np.array_equal(states, schedule.states(length))
@@ -283,7 +281,7 @@ class TestPredictionStreams:
     @settings(max_examples=30, deadline=None)
     def test_image_batch_equals_per_seed_streams(self, grid, length, period, n_streams, seed):
         rng = np.random.default_rng(seed)
-        pools = {c: rng.integers(0, 256, size=(9, 7, 8), dtype=np.uint8) for c in (0, 1, 2)}
+        pools = [rng.integers(0, 256, size=(9, 7, 8), dtype=np.uint8) for _ in range(3)]
         layout = PatchLayout(7, 8, *grid)
         schedule = periodic_schedule(period, [2, 0, 1], length)
         seeds = rng.integers(0, 2**63, n_streams).tolist()
@@ -515,15 +513,16 @@ class TestClassPools:
             write_image_files(Path(tmp), images, labels, fmt)
             cfg = pooled_config(Path(tmp), (2, 3), label_map)
             pools = _image_pools(cfg)
-        assert list(pools) == list(cfg.classes)
+        # one pool per class, in class order
+        assert len(pools) == len(cfg.classes)
         pooled = None
-        for label, raw in zip(cfg.classes, label_map):
+        for pool, raw in zip(pools, label_map):
             want = images[labels == raw]
-            assert pools[label].dtype == np.uint8 and pools[label].flags.c_contiguous
-            assert np.array_equal(pools[label], want)
+            assert pool.dtype == np.uint8 and pool.flags.c_contiguous
+            assert np.array_equal(pool, want)
             # every pool is a view of one class-sorted array
-            pooled = pools[label].base if pooled is None else pooled
-            assert pools[label].base is pooled
+            pooled = pool.base if pooled is None else pooled
+            assert pool.base is pooled
         assert pooled.shape[0] == sum(np.sum(labels == raw) for raw in label_map)
 
     def test_positions_sort_kept_rows_by_class(self):
@@ -536,9 +535,9 @@ class TestClassPools:
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, "idx")
         pools = _image_pools(pooled_config(tmp_path, (2, 3), [0, 0, 2]))
-        assert np.array_equal(pools[100], images[[0, 2]])
-        assert np.array_equal(pools[101], images[[0, 2]])
-        assert np.array_equal(pools[102], images[[3]])
+        assert np.array_equal(pools[0], images[[0, 2]])
+        assert np.array_equal(pools[1], images[[0, 2]])
+        assert np.array_equal(pools[2], images[[3]])
 
     def test_reading_peaks_at_the_kept_pools_plus_one_block(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -552,7 +551,7 @@ class TestClassPools:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = sum(pool.nbytes for pool in pools.values())
+        kept = sum(pool.nbytes for pool in pools)
         assert kept == np.isin(labels, [1, 3]).sum() * 28 * 28
         assert peak < 1.1 * (kept + data_mod.IMAGE_BLOCK_ROWS * 28 * 28), (peak, kept)
 
@@ -618,8 +617,8 @@ class TestManifestVerification:
 class TestGaussianTrainingSet:
     def test_balanced_and_deterministic(self):
         spec = one_informative_gaussian_spec()
-        a = gaussian_training_set(spec, 1, 50, seed=12)
-        b = gaussian_training_set(spec, 1, 50, seed=12)
-        assert a.balanced and len(a) == 100
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        a_feats, a_labels = gaussian_training_set(spec, 1, 50, seed=12)
+        b_feats, b_labels = gaussian_training_set(spec, 1, 50, seed=12)
+        assert a_feats.shape == (100, 2) and np.bincount(a_labels).tolist() == [50, 50]
+        np.testing.assert_array_equal(a_feats, b_feats)
+        np.testing.assert_array_equal(a_labels, b_labels)

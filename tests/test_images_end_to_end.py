@@ -155,7 +155,7 @@ class TestImageTrainingScene:
         assert sum(scaled) == labels.size * 8 * 8
         # the same draws from pools scaled up front give the same views
         pools, layout = cfg.scene
-        vars(cfg)["scene"] = ({c: images / 255.0 for c, images in pools.items()}, layout)
+        vars(cfg)["scene"] = ([images / 255.0 for images in pools], layout)
         again, again_labels = shared_scene_training(cfg, rep=0)
         assert np.array_equal(labels, again_labels)
         for got, want in zip(views, again):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialml.mlp import (
-    LabeledDataset,
     MLPArchitecture,
     MLPModel,
     ModelError,
@@ -24,7 +23,6 @@ from socialml.mlp import (
     _stack_forward,
     _stack_gradients,
     _stack_risk,
-    binary_logit,
     cross_entropy_risk,
     gradient_check,
     initialize_model,
@@ -42,11 +40,17 @@ from socialml.theory import logit_bound
 
 
 def binary_dataset(rng, n=20, dim=2):
+    """``(features, labels)``: each label class 0 or 1 at random."""
     feats = rng.normal(size=(n, dim))
-    labels = np.where(rng.random(n) < 0.5, 1, -1)
+    labels = (rng.random(n) >= 0.5).astype(np.intp)
     # force both classes present
-    labels[0], labels[1] = 1, -1
-    return LabeledDataset(feats, labels, (1, -1))
+    labels[0], labels[1] = 0, 1
+    return feats, labels
+
+
+def plus_minus(labels):
+    """Class indices 0 and 1 as the logistic labels +1 and -1."""
+    return 1 - 2 * np.asarray(labels)
 
 
 def zero_model(layer_sizes, **kwargs):
@@ -58,7 +62,7 @@ def zero_model(layer_sizes, **kwargs):
     return MLPModel(arch, weights)
 
 
-def per_layer_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
+def per_layer_train_stack(features, labels, arch, hyper, seeds, sample_weights=None):
     """``train_stack``'s reference: out-of-place backpropagation and an update
     of fresh arrays one layer at a time.  Returns the stacked weights and the
     (S, epochs) risk traces."""
@@ -68,13 +72,12 @@ def per_layer_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
         "relu": lambda y: (y > 0).astype(float),
         "identity": lambda y: 1.0,
     }[arch.activation]
-    row_weights = _check_stack(datasets, arch, seeds, sample_weights)
+    labels, row_weights = _check_stack(features, labels, arch, sample_weights)
     n_models, n = row_weights.shape
     rngs = generators(seeds)
     inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
     weights = [np.stack(layer) for layer in zip(*inits)]
-    h = np.stack([_augment(arch, dataset.features) for dataset in datasets])
-    labels = np.stack([dataset.label_indices() for dataset in datasets])
+    h = np.stack([_augment(arch, feats) for feats in features])
     rows = np.arange(n_models)[:, None]
     risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
     offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
@@ -124,12 +127,12 @@ def per_layer_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
     return weights, trace
 
 
-def epoch_copy_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
+def epoch_copy_train_stack(features, labels, arch, hyper, seeds, sample_weights=None):
     """``train_stack``'s earlier algorithm: the augmented inputs stacked from
     per-dataset copies, and one permuted copy of the whole stack per epoch
     that the mini-batches are sliced from.  Returns the stacked weights and
     the (S, epochs) risk traces."""
-    row_weights = _check_stack(datasets, arch, seeds, sample_weights)
+    labels, row_weights = _check_stack(features, labels, arch, sample_weights)
     n_models, n = row_weights.shape
     rngs = generators(seeds)
     inits = [initialize_model(arch, rng, hyper.init_scale).weights for rng in rngs]
@@ -138,8 +141,7 @@ def epoch_copy_train_stack(datasets, arch, hyper, seeds, sample_weights=None):
     weights = _flat_views(params, [w.shape for w in weights])
     gflat = np.empty_like(params)
     grads = _flat_views(gflat, [w.shape for w in weights])
-    h = np.stack([_augment(arch, dataset.features) for dataset in datasets])
-    labels = np.stack([dataset.label_indices() for dataset in datasets])
+    h = np.stack([_augment(arch, feats) for feats in features])
     rows = np.arange(n_models)[:, None]
     risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
     offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
@@ -199,7 +201,7 @@ class TestForward:
         model = MLPModel(arch, (np.array([[1.0, 0.0], [0.0, 0.0]]),))
         z = output_preactivations(model, [3.0])
         np.testing.assert_array_equal(z, [3.0, 0.0])
-        assert binary_logit(model, [3.0]) == pytest.approx(3.0)
+        assert reference_logits(model, [3.0])[..., 0] == pytest.approx(3.0)
 
     def test_matches_straightforward_reimplementation(self):
         # duplicate-code oracle: plain loops over layers and nodes
@@ -299,7 +301,7 @@ class TestForward:
 
 class TestLogit:
     def test_zero_weights(self):
-        assert binary_logit(zero_model((3, 2)), [1.0, 2.0]) == 0.0
+        assert reference_logits(zero_model((3, 2)), [1.0, 2.0])[..., 0] == 0.0
         np.testing.assert_array_equal(
             reference_logits(zero_model((3, 4)), [1.0, 2.0]), np.zeros(3)
         )
@@ -322,28 +324,35 @@ class TestLogit:
 class TestLogisticRisk:
     def test_zero_function_gives_log_two(self):
         rng = np.random.default_rng(0)
-        ds = binary_dataset(rng)
-        assert logistic_risk(np.zeros(len(ds)), ds) == pytest.approx(
+        feats, labels = binary_dataset(rng)
+        assert logistic_risk(np.zeros(len(labels)), feats, plus_minus(labels)) == pytest.approx(
             math.log(2), abs=1e-15
         )
 
     def test_single_sample_analytic(self):
-        ds = LabeledDataset(np.array([[0.5]]), np.array([-1]), (1, -1))
-        assert logistic_risk(np.array([1.0]), ds) == pytest.approx(
+        assert logistic_risk(np.array([1.0]), np.array([[0.5]]), np.array([-1])) == pytest.approx(
             math.log(1 + math.e), abs=1e-12
         )
 
     def test_saturated_margin_tiny(self):
         rng = np.random.default_rng(0)
-        ds = binary_dataset(rng, n=8)
-        values = 50.0 * ds.labels.astype(float)
-        assert 0 < logistic_risk(values, ds) < 1e-20
+        feats, labels = binary_dataset(rng, n=8)
+        values = 50.0 * plus_minus(labels)
+        assert 0 < logistic_risk(values, feats, plus_minus(labels)) < 1e-20
 
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(0)
-        ds = binary_dataset(rng, n=4)
+        feats, labels = binary_dataset(rng, n=4)
         with pytest.raises(ModelError):
-            logistic_risk(np.zeros(3), ds)
+            logistic_risk(np.zeros(3), feats, plus_minus(labels))
+        with pytest.raises(ModelError, match="empty"):
+            logistic_risk(np.zeros(0), np.empty((0, 2)), np.empty(0))
+
+    def test_labels_outside_plus_minus_one_rejected(self):
+        rng = np.random.default_rng(0)
+        feats, labels = binary_dataset(rng, n=4)
+        with pytest.raises(ModelError, match="labels"):
+            logistic_risk(np.zeros(4), feats, labels)
 
     @given(st.floats(min_value=-700, max_value=700))
     def test_softplus_matches_reference(self, x):
@@ -357,18 +366,17 @@ class TestCrossEntropyRisk:
         for m in (2, 3, 7):
             feats = rng.normal(size=(12, 4))
             labels = np.arange(12) % m
-            ds = LabeledDataset(feats, labels, tuple(range(m)))
             model = zero_model((5, m))
-            assert cross_entropy_risk(model, ds) == pytest.approx(
+            assert cross_entropy_risk(model, feats, labels) == pytest.approx(
                 math.log(m), abs=1e-12
             )
 
     def test_binary_equals_logistic(self):
         rng = np.random.default_rng(2)
-        ds = binary_dataset(rng, n=30, dim=3)
+        feats, labels = binary_dataset(rng, n=30, dim=3)
         model = initialize_model(MLPArchitecture((4, 6, 2)), rng)
-        ce = cross_entropy_risk(model, ds)
-        lr = logistic_risk(model, ds)
+        ce = cross_entropy_risk(model, feats, labels)
+        lr = logistic_risk(model, feats, plus_minus(labels))
         assert ce == pytest.approx(lr, abs=1e-12)
 
     @given(
@@ -379,18 +387,17 @@ class TestCrossEntropyRisk:
     @settings(max_examples=40, deadline=None)
     def test_binary_equals_logistic_property(self, seed, n, init_scale):
         rng = np.random.default_rng(seed)
-        ds = binary_dataset(rng, n=n)
+        feats, labels = binary_dataset(rng, n=n)
         model = initialize_model(MLPArchitecture((3, 5, 2)), rng, scale=init_scale)
-        assert cross_entropy_risk(model, ds) == pytest.approx(
-            logistic_risk(model, ds), abs=1e-12
+        assert cross_entropy_risk(model, feats, labels) == pytest.approx(
+            logistic_risk(model, feats, plus_minus(labels)), abs=1e-12
         )
 
     def test_perfect_posteriors_zero_risk(self):
         # huge correct scores drive the cross entropy to zero
         arch = MLPArchitecture((2, 2), bias=True)
         model = MLPModel(arch, (np.array([[60.0, 0.0], [-60.0, 0.0]]),))
-        ds = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([1, -1]), (1, -1))
-        assert cross_entropy_risk(model, ds) < 1e-12
+        assert cross_entropy_risk(model, np.array([[1.0], [-1.0]]), np.array([0, 1])) < 1e-12
 
 
 class TestTrainErm:
@@ -402,9 +409,9 @@ class TestTrainErm:
             [rng.normal(2.0, 0.5, (100, 2)), rng.normal(-2.0, 0.5, (100, 2))]
         )
         y = np.array([1] * 100 + [-1] * 100)
-        ds = LabeledDataset(x, y, (1, -1))
         hyper = TrainingHyperparameters(30, 10, 0.05)
-        _, risk = train_stack([ds], MLPArchitecture((3, 16, 2)), hyper, [9])
+        arch = MLPArchitecture((3, 16, 2))
+        _, risk = train_stack([x], [np.repeat([0, 1], 100)], arch, hyper, [9])
         assert risk[0, -1] < 0.1
 
         # oracle: plain full-batch logistic regression on the same data
@@ -419,10 +426,10 @@ class TestTrainErm:
 
     def test_zero_learning_rate_keeps_initialization(self):
         rng = np.random.default_rng(4)
-        ds = binary_dataset(rng, n=16)
+        feats, labels = binary_dataset(rng, n=16)
         arch = MLPArchitecture((3, 5, 2))
         hyper = TrainingHyperparameters(5, 4, 0.0)
-        (model,), risk = train_stack([ds], arch, hyper, [21])
+        (model,), risk = train_stack([feats], [labels], arch, hyper, [21])
         init = initialize_model(arch, np.random.default_rng(21))
         for got, want in zip(model.weights, init.weights):
             np.testing.assert_array_equal(got, want)
@@ -430,49 +437,50 @@ class TestTrainErm:
 
     def test_same_seed_bitwise_identical(self):
         rng = np.random.default_rng(6)
-        ds = binary_dataset(rng, n=24, dim=3)
+        feats, labels = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.02)
-        (a,), risk_a = train_stack([ds], arch, hyper, [77])
-        (b,), risk_b = train_stack([ds], arch, hyper, [77])
+        (a,), risk_a = train_stack([feats], [labels], arch, hyper, [77])
+        (b,), risk_b = train_stack([feats], [labels], arch, hyper, [77])
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(risk_a, risk_b)
 
     def test_adam_same_seed_identical(self):
         rng = np.random.default_rng(6)
-        ds = binary_dataset(rng, n=24, dim=3)
+        feats, labels = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.01, optimizer="adam")
-        (a,), _ = train_stack([ds], arch, hyper, [77])
-        (b,), _ = train_stack([ds], arch, hyper, [77])
+        (a,), _ = train_stack([feats], [labels], arch, hyper, [77])
+        (b,), _ = train_stack([feats], [labels], arch, hyper, [77])
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_norm_bound_projection_enforced(self):
         rng = np.random.default_rng(8)
-        ds = binary_dataset(rng, n=40, dim=2)
+        feats, labels = binary_dataset(rng, n=40, dim=2)
         arch = MLPArchitecture((3, 8, 2), norm_bound=0.8)
         hyper = TrainingHyperparameters(10, 5, 0.5)
-        (model,), _ = train_stack([ds], arch, hyper, [3])
+        (model,), _ = train_stack([feats], [labels], arch, hyper, [3])
         for w in model.weights:
             assert np.abs(w).sum(axis=0).max() <= 0.8 + 1e-12
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(8)
-        ds = binary_dataset(rng, n=10, dim=4)
+        feats, labels = binary_dataset(rng, n=10, dim=4)
         with pytest.raises(ModelError):
-            train_stack([ds], MLPArchitecture((3, 2)), TrainingHyperparameters(1, 2, 0.1), [0])
+            train_stack(
+                [feats], [labels], MLPArchitecture((3, 2)), TrainingHyperparameters(1, 2, 0.1), [0]
+            )
 
     def test_weighted_training_prioritizes_heavy_samples(self):
         # two contradictory points; all weight on the first decides the fit
         feats = np.array([[1.0], [1.0]])
-        labels = np.array([1, -1])
-        ds = LabeledDataset(feats, labels, (1, -1))
+        labels = np.array([0, 1])
         hyper = TrainingHyperparameters(60, 2, 0.5)
         weights = np.array([0.999, 0.001])
-        (model,), _ = train_stack([ds], MLPArchitecture((2, 2)), hyper, [5], [weights])
-        assert binary_logit(model, [1.0]) > 0
+        (model,), _ = train_stack([feats], [labels], MLPArchitecture((2, 2)), hyper, [5], [weights])
+        assert reference_logits(model, [1.0])[..., 0] > 0
 
 
 class TestTrainingGolden:
@@ -515,10 +523,10 @@ class TestTrainingGolden:
     @pytest.mark.parametrize("activation, optimizer", sorted(GOLDEN))
     def test_pinned_weights_and_risk_trace(self, activation, optimizer):
         rng = np.random.default_rng(2024)
-        labels = np.tile([1, -1], 10)
-        feats = rng.normal(size=(20, 2)) + 0.8 * labels[:, None]
+        feats = rng.normal(size=(20, 2)) + 0.8 * np.tile([1, -1], 10)[:, None]
         (model,), risk = train_stack(
-            [LabeledDataset(feats, labels, (1, -1))],
+            [feats],
+            [np.tile([0, 1], 10)],
             MLPArchitecture((3, 3, 2), activation=activation),
             TrainingHyperparameters(4, 5, 0.3, optimizer=optimizer),
             [11],
@@ -547,11 +555,10 @@ class TestTrainStack:
         # a stack of many equals a stack of one per model, bit for bit
         # 23 rows: no batch size in 2..8 divides it, so every epoch ends short
         rng = np.random.default_rng(seed)
-        n, classes = 23, tuple(range(n_classes))
-        datasets = [
-            LabeledDataset(rng.normal(size=(n, 2)), rng.integers(0, n_classes, n), classes)
-            for _ in range(n_models)
-        ]
+        n = 23
+        features, labels = zip(
+            *[(rng.normal(size=(n, 2)), rng.integers(0, n_classes, n)) for _ in range(n_models)]
+        )
         weights = (
             [rng.random(n) * (rng.random(n) < 0.7) + 1e-3 for _ in range(n_models)]
             if weighted
@@ -560,11 +567,13 @@ class TestTrainStack:
         arch = MLPArchitecture((3, 5, 4, n_classes), activation=activation, norm_bound=norm_bound)
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        models, risk = train_stack(datasets, arch, hyper, seeds, weights)
+        models, risk = train_stack(features, labels, arch, hyper, seeds, weights)
         assert risk.shape == (n_models, hyper.epochs)
         for m, model in enumerate(models):
             own = None if weights is None else [weights[m]]
-            (alone,), alone_risk = train_stack([datasets[m]], arch, hyper, [seeds[m]], own)
+            (alone,), alone_risk = train_stack(
+                [features[m]], [labels[m]], arch, hyper, [seeds[m]], own
+            )
             for got, want in zip(model.weights, alone.weights):
                 assert np.array_equal(got, want)
             assert np.array_equal(risk[m], alone_risk[0])
@@ -587,11 +596,10 @@ class TestTrainStack:
     ):
         # 23 rows: no batch size in 2..8 divides it, so every epoch ends short
         rng = np.random.default_rng(seed)
-        n, classes = 23, tuple(range(n_classes))
-        datasets = [
-            LabeledDataset(rng.normal(size=(n, 2)), rng.integers(0, n_classes, n), classes)
-            for _ in range(n_models)
-        ]
+        n = 23
+        features, labels = zip(
+            *[(rng.normal(size=(n, 2)), rng.integers(0, n_classes, n)) for _ in range(n_models)]
+        )
         weights = (
             [rng.random(n) * (rng.random(n) < 0.7) + 1e-3 for _ in range(n_models)]
             if weighted
@@ -602,8 +610,10 @@ class TestTrainStack:
         )
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        models, risk = train_stack(datasets, arch, hyper, seeds, weights)
-        want_weights, want_trace = per_layer_train_stack(datasets, arch, hyper, seeds, weights)
+        models, risk = train_stack(features, labels, arch, hyper, seeds, weights)
+        want_weights, want_trace = per_layer_train_stack(
+            features, labels, arch, hyper, seeds, weights
+        )
         for m, model in enumerate(models):
             for got, want in zip(model.weights, want_weights):
                 assert np.array_equal(got, want[m])
@@ -626,10 +636,9 @@ class TestTrainStack:
         # batches gathered from the one stacked input equal slices of a
         # permuted copy of it, partial last batches included
         rng = np.random.default_rng(seed)
-        datasets = [
-            LabeledDataset(rng.normal(size=(n, 3)), rng.integers(0, 2, n), (0, 1))
-            for _ in range(n_models)
-        ]
+        features, labels = zip(
+            *[(rng.normal(size=(n, 3)), rng.integers(0, 2, n)) for _ in range(n_models)]
+        )
         weights = (
             [rng.random(n) * (rng.random(n) < 0.7) + 1e-3 for _ in range(n_models)]
             if weighted
@@ -638,8 +647,10 @@ class TestTrainStack:
         arch = MLPArchitecture((4 if bias else 3, 5, 2), bias=bias, norm_bound=norm_bound)
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        models, risk = train_stack(datasets, arch, hyper, seeds, weights)
-        want_weights, want_trace = epoch_copy_train_stack(datasets, arch, hyper, seeds, weights)
+        models, risk = train_stack(features, labels, arch, hyper, seeds, weights)
+        want_weights, want_trace = epoch_copy_train_stack(
+            features, labels, arch, hyper, seeds, weights
+        )
         for m, model in enumerate(models):
             for got, want in zip(model.weights, want_weights):
                 assert np.array_equal(got, want[m])
@@ -649,15 +660,13 @@ class TestTrainStack:
     def test_training_holds_one_stacked_input_copy(self, optimizer):
         # an image-sized stack: 12 models of 200 rows of 196 pixels plus bias
         rng = np.random.default_rng(40)
-        datasets = [
-            LabeledDataset(rng.random((200, 196)), np.repeat([1, -1], 100), (1, -1))
-            for _ in range(12)
-        ]
+        features = [rng.random((200, 196)) for _ in range(12)]
+        labels = [np.repeat([0, 1], 100)] * 12
         arch = MLPArchitecture((197, 8, 2))
         hyper = TrainingHyperparameters(2, 20, 0.05, optimizer=optimizer)
         tracemalloc.start()
         try:
-            train_stack(datasets, arch, hyper, list(range(12)))
+            train_stack(features, labels, arch, hyper, list(range(12)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -671,26 +680,25 @@ class TestTrainStack:
     def test_last_risk_is_the_returned_models_risk(self, n_models, optimizer):
         # the trace's last epoch scores the very models returned beside it
         rng = np.random.default_rng(30 + n_models)
-        datasets = [binary_dataset(rng, n=17, dim=2) for _ in range(n_models)]
+        features, labels = zip(*[binary_dataset(rng, n=17, dim=2) for _ in range(n_models)])
         hyper = TrainingHyperparameters(3, 4, 0.05, optimizer=optimizer)
         models, risk = train_stack(
-            datasets, MLPArchitecture((3, 5, 2)), hyper, list(range(n_models))
+            features, labels, MLPArchitecture((3, 5, 2)), hyper, list(range(n_models))
         )
         assert risk.shape == (n_models, 3)
         for m, model in enumerate(models):
-            assert abs(risk[m, -1] - cross_entropy_risk(model, datasets[m])) <= 1e-12
+            risk_m = cross_entropy_risk(model, features[m], labels[m])
+            assert abs(risk[m, -1] - risk_m) <= 1e-12
 
     def test_first_diverged_model_named(self):
         # only model 1 sees features huge enough to overflow its logits
         rng = np.random.default_rng(0)
-        labels = np.where(rng.random(20) < 0.5, 1, -1)
-        datasets = [
-            LabeledDataset(rng.normal(size=(20, 2)) * (1e300 if m == 1 else 1.0), labels, (1, -1))
-            for m in range(3)
-        ]
+        labels = (rng.random(20) >= 0.5).astype(np.intp)
+        features = [rng.normal(size=(20, 2)) * (1e300 if m == 1 else 1.0) for m in range(3)]
         arch = MLPArchitecture((3, 4, 2), activation="identity")
+        hyper = TrainingHyperparameters(2, 5, 1e10)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-            train_stack(datasets, arch, TrainingHyperparameters(2, 5, 1e10), [1, 2, 3])
+            train_stack(features, [labels] * 3, arch, hyper, [1, 2, 3])
         assert info.value.model == 1
         assert str(info.value) == (
             "non-finite loss at epoch 0, batch start 5 (lr=10000000000.0)"
@@ -700,24 +708,30 @@ class TestTrainStack:
         rng = np.random.default_rng(1)
         arch = MLPArchitecture((3, 2))
         hyper = TrainingHyperparameters(1, 4, 0.1)
-        a, b = binary_dataset(rng, n=10), binary_dataset(rng, n=12)
-        with pytest.raises(ModelError, match="datasets"):
-            train_stack([a, b], arch, hyper, [0, 1])
-        other = LabeledDataset(a.features, np.where(a.labels == 1, 0, 2), (0, 2))
-        with pytest.raises(ModelError, match="classes"):
-            train_stack([a, other], arch, hyper, [0, 1])
+        feats, labels = binary_dataset(rng, n=10)
+        other, other_labels = binary_dataset(rng, n=12)
+        with pytest.raises(ModelError, match="labels"):
+            train_stack([feats, other], [labels, other_labels], arch, hyper, [0, 1])
+        with pytest.raises(ModelError, match="features"):
+            train_stack([feats, other], [labels, labels], arch, hyper, [0, 1])
+        with pytest.raises(ModelError, match="labels"):
+            train_stack([feats, feats], [labels], arch, hyper, [0, 1])
+        # class indices below the output width, as integers
+        for bad in (labels + 1, labels - 1, labels.astype(float)):
+            with pytest.raises(ModelError, match="labels"):
+                train_stack([feats, feats], [labels, bad], arch, hyper, [0, 1])
         with pytest.raises(ModelError, match="seeds"):
-            train_stack([a, a], arch, hyper, [0])
+            train_stack([feats, feats], [labels, labels], arch, hyper, [0])
         with pytest.raises(ModelError, match="sample_weights"):
-            train_stack([a, a], arch, hyper, [0, 1], [np.ones(10)])
+            train_stack([feats, feats], [labels, labels], arch, hyper, [0, 1], [np.ones(10)])
 
 
 class TestGradientCheck:
     def test_small_tanh_model(self):
         rng = np.random.default_rng(10)
-        ds = binary_dataset(rng, n=10, dim=1)
+        feats, labels = binary_dataset(rng, n=10, dim=1)
         model = initialize_model(MLPArchitecture((2, 4, 2)), rng)
-        assert gradient_check(model, ds, eps=1e-5) < 1e-6
+        assert gradient_check(model, feats, labels, eps=1e-5) < 1e-6
 
     def test_zero_weights_output_layer_matches_analytic_softmax_gradient(self):
         # with zero weights the posterior is uniform; for a single linear
@@ -725,7 +739,6 @@ class TestGradientCheck:
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(6, 2))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        ds = LabeledDataset(feats, labels, (0, 1, 2))
         model = zero_model((3, 3))
 
         h_aug = np.hstack([feats, np.ones((6, 1))])
@@ -740,20 +753,21 @@ class TestGradientCheck:
                 w2 = w.copy()
                 w2[pos] += sign * eps
                 m2 = MLPModel(model.architecture, (w2,))
-                risk = cross_entropy_risk(m2, ds)
+                risk = cross_entropy_risk(m2, feats, labels)
                 if sign == 1:
                     up = risk
                 else:
                     fd[pos] = (up - risk) / (2 * eps)
         np.testing.assert_allclose(fd, analytic, atol=1e-8)
-        assert gradient_check(model, ds, eps=1e-5) < 1e-6
+        assert gradient_check(model, feats, labels, eps=1e-5) < 1e-6
 
     def test_empty_dataset_rejected(self):
         model = zero_model((2, 2))
         with pytest.raises(ModelError):
             gradient_check(
                 model,
-                LabeledDataset(np.empty((0, 1)), np.empty(0, dtype=int), (1, -1)),
+                np.empty((0, 1)),
+                np.empty(0, dtype=int),
                 1e-5,
             )
 

@@ -10,7 +10,6 @@ from socialml.config import gaussian_spec_to_json, validate_config
 from socialml.data import GaussianClassModel, PatchLayout, mean_shift_gaussian_spec
 from socialml.graph import CombinationMatrix
 from socialml.mlp import (
-    LabeledDataset,
     MLPArchitecture,
     TrainingHyperparameters,
     initialize_model,
@@ -38,14 +37,13 @@ def _config():
 EXAMPLES = {
     "MLPArchitecture": lambda: MLPArchitecture((3, 4, 2), norm_bound=2.0),
     "TrainingHyperparameters": lambda: TrainingHyperparameters(3, 10, 0.05, optimizer="adam"),
-    "LabeledDataset": lambda: LabeledDataset(np.zeros((4, 2)), np.array([1, -1, 1, -1]), (1, -1)),
     "MLPModel": _model,
     "DebiasedStatistic": lambda: DebiasedStatistic(0, _model(), (1, -1), np.zeros(1)),
     "CombinationMatrix": lambda: CombinationMatrix(np.full((2, 2), 0.5)),
     "GaussianClassModel": lambda: GaussianClassModel(np.zeros(2), np.eye(2)),
     "GaussianSceneSpec": lambda: mean_shift_gaussian_spec(2),
     "PatchLayout": lambda: PatchLayout(4, 4, 2, 2),
-    "RegimeSchedule": lambda: RegimeSchedule(((0, 1), (5, -1))),
+    "RegimeSchedule": lambda: RegimeSchedule(((0, 0), (5, 1))),
     "PredictionRun": lambda: PredictionRun(
         np.zeros((3, 2, 1)), np.zeros((3, 2), dtype=np.intp), np.ones((3, 2), dtype=bool)
     ),

@@ -40,7 +40,7 @@ class TestGoldenValues:
         assert seed == 18141372322412330060
         agent = {"1": {"mean": [0.6], "cov": [[1.0]]}, "-1": {"mean": [-0.6], "cov": [[1.0]]}}
         spec = build_gaussian_spec({"type": "gaussian", "agents": [agent, agent]}, (1, -1))
-        schedule = periodic_schedule(2, [1, -1], 4)
+        schedule = periodic_schedule(2, [0, 1], 4)
         # standard_normal draws, shifted by the class means
         gaussian, _ = prediction_streams(spec, schedule, 4, [seed])
         assert gaussian[0][0, :, 0].tolist() == [
@@ -52,7 +52,7 @@ class TestGoldenValues:
         # integers draws: image i of the pool has every pixel equal to i
         pool = np.repeat(np.arange(200, dtype=np.uint8), 4).reshape(200, 2, 2)
         layout = PatchLayout(2, 2, 1, 2)
-        images, _ = prediction_streams({1: pool, -1: pool}, schedule, 4, [seed], layout)
+        images, _ = prediction_streams([pool, pool], schedule, 4, [seed], layout)
         picks = np.rint(images[0][0, :, 0] * 255).astype(int)
         assert picks.tolist() == [97, 139, 101, 178]
 

@@ -246,10 +246,11 @@ class TestDiffuse:
 
 class TestRegimeSchedule:
     def test_states_track(self):
-        sched = periodic_schedule(3, [0, 1], 8)
-        np.testing.assert_array_equal(
-            sched.states(8), np.array([0, 0, 0, 1, 1, 1, 0, 0], dtype=object)
-        )
+        track = periodic_schedule(3, [0, 1], 8).states(8)
+        assert track.dtype == np.intp
+        np.testing.assert_array_equal(track, [0, 0, 0, 1, 1, 1, 0, 0])
+        # segments starting at or past the end leave the track a prefix
+        np.testing.assert_array_equal(RegimeSchedule(((0, 2), (4, 1))).states(3), [2, 2, 2])
 
     def test_must_start_at_zero(self):
         with pytest.raises(SocialLearningError):
@@ -271,9 +272,9 @@ class TestRunPrediction:
 
     def test_zero_providers_keep_initial_state(self):
         feats = [np.zeros((5, 1))] * 4
-        states = np.array([1] * 5, dtype=object)
+        states = np.zeros(5, dtype=np.intp)
         run = run_prediction(
-            RING4, self.constant_providers([0.0] * 4), feats, states, (1, -1)
+            RING4, self.constant_providers([0.0] * 4), feats, states, 2
         )
         assert np.all(run.lam == 0.0)
         assert np.all(run.picks == 0)  # ties go to the reference class
@@ -281,49 +282,49 @@ class TestRunPrediction:
     def test_engine_delta_contract(self):
         # no delta runs the standard engine; a delta must lie in (0, 1)
         feats = [np.zeros((2, 1))] * 4
-        states = np.array([1, 1], dtype=object)
+        states = np.zeros(2, dtype=np.intp)
         providers = self.constant_providers([0.0] * 4)
         for delta in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(SocialLearningError, match="delta must lie"):
-                run_prediction(RING4, providers, feats, states, (1, -1), delta=delta)
+                run_prediction(RING4, providers, feats, states, 2, delta=delta)
 
     def test_shape_mismatches_rejected(self):
-        states = np.array([1, 1], dtype=object)
+        states = np.zeros(2, dtype=np.intp)
         with pytest.raises(SocialLearningError, match="cover all agents"):
             run_prediction(
                 RING4, self.constant_providers([0.0] * 3),
-                [np.zeros((2, 1))] * 3, states, (1, -1),
+                [np.zeros((2, 1))] * 3, states, 2,
             )
         with pytest.raises(SocialLearningError, match="stream length"):
             run_prediction(
                 RING4, self.constant_providers([0.0] * 4),
-                [np.zeros((2, 1))] * 3 + [np.zeros((5, 1))], states, (1, -1),
+                [np.zeros((2, 1))] * 3 + [np.zeros((5, 1))], states, 2,
             )
 
     def test_non_finite_statistic_rejected(self):
         feats = [np.zeros((5, 1))] * 4
-        states = np.array([1] * 5, dtype=object)
+        states = np.zeros(5, dtype=np.intp)
         providers = self.constant_providers([0.0, np.nan, 0.0, 0.0])
         with pytest.raises(SocialLearningError, match="non-finite statistic"):
-            run_prediction(RING4, providers, feats, states, (1, -1))
+            run_prediction(RING4, providers, feats, states, 2)
 
     def test_overflowing_lambda_rejected(self):
         feats = [np.zeros((5, 1))] * 4
-        states = np.array([1] * 5, dtype=object)
+        states = np.zeros(5, dtype=np.intp)
         providers = self.constant_providers([1e308] * 4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SocialLearningError, match="non-finite"):
-                run_prediction(RING4, providers, feats, states, (1, -1))
+                run_prediction(RING4, providers, feats, states, 2)
 
     def test_single_agent_true_ratio_learns_truth(self):
         # known-likelihood statistic at one informative agent: decisions settle
         # on the true state in every seeded run
         spec = mean_shift_gaussian_spec(1, dim=1, shift=1.0)
         provider = true_log_ratio(spec, 0)
-        sched = RegimeSchedule(((0, 1),))
+        sched = RegimeSchedule(((0, 0),))
         for seed in range(10):
             views, states = prediction_streams(spec, sched, 60, [seed])
-            run = run_prediction(SINGLE, [provider], [v[0] for v in views], states, (1, -1))
+            run = run_prediction(SINGLE, [provider], [v[0] for v in views], states, 2)
             assert np.all(run.picks[25:, 0] == 0)
 
     def test_asl_recovers_after_flip_within_five_over_delta(self):
@@ -333,12 +334,12 @@ class TestRunPrediction:
         window = int(5 / delta)
         spec = mean_shift_gaussian_spec(4, dim=1, shift=1.0)
         providers = [true_log_ratio(spec, k) for k in range(4)]
-        sched = RegimeSchedule(((0, 1), (flip, -1)))
+        sched = RegimeSchedule(((0, 0), (flip, 1)))
         recovered = 0
         for seed in range(10):
             views, states = prediction_streams(spec, sched, horizon, [100 + seed])
             run = run_prediction(
-                RING4, providers, [v[0] for v in views], states, (1, -1), delta=delta
+                RING4, providers, [v[0] for v in views], states, 2, delta=delta
             )
             recovered += bool(np.all(run.correct[flip + window :]))
         assert recovered >= 9
@@ -348,7 +349,7 @@ class TestRunPrediction:
         # produces identical decisions
         rng = np.random.default_rng(21)
         feats = [rng.normal(size=(30, 1)) for _ in range(4)]
-        states = np.array([1] * 30, dtype=object)
+        states = np.zeros(30, dtype=np.intp)
         scalar_providers = [
             (lambda c: (lambda h: c * np.asarray(h)[:, 0]))(c)
             for c in (0.5, -0.2, 0.8, 0.1)
@@ -357,8 +358,8 @@ class TestRunPrediction:
             (lambda c: (lambda h: (c * np.asarray(h)[:, 0])[:, None]))(c)
             for c in (0.5, -0.2, 0.8, 0.1)
         ]
-        run_b = run_prediction(RING4, scalar_providers, feats, states, (1, -1))
-        run_v = run_prediction(RING4, vector_providers, feats, states, (1, -1))
+        run_b = run_prediction(RING4, scalar_providers, feats, states, 2)
+        run_v = run_prediction(RING4, vector_providers, feats, states, 2)
         np.testing.assert_array_equal(run_b.picks, run_v.picks)
         np.testing.assert_allclose(run_b.lam, run_v.lam, atol=0)
 
@@ -367,18 +368,18 @@ class TestRunPredictionBatch:
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([1, 3, 5]),
-        st.sampled_from([(1, -1), (0, 1, 2)]),
+        st.sampled_from([2, 3]),
         st.integers(1, 4),
         st.integers(1, 12),
         st.sampled_from([None, 0.2]),
     )
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_single_stream_runs(
-        self, seed, n_agents, classes, n_streams, horizon, delta
+        self, seed, n_agents, n_classes, n_streams, horizon, delta
     ):
         rng = np.random.default_rng(seed)
         matrix = random_primitive_matrix(rng, n_agents)
-        width = len(classes) - 1
+        width = n_classes - 1
         # agents see features of different widths; statistics are row-wise
         feats = [
             rng.normal(size=(n_streams, horizon, width + k % 2)) for k in range(n_agents)
@@ -387,13 +388,13 @@ class TestRunPredictionBatch:
             (lambda c: (lambda h: c * np.tanh(h[:, :width]) - 0.5 * h[:, -1:]))(c)
             for c in rng.uniform(0.5, 2.0, n_agents)
         ]
-        states = np.array(rng.choice(classes, horizon).tolist(), dtype=object)
-        batch = run_prediction(matrix, providers, feats, states, classes, delta)
+        states = rng.choice(n_classes, horizon)
+        batch = run_prediction(matrix, providers, feats, states, n_classes, delta)
         assert batch.horizon == horizon
         assert batch.lam.shape == (n_streams, horizon, n_agents, width)
         for s in range(n_streams):
             single = run_prediction(
-                matrix, providers, [f[s] for f in feats], states, classes, delta
+                matrix, providers, [f[s] for f in feats], states, n_classes, delta
             )
             if width > 1:
                 assert np.array_equal(batch.lam[s], single.lam)
@@ -408,16 +409,16 @@ class TestRunPredictionBatch:
     def test_true_state_outside_classes_rejected(self):
         feats = [np.zeros((3, 1))] * 4
         providers = [lambda h: np.zeros(len(h))] * 4
-        states = np.array([1, 0, 1], dtype=object)
-        with pytest.raises(SocialLearningError, match="true state 0 not in classes"):
-            run_prediction(RING4, providers, feats, states, (1, -1))
+        for states, bad in (([0, 2, 1], 2), ([0, 1, -1], -1)):
+            with pytest.raises(SocialLearningError, match=f"true state {bad} is not a class index"):
+                run_prediction(RING4, providers, feats, np.array(states), 2)
 
     def test_batch_shapes_must_agree(self):
         feats = [np.zeros((2, 3, 1))] * 3 + [np.zeros((3, 1))]
         providers = [lambda h: np.zeros(len(h))] * 4
-        states = np.array([1, 1, 1], dtype=object)
+        states = np.zeros(3, dtype=np.intp)
         with pytest.raises(SocialLearningError, match="agent 3 batch"):
-            run_prediction(RING4, providers, feats, states, (1, -1))
+            run_prediction(RING4, providers, feats, states, 2)
 
 
 class TestConsistencyConditions:
@@ -486,7 +487,7 @@ class TestBayesClassifier:
         feats = rng.normal(1.0, 1.0, (10_000, 50, 1))
         run = run_prediction(
             CombinationMatrix([[1.0]]), [true_log_ratio(spec, 0)],
-            [feats], [1] * 50, (1, -1),
+            [feats], [0] * 50, 2,
         )
         errors = int(np.sum(~run.correct[:, -1, 0]))
         assert errors / 10_000 <= 1e-3

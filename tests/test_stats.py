@@ -6,29 +6,29 @@ import pytest
 
 from socialml.data import gaussian_training_set, mean_shift_gaussian_spec
 from socialml.mlp import (
-    LabeledDataset,
     MLPArchitecture,
     TrainingHyperparameters,
     initialize_model,
+    reference_logits,
     train_stack,
 )
 from socialml.stats import StatisticError, empirical_training_mean, make_debiased_statistic
 from socialml.theory import conditional_means, mlp_rademacher_bound, rademacher_monte_carlo
 
 
-def train_small(dataset, seed, hidden=(6,)):
-    arch = MLPArchitecture((dataset.dim + 1, *hidden, len(dataset.classes)))
+def train_small(feats, labels, n_classes, seed, hidden=(6,)):
+    arch = MLPArchitecture((feats.shape[1] + 1, *hidden, n_classes))
     hyper = TrainingHyperparameters(6, 8, 0.05)
-    (model,), _ = train_stack([dataset], arch, hyper, [seed])
+    (model,), _ = train_stack([feats], [labels], arch, hyper, [seed])
     return model
 
 
 def random_binary_dataset(rng, n_per_class=25, dim=2):
+    """``(features, labels)``: class 0 centered at +0.6, class 1 at -0.6."""
     feats = np.vstack(
         [rng.normal(0.6, 1.0, (n_per_class, dim)), rng.normal(-0.6, 1.0, (n_per_class, dim))]
     )
-    labels = np.array([1] * n_per_class + [-1] * n_per_class)
-    return LabeledDataset(feats, labels, (1, -1))
+    return feats, np.repeat([0, 1], n_per_class)
 
 
 class TestEmpiricalTrainingMean:
@@ -39,13 +39,11 @@ class TestEmpiricalTrainingMean:
 
     def test_matches_independent_summation_order(self):
         rng = np.random.default_rng(1)
-        ds = random_binary_dataset(rng)
-        model = train_small(ds, seed=2)
-        got = empirical_training_mean(model, ds.features)
+        feats, labels = random_binary_dataset(rng)
+        model = train_small(feats, labels, 2, seed=2)
+        got = empirical_training_mean(model, feats)
         # oracle: reversed-order plain Python summation
-        from socialml.mlp import binary_logit
-
-        values = [float(binary_logit(model, h)) for h in ds.features]
+        values = [float(reference_logits(model, h)[..., 0]) for h in feats]
         expect = sum(reversed(values)) / len(values)
         assert got == pytest.approx(expect, abs=1e-12)
 
@@ -62,15 +60,16 @@ class TestDebiasedStatistic:
 
         model = MLPModel(arch, (np.array([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0]]),))
         rng = np.random.default_rng(3)
-        ds = random_binary_dataset(rng)
-        stat = make_debiased_statistic(model, ds)
-        np.testing.assert_allclose(stat.scalar(ds.features), 0.0, atol=1e-12)
+        feats, labels = random_binary_dataset(rng)
+        stat = make_debiased_statistic(model, feats, labels, (1, -1))
+        np.testing.assert_allclose(stat.scalar(feats), 0.0, atol=1e-12)
 
     def test_training_mean_centered_binary(self):
         rng = np.random.default_rng(4)
-        ds = random_binary_dataset(rng)
-        stat = make_debiased_statistic(train_small(ds, seed=5), ds)
-        assert abs(stat.scalar(ds.features).mean()) < 1e-10
+        feats, labels = random_binary_dataset(rng)
+        model = train_small(feats, labels, 2, seed=5)
+        stat = make_debiased_statistic(model, feats, labels, (1, -1))
+        assert abs(stat.scalar(feats).mean()) < 1e-10
 
     def test_training_mean_centered_per_class_pair(self):
         rng = np.random.default_rng(6)
@@ -78,52 +77,47 @@ class TestDebiasedStatistic:
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 20, axis=0
         )
         labels = np.repeat([0, 1, 2], 20)
-        ds = LabeledDataset(feats, labels, (0, 1, 2))
-        stat = make_debiased_statistic(train_small(ds, seed=7), ds)
-        values = stat(ds.features)
+        model = train_small(feats, labels, 3, seed=7)
+        stat = make_debiased_statistic(model, feats, labels, (0, 1, 2))
+        values = stat(feats)
         for j, cls in enumerate((1, 2)):
             pair = (labels == 0) | (labels == cls)
             assert abs(values[pair, j].mean()) < 1e-10
 
     def test_binary_and_two_class_paths_identical(self):
         rng = np.random.default_rng(8)
-        ds = random_binary_dataset(rng)
-        model = train_small(ds, seed=9)
-        stat = make_debiased_statistic(model, ds)
+        feats, labels = random_binary_dataset(rng)
+        model = train_small(feats, labels, 2, seed=9)
+        stat = make_debiased_statistic(model, feats, labels, (1, -1))
         h = rng.normal(size=(40, 2))
         np.testing.assert_allclose(stat.scalar(h), stat(h)[:, 0], atol=1e-12)
         # the pairwise mean over labels {first, second} is the plain mean
-        from socialml.mlp import binary_logit
-
         assert stat.train_means[0] == pytest.approx(
-            float(binary_logit(model, ds.features).mean()), abs=1e-12
+            float(reference_logits(model, feats)[:, 0].mean()), abs=1e-12
         )
 
     def test_unbalanced_warns(self):
         rng = np.random.default_rng(10)
         feats = rng.normal(size=(30, 2))
-        labels = np.array([1] * 20 + [-1] * 10)
-        ds = LabeledDataset(feats, labels, (1, -1))
-        with pytest.warns(UserWarning, match="unbalanced"):
-            make_debiased_statistic(train_small(ds, seed=11), ds)
+        labels = np.repeat([0, 1], [20, 10])
+        model = train_small(feats, labels, 2, seed=11)
+        with pytest.warns(UserWarning, match=r"unbalanced training set \{1: 20, -1: 10\}"):
+            make_debiased_statistic(model, feats, labels, (1, -1))
 
     def test_missing_pair_class_rejected(self):
         # labels only from class 1: the {0, 2} pair set is empty
         feats = np.random.default_rng(0).normal(size=(10, 2))
-        ds = LabeledDataset(feats, np.ones(10, dtype=int), (0, 1, 2))
-        model = train_small(
-            LabeledDataset(feats, np.array([0, 1, 2, 0, 1] * 2), (0, 1, 2)), seed=12
-        )
+        model = train_small(feats, np.array([0, 1, 2, 0, 1] * 2), 3, seed=12)
         with pytest.warns(UserWarning, match="unbalanced"):
-            with pytest.raises(StatisticError, match="no training samples"):
-                make_debiased_statistic(model, ds)
+            with pytest.raises(StatisticError, match="no training samples labeled 0 or 2"):
+                make_debiased_statistic(model, feats, np.ones(10, dtype=int), (0, 1, 2))
 
     def test_conditional_mean_symmetry_monte_carlo(self):
         # fixed linear statistic on +-1-mean unit Gaussians: after centering
         # with a large training sample, E[c | +1] and -E[c | -1] agree
         spec = mean_shift_gaussian_spec(1, dim=1, shift=1.0)
-        big_train = gaussian_training_set(spec, 0, 50_000, seed=13)
-        mean_train = float(big_train.features[:, 0].mean())
+        big_train, _ = gaussian_training_set(spec, 0, 50_000, seed=13)
+        mean_train = float(big_train[:, 0].mean())
 
         def centered(h):
             return np.asarray(h)[:, 0] - mean_train
@@ -134,7 +128,7 @@ class TestDebiasedStatistic:
         minus = centered(rng.normal(-1.0, 1.0, (n, 1)))
         total = plus.mean() + minus.mean()
         stderr = math.sqrt(
-            plus.var() / n + minus.var() / n + 2 * (1.0 / len(big_train))
+            plus.var() / n + minus.var() / n + 2 * (1.0 / big_train.shape[0])
         )
         assert abs(total) < 4 * stderr
 
@@ -282,6 +276,4 @@ class TestMlpRademacherBound:
 
 
 def _logit(model, h):
-    from socialml.mlp import binary_logit
-
-    return binary_logit(model, h)
+    return reference_logits(model, h)[..., 0]
