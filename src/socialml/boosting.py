@@ -81,7 +81,13 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
             round_views.append(view)
         try:
             trained, _ = train_stack(
-                round_views, indices, arch_per_agent[k], hyper, [s[k] for s in seeds], sample_w
+                round_views,
+                indices,
+                arch_per_agent[k],
+                hyper,
+                [s[k] for s in seeds],
+                sample_w,
+                trace=False,
             )
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"AdaBoost round {k}, agent {k}: {exc}", exc.model) from exc
@@ -111,12 +117,14 @@ def adaboost_decide(ensemble: BoostedEnsemble, features_per_agent) -> np.ndarray
     """
     if len(features_per_agent) != len(ensemble.models):
         raise BoostingError("need one feature view per trained agent")
+    # each agent adds +vote or -vote: the same bits as its +-1.0 decision times
+    # its vote, without the multiplication
     total = None
     for model, vote, feats in zip(ensemble.models, ensemble.votes, features_per_agent):
-        contribution = sign_decision(reference_logits(model, feats)[..., 0])
-        contribution *= vote
+        logit = reference_logits(model, feats)[..., 0]
+        contribution = np.where(logit >= 0.0, vote, -vote)
         if total is None:
             total = contribution
         else:
             total += contribution
-    return sign_decision(total).astype(int)
+    return np.where(total >= 0.0, 1, -1)

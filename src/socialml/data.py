@@ -240,7 +240,8 @@ def prediction_streams(
     order, in which case one image per step is picked with replacement and
     split through ``layout``.  Draws are independent across steps, and stream
     s reads only its own generator ``generators(seeds)[s]``, so it is the
-    same stream whatever batch it is drawn in.
+    same stream whatever batch it is drawn in.  A state that is no class
+    index of the source raises ``DataError`` naming it.
     """
     states = schedule.states(length)
     rngs = generators(seeds)
@@ -248,7 +249,12 @@ def prediction_streams(
     # draws grouped by class in order of first appearance keep the stream
     # i.i.d. over time while staying seed-deterministic
     active = list(dict.fromkeys(states.tolist()))
-    if isinstance(source, GaussianSceneSpec):
+    gaussian = isinstance(source, GaussianSceneSpec)
+    for j in active:
+        # a negative index would pick a class from the end of the list
+        if j < 0 or (gaussian and j >= len(source.classes)):
+            raise DataError(f"schedule state {j} is not a class index of the source")
+    if gaussian:
         dims = [source.dimension(k) for k in range(source.n_agents)]
         # a generator keeps no state between normal draws, so one draw per
         # stream, sliced in (class, agent) order, equals the per-block draws

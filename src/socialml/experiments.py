@@ -38,12 +38,13 @@ from .stats import make_debiased_statistic
 # copy of their inputs, so peak memory grows by about twice the inputs a
 # chunk stacks beyond one replication.  A 28x28 image replication of 4 patch
 # agents with 200 training rows stacks 1.26 MB.  Three of them (the image_mc
-# benchmark scene, one process, 2 vCPUs, numpy 2.4.6) peak at 53.6 MiB in one
-# chunk and at 48.5 MiB one per chunk: 2.5 MB more inputs, 5.1 MiB higher.
-# The one-chunk peak stays under the 53.9 MiB that reading the IDX images
-# whole peaked at before the class pools were built in place.  4 MiB fits
-# those 3 replications in one chunk, and 1,638 of the criterion-09 scene (4
-# agents, 40 rows of 1 feature).
+# benchmark scene at seed 3, one process, 2 vCPUs, numpy 2.4.6) peak at
+# 53.4-53.8 MiB resident (17.9 MiB traced by tracemalloc) in one chunk and
+# at 48.2-48.4 MiB (12.5 MiB traced) one per chunk: 2.5 MB more inputs,
+# about 5.3 MiB higher.  The one-chunk peak stays under the 53.9 MiB that
+# reading the IDX images whole peaked at before the class pools were built
+# in place.  4 MiB fits those 3 replications in one chunk, and 1,638 of the
+# criterion-09 scene (4 agents, 40 rows of 1 feature).
 CHUNK_INPUT_BYTES = 1 << 22
 
 
@@ -170,16 +171,16 @@ def shared_scene_training(cfg: ExperimentConfig, rep: int, rng=None) -> tuple:
     return data_mod.split_patches(picks, layout), labels
 
 
-def train_agents(cfg: ExperimentConfig, reps, scenes):
+def train_agents(cfg: ExperimentConfig, reps, scenes, trace=True):
     """Per-agent empirical risk minimization for every repetition in ``reps``.
 
     ``scenes[i]`` is the ``(views, labels)`` scene repetition ``reps[i]``
     trains on, and the model seeds follow the repetition index.  All
     (repetition, agent) pairs whose agents share an architecture train in
-    one ``train_stack`` call.  Returns ``(models, risks, statistics)``:
-    ``models`` and ``statistics`` indexed ``[position in reps][agent]``, and
-    ``risks`` the (len(reps), K, epochs) empirical risk of every model after
-    each epoch.  A diverging model raises
+    one ``train_stack`` call.  Returns ``(models, risks)``: ``models``
+    indexed ``[position in reps][agent]``, and ``risks`` the
+    (len(reps), K, epochs) empirical risk of every model after each epoch,
+    or None with ``trace`` off.  A diverging model raises
     ``TrainingDiverged`` naming its agent, with ``model`` set to its
     position in ``reps``.
     """
@@ -188,7 +189,7 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
         for k, arch in enumerate(cfg.arch_by_agent):
             groups.setdefault(arch, []).append((i, k))
     models = [[None] * cfg.n_agents for _ in reps]
-    risks = np.empty((len(reps), cfg.n_agents, cfg.hyper.epochs))
+    risks = np.empty((len(reps), cfg.n_agents, cfg.hyper.epochs)) if trace else None
     for arch, pairs in groups.items():
         seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(reps[i], k) for i, k in pairs])
         try:
@@ -198,21 +199,29 @@ def train_agents(cfg: ExperimentConfig, reps, scenes):
                 arch,
                 cfg.hyper,
                 seeds,
+                trace=trace,
             )
         except TrainingDiverged as exc:
             i, k = pairs[exc.model]
             raise TrainingDiverged(f"agent {k}: {exc}", i) from exc
-        for (i, k), model, trace in zip(pairs, trained, risk):
+        for (i, k), model in zip(pairs, trained):
             models[i][k] = model
-            risks[i, k] = trace
-    statistics = [
+        if trace:
+            for (i, k), row in zip(pairs, risk):
+                risks[i, k] = row
+    return models, risks
+
+
+def _debiased_statistics(cfg: ExperimentConfig, models, scenes) -> list:
+    """The debiased statistic of every model, indexed like ``models``, from
+    the training scene it was trained on."""
+    return [
         [
             make_debiased_statistic(model, views[k], labels, cfg.classes, agent=k)
             for k, model in enumerate(row)
         ]
         for row, (views, labels) in zip(models, scenes)
     ]
-    return models, risks, statistics
 
 
 # --- commands ---------------------------------------------------------------
@@ -227,7 +236,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     lines = []
     artifacts = ["risk_trace.csv", "manifest.json"]
     try:
-        models, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
+        models, risks = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"repetition {exc.model}, {exc}", exc.model) from exc
     for rep, row in enumerate(models):
@@ -255,7 +264,9 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.stream_length < 1:
         raise ConfigError("prediction needs stream_length >= 1")
     os.makedirs(out_dir, exist_ok=True)
-    _, _, (statistics,) = train_agents(cfg, [0], [shared_scene_training(cfg, rep=0)])
+    scenes = [shared_scene_training(cfg, rep=0)]
+    models, _ = train_agents(cfg, [0], scenes, trace=False)
+    (statistics,) = _debiased_statistics(cfg, models, scenes)
     source, layout = cfg.scene
     seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
     views, states = data_mod.prediction_streams(
@@ -322,7 +333,8 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     stats = ensembles = None
     try:
         if "sml" in strategies:
-            _, _, stats = train_agents(cfg, reps, scenes)
+            models, _ = train_agents(cfg, reps, scenes, trace=False)
+            stats = _debiased_statistics(cfg, models, scenes)
         if "adaboost" in strategies:
             # AdaBoost takes the labels +1 and -1 themselves: signs[j] for class j
             signs = np.array(cfg.classes)

@@ -385,11 +385,15 @@ def train_stack(
     hyper: TrainingHyperparameters,
     seeds,
     sample_weights=None,
+    trace=True,
 ) -> tuple:
     """Mini-batch ERM of S same-shape models in lockstep, one per training set.
 
     Returns ``(models, risk)``: the S trained models in training-set order
-    and the (S, epochs) empirical risk of each model after every epoch.
+    and the (S, epochs) empirical risk of each model after every epoch.  The
+    risk is a forward pass over every training set; with ``trace`` off it
+    runs after the last epoch alone, as a divergence check, and ``risk`` is
+    None.
 
     Model m trains on the (n, d) rows ``features[m]``, labeled with the class
     indices ``labels[m]``, exactly as it would alone: its own
@@ -400,8 +404,8 @@ def train_stack(
     weights, which share one flat buffer; with a norm bound set, every update
     is followed by a column-sum projection.  The training sets must share
     their length, and the class indices lie below the output width; a
-    non-finite loss raises ``TrainingDiverged`` naming the first diverged
-    model's stack index.
+    non-finite loss or risk raises ``TrainingDiverged`` naming the first
+    diverged model's stack index.
     """
     labels, row_weights = _check_stack(features, labels, arch, sample_weights)
     if len(seeds) != len(features):
@@ -439,7 +443,7 @@ def train_stack(
         scratch = np.empty_like(params)
         step = 0
 
-    trace = np.empty((n_models, hyper.epochs))
+    risks = np.empty((n_models, hyper.epochs)) if trace else None
     for epoch in range(hyper.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
         flat = order + rows * n
@@ -487,15 +491,19 @@ def train_stack(
             if bound is not None:
                 for w in weights:
                     _project_columns(w, bound, out=w)
-        risk = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
-        if not np.isfinite(risk).all():
-            raise TrainingDiverged(
-                f"non-finite epoch risk at epoch {epoch}", _first_nonfinite(risk)
-            )
-        trace[:, epoch] = risk
+        # the last step's weights are read by no later loss, so the risk
+        # after the last epoch runs with the trace off too
+        if trace or epoch == hyper.epochs - 1:
+            risk = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
+            if not np.isfinite(risk).all():
+                raise TrainingDiverged(
+                    f"non-finite epoch risk at epoch {epoch}", _first_nonfinite(risk)
+                )
+            if trace:
+                risks[:, epoch] = risk
 
     models = [MLPModel(arch, tuple(w[m].copy() for w in weights)) for m in range(n_models)]
-    return models, trace
+    return models, risks
 
 
 def gradient_check(model: MLPModel, features, labels, eps: float = 1e-5) -> float:

@@ -13,6 +13,7 @@ from socialml.boosting import (
 )
 from socialml.mlp import (
     MLPArchitecture,
+    MLPModel,
     TrainingDiverged,
     TrainingHyperparameters,
     reference_logits,
@@ -188,6 +189,35 @@ class TestAdaboostDecide:
         base = adaboost_decide(ensemble, views)
         shuffled = adaboost_decide(ensemble, [v[perm] for v in views])
         np.testing.assert_array_equal(shuffled, base[perm])
+
+    @given(
+        votes=st.lists(
+            st.floats(-3.0, 3.0, allow_nan=False).filter(lambda v: v != 0.0),
+            min_size=3,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_sum_of_signed_votes(self, votes, seed):
+        # +-vote chosen per row is the +-1.0 decision times the vote, bit for
+        # bit, a single row included; agent 0 scores every row 0, a tie
+        # that decides +1
+        ensemble, _, _ = self.trained()
+        zero = MLPModel(ARCH, tuple(np.zeros_like(w) for w in ensemble.models[0].weights))
+        object.__setattr__(ensemble, "models", (zero, *ensemble.models[1:]))
+        object.__setattr__(ensemble, "votes", np.array(votes))
+        rng = np.random.default_rng(seed)
+        batch = [rng.normal(size=(30, 1)) * 3.0 for _ in ensemble.models]
+        for feats in (batch, [b[0] for b in batch]):
+            total = sum(
+                sign_decision(reference_logits(model, f)[..., 0]) * vote
+                for model, vote, f in zip(ensemble.models, ensemble.votes, feats)
+            )
+            want = sign_decision(total).astype(int)
+            got = adaboost_decide(ensemble, feats)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_view_count_mismatch_rejected(self):
         ensemble, views, _ = self.trained()

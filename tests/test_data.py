@@ -213,6 +213,18 @@ class TestPredictionStream:
             with pytest.raises(DataError, match="class 1 has no images"):
                 prediction_streams(pools, schedule, 5, [0], layout)
 
+    @pytest.mark.parametrize("state", [-1, -2, 2])
+    def test_state_outside_the_classes_rejected(self, state):
+        # a directly built schedule may hold any integer; a negative one
+        # would draw a class from the end of the list
+        schedule = RegimeSchedule(((0, 0), (3, state)))
+        with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
+            prediction_streams(mean_shift_gaussian_spec(1), schedule, 6, [0])
+        if state < 0:
+            pools = [np.zeros((3, 4, 4), dtype=np.uint8)] * 2
+            with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
+                prediction_streams(pools, schedule, 6, [0], PatchLayout(4, 4, 2, 2))
+
 
 def per_block_stream(source, schedule, length, seed, layout=None):
     """Reference draw: one generator call per (class, agent) block, in the

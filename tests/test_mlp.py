@@ -704,6 +704,59 @@ class TestTrainStack:
             "non-finite loss at epoch 0, batch start 5 (lr=10000000000.0)"
         )
 
+    @given(
+        n_models=st.integers(1, 4),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        norm_bound=st.sampled_from([None, 0.9]),
+        weighted=st.booleans(),
+        batch_size=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_trace_off_trains_the_same_models(
+        self, n_models, optimizer, norm_bound, weighted, batch_size, seed
+    ):
+        # the risk pass only reads the weights, so skipping it moves no bit
+        rng = np.random.default_rng(seed)
+        n = 19
+        features = [rng.normal(size=(n, 2)) for _ in range(n_models)]
+        labels = [rng.integers(0, 2, n) for _ in range(n_models)]
+        weights = [rng.random(n) + 1e-3 for _ in range(n_models)] if weighted else None
+        arch = MLPArchitecture((3, 5, 2), norm_bound=norm_bound)
+        hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
+        seeds = list(range(n_models))
+        traced, risk = train_stack(features, labels, arch, hyper, seeds, weights)
+        untraced, none = train_stack(features, labels, arch, hyper, seeds, weights, trace=False)
+        assert risk.shape == (n_models, 3) and none is None
+        for got, want in zip(untraced, traced):
+            assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+
+    @pytest.mark.parametrize(
+        "scale, lr, model",
+        [
+            # model 1's only step leaves its weights non-finite
+            (1e300, 1e10, 1),
+            # model 0's only step leaves finite weights of order 1e298 whose
+            # scores overflow on its own training rows
+            (1e10, 1e300, 0),
+        ],
+    )
+    def test_divergence_in_the_last_step_raises_with_the_trace_off(self, scale, lr, model):
+        # one epoch of one batch: no later loss reads the weights the only
+        # step leaves, so the risk after the last epoch must catch them
+        rng = np.random.default_rng(2)
+        labels = (rng.random(10) >= 0.5).astype(np.intp)
+        features = [rng.normal(size=(10, 2)) * (scale if m == 1 else 1.0) for m in range(3)]
+        arch = MLPArchitecture((3, 4, 2), activation="identity")
+        hyper = TrainingHyperparameters(1, 10, lr)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged) as traced:
+                train_stack(features, [labels] * 3, arch, hyper, [1, 2, 3])
+            with pytest.raises(TrainingDiverged) as untraced:
+                train_stack(features, [labels] * 3, arch, hyper, [1, 2, 3], trace=False)
+        assert traced.value.model == untraced.value.model == model
+        assert str(traced.value) == str(untraced.value) == "non-finite epoch risk at epoch 0"
+
     def test_unstackable_inputs_name_the_field(self):
         rng = np.random.default_rng(1)
         arch = MLPArchitecture((3, 2))
