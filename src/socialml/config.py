@@ -84,8 +84,8 @@ class ExperimentConfig(Record, hidden=("raw",)):
 
     @functools.cached_property
     def scene(self) -> tuple:
-        """The data source: (gaussian spec, None), or (the image pools in
-        class order, patch layout) with the pools read on first use, once per
+        """The data source: (gaussian spec, None), or ((images, rows), patch
+        layout), as ``_image_pools`` returns them, read on first use, once per
         process."""
         if self.layout is None:
             return self.gaussian, None
@@ -152,34 +152,35 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
 
 
 def _image_pools(cfg: ExperimentConfig) -> tuple:
-    """The uint8 images of each class in class order, each pool in file
-    order: views of one class-sorted array, which never holds rows of labels
-    no class uses."""
+    """``(images, rows)``: one read-only uint8 image array and, for each class
+    in class order, the indices of its rows in file order.  An IDX body is
+    mapped, not read; a CSV holds only the rows of labels some class uses."""
     files = {name: entry["path"] for name, entry in cfg.dataset["files"].items()}
     height, width = cfg.layout.height, cfg.layout.width
-    raws = tuple(dict.fromkeys(cfg.raw_labels))
     if cfg.dataset["format"] == "idx":
         labels = data_mod.read_idx_labels(files["labels"])
-        positions, counts = data_mod.class_positions(labels, raws)
-        pooled = data_mod.read_idx_images(files["images"], positions, files["labels"])
-        if pooled.shape[1:] != (height, width):
+        images = data_mod.read_idx_images(files["images"])
+        if len(images) != labels.size:
             raise ConfigError(
-                f"{files['images']}: images {pooled.shape[1:]} vs config {(height, width)}"
+                f"{files['labels']} holds {labels.size} labels but {files['images']} holds "
+                f"{len(images)} images"
+            )
+        if images.shape[1:] != (height, width):
+            raise ConfigError(
+                f"{files['images']}: images {images.shape[1:]} vs config {(height, width)}"
             )
     else:
-        images, labels = data_mod.read_label_pixel_csv(files["data"], height, width)
-        positions, counts = data_mod.class_positions(labels, raws)
-        kept = positions >= 0
-        pooled = np.empty((kept.sum(), height, width), dtype=np.uint8)
-        pooled[positions[kept]] = images[kept]
-    pools = []
+        images, labels = data_mod.read_label_pixel_csv(
+            files["data"], height, width, keep=cfg.raw_labels
+        )
+    # every draw of every replication reads these rows, so none may change them
+    images.flags.writeable = False
+    rows = []
     for label, raw in zip(cfg.classes, cfg.raw_labels):
-        c = raws.index(raw)
-        if counts[c] == 0:
+        rows.append(np.flatnonzero(labels == raw))
+        if rows[-1].size == 0:
             raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
-        start = counts[:c].sum()
-        pools.append(pooled[start : start + counts[c]])
-    return tuple(pools)
+    return images, tuple(rows)
 
 
 def gaussian_spec_to_json(spec: GaussianSceneSpec) -> dict:
@@ -464,8 +465,12 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
                 "classes must be integers or strings without ',', '\"' or line breaks, "
                 f"got {label!r}"
             )
-    if len(classes) < 2 or len(set(classes)) != len(classes):
-        raise ConfigError("classes must list at least two distinct labels")
+    # data blocks, label maps and artifacts name a class by its text, so 1
+    # and "1" would be one class under two indices
+    if len(classes) < 2 or len(set(map(str, classes))) != len(classes):
+        raise ConfigError(
+            f"classes must list at least two labels whose texts differ, got {list(classes)!r}"
+        )
 
     engine = _choice(_require(raw, "engine"), "engine", ("sl", "asl"))
     delta = raw.get("delta")

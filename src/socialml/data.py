@@ -236,11 +236,12 @@ def prediction_streams(
     class-index track that every stream of the batch shares.
 
     ``source`` is either a ``GaussianSceneSpec`` (each agent gets a fresh
-    draw from its own likelihood) or the image arrays of the classes in class
-    order, in which case one image per step is picked with replacement and
-    split through ``layout``.  Draws are independent across steps, and stream
-    s reads only its own generator ``generators(seeds)[s]``, so it is the
-    same stream whatever batch it is drawn in.  A state that is no class
+    draw from its own likelihood) or an image source ``(images, rows)``: one
+    image array and, for each class in class order, the integer array of its
+    row indices.  One image per step is then picked with replacement from the
+    class's rows and split through ``layout``.  Draws are independent across
+    steps, and stream s reads only its own generator ``generators(seeds)[s]``,
+    so it is the same stream whatever batch it is drawn in.  A state that is no class
     index of the source raises ``DataError`` naming it.
     """
     states = schedule.states(length)
@@ -272,16 +273,16 @@ def prediction_streams(
         return views, states
     if layout is None:
         raise DataError("image sources need a patch layout")
+    images, rows = source
     for j in active:
-        if j >= len(source) or len(source[j]) == 0:
+        if j >= len(rows) or len(rows[j]) == 0:
             raise DataError(f"class {j} has no images in the image source")
-    # only the picked images are scaled, never a whole pool
+    # only the picked images are scaled, never a whole class
     picks = np.empty((n_streams, length, layout.height, layout.width))
     for j in active:
         idx = np.flatnonzero(states == j)
-        pool = np.asarray(source[j])
-        chosen = np.stack([rng.integers(pool.shape[0], size=idx.size) for rng in rngs])
-        picks[:, idx] = scale_pixels(pool[chosen])
+        chosen = np.stack([rng.integers(rows[j].size, size=idx.size) for rng in rngs])
+        picks[:, idx] = scale_pixels(images[rows[j][chosen]])
     flat = _patches(picks.reshape(-1, layout.height, layout.width), layout)
     return [v.reshape(n_streams, length, -1) for v in flat], states
 
@@ -290,32 +291,12 @@ def prediction_streams(
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-# Images per block of an image file: an IDX body is read, and a label-pixel
-# CSV parsed, this many rows at a time.  A CSV block is parsed as float64, 8
-# bytes per one-byte pixel: 256 lines of 28x28 images take 1.6 MB; an IDX
-# block of them takes 200 KB.
-IMAGE_BLOCK_ROWS = 256
-
-
-def class_positions(labels, raw_labels) -> tuple:
-    """Where each labelled row goes in one class-sorted array.
-
-    Returns ``(positions, counts)``.  The array holds the rows labelled
-    ``raw_labels[0]``, then those labelled ``raw_labels[1]``, and so on, each
-    class in file order; row i goes to ``positions[i]``, or nowhere (-1) when
-    its label is not listed.  ``counts[c]`` is the number of rows labelled
-    ``raw_labels[c]``.  The raw labels must be distinct.
-    """
-    labels = np.asarray(labels)
-    # unlisted rows take the class after the last, so they sort to the end
-    which = np.full(labels.shape, len(raw_labels))
-    for c, raw in enumerate(raw_labels):
-        which[labels == raw] = c
-    counts = np.bincount(which, minlength=len(raw_labels) + 1)[:-1]
-    order = np.argsort(which, kind="stable")[: counts.sum()]
-    positions = np.full(labels.shape, -1, dtype=np.intp)
-    positions[order] = np.arange(order.size)
-    return positions, counts
+# Lines per parsed block of a label-pixel CSV.  A block is parsed as
+# float64, 8 bytes per one-byte pixel: 128 lines of 28x28 images take 0.8 MB.
+# Reading 5,000 such lines, 2 of 4 labels kept (1.97 MB), took 0.32-0.35 s at
+# 64 to 512 lines a block, and its traced peak was 2.4 MB at 128 lines and
+# 3.7 MB at 256 (numpy 2.4.6).
+IMAGE_BLOCK_ROWS = 128
 
 
 def _idx_header(fh, path, magic: int, kind: str) -> tuple:
@@ -330,34 +311,18 @@ def _idx_header(fh, path, magic: int, kind: str) -> tuple:
     return fields
 
 
-def read_idx_images(path, positions, labels_path) -> np.ndarray:
-    """Big-endian IDX image file -> uint8 array (kept rows, rows, cols).
+def read_idx_images(path) -> np.ndarray:
+    """Big-endian IDX image file -> read-only uint8 array (n, rows, cols).
 
-    Image i goes to row ``positions[i]`` of the result, and an image whose
-    position is negative is never kept.  ``positions`` holds one entry per
-    image, from the label file ``labels_path``, which a count mismatch names.
-    The body is read ``IMAGE_BLOCK_ROWS`` images at a time into one reused
-    buffer, so besides the result only one block is held.
+    The array maps the file body: nothing is read until a row is indexed,
+    and every process that maps the file shares its pages.
     """
     with open(path, "rb") as fh:
         count, rows, cols = _idx_header(fh, path, IDX_IMAGES_MAGIC, "image")
-        # the header's sizes are checked against the file before any is allocated
+        # checked before mapping: a short file would fail inside np.memmap
         if os.fstat(fh.fileno()).st_size - 16 < count * rows * cols:
             raise DataError(f"{path}: truncated IDX image body")
-        if len(positions) != count:
-            raise DataError(
-                f"{labels_path} holds {len(positions)} labels but {path} holds {count} images"
-            )
-        out = np.empty((int(np.count_nonzero(positions >= 0)), rows, cols), dtype=np.uint8)
-        buffer = np.empty((min(count, IMAGE_BLOCK_ROWS), rows, cols), dtype=np.uint8)
-        for start in range(0, count, IMAGE_BLOCK_ROWS):
-            block = buffer[: min(IMAGE_BLOCK_ROWS, count - start)]
-            if fh.readinto(block) != block.nbytes:
-                raise DataError(f"{path}: truncated IDX image body")
-            dest = positions[start : start + len(block)]
-            kept = dest >= 0
-            out[dest[kept]] = block[kept]
-    return out
+        return np.memmap(fh, dtype=np.uint8, mode="r", offset=16, shape=(count, rows, cols))
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -370,14 +335,17 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8)
 
 
-def read_label_pixel_csv(path, height: int, width: int) -> tuple:
+def read_label_pixel_csv(path, height: int, width: int, keep=None) -> tuple:
     """CSV fallback ``label,p0,...,pN`` -> (uint8 images, labels).
 
     Pixels are integers in [0, 255], as in an IDX file, so both formats give
-    the models the same scaled inputs.  The file is parsed ``IMAGE_BLOCK_ROWS``
-    lines at a time, so only one block is ever held as float64.
+    the models the same scaled inputs.  Every row is checked, and those whose
+    label is in ``keep`` (all of them by default) are returned in file order.
+    The file is parsed ``IMAGE_BLOCK_ROWS`` lines at a time, so only one block
+    is ever held as float64, and the kept pixels of each block are appended to
+    one buffer, which the result reads in place.
     """
-    images, labels = [], []
+    pixels, labels = bytearray(), []
     with open(path) as fh:
         while lines := list(itertools.islice(fh, IMAGE_BLOCK_ROWS)):
             with warnings.catch_warnings():
@@ -392,17 +360,22 @@ def read_label_pixel_csv(path, height: int, width: int) -> tuple:
                 )
             if not np.array_equal(rows[:, 0], np.round(rows[:, 0])):
                 raise DataError(f"{path}: label column (column 0) holds non-integer values")
-            labels.append(rows[:, 0].astype(int))
             # the cast changes every pixel that is not an integer in [0, 255], NaN too
             with np.errstate(invalid="ignore"):
-                images.append(rows[:, 1:].astype(np.uint8))
-            if not np.array_equal(images[-1], rows[:, 1:]):
+                block = rows[:, 1:].astype(np.uint8)
+            if not np.array_equal(block, rows[:, 1:]):
                 raise DataError(
                     f"{path}: pixel columns hold values that are not integers in [0, 255]"
                 )
-    if not images:
+            block_labels = rows[:, 0].astype(int)
+            kept = slice(None) if keep is None else np.isin(block_labels, keep)
+            labels.append(block_labels[kept])
+            pixels += block[kept].tobytes()
+            # freed before the next block is read and parsed
+            del lines, rows, block
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return np.concatenate(images).reshape(-1, height, width), np.concatenate(labels)
+    return np.frombuffer(pixels, np.uint8).reshape(-1, height, width), np.concatenate(labels)
 
 
 def file_sha256(path) -> str:

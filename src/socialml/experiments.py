@@ -39,12 +39,13 @@ from .stats import make_debiased_statistic
 # chunk stacks beyond one replication.  A 28x28 image replication of 4 patch
 # agents with 200 training rows stacks 1.26 MB.  Three of them (the image_mc
 # benchmark scene at seed 3, one process, 2 vCPUs, numpy 2.4.6) peak at
-# 53.4-53.8 MiB resident (17.9 MiB traced by tracemalloc) in one chunk and
-# at 48.2-48.4 MiB (12.5 MiB traced) one per chunk: 2.5 MB more inputs,
-# about 5.3 MiB higher.  The one-chunk peak stays under the 53.9 MiB that
-# reading the IDX images whole peaked at before the class pools were built
-# in place.  4 MiB fits those 3 replications in one chunk, and 1,638 of the
-# criterion-09 scene (4 agents, 40 rows of 1 feature).
+# 53.7-53.8 MiB resident (9.0 MiB traced by tracemalloc) in one chunk and
+# at 48.5-48.6 MiB (3.7 MiB traced) one per chunk: 2.5 MB more inputs,
+# about 5.2 MiB higher.  Both resident peaks include about 9 MiB of mapped
+# file pages (RssFile): the IDX body, whose pages random picks touch and
+# which tracemalloc does not see.  4 MiB fits those 3 replications
+# in one chunk, and 1,638 of the criterion-09 scene (4 agents, 40 rows of
+# 1 feature).
 CHUNK_INPUT_BYTES = 1 << 22
 
 
@@ -160,14 +161,14 @@ def shared_scene_training(cfg: ExperimentConfig, rep: int, rng=None) -> tuple:
             views.append(view)
         return views, labels
     # the picked images keep their pixel type, so split_patches scales each once
-    dtype = np.result_type(*source)
-    picks = np.empty((labels.size, layout.height, layout.width), dtype=dtype)
-    for j, pool in enumerate(source):
+    images, rows = source
+    picks = np.empty((labels.size, layout.height, layout.width), dtype=images.dtype)
+    for j, class_rows in enumerate(rows):
         idx = np.flatnonzero(labels == j)
-        if pool.shape[0] < per_class:
-            raise ConfigError(f"class {cfg.classes[j]!r}: {pool.shape[0]} images < {per_class}")
-        chosen = rng.choice(pool.shape[0], size=idx.size, replace=False)
-        picks[idx] = pool[chosen]
+        if class_rows.size < per_class:
+            raise ConfigError(f"class {cfg.classes[j]!r}: {class_rows.size} images < {per_class}")
+        chosen = rng.choice(class_rows.size, size=idx.size, replace=False)
+        picks[idx] = images[class_rows[chosen]]
     return data_mod.split_patches(picks, layout), labels
 
 

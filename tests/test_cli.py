@@ -27,7 +27,7 @@ from socialml.experiments import (
 )
 from socialml.mlp import load_model, train_stack
 from socialml.seeds import derived_seeds
-from socialml.social import decide, periodic_schedule
+from socialml.social import periodic_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_images_end_to_end import image_config, write_idx_dataset
@@ -219,35 +219,16 @@ class TestClassLabels:
         assert {len(row.split(",")) for row in rows} == {8}
         assert {row.split(",")[3] for row in rows} == {"2", "-x"}
 
-    def test_mixed_labels_keep_their_text(self, tmp_path):
-        # 1 and "1" are two classes written as one text: each row's decision,
-        # true state and correct flag follow the class indices, and a rerun
-        # writes the same bytes
-        classes = [1, "1", 3]
-        cfg = labelled_config(classes)
-        cfg["schedule"] = {"segments": [[0, 1], [7, "1"], [12, 3], [16, "1"]]}
-        truth = [0] * 7 + [1] * 5 + [2] * 4 + [1] * 4
-        path = write_config(tmp_path, cfg)
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out in outs:
-            assert main(["predict", "--config", str(path), "--out", str(out)]) == 0
-        rows = [row.split(",") for row in (outs[0] / "trajectory.csv").read_text().splitlines()[2:]]
-        assert len(rows) == 20 * 4 * 2
-        assert [row[3] for row in rows] == ["1", "3"] * 20 * 4
-        # the lambda pair of a step and agent decides its class
-        picks = decide(np.array([float(row[4]) for row in rows]).reshape(20, 4, 2)).ravel()
-        tails = [row[5:] for row in rows[::2]]
-        assert tails == [row[5:] for row in rows[1::2]]
-        for (decision, state, correct), pick, i in zip(tails, picks, np.repeat(range(20), 4)):
-            assert decision == str(classes[pick])
-            assert state == str(classes[truth[i]])
-            assert correct == str(int(pick == truth[i]))
-        # some picks of class 1 during a "1" segment: same text, not correct
-        assert ["1", "1", "0"] in tails
-        summary = json.loads((outs[0] / "summary.json").read_text())
-        assert [cycle["state"] for cycle in summary["cycles"]] == ["1", "1", "3", "1"]
-        for name in ("trajectory.csv", "summary.json", "manifest.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    @pytest.mark.parametrize("classes", [[1, "1", 3], ["-1", -1]])
+    def test_mixed_labels_sharing_a_text_exit_1_naming_classes(self, tmp_path, capsys, classes):
+        # 1 and "1" would read one data block and write one artifact text
+        path = write_config(tmp_path, labelled_config(classes))
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(path), "--out", str(out)]) == 1
+        assert f"classes must list at least two labels whose texts differ, got {classes!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 def _theory_override(**entries):

@@ -18,7 +18,6 @@ from socialml.data import (
     GaussianClassModel,
     GaussianSceneSpec,
     PatchLayout,
-    class_positions,
     file_sha256,
     gaussian_training_set,
     mean_shift_gaussian_spec,
@@ -178,7 +177,7 @@ class TestPredictionStream:
         pools = [rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        views, _ = prediction_streams(pools, sched, 10, [2], layout)
+        views, _ = prediction_streams(image_source(pools), sched, 10, [2], layout)
         assert len(views) == 4
         assert views[0][0].shape == (10, 9)
         assert np.all(views[0][0] <= 1.0)
@@ -198,20 +197,23 @@ class TestPredictionStream:
         pools = [rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        views, _ = prediction_streams(pools, sched, 10, [2], layout)
+        images, rows = image_source(pools)
+        views, _ = prediction_streams((images, rows), sched, 10, [2], layout)
         assert sum(scaled) <= 10 * 6 * 6
-        # the same draws from pools scaled up front give the same views
-        prescaled = [images / 255.0 for images in pools]
-        again, _ = prediction_streams(prescaled, sched, 10, [2], layout)
+        # the same draws from images scaled up front give the same views
+        again, _ = prediction_streams((images / 255.0, rows), sched, 10, [2], layout)
         for got, want in zip(views, again):
             np.testing.assert_array_equal(got[0], want[0])
 
     def test_missing_class_rejected(self):
         layout = PatchLayout(4, 4, 2, 2)
         schedule = RegimeSchedule(((0, 1),))
-        for pools in ([np.zeros((3, 4, 4), dtype=np.uint8)], [np.zeros((3, 4, 4))] + [[]]):
+        for images, rows in [
+            (np.zeros((3, 4, 4), dtype=np.uint8), (np.arange(3),)),
+            (np.zeros((3, 4, 4)), (np.arange(3), np.arange(0))),
+        ]:
             with pytest.raises(DataError, match="class 1 has no images"):
-                prediction_streams(pools, schedule, 5, [0], layout)
+                prediction_streams((images, rows), schedule, 5, [0], layout)
 
     @pytest.mark.parametrize("state", [-1, -2, 2])
     def test_state_outside_the_classes_rejected(self, state):
@@ -221,9 +223,22 @@ class TestPredictionStream:
         with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
             prediction_streams(mean_shift_gaussian_spec(1), schedule, 6, [0])
         if state < 0:
-            pools = [np.zeros((3, 4, 4), dtype=np.uint8)] * 2
+            source = image_source([np.zeros((3, 4, 4), dtype=np.uint8)] * 2)
             with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
-                prediction_streams(pools, schedule, 6, [0], PatchLayout(4, 4, 2, 2))
+                prediction_streams(source, schedule, 6, [0], PatchLayout(4, 4, 2, 2))
+
+
+def image_source(pools, seed=0):
+    """One image array per class as the ``(images, rows)`` source of
+    ``prediction_streams``: the classes' images shuffled together by ``seed``,
+    and each class's row indices in that array."""
+    stacked = np.concatenate(pools)
+    # stacked row i lands at row order[i]
+    order = np.random.default_rng(seed).permutation(len(stacked))
+    images = np.empty_like(stacked)
+    images[order] = stacked
+    ends = np.cumsum([len(pool) for pool in pools])
+    return images, tuple(order[end - len(pool) : end] for pool, end in zip(pools, ends))
 
 
 def per_block_stream(source, schedule, length, seed, layout=None):
@@ -297,9 +312,10 @@ class TestPredictionStreams:
         layout = PatchLayout(7, 8, *grid)
         schedule = periodic_schedule(period, [2, 0, 1], length)
         seeds = rng.integers(0, 2**63, n_streams).tolist()
-        batch, _ = prediction_streams(pools, schedule, length, seeds, layout)
+        source = image_source(pools, seed)
+        batch, _ = prediction_streams(source, schedule, length, seeds, layout)
         for s, seed_s in enumerate(seeds):
-            alone, _ = prediction_streams(pools, schedule, length, [seed_s], layout)
+            alone, _ = prediction_streams(source, schedule, length, [seed_s], layout)
             reference = per_block_stream(pools, schedule, length, seed_s, layout)
             for k in range(layout.n_agents):
                 assert batch[k].shape == (n_streams, length, layout.view_dim(k))
@@ -323,20 +339,20 @@ class TestIdxFiles:
         images = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
         labels = np.array([0, 1, 1, 0], dtype=np.uint8)
         img_path, lab_path = self.write_idx(tmp_path, images, labels)
-        np.testing.assert_array_equal(read_idx_images(img_path, np.arange(4), lab_path), images)
+        np.testing.assert_array_equal(read_idx_images(img_path), images)
         np.testing.assert_array_equal(read_idx_labels(lab_path), labels)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.idx"
         path.write_bytes(struct.pack(">IIII", 0x00000999, 1, 2, 2) + b"\x00" * 4)
         with pytest.raises(DataError, match="magic"):
-            read_idx_images(path, np.arange(1), "labels.idx")
+            read_idx_images(path)
 
     def test_truncated_body_rejected(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 5)
         with pytest.raises(DataError, match="truncated"):
-            read_idx_images(path, np.arange(2), "labels.idx")
+            read_idx_images(path)
 
     def test_csv_fallback(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -354,7 +370,7 @@ class TestIdxFiles:
         images = rng.integers(0, 256, size=(6, 4, 5), dtype=np.uint8)
         images[0, 0, 0], images[1, 0, 0] = 0, 255
         labels = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
-        img_path, lab_path = self.write_idx(tmp_path, images, labels)
+        img_path, _ = self.write_idx(tmp_path, images, labels)
         path = tmp_path / "data.csv"
         path.write_text(
             "".join(
@@ -366,7 +382,7 @@ class TestIdxFiles:
         np.testing.assert_array_equal(csv_labels, labels)
         layout = PatchLayout(4, 5, 2, 2)
         csv_views = split_patches(from_csv, layout)
-        idx_views = split_patches(read_idx_images(img_path, np.arange(6), lab_path), layout)
+        idx_views = split_patches(read_idx_images(img_path), layout)
         for got, want in zip(csv_views, idx_views):
             assert np.array_equal(got, want)
         assert max(float(v.max()) for v in csv_views) == 1.0
@@ -397,6 +413,22 @@ class TestIdxFiles:
         np.testing.assert_array_equal(got_labels, rows[:, 0])
         np.testing.assert_array_equal(got_images, images)
         np.testing.assert_array_equal(got_labels, labels)
+
+    @pytest.mark.parametrize("keep", [(3, 7), (7,), (11,)])
+    def test_csv_keeps_the_listed_labels_in_file_order(self, tmp_path, keep):
+        path = tmp_path / "data.csv"
+        images, labels = self.write_csv(path, 2 * data_mod.IMAGE_BLOCK_ROWS + 7)
+        got_images, got_labels = read_label_pixel_csv(path, 2, 2, keep=keep)
+        kept = np.isin(labels, keep)
+        np.testing.assert_array_equal(got_labels, labels[kept])
+        np.testing.assert_array_equal(got_images, images[kept])
+        assert got_images.shape == (kept.sum(), 2, 2) and got_images.dtype == np.uint8
+
+    def test_csv_dropped_rows_are_still_checked(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1," + ",".join(["128"] * 4) + "\n" + "2," + ",".join(["300"] * 4) + "\n")
+        with pytest.raises(DataError, match="data.csv: pixel columns"):
+            read_label_pixel_csv(path, 2, 2, keep=(1,))
 
     def test_csv_comment_block_skipped(self, tmp_path, monkeypatch):
         # a block holding only comment and blank lines adds no rows
@@ -491,7 +523,7 @@ def pooled_config(directory, shape, label_map):
 
 
 class TestClassPools:
-    """The class pools equal the per-class masks of the whole file."""
+    """Each class's rows of the one image array are its label's rows."""
 
     @given(
         data=st.data(),
@@ -501,6 +533,7 @@ class TestClassPools:
         fmt=st.sampled_from(["idx", "csv"]),
     )
     @example(data=None, n=9, n_values=3, block=4, fmt="idx")
+    @example(data=None, n=9, n_values=3, block=4, fmt="csv")
     @settings(max_examples=40, deadline=None)
     def test_pools_equal_the_label_masks(self, data, n, n_values, block, fmt):
         rng = np.random.default_rng(n * 101 + n_values * 7 + block)
@@ -524,34 +557,43 @@ class TestClassPools:
         ):
             write_image_files(Path(tmp), images, labels, fmt)
             cfg = pooled_config(Path(tmp), (2, 3), label_map)
-            pools = _image_pools(cfg)
-        # one pool per class, in class order
-        assert len(pools) == len(cfg.classes)
-        pooled = None
-        for pool, raw in zip(pools, label_map):
-            want = images[labels == raw]
-            assert pool.dtype == np.uint8 and pool.flags.c_contiguous
-            assert np.array_equal(pool, want)
-            # every pool is a view of one class-sorted array
-            pooled = pool.base if pooled is None else pooled
-            assert pool.base is pooled
-        assert pooled.shape[0] == sum(np.sum(labels == raw) for raw in label_map)
-
-    def test_positions_sort_kept_rows_by_class(self):
-        positions, counts = class_positions(np.array([3, 1, 2, 3, 1, 9]), (1, 3))
-        assert positions.tolist() == [2, 0, -1, 3, 1, -1]
-        assert counts.tolist() == [2, 2]
+            pooled, rows = _image_pools(cfg)
+            # one index array per class, in class order, each in file order
+            assert len(rows) == len(cfg.classes)
+            assert pooled.dtype == np.uint8
+            for class_rows, raw in zip(rows, label_map):
+                assert np.all(np.diff(class_rows) > 0)
+                assert np.array_equal(pooled[class_rows], images[labels == raw])
+            if fmt == "idx":
+                # the mapped file: every row, none copied
+                assert isinstance(pooled, np.memmap)
+                assert np.array_equal(pooled, images)
+            else:
+                # the parsed file: only the rows of labels some class uses
+                assert np.array_equal(pooled, images[np.isin(labels, label_map)])
+            del pooled
 
     def test_classes_sharing_a_raw_label_share_its_pool(self, tmp_path):
         labels = np.array([0, 1, 0, 2])
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, "idx")
-        pools = _image_pools(pooled_config(tmp_path, (2, 3), [0, 0, 2]))
-        assert np.array_equal(pools[0], images[[0, 2]])
-        assert np.array_equal(pools[1], images[[0, 2]])
-        assert np.array_equal(pools[2], images[[3]])
+        pooled, rows = _image_pools(pooled_config(tmp_path, (2, 3), [0, 0, 2]))
+        assert [r.tolist() for r in rows] == [[0, 2], [0, 2], [3]]
+        assert np.array_equal(pooled[rows[2]], images[[3]])
 
-    def test_reading_peaks_at_the_kept_pools_plus_one_block(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["idx", "csv"])
+    def test_pooled_images_are_read_only(self, tmp_path, fmt):
+        labels = np.array([0, 1, 0, 1])
+        images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
+        write_image_files(tmp_path, images, labels, fmt)
+        pooled, rows = _image_pools(pooled_config(tmp_path, (2, 3), [0, 1]))
+        with pytest.raises(ValueError, match="read-only"):
+            pooled[rows[0][0]] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            pooled[:] += 1
+        assert np.array_equal(pooled, images)
+
+    def test_idx_loading_copies_no_body(self, tmp_path):
         rng = np.random.default_rng(21)
         labels = rng.integers(0, 4, 5000)
         images = rng.integers(0, 256, size=(5000, 28, 28), dtype=np.uint8)
@@ -559,13 +601,32 @@ class TestClassPools:
         cfg = pooled_config(tmp_path, (28, 28), [3, 1])
         tracemalloc.start()
         try:
-            pools = _image_pools(cfg)
+            pooled, rows = _image_pools(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = sum(pool.nbytes for pool in pools)
-        assert kept == np.isin(labels, [1, 3]).sum() * 28 * 28
-        assert peak < 1.1 * (kept + data_mod.IMAGE_BLOCK_ROWS * 28 * 28), (peak, kept)
+        assert np.array_equal(pooled[rows[0]], images[labels == 3])
+        # the labels, one mask and the row indices: no image is held
+        assert peak < 0.05 * images.nbytes, (peak, images.nbytes)
+
+    def test_csv_reading_holds_the_kept_rows_once(self, tmp_path):
+        rng = np.random.default_rng(21)
+        labels = rng.integers(0, 4, 5000)
+        images = rng.integers(0, 256, size=(5000, 28, 28), dtype=np.uint8)
+        write_image_files(tmp_path, images, labels, "csv")
+        cfg = pooled_config(tmp_path, (28, 28), [3, 1])
+        tracemalloc.start()
+        try:
+            pooled, rows = _image_pools(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = np.isin(labels, [1, 3])
+        assert pooled.nbytes == kept.sum() * 28 * 28
+        assert np.array_equal(pooled[rows[1]], images[labels == 1])
+        # reading every row, then a whole-file copy, then the class-sorted
+        # pools peaked at 8.79 MB here
+        assert peak < 4.39e6, (peak, pooled.nbytes)
 
     def train(self, directory):
         path = directory / "config.json"
@@ -581,6 +642,11 @@ class TestClassPools:
             ("images.idx", lambda b: struct.pack(">IIII", 0x803, 40, 16, 4) + b[16:], "vs config"),
             ("labels.idx", lambda b: b[:-3], "truncated IDX label body"),
             ("labels.idx", lambda b: b[:6], "truncated IDX header"),
+            (
+                "labels.idx",
+                lambda b: struct.pack(">II", 0x801, 39) + b[8:-1],
+                "holds 39 labels but",
+            ),
         ],
     )
     def test_bad_idx_file_exits_1_naming_it(self, tmp_path, capsys, name, cut, words):

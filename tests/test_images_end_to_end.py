@@ -153,9 +153,9 @@ class TestImageTrainingScene:
         monkeypatch.setattr(data_mod, "scale_pixels", counting)
         views, labels = shared_scene_training(cfg, rep=0)
         assert sum(scaled) == labels.size * 8 * 8
-        # the same draws from pools scaled up front give the same views
-        pools, layout = cfg.scene
-        vars(cfg)["scene"] = ([images / 255.0 for images in pools], layout)
+        # the same draws from images scaled up front give the same views
+        (images, rows), layout = cfg.scene
+        vars(cfg)["scene"] = ((images / 255.0, rows), layout)
         again, again_labels = shared_scene_training(cfg, rep=0)
         assert np.array_equal(labels, again_labels)
         for got, want in zip(views, again):
@@ -187,15 +187,19 @@ class TestImageSceneLoading:
     def test_csv_and_idx_datasets_train_alike(self, tmp_path):
         write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
         labels = read_idx_labels(tmp_path / "labels.idx")
-        images = read_idx_images(
-            tmp_path / "images.idx", np.arange(labels.size), tmp_path / "labels.idx"
-        )
+        images = read_idx_images(tmp_path / "images.idx")
         write_csv_dataset(tmp_path / "csv", images, labels)
-        assert self.train(tmp_path, image_config("dataset.json")) == 0
-        assert self.train(tmp_path / "csv", image_config("dataset.json")) == 0
-        for name in ("risk_trace.csv", "models/agent_0.json"):
-            idx_bytes = (tmp_path / "out" / name).read_bytes()
-            assert (tmp_path / "csv" / "out" / name).read_bytes() == idx_bytes
+        for directory in (tmp_path, tmp_path / "csv"):
+            assert self.train(directory, image_config("dataset.json")) == 0
+            argv = ["montecarlo", "--config", str(directory / "config.json")]
+            assert main([*argv, "--out", str(directory / "mc"), "--replications-override", "2"]) == 0
+        for out in ("out", "mc"):
+            names = sorted(p.relative_to(tmp_path / out) for p in (tmp_path / out).rglob("*.*"))
+            csv_dir = tmp_path / "csv" / out
+            assert names == sorted(p.relative_to(csv_dir) for p in csv_dir.rglob("*.*"))
+            for name in names:
+                idx_bytes = (tmp_path / out / name).read_bytes()
+                assert (tmp_path / "csv" / out / name).read_bytes() == idx_bytes, name
 
     def test_csv_fractional_pixel_exits_1(self, tmp_path, capsys):
         images = np.full((2, 8, 8), 128.0)

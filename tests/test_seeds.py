@@ -52,7 +52,8 @@ class TestGoldenValues:
         # integers draws: image i of the pool has every pixel equal to i
         pool = np.repeat(np.arange(200, dtype=np.uint8), 4).reshape(200, 2, 2)
         layout = PatchLayout(2, 2, 1, 2)
-        images, _ = prediction_streams([pool, pool], schedule, 4, [seed], layout)
+        rows = np.arange(200)
+        images, _ = prediction_streams((pool, (rows, rows)), schedule, 4, [seed], layout)
         picks = np.rint(images[0][0, :, 0] * 255).astype(int)
         assert picks.tolist() == [97, 139, 101, 178]
 
