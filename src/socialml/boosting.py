@@ -49,9 +49,10 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
     training seed in scene r, and ``arch_per_agent[k]`` its architecture.
     Rounds stay sequential over agents: round k trains agent k of every scene
     in one ``train_stack`` call, each scene under its own sample weights, so
-    each scene's ensemble equals a stack of one.  The scenes must share their
-    sample count.  A diverging round raises ``TrainingDiverged`` whose
-    ``model`` is the scene's index.
+    each scene's ensemble equals a stack of one.  A round's hard decisions
+    are the signs of the training-set logits that call returns.  The scenes
+    must share their sample count.  A diverging round raises
+    ``TrainingDiverged`` whose ``model`` is the scene's index.
     """
     n_agents = len(scenes[0][0])
     ys = []
@@ -80,7 +81,7 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
                 raise BoostingError(f"agent {k} view has {view.shape[0]} rows, labels {y.size}")
             round_views.append(view)
         try:
-            trained, _ = train_stack(
+            trained, _, logits = train_stack(
                 round_views,
                 indices,
                 arch_per_agent[k],
@@ -91,9 +92,9 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
             )
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"AdaBoost round {k}, agent {k}: {exc}", exc.model) from exc
-        for r, (model, view, y) in enumerate(zip(trained, round_views, ys)):
+        for r, (model, y) in enumerate(zip(trained, ys)):
             models[r].append(model)
-            decisions = sign_decision(reference_logits(model, view)[..., 0])
+            decisions = sign_decision(logits[r][:, 0])
             err = float(np.sum(sample_w[r] * (decisions != y)))
             if err < ERROR_CLAMP or err > 1.0 - ERROR_CLAMP:
                 degenerate[r].append(k)

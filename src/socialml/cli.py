@@ -17,6 +17,7 @@ exits 2, as does any other exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .base import ValidationError
@@ -25,6 +26,9 @@ from .data import verify_manifest
 from .experiments import cmd_montecarlo, cmd_predict, cmd_theory, cmd_train
 
 
+# built once per process: parse_args fills a fresh namespace on every call,
+# and a caller such as a benchmark worker runs main several times
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="socialml",

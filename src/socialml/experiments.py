@@ -178,10 +178,12 @@ def train_agents(cfg: ExperimentConfig, reps, scenes, trace=True):
     ``scenes[i]`` is the ``(views, labels)`` scene repetition ``reps[i]``
     trains on, and the model seeds follow the repetition index.  All
     (repetition, agent) pairs whose agents share an architecture train in
-    one ``train_stack`` call.  Returns ``(models, risks)``: ``models``
-    indexed ``[position in reps][agent]``, and ``risks`` the
+    one ``train_stack`` call.  Returns ``(models, risks, logits)``:
+    ``models`` indexed ``[position in reps][agent]``, ``risks`` the
     (len(reps), K, epochs) empirical risk of every model after each epoch,
-    or None with ``trace`` off.  A diverging model raises
+    or None with ``trace`` off, and ``logits`` indexed like ``models``, each
+    model's (N, M-1) reference logits on its training rows, as
+    ``train_stack`` returns them.  A diverging model raises
     ``TrainingDiverged`` naming its agent, with ``model`` set to its
     position in ``reps``.
     """
@@ -190,11 +192,12 @@ def train_agents(cfg: ExperimentConfig, reps, scenes, trace=True):
         for k, arch in enumerate(cfg.arch_by_agent):
             groups.setdefault(arch, []).append((i, k))
     models = [[None] * cfg.n_agents for _ in reps]
+    logits = [[None] * cfg.n_agents for _ in reps]
     risks = np.empty((len(reps), cfg.n_agents, cfg.hyper.epochs)) if trace else None
     for arch, pairs in groups.items():
         seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(reps[i], k) for i, k in pairs])
         try:
-            trained, risk = train_stack(
+            trained, risk, scores = train_stack(
                 [scenes[i][0][k] for i, k in pairs],
                 [scenes[i][1] for i, _ in pairs],
                 arch,
@@ -205,23 +208,26 @@ def train_agents(cfg: ExperimentConfig, reps, scenes, trace=True):
         except TrainingDiverged as exc:
             i, k = pairs[exc.model]
             raise TrainingDiverged(f"agent {k}: {exc}", i) from exc
-        for (i, k), model in zip(pairs, trained):
+        for (i, k), model, score in zip(pairs, trained, scores):
             models[i][k] = model
+            logits[i][k] = score
         if trace:
             for (i, k), row in zip(pairs, risk):
                 risks[i, k] = row
-    return models, risks
+    return models, risks, logits
 
 
-def _debiased_statistics(cfg: ExperimentConfig, models, scenes) -> list:
-    """The debiased statistic of every model, indexed like ``models``, from
-    the training scene it was trained on."""
+def _trained_statistics(cfg: ExperimentConfig, reps, scenes) -> list:
+    """``train_agents`` with the trace off, then the debiased statistic of
+    every model, indexed like the models, centred with its logits on the
+    training scene it was trained on."""
+    models, _, logits = train_agents(cfg, reps, scenes, trace=False)
     return [
         [
-            make_debiased_statistic(model, views[k], labels, cfg.classes, agent=k)
-            for k, model in enumerate(row)
+            make_debiased_statistic(model, scores, labels, cfg.classes, agent=k)
+            for k, (model, scores) in enumerate(zip(row, row_logits))
         ]
-        for row, (views, labels) in zip(models, scenes)
+        for row, row_logits, (_, labels) in zip(models, logits, scenes)
     ]
 
 
@@ -237,7 +243,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     lines = []
     artifacts = ["risk_trace.csv", "manifest.json"]
     try:
-        models, risks = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
+        models, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"repetition {exc.model}, {exc}", exc.model) from exc
     for rep, row in enumerate(models):
@@ -266,8 +272,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError("prediction needs stream_length >= 1")
     os.makedirs(out_dir, exist_ok=True)
     scenes = [shared_scene_training(cfg, rep=0)]
-    models, _ = train_agents(cfg, [0], scenes, trace=False)
-    (statistics,) = _debiased_statistics(cfg, models, scenes)
+    (statistics,) = _trained_statistics(cfg, [0], scenes)
     source, layout = cfg.scene
     seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
     views, states = data_mod.prediction_streams(
@@ -334,8 +339,7 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     stats = ensembles = None
     try:
         if "sml" in strategies:
-            models, _ = train_agents(cfg, reps, scenes, trace=False)
-            stats = _debiased_statistics(cfg, models, scenes)
+            stats = _trained_statistics(cfg, reps, scenes)
         if "adaboost" in strategies:
             # AdaBoost takes the labels +1 and -1 themselves: signs[j] for class j
             signs = np.array(cfg.classes)

@@ -146,10 +146,9 @@ class MLPModel(Record, hidden=("weights",)):
         object.__setattr__(self, "weights", ws)
 
 
-def initialize_model(
-    arch: MLPArchitecture, rng: np.random.Generator, scale: float = 1.0
-) -> MLPModel:
-    """Uniform init in +-scale/sqrt(fan_in) per layer."""
+def _initial_weights(arch: MLPArchitecture, rng: np.random.Generator, scale: float) -> list:
+    """A model's initial matrices: uniform in +-scale/sqrt(fan_in) per layer,
+    each column-projected onto the norm bound when one is set."""
     sizes = arch.layer_sizes
     weights = []
     for ell in range(1, len(sizes)):
@@ -158,7 +157,14 @@ def initialize_model(
         weights.append(w)
     if arch.norm_bound is not None:
         weights = [_project_columns(w, arch.norm_bound) for w in weights]
-    return MLPModel(arch, tuple(weights))
+    return weights
+
+
+def initialize_model(
+    arch: MLPArchitecture, rng: np.random.Generator, scale: float = 1.0
+) -> MLPModel:
+    """Uniform init in +-scale/sqrt(fan_in) per layer."""
+    return MLPModel(arch, tuple(_initial_weights(arch, rng, scale)))
 
 
 def _augment(arch: MLPArchitecture, features) -> np.ndarray:
@@ -207,7 +213,11 @@ def reference_logits(model: MLPModel, features) -> np.ndarray:
     because the softmax normalizer cancels.  Shape (..., M-1), a view of the
     scores: each difference overwrites z_gamma.
     """
-    z = output_preactivations(model, features)
+    return _pairwise_logits(output_preactivations(model, features))
+
+
+def _pairwise_logits(z: np.ndarray) -> np.ndarray:
+    # z_0 - z_gamma over the last axis, each difference written over z_gamma
     for gamma in range(1, z.shape[-1]):
         np.subtract(z[..., 0], z[..., gamma], out=z[..., gamma])
     return z[..., 1:]
@@ -245,9 +255,16 @@ def logistic_risk(logit_source, features, labels) -> float:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    # the ufunc reductions directly: ndarray.max and np.sum reach the same
-    # ones through Python wrappers, a cost per training step
-    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    # The row maximum goes column by column: a reduction over the short class
+    # axis runs an inner loop of C entries per row, each np.maximum one loop
+    # over all rows.  A maximum is exact in any order, so the bits equal the
+    # reduction's for any C, +-inf and NaN included.  The normalizer stays a
+    # reduction: numpy sums 8 or more terms pairwise, so a sum column by
+    # column would move the last bits of rows with 8 or more classes.
+    top = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j : j + 1], out=top)
+    shifted = z - top
     shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     return shifted
 
@@ -268,14 +285,16 @@ def _project_columns(w: np.ndarray, bound: float, out=None) -> np.ndarray:
     return np.multiply(w, factor, out=out)
 
 
-def _stack_risk(weights, h, picks, row_weights, activation) -> np.ndarray:
+def _stack_risk(weights, h, picks, row_weights, activation) -> tuple:
     """Weighted cross-entropy of each stacked model, forward pass only.
 
     ``picks`` indexes the true-class entries of the flattened (S, N, C)
-    log-posteriors; ``row_weights`` is (S, N).
+    log-posteriors; ``row_weights`` is (S, N).  Returns the (S,) risks and
+    the (S, N, C) final scores z they were computed from.
     """
-    logp = _log_softmax(_stack_forward(weights, h, _ACTIVATIONS[activation][0])[-1])
-    return -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
+    z = _stack_forward(weights, h, _ACTIVATIONS[activation][0])[-1]
+    logp = _log_softmax(z)
+    return -(row_weights * logp.reshape(-1)[picks]).sum(axis=1), z
 
 
 def _stack_gradients(weights, h, picks, row_weights, activation, grads=None):
@@ -389,11 +408,14 @@ def train_stack(
 ) -> tuple:
     """Mini-batch ERM of S same-shape models in lockstep, one per training set.
 
-    Returns ``(models, risk)``: the S trained models in training-set order
-    and the (S, epochs) empirical risk of each model after every epoch.  The
-    risk is a forward pass over every training set; with ``trace`` off it
-    runs after the last epoch alone, as a divergence check, and ``risk`` is
-    None.
+    Returns ``(models, risk, logits)``: the S trained models in training-set
+    order, the (S, epochs) empirical risk of each model after every epoch,
+    and the (S, n, M-1) reference logits z_0 - z_gamma of each model over its
+    own training rows, in input order (``reference_logits`` of model m on
+    ``features[m]``, bit for bit).  The risk is a forward pass over every
+    training set; with ``trace`` off it runs after the last epoch alone, as a
+    divergence check, and ``risk`` is None.  The logits come from that last
+    pass.
 
     Model m trains on the (n, d) rows ``features[m]``, labeled with the class
     indices ``labels[m]``, exactly as it would alone: its own
@@ -418,7 +440,7 @@ def train_stack(
     gflat = np.empty_like(params)
     weights, grads = _flat_views(params, shapes), _flat_views(gflat, shapes)
     for m, rng in enumerate(rngs):
-        for w, init in zip(weights, initialize_model(arch, rng, hyper.init_scale).weights):
+        for w, init in zip(weights, _initial_weights(arch, rng, hyper.init_scale)):
             w[m] = init
     # the inputs in training-set order, augmented in place: the one stacked
     # copy of them, which every mini-batch is gathered from
@@ -444,8 +466,12 @@ def train_stack(
         step = 0
 
     risks = np.empty((n_models, hyper.epochs)) if trace else None
+    order = np.empty((n_models, n), dtype=np.intp)
     for epoch in range(hyper.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+        # rng.permutation(n) is arange(n) shuffled: the same draws, in place
+        order[:] = np.arange(n)
+        for o, rng in zip(order, rngs):
+            rng.shuffle(o)
         flat = order + rows * n
         picks_epoch = offsets + labels[rows, order]
         weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
@@ -494,16 +520,18 @@ def train_stack(
         # the last step's weights are read by no later loss, so the risk
         # after the last epoch runs with the trace off too
         if trace or epoch == hyper.epochs - 1:
-            risk = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
+            risk, z = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
             if not np.isfinite(risk).all():
                 raise TrainingDiverged(
                     f"non-finite epoch risk at epoch {epoch}", _first_nonfinite(risk)
                 )
             if trace:
                 risks[:, epoch] = risk
+                if epoch < hyper.epochs - 1:
+                    del z  # only the last pass's scores are returned
 
     models = [MLPModel(arch, tuple(w[m].copy() for w in weights)) for m in range(n_models)]
-    return models, risks
+    return models, risks, _pairwise_logits(z)
 
 
 def gradient_check(model: MLPModel, features, labels, eps: float = 1e-5) -> float:
@@ -525,7 +553,7 @@ def gradient_check(model: MLPModel, features, labels, eps: float = 1e-5) -> floa
     _, grads = _stack_gradients(weights, h, picks, uniform, arch.activation)
 
     def risk() -> float:
-        return float(_stack_risk(weights, h, picks, uniform, arch.activation)[0])
+        return float(_stack_risk(weights, h, picks, uniform, arch.activation)[0][0])
 
     worst = 0.0
     for ell, w in enumerate(weights):

@@ -73,10 +73,13 @@ class DebiasedStatistic(Record):
 
 
 def make_debiased_statistic(
-    model: MLPModel, features, labels, classes, agent: int = 0
+    model: MLPModel, logits, labels, classes, agent: int = 0
 ) -> DebiasedStatistic:
-    """Center the model's pairwise logits on the agent's training set: the
-    rows ``features`` and their ``labels``, indices into ``classes``.
+    """Center the model's pairwise logits on the agent's training set.
+
+    ``logits`` holds the model's (N, M-1) pairwise logits z_0 - z_gamma on
+    the training rows, as ``train_stack`` returns them, and ``labels`` the
+    rows' class indices into ``classes``.
 
     Warns (rather than fails) on unbalanced training sets: the centering is
     still well defined, it just no longer symmetrizes the class-conditional
@@ -85,6 +88,10 @@ def make_debiased_statistic(
     """
     if model.architecture.n_outputs != len(classes):
         raise StatisticError("model outputs must match the classes")
+    if np.shape(logits) != (len(labels), len(classes) - 1):
+        raise StatisticError(
+            f"logits: shape {np.shape(logits)}, expected {(len(labels), len(classes) - 1)}"
+        )
     counts = np.bincount(labels, minlength=len(classes)).tolist()
     if len(set(counts)) != 1:
         warnings.warn(
@@ -92,7 +99,6 @@ def make_debiased_statistic(
             "centering uses the plain mean",
             stacklevel=2,
         )
-    logits = reference_logits(model, features)  # (N, M-1)
     means = np.empty(len(classes) - 1)
     for j in range(1, len(classes)):
         pair = (labels == 0) | (labels == j)

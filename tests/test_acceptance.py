@@ -163,8 +163,8 @@ def test_criterion_05_debias_invariants():
         # binary agent
         feats = rng.normal(size=(60, 2)) + np.repeat([[0.4], [-0.4]], 30, axis=0)
         labels = np.repeat([0, 1], 30)
-        (model,), _ = train_stack([feats], [labels], MLPArchitecture((3, 6, 2)), hyper, [trial])
-        stat = make_debiased_statistic(model, feats, labels, (1, -1))
+        (model,), _, _ = train_stack([feats], [labels], MLPArchitecture((3, 6, 2)), hyper, [trial])
+        stat = make_debiased_statistic(model, reference_logits(model, feats), labels, (1, -1))
         worst_center = max(worst_center, abs(float(stat.scalar(feats).mean())))
 
         # the single general-path component must equal the binary path, and
@@ -182,8 +182,10 @@ def test_criterion_05_debias_invariants():
         )
         labels3 = np.repeat([0, 1, 2], 20)
         arch3 = MLPArchitecture((3, 6, 3))
-        (model3,), _ = train_stack([feats3], [labels3], arch3, hyper, [100 + trial])
-        stat3 = make_debiased_statistic(model3, feats3, labels3, (0, 1, 2))
+        (model3,), _, _ = train_stack([feats3], [labels3], arch3, hyper, [100 + trial])
+        stat3 = make_debiased_statistic(
+            model3, reference_logits(model3, feats3), labels3, (0, 1, 2)
+        )
         values = stat3(feats3)
         for j, cls in enumerate((1, 2)):
             pair = (labels3 == 0) | (labels3 == cls)
@@ -233,7 +235,7 @@ def test_criterion_07_gaussian_scene_growth():
         for s in range(10, 20)
         for k in range(4)
     }
-    trained, _ = train_stack(
+    trained, _, logits = train_stack(
         [feats for feats, _ in datasets.values()],
         [labels for _, labels in datasets.values()],
         MLPArchitecture((3, 10, 10, 2)),
@@ -241,9 +243,12 @@ def test_criterion_07_gaussian_scene_growth():
         [2000 + 13 * s + k for s, k in datasets],
     )
     models = dict(zip(datasets, trained))
+    train_logits = dict(zip(datasets, logits))
     for s in range(10, 20):
         providers = [
-            make_debiased_statistic(models[s, k], *datasets[s, k], spec.classes, agent=k)
+            make_debiased_statistic(
+                models[s, k], train_logits[s, k], datasets[s, k][1], spec.classes, agent=k
+            )
             for k in range(4)
         ]
         views, states = prediction_streams(spec, sched, 200, [3000 + s])

@@ -347,7 +347,9 @@ class TestCmdTrain:
         views, labels = shared_scene_training(cfg, rep=0)
         for k in range(4):
             seeds = derived_seeds(cfg.seed, PHASE_TRAIN_MODEL, [(0, k)])
-            (alone,), _ = train_stack([views[k]], [labels], cfg.arch_by_agent[k], cfg.hyper, seeds)
+            (alone,), _, _ = train_stack(
+                [views[k]], [labels], cfg.arch_by_agent[k], cfg.hyper, seeds
+            )
             saved = load_model(out / "models" / f"agent_{k}.json")
             assert saved.architecture.n_features == (1, 2, 1, 2)[k]
             for got, want in zip(saved.weights, alone.weights):
@@ -895,6 +897,27 @@ class TestCliEntry:
                      "--seed-override", "43"]) == 0
         # one model per (agent, class): 4 agents, 2 classes
         assert counts == {"validate_config": 1, "GaussianClassModel": 4 * 2}
+
+    def test_calls_in_one_process_parse_independently(self, tmp_path, monkeypatch):
+        # the parser is built once; a flag given to one call reaches no other
+        import socialml.cli
+
+        seen = []
+
+        def record(cfg, out_dir, threads):
+            seen.append((cfg.seed, cfg.montecarlo["replications"], threads))
+            return {"replications": 0, "final_error": {}}
+
+        monkeypatch.setattr(socialml.cli, "cmd_montecarlo", record)
+        path = write_config(tmp_path, base_config())
+        args = ["montecarlo", "--config", str(path), "--out", str(tmp_path / "o")]
+        overrides = ["--threads", "2", "--seed-override", "43", "--replications-override", "1"]
+        assert main(args + overrides) == 0
+        assert main(args) == 0
+        assert main(args + ["--seed-override", "44"]) == 0
+        reps = base_config()["montecarlo"]["replications"]
+        assert seen == [(43, 1, 2), (42, reps, 1), (44, reps, 1)]
+        assert socialml.cli._parser() is socialml.cli._parser()
 
     def test_replications_override(self, tmp_path):
         path = write_config(tmp_path, base_config())

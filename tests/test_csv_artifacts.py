@@ -157,7 +157,7 @@ class TestOtherArtifacts:
         cfg = validate_config(base_config(), str(tmp_path))
         cmd_train(cfg, str(tmp_path / "out"))
         scene = shared_scene_training(cfg, rep=0)
-        _, risks = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
+        _, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
         rows = [
             (k, rep, epoch, float(risk))
             for rep, row in enumerate(risks)

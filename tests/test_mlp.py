@@ -18,6 +18,7 @@ from socialml.mlp import (
     _batch_normalized,
     _check_stack,
     _flat_views,
+    _log_softmax,
     _pick_offsets,
     _project_columns,
     _stack_forward,
@@ -62,6 +63,13 @@ def zero_model(layer_sizes, **kwargs):
     return MLPModel(arch, weights)
 
 
+def reference_log_softmax(z):
+    """The plain log-softmax: the row maximum and the normalizer sum taken by
+    one reduction each over the class axis."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
 def per_layer_train_stack(features, labels, arch, hyper, seeds, sample_weights=None):
     """``train_stack``'s reference: out-of-place backpropagation and an update
     of fresh arrays one layer at a time.  Returns the stacked weights and the
@@ -85,8 +93,7 @@ def per_layer_train_stack(features, labels, arch, hyper, seeds, sample_weights=N
 
     def forward(h, picks, row_weights):
         acts = _stack_forward(weights, h, act_fn)
-        shifted = acts[-1] - acts[-1].max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        logp = reference_log_softmax(acts[-1])
         return acts, logp, -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
 
     beta1, beta2, tiny = 0.9, 0.999, 1e-8
@@ -186,7 +193,7 @@ def epoch_copy_train_stack(features, labels, arch, hyper, seeds, sample_weights=
             if bound is not None:
                 for w in weights:
                     _project_columns(w, bound, out=w)
-        trace[:, epoch] = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
+        trace[:, epoch] = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)[0]
     return weights, trace
 
 
@@ -400,6 +407,32 @@ class TestCrossEntropyRisk:
         assert cross_entropy_risk(model, np.array([[1.0], [-1.0]]), np.array([0, 1])) < 1e-12
 
 
+class TestLogSoftmax:
+    @given(
+        n_classes=st.integers(2, 12),
+        shape=st.sampled_from([(1,), (7,), (3, 20), (2, 5, 4)]),
+        special_share=st.sampled_from([0.0, 0.1, 0.5]),
+        scale=st.sampled_from([1.0, 1e3, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_the_plain_reductions(
+        self, n_classes, shape, special_share, scale, seed
+    ):
+        # column maxima are exact, so every bit matches the reduction,
+        # signed zeros, +-inf and NaN rows included
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(*shape, n_classes)) * scale
+        special = rng.random(z.shape) < special_share
+        z[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+        with np.errstate(all="ignore"):
+            got, want = _log_softmax(z), reference_log_softmax(z)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
+
 class TestTrainErm:
     """One model trained alone: ``train_stack`` on a stack of one."""
 
@@ -411,7 +444,7 @@ class TestTrainErm:
         y = np.array([1] * 100 + [-1] * 100)
         hyper = TrainingHyperparameters(30, 10, 0.05)
         arch = MLPArchitecture((3, 16, 2))
-        _, risk = train_stack([x], [np.repeat([0, 1], 100)], arch, hyper, [9])
+        _, risk, _ = train_stack([x], [np.repeat([0, 1], 100)], arch, hyper, [9])
         assert risk[0, -1] < 0.1
 
         # oracle: plain full-batch logistic regression on the same data
@@ -429,7 +462,7 @@ class TestTrainErm:
         feats, labels = binary_dataset(rng, n=16)
         arch = MLPArchitecture((3, 5, 2))
         hyper = TrainingHyperparameters(5, 4, 0.0)
-        (model,), risk = train_stack([feats], [labels], arch, hyper, [21])
+        (model,), risk, _ = train_stack([feats], [labels], arch, hyper, [21])
         init = initialize_model(arch, np.random.default_rng(21))
         for got, want in zip(model.weights, init.weights):
             np.testing.assert_array_equal(got, want)
@@ -440,8 +473,8 @@ class TestTrainErm:
         feats, labels = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.02)
-        (a,), risk_a = train_stack([feats], [labels], arch, hyper, [77])
-        (b,), risk_b = train_stack([feats], [labels], arch, hyper, [77])
+        (a,), risk_a, _ = train_stack([feats], [labels], arch, hyper, [77])
+        (b,), risk_b, _ = train_stack([feats], [labels], arch, hyper, [77])
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(risk_a, risk_b)
@@ -451,8 +484,8 @@ class TestTrainErm:
         feats, labels = binary_dataset(rng, n=24, dim=3)
         arch = MLPArchitecture((4, 6, 2))
         hyper = TrainingHyperparameters(8, 5, 0.01, optimizer="adam")
-        (a,), _ = train_stack([feats], [labels], arch, hyper, [77])
-        (b,), _ = train_stack([feats], [labels], arch, hyper, [77])
+        (a,), _, _ = train_stack([feats], [labels], arch, hyper, [77])
+        (b,), _, _ = train_stack([feats], [labels], arch, hyper, [77])
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
@@ -461,7 +494,7 @@ class TestTrainErm:
         feats, labels = binary_dataset(rng, n=40, dim=2)
         arch = MLPArchitecture((3, 8, 2), norm_bound=0.8)
         hyper = TrainingHyperparameters(10, 5, 0.5)
-        (model,), _ = train_stack([feats], [labels], arch, hyper, [3])
+        (model,), _, _ = train_stack([feats], [labels], arch, hyper, [3])
         for w in model.weights:
             assert np.abs(w).sum(axis=0).max() <= 0.8 + 1e-12
 
@@ -479,7 +512,8 @@ class TestTrainErm:
         labels = np.array([0, 1])
         hyper = TrainingHyperparameters(60, 2, 0.5)
         weights = np.array([0.999, 0.001])
-        (model,), _ = train_stack([feats], [labels], MLPArchitecture((2, 2)), hyper, [5], [weights])
+        arch = MLPArchitecture((2, 2))
+        (model,), _, _ = train_stack([feats], [labels], arch, hyper, [5], [weights])
         assert reference_logits(model, [1.0])[..., 0] > 0
 
 
@@ -524,7 +558,7 @@ class TestTrainingGolden:
     def test_pinned_weights_and_risk_trace(self, activation, optimizer):
         rng = np.random.default_rng(2024)
         feats = rng.normal(size=(20, 2)) + 0.8 * np.tile([1, -1], 10)[:, None]
-        (model,), risk = train_stack(
+        (model,), risk, _ = train_stack(
             [feats],
             [np.tile([0, 1], 10)],
             MLPArchitecture((3, 3, 2), activation=activation),
@@ -567,11 +601,11 @@ class TestTrainStack:
         arch = MLPArchitecture((3, 5, 4, n_classes), activation=activation, norm_bound=norm_bound)
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        models, risk = train_stack(features, labels, arch, hyper, seeds, weights)
+        models, risk, _ = train_stack(features, labels, arch, hyper, seeds, weights)
         assert risk.shape == (n_models, hyper.epochs)
         for m, model in enumerate(models):
             own = None if weights is None else [weights[m]]
-            (alone,), alone_risk = train_stack(
+            (alone,), alone_risk, _ = train_stack(
                 [features[m]], [labels[m]], arch, hyper, [seeds[m]], own
             )
             for got, want in zip(model.weights, alone.weights):
@@ -610,7 +644,7 @@ class TestTrainStack:
         )
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        models, risk = train_stack(features, labels, arch, hyper, seeds, weights)
+        models, risk, _ = train_stack(features, labels, arch, hyper, seeds, weights)
         want_weights, want_trace = per_layer_train_stack(
             features, labels, arch, hyper, seeds, weights
         )
@@ -647,7 +681,7 @@ class TestTrainStack:
         arch = MLPArchitecture((4 if bias else 3, 5, 2), bias=bias, norm_bound=norm_bound)
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
-        models, risk = train_stack(features, labels, arch, hyper, seeds, weights)
+        models, risk, _ = train_stack(features, labels, arch, hyper, seeds, weights)
         want_weights, want_trace = epoch_copy_train_stack(
             features, labels, arch, hyper, seeds, weights
         )
@@ -682,7 +716,7 @@ class TestTrainStack:
         rng = np.random.default_rng(30 + n_models)
         features, labels = zip(*[binary_dataset(rng, n=17, dim=2) for _ in range(n_models)])
         hyper = TrainingHyperparameters(3, 4, 0.05, optimizer=optimizer)
-        models, risk = train_stack(
+        models, risk, _ = train_stack(
             features, labels, MLPArchitecture((3, 5, 2)), hyper, list(range(n_models))
         )
         assert risk.shape == (n_models, 3)
@@ -725,11 +759,46 @@ class TestTrainStack:
         arch = MLPArchitecture((3, 5, 2), norm_bound=norm_bound)
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = list(range(n_models))
-        traced, risk = train_stack(features, labels, arch, hyper, seeds, weights)
-        untraced, none = train_stack(features, labels, arch, hyper, seeds, weights, trace=False)
+        traced, risk, logits = train_stack(features, labels, arch, hyper, seeds, weights)
+        untraced, none, untraced_logits = train_stack(
+            features, labels, arch, hyper, seeds, weights, trace=False
+        )
         assert risk.shape == (n_models, 3) and none is None
         for got, want in zip(untraced, traced):
             assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+        assert np.array_equal(untraced_logits, logits)
+
+    @given(
+        n_models=st.integers(1, 6),
+        n_features=st.sampled_from([1, 2, 5, 60, 196]),
+        hidden=st.lists(st.integers(1, 8), min_size=0, max_size=2),
+        n_classes=st.integers(2, 4),
+        activation=st.sampled_from(["tanh", "relu", "identity"]),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        epochs=st.integers(1, 3),
+        trace=st.booleans(),
+        n=st.sampled_from([1, 2, 13]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_logits_equal_each_models_reference_logits(
+        self, n_models, n_features, hidden, n_classes, activation, optimizer, epochs, trace,
+        n, seed,
+    ):
+        # the last risk pass scores each returned model on its own training
+        # rows: the bits of a forward pass of that model alone
+        rng = np.random.default_rng(seed)
+        features = [rng.normal(size=(n, n_features)) for _ in range(n_models)]
+        labels = [rng.integers(0, n_classes, n) for _ in range(n_models)]
+        arch = MLPArchitecture((n_features + 1, *hidden, n_classes), activation=activation)
+        hyper = TrainingHyperparameters(epochs, 4, 0.05, optimizer=optimizer)
+        models, _, logits = train_stack(
+            features, labels, arch, hyper, list(range(n_models)), trace=trace
+        )
+        assert logits.shape == (n_models, n, n_classes - 1)
+        for m, model in enumerate(models):
+            want = reference_logits(model, features[m])
+            assert np.array_equal(logits[m].view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
         "scale, lr, model",

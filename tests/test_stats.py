@@ -19,7 +19,7 @@ from socialml.theory import conditional_means, mlp_rademacher_bound, rademacher_
 def train_small(feats, labels, n_classes, seed, hidden=(6,)):
     arch = MLPArchitecture((feats.shape[1] + 1, *hidden, n_classes))
     hyper = TrainingHyperparameters(6, 8, 0.05)
-    (model,), _ = train_stack([feats], [labels], arch, hyper, [seed])
+    (model,), _, _ = train_stack([feats], [labels], arch, hyper, [seed])
     return model
 
 
@@ -61,14 +61,14 @@ class TestDebiasedStatistic:
         model = MLPModel(arch, (np.array([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0]]),))
         rng = np.random.default_rng(3)
         feats, labels = random_binary_dataset(rng)
-        stat = make_debiased_statistic(model, feats, labels, (1, -1))
+        stat = make_debiased_statistic(model, reference_logits(model, feats), labels, (1, -1))
         np.testing.assert_allclose(stat.scalar(feats), 0.0, atol=1e-12)
 
     def test_training_mean_centered_binary(self):
         rng = np.random.default_rng(4)
         feats, labels = random_binary_dataset(rng)
         model = train_small(feats, labels, 2, seed=5)
-        stat = make_debiased_statistic(model, feats, labels, (1, -1))
+        stat = make_debiased_statistic(model, reference_logits(model, feats), labels, (1, -1))
         assert abs(stat.scalar(feats).mean()) < 1e-10
 
     def test_training_mean_centered_per_class_pair(self):
@@ -78,7 +78,7 @@ class TestDebiasedStatistic:
         )
         labels = np.repeat([0, 1, 2], 20)
         model = train_small(feats, labels, 3, seed=7)
-        stat = make_debiased_statistic(model, feats, labels, (0, 1, 2))
+        stat = make_debiased_statistic(model, reference_logits(model, feats), labels, (0, 1, 2))
         values = stat(feats)
         for j, cls in enumerate((1, 2)):
             pair = (labels == 0) | (labels == cls)
@@ -88,7 +88,7 @@ class TestDebiasedStatistic:
         rng = np.random.default_rng(8)
         feats, labels = random_binary_dataset(rng)
         model = train_small(feats, labels, 2, seed=9)
-        stat = make_debiased_statistic(model, feats, labels, (1, -1))
+        stat = make_debiased_statistic(model, reference_logits(model, feats), labels, (1, -1))
         h = rng.normal(size=(40, 2))
         np.testing.assert_allclose(stat.scalar(h), stat(h)[:, 0], atol=1e-12)
         # the pairwise mean over labels {first, second} is the plain mean
@@ -102,7 +102,7 @@ class TestDebiasedStatistic:
         labels = np.repeat([0, 1], [20, 10])
         model = train_small(feats, labels, 2, seed=11)
         with pytest.warns(UserWarning, match=r"unbalanced training set \{1: 20, -1: 10\}"):
-            make_debiased_statistic(model, feats, labels, (1, -1))
+            make_debiased_statistic(model, reference_logits(model, feats), labels, (1, -1))
 
     def test_missing_pair_class_rejected(self):
         # labels only from class 1: the {0, 2} pair set is empty
@@ -110,7 +110,47 @@ class TestDebiasedStatistic:
         model = train_small(feats, np.array([0, 1, 2, 0, 1] * 2), 3, seed=12)
         with pytest.warns(UserWarning, match="unbalanced"):
             with pytest.raises(StatisticError, match="no training samples labeled 0 or 2"):
-                make_debiased_statistic(model, feats, np.ones(10, dtype=int), (0, 1, 2))
+                logits = reference_logits(model, feats)
+                make_debiased_statistic(model, logits, np.ones(10, dtype=int), (0, 1, 2))
+
+    def test_logits_of_another_shape_rejected(self):
+        rng = np.random.default_rng(14)
+        feats, labels = random_binary_dataset(rng)
+        model = train_small(feats, labels, 2, seed=15)
+        logits = reference_logits(model, feats)
+        for bad in (logits[:-1], logits[:, 0], np.hstack([logits, logits])):
+            with pytest.raises(StatisticError, match="logits"):
+                make_debiased_statistic(model, bad, labels, (1, -1))
+
+    @pytest.mark.filterwarnings("ignore:agent 0. unbalanced")
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            ("binary", [-0.16909615702066702]),
+            ("three unbalanced", [0.6116814827701273, 1.3548284589701547]),
+        ],
+    )
+    def test_means_from_the_models_logits_are_the_pinned_ones(self, case, want):
+        # the means the statistic computed from the features before it read
+        # logits; the tolerance only admits another BLAS or libm build's
+        # last-bit rounding, and on the build that pinned them they are exact
+        if case == "binary":
+            rng = np.random.default_rng(51)
+            feats, labels = random_binary_dataset(rng)
+            arch = MLPArchitecture((3, 6, 2))
+            hyper = TrainingHyperparameters(6, 8, 0.05)
+            seed, classes = 52, (1, -1)
+        else:
+            rng = np.random.default_rng(53)
+            feats = rng.normal(size=(45, 3))
+            labels = np.repeat([0, 1, 2], [20, 15, 10])
+            arch = MLPArchitecture((4, 5, 3), activation="relu")
+            hyper = TrainingHyperparameters(4, 7, 0.1, optimizer="adam")
+            seed, classes = 54, ("a", "b", "c")
+        (model,), _, logits = train_stack([feats], [labels], arch, hyper, [seed])
+        for source in (logits[0], reference_logits(model, feats)):
+            stat = make_debiased_statistic(model, source, labels, classes)
+            np.testing.assert_allclose(stat.train_means, want, rtol=1e-10, atol=0)
 
     def test_conditional_mean_symmetry_monte_carlo(self):
         # fixed linear statistic on +-1-mean unit Gaussians: after centering
