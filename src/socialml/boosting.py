@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Record
+from .base import Record, ValidationError
 from .mlp import TrainingDiverged, TrainingHyperparameters, reference_logits, train_stack
+from .social import decide
 
 ERROR_CLAMP = 1e-10
 
 
-class BoostingError(ValueError):
+class BoostingError(ValidationError):
     """Invalid boosting input."""
-
-
-def sign_decision(values) -> np.ndarray:
-    """Hard decision with sign(0) = +1."""
-    return np.where(np.asarray(values, dtype=float) >= 0.0, 1.0, -1.0)
 
 
 class BoostedEnsemble(Record):
@@ -45,29 +41,25 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
 
     ``scenes[r]`` is a ``(views, labels)`` pair: ``views[k]`` holds agent k's
     features for the same underlying samples, ``labels`` their one shared
-    label vector with values in {-1, +1}.  ``seeds[r][k]`` is agent k's
-    training seed in scene r, and ``arch_per_agent[k]`` its architecture.
-    Rounds stay sequential over agents: round k trains agent k of every scene
-    in one ``train_stack`` call, each scene under its own sample weights, so
-    each scene's ensemble equals a stack of one.  A round's hard decisions
-    are the signs of the training-set logits that call returns.  The scenes
-    must share their sample count.  A diverging round raises
-    ``TrainingDiverged`` whose ``model`` is the scene's index.
+    vector of class indices 0 and 1, 0 the reference class that output 0
+    scores.  ``seeds[r][k]`` is agent k's training seed in scene r, and
+    ``arch_per_agent[k]`` its architecture.  Rounds stay sequential over
+    agents: round k trains agent k of every scene in one ``train_stack``
+    call, each scene under its own sample weights, so each scene's ensemble
+    equals a stack of one.  A round's hard decisions are ``decide`` of the
+    training-set logits that call returns.  The scenes must share their
+    sample count.  A diverging round raises ``TrainingDiverged`` whose
+    ``model`` is the scene's index.
     """
     n_agents = len(scenes[0][0])
-    ys = []
-    for views, labels in scenes:
-        labels = np.asarray(labels)
-        if set(labels.tolist()) - {-1, +1}:
-            raise BoostingError("boosting labels must be in {-1, +1}")
+    labels = [np.asarray(y) for _, y in scenes]
+    for (views, _), y in zip(scenes, labels):
+        if set(y.tolist()) - {0, 1}:
+            raise BoostingError("boosting labels must be the class indices 0 and 1")
         if len(views) != n_agents or len(arch_per_agent) != n_agents:
             raise BoostingError("need one view and one architecture per agent")
-        ys.append(labels.astype(float))
-    # the models' class indices: output 0 scores +1 and output 1 scores -1,
-    # so a positive logit decides +1
-    indices = [(y < 0).astype(np.intp) for y in ys]
 
-    sample_w = [np.full(y.size, 1.0 / y.size) for y in ys]
+    sample_w = [np.full(y.size, 1.0 / y.size) for y in labels]
     history = [[w.copy()] for w in sample_w]
     models = [[] for _ in scenes]
     votes = np.empty((len(scenes), n_agents))
@@ -75,7 +67,7 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
     degenerate = [[] for _ in scenes]
     for k in range(n_agents):
         round_views = []
-        for (views, labels), y in zip(scenes, ys):
+        for (views, _), y in zip(scenes, labels):
             view = np.asarray(views[k], dtype=float)
             if view.shape[0] != y.size:
                 raise BoostingError(f"agent {k} view has {view.shape[0]} rows, labels {y.size}")
@@ -83,7 +75,7 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
         try:
             trained, _, logits = train_stack(
                 round_views,
-                indices,
+                labels,
                 arch_per_agent[k],
                 hyper,
                 [s[k] for s in seeds],
@@ -92,16 +84,18 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
             )
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"AdaBoost round {k}, agent {k}: {exc}", exc.model) from exc
-        for r, (model, y) in enumerate(zip(trained, ys)):
+        for r, (model, y) in enumerate(zip(trained, labels)):
             models[r].append(model)
-            decisions = sign_decision(logits[r][:, 0])
-            err = float(np.sum(sample_w[r] * (decisions != y)))
+            wrong = decide(logits[r]) != y
+            err = float(np.sum(sample_w[r] * wrong))
             if err < ERROR_CLAMP or err > 1.0 - ERROR_CLAMP:
                 degenerate[r].append(k)
                 err = min(max(err, ERROR_CLAMP), 1.0 - ERROR_CLAMP)
             errors[r, k] = err
             votes[r, k] = 0.5 * np.log((1.0 - err) / err)
-            weights = sample_w[r] * np.exp(-votes[r, k] * y * decisions)
+            # AdaBoost's exp(-vote * y * h) with y and h in {-1, +1}, whose
+            # product is exactly +-1.0: +vote where the round errs, -vote elsewhere
+            weights = sample_w[r] * np.exp(np.where(wrong, votes[r, k], -votes[r, k]))
             sample_w[r] = weights / weights.sum()
             history[r].append(sample_w[r].copy())
     return [
@@ -111,21 +105,22 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
 
 
 def adaboost_decide(ensemble: BoostedEnsemble, features_per_agent) -> np.ndarray:
-    """Weighted vote over instantaneous hard decisions, sign(0) = +1.
+    """Weighted vote over instantaneous hard decisions, as class indices.
 
     ``features_per_agent[k]`` is agent k's feature row or batch; the output
-    has one label per row.
+    has one class index per row.  Each agent's pick and the vote's outcome
+    both come from ``decide``, so a tie goes to class 0.
     """
     if len(features_per_agent) != len(ensemble.models):
         raise BoostingError("need one feature view per trained agent")
-    # each agent adds +vote or -vote: the same bits as its +-1.0 decision times
-    # its vote, without the multiplication
+    # each agent adds +vote for class 0 and -vote for class 1: the same bits
+    # as its +-1.0 decision times its vote, without the multiplication
     total = None
     for model, vote, feats in zip(ensemble.models, ensemble.votes, features_per_agent):
-        logit = reference_logits(model, feats)[..., 0]
-        contribution = np.where(logit >= 0.0, vote, -vote)
+        picks = decide(reference_logits(model, feats))
+        contribution = np.where(picks == 0, vote, -vote)
         if total is None:
             total = contribution
         else:
             total += contribution
-    return np.where(total >= 0.0, 1, -1)
+    return decide(total[..., None])

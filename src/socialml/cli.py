@@ -7,11 +7,11 @@ config-driven experiment and write artifacts under ``--out``;
 2 runtime failure.
 
 A validation error is any ``base.ValidationError``: every layer's input
-error (``ConfigError``, ``DataError``, ``GraphError``, ``ModelError``,
-``SocialLearningError``, ``StatisticError``, ``TheoryError``) subclasses it,
-so this module catches the one base and never imports ``theory``, which
-only the ``theory`` command loads.  ``BoostingError`` is not one of them and
-exits 2, as does any other exception.
+error (``BoostingError``, ``ConfigError``, ``DataError``, ``GraphError``,
+``ModelError``, ``SocialLearningError``, ``StatisticError``, ``TheoryError``)
+subclasses it, so this module catches the one base and never imports
+``theory``, which only the ``theory`` command loads.  Any other exception
+exits 2.
 """
 
 from __future__ import annotations

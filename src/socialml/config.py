@@ -54,7 +54,6 @@ def config_digest(raw: dict) -> str:
 
 class ExperimentConfig(Record, hidden=("raw",)):
     raw: dict
-    base_dir: str
     seed: int
     classes: tuple
     engine: str
@@ -526,7 +525,6 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=raw,
-        base_dir=base_dir,
         seed=seed,
         classes=classes,
         engine=engine,

@@ -129,25 +129,24 @@ def _trajectory_lines(run: PredictionRun, states, classes):
 # --- data assembly ---------------------------------------------------------
 
 
-def _scene_generators(cfg: ExperimentConfig, reps) -> list:
-    """The training-data generator of every repetition in ``reps``."""
-    return generators(derived_seeds(cfg.seed, PHASE_TRAIN_DATA, [(rep,) for rep in reps]))
-
-
-def shared_scene_training(cfg: ExperimentConfig, rep: int, rng=None) -> tuple:
-    """Balanced training scenes shared by all agents: (views, labels).
+def shared_scene_training(cfg: ExperimentConfig, reps) -> list:
+    """Balanced training scenes shared by all agents, one ``(views, labels)``
+    pair per repetition in ``reps``.
 
     Labels are class indices, common to the network (all agents observe the
     same scenes); each agent's view is its own draw (gaussian) or patch
-    (images).  ``rng`` is repetition ``rep``'s training-data generator, for
-    callers that derive those of many repetitions at once; by default it is
-    derived here.
+    (images).  Each repetition draws from its own training-data generator.
     """
     per_class = cfg.train_per_class
     if per_class < 1:
         raise ConfigError("training needs train_per_class >= 1")
-    if rng is None:
-        (rng,) = _scene_generators(cfg, [rep])
+    rngs = generators(derived_seeds(cfg.seed, PHASE_TRAIN_DATA, [(rep,) for rep in reps]))
+    return [_scene(cfg, rng) for rng in rngs]
+
+
+def _scene(cfg: ExperimentConfig, rng) -> tuple:
+    """One repetition's training scene, drawn from its generator ``rng``."""
+    per_class = cfg.train_per_class
     labels = np.repeat(np.arange(len(cfg.classes)), per_class)
     labels = labels[rng.permutation(labels.size)]
     source, layout = cfg.scene
@@ -239,7 +238,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     model_dir = os.path.join(out_dir, "models")
     os.makedirs(model_dir, exist_ok=True)
-    scene = shared_scene_training(cfg, rep=0)
+    (scene,) = shared_scene_training(cfg, [0])
     lines = []
     artifacts = ["risk_trace.csv", "manifest.json"]
     try:
@@ -271,7 +270,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.stream_length < 1:
         raise ConfigError("prediction needs stream_length >= 1")
     os.makedirs(out_dir, exist_ok=True)
-    scenes = [shared_scene_training(cfg, rep=0)]
+    scenes = shared_scene_training(cfg, [0])
     (statistics,) = _trained_statistics(cfg, [0], scenes)
     source, layout = cfg.scene
     seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
@@ -332,25 +331,15 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     horizon, n_streams = mc["horizon"], mc["eval_streams"]
     strategies = mc["strategies"]
 
-    scenes = [
-        shared_scene_training(cfg, rep, rng)
-        for rep, rng in zip(reps, _scene_generators(cfg, reps))
-    ]
+    scenes = shared_scene_training(cfg, reps)
     stats = ensembles = None
     try:
         if "sml" in strategies:
             stats = _trained_statistics(cfg, reps, scenes)
         if "adaboost" in strategies:
-            # AdaBoost takes the labels +1 and -1 themselves: signs[j] for class j
-            signs = np.array(cfg.classes)
             rows = [(rep, k) for rep in reps for k in range(cfg.n_agents)]
             seeds = derived_seeds(cfg.seed, PHASE_BOOST_MODEL, rows).reshape(len(reps), -1)
-            ensembles = adaboost_train_stack(
-                [(views, signs[labels]) for views, labels in scenes],
-                list(cfg.arch_by_agent),
-                cfg.hyper,
-                seeds,
-            )
+            ensembles = adaboost_train_stack(scenes, list(cfg.arch_by_agent), cfg.hyper, seeds)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"replication {reps[exc.model]}, {exc}", exc.model) from exc
     del scenes
@@ -371,7 +360,7 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
         if ensembles is not None:
             flat = [feats.reshape(n_streams * horizon, -1) for feats in views]
             picks = adaboost_decide(ensembles[i], flat).reshape(n_streams, horizon)
-            errors["adaboost"] = np.mean(picks != signs[states], axis=0)
+            errors["adaboost"] = np.mean(picks != states, axis=0)
         out.append(errors)
     return out
 
@@ -404,8 +393,8 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
     mc = cfg.montecarlo
     reps = mc["replications"]
     strategies = sorted(mc["strategies"])
-    if "adaboost" in strategies and set(cfg.classes) != {-1, +1}:
-        raise ConfigError("the adaboost strategy needs classes {-1, +1}")
+    if "adaboost" in strategies and len(cfg.classes) != 2:
+        raise ConfigError("the adaboost strategy needs two classes")
     os.makedirs(out_dir, exist_ok=True)
 
     workers = min(threads, reps, os.cpu_count() or 1)

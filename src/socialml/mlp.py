@@ -233,8 +233,7 @@ def logistic_risk(logit_source, features, labels) -> float:
     """Mean log(1 + exp(-y f(h))) over feature rows h with labels y in {-1, +1}.
 
     ``logit_source`` may be a trained 2-output model, whose output 0 scores
-    +1, a callable mapping a feature batch to logit values, or precomputed
-    per-sample logits.
+    +1, or precomputed per-sample logits.
     """
     y = np.asarray(labels, dtype=float)
     if y.size == 0:
@@ -245,8 +244,6 @@ def logistic_risk(logit_source, features, labels) -> float:
         if logit_source.architecture.n_outputs != 2:
             raise ModelError("logistic risk needs a 2-output model")
         values = reference_logits(logit_source, features)[..., 0]
-    elif callable(logit_source):
-        values = np.asarray(logit_source(features), dtype=float)
     else:
         values = np.asarray(logit_source, dtype=float)
     if values.shape != y.shape:

@@ -16,9 +16,9 @@ confidence.
 The same module holds the checks that put the theory's assumptions to
 trained statistics: Monte Carlo class-conditional means and the margins they
 leave around the training mean, classifier complexity estimated two ways (a
-Monte Carlo estimate of the expected sup-correlation with random signs over a
-sampled candidate family, which approximates the true sup from below, and
-the analytic bound for norm-constrained feedforward networks), and the
+Monte Carlo estimate of the expected sup-correlation with random sign draws
+over a sampled candidate family, which approximates the true sup from below,
+and the analytic bound for norm-constrained feedforward networks), and the
 analytic logit bound.  Only the ``theory`` command uses them, so the
 pipeline commands never import this module.
 """
@@ -322,16 +322,16 @@ def rademacher_monte_carlo(
     if exact:
         if n > 20:
             raise StatisticError(f"exhaustive enumeration capped at N=20, got {n}")
-        signs = _all_sign_patterns(n)
-        sups = np.abs(table @ signs.T / n).max(axis=0)
+        patterns = _all_sign_patterns(n)
+        sups = np.abs(table @ patterns.T / n).max(axis=0)
         return RademacherEstimate(
-            float(sups.mean()), 0.0, signs.shape[0], "exhaustive", seed=None
+            float(sups.mean()), 0.0, patterns.shape[0], "exhaustive", seed=None
         )
     if n_draws < 1:
         raise StatisticError("need at least one sign draw")
     (rng,) = generators([seed])
-    signs = rng.integers(0, 2, size=(n_draws, n)) * 2.0 - 1.0
-    sups = np.abs(table @ signs.T / n).max(axis=0)
+    patterns = rng.integers(0, 2, size=(n_draws, n)) * 2.0 - 1.0
+    sups = np.abs(table @ patterns.T / n).max(axis=0)
     stderr = float(sups.std(ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
     return RademacherEstimate(
         float(sups.mean()), stderr, n_draws, "monte-carlo", seed=seed

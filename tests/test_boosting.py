@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialml.boosting import (
-    BoostingError,
-    adaboost_decide,
-    adaboost_train_stack,
-    sign_decision,
-)
+from socialml.boosting import BoostingError, adaboost_decide, adaboost_train_stack
 from socialml.mlp import (
     MLPArchitecture,
     MLPModel,
@@ -18,18 +13,20 @@ from socialml.mlp import (
     TrainingHyperparameters,
     reference_logits,
 )
+from socialml.social import decide
 
 
 def flipped_views(n=20, flip_sets=((0, 1, 2), (7, 8, 9), (14, 15))):
-    """Shared labels; each agent's scalar view encodes the label except on
-    its own disjoint flip set, so every agent errs somewhere but any two
-    agents cover each other's mistakes."""
-    labels = np.array([1, -1] * (n // 2))
+    """Shared class indices; each agent's scalar view encodes the class (+2
+    for class 0, -2 for class 1) except on its own disjoint flip set, so
+    every agent errs somewhere but any two agents cover each other's
+    mistakes."""
+    labels = np.array([0, 1] * (n // 2))
     views = []
     for flips in flip_sets:
-        view = labels.astype(float).copy()
+        view = np.where(labels == 0, 2.0, -2.0)
         view[list(flips)] *= -1.0
-        views.append(view[:, None] * 2.0)
+        views.append(view[:, None])
     return views, labels
 
 
@@ -59,7 +56,7 @@ class TestAdaboostTrain:
 
         # each agent alone errs on its flip set
         for k, view in enumerate(views):
-            own = sign_decision(reference_logits(ensemble.models[k], view)[:, 0])
+            own = decide(reference_logits(ensemble.models[k], view))
             assert np.any(own != labels)
 
         # exhaustive-evaluation oracle over all 20 points: recompute the
@@ -70,7 +67,7 @@ class TestAdaboostTrain:
             for k in range(len(views)):
                 f = float(reference_logits(ensemble.models[k], views[k][n])[..., 0])
                 vote += ensemble.votes[k] * (1.0 if f >= 0 else -1.0)
-            expect = 1 if vote >= 0 else -1
+            expect = 0 if vote >= 0 else 1
             assert decisions[n] == expect
         assert np.all(decisions == labels)
 
@@ -81,20 +78,36 @@ class TestAdaboostTrain:
             assert np.all(weights >= 0)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_reweighting_equals_the_signed_product(self):
+        # each round's update is AdaBoost's w * exp(-vote * y * h) over signs
+        # y and h (+1.0 for class 0), normalized, bit for bit
+        views, labels = flipped_views()
+        (ensemble,) = adaboost_train_stack([(views, labels)], [ARCH] * 3, HYPER, [SEEDS])
+        y = np.where(labels == 0, 1.0, -1.0)
+        for k, (model, view) in enumerate(zip(ensemble.models, views)):
+            h = np.where(reference_logits(model, view)[:, 0] >= 0.0, 1.0, -1.0)
+            weights = ensemble.weight_history[k] * np.exp(-ensemble.votes[k] * y * h)
+            assert np.array_equal(ensemble.weight_history[k + 1], weights / weights.sum())
+
     def test_labels_must_be_binary(self):
         with pytest.raises(BoostingError):
             adaboost_train_stack(
                 [([np.zeros((4, 1))], np.array([0, 1, 2, 0]))], [ARCH], HYPER, [SEEDS]
             )
+        # labels are class indices, not signs
+        with pytest.raises(BoostingError, match="class indices 0 and 1"):
+            adaboost_train_stack(
+                [([np.zeros((4, 1))], np.array([1, -1, 1, -1]))], [ARCH], HYPER, [SEEDS]
+            )
 
     def test_view_length_mismatch_rejected(self):
         with pytest.raises(BoostingError):
-            adaboost_train_stack([([np.zeros((3, 1))], np.array([1, -1]))], [ARCH], HYPER, [SEEDS])
+            adaboost_train_stack([([np.zeros((3, 1))], np.array([0, 1]))], [ARCH], HYPER, [SEEDS])
 
 
     def test_diverged_round_names_the_agent(self):
         rng = np.random.default_rng(0)
-        labels = np.where(rng.random(20) < 0.5, 1, -1)
+        labels = np.where(rng.random(20) < 0.5, 0, 1)
         views = [rng.normal(size=(20, 2)) * scale for scale in (1.0, 1e300)]
         arch = MLPArchitecture((3, 4, 2), activation="identity")
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="agent 1"):
@@ -122,8 +135,8 @@ class TestAdaboostTrainStack:
         n = 22
         scenes, seeds = [], []
         for _ in range(n_scenes):
-            labels = np.where(rng.random(n) < 0.5, 1, -1)
-            views = [labels[:, None] * shift + rng.normal(size=(n, d)) for d in dims]
+            labels = np.where(rng.random(n) < 0.5, 0, 1)
+            views = [(1 - 2 * labels)[:, None] * shift + rng.normal(size=(n, d)) for d in dims]
             scenes.append((views, labels))
             seeds.append(rng.integers(0, 2**31, len(dims)).tolist())
         archs = [MLPArchitecture((d + 1, 3, 2)) for d in dims]
@@ -140,7 +153,7 @@ class TestAdaboostTrainStack:
 
     def test_diverged_round_names_scene_round_and_agent(self):
         rng = np.random.default_rng(0)
-        labels = np.where(rng.random(20) < 0.5, 1, -1)
+        labels = np.where(rng.random(20) < 0.5, 0, 1)
         scenes = [
             ([rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) * scale], labels)
             for scale in (1.0, 1e300)
@@ -162,19 +175,19 @@ class TestAdaboostDecide:
     def test_unanimous_agreement(self):
         ensemble, _, _ = self.trained()
         batch = [np.full((3, 1), 4.0) for _ in ensemble.models]
-        np.testing.assert_array_equal(adaboost_decide(ensemble, batch), 1)
+        np.testing.assert_array_equal(adaboost_decide(ensemble, batch), 0)
 
     def test_weighted_vote_arithmetic(self):
         ensemble, _, _ = self.trained()
         object.__setattr__(ensemble, "votes", np.array([3.0, 1.0, 1.0]))
         batch = [np.array([[-4.0]]), np.array([[4.0]]), np.array([[4.0]])]
-        assert adaboost_decide(ensemble, batch)[0] == -1
+        assert adaboost_decide(ensemble, batch)[0] == 1
 
-    def test_tie_goes_positive(self):
+    def test_tie_goes_to_the_reference_class(self):
         ensemble, _, _ = self.trained()
         object.__setattr__(ensemble, "votes", np.array([1.0, 1.0, 2.0]))
         batch = [np.array([[4.0]]), np.array([[4.0]]), np.array([[-4.0]])]
-        assert adaboost_decide(ensemble, batch)[0] == 1
+        assert adaboost_decide(ensemble, batch)[0] == 0
 
     def test_invariant_to_vote_rescaling(self):
         ensemble, views, _ = self.trained()
@@ -202,7 +215,8 @@ class TestAdaboostDecide:
     def test_equals_the_sum_of_signed_votes(self, votes, seed):
         # +-vote chosen per row is the +-1.0 decision times the vote, bit for
         # bit, a single row included; agent 0 scores every row 0, a tie
-        # that decides +1
+        # that decides class 0.  The reference multiplies signs: +1.0 for
+        # class 0 (a logit >= 0), -1.0 for class 1
         ensemble, _, _ = self.trained()
         zero = MLPModel(ARCH, tuple(np.zeros_like(w) for w in ensemble.models[0].weights))
         object.__setattr__(ensemble, "models", (zero, *ensemble.models[1:]))
@@ -211,12 +225,12 @@ class TestAdaboostDecide:
         batch = [rng.normal(size=(30, 1)) * 3.0 for _ in ensemble.models]
         for feats in (batch, [b[0] for b in batch]):
             total = sum(
-                sign_decision(reference_logits(model, f)[..., 0]) * vote
+                np.where(reference_logits(model, f)[..., 0] >= 0.0, 1.0, -1.0) * vote
                 for model, vote, f in zip(ensemble.models, ensemble.votes, feats)
             )
-            want = sign_decision(total).astype(int)
+            want = np.where(total >= 0.0, 0, 1)
             got = adaboost_decide(ensemble, feats)
-            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.dtype == np.intp and got.shape == want.shape
             assert np.array_equal(got, want)
 
     def test_view_count_mismatch_rejected(self):

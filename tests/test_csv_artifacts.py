@@ -156,7 +156,7 @@ class TestOtherArtifacts:
     def test_risk_trace(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
         cmd_train(cfg, str(tmp_path / "out"))
-        scene = shared_scene_training(cfg, rep=0)
+        (scene,) = shared_scene_training(cfg, [0])
         _, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
         rows = [
             (k, rep, epoch, float(risk))

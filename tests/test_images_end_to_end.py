@@ -151,12 +151,12 @@ class TestImageTrainingScene:
             return original(images)
 
         monkeypatch.setattr(data_mod, "scale_pixels", counting)
-        views, labels = shared_scene_training(cfg, rep=0)
+        ((views, labels),) = shared_scene_training(cfg, [0])
         assert sum(scaled) == labels.size * 8 * 8
         # the same draws from images scaled up front give the same views
         (images, rows), layout = cfg.scene
         vars(cfg)["scene"] = ((images / 255.0, rows), layout)
-        again, again_labels = shared_scene_training(cfg, rep=0)
+        ((again, again_labels),) = shared_scene_training(cfg, [0])
         assert np.array_equal(labels, again_labels)
         for got, want in zip(views, again):
             assert np.array_equal(got, want)
