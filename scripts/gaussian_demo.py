@@ -23,12 +23,13 @@ from socialml.experiments import cmd_predict, cmd_train
 
 def build_config(seed: int, stream_length: int) -> dict:
     spec = one_informative_gaussian_spec(n_agents=4, informative=1, dim=2)
+    classes = [1, -1]
     return {
         "seed": seed,
-        "classes": [1, -1],
+        "classes": classes,
         "engine": "sl",
         "graph": {"ring": 4},
-        "data": gaussian_spec_to_json(spec),
+        "data": gaussian_spec_to_json(spec, classes),
         "model": {
             "hidden": [10, 10],
             "activation": "tanh",

@@ -82,13 +82,12 @@ class ExperimentConfig(Record, hidden=("raw",)):
         return self.matrix.size
 
     @functools.cached_property
-    def scene(self) -> tuple:
-        """The data source: (gaussian spec, None), or ((images, rows), patch
-        layout), as ``_image_pools`` returns them, read on first use, once per
-        process."""
-        if self.layout is None:
-            return self.gaussian, None
-        return _image_pools(self), self.layout
+    def scene(self):
+        """The data source that ``data.training_scene`` and
+        ``data.prediction_streams`` draw from: the Gaussian spec, or the image
+        source ``(images, rows, layout)`` that ``_image_pools`` reads on
+        first use, once per process."""
+        return self.gaussian if self.layout is None else _image_pools(self)
 
 
 def _require(raw: dict, key: str, kind=None):
@@ -125,7 +124,9 @@ def _build_matrix(spec: dict, base_dir: str) -> CombinationMatrix:
 
 
 def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
-    """Gaussian scene from the JSON block; class keys are stringified labels."""
+    """Gaussian scene from the JSON block, whose class keys are the labels'
+    text; the spec holds each agent's models in class order.  An agent's
+    classes must share one feature dimension."""
     agents = data_spec.get("agents")
     if not isinstance(agents, list) or not agents:
         raise ConfigError("gaussian data needs a non-empty 'agents' list")
@@ -134,7 +135,7 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
         where = f"data.agents[{k}]"
         if not isinstance(per_agent, dict):
             raise ConfigError(f"{where} must be an object of class -> {{mean, cov}}")
-        table = {}
+        agent_models = []
         for label in classes:
             entry = per_agent.get(str(label))
             if not isinstance(entry, dict) or not {"mean", "cov"} <= entry.keys():
@@ -142,18 +143,26 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
             name = f"{where}, class {label!r}"
             mean, cov = (_numbers(entry[key], f"{name}, {key}") for key in ("mean", "cov"))
             try:
-                table[label] = GaussianClassModel(mean, cov)
+                model = GaussianClassModel(mean, cov)
             except ValueError as exc:
                 # DataError, or lists of uneven lengths
                 raise ConfigError(f"{name}: {exc}") from exc
-        models.append(table)
-    return GaussianSceneSpec(tuple(models), tuple(classes))
+            if agent_models and model.mean.size != agent_models[0].mean.size:
+                raise ConfigError(
+                    f"{name}: dimension {model.mean.size}, but class {classes[0]!r} has "
+                    f"{agent_models[0].mean.size}"
+                )
+            agent_models.append(model)
+        models.append(agent_models)
+    return GaussianSceneSpec(tuple(models))
 
 
 def _image_pools(cfg: ExperimentConfig) -> tuple:
-    """``(images, rows)``: one read-only uint8 image array and, for each class
-    in class order, the indices of its rows in file order.  An IDX body is
-    mapped, not read; a CSV holds only the rows of labels some class uses."""
+    """The image source ``(images, rows, layout)``: one read-only uint8 image
+    array, for each class in class order the indices of its rows in file
+    order, and the config's patch layout.  An IDX body is mapped, not read; a
+    CSV holds only the rows of labels some class uses.  Every class must hold
+    ``train_per_class`` images, as a training scene draws that many."""
     files = {name: entry["path"] for name, entry in cfg.dataset["files"].items()}
     height, width = cfg.layout.height, cfg.layout.width
     if cfg.dataset["format"] == "idx":
@@ -179,21 +188,23 @@ def _image_pools(cfg: ExperimentConfig) -> tuple:
         rows.append(np.flatnonzero(labels == raw))
         if rows[-1].size == 0:
             raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
-    return images, tuple(rows)
+        if rows[-1].size < cfg.train_per_class:
+            raise ConfigError(
+                f"class {label!r} (raw label {raw!r}): {rows[-1].size} images < "
+                f"train_per_class {cfg.train_per_class}"
+            )
+    return images, tuple(rows), cfg.layout
 
 
-def gaussian_spec_to_json(spec: GaussianSceneSpec) -> dict:
-    agents = []
-    for per_agent in spec.models:
-        agents.append(
-            {
-                str(label): {
-                    "mean": per_agent[label].mean.tolist(),
-                    "cov": per_agent[label].cov.tolist(),
-                }
-                for label in spec.classes
-            }
-        )
+def gaussian_spec_to_json(spec: GaussianSceneSpec, classes) -> dict:
+    """The JSON data block of ``spec``, whose models are in the order of ``classes``."""
+    agents = [
+        {
+            str(label): {"mean": model.mean.tolist(), "cov": model.cov.tolist()}
+            for label, model in zip(classes, per_agent)
+        }
+        for per_agent in spec.models
+    ]
     return {"type": "gaussian", "agents": agents}
 
 

@@ -66,70 +66,70 @@ class GaussianClassModel(Record):
 
 
 class GaussianSceneSpec(Record):
-    """Per-agent, per-class Gaussian models: ``models[k][label]``."""
+    """Per-agent, per-class Gaussian models: ``models[k][j]`` is agent k's
+    model under class index j.  Every agent has one model per class."""
 
     models: tuple
-    classes: tuple
 
     def __post_init__(self):
-        classes = tuple(self.classes)
-        models = tuple(dict(per_agent) for per_agent in self.models)
-        for k, per_agent in enumerate(models):
-            missing = set(classes) - set(per_agent)
-            if missing:
-                raise DataError(f"agent {k} lacks models for classes {missing}")
+        models = tuple(tuple(per_agent) for per_agent in self.models)
+        if len({len(per_agent) for per_agent in models}) != 1:
+            raise DataError("every agent needs one model per class")
         object.__setattr__(self, "models", models)
-        object.__setattr__(self, "classes", classes)
 
     @property
     def n_agents(self) -> int:
         return len(self.models)
 
+    @property
+    def n_classes(self) -> int:
+        return len(self.models[0])
+
     def dimension(self, agent: int) -> int:
-        return self.models[agent][self.classes[0]].mean.size
+        return self.models[agent][0].mean.size
 
 
 def gaussian_training_set(spec: GaussianSceneSpec, agent: int, per_class: int, seed) -> tuple:
     """Balanced labeled draws, ``per_class`` samples for every class:
-    ``(features, labels)``, each label an index into ``spec.classes``."""
+    ``(features, labels)``, each label a class index."""
     (rng,) = generators([seed])
-    feats = np.vstack([spec.models[agent][label].sample(rng, per_class) for label in spec.classes])
+    feats = np.vstack([model.sample(rng, per_class) for model in spec.models[agent]])
     order = rng.permutation(feats.shape[0])
-    return feats[order], np.repeat(np.arange(len(spec.classes)), per_class)[order]
+    return feats[order], np.repeat(np.arange(spec.n_classes), per_class)[order]
 
 
 def one_informative_gaussian_spec(
     n_agents: int = 4, informative: int = 1, dim: int = 2, variance_ratio: float = 1.5
 ) -> GaussianSceneSpec:
-    """Binary scene where only one agent's class -1 covariance differs.
+    """Binary scene where only one agent's class 1 covariance differs.
 
-    Class +1 is standard normal for everyone; class -1 is standard normal
+    Class 0 is standard normal for everyone; class 1 is standard normal
     scaled by ``variance_ratio`` at the informative agent and identical to
-    class +1 elsewhere, so the other agents carry no class information.
+    class 0 elsewhere, so the other agents carry no class information.
     """
     base = GaussianClassModel(np.zeros(dim), np.eye(dim))
     wide = GaussianClassModel(np.zeros(dim), variance_ratio * np.eye(dim))
-    models = []
-    for k in range(n_agents):
-        models.append({+1: base, -1: wide if k == informative else base})
-    return GaussianSceneSpec(tuple(models), (+1, -1))
+    return GaussianSceneSpec(
+        tuple((base, wide if k == informative else base) for k in range(n_agents))
+    )
 
 
 def mean_shift_gaussian_spec(
     n_agents: int, dim: int = 1, shift: float = 1.0
 ) -> GaussianSceneSpec:
-    """Binary scene where every agent sees unit Gaussians at means +-shift."""
+    """Binary scene where every agent sees unit Gaussians at mean +shift
+    under class 0 and -shift under class 1."""
     plus = GaussianClassModel(np.full(dim, shift), np.eye(dim))
     minus = GaussianClassModel(np.full(dim, -shift), np.eye(dim))
-    return GaussianSceneSpec(tuple({+1: plus, -1: minus} for _ in range(n_agents)), (+1, -1))
+    return GaussianSceneSpec(((plus, minus),) * n_agents)
 
 
 def true_log_ratio(spec: GaussianSceneSpec, agent: int):
-    """True log-likelihood-ratio statistic for one agent, +1 over -1."""
-    if set(spec.classes) != {-1, +1}:
-        raise DataError("likelihood pair is defined for classes {-1, +1}")
-    plus, minus = spec.models[agent][+1], spec.models[agent][-1]
-    return lambda features: plus.log_density(features) - minus.log_density(features)
+    """True log-likelihood-ratio statistic for one agent, class 0 over class 1."""
+    if spec.n_classes != 2:
+        raise DataError("likelihood pair is defined for two classes")
+    first, second = spec.models[agent]
+    return lambda features: first.log_density(features) - second.log_density(features)
 
 
 class PatchLayout(Record):
@@ -187,18 +187,14 @@ def scale_pixels(images) -> np.ndarray:
 
 
 def split_patches(images, layout: PatchLayout) -> list:
-    """Per-agent flattened views of a batch of images, scaled to [0, 1].
+    """Per-agent flattened views of one image or a batch, scaled to [0, 1].
 
-    Returns a list of (n, d_k) arrays in the layout's agent order; stacking
-    the views back with ``reassemble_patches`` reproduces the scaled images
-    exactly.  Each patch is scaled on its own, so no scaled copy of the
-    whole batch is ever held.
+    Returns a list of (n, d_k) arrays, or (d_k,) for one image, in the
+    layout's agent order; stacking the views back with
+    ``reassemble_patches`` reproduces the scaled images exactly.  Each patch
+    is scaled on its own, so no scaled copy of the whole batch is ever held.
     """
-    return [scale_pixels(view) for view in _patches(np.asarray(images), layout)]
-
-
-def _patches(arr: np.ndarray, layout: PatchLayout) -> list:
-    """``split_patches`` without the scaling."""
+    arr = np.asarray(images)
     single = arr.ndim == 2
     if single:
         arr = arr[None]
@@ -207,7 +203,7 @@ def _patches(arr: np.ndarray, layout: PatchLayout) -> list:
     views = []
     for agent in range(layout.n_agents):
         rs, cs = layout.patch_slices(agent)
-        patch = arr[:, rs, cs].reshape(arr.shape[0], -1)
+        patch = scale_pixels(arr[:, rs, cs].reshape(arr.shape[0], -1))
         views.append(patch[0] if single else patch)
     return views
 
@@ -225,9 +221,38 @@ def reassemble_patches(views, layout: PatchLayout) -> np.ndarray:
     return out[0] if np.asarray(views[0]).ndim == 1 else out
 
 
-def prediction_streams(
-    source, schedule: RegimeSchedule, length: int, seeds, layout: PatchLayout | None = None
-) -> tuple:
+def training_scene(source, per_class: int, rng) -> tuple:
+    """One balanced training scene, ``per_class`` rows of every class, drawn
+    from the generator ``rng``: ``(views, labels)``.
+
+    ``labels`` holds the rows' class indices in shuffled order, one scene for
+    the whole network, and ``views[k]`` agent k's (N, d_k) features of each
+    row: a draw from its own Gaussian model, or its patch of an image picked
+    from the class's rows without replacement.  ``source`` is as in
+    ``prediction_streams``; an image class must hold ``per_class`` rows.
+    """
+    gaussian = isinstance(source, GaussianSceneSpec)
+    labels = np.repeat(np.arange(source.n_classes if gaussian else len(source[1])), per_class)
+    labels = labels[rng.permutation(labels.size)]
+    if gaussian:
+        views = []
+        for per_agent in source.models:
+            view = np.empty((labels.size, per_agent[0].mean.size))
+            for j, model in enumerate(per_agent):
+                idx = np.flatnonzero(labels == j)
+                view[idx] = model.sample(rng, idx.size)
+            views.append(view)
+        return views, labels
+    images, rows, layout = source
+    # the picked images keep their pixel type, so split_patches scales each once
+    picks = np.empty((labels.size, layout.height, layout.width), dtype=images.dtype)
+    for j, class_rows in enumerate(rows):
+        idx = np.flatnonzero(labels == j)
+        picks[idx] = images[class_rows[rng.choice(class_rows.size, size=idx.size, replace=False)]]
+    return split_patches(picks, layout), labels
+
+
+def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> tuple:
     """One stream per seed, each drawn one scene per step from the class the
     schedule puts in force.
 
@@ -236,13 +261,14 @@ def prediction_streams(
     class-index track that every stream of the batch shares.
 
     ``source`` is either a ``GaussianSceneSpec`` (each agent gets a fresh
-    draw from its own likelihood) or an image source ``(images, rows)``: one
-    image array and, for each class in class order, the integer array of its
-    row indices.  One image per step is then picked with replacement from the
-    class's rows and split through ``layout``.  Draws are independent across
-    steps, and stream s reads only its own generator ``generators(seeds)[s]``,
-    so it is the same stream whatever batch it is drawn in.  A state that is no class
-    index of the source raises ``DataError`` naming it.
+    draw from its own likelihood) or an image source ``(images, rows,
+    layout)``: one image array, each class's row indices in class order, and
+    the patch layout.  One image per step is then picked with replacement
+    from the class's rows and split.  Draws are independent across steps,
+    and stream s reads only its own generator ``generators(seeds)[s]``, so
+    it is the same stream whatever batch it is drawn in.  A state that is no
+    class index of the source, or an image class without rows, raises
+    ``DataError`` naming it.
     """
     states = schedule.states(length)
     rngs = generators(seeds)
@@ -253,7 +279,7 @@ def prediction_streams(
     gaussian = isinstance(source, GaussianSceneSpec)
     for j in active:
         # a negative index would pick a class from the end of the list
-        if j < 0 or (gaussian and j >= len(source.classes)):
+        if not 0 <= j < (source.n_classes if gaussian else len(source[1])):
             raise DataError(f"schedule state {j} is not a class index of the source")
     if gaussian:
         dims = [source.dimension(k) for k in range(source.n_agents)]
@@ -268,22 +294,20 @@ def prediction_streams(
             idx = np.flatnonzero(states == j)
             for k, d in enumerate(dims):
                 block = z[:, offset : offset + idx.size * d].reshape(n_streams, idx.size, d)
-                views[k][:, idx] = source.models[k][source.classes[j]].transform(block)
+                views[k][:, idx] = source.models[k][j].transform(block)
                 offset += idx.size * d
         return views, states
-    if layout is None:
-        raise DataError("image sources need a patch layout")
-    images, rows = source
+    images, rows, layout = source
     for j in active:
-        if j >= len(rows) or len(rows[j]) == 0:
+        if len(rows[j]) == 0:
             raise DataError(f"class {j} has no images in the image source")
-    # only the picked images are scaled, never a whole class
-    picks = np.empty((n_streams, length, layout.height, layout.width))
+    # the picked images keep their pixel type, so split_patches scales each once
+    picks = np.empty((n_streams, length, layout.height, layout.width), dtype=images.dtype)
     for j in active:
         idx = np.flatnonzero(states == j)
         chosen = np.stack([rng.integers(rows[j].size, size=idx.size) for rng in rngs])
-        picks[:, idx] = scale_pixels(images[rows[j][chosen]])
-    flat = _patches(picks.reshape(-1, layout.height, layout.width), layout)
+        picks[:, idx] = images[rows[j][chosen]]
+    flat = split_patches(picks.reshape(-1, layout.height, layout.width), layout)
     return [v.reshape(n_streams, length, -1) for v in flat], states
 
 

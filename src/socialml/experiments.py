@@ -131,44 +131,12 @@ def _trajectory_lines(run: PredictionRun, states, classes):
 
 def shared_scene_training(cfg: ExperimentConfig, reps) -> list:
     """Balanced training scenes shared by all agents, one ``(views, labels)``
-    pair per repetition in ``reps``.
-
-    Labels are class indices, common to the network (all agents observe the
-    same scenes); each agent's view is its own draw (gaussian) or patch
-    (images).  Each repetition draws from its own training-data generator.
-    """
-    per_class = cfg.train_per_class
-    if per_class < 1:
+    pair of ``data.training_scene`` per repetition in ``reps``, each drawn
+    from its own training-data generator."""
+    if cfg.train_per_class < 1:
         raise ConfigError("training needs train_per_class >= 1")
     rngs = generators(derived_seeds(cfg.seed, PHASE_TRAIN_DATA, [(rep,) for rep in reps]))
-    return [_scene(cfg, rng) for rng in rngs]
-
-
-def _scene(cfg: ExperimentConfig, rng) -> tuple:
-    """One repetition's training scene, drawn from its generator ``rng``."""
-    per_class = cfg.train_per_class
-    labels = np.repeat(np.arange(len(cfg.classes)), per_class)
-    labels = labels[rng.permutation(labels.size)]
-    source, layout = cfg.scene
-    if layout is None:
-        views = []
-        for k in range(cfg.n_agents):
-            view = np.empty((labels.size, source.dimension(k)))
-            for j, label in enumerate(cfg.classes):
-                idx = np.flatnonzero(labels == j)
-                view[idx] = source.models[k][label].sample(rng, idx.size)
-            views.append(view)
-        return views, labels
-    # the picked images keep their pixel type, so split_patches scales each once
-    images, rows = source
-    picks = np.empty((labels.size, layout.height, layout.width), dtype=images.dtype)
-    for j, class_rows in enumerate(rows):
-        idx = np.flatnonzero(labels == j)
-        if class_rows.size < per_class:
-            raise ConfigError(f"class {cfg.classes[j]!r}: {class_rows.size} images < {per_class}")
-        chosen = rng.choice(class_rows.size, size=idx.size, replace=False)
-        picks[idx] = images[class_rows[chosen]]
-    return data_mod.split_patches(picks, layout), labels
+    return [data_mod.training_scene(cfg.scene, cfg.train_per_class, rng) for rng in rngs]
 
 
 def train_agents(cfg: ExperimentConfig, reps, scenes, trace=True):
@@ -272,11 +240,8 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     scenes = shared_scene_training(cfg, [0])
     (statistics,) = _trained_statistics(cfg, [0], scenes)
-    source, layout = cfg.scene
     seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
-    views, states = data_mod.prediction_streams(
-        source, cfg.schedule, cfg.stream_length, seeds, layout
-    )
+    views, states = data_mod.prediction_streams(cfg.scene, cfg.schedule, cfg.stream_length, seeds)
     run = run_prediction(
         cfg.matrix, statistics, [v[0] for v in views], states, len(cfg.classes), delta=cfg.delta
     )
@@ -344,12 +309,11 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
         raise TrainingDiverged(f"replication {reps[exc.model]}, {exc}", exc.model) from exc
     del scenes
 
-    source, layout = cfg.scene
     out = []
     for i, rep in enumerate(reps):
         rows = np.column_stack((np.full(n_streams, rep), np.arange(n_streams)))
         seeds = derived_seeds(cfg.seed, PHASE_STREAM, rows)
-        views, states = data_mod.prediction_streams(source, cfg.schedule, horizon, seeds, layout)
+        views, states = data_mod.prediction_streams(cfg.scene, cfg.schedule, horizon, seeds)
         errors = {}
         if stats is not None:
             run = run_prediction(

@@ -46,14 +46,12 @@ def _evaluate_scalar(model_or_fn, feats: np.ndarray) -> np.ndarray:
 class DebiasedStatistic(Record):
     """Trained logit minus its training mean, one component per non-reference class.
 
-    ``train_means[j]`` centers the pairwise logit of ``classes[0]`` versus
-    ``classes[j + 1]``; for two classes this is the plain training mean of the
-    binary logit.
+    ``train_means[j]`` centers the pairwise logit of class 0 versus class
+    j + 1; for two classes this is the plain training mean of the binary
+    logit.
     """
 
-    agent: int
     model: MLPModel
-    classes: tuple
     train_means: np.ndarray
 
     def __call__(self, features) -> np.ndarray:
@@ -66,7 +64,7 @@ class DebiasedStatistic(Record):
 
     def scalar(self, features) -> np.ndarray:
         """Binary convenience: the single centered logit component."""
-        if len(self.classes) != 2:
+        if self.train_means.size != 1:
             raise StatisticError("scalar form needs exactly two classes")
         out = self(features)
         return out[..., 0]
@@ -79,7 +77,8 @@ def make_debiased_statistic(
 
     ``logits`` holds the model's (N, M-1) pairwise logits z_0 - z_gamma on
     the training rows, as ``train_stack`` returns them, and ``labels`` the
-    rows' class indices into ``classes``.
+    rows' class indices into ``classes``.  ``agent`` and ``classes`` name the
+    agent and its classes in the messages.
 
     Warns (rather than fails) on unbalanced training sets: the centering is
     still well defined, it just no longer symmetrizes the class-conditional
@@ -105,4 +104,4 @@ def make_debiased_statistic(
         if not np.any(pair):
             raise StatisticError(f"no training samples labeled {classes[0]} or {classes[j]}")
         means[j - 1] = logits[pair, j - 1].mean()
-    return DebiasedStatistic(agent, model, tuple(classes), means)
+    return DebiasedStatistic(model, means)

@@ -247,7 +247,7 @@ def test_criterion_07_gaussian_scene_growth():
     for s in range(10, 20):
         providers = [
             make_debiased_statistic(
-                models[s, k], train_logits[s, k], datasets[s, k][1], spec.classes, agent=k
+                models[s, k], train_logits[s, k], datasets[s, k][1], (1, -1), agent=k
             )
             for k in range(4)
         ]

@@ -626,6 +626,9 @@ GAUSSIAN_CASES = [
     ("mean-nan", _gaussian_override(0, "-1", mean=[float("nan")]), ["data.agents[0]", "class -1"]),
     ("cov-not-numeric", _gaussian_override(3, "1", cov={"a": 1}), ["data.agents[3]", "class 1"]),
     ("cov-overflow", _gaussian_override(2, "1", cov=[[10**400]]), ["data.agents[2]", "class 1"]),
+    # agent 1 sees 2-D features under class 1 and 1-D ones under class -1
+    ("dimension-mismatch", _gaussian_override(1, "1", mean=[0.5, 0.5], cov=np.eye(2).tolist()),
+     ["data.agents[1]", "class -1", "dimension 1, but class 1 has 2"]),
 ]
 
 
@@ -643,6 +646,15 @@ class TestGaussianBlock:
         err = capsys.readouterr().err
         assert all(field in err for field in fields), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "montecarlo"])
+    def test_dimension_mismatch_exits_1_from_every_command(self, tmp_path, capsys, command):
+        # the base schedule switches to class -1, whose draws would not fit
+        # the models trained on class 1's dimension
+        (cfg,) = [case[1] for case in GAUSSIAN_CASES if case[0] == "dimension-mismatch"]
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "data.agents[1]" in capsys.readouterr().err
 
 
 class TestGraphFile:
@@ -1032,6 +1044,37 @@ def three_class_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+class TestPredictIsReplicationZero:
+    """``predict`` runs Monte Carlo replication 0's first stream: its models
+    and its stream come from the same seed paths, whatever chunk the
+    replication trains in."""
+
+    @pytest.mark.parametrize("reps", [[0], [0, 1, 2]], ids=["alone", "chunk-of-3"])
+    @pytest.mark.parametrize("engine", [{"engine": "sl"}, {"engine": "asl", "delta": 0.1}],
+                             ids=["sl", "asl"])
+    @pytest.mark.parametrize("make", [base_config, three_class_config],
+                             ids=["two-classes", "three-classes"])
+    def test_sml_error_equals_the_trajectory(self, tmp_path, make, engine, reps):
+        cfg_dict = make(**engine)
+        # one stream: a batch of several may round a tie differently
+        horizon = cfg_dict["stream_length"]
+        cfg_dict["montecarlo"].update(
+            eval_streams=1, horizon=horizon, observe_agent=2, strategies=["sml"]
+        )
+        cfg = validate_config(cfg_dict, str(tmp_path))
+        cmd_predict(cfg, str(tmp_path))
+        observed = str(cfg.montecarlo["observe_agent"])
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[2:]
+        # one row per (step, agent, lambda component), the same correct flag in each
+        correct = {}
+        for row in rows:
+            _, i, k, *_, flag = row.split(",")
+            if k == observed:
+                correct[int(i)] = int(flag)
+        want = 1.0 - np.array([correct[i] for i in range(horizon)])
+        assert montecarlo_chunk(cfg, reps)[0]["sml"].tolist() == want.tolist()
 
 
 class FakePool:

@@ -45,15 +45,15 @@ class TestGaussianModels:
 
     def test_informative_agent_covariance_trace(self):
         spec = one_informative_gaussian_spec()
-        draws = spec.models[1][-1].sample(np.random.default_rng(0), 100_000)
+        draws = spec.models[1][1].sample(np.random.default_rng(0), 100_000)
         trace = np.trace(np.cov(draws.T))
         assert trace == pytest.approx(3.0, rel=0.02)
 
     def test_uninformative_agents_identical_across_classes(self):
         spec = one_informative_gaussian_spec()
         for agent in (0, 2, 3):
-            plus = spec.models[agent][+1].sample(np.random.default_rng(1), 50_000)
-            minus = spec.models[agent][-1].sample(np.random.default_rng(2), 50_000)
+            plus = spec.models[agent][0].sample(np.random.default_rng(1), 50_000)
+            minus = spec.models[agent][1].sample(np.random.default_rng(2), 50_000)
             # same distribution: means and covariance traces agree within MC error
             se = np.sqrt(2.0 / 50_000)
             assert np.all(np.abs(plus.mean(axis=0) - minus.mean(axis=0)) < 5 * se)
@@ -84,13 +84,13 @@ class TestGaussianModels:
 
     def test_missing_class_rejected(self):
         base = GaussianClassModel([0.0], [[1.0]])
-        with pytest.raises(DataError):
-            GaussianSceneSpec(({+1: base},), (+1, -1))
+        with pytest.raises(DataError, match="one model per class"):
+            GaussianSceneSpec(((base, base), (base,)))
 
     def test_seed_determinism(self):
         spec = mean_shift_gaussian_spec(2)
-        a = spec.models[0][+1].sample(np.random.default_rng(9), 10)
-        b = spec.models[0][+1].sample(np.random.default_rng(9), 10)
+        a = spec.models[0][0].sample(np.random.default_rng(9), 10)
+        b = spec.models[0][0].sample(np.random.default_rng(9), 10)
         np.testing.assert_array_equal(a, b)
 
 
@@ -151,7 +151,7 @@ class TestPredictionStream:
         spec = mean_shift_gaussian_spec(2)
         views, states = prediction_streams(spec, RegimeSchedule(((0, 1),)), 25, [0])
         assert set(states.tolist()) == {1}
-        # class 1 of the spec is -1: its features center on -1
+        # class 1 of the spec centers on -1
         assert views[0][0].mean() < 0
         assert views[0][0].shape == (25, 1)
 
@@ -177,7 +177,7 @@ class TestPredictionStream:
         pools = [rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        views, _ = prediction_streams(image_source(pools), sched, 10, [2], layout)
+        views, _ = prediction_streams(image_source(pools, layout), sched, 10, [2])
         assert len(views) == 4
         assert views[0][0].shape == (10, 9)
         assert np.all(views[0][0] <= 1.0)
@@ -197,23 +197,23 @@ class TestPredictionStream:
         pools = [rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        images, rows = image_source(pools)
-        views, _ = prediction_streams((images, rows), sched, 10, [2], layout)
+        images, rows, _ = image_source(pools, layout)
+        views, _ = prediction_streams((images, rows, layout), sched, 10, [2])
         assert sum(scaled) <= 10 * 6 * 6
         # the same draws from images scaled up front give the same views
-        again, _ = prediction_streams((images / 255.0, rows), sched, 10, [2], layout)
+        again, _ = prediction_streams((images / 255.0, rows, layout), sched, 10, [2])
         for got, want in zip(views, again):
             np.testing.assert_array_equal(got[0], want[0])
 
     def test_missing_class_rejected(self):
-        layout = PatchLayout(4, 4, 2, 2)
         schedule = RegimeSchedule(((0, 1),))
-        for images, rows in [
-            (np.zeros((3, 4, 4), dtype=np.uint8), (np.arange(3),)),
-            (np.zeros((3, 4, 4)), (np.arange(3), np.arange(0))),
+        for rows, message in [
+            ((np.arange(3),), "schedule state 1 is not a class index"),
+            ((np.arange(3), np.arange(0)), "class 1 has no images"),
         ]:
-            with pytest.raises(DataError, match="class 1 has no images"):
-                prediction_streams((images, rows), schedule, 5, [0], layout)
+            source = (np.zeros((3, 4, 4), dtype=np.uint8), rows, PatchLayout(4, 4, 2, 2))
+            with pytest.raises(DataError, match=message):
+                prediction_streams(source, schedule, 5, [0])
 
     @pytest.mark.parametrize("state", [-1, -2, 2])
     def test_state_outside_the_classes_rejected(self, state):
@@ -222,23 +222,23 @@ class TestPredictionStream:
         schedule = RegimeSchedule(((0, 0), (3, state)))
         with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
             prediction_streams(mean_shift_gaussian_spec(1), schedule, 6, [0])
-        if state < 0:
-            source = image_source([np.zeros((3, 4, 4), dtype=np.uint8)] * 2)
-            with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
-                prediction_streams(source, schedule, 6, [0], PatchLayout(4, 4, 2, 2))
+        source = image_source([np.zeros((3, 4, 4), dtype=np.uint8)] * 2, PatchLayout(4, 4, 2, 2))
+        with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
+            prediction_streams(source, schedule, 6, [0])
 
 
-def image_source(pools, seed=0):
-    """One image array per class as the ``(images, rows)`` source of
+def image_source(pools, layout, seed=0):
+    """One image array per class as the ``(images, rows, layout)`` source of
     ``prediction_streams``: the classes' images shuffled together by ``seed``,
-    and each class's row indices in that array."""
+    each class's row indices in that array, and ``layout``."""
     stacked = np.concatenate(pools)
     # stacked row i lands at row order[i]
     order = np.random.default_rng(seed).permutation(len(stacked))
     images = np.empty_like(stacked)
     images[order] = stacked
     ends = np.cumsum([len(pool) for pool in pools])
-    return images, tuple(order[end - len(pool) : end] for pool, end in zip(pools, ends))
+    rows = tuple(order[end - len(pool) : end] for pool, end in zip(pools, ends))
+    return images, rows, layout
 
 
 def per_block_stream(source, schedule, length, seed, layout=None):
@@ -252,7 +252,7 @@ def per_block_stream(source, schedule, length, seed, layout=None):
         for j in active:
             idx = np.flatnonzero(states == j)
             for k in range(source.n_agents):
-                views[k][idx] = source.models[k][source.classes[j]].sample(rng, idx.size)
+                views[k][idx] = source.models[k][j].sample(rng, idx.size)
         return views
     images = np.empty((length, layout.height, layout.width))
     for j in active:
@@ -276,15 +276,14 @@ class TestPredictionStreams:
         self, dims, n_classes, length, starts, n_streams, seed
     ):
         rng = np.random.default_rng(seed)
-        classes = ("b", "a", "c")[:n_classes]
         models = []
         for d in dims:
-            per_class = {}
-            for c in classes:
+            per_class = []
+            for _ in range(n_classes):
                 a = rng.normal(size=(d, d))
-                per_class[c] = GaussianClassModel(rng.normal(size=d), a @ a.T + d * np.eye(d))
+                per_class.append(GaussianClassModel(rng.normal(size=d), a @ a.T + d * np.eye(d)))
             models.append(per_class)
-        spec = GaussianSceneSpec(tuple(models), classes)
+        spec = GaussianSceneSpec(tuple(models))
         bounds = sorted({0, *starts})
         schedule = RegimeSchedule(tuple((s, int(rng.integers(n_classes))) for s in bounds))
         seeds = rng.integers(0, 2**63, n_streams).tolist()
@@ -312,10 +311,10 @@ class TestPredictionStreams:
         layout = PatchLayout(7, 8, *grid)
         schedule = periodic_schedule(period, [2, 0, 1], length)
         seeds = rng.integers(0, 2**63, n_streams).tolist()
-        source = image_source(pools, seed)
-        batch, _ = prediction_streams(source, schedule, length, seeds, layout)
+        source = image_source(pools, layout, seed)
+        batch, _ = prediction_streams(source, schedule, length, seeds)
         for s, seed_s in enumerate(seeds):
-            alone, _ = prediction_streams(source, schedule, length, [seed_s], layout)
+            alone, _ = prediction_streams(source, schedule, length, [seed_s])
             reference = per_block_stream(pools, schedule, length, seed_s, layout)
             for k in range(layout.n_agents):
                 assert batch[k].shape == (n_streams, length, layout.view_dim(k))
@@ -508,9 +507,10 @@ def write_image_files(directory, images, labels, fmt):
 
 def pooled_config(directory, shape, label_map):
     """An image config over ``directory``'s dataset, one agent reading the
-    whole image, with class labels 100, 101, ... mapped to ``label_map``."""
+    whole image, with class labels 100, 101, ... mapped to ``label_map``; a
+    class may hold one image, as a training scene of one row a class draws."""
     classes = [100 + c for c in range(len(label_map))]
-    cfg = image_config("dataset.json", classes=classes, graph={"ring": 1})
+    cfg = image_config("dataset.json", classes=classes, graph={"ring": 1}, train_per_class=1)
     cfg["data"].update(
         height=shape[0],
         width=shape[1],
@@ -557,7 +557,7 @@ class TestClassPools:
         ):
             write_image_files(Path(tmp), images, labels, fmt)
             cfg = pooled_config(Path(tmp), (2, 3), label_map)
-            pooled, rows = _image_pools(cfg)
+            pooled, rows, _ = _image_pools(cfg)
             # one index array per class, in class order, each in file order
             assert len(rows) == len(cfg.classes)
             assert pooled.dtype == np.uint8
@@ -577,7 +577,7 @@ class TestClassPools:
         labels = np.array([0, 1, 0, 2])
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, "idx")
-        pooled, rows = _image_pools(pooled_config(tmp_path, (2, 3), [0, 0, 2]))
+        pooled, rows, _ = _image_pools(pooled_config(tmp_path, (2, 3), [0, 0, 2]))
         assert [r.tolist() for r in rows] == [[0, 2], [0, 2], [3]]
         assert np.array_equal(pooled[rows[2]], images[[3]])
 
@@ -586,7 +586,7 @@ class TestClassPools:
         labels = np.array([0, 1, 0, 1])
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, fmt)
-        pooled, rows = _image_pools(pooled_config(tmp_path, (2, 3), [0, 1]))
+        pooled, rows, _ = _image_pools(pooled_config(tmp_path, (2, 3), [0, 1]))
         with pytest.raises(ValueError, match="read-only"):
             pooled[rows[0][0]] = 0
         with pytest.raises(ValueError, match="read-only"):
@@ -601,7 +601,7 @@ class TestClassPools:
         cfg = pooled_config(tmp_path, (28, 28), [3, 1])
         tracemalloc.start()
         try:
-            pooled, rows = _image_pools(cfg)
+            pooled, rows, _ = _image_pools(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -617,7 +617,7 @@ class TestClassPools:
         cfg = pooled_config(tmp_path, (28, 28), [3, 1])
         tracemalloc.start()
         try:
-            pooled, rows = _image_pools(cfg)
+            pooled, rows, _ = _image_pools(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -154,8 +154,8 @@ class TestImageTrainingScene:
         ((views, labels),) = shared_scene_training(cfg, [0])
         assert sum(scaled) == labels.size * 8 * 8
         # the same draws from images scaled up front give the same views
-        (images, rows), layout = cfg.scene
-        vars(cfg)["scene"] = ((images / 255.0, rows), layout)
+        images, rows, layout = cfg.scene
+        vars(cfg)["scene"] = (images / 255.0, rows, layout)
         ((again, again_labels),) = shared_scene_training(cfg, [0])
         assert np.array_equal(labels, again_labels)
         for got, want in zip(views, again):
@@ -222,11 +222,17 @@ class TestImageSceneLoading:
         assert "images (8, 8) vs config (10, 8)" in capsys.readouterr().err
 
     def test_class_absent_from_dataset(self, tmp_path, capsys):
+        # an absent class, and a class short of a training scene's draws
         write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
-        cfg = image_config("dataset.json")
-        cfg["data"]["label_map"] = {"1": 0, "-1": 7}
-        assert self.train(tmp_path, cfg) == 1
-        assert "class -1 (raw label 7) absent" in capsys.readouterr().err
+        absent = image_config("dataset.json")
+        absent["data"]["label_map"] = {"1": 0, "-1": 7}
+        short = image_config("dataset.json", train_per_class=41)
+        for cfg, message in [
+            (absent, "class -1 (raw label 7) absent"),
+            (short, "class 1 (raw label 0): 40 images < train_per_class 41"),
+        ]:
+            assert self.train(tmp_path, cfg) == 1
+            assert message in capsys.readouterr().err
 
 
 def _not_json(manifest, tmp_path):

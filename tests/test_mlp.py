@@ -277,7 +277,7 @@ class TestForward:
             MLPArchitecture(sizes, activation=activation), tuple(w[0] for w in weights)
         )
         means = rng.normal(size=n_outputs - 1)
-        statistic = DebiasedStatistic(0, model, tuple(range(n_outputs)), means)
+        statistic = DebiasedStatistic(model, means)
         first = [w[:1] for w in weights]
         batch_z = chain(feats[:1], first)[-1][0]
         # one feature vector is a 1-row product, whose bits may differ

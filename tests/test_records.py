@@ -38,7 +38,7 @@ EXAMPLES = {
     "MLPArchitecture": lambda: MLPArchitecture((3, 4, 2), norm_bound=2.0),
     "TrainingHyperparameters": lambda: TrainingHyperparameters(3, 10, 0.05, optimizer="adam"),
     "MLPModel": _model,
-    "DebiasedStatistic": lambda: DebiasedStatistic(0, _model(), (1, -1), np.zeros(1)),
+    "DebiasedStatistic": lambda: DebiasedStatistic(_model(), np.zeros(1)),
     "CombinationMatrix": lambda: CombinationMatrix(np.full((2, 2), 0.5)),
     "GaussianClassModel": lambda: GaussianClassModel(np.zeros(2), np.eye(2)),
     "GaussianSceneSpec": lambda: mean_shift_gaussian_spec(2),
@@ -130,9 +130,8 @@ def test_experiment_config_pickles(cached):
     restored = pickle.loads(pickle.dumps(cfg))
     assert restored.digest == cfg.digest
     assert restored.raw == cfg.raw and restored.arch_by_agent == cfg.arch_by_agent
-    spec, layout = restored.scene
-    assert layout is None
-    assert gaussian_spec_to_json(spec) == gaussian_spec_to_json(cfg.scene[0])
+    before, after = (gaussian_spec_to_json(c.scene, cfg.classes) for c in (cfg, restored))
+    assert after == before
 
 
 class Point(Record):

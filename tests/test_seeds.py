@@ -53,7 +53,7 @@ class TestGoldenValues:
         pool = np.repeat(np.arange(200, dtype=np.uint8), 4).reshape(200, 2, 2)
         layout = PatchLayout(2, 2, 1, 2)
         rows = np.arange(200)
-        images, _ = prediction_streams((pool, (rows, rows)), schedule, 4, [seed], layout)
+        images, _ = prediction_streams((pool, (rows, rows), layout), schedule, 4, [seed])
         picks = np.rint(images[0][0, :, 0] * 255).astype(int)
         assert picks.tolist() == [97, 139, 101, 178]
 

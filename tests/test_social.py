@@ -423,7 +423,8 @@ class TestRunPredictionBatch:
 
 class TestConsistencyConditions:
     def gaussian_sampler(self, spec, k):
-        return lambda rng, label, n: spec.models[k][label].sample(rng, n)
+        # label +1 is the spec's class 0 and -1 its class 1
+        return lambda rng, label, n: spec.models[k][(1 - label) // 2].sample(rng, n)
 
     def test_zero_statistic_not_satisfied(self):
         spec = mean_shift_gaussian_spec(2, dim=1)

@@ -175,7 +175,8 @@ class TestDebiasedStatistic:
 
 class TestConditionalMeans:
     def samplers(self, spec, k):
-        return lambda rng, label, n: spec.models[k][label].sample(rng, n)
+        # label +1 is the spec's class 0 and -1 its class 1
+        return lambda rng, label, n: spec.models[k][(1 - label) // 2].sample(rng, n)
 
     def test_zero_function_zero_means(self):
         spec = mean_shift_gaussian_spec(2, dim=1)
