@@ -21,8 +21,8 @@ class Record:
     ``__post_init__``, which may normalize them with ``object.__setattr__``;
     any later assignment raises ``AttributeError``.  Equality and hashing go
     by the field values; ``repr`` omits the fields named in the ``hidden``
-    class keyword.  Instances keep a ``__dict__``, so ``cached_property``
-    and pickling work as on plain objects.
+    class keyword.  Instances keep a ``__dict__``, so pickling works as on
+    plain objects.
     """
 
     __match_args__: tuple = ()  # the field names, as pattern matching reads them

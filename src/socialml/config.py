@@ -12,7 +12,6 @@ is bit-equal to ``SeedSequence`` and ``default_rng``.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -54,6 +53,7 @@ def config_digest(raw: dict) -> str:
 
 class ExperimentConfig(Record, hidden=("raw",)):
     raw: dict
+    base_dir: str  # absolute: the directory the config's relative paths resolve against
     seed: int
     classes: tuple
     engine: str
@@ -66,12 +66,10 @@ class ExperimentConfig(Record, hidden=("raw",)):
     schedule: RegimeSchedule  # class indices over max(stream_length, montecarlo horizon) steps
     stream_length: int
     montecarlo: dict
-    theory: dict
-    # the data block's inputs, as ``_validate_data`` returns them
-    gaussian: GaussianSceneSpec | None
-    layout: PatchLayout | None
-    dataset: dict | None
-    raw_labels: tuple | None
+    theory: dict | None  # None without a theory block or with an empty one
+    # the data source that ``data.training_scene`` and
+    # ``data.prediction_streams`` draw from, as ``_validate_data`` returns it
+    scene: GaussianSceneSpec | tuple
 
     @property
     def digest(self) -> str:
@@ -81,13 +79,11 @@ class ExperimentConfig(Record, hidden=("raw",)):
     def n_agents(self) -> int:
         return self.matrix.size
 
-    @functools.cached_property
-    def scene(self):
-        """The data source that ``data.training_scene`` and
-        ``data.prediction_streams`` draw from: the Gaussian spec, or the image
-        source ``(images, rows, layout)`` that ``_image_pools`` reads on
-        first use, once per process."""
-        return self.gaussian if self.layout is None else _image_pools(self)
+    def __reduce__(self):
+        # a config pickles as its input, and unpickling validates it again: a
+        # mapped IDX body would pickle as a copy of the images, where each
+        # process that validates maps the file and shares its pages
+        return validate_config, (self.raw, self.base_dir)
 
 
 def _require(raw: dict, key: str, kind=None):
@@ -155,45 +151,6 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
             agent_models.append(model)
         models.append(agent_models)
     return GaussianSceneSpec(tuple(models))
-
-
-def _image_pools(cfg: ExperimentConfig) -> tuple:
-    """The image source ``(images, rows, layout)``: one read-only uint8 image
-    array, for each class in class order the indices of its rows in file
-    order, and the config's patch layout.  An IDX body is mapped, not read; a
-    CSV holds only the rows of labels some class uses.  Every class must hold
-    ``train_per_class`` images, as a training scene draws that many."""
-    files = {name: entry["path"] for name, entry in cfg.dataset["files"].items()}
-    height, width = cfg.layout.height, cfg.layout.width
-    if cfg.dataset["format"] == "idx":
-        labels = data_mod.read_idx_labels(files["labels"])
-        images = data_mod.read_idx_images(files["images"])
-        if len(images) != labels.size:
-            raise ConfigError(
-                f"{files['labels']} holds {labels.size} labels but {files['images']} holds "
-                f"{len(images)} images"
-            )
-        if images.shape[1:] != (height, width):
-            raise ConfigError(
-                f"{files['images']}: images {images.shape[1:]} vs config {(height, width)}"
-            )
-    else:
-        images, labels = data_mod.read_label_pixel_csv(
-            files["data"], height, width, keep=cfg.raw_labels
-        )
-    # every draw of every replication reads these rows, so none may change them
-    images.flags.writeable = False
-    rows = []
-    for label, raw in zip(cfg.classes, cfg.raw_labels):
-        rows.append(np.flatnonzero(labels == raw))
-        if rows[-1].size == 0:
-            raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
-        if rows[-1].size < cfg.train_per_class:
-            raise ConfigError(
-                f"class {label!r} (raw label {raw!r}): {rows[-1].size} images < "
-                f"train_per_class {cfg.train_per_class}"
-            )
-    return images, tuple(rows), cfg.layout
 
 
 def gaussian_spec_to_json(spec: GaussianSceneSpec, classes) -> dict:
@@ -349,11 +306,15 @@ def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
         raise ConfigError(f"schedule: {exc}") from exc
 
 
-def _validate_data(block: dict, classes, n_agents: int, base_dir: str) -> tuple:
-    """The data block as ``(gaussian, layout, dataset, raw_labels)``: a
-    Gaussian spec, or an image patch layout, the manifest ``data.read_manifest``
-    parsed and each class's raw dataset label; the rest are None.  The
-    images are read on first use of ``ExperimentConfig.scene``."""
+def _validate_data(
+    block: dict, classes, n_agents: int, train_per_class: int, base_dir: str
+) -> GaussianSceneSpec | tuple:
+    """The data source of the block: a Gaussian spec, or the image source
+    ``(images, rows, layout)``: one read-only uint8 image array, for each
+    class in class order the indices of its rows in file order, and the
+    patch layout.  An IDX body is mapped, not read; a CSV holds only the
+    rows of labels some class uses.  Every image class must hold
+    ``train_per_class`` images, as a training scene draws that many."""
     kind = block.get("type")
     if kind not in _DATA_KEYS:
         raise ConfigError("data type must be 'gaussian' or 'images'")
@@ -362,7 +323,7 @@ def _validate_data(block: dict, classes, n_agents: int, base_dir: str) -> tuple:
         spec = build_gaussian_spec(block, classes)
         if spec.n_agents != n_agents:
             raise ConfigError(f"data describes {spec.n_agents} agents, graph has {n_agents}")
-        return spec, None, None, None
+        return spec
     manifest = _require(block, "manifest", str)
     layout = PatchLayout(
         _integer(_require(block, "height"), "data.height", 1),
@@ -387,7 +348,38 @@ def _validate_data(block: dict, classes, n_agents: int, base_dir: str) -> tuple:
             f"data.label_map must map class labels, written as strings, to integers, "
             f"got {label_map!r}"
         )
-    return None, layout, dataset, tuple(label_map.get(str(c), c) for c in classes)
+    raw_by_class = [label_map.get(str(c), c) for c in classes]
+    files = {name: entry["path"] for name, entry in dataset["files"].items()}
+    if dataset["format"] == "idx":
+        labels = data_mod.read_idx_labels(files["labels"])
+        images = data_mod.read_idx_images(files["images"])
+        if len(images) != labels.size:
+            raise ConfigError(
+                f"{files['labels']} holds {labels.size} labels but {files['images']} holds "
+                f"{len(images)} images"
+            )
+        if images.shape[1:] != (layout.height, layout.width):
+            raise ConfigError(
+                f"{files['images']}: images {images.shape[1:]} vs config "
+                f"{(layout.height, layout.width)}"
+            )
+    else:
+        images, labels = data_mod.read_label_pixel_csv(
+            files["data"], layout.height, layout.width, keep=raw_by_class
+        )
+    # every draw of every replication reads these rows, so none may change them
+    images.flags.writeable = False
+    rows = []
+    for label, raw in zip(classes, raw_by_class):
+        rows.append(np.flatnonzero(labels == raw))
+        if rows[-1].size == 0:
+            raise ConfigError(f"class {label!r} (raw label {raw!r}) absent from the dataset")
+        if rows[-1].size < train_per_class:
+            raise ConfigError(
+                f"class {label!r} (raw label {raw!r}): {rows[-1].size} images < "
+                f"train_per_class {train_per_class}"
+            )
+    return images, tuple(rows), layout
 
 
 def _per_agent(block: dict, key: str, n_agents: int) -> list:
@@ -402,13 +394,15 @@ def _per_agent(block: dict, key: str, n_agents: int) -> list:
     return values
 
 
-def _validate_theory(block, n_agents: int) -> dict:
+def _validate_theory(block, n_agents: int) -> dict | None:
     """The ``theory`` block with its constant defaults filled in, its counts
-    and numbers checked, and its per-agent lists one entry per agent;
-    ``cmd_theory`` derives the sample counts and the complexity constants
-    that the block leaves out."""
+    and numbers checked, and its per-agent lists one entry per agent, or
+    None for an empty block; ``cmd_theory`` derives the sample counts and
+    the complexity constants that the block leaves out."""
     if not isinstance(block, dict):
         raise ConfigError("theory must be an object")
+    if not block:
+        return None
     _known_keys(block, "theory", _THEORY_KEYS)
     block = {"target_risk": 0.0, "beta": 1.0, "epsilon": 0.05, "grid_points": 50, **block}
     if "sample_counts" in block:
@@ -461,7 +455,9 @@ def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
 
 
 def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
-    """The checked config, with the schedule and data inputs built once."""
+    """The checked config, with the schedule and the data source built once:
+    every input file is read here, so a config that validates runs."""
+    base_dir = os.path.abspath(base_dir)
     _known_keys(raw, "", _TOP_LEVEL_KEYS)
     seed = _integer(_require(raw, "seed"), "seed", 0)
     classes = tuple(_require(raw, "classes", list))
@@ -495,8 +491,9 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
     matrix = _build_matrix(_require(raw, "graph", dict), base_dir)
 
-    gaussian, layout, dataset, raw_labels = _validate_data(
-        _require(raw, "data", dict), classes, matrix.size, base_dir
+    train_per_class = _integer(raw.get("train_per_class", 0), "train_per_class", 0)
+    scene = _validate_data(
+        _require(raw, "data", dict), classes, matrix.size, train_per_class, base_dir
     )
 
     model = _require(raw, "model", dict)
@@ -511,11 +508,11 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         # kept as written: saved models carry it verbatim
         _number(norm_bound, "model.norm_bound")
     input_bound = _number(model.get("input_bound", 1.0), "model.input_bound")
-    dims = [layout.view_dim(k) if layout else gaussian.dimension(k) for k in range(matrix.size)]
+    dimension = scene.dimension if isinstance(scene, GaussianSceneSpec) else scene[2].view_dim
     archs = tuple(
         # layer sizes, activation, bias, norm bound, input bound
         MLPArchitecture((d + 1, *hidden, len(classes)), activation, True, norm_bound, input_bound)
-        for d in dims
+        for d in map(dimension, range(matrix.size))
     )
     hyper = TrainingHyperparameters(
         epochs=_integer(_require(model, "epochs"), "model.epochs", 1),
@@ -525,7 +522,6 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         init_scale=_number(model.get("init_scale", 1.0), "model.init_scale"),
     )
     repetitions = _integer(model.get("repetitions", 1), "model.repetitions", 1)
-    train_per_class = _integer(raw.get("train_per_class", 0), "train_per_class", 0)
     stream_length = _integer(raw.get("stream_length", 0), "stream_length", 0)
     montecarlo = _validate_montecarlo(raw.get("montecarlo", {}), stream_length, matrix.size)
     schedule = _validate_schedule(
@@ -536,6 +532,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=raw,
+        base_dir=base_dir,
         seed=seed,
         classes=classes,
         engine=engine,
@@ -549,8 +546,5 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         stream_length=stream_length,
         montecarlo=montecarlo,
         theory=_validate_theory(raw.get("theory", {}), matrix.size),
-        gaussian=gaussian,
-        layout=layout,
-        dataset=dataset,
-        raw_labels=raw_labels,
+        scene=scene,
     )

@@ -2,9 +2,10 @@
 
 Every command reads a validated configuration, derives all randomness from
 the master seed through fixed phase paths, and writes tidy artifacts under
-one output directory: CSVs carry a ``# config=... seed=...`` header line,
-JSON artifacts carry the same fields under ``meta``, and ``manifest.json``
-indexes everything.
+one output directory, created at the first write, so a command that fails
+before it leaves nothing behind.  CSVs carry a ``# config=... seed=...``
+header line, JSON artifacts carry the same fields under ``meta``, and
+``manifest.json`` indexes everything.
 """
 
 from __future__ import annotations
@@ -203,9 +204,6 @@ def _trained_statistics(cfg: ExperimentConfig, reps, scenes) -> list:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Train every agent (repeatedly) and record the risk traces."""
-    os.makedirs(out_dir, exist_ok=True)
-    model_dir = os.path.join(out_dir, "models")
-    os.makedirs(model_dir, exist_ok=True)
     (scene,) = shared_scene_training(cfg, [0])
     lines = []
     artifacts = ["risk_trace.csv", "manifest.json"]
@@ -213,6 +211,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
         models, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"repetition {exc.model}, {exc}", exc.model) from exc
+    os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
     for rep, row in enumerate(models):
         for k, model in enumerate(row):
             if rep == 0:
@@ -237,7 +236,6 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Train once, run one prediction stream, write trajectory and summary."""
     if cfg.stream_length < 1:
         raise ConfigError("prediction needs stream_length >= 1")
-    os.makedirs(out_dir, exist_ok=True)
     scenes = shared_scene_training(cfg, [0])
     (statistics,) = _trained_statistics(cfg, [0], scenes)
     seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
@@ -246,6 +244,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         cfg.matrix, statistics, [v[0] for v in views], states, len(cfg.classes), delta=cfg.delta
     )
 
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "trajectory.csv"),
         cfg,
@@ -359,10 +358,10 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
     strategies = sorted(mc["strategies"])
     if "adaboost" in strategies and len(cfg.classes) != 2:
         raise ConfigError("the adaboost strategy needs two classes")
-    os.makedirs(out_dir, exist_ok=True)
 
     workers = min(threads, reps, os.cpu_count() or 1)
-    # one task per worker: each unpickles cfg and loads its scene once
+    # one task per worker: each unpickles cfg, which validates its JSON again
+    # and so reads the data once
     run_share = partial(_montecarlo_share, cfg)
     shares = replication_chunks(cfg, workers)
     if workers > 1:
@@ -384,6 +383,7 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
             table.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(horizon)
         )
         curves[strategy] = (rate.tolist(), stderr.tolist())
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "montecarlo.csv"),
         cfg,
@@ -423,7 +423,7 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         self_consistency_check,
     )
 
-    if not cfg.raw.get("theory"):
+    if cfg.theory is None:
         raise ConfigError("theory command needs a 'theory' config block")
     block = cfg.theory
     pi = perron_eigenvector(cfg.matrix)
@@ -472,7 +472,6 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         c_mixed, target_risk, profile.alpha, beta_scalar, epsilon
     )
 
-    # created once every input has passed, so a rejected config writes nothing
     os.makedirs(out_dir, exist_ok=True)
     grid_points = block["grid_points"]
     risks = [0.999 * math.log(2) * j / max(grid_points - 1, 1) for j in range(grid_points)]

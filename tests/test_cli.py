@@ -501,13 +501,15 @@ class TestMontecarloValidation:
         cfg["model"]["learning_rate"] = 1e308
         cfg["montecarlo"]["strategies"] = strategies
         path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
         with np.errstate(all="ignore"):
-            code = main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "o")])
+            code = main(["montecarlo", "--config", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         # replications train in lockstep: the first to diverge is named
         assert "TrainingDiverged: replication " in err
         assert all(name in err for name in names)
+        assert not out.exists()
 
 
 class TestScheduleValidation:
@@ -744,12 +746,14 @@ class TestMontecarloChunks:
 
     def test_image_mc_replications_share_one_chunk(self, tmp_path):
         # the image_mc benchmark scene: 28x28 images, 2x2 patch agents with
-        # one hidden layer of 8, 200 training rows, 3 replications
-        images = np.zeros((4, 28, 28), dtype=np.uint8)
+        # one hidden layer of 8, 200 training rows, 3 replications; validation
+        # reads the dataset, so each class holds its 100 training images
+        images = np.zeros((200, 28, 28), dtype=np.uint8)
         (tmp_path / "images.idx").write_bytes(
-            struct.pack(">IIII", 0x00000803, 4, 28, 28) + images.tobytes()
+            struct.pack(">IIII", 0x00000803, 200, 28, 28) + images.tobytes()
         )
-        (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 0x00000801, 4) + bytes(4))
+        labels = bytes(100) + bytes([1] * 100)
+        (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 0x00000801, 200) + labels)
         (tmp_path / "dataset.json").write_text(
             json.dumps(
                 {
@@ -858,12 +862,23 @@ class TestCliEntry:
         cfg = base_config()
         cfg["model"]["learning_rate"] = 1e308
         path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
         with np.errstate(all="ignore"):
-            code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+            code = main(["train", "--config", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "TrainingDiverged" in err
         assert "repetition" in err and "agent" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "montecarlo"])
+    def test_no_training_rows_exits_1_writing_nothing(self, tmp_path, capsys, command):
+        # a valid config for theory, which needs no training scene
+        path = write_config(tmp_path, base_config(train_per_class=0))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "train_per_class" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(engine="asl"))  # missing delta

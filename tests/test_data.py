@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from socialml import data as data_mod
 from socialml.cli import main
-from socialml.config import _image_pools, validate_config
+from socialml.config import validate_config
 from socialml.data import (
     DataError,
     GaussianClassModel,
@@ -557,7 +557,7 @@ class TestClassPools:
         ):
             write_image_files(Path(tmp), images, labels, fmt)
             cfg = pooled_config(Path(tmp), (2, 3), label_map)
-            pooled, rows, _ = _image_pools(cfg)
+            pooled, rows, _ = cfg.scene
             # one index array per class, in class order, each in file order
             assert len(rows) == len(cfg.classes)
             assert pooled.dtype == np.uint8
@@ -571,13 +571,13 @@ class TestClassPools:
             else:
                 # the parsed file: only the rows of labels some class uses
                 assert np.array_equal(pooled, images[np.isin(labels, label_map)])
-            del pooled
+            del pooled, cfg
 
     def test_classes_sharing_a_raw_label_share_its_pool(self, tmp_path):
         labels = np.array([0, 1, 0, 2])
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, "idx")
-        pooled, rows, _ = _image_pools(pooled_config(tmp_path, (2, 3), [0, 0, 2]))
+        pooled, rows, _ = pooled_config(tmp_path, (2, 3), [0, 0, 2]).scene
         assert [r.tolist() for r in rows] == [[0, 2], [0, 2], [3]]
         assert np.array_equal(pooled[rows[2]], images[[3]])
 
@@ -586,7 +586,7 @@ class TestClassPools:
         labels = np.array([0, 1, 0, 1])
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, fmt)
-        pooled, rows, _ = _image_pools(pooled_config(tmp_path, (2, 3), [0, 1]))
+        pooled, rows, _ = pooled_config(tmp_path, (2, 3), [0, 1]).scene
         with pytest.raises(ValueError, match="read-only"):
             pooled[rows[0][0]] = 0
         with pytest.raises(ValueError, match="read-only"):
@@ -598,10 +598,9 @@ class TestClassPools:
         labels = rng.integers(0, 4, 5000)
         images = rng.integers(0, 256, size=(5000, 28, 28), dtype=np.uint8)
         write_image_files(tmp_path, images, labels, "idx")
-        cfg = pooled_config(tmp_path, (28, 28), [3, 1])
         tracemalloc.start()
         try:
-            pooled, rows, _ = _image_pools(cfg)
+            pooled, rows, _ = pooled_config(tmp_path, (28, 28), [3, 1]).scene
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -614,10 +613,9 @@ class TestClassPools:
         labels = rng.integers(0, 4, 5000)
         images = rng.integers(0, 256, size=(5000, 28, 28), dtype=np.uint8)
         write_image_files(tmp_path, images, labels, "csv")
-        cfg = pooled_config(tmp_path, (28, 28), [3, 1])
         tracemalloc.start()
         try:
-            pooled, rows, _ = _image_pools(cfg)
+            pooled, rows, _ = pooled_config(tmp_path, (28, 28), [3, 1]).scene
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

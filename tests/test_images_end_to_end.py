@@ -222,17 +222,32 @@ class TestImageSceneLoading:
         assert "images (8, 8) vs config (10, 8)" in capsys.readouterr().err
 
     def test_class_absent_from_dataset(self, tmp_path, capsys):
-        # an absent class, and a class short of a training scene's draws
+        # an absent class, a class short of a training scene's draws and a
+        # label file shorter than its image file each exit 1 naming the fault
+        # from every command that trains, before any output is written
         write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
         absent = image_config("dataset.json")
         absent["data"]["label_map"] = {"1": 0, "-1": 7}
         short = image_config("dataset.json", train_per_class=41)
-        for cfg, message in [
-            (absent, "class -1 (raw label 7) absent"),
-            (short, "class 1 (raw label 0): 40 images < train_per_class 41"),
-        ]:
-            assert self.train(tmp_path, cfg) == 1
-            assert message in capsys.readouterr().err
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        write_idx_dataset(cut, np.random.default_rng(3), n_per_class=40)
+        (cut / "labels.idx").write_bytes(struct.pack(">II", 0x00000801, 70) + bytes(70))
+        cases = [
+            (tmp_path, absent, "class -1 (raw label 7) absent"),
+            (tmp_path, short, "class 1 (raw label 0): 40 images < train_per_class 41"),
+            (cut, image_config("dataset.json"), "labels.idx holds 70 labels but"),
+        ]
+        commands = [["train"], ["predict"], ["montecarlo", "--threads", "1"],
+                    ["montecarlo", "--threads", "2"]]
+        for directory, cfg, message in cases:
+            path = directory / "config.json"
+            path.write_text(json.dumps(cfg))
+            for command in commands:
+                out = directory / "out"
+                assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+                assert message in capsys.readouterr().err
+                assert not out.exists()
 
 
 def _not_json(manifest, tmp_path):
