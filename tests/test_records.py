@@ -123,29 +123,37 @@ def test_hashable_records_key_dicts():
     assert MLPArchitecture((3, 4, 2)) != (3, 4, 2)
 
 
-@pytest.mark.parametrize("fmt", ["gaussian", "idx", "csv"])
-def test_experiment_config_pickles(tmp_path, fmt):
-    if fmt == "gaussian":
-        cfg = _config()
-    else:
-        # 1.1 MB of IDX images; the CSV twin is kept small, as parsing is slow
-        n, side = (1400, 28) if fmt == "idx" else (60, 8)
-        rng = np.random.default_rng(4)
-        labels = rng.integers(0, 2, n)
-        write_image_files(tmp_path, rng.integers(0, 256, (n, side, side), np.uint8), labels, fmt)
-        cfg = pooled_config(tmp_path, (side, side), [0, 1])
-    scene = cfg.scene
+@pytest.mark.parametrize("cached", [False, True])
+def test_experiment_config_pickles(cached):
+    cfg = _config()
+    if cached:
+        cfg.scene
     blob = pickle.dumps(cfg)
     # a config pickles as its JSON and directory, never as its data
     assert len(blob) < 16 << 10, len(blob)
     restored = pickle.loads(blob)
     assert restored.digest == cfg.digest and restored.base_dir == cfg.base_dir
     assert restored.raw == cfg.raw and restored.arch_by_agent == cfg.arch_by_agent
-    if fmt == "gaussian":
-        before, after = (gaussian_spec_to_json(c.scene, cfg.classes) for c in (cfg, restored))
-        assert after == before
-        return
-    (images, rows, layout), (again, again_rows, again_layout) = scene, restored.scene
+    before, after = (gaussian_spec_to_json(c.scene, cfg.classes) for c in (cfg, restored))
+    assert after == before
+
+
+@pytest.mark.parametrize("fmt", ["idx", "csv"])
+def test_image_config_pickles(tmp_path, fmt):
+    # 1.1 MB of IDX images; the CSV twin is kept small, as parsing is slow
+    n, side = (1400, 28) if fmt == "idx" else (60, 8)
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 2, n)
+    write_image_files(tmp_path, rng.integers(0, 256, (n, side, side), np.uint8), labels, fmt)
+    cfg = pooled_config(tmp_path, (side, side), [0, 1])
+    images, rows, layout = cfg.scene
+    blob = pickle.dumps(cfg)
+    # a config pickles as its JSON and directory, never as its data
+    assert len(blob) < 16 << 10, len(blob)
+    restored = pickle.loads(blob)
+    assert restored.digest == cfg.digest and restored.base_dir == cfg.base_dir
+    assert restored.raw == cfg.raw and restored.arch_by_agent == cfg.arch_by_agent
+    again, again_rows, again_layout = restored.scene
     assert again_layout == layout
     assert all(np.array_equal(a, b) for a, b in zip(again_rows, rows))
     assert not again.flags.writeable
