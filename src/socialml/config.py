@@ -53,7 +53,6 @@ def config_digest(raw: dict) -> str:
 
 class ExperimentConfig(Record, hidden=("raw",)):
     raw: dict
-    base_dir: str  # absolute: the directory the config's relative paths resolve against
     seed: int
     classes: tuple
     engine: str
@@ -79,11 +78,12 @@ class ExperimentConfig(Record, hidden=("raw",)):
     def n_agents(self) -> int:
         return self.matrix.size
 
-    def __reduce__(self):
-        # a config pickles as its input, and unpickling validates it again: a
-        # mapped IDX body would pickle as a copy of the images, where each
-        # process that validates maps the file and shares its pages
-        return validate_config, (self.raw, self.base_dir)
+    def __setstate__(self, state):
+        # a config pickles as its fields, an IDX scene as its file's path and
+        # a CSV one as its parsed images, which unpickle writeable
+        vars(self).update(state)
+        if isinstance(self.scene, tuple) and isinstance(self.scene[0], np.ndarray):
+            self.scene[0].flags.writeable = False
 
 
 def _require(raw: dict, key: str, kind=None):
@@ -310,10 +310,11 @@ def _validate_data(
     block: dict, classes, n_agents: int, train_per_class: int, base_dir: str
 ) -> GaussianSceneSpec | tuple:
     """The data source of the block: a Gaussian spec, or the image source
-    ``(images, rows, layout)``: one read-only uint8 image array, for each
-    class in class order the indices of its rows in file order, and the
-    patch layout.  An IDX body is mapped, not read; a CSV holds only the
-    rows of labels some class uses.  Every image class must hold
+    ``(images, rows, layout)``: the uint8 images, for each class in class
+    order the indices of its rows in file order, and the patch layout.  An
+    IDX file gives its ``data.IdxImages`` reader, which reads no image until
+    a draw picks it; a CSV gives a read-only array of only the rows of
+    labels some class uses.  Every image class must hold
     ``train_per_class`` images, as a training scene draws that many."""
     kind = block.get("type")
     if kind not in _DATA_KEYS:
@@ -367,8 +368,8 @@ def _validate_data(
         images, labels = data_mod.read_label_pixel_csv(
             files["data"], layout.height, layout.width, keep=raw_by_class
         )
-    # every draw of every replication reads these rows, so none may change them
-    images.flags.writeable = False
+        # every draw of every replication reads these rows, so none may change them
+        images.flags.writeable = False
     rows = []
     for label, raw in zip(classes, raw_by_class):
         rows.append(np.flatnonzero(labels == raw))
@@ -457,7 +458,6 @@ def _validate_montecarlo(block, stream_length: int, n_agents: int) -> dict:
 def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     """The checked config, with the schedule and the data source built once:
     every input file is read here, so a config that validates runs."""
-    base_dir = os.path.abspath(base_dir)
     _known_keys(raw, "", _TOP_LEVEL_KEYS)
     seed = _integer(_require(raw, "seed"), "seed", 0)
     classes = tuple(_require(raw, "classes", list))
@@ -532,7 +532,6 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=raw,
-        base_dir=base_dir,
         seed=seed,
         classes=classes,
         engine=engine,

@@ -40,13 +40,12 @@ from .stats import make_debiased_statistic
 # chunk stacks beyond one replication.  A 28x28 image replication of 4 patch
 # agents with 200 training rows stacks 1.26 MB.  Three of them (the image_mc
 # benchmark scene at seed 3, one process, 2 vCPUs, numpy 2.4.6) peak at
-# 53.7-53.8 MiB resident (9.0 MiB traced by tracemalloc) in one chunk and
-# at 48.5-48.6 MiB (3.7 MiB traced) one per chunk: 2.5 MB more inputs,
-# about 5.2 MiB higher.  Both resident peaks include about 9 MiB of mapped
-# file pages (RssFile): the IDX body, whose pages random picks touch and
-# which tracemalloc does not see.  4 MiB fits those 3 replications
-# in one chunk, and 1,638 of the criterion-09 scene (4 agents, 40 rows of
-# 1 feature).
+# 44.9 MiB resident (9.0 MiB traced by tracemalloc) in one chunk and at
+# 39.7 MiB (3.7 MiB traced) one per chunk: 2.5 MB more inputs, about
+# 5.2 MiB higher.  Neither peak holds any of the IDX body beyond the images
+# a draw picks and its scratch window (``data.IDX_WINDOW_BYTES``), as draws
+# read the file.  4 MiB fits those 3 replications in one chunk, and 1,638
+# of the criterion-09 scene (4 agents, 40 rows of 1 feature).
 CHUNK_INPUT_BYTES = 1 << 22
 
 
@@ -360,8 +359,9 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
         raise ConfigError("the adaboost strategy needs two classes")
 
     workers = min(threads, reps, os.cpu_count() or 1)
-    # one task per worker: each unpickles cfg, which validates its JSON again
-    # and so reads the data once
+    # one task per worker: each unpickles cfg as its validated fields, an IDX
+    # scene as its file's path and a CSV one as its parsed images, so no
+    # worker validates or parses again
     run_share = partial(_montecarlo_share, cfg)
     shares = replication_chunks(cfg, workers)
     if workers > 1:

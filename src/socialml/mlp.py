@@ -19,8 +19,6 @@ import numpy as np
 from .base import Record, ValidationError
 from .seeds import generators
 
-EXP_CLAMP = 500.0  # exp argument clamp used by the stable loss helpers
-
 
 class ModelError(ValidationError):
     """Invalid classifier configuration or input."""
@@ -223,34 +221,6 @@ def _pairwise_logits(z: np.ndarray) -> np.ndarray:
     return z[..., 1:]
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) without overflow: max(x, 0) + log1p(e^{-|x|})."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(np.clip(-np.abs(x), -EXP_CLAMP, 0.0)))
-
-
-def logistic_risk(logit_source, features, labels) -> float:
-    """Mean log(1 + exp(-y f(h))) over feature rows h with labels y in {-1, +1}.
-
-    ``logit_source`` may be a trained 2-output model, whose output 0 scores
-    +1, or precomputed per-sample logits.
-    """
-    y = np.asarray(labels, dtype=float)
-    if y.size == 0:
-        raise ModelError("empty dataset")
-    if set(y.tolist()) - {-1.0, 1.0}:
-        raise ModelError("logistic risk is defined for labels {-1, +1}")
-    if isinstance(logit_source, MLPModel):
-        if logit_source.architecture.n_outputs != 2:
-            raise ModelError("logistic risk needs a 2-output model")
-        values = reference_logits(logit_source, features)[..., 0]
-    else:
-        values = np.asarray(logit_source, dtype=float)
-    if values.shape != y.shape:
-        raise ModelError(f"expected {y.size} logit values, got {values.shape}")
-    return float(np.mean(softplus(-y * values)))
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     # The row maximum goes column by column: a reduction over the short class
     # axis runs an inner loop of C entries per row, each np.maximum one loop
@@ -264,14 +234,6 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - top
     shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     return shifted
-
-
-def cross_entropy_risk(model: MLPModel, features, labels) -> float:
-    """Mean negative log approximate posterior of the true class, over
-    feature rows and their class indices."""
-    (labels,), _ = _check_stack([features], [labels], model.architecture, None)
-    logp = _log_softmax(output_preactivations(model, features))
-    return float(-np.mean(logp[np.arange(labels.size), labels]))
 
 
 def _project_columns(w: np.ndarray, bound: float, out=None) -> np.ndarray:
@@ -529,44 +491,6 @@ def train_stack(
 
     models = [MLPModel(arch, tuple(w[m].copy() for w in weights)) for m in range(n_models)]
     return models, risks, _pairwise_logits(z)
-
-
-def gradient_check(model: MLPModel, features, labels, eps: float = 1e-5) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    The error of each weight matrix is the largest entrywise deviation scaled
-    by the largest gradient entry of that matrix, so near-zero entries do not
-    blow up the ratio.  Intended for small models (< 1e4 parameters).
-    """
-    arch = model.architecture
-    labels, uniform = _check_stack([features], [labels], arch, None)
-    n_params = sum(w.size for w in model.weights)
-    if n_params > 10_000:
-        raise ModelError(f"{n_params} parameters is too large for finite differences")
-    n = labels.shape[1]
-    h = _augment(arch, features)[None]
-    picks = _pick_offsets(1, n, n, arch.n_outputs) + labels
-    weights = [w[None].copy() for w in model.weights]
-    _, grads = _stack_gradients(weights, h, picks, uniform, arch.activation)
-
-    def risk() -> float:
-        return float(_stack_risk(weights, h, picks, uniform, arch.activation)[0][0])
-
-    worst = 0.0
-    for ell, w in enumerate(weights):
-        fd = np.empty_like(w[0])
-        for pos in np.ndindex(fd.shape):
-            original = w[0][pos]
-            w[0][pos] = original + eps
-            up = risk()
-            w[0][pos] = original - eps
-            down = risk()
-            w[0][pos] = original
-            fd[pos] = (up - down) / (2 * eps)
-        grad = grads[ell][0]
-        scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
-        worst = max(worst, float(np.abs(grad - fd).max() / scale))
-    return worst
 
 
 def save_model(model: MLPModel, path) -> None:

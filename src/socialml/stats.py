@@ -25,24 +25,6 @@ class StatisticError(ValidationError):
     """Invalid statistic construction or estimation input."""
 
 
-def empirical_training_mean(model_or_fn, features) -> float:
-    """Average of a scalar statistic over the given feature rows."""
-    feats = np.atleast_2d(np.asarray(features, dtype=float))
-    if feats.shape[0] == 0:
-        raise StatisticError("empty feature list")
-    values = _evaluate_scalar(model_or_fn, feats)
-    return float(np.mean(values))
-
-
-def _evaluate_scalar(model_or_fn, feats: np.ndarray) -> np.ndarray:
-    if isinstance(model_or_fn, MLPModel):
-        values = reference_logits(model_or_fn, feats)
-        if values.shape[1] != 1:
-            raise StatisticError("scalar statistic needs a 2-output model")
-        return values[:, 0]
-    return np.asarray(model_or_fn(feats), dtype=float).reshape(feats.shape[0])
-
-
 class DebiasedStatistic(Record):
     """Trained logit minus its training mean, one component per non-reference class.
 

@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from socialml.config import validate_config
-from socialml.data import (
-    gaussian_training_set,
-    mean_shift_gaussian_spec,
-    one_informative_gaussian_spec,
-    prediction_streams,
-    true_log_ratio,
-)
+from socialml.data import one_informative_gaussian_spec, prediction_streams, true_log_ratio
 from socialml.experiments import cmd_montecarlo
 from socialml.graph import (
     CombinationMatrix,
@@ -28,10 +22,7 @@ from socialml.mlp import (
     MLPArchitecture,
     MLPModel,
     TrainingHyperparameters,
-    cross_entropy_risk,
-    gradient_check,
     initialize_model,
-    logistic_risk,
     reference_logits,
     train_stack,
 )
@@ -40,7 +31,7 @@ from socialml.social import (
     run_prediction,
     sl_step,
 )
-from socialml.stats import empirical_training_mean, make_debiased_statistic
+from socialml.stats import make_debiased_statistic
 from socialml.theory import (
     LOG2,
     approx_exponent,
@@ -48,6 +39,14 @@ from socialml.theory import (
     mlp_rademacher_bound,
     rademacher_monte_carlo,
     self_consistency_check,
+)
+from helpers import (
+    cross_entropy_risk,
+    empirical_training_mean,
+    gaussian_training_set,
+    gradient_check,
+    logistic_risk,
+    mean_shift_gaussian_spec,
 )
 
 RING4 = CombinationMatrix(

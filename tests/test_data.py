@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from socialml import data as data_mod
 from socialml.cli import main
@@ -19,18 +22,17 @@ from socialml.data import (
     GaussianSceneSpec,
     PatchLayout,
     file_sha256,
-    gaussian_training_set,
-    mean_shift_gaussian_spec,
     one_informative_gaussian_spec,
     prediction_streams,
     read_idx_images,
     read_idx_labels,
     read_label_pixel_csv,
-    reassemble_patches,
     split_patches,
+    training_scene,
     verify_manifest,
 )
 from socialml.social import RegimeSchedule, periodic_schedule
+from helpers import gaussian_training_set, mean_shift_gaussian_spec, reassemble_patches
 from test_images_end_to_end import image_config
 
 
@@ -353,6 +355,74 @@ class TestIdxFiles:
         with pytest.raises(DataError, match="truncated"):
             read_idx_images(path)
 
+    @given(
+        data=st.data(),
+        n=st.integers(1, 60),
+        side=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        dtype=st.sampled_from([np.uint8, np.int16, np.int64, np.uint64]),
+        window=st.sampled_from([1, 10, 100, data_mod.IDX_WINDOW_BYTES]),
+        gap=st.sampled_from([0, 7, 50, data_mod.IDX_GAP_BYTES]),
+    )
+    @example(data=None, n=40, side=(2, 3), dtype=np.uint8, window=30, gap=6)
+    @settings(max_examples=60, deadline=None)
+    def test_reads_equal_the_mapped_rows(self, data, n, side, dtype, window, gap):
+        """Index arrays of 1-3 dimensions, duplicates and runs of adjacent
+        rows included, read the bits that a fancy index of the mapped body
+        and of the whole file read give, whatever the spans and windows."""
+        if data is None:
+            # runs of adjacent rows, duplicates, and gaps of 1 and 2 rows
+            index = np.array([[3, 4, 5, 5, 7], [10, 30, 31, 3, 39]], dtype=dtype)
+        else:
+            shape = hnp.array_shapes(min_dims=1, max_dims=3, max_side=6)
+            index = data.draw(hnp.arrays(dtype, shape, elements=st.integers(0, n - 1)))
+        images = np.random.default_rng(n).integers(0, 256, (n, *side), dtype=np.uint8)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+            data_mod, IDX_WINDOW_BYTES=window, IDX_GAP_BYTES=gap
+        ):
+            path = Path(tmp) / "images.idx"
+            path.write_bytes(struct.pack(">IIII", 0x803, n, *side) + images.tobytes())
+            reader = read_idx_images(path)
+            got = reader[index]
+            mapped = np.memmap(path, np.uint8, mode="r", offset=16, shape=(n, *side))
+            expect = np.array(mapped[index])
+            del mapped
+            assert got.dtype == np.uint8 and got.shape == expect.shape
+            assert np.array_equal(got, expect)
+            assert np.array_equal(got, np.asarray(reader)[index])
+
+    def test_an_index_outside_the_file_is_refused(self, tmp_path):
+        img_path, _ = self.write_idx(tmp_path, np.zeros((3, 2, 2), np.uint8), np.zeros(3, np.uint8))
+        reader = read_idx_images(img_path)
+        assert reader[np.array([], np.intp)].shape == (0, 2, 2)
+        for index in ([0, 3], [-1], [0.0]):
+            with pytest.raises(IndexError):
+                reader[np.array(index)]
+
+    def test_a_body_cut_after_validation_names_the_file(self, tmp_path):
+        images = np.arange(10 * 4, dtype=np.uint8).reshape(10, 2, 2)
+        img_path, _ = self.write_idx(tmp_path, images, np.zeros(10, np.uint8))
+        reader = read_idx_images(img_path)
+        # the file loses its last 5 images and a byte after validation
+        img_path.write_bytes(img_path.read_bytes()[: 16 + 5 * 4 - 1])
+        assert np.array_equal(reader[np.array([0, 3])], images[[0, 3]])
+        for index in ([4], [2, 7], [9, 9]):
+            with pytest.raises(DataError, match=re.escape(f"{img_path}: truncated IDX image body")):
+                reader[np.array(index)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_draw_leaves_no_descriptor_open(self, tmp_path):
+        labels = np.arange(40) % 2
+        images = np.random.default_rng(5).integers(0, 256, (40, 2, 3), dtype=np.uint8)
+        write_image_files(tmp_path, images, labels, "idx")
+        scene = pooled_config(tmp_path, (2, 3), [0, 1]).scene
+        before = os.listdir("/proc/self/fd")
+        training_scene(scene, 5, np.random.default_rng(1))
+        prediction_streams(scene, RegimeSchedule(((0, 0), (3, 1))), 6, [1, 2])
+        (tmp_path / "images.idx").write_bytes(b"")
+        with pytest.raises(DataError, match="truncated"):
+            training_scene(scene, 5, np.random.default_rng(1))
+        assert len(os.listdir("/proc/self/fd")) == len(before)
+
     def test_csv_fallback(self, tmp_path):
         path = tmp_path / "data.csv"
         rows = ["1," + ",".join(["128"] * 4), "0," + ",".join(["255"] * 4)]
@@ -565,8 +635,8 @@ class TestClassPools:
                 assert np.all(np.diff(class_rows) > 0)
                 assert np.array_equal(pooled[class_rows], images[labels == raw])
             if fmt == "idx":
-                # the mapped file: every row, none copied
-                assert isinstance(pooled, np.memmap)
+                # the file's reader: every row, none read before a draw
+                assert pooled.path == str(Path(tmp) / "images.idx")
                 assert np.array_equal(pooled, images)
             else:
                 # the parsed file: only the rows of labels some class uses
@@ -587,10 +657,19 @@ class TestClassPools:
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, fmt)
         pooled, rows, _ = pooled_config(tmp_path, (2, 3), [0, 1]).scene
-        with pytest.raises(ValueError, match="read-only"):
-            pooled[rows[0][0]] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            pooled[:] += 1
+        if fmt == "idx":
+            # the reader of the file: it reads rows and has no assignment
+            assert pooled.path == str(tmp_path / "images.idx")
+            with pytest.raises(TypeError, match="item assignment"):
+                pooled[rows[0][0]] = 0
+            with pytest.raises(AttributeError, match="frozen"):
+                pooled.path = str(tmp_path / "other.idx")
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                pooled[rows[0][0]] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                pooled[:] += 1
+        assert np.array_equal(pooled[np.concatenate(rows)], images[[0, 2, 1, 3]])
         assert np.array_equal(pooled, images)
 
     def test_idx_loading_copies_no_body(self, tmp_path):
@@ -604,9 +683,19 @@ class TestClassPools:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(pooled[rows[0]], images[labels == 3])
         # the labels, one mask and the row indices: no image is held
         assert peak < 0.05 * images.nbytes, (peak, images.nbytes)
+        tracemalloc.start()
+        try:
+            picked = pooled[rows[0]]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(picked, images[labels == 3])
+        # a draw holds the images it picks, the scratch window of the file and
+        # the picks of one window on their way to their places (136 KB here)
+        extra = peak - picked.nbytes - data_mod.IDX_WINDOW_BYTES
+        assert extra < data_mod.IDX_WINDOW_BYTES, (extra, images.nbytes)
 
     def test_csv_reading_holds_the_kept_rows_once(self, tmp_path):
         rng = np.random.default_rng(21)

@@ -155,7 +155,7 @@ class TestImageTrainingScene:
         assert sum(scaled) == labels.size * 8 * 8
         # the same draws from images scaled up front give the same views
         images, rows, layout = cfg.scene
-        vars(cfg)["scene"] = (images / 255.0, rows, layout)
+        vars(cfg)["scene"] = (np.asarray(images) / 255.0, rows, layout)
         ((again, again_labels),) = shared_scene_training(cfg, [0])
         assert np.array_equal(labels, again_labels)
         for got, want in zip(views, again):
@@ -187,7 +187,7 @@ class TestImageSceneLoading:
     def test_csv_and_idx_datasets_train_alike(self, tmp_path):
         write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
         labels = read_idx_labels(tmp_path / "labels.idx")
-        images = read_idx_images(tmp_path / "images.idx")
+        images = np.asarray(read_idx_images(tmp_path / "images.idx"))
         write_csv_dataset(tmp_path / "csv", images, labels)
         for directory in (tmp_path, tmp_path / "csv"):
             assert self.train(directory, image_config("dataset.json")) == 0

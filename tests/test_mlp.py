@@ -24,20 +24,17 @@ from socialml.mlp import (
     _stack_forward,
     _stack_gradients,
     _stack_risk,
-    cross_entropy_risk,
-    gradient_check,
     initialize_model,
     load_model,
-    logistic_risk,
     output_preactivations,
     reference_logits,
     save_model,
-    softplus,
     train_stack,
 )
 from socialml.seeds import generators
 from socialml.stats import DebiasedStatistic
 from socialml.theory import logit_bound
+from helpers import cross_entropy_risk, gradient_check, logistic_risk, softplus
 
 
 def binary_dataset(rng, n=20, dim=2):

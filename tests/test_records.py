@@ -1,13 +1,15 @@
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import socialml.theory  # noqa: F401 - loads the theory records for the coverage check
+from socialml import data as data_mod
 from socialml.base import Record
 from socialml.boosting import BoostedEnsemble
 from socialml.config import gaussian_spec_to_json, validate_config
-from socialml.data import GaussianClassModel, PatchLayout, mean_shift_gaussian_spec
+from socialml.data import GaussianClassModel, IdxImages, PatchLayout
 from socialml.graph import CombinationMatrix
 from socialml.mlp import (
     MLPArchitecture,
@@ -23,6 +25,7 @@ from socialml.theory import (
     RademacherEstimate,
     TrainingProfile,
 )
+from helpers import mean_shift_gaussian_spec
 from test_cli import base_config
 from test_data import pooled_config, write_image_files
 
@@ -44,6 +47,7 @@ EXAMPLES = {
     "GaussianClassModel": lambda: GaussianClassModel(np.zeros(2), np.eye(2)),
     "GaussianSceneSpec": lambda: mean_shift_gaussian_spec(2),
     "PatchLayout": lambda: PatchLayout(4, 4, 2, 2),
+    "IdxImages": lambda: IdxImages("images.idx", (2, 28, 28)),
     "RegimeSchedule": lambda: RegimeSchedule(((0, 0), (5, 1))),
     "PredictionRun": lambda: PredictionRun(
         np.zeros((3, 2, 1)), np.zeros((3, 2), dtype=np.intp), np.ones((3, 2), dtype=bool)
@@ -129,10 +133,10 @@ def test_experiment_config_pickles(cached):
     if cached:
         cfg.scene
     blob = pickle.dumps(cfg)
-    # a config pickles as its JSON and directory, never as its data
+    # a config pickles as its validated fields
     assert len(blob) < 16 << 10, len(blob)
     restored = pickle.loads(blob)
-    assert restored.digest == cfg.digest and restored.base_dir == cfg.base_dir
+    assert restored.digest == cfg.digest
     assert restored.raw == cfg.raw and restored.arch_by_agent == cfg.arch_by_agent
     before, after = (gaussian_spec_to_json(c.scene, cfg.classes) for c in (cfg, restored))
     assert after == before
@@ -148,21 +152,25 @@ def test_image_config_pickles(tmp_path, fmt):
     cfg = pooled_config(tmp_path, (side, side), [0, 1])
     images, rows, layout = cfg.scene
     blob = pickle.dumps(cfg)
-    # a config pickles as its JSON and directory, never as its data
+    # an IDX scene pickles as its file's path and row indices, never as its
+    # images; a CSV one as its parsed images
     assert len(blob) < 16 << 10, len(blob)
-    restored = pickle.loads(blob)
-    assert restored.digest == cfg.digest and restored.base_dir == cfg.base_dir
+    readers = ("read_idx_images", "read_idx_labels", "read_label_pixel_csv")
+    with mock.patch.multiple(data_mod, **{name: mock.DEFAULT for name in readers}) as calls:
+        restored = pickle.loads(blob)
+    # unpickling validates nothing again: no file is read or parsed
+    assert all(calls[name].call_count == 0 for name in readers)
+    assert restored.digest == cfg.digest
     assert restored.raw == cfg.raw and restored.arch_by_agent == cfg.arch_by_agent
     again, again_rows, again_layout = restored.scene
     assert again_layout == layout
     assert all(np.array_equal(a, b) for a, b in zip(again_rows, rows))
-    assert not again.flags.writeable
     if fmt == "idx":
-        assert images.nbytes >= 1 << 20
-        # the unpickled config maps the same file itself
-        assert isinstance(again, np.memmap) and again.filename == images.filename
+        assert np.prod(images.shape) >= 1 << 20
+        # the unpickled config reads the same file
+        assert again == images and again.path == str(tmp_path / "images.idx")
     else:
-        assert np.array_equal(again, images)
+        assert np.array_equal(again, images) and not again.flags.writeable
 
 
 class Point(Record):

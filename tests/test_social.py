@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from socialml.data import (
-    mean_shift_gaussian_spec,
-    one_informative_gaussian_spec,
-    prediction_streams,
-    true_log_ratio,
-)
+from socialml.data import one_informative_gaussian_spec, prediction_streams, true_log_ratio
 from socialml.graph import CombinationMatrix, build_averaging_matrix, directed_ring_adjacency, perron_eigenvector
 from socialml.social import (
     RegimeSchedule,
@@ -24,6 +19,7 @@ from socialml.social import (
     sl_step,
 )
 from socialml.theory import check_consistency_conditions, conditional_means
+from helpers import mean_shift_gaussian_spec
 
 RING4 = CombinationMatrix(
     np.array(

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from socialml.data import gaussian_training_set, mean_shift_gaussian_spec
 from socialml.mlp import (
     MLPArchitecture,
     TrainingHyperparameters,
@@ -12,8 +11,9 @@ from socialml.mlp import (
     reference_logits,
     train_stack,
 )
-from socialml.stats import StatisticError, empirical_training_mean, make_debiased_statistic
+from socialml.stats import StatisticError, make_debiased_statistic
 from socialml.theory import conditional_means, mlp_rademacher_bound, rademacher_monte_carlo
+from helpers import empirical_training_mean, gaussian_training_set, mean_shift_gaussian_spec
 
 
 def train_small(feats, labels, n_classes, seed, hidden=(6,)):
