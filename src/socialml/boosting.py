@@ -68,7 +68,7 @@ def adaboost_train_stack(scenes, arch_per_agent, hyper: TrainingHyperparameters,
     for k in range(n_agents):
         round_views = []
         for (views, _), y in zip(scenes, labels):
-            view = np.asarray(views[k], dtype=float)
+            view = np.asarray(views[k])
             if view.shape[0] != y.size:
                 raise BoostingError(f"agent {k} view has {view.shape[0]} rows, labels {y.size}")
             round_views.append(view)

@@ -2,7 +2,8 @@
 
 Synthetic scenes are class-conditional Gaussians, one distribution per agent
 and class.  Image scenes are split into a grid of patches, one patch per
-agent, so every agent observes a different slice of the same picture.  Both
+agent, so every agent observes a different slice of the same picture, as its
+uint8 pixels; the models scale them as they read them.  Both
 sources drive balanced training sets and regime-switching prediction streams
 that are deterministic given their seed.
 """
@@ -159,20 +160,14 @@ class PatchLayout(Record):
         return shape[0] * shape[1]
 
 
-def scale_pixels(images) -> np.ndarray:
-    """Map integer pixel values to [0, 1] by /255; floats pass through."""
-    arr = np.asarray(images)
-    if np.issubdtype(arr.dtype, np.integer):
-        return arr / 255.0
-    return arr.astype(float)
-
-
 def split_patches(images, layout: PatchLayout) -> list:
-    """Per-agent flattened views of one image or a batch, scaled to [0, 1].
+    """Per-agent flattened views of one image or a batch, in the images'
+    own type: uint8 pixels stay one byte each.
 
     Returns a list of (n, d_k) arrays, or (d_k,) for one image, in the
-    layout's agent order.  Each patch is scaled on its own, so no scaled
-    copy of the whole batch is ever held.
+    layout's agent order.  The models read uint8 views as intensities
+    scaled to [0, 1] when they copy them into their inputs
+    (``mlp._inputs``), so no scaled copy of a view is ever held.
     """
     arr = np.asarray(images)
     single = arr.ndim == 2
@@ -183,7 +178,7 @@ def split_patches(images, layout: PatchLayout) -> list:
     views = []
     for agent in range(layout.n_agents):
         rs, cs = layout.patch_slices(agent)
-        patch = scale_pixels(arr[:, rs, cs].reshape(arr.shape[0], -1))
+        patch = arr[:, rs, cs].reshape(arr.shape[0], -1)
         views.append(patch[0] if single else patch)
     return views
 
@@ -194,9 +189,10 @@ def training_scene(source, per_class: int, rng) -> tuple:
 
     ``labels`` holds the rows' class indices in shuffled order, one scene for
     the whole network, and ``views[k]`` agent k's (N, d_k) features of each
-    row: a draw from its own Gaussian model, or its patch of an image picked
-    from the class's rows without replacement.  ``source`` is as in
-    ``prediction_streams``; an image class must hold ``per_class`` rows.
+    row: a float draw from its own Gaussian model, or the uint8 pixels of its
+    patch of an image picked from the class's rows without replacement.
+    ``source`` is as in ``prediction_streams``; an image class must hold
+    ``per_class`` rows.
     """
     gaussian = isinstance(source, GaussianSceneSpec)
     labels = np.repeat(np.arange(source.n_classes if gaussian else len(source[1])), per_class)
@@ -215,8 +211,7 @@ def training_scene(source, per_class: int, rng) -> tuple:
     for j, class_rows in enumerate(rows):
         idx = np.flatnonzero(labels == j)
         chosen[idx] = class_rows[rng.choice(class_rows.size, size=idx.size, replace=False)]
-    # one read of the picked images, which keep their pixel type, so
-    # split_patches scales each once
+    # one read of the picked images, split into uint8 patches
     return split_patches(images[chosen], layout), labels
 
 
@@ -232,11 +227,12 @@ def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> 
     draw from its own likelihood) or an image source ``(images, rows,
     layout)``: one image array, each class's row indices in class order, and
     the patch layout.  One image per step is then picked with replacement
-    from the class's rows and split.  Draws are independent across steps,
-    and stream s reads only its own generator ``generators(seeds)[s]``, so
-    it is the same stream whatever batch it is drawn in.  A state that is no
-    class index of the source, or an image class without rows, raises
-    ``DataError`` naming it.
+    from the class's rows and split, and the views hold its raw uint8
+    pixels, which the models scale as they read them.  Draws are independent
+    across steps, and stream s reads only its own generator
+    ``generators(seeds)[s]``, so it is the same stream whatever batch it is
+    drawn in.  A state that is no class index of the source, or an image
+    class without rows, raises ``DataError`` naming it.
     """
     states = schedule.states(length)
     rngs = generators(seeds)
@@ -274,8 +270,7 @@ def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> 
         idx = np.flatnonzero(states == j)
         draws = np.stack([rng.integers(rows[j].size, size=idx.size) for rng in rngs])
         chosen[:, idx] = rows[j][draws]
-    # one read of the picked images, which keep their pixel type, so
-    # split_patches scales each once
+    # one read of the picked images, split into uint8 patches
     flat = split_patches(images[chosen.reshape(-1)], layout)
     return [v.reshape(n_streams, length, -1) for v in flat], states
 
@@ -418,7 +413,7 @@ def read_label_pixel_csv(path, height: int, width: int, keep=None) -> tuple:
     """CSV fallback ``label,p0,...,pN`` -> (uint8 images, labels).
 
     Pixels are integers in [0, 255], as in an IDX file, so both formats give
-    the models the same scaled inputs.  Every row is checked, and those whose
+    the models the same uint8 views.  Every row is checked, and those whose
     label is in ``keep`` (all of them by default) are returned in file order.
     The file is parsed ``IMAGE_BLOCK_ROWS`` lines at a time, so only one block
     is ever held as float64, and the kept pixels of each block are appended to

@@ -35,17 +35,18 @@ from .stats import make_debiased_statistic
 
 # Cap on the stacked SML training inputs of one Monte Carlo chunk (8 bytes
 # per augmented input entry, summed over agents and replications).  A chunk
-# holds its replications' training scenes, and ``train_stack`` one stacked
-# copy of their inputs, so peak memory grows by about twice the inputs a
-# chunk stacks beyond one replication.  A 28x28 image replication of 4 patch
-# agents with 200 training rows stacks 1.26 MB.  Three of them (the image_mc
-# benchmark scene at seed 3, one process, 2 vCPUs, numpy 2.4.6) peak at
-# 44.9 MiB resident (9.0 MiB traced by tracemalloc) in one chunk and at
-# 39.7 MiB (3.7 MiB traced) one per chunk: 2.5 MB more inputs, about
-# 5.2 MiB higher.  Neither peak holds any of the IDX body beyond the images
-# a draw picks and its scratch window (``data.IDX_WINDOW_BYTES``), as draws
-# read the file.  4 MiB fits those 3 replications in one chunk, and 1,638
-# of the criterion-09 scene (4 agents, 40 rows of 1 feature).
+# holds its replications' training scenes, one byte a pixel for images, and
+# ``train_stack`` one stacked float copy of their inputs and its risk pass's
+# arrays, so peak memory grows by about 1.3 times the inputs a chunk stacks
+# beyond one replication.  A 28x28 image replication of 4 patch agents with
+# 200 training rows stacks 1.26 MB.  Three of them (the image_mc benchmark
+# scene at seed 3, one process, 2 vCPUs, numpy 2.4.6) peak at 41.6 MiB
+# resident (5.9 MiB traced by tracemalloc) in one chunk and at 38.5 MiB
+# (2.6 MiB traced) one per chunk: 2.5 MB more inputs, about 3.1 MiB higher.
+# Neither peak holds any of the IDX body beyond the images a draw picks and
+# its scratch window (``data.IDX_WINDOW_BYTES``), as draws read the file.
+# 4 MiB fits those 3 replications in one chunk, and 1,638 of the
+# criterion-09 scene (4 agents, 40 rows of 1 feature).
 CHUNK_INPUT_BYTES = 1 << 22
 
 

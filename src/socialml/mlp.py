@@ -7,6 +7,13 @@ class j, and class 0 is the reference class for every logit.  Training
 labels are these indices.  A bias is folded in as a constant trailing input
 feature, so the first layer width counts one slot more than the raw feature
 dimension when ``bias`` is set.
+
+Features reach a model through one input rule (``_inputs``): a uint8 array
+holds 8-bit pixel intensities and is read as value / 255.0, and any other
+array, other integer types included, is read as it is.  The rule runs where
+a model copies its features into its float inputs anyway, so image views stay
+one byte a pixel until then, and the inputs equal those of features scaled
+up front bit for bit.
 """
 
 from __future__ import annotations
@@ -165,16 +172,30 @@ def initialize_model(
     return MLPModel(arch, tuple(_initial_weights(arch, rng, scale)))
 
 
+def _inputs(features, out=None) -> np.ndarray:
+    """The float inputs a model reads from raw ``features``, written into
+    ``out`` when it is given: a uint8 array holds 8-bit intensities, read as
+    value / 255.0, and any other array is read as it is.  Without ``out``,
+    float64 features are returned as they are, uncopied."""
+    features = np.asarray(features)
+    if features.dtype == np.uint8:
+        return np.divide(features, 255.0, out=out)
+    if out is None:
+        return features.astype(float, copy=False)
+    out[...] = features
+    return out
+
+
 def _augment(arch: MLPArchitecture, features) -> np.ndarray:
-    h = np.atleast_2d(np.asarray(features, dtype=float))
+    h = np.atleast_2d(np.asarray(features))
     if h.shape[1] != arch.n_features:
         raise ModelError(f"feature dim {h.shape[1]}, expected {arch.n_features}")
-    if arch.bias:
-        out = np.empty((h.shape[0], h.shape[1] + 1))
-        out[:, :-1] = h
-        out[:, -1] = 1.0
-        h = out
-    return h
+    if not arch.bias:
+        return _inputs(h)
+    out = np.empty((h.shape[0], h.shape[1] + 1))
+    _inputs(h, out[:, :-1])
+    out[:, -1] = 1.0
+    return out
 
 
 def _stack_forward(weights, h, act_fn) -> list:
@@ -405,7 +426,7 @@ def train_stack(
     # copy of them, which every mini-batch is gathered from
     h = np.empty((n_models, n, sizes[0]))
     for m, feats in enumerate(features):
-        h[m, :, : arch.n_features] = feats
+        _inputs(feats, h[m, :, : arch.n_features])
     if arch.bias:
         h[:, :, -1] = 1.0
     # one ``take`` on the rows of all models gathers a mini-batch: a third of

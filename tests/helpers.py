@@ -45,15 +45,15 @@ def mean_shift_gaussian_spec(n_agents: int, dim: int = 1, shift: float = 1.0) ->
 
 
 def reassemble_patches(views, layout: PatchLayout) -> np.ndarray:
-    """Invert ``data.split_patches`` on a batch of per-agent views."""
-    first = np.atleast_2d(np.asarray(views[0], dtype=float))
+    """Invert ``data.split_patches`` on a batch of per-agent views, keeping
+    the views' type."""
+    first = np.atleast_2d(np.asarray(views[0]))
     n = first.shape[0]
-    out = np.empty((n, layout.height, layout.width))
+    out = np.empty((n, layout.height, layout.width), first.dtype)
     for agent in range(layout.n_agents):
         rs, cs = layout.patch_slices(agent)
         shape = layout.patch_shape(agent)
-        patch = np.asarray(views[agent], dtype=float).reshape(n, *shape)
-        out[:, rs, cs] = patch
+        out[:, rs, cs] = np.asarray(views[agent]).reshape(n, *shape)
     return out[0] if np.asarray(views[0]).ndim == 1 else out
 
 

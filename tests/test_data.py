@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from socialml import data as data_mod
+from socialml import mlp as mlp_mod
 from socialml.cli import main
 from socialml.config import validate_config
 from socialml.data import (
@@ -31,6 +32,7 @@ from socialml.data import (
     training_scene,
     verify_manifest,
 )
+from socialml.mlp import MLPArchitecture, initialize_model, reference_logits
 from socialml.social import RegimeSchedule, periodic_schedule
 from helpers import gaussian_training_set, mean_shift_gaussian_spec, reassemble_patches
 from test_images_end_to_end import image_config
@@ -109,8 +111,13 @@ class TestPatchLayout:
         images = rng.integers(0, 256, size=(5, 28, 28), dtype=np.uint8)
         layout = PatchLayout(28, 28, 3, 3)
         views = split_patches(images, layout)
+        # the views are the raw uint8 patches, which the models read / 255
+        assert all(view.dtype == np.uint8 for view in views)
         rebuilt = reassemble_patches(views, layout)
-        np.testing.assert_array_equal(rebuilt, images / 255.0)
+        assert rebuilt.dtype == np.uint8
+        np.testing.assert_array_equal(rebuilt, images)
+        scaled = reassemble_patches([view / 255.0 for view in views], layout)
+        np.testing.assert_array_equal(scaled, images / 255.0)
 
     def test_identity_layout(self):
         layout = PatchLayout(4, 4, 1, 1)
@@ -179,33 +186,46 @@ class TestPredictionStream:
         pools = [rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        views, _ = prediction_streams(image_source(pools, layout), sched, 10, [2])
+        views, states = prediction_streams(image_source(pools, layout), sched, 10, [2])
         assert len(views) == 4
         assert views[0][0].shape == (10, 9)
-        assert np.all(views[0][0] <= 1.0)
+        assert all(view.dtype == np.uint8 for view in views)
+        # each step's view is the raw top-left patch of an image of the class
+        # in force
+        for view, state in zip(views[0][0], states.tolist()):
+            patches = pools[state][:, :3, :3].reshape(len(pools[state]), -1)
+            assert (patches == view).all(axis=1).any()
 
     def test_image_stream_scales_only_picked_images(self, monkeypatch):
-        import socialml.data as data_mod
-
         scaled = []
-        original = data_mod.scale_pixels
+        original = mlp_mod._inputs
 
-        def counting(images):
-            scaled.append(np.asarray(images).size)
-            return original(images)
+        def counting(features, out=None):
+            if np.asarray(features).dtype == np.uint8:
+                scaled.append(np.asarray(features).size)
+            return original(features, out)
 
-        monkeypatch.setattr(data_mod, "scale_pixels", counting)
+        monkeypatch.setattr(mlp_mod, "_inputs", counting)
         rng = np.random.default_rng(11)
         pools = [rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
         images, rows, _ = image_source(pools, layout)
         views, _ = prediction_streams((images, rows, layout), sched, 10, [2])
-        assert sum(scaled) <= 10 * 6 * 6
-        # the same draws from images scaled up front give the same views
+        # drawing scales nothing; each agent's model input fill converts each
+        # picked pixel of its patch once
+        assert scaled == []
+        models = [
+            initialize_model(MLPArchitecture((10, 4, 2)), np.random.default_rng(k))
+            for k in range(4)
+        ]
+        logits = [reference_logits(model, view[0]) for model, view in zip(models, views)]
+        assert sum(scaled) == 10 * 6 * 6
+        # the same draws from images scaled up front give the same logits
         again, _ = prediction_streams((images / 255.0, rows, layout), sched, 10, [2])
-        for got, want in zip(views, again):
-            np.testing.assert_array_equal(got[0], want[0])
+        for model, got, view in zip(models, logits, again):
+            assert view.dtype == np.float64
+            np.testing.assert_array_equal(got, reference_logits(model, view[0]))
 
     def test_missing_class_rejected(self):
         schedule = RegimeSchedule(((0, 1),))
@@ -256,11 +276,11 @@ def per_block_stream(source, schedule, length, seed, layout=None):
             for k in range(source.n_agents):
                 views[k][idx] = source.models[k][j].sample(rng, idx.size)
         return views
-    images = np.empty((length, layout.height, layout.width))
+    images = np.empty((length, layout.height, layout.width), np.uint8)
     for j in active:
         idx = np.flatnonzero(states == j)
         pool = source[j]
-        images[idx] = pool[rng.integers(pool.shape[0], size=idx.size)] / 255.0
+        images[idx] = pool[rng.integers(pool.shape[0], size=idx.size)]
     return split_patches(images, layout)
 
 
@@ -320,6 +340,7 @@ class TestPredictionStreams:
             reference = per_block_stream(pools, schedule, length, seed_s, layout)
             for k in range(layout.n_agents):
                 assert batch[k].shape == (n_streams, length, layout.view_dim(k))
+                assert batch[k].dtype == np.uint8
                 assert np.array_equal(batch[k][s], alone[k][0])
                 assert np.array_equal(batch[k][s], reference[k])
 
@@ -434,7 +455,8 @@ class TestIdxFiles:
         assert images[0, 0, 0] == 128
 
     def test_csv_and_idx_give_the_same_views(self, tmp_path):
-        # the same pixels in either format reach the agents identically scaled
+        # the same pixels in either format reach the agents as the same uint8
+        # views, and the models' inputs scale them identically
         rng = np.random.default_rng(12)
         images = rng.integers(0, 256, size=(6, 4, 5), dtype=np.uint8)
         images[0, 0, 0], images[1, 0, 0] = 0, 255
@@ -453,8 +475,11 @@ class TestIdxFiles:
         csv_views = split_patches(from_csv, layout)
         idx_views = split_patches(read_idx_images(img_path), layout)
         for got, want in zip(csv_views, idx_views):
+            assert got.dtype == want.dtype == np.uint8
             assert np.array_equal(got, want)
-        assert max(float(v.max()) for v in csv_views) == 1.0
+            assert np.array_equal(mlp_mod._inputs(got), mlp_mod._inputs(want))
+        assert max(int(v.max()) for v in csv_views) == 255
+        assert max(float(mlp_mod._inputs(v).max()) for v in csv_views) == 1.0
 
     @pytest.mark.parametrize("pixel", ["0.5", "256", "-1", "nan", "inf", "1e300", "255.5"])
     def test_csv_pixel_outside_0_255_rejected(self, tmp_path, pixel):

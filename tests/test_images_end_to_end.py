@@ -4,14 +4,23 @@ plus the optional extended run against user-supplied MNIST IDX files."""
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from socialml import mlp as mlp_mod
 from socialml.cli import main
 from socialml.config import validate_config
 from socialml.data import file_sha256, read_idx_images, read_idx_labels
-from socialml.experiments import cmd_montecarlo, cmd_predict, cmd_train, shared_scene_training
+from socialml.experiments import (
+    cmd_montecarlo,
+    cmd_predict,
+    cmd_train,
+    montecarlo_chunk,
+    shared_scene_training,
+    train_agents,
+)
 
 
 def synthetic_digit_images(rng, n, bright="top"):
@@ -139,27 +148,94 @@ class TestSyntheticImagePipeline:
 
 class TestImageTrainingScene:
     def test_scene_scales_each_picked_pixel_once(self, tmp_path, monkeypatch):
-        import socialml.data as data_mod
-
         write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=40)
         cfg = validate_config(image_config("dataset.json"), str(tmp_path))
         scaled = []
-        original = data_mod.scale_pixels
+        original = mlp_mod._inputs
 
-        def counting(images):
-            scaled.append(np.asarray(images).size)
-            return original(images)
+        def counting(features, out=None):
+            if np.asarray(features).dtype == np.uint8:
+                scaled.append(np.asarray(features).size)
+            return original(features, out)
 
-        monkeypatch.setattr(data_mod, "scale_pixels", counting)
+        monkeypatch.setattr(mlp_mod, "_inputs", counting)
         ((views, labels),) = shared_scene_training(cfg, [0])
+        # drawing scales nothing: the views are the picked uint8 patches
+        assert scaled == []
+        assert all(view.dtype == np.uint8 for view in views)
+        models, risks, logits = train_agents(cfg, [0], [(views, labels)])
+        # each agent's training input fill converts its patch of every
+        # picked image once
         assert sum(scaled) == labels.size * 8 * 8
-        # the same draws from images scaled up front give the same views
+        # the same draws from images scaled up front train the same models
         images, rows, layout = cfg.scene
         vars(cfg)["scene"] = (np.asarray(images) / 255.0, rows, layout)
         ((again, again_labels),) = shared_scene_training(cfg, [0])
         assert np.array_equal(labels, again_labels)
         for got, want in zip(views, again):
+            assert want.dtype == np.float64
+            assert np.array_equal(got / 255.0, want)
+        again_models, again_risks, again_logits = train_agents(cfg, [0], [(again, again_labels)])
+        assert np.array_equal(risks, again_risks)
+        for got, want in zip(models[0], again_models[0]):
+            assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+        for got, want in zip(logits[0], again_logits[0]):
             assert np.array_equal(got, want)
+
+
+class TestImageSceneMemory:
+    """Image views hold one byte a pixel until a model's input copy scales
+    them; traced by tracemalloc on 8x8 images in 2x2 patches."""
+
+    def config(self, tmp_path):
+        write_idx_dataset(tmp_path, np.random.default_rng(6))
+        cfg = validate_config(image_config("dataset.json", train_per_class=60), str(tmp_path))
+        # a first chunk outside the trace loads every lazily built module state
+        montecarlo_chunk(cfg, range(1))
+        return cfg
+
+    def test_training_scenes_hold_one_byte_a_pixel(self, tmp_path):
+        cfg = self.config(tmp_path)
+        tracemalloc.start()
+        try:
+            scenes = shared_scene_training(cfg, range(4))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        views = [view for scene_views, _ in scenes for view in scene_views]
+        pixels = sum(view.size for view in views)
+        assert pixels == 4 * 120 * 8 * 8
+        labels = sum(labels.nbytes for _, labels in scenes)
+        # one byte a pixel; slack: the headers of 20 arrays and 5 lists, 5 KiB
+        # here (numpy 2.4.6), doubled for other numpy versions; float views
+        # would hold 7 bytes a pixel more, 210 KiB
+        assert held <= pixels + labels + (12 << 10), (held, pixels, labels)
+        assert all(view.dtype == np.uint8 for view in views)
+
+    def test_one_chunk_peaks_at_its_training_plus_the_scene_bytes(self, tmp_path):
+        cfg = self.config(tmp_path)
+        reps = range(4)
+        scenes = shared_scene_training(cfg, reps)
+        pixels = sum(view.size for views, _ in scenes for view in views)
+        labels = sum(labels.nbytes for _, labels in scenes)
+        tracemalloc.start()
+        try:
+            train_agents(cfg, reps, scenes, trace=False)
+            _, training = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del scenes
+        tracemalloc.start()
+        try:
+            montecarlo_chunk(cfg, reps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the chunk peaks inside SML training, with its scenes, one byte a
+        # pixel, beside the stacked float inputs; the evaluation streams stay
+        # below that.  Slack: array headers and seeds, 5 KiB here (numpy
+        # 2.4.6), with room for other numpy versions
+        assert peak <= training + pixels + labels + (16 << 10), (peak, training, pixels)
 
 
 class TestImageSceneLoading:

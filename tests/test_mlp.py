@@ -845,6 +845,82 @@ class TestTrainStack:
             train_stack([feats, feats], [labels, labels], arch, hyper, [0, 1], [np.ones(10)])
 
 
+class TestPixelInputs:
+    """The input rule: a uint8 feature array holds 8-bit intensities and is
+    read as value / 255.0; every other array is read as it is."""
+
+    @given(
+        n_models=st.integers(1, 4),
+        bias=st.booleans(),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        trace=st.booleans(),
+        n_features=st.sampled_from([1, 4, 9]),
+        n_classes=st.sampled_from([2, 3]),
+        n=st.sampled_from([1, 7, 20]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_uint8_features_train_and_score_as_their_scaled_floats(
+        self, n_models, bias, optimizer, trace, n_features, n_classes, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pixels = [rng.integers(0, 256, (n, n_features), dtype=np.uint8) for _ in range(n_models)]
+        scaled = [p / 255.0 for p in pixels]
+        labels = [rng.integers(0, n_classes, n) for _ in range(n_models)]
+        arch = MLPArchitecture((n_features + bias, 5, n_classes), bias=bias)
+        hyper = TrainingHyperparameters(3, 4, 0.05, optimizer=optimizer)
+        seeds = rng.integers(0, 2**31, n_models).tolist()
+        models, risk, logits = train_stack(pixels, labels, arch, hyper, seeds, trace=trace)
+        want_models, want_risk, want_logits = train_stack(
+            scaled, labels, arch, hyper, seeds, trace=trace
+        )
+        if trace:
+            assert np.array_equal(risk.view(np.uint64), want_risk.view(np.uint64))
+        else:
+            assert risk is want_risk is None
+        assert np.array_equal(logits.view(np.uint64), want_logits.view(np.uint64))
+        for m, (model, want) in enumerate(zip(models, want_models)):
+            for got_w, want_w in zip(model.weights, want.weights):
+                assert np.array_equal(got_w.view(np.uint64), want_w.view(np.uint64))
+            statistic = DebiasedStatistic(model, rng.normal(size=n_classes - 1))
+            # a batch of rows and one feature vector
+            for rows, floats in ((pixels[m], scaled[m]), (pixels[m][0], scaled[m][0])):
+                got = reference_logits(model, rows)
+                assert np.array_equal(got, reference_logits(model, floats))
+                assert np.array_equal(statistic(rows), statistic(floats))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8, np.float32])
+    def test_other_types_are_not_scaled(self, dtype):
+        rng = np.random.default_rng(3)
+        feats = rng.integers(0, 120, (12, 3)).astype(dtype)
+        floats = feats.astype(float)
+        labels = [np.arange(12) % 2]
+        arch = MLPArchitecture((4, 5, 2))
+        hyper = TrainingHyperparameters(2, 4, 0.05)
+        (model,), risk, logits = train_stack([feats], labels, arch, hyper, [1])
+        (want,), want_risk, want_logits = train_stack([floats], labels, arch, hyper, [1])
+        assert np.array_equal(risk, want_risk) and np.array_equal(logits, want_logits)
+        for got_w, want_w in zip(model.weights, want.weights):
+            assert np.array_equal(got_w, want_w)
+        assert np.array_equal(reference_logits(model, feats), reference_logits(model, floats))
+        assert not np.array_equal(
+            reference_logits(model, feats), reference_logits(model, floats / 255.0)
+        )
+
+    def test_float_features_without_bias_are_not_copied(self):
+        rng = np.random.default_rng(4)
+        arch = MLPArchitecture((3, 4, 2), bias=False)
+        feats = rng.normal(size=(10, 3))
+        assert np.shares_memory(_augment(arch, feats), feats)
+        # uint8 features get a scaled float copy, with or without the bias
+        pixels = rng.integers(0, 256, (10, 3), dtype=np.uint8)
+        for arch in (arch, MLPArchitecture((4, 4, 2))):
+            inputs = _augment(arch, pixels)
+            assert inputs.dtype == np.float64
+            assert np.array_equal(inputs[:, :3], pixels / 255.0)
+        assert np.array_equal(inputs[:, 3], np.ones(10))
+
+
 class TestGradientCheck:
     def test_small_tanh_model(self):
         rng = np.random.default_rng(10)

@@ -9,7 +9,8 @@ from socialml import data as data_mod
 from socialml.base import Record
 from socialml.boosting import BoostedEnsemble
 from socialml.config import gaussian_spec_to_json, validate_config
-from socialml.data import GaussianClassModel, IdxImages, PatchLayout
+from socialml.data import GaussianClassModel, IdxImages, PatchLayout, prediction_streams
+from socialml.experiments import shared_scene_training
 from socialml.graph import CombinationMatrix
 from socialml.mlp import (
     MLPArchitecture,
@@ -127,12 +128,16 @@ def test_hashable_records_key_dicts():
     assert MLPArchitecture((3, 4, 2)) != (3, 4, 2)
 
 
-@pytest.mark.parametrize("cached", [False, True])
-def test_experiment_config_pickles(cached):
+@pytest.mark.parametrize("drawn", [False, True])
+def test_experiment_config_pickles(drawn):
     cfg = _config()
-    if cached:
-        cfg.scene
+    if drawn:
+        # a training draw and a stream draw read the scene and leave nothing
+        # behind on the config
+        shared_scene_training(cfg, [0])
+        prediction_streams(cfg.scene, cfg.schedule, cfg.stream_length, [1, 2])
     blob = pickle.dumps(cfg)
+    assert blob == pickle.dumps(_config())
     # a config pickles as its validated fields
     assert len(blob) < 16 << 10, len(blob)
     restored = pickle.loads(blob)

@@ -54,8 +54,10 @@ class TestGoldenValues:
         layout = PatchLayout(2, 2, 1, 2)
         rows = np.arange(200)
         images, _ = prediction_streams((pool, (rows, rows), layout), schedule, 4, [seed])
-        picks = np.rint(images[0][0, :, 0] * 255).astype(int)
+        picks = images[0][0, :, 0]
+        assert picks.dtype == np.uint8
         assert picks.tolist() == [97, 139, 101, 178]
+        assert (picks / 255.0).tolist() == [97 / 255, 139 / 255, 101 / 255, 178 / 255]
 
 
 @st.composite
