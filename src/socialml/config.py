@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from .base import Record, ValidationError
-from .data import DataError, GaussianClassModel, GaussianSceneSpec, PatchLayout
+from .data import DataError, GaussianClassModel, GaussianSceneSpec, ImageSource, PatchLayout
 from .graph import (
     CombinationMatrix,
     build_averaging_matrix,
@@ -68,7 +68,7 @@ class ExperimentConfig(Record, hidden=("raw",)):
     theory: dict | None  # None without a theory block or with an empty one
     # the data source that ``data.training_scene`` and
     # ``data.prediction_streams`` draw from, as ``_validate_data`` returns it
-    scene: GaussianSceneSpec | tuple
+    scene: GaussianSceneSpec | ImageSource
 
     @property
     def digest(self) -> str:
@@ -82,8 +82,9 @@ class ExperimentConfig(Record, hidden=("raw",)):
         # a config pickles as its fields, an IDX scene as its file's path and
         # a CSV one as its parsed images, which unpickle writeable
         vars(self).update(state)
-        if isinstance(self.scene, tuple) and isinstance(self.scene[0], np.ndarray):
-            self.scene[0].flags.writeable = False
+        images = getattr(self.scene, "images", None)
+        if isinstance(images, np.ndarray):
+            images.flags.writeable = False
 
 
 def _require(raw: dict, key: str, kind=None):
@@ -308,14 +309,13 @@ def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
 
 def _validate_data(
     block: dict, classes, n_agents: int, train_per_class: int, base_dir: str
-) -> GaussianSceneSpec | tuple:
-    """The data source of the block: a Gaussian spec, or the image source
-    ``(images, rows, layout)``: the uint8 images, for each class in class
-    order the indices of its rows in file order, and the patch layout.  An
-    IDX file gives its ``data.IdxImages`` reader, which reads no image until
-    a draw picks it; a CSV gives a read-only array of only the rows of
-    labels some class uses.  Every image class must hold
-    ``train_per_class`` images, as a training scene draws that many."""
+) -> GaussianSceneSpec | ImageSource:
+    """The data source of the block: a Gaussian spec, or an image source
+    whose rows of each class are in file order.  An IDX file gives its
+    ``data.IdxImages`` reader, which reads no image until a draw picks it; a
+    CSV gives a read-only array of only the rows of labels some class uses.
+    Every image class must hold ``train_per_class`` images, as a training
+    scene draws that many."""
     kind = block.get("type")
     if kind not in _DATA_KEYS:
         raise ConfigError("data type must be 'gaussian' or 'images'")
@@ -380,7 +380,7 @@ def _validate_data(
                 f"class {label!r} (raw label {raw!r}): {rows[-1].size} images < "
                 f"train_per_class {train_per_class}"
             )
-    return images, tuple(rows), layout
+    return ImageSource(images, tuple(rows), layout)
 
 
 def _per_agent(block: dict, key: str, n_agents: int) -> list:
@@ -508,11 +508,10 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         # kept as written: saved models carry it verbatim
         _number(norm_bound, "model.norm_bound")
     input_bound = _number(model.get("input_bound", 1.0), "model.input_bound")
-    dimension = scene.dimension if isinstance(scene, GaussianSceneSpec) else scene[2].view_dim
     archs = tuple(
         # layer sizes, activation, bias, norm bound, input bound
         MLPArchitecture((d + 1, *hidden, len(classes)), activation, True, norm_bound, input_bound)
-        for d in map(dimension, range(matrix.size))
+        for d in map(scene.dimension, range(matrix.size))
     )
     hyper = TrainingHyperparameters(
         epochs=_integer(_require(model, "epochs"), "model.epochs", 1),

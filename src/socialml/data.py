@@ -160,6 +160,24 @@ class PatchLayout(Record):
         return shape[0] * shape[1]
 
 
+class ImageSource(Record):
+    """An image scene: ``images``, an array of uint8 images or an
+    ``IdxImages`` reader; ``rows[j]``, the indices of class j's images in
+    it, in class order; and the patch ``layout`` that splits each image
+    into the agents' views."""
+
+    images: object
+    rows: tuple
+    layout: PatchLayout
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.rows)
+
+    def dimension(self, agent: int) -> int:
+        return self.layout.view_dim(agent)
+
+
 def split_patches(images, layout: PatchLayout) -> list:
     """Per-agent flattened views of one image or a batch, in the images'
     own type: uint8 pixels stay one byte each.
@@ -194,10 +212,9 @@ def training_scene(source, per_class: int, rng) -> tuple:
     ``source`` is as in ``prediction_streams``; an image class must hold
     ``per_class`` rows.
     """
-    gaussian = isinstance(source, GaussianSceneSpec)
-    labels = np.repeat(np.arange(source.n_classes if gaussian else len(source[1])), per_class)
+    labels = np.repeat(np.arange(source.n_classes), per_class)
     labels = labels[rng.permutation(labels.size)]
-    if gaussian:
+    if isinstance(source, GaussianSceneSpec):
         views = []
         for per_agent in source.models:
             view = np.empty((labels.size, per_agent[0].mean.size))
@@ -206,13 +223,12 @@ def training_scene(source, per_class: int, rng) -> tuple:
                 view[idx] = model.sample(rng, idx.size)
             views.append(view)
         return views, labels
-    images, rows, layout = source
     chosen = np.empty(labels.size, np.intp)
-    for j, class_rows in enumerate(rows):
+    for j, class_rows in enumerate(source.rows):
         idx = np.flatnonzero(labels == j)
         chosen[idx] = class_rows[rng.choice(class_rows.size, size=idx.size, replace=False)]
     # one read of the picked images, split into uint8 patches
-    return split_patches(images[chosen], layout), labels
+    return split_patches(source.images[chosen], source.layout), labels
 
 
 def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> tuple:
@@ -224,15 +240,13 @@ def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> 
     class-index track that every stream of the batch shares.
 
     ``source`` is either a ``GaussianSceneSpec`` (each agent gets a fresh
-    draw from its own likelihood) or an image source ``(images, rows,
-    layout)``: one image array, each class's row indices in class order, and
-    the patch layout.  One image per step is then picked with replacement
-    from the class's rows and split, and the views hold its raw uint8
-    pixels, which the models scale as they read them.  Draws are independent
-    across steps, and stream s reads only its own generator
-    ``generators(seeds)[s]``, so it is the same stream whatever batch it is
-    drawn in.  A state that is no class index of the source, or an image
-    class without rows, raises ``DataError`` naming it.
+    draw from its own likelihood) or an ``ImageSource``: one image per step
+    is then picked with replacement from the class's rows and split, and
+    the views hold its raw uint8 pixels, which the models scale as they
+    read them.  Draws are independent across steps, and stream s reads only
+    its own generator ``generators(seeds)[s]``, so it is the same stream
+    whatever batch it is drawn in.  A state that is no class index of the
+    source, or an image class without rows, raises ``DataError`` naming it.
     """
     states = schedule.states(length)
     rngs = generators(seeds)
@@ -240,12 +254,11 @@ def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> 
     # draws grouped by class in order of first appearance keep the stream
     # i.i.d. over time while staying seed-deterministic
     active = list(dict.fromkeys(states.tolist()))
-    gaussian = isinstance(source, GaussianSceneSpec)
     for j in active:
         # a negative index would pick a class from the end of the list
-        if not 0 <= j < (source.n_classes if gaussian else len(source[1])):
+        if not 0 <= j < source.n_classes:
             raise DataError(f"schedule state {j} is not a class index of the source")
-    if gaussian:
+    if isinstance(source, GaussianSceneSpec):
         dims = [source.dimension(k) for k in range(source.n_agents)]
         # a generator keeps no state between normal draws, so one draw per
         # stream, sliced in (class, agent) order, equals the per-block draws
@@ -261,7 +274,7 @@ def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> 
                 views[k][:, idx] = source.models[k][j].transform(block)
                 offset += idx.size * d
         return views, states
-    images, rows, layout = source
+    rows = source.rows
     for j in active:
         if len(rows[j]) == 0:
             raise DataError(f"class {j} has no images in the image source")
@@ -271,7 +284,7 @@ def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> 
         draws = np.stack([rng.integers(rows[j].size, size=idx.size) for rng in rngs])
         chosen[:, idx] = rows[j][draws]
     # one read of the picked images, split into uint8 patches
-    flat = split_patches(images[chosen.reshape(-1)], layout)
+    flat = split_patches(source.images[chosen.reshape(-1)], source.layout)
     return [v.reshape(n_streams, length, -1) for v in flat], states
 
 

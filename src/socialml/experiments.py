@@ -438,29 +438,25 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
 
     target_risk = float(block["target_risk"])
     beta = block["beta"]
+    constants = block.get("complexity_constants")
+    # the config gives every agent's architecture the one model.norm_bound
+    if cfg.arch_by_agent[0].norm_bound is None:
+        if beta == "analytic":
+            raise ConfigError("beta='analytic' needs norm-constrained architectures")
+        if constants is None:
+            raise ConfigError(
+                "theory needs complexity_constants unless architectures are norm-constrained"
+            )
     if beta == "analytic":
         # per-agent logit bounds from the norm-constrained architectures
-        try:
-            beta_val = np.array([logit_bound(arch) for arch in cfg.arch_by_agent])
-        except Exception as exc:
-            raise ConfigError(
-                f"beta='analytic' needs norm-constrained architectures ({exc})"
-            ) from exc
+        beta_val = np.array([logit_bound(arch) for arch in cfg.arch_by_agent])
         beta_source = "analytic-norm-product"
     else:
         beta_val = np.asarray(beta, dtype=float)
         beta_source = "supplied"
-
-    constants = block.get("complexity_constants")
     if constants is None:
-        try:
-            # the bound scales as C_k / sqrt(N), so C_k is the bound at N = 1
-            constants = [mlp_rademacher_bound(arch, 1) for arch in cfg.arch_by_agent]
-        except Exception as exc:
-            raise ConfigError(
-                "theory needs complexity_constants unless architectures are "
-                f"norm-constrained ({exc})"
-            ) from exc
+        # the bound scales as C_k / sqrt(N), so C_k is the bound at N = 1
+        constants = [mlp_rademacher_bound(arch, 1) for arch in cfg.arch_by_agent]
     constants = [float(c) for c in constants]
     rho_bound, c_mixed = network_complexity_bound(constants, profile)
 

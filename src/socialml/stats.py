@@ -5,8 +5,9 @@ average over the agent's own training set, which centers the statistic and
 removes any constant bias toward one class.  In the multi-class case each
 pairwise logit (reference class versus gamma) is centered with the mean taken
 over the training samples labeled with either of those two classes.  The
-consistency checks on these statistics (conditional means, classifier
-complexity) live in ``theory``.
+checks of these statistics against the theory (the consistency conditions
+on their class-conditional means, classifier complexity) live in
+``theory``.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ inverting that bound gives the training-set size needed for a target
 confidence.
 
 The same module holds the checks that put the theory's assumptions to
-trained statistics: Monte Carlo class-conditional means and the margins they
-leave around the training mean, classifier complexity estimated two ways (a
+trained statistics: the consistency conditions, checked on Monte Carlo
+class-conditional means drawn from the scene itself (under each class the
+network's Perron-weighted mean statistic must favour that class, as
+``social.decide`` reads lambda), classifier complexity estimated two ways (a
 Monte Carlo estimate of the expected sup-correlation with random sign draws
 over a sampled candidate family, which approximates the true sup from below,
 and the analytic bound for norm-constrained feedforward networks), and the
@@ -30,8 +32,10 @@ import math
 import numpy as np
 
 from .base import Record, ValidationError
+from .data import prediction_streams
 from .mlp import MLPArchitecture, ModelError
 from .seeds import generators
+from .social import RegimeSchedule
 from .stats import StatisticError
 
 LOG2 = math.log(2.0)
@@ -220,78 +224,71 @@ def self_consistency_check(
 # --- consistency conditions and classifier complexity ----------------------
 
 
-class ConditionalMeans(Record):
-    """Class-conditional means of per-agent statistics plus network averages."""
+class ClassMeans(Record):
+    """Class-conditional means of the agents' statistics, as ``class_means``
+    estimates them: ``means[k, j]`` is agent k's mean statistic under class
+    j, its M - 1 pairwise components, and ``stderrs[k, j]`` their standard
+    errors, both (K, M, M-1); ``perron`` weighs the agents."""
 
-    per_agent_plus: np.ndarray
-    per_agent_minus: np.ndarray
-    stderr_plus: np.ndarray
-    stderr_minus: np.ndarray
+    means: np.ndarray
+    stderrs: np.ndarray
     perron: np.ndarray
-    train_means: np.ndarray
-    n_draws: int = 0
-    seed: int | None = None
 
     @property
-    def mu_plus(self) -> float:
-        return float(self.perron @ self.per_agent_plus)
+    def drift(self) -> np.ndarray:
+        """(M, M-1): the network's mean statistic under each class, the
+        per-step drift of lambda."""
+        return np.tensordot(self.perron, self.means, 1)
 
     @property
-    def mu_minus(self) -> float:
-        return float(self.perron @ self.per_agent_minus)
+    def drift_stderr(self) -> np.ndarray:
+        return np.sqrt(np.tensordot(self.perron**2, self.stderrs**2, 1))
 
     @property
-    def mu(self) -> float:
-        """Prediction-phase mean under uniform priors, (mu+ + mu-)/2."""
-        return 0.5 * (self.mu_plus + self.mu_minus)
+    def margins(self) -> np.ndarray:
+        """(M,): under class j's drift, class j's score minus the best other
+        score, with the scores as ``social.decide`` reads lambda: 0 for
+        class 0 and -drift for the others."""
+        # row j holds every class's score under class j's drift
+        scores = np.hstack([np.zeros((len(self.drift), 1)), -self.drift])
+        others = np.where(np.eye(len(scores), dtype=bool), -np.inf, scores)
+        return np.diag(scores) - others.max(axis=1)
 
     @property
-    def mu_train(self) -> float:
-        return float(self.perron @ self.train_means)
-
-    @property
-    def stderr_network(self) -> float:
-        w2 = np.asarray(self.perron) ** 2
-        return float(np.sqrt(w2 @ (self.stderr_plus**2 + self.stderr_minus**2)))
+    def consistent(self) -> bool:
+        """Every class's drift favours that class, strictly."""
+        return bool(np.all(self.margins > 0.0))
 
 
-def conditional_means(
-    functions,
-    samplers,
-    perron,
-    n_mc: int,
-    seed: int,
-    train_means=None,
-) -> ConditionalMeans:
-    """Monte Carlo estimate of per-agent conditional means under both classes.
+def class_means(statistics, source, perron, n: int, seed: int) -> ClassMeans:
+    """Monte Carlo class-conditional means of the agents' statistics.
 
-    ``functions[k]`` maps a feature batch to scalar statistic values;
-    ``samplers[k]`` maps ``(rng, label, n)`` to n feature rows drawn from
-    agent k's likelihood under that label (labels +1 and -1).  ``train_means``
-    optionally supplies each agent's empirical training mean (defaults to 0,
-    appropriate for already-centered statistics).
+    ``n`` rows of every class are drawn from the scene ``source`` (a
+    ``GaussianSceneSpec`` or an ``ImageSource``) by one
+    ``data.prediction_streams`` call, whose stream holds class j for ``n``
+    steps and is seeded by ``seed``.  ``statistics[k]`` maps agent k's rows
+    to its statistic values, (rows,) or (rows, M-1), as ``run_prediction``
+    reads its providers.
     """
-    if n_mc < 1:
-        raise StatisticError("n_mc must be at least 1")
+    if n < 1:
+        raise StatisticError(f"n must be at least 1, got {n}")
     pi = np.asarray(perron, dtype=float)
-    n_agents = len(functions)
-    if len(samplers) != n_agents or pi.shape != (n_agents,):
-        raise StatisticError("functions, samplers and perron must align")
-    train_mean_arr = np.zeros(n_agents) if train_means is None else np.asarray(train_means, float)
-    (rng,) = generators([seed])
-    plus = np.empty(n_agents)
-    minus = np.empty(n_agents)
-    se_plus = np.empty(n_agents)
-    se_minus = np.empty(n_agents)
-    for k in range(n_agents):
-        for label, mean_arr, se_arr in ((+1, plus, se_plus), (-1, minus, se_minus)):
-            values = np.asarray(functions[k](samplers[k](rng, label, n_mc)), float)
-            values = values.reshape(n_mc)
-            mean_arr[k] = values.mean()
-            se_arr[k] = values.std(ddof=1) / math.sqrt(n_mc) if n_mc > 1 else 0.0
-    return ConditionalMeans(
-        plus, minus, se_plus, se_minus, pi, train_mean_arr, n_draws=n_mc, seed=seed
-    )
+    if pi.shape != (len(statistics),):
+        raise StatisticError(f"{len(statistics)} statistics but {pi.size} Perron weights")
+    m = source.n_classes
+    schedule = RegimeSchedule(tuple((j * n, j) for j in range(m)))
+    views, _ = prediction_streams(source, schedule, m * n, [seed])
+    if len(views) != pi.size:
+        raise StatisticError(f"{pi.size} statistics but the source has {len(views)} agents")
+    values = np.stack(
+        [
+            np.asarray(statistic(view[0]), dtype=float).reshape(m, n, m - 1)
+            for statistic, view in zip(statistics, views)
+        ]
+    )  # (K, M, n, M-1)
+    # one draw of a class has no spread to estimate; its stderr reads 0
+    stderrs = values.std(axis=2, ddof=min(n - 1, 1)) / math.sqrt(n)
+    return ClassMeans(values.mean(axis=2), stderrs, pi)
 
 
 class RademacherEstimate(Record):
@@ -369,35 +366,6 @@ def mlp_rademacher_bound(arch: MLPArchitecture, n_samples: int) -> float:
         * b
         * c
         * math.sqrt(math.log(2.0 * width0))
-    )
-
-
-class ConsistencyReport(Record):
-    margin_plus: float  # mu+ minus the network training mean
-    margin_minus: float  # network training mean minus mu-
-    satisfied: bool
-    details: dict
-
-
-def check_consistency_conditions(means: ConditionalMeans) -> ConsistencyReport:
-    """Verify that the statistic separates the classes around its training mean.
-
-    Requires the network conditional mean under +1 to exceed the network
-    training mean and the one under -1 to fall below it, strictly.
-    """
-    margin_plus = means.mu_plus - means.mu_train
-    margin_minus = means.mu_train - means.mu_minus
-    satisfied = margin_plus > 0.0 and margin_minus > 0.0
-    return ConsistencyReport(
-        margin_plus,
-        margin_minus,
-        satisfied,
-        {
-            "mu_plus": means.mu_plus,
-            "mu_minus": means.mu_minus,
-            "mu_train": means.mu_train,
-            "stderr_network": means.stderr_network,
-        },
     )
 
 

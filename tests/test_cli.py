@@ -844,6 +844,19 @@ class TestCmdTheory:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_fault_in_a_bound_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        # a fault inside the analytic bounds is a bug, not bad input: exit 2
+        def faulty(arch):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("socialml.theory.logit_bound", faulty)
+        cfg = base_config()
+        cfg["model"]["norm_bound"] = 1.0
+        cfg["theory"] = {"target_risk": 0.1, "beta": "analytic", "epsilon": 0.1}
+        path = write_config(tmp_path, cfg)
+        assert main(["theory", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "runtime failure: ZeroDivisionError" in capsys.readouterr().err
+
     def test_analytic_beta_requires_norm_bound(self, tmp_path):
         cfg = base_config()
         cfg["theory"] = {"target_risk": 0.1, "beta": "analytic", "epsilon": 0.1}

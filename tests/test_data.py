@@ -21,6 +21,7 @@ from socialml.data import (
     DataError,
     GaussianClassModel,
     GaussianSceneSpec,
+    ImageSource,
     PatchLayout,
     file_sha256,
     one_informative_gaussian_spec,
@@ -210,8 +211,8 @@ class TestPredictionStream:
         pools = [rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        images, rows, _ = image_source(pools, layout)
-        views, _ = prediction_streams((images, rows, layout), sched, 10, [2])
+        source = image_source(pools, layout)
+        views, _ = prediction_streams(source, sched, 10, [2])
         # drawing scales nothing; each agent's model input fill converts each
         # picked pixel of its patch once
         assert scaled == []
@@ -222,7 +223,8 @@ class TestPredictionStream:
         logits = [reference_logits(model, view[0]) for model, view in zip(models, views)]
         assert sum(scaled) == 10 * 6 * 6
         # the same draws from images scaled up front give the same logits
-        again, _ = prediction_streams((images / 255.0, rows, layout), sched, 10, [2])
+        scaled_up_front = ImageSource(source.images / 255.0, source.rows, layout)
+        again, _ = prediction_streams(scaled_up_front, sched, 10, [2])
         for model, got, view in zip(models, logits, again):
             assert view.dtype == np.float64
             np.testing.assert_array_equal(got, reference_logits(model, view[0]))
@@ -233,7 +235,8 @@ class TestPredictionStream:
             ((np.arange(3),), "schedule state 1 is not a class index"),
             ((np.arange(3), np.arange(0)), "class 1 has no images"),
         ]:
-            source = (np.zeros((3, 4, 4), dtype=np.uint8), rows, PatchLayout(4, 4, 2, 2))
+            images = np.zeros((3, 4, 4), dtype=np.uint8)
+            source = ImageSource(images, rows, PatchLayout(4, 4, 2, 2))
             with pytest.raises(DataError, match=message):
                 prediction_streams(source, schedule, 5, [0])
 
@@ -250,7 +253,7 @@ class TestPredictionStream:
 
 
 def image_source(pools, layout, seed=0):
-    """One image array per class as the ``(images, rows, layout)`` source of
+    """One image array per class as the ``ImageSource`` of
     ``prediction_streams``: the classes' images shuffled together by ``seed``,
     each class's row indices in that array, and ``layout``."""
     stacked = np.concatenate(pools)
@@ -260,7 +263,7 @@ def image_source(pools, layout, seed=0):
     images[order] = stacked
     ends = np.cumsum([len(pool) for pool in pools])
     rows = tuple(order[end - len(pool) : end] for pool, end in zip(pools, ends))
-    return images, rows, layout
+    return ImageSource(images, rows, layout)
 
 
 def per_block_stream(source, schedule, length, seed, layout=None):
@@ -652,7 +655,7 @@ class TestClassPools:
         ):
             write_image_files(Path(tmp), images, labels, fmt)
             cfg = pooled_config(Path(tmp), (2, 3), label_map)
-            pooled, rows, _ = cfg.scene
+            pooled, rows = cfg.scene.images, cfg.scene.rows
             # one index array per class, in class order, each in file order
             assert len(rows) == len(cfg.classes)
             assert pooled.dtype == np.uint8
@@ -672,7 +675,8 @@ class TestClassPools:
         labels = np.array([0, 1, 0, 2])
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, "idx")
-        pooled, rows, _ = pooled_config(tmp_path, (2, 3), [0, 0, 2]).scene
+        scene = pooled_config(tmp_path, (2, 3), [0, 0, 2]).scene
+        pooled, rows = scene.images, scene.rows
         assert [r.tolist() for r in rows] == [[0, 2], [0, 2], [3]]
         assert np.array_equal(pooled[rows[2]], images[[3]])
 
@@ -681,7 +685,8 @@ class TestClassPools:
         labels = np.array([0, 1, 0, 1])
         images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
         write_image_files(tmp_path, images, labels, fmt)
-        pooled, rows, _ = pooled_config(tmp_path, (2, 3), [0, 1]).scene
+        scene = pooled_config(tmp_path, (2, 3), [0, 1]).scene
+        pooled, rows = scene.images, scene.rows
         if fmt == "idx":
             # the reader of the file: it reads rows and has no assignment
             assert pooled.path == str(tmp_path / "images.idx")
@@ -704,7 +709,8 @@ class TestClassPools:
         write_image_files(tmp_path, images, labels, "idx")
         tracemalloc.start()
         try:
-            pooled, rows, _ = pooled_config(tmp_path, (28, 28), [3, 1]).scene
+            scene = pooled_config(tmp_path, (28, 28), [3, 1]).scene
+            pooled, rows = scene.images, scene.rows
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -729,7 +735,8 @@ class TestClassPools:
         write_image_files(tmp_path, images, labels, "csv")
         tracemalloc.start()
         try:
-            pooled, rows, _ = pooled_config(tmp_path, (28, 28), [3, 1]).scene
+            scene = pooled_config(tmp_path, (28, 28), [3, 1]).scene
+            pooled, rows = scene.images, scene.rows
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

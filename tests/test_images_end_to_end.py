@@ -12,7 +12,7 @@ import pytest
 from socialml import mlp as mlp_mod
 from socialml.cli import main
 from socialml.config import validate_config
-from socialml.data import file_sha256, read_idx_images, read_idx_labels
+from socialml.data import ImageSource, file_sha256, read_idx_images, read_idx_labels
 from socialml.experiments import (
     cmd_montecarlo,
     cmd_predict,
@@ -168,8 +168,9 @@ class TestImageTrainingScene:
         # picked image once
         assert sum(scaled) == labels.size * 8 * 8
         # the same draws from images scaled up front train the same models
-        images, rows, layout = cfg.scene
-        vars(cfg)["scene"] = (np.asarray(images) / 255.0, rows, layout)
+        scene = cfg.scene
+        up_front = np.asarray(scene.images) / 255.0
+        vars(cfg)["scene"] = ImageSource(up_front, scene.rows, scene.layout)
         ((again, again_labels),) = shared_scene_training(cfg, [0])
         assert np.array_equal(labels, again_labels)
         for got, want in zip(views, again):

@@ -9,7 +9,7 @@ from socialml import data as data_mod
 from socialml.base import Record
 from socialml.boosting import BoostedEnsemble
 from socialml.config import gaussian_spec_to_json, validate_config
-from socialml.data import GaussianClassModel, IdxImages, PatchLayout, prediction_streams
+from socialml.data import GaussianClassModel, IdxImages, ImageSource, PatchLayout, prediction_streams
 from socialml.experiments import shared_scene_training
 from socialml.graph import CombinationMatrix
 from socialml.mlp import (
@@ -19,13 +19,7 @@ from socialml.mlp import (
 )
 from socialml.social import PredictionRun, RegimeSchedule
 from socialml.stats import DebiasedStatistic
-from socialml.theory import (
-    ConditionalMeans,
-    ConsistencyBound,
-    ConsistencyReport,
-    RademacherEstimate,
-    TrainingProfile,
-)
+from socialml.theory import ClassMeans, ConsistencyBound, RademacherEstimate, TrainingProfile
 from helpers import mean_shift_gaussian_spec
 from test_cli import base_config
 from test_data import pooled_config, write_image_files
@@ -49,6 +43,9 @@ EXAMPLES = {
     "GaussianSceneSpec": lambda: mean_shift_gaussian_spec(2),
     "PatchLayout": lambda: PatchLayout(4, 4, 2, 2),
     "IdxImages": lambda: IdxImages("images.idx", (2, 28, 28)),
+    "ImageSource": lambda: ImageSource(
+        np.zeros((3, 4, 4), np.uint8), (np.array([0, 2]), np.array([1])), PatchLayout(4, 4, 2, 2)
+    ),
     "RegimeSchedule": lambda: RegimeSchedule(((0, 0), (5, 1))),
     "PredictionRun": lambda: PredictionRun(
         np.zeros((3, 2, 1)), np.zeros((3, 2), dtype=np.intp), np.ones((3, 2), dtype=bool)
@@ -59,11 +56,10 @@ EXAMPLES = {
     "ExperimentConfig": _config,
     "TrainingProfile": lambda: TrainingProfile((10, 20), np.array([0.5, 0.5])),
     "ConsistencyBound": lambda: ConsistencyBound(0.1, 0.5, 0.5, False),
-    "ConditionalMeans": lambda: ConditionalMeans(
-        *(np.full(2, v) for v in (1.0, -1.0, 0.1, 0.1, 0.5, 0.0)), n_draws=5, seed=1
+    "ClassMeans": lambda: ClassMeans(
+        np.array([[[1.0], [-1.0]]] * 2), np.full((2, 2, 1), 0.1), np.full(2, 0.5)
     ),
     "RademacherEstimate": lambda: RademacherEstimate(0.1, 0.01, 10, "monte-carlo"),
-    "ConsistencyReport": lambda: ConsistencyReport(0.1, 0.2, True, {"mu_plus": 1.0}),
 }
 
 
@@ -155,7 +151,7 @@ def test_image_config_pickles(tmp_path, fmt):
     labels = rng.integers(0, 2, n)
     write_image_files(tmp_path, rng.integers(0, 256, (n, side, side), np.uint8), labels, fmt)
     cfg = pooled_config(tmp_path, (side, side), [0, 1])
-    images, rows, layout = cfg.scene
+    images, rows, layout = cfg.scene.images, cfg.scene.rows, cfg.scene.layout
     blob = pickle.dumps(cfg)
     # an IDX scene pickles as its file's path and row indices, never as its
     # images; a CSV one as its parsed images
@@ -167,7 +163,9 @@ def test_image_config_pickles(tmp_path, fmt):
     assert all(calls[name].call_count == 0 for name in readers)
     assert restored.digest == cfg.digest
     assert restored.raw == cfg.raw and restored.arch_by_agent == cfg.arch_by_agent
-    again, again_rows, again_layout = restored.scene
+    again, again_rows, again_layout = (
+        restored.scene.images, restored.scene.rows, restored.scene.layout
+    )
     assert again_layout == layout
     assert all(np.array_equal(a, b) for a, b in zip(again_rows, rows))
     if fmt == "idx":

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socialml.config import PHASE_STREAM, PHASE_TRAIN_MODEL, build_gaussian_spec
-from socialml.data import PatchLayout, prediction_streams
+from socialml.data import ImageSource, PatchLayout, prediction_streams
 from socialml.seeds import derived_seeds, generators
 from socialml.social import periodic_schedule
 from test_cli import loaded_after_cli_import
@@ -53,7 +53,8 @@ class TestGoldenValues:
         pool = np.repeat(np.arange(200, dtype=np.uint8), 4).reshape(200, 2, 2)
         layout = PatchLayout(2, 2, 1, 2)
         rows = np.arange(200)
-        images, _ = prediction_streams((pool, (rows, rows), layout), schedule, 4, [seed])
+        source = ImageSource(pool, (rows, rows), layout)
+        images, _ = prediction_streams(source, schedule, 4, [seed])
         picks = images[0][0, :, 0]
         assert picks.dtype == np.uint8
         assert picks.tolist() == [97, 139, 101, 178]

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from socialml.data import one_informative_gaussian_spec, prediction_streams, true_log_ratio
+from socialml.data import (
+    GaussianClassModel,
+    GaussianSceneSpec,
+    ImageSource,
+    PatchLayout,
+    one_informative_gaussian_spec,
+    prediction_streams,
+    true_log_ratio,
+)
 from socialml.graph import CombinationMatrix, build_averaging_matrix, directed_ring_adjacency, perron_eigenvector
 from socialml.social import (
     RegimeSchedule,
@@ -18,7 +26,7 @@ from socialml.social import (
     run_prediction,
     sl_step,
 )
-from socialml.theory import check_consistency_conditions, conditional_means
+from socialml.theory import class_means
 from helpers import mean_shift_gaussian_spec
 
 RING4 = CombinationMatrix(
@@ -418,57 +426,67 @@ class TestRunPredictionBatch:
 
 
 class TestConsistencyConditions:
-    def gaussian_sampler(self, spec, k):
-        # label +1 is the spec's class 0 and -1 its class 1
-        return lambda rng, label, n: spec.models[k][(1 - label) // 2].sample(rng, n)
-
     def test_zero_statistic_not_satisfied(self):
         spec = mean_shift_gaussian_spec(2, dim=1)
-        means = conditional_means(
-            [lambda h: np.zeros(len(h))] * 2,
-            [self.gaussian_sampler(spec, k) for k in range(2)],
-            np.array([0.5, 0.5]),
-            n_mc=100,
-            seed=0,
-        )
-        report = check_consistency_conditions(means)
-        assert report.margin_plus == 0.0
-        assert report.margin_minus == 0.0
-        assert not report.satisfied
+        means = class_means([lambda h: np.zeros(len(h))] * 2, spec, np.array([0.5, 0.5]), 100, 0)
+        assert means.margins[0] == 0.0
+        assert means.margins[1] == 0.0
+        assert not means.consistent
 
     def test_informative_true_ratio_satisfied(self):
-        # a statistic with positive divergence under +1 and negative under -1
+        # a statistic with positive divergence under class 0 and negative
+        # under class 1
         spec = mean_shift_gaussian_spec(1, dim=1, shift=1.0)
-        means = conditional_means(
-            [true_log_ratio(spec, 0)],
-            [self.gaussian_sampler(spec, 0)],
-            np.array([1.0]),
-            n_mc=50_000,
-            seed=1,
-        )
-        report = check_consistency_conditions(means)
-        assert report.satisfied
+        means = class_means([true_log_ratio(spec, 0)], spec, np.array([1.0]), 50_000, 1)
+        assert means.consistent
         # expected divergence of unit Gaussians at means +-1 is 2
-        assert report.margin_plus == pytest.approx(2.0, abs=0.1)
+        assert means.margins[0] == pytest.approx(2.0, abs=0.1)
 
     def test_biased_statistic_satisfied_after_centering(self):
         # f(h) = h + 5 keeps both conditional means positive; centering with
-        # the training mean still separates them symmetrically
+        # its population training mean, 5, separates them symmetrically
         spec = mean_shift_gaussian_spec(1, dim=1, shift=1.0)
         fn = lambda h: np.asarray(h)[:, 0] + 5.0
-        means = conditional_means(
-            [fn],
-            [self.gaussian_sampler(spec, 0)],
-            np.array([1.0]),
-            n_mc=100_000,
-            seed=2,
-            train_means=[5.0],  # population training mean of f
-        )
-        assert means.mu_plus > means.mu_minus > 0
-        report = check_consistency_conditions(means)
-        assert report.satisfied
-        assert report.margin_plus == pytest.approx(1.0, abs=5 * means.stderr_network)
-        assert report.margin_minus == pytest.approx(1.0, abs=5 * means.stderr_network)
+        biased = class_means([fn], spec, np.array([1.0]), 100_000, 2)
+        assert biased.drift[0, 0] > biased.drift[1, 0] > 0
+        assert not biased.consistent
+        means = class_means([lambda h: fn(h) - 5.0], spec, np.array([1.0]), 100_000, 2)
+        assert means.consistent
+        stderr = np.hypot(*means.drift_stderr[:, 0])
+        assert means.margins[0] == pytest.approx(1.0, abs=5 * stderr)
+        assert means.margins[1] == pytest.approx(1.0, abs=5 * stderr)
+
+    def test_three_classes_drift_at_the_closed_form(self):
+        # identity-covariance Gaussians at the long_stream benchmark's means;
+        # the exact pairwise log-likelihood ratio of class 0 over class g is
+        # (mu_0 - mu_g) . h - (|mu_0|^2 - |mu_g|^2) / 2, whose mean under
+        # class i puts mu_i for h
+        mu = np.array([[0.6, 0.0], [-0.3, 0.52], [-0.3, -0.52]])
+        models = tuple(GaussianClassModel(m, np.eye(2)) for m in mu)
+        spec = GaussianSceneSpec((models,) * 4)
+
+        def ratios(h):
+            reference = models[0].log_density(h)
+            return np.stack([reference - models[g].log_density(h) for g in (1, 2)], axis=-1)
+
+        means = class_means([ratios] * 4, spec, perron_eigenvector(RING4), 20_000, 3)
+        assert means.means.shape == means.stderrs.shape == (4, 3, 2)
+        assert means.drift.shape == means.drift_stderr.shape == (3, 2)
+        half_norms = (mu**2).sum(axis=1) / 2
+        expected = mu @ (mu[0] - mu[1:]).T - (half_norms[0] - half_norms[1:])
+        assert np.all(np.abs(means.drift - expected) < 5 * means.drift_stderr)
+        assert means.consistent
+        assert np.all(means.margins > 0)
+
+    def test_image_source_constant_statistic_has_zero_margins(self):
+        rng = np.random.default_rng(7)
+        images = rng.integers(0, 256, size=(12, 4, 4), dtype=np.uint8)
+        rows = (np.arange(0, 12, 3), np.arange(1, 12, 3), np.arange(2, 12, 3))
+        source = ImageSource(images, rows, PatchLayout(4, 4, 2, 2))
+        zero = lambda h: np.zeros((len(h), 2))
+        means = class_means([zero] * 4, source, np.full(4, 0.25), 50, 0)
+        assert np.array_equal(means.margins, np.zeros(3))
+        assert not means.consistent
 
 
 class TestBayesClassifier:

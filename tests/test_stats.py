@@ -12,7 +12,7 @@ from socialml.mlp import (
     train_stack,
 )
 from socialml.stats import StatisticError, make_debiased_statistic
-from socialml.theory import conditional_means, mlp_rademacher_bound, rademacher_monte_carlo
+from socialml.theory import class_means, mlp_rademacher_bound, rademacher_monte_carlo
 from helpers import empirical_training_mean, gaussian_training_set, mean_shift_gaussian_spec
 
 
@@ -173,48 +173,46 @@ class TestDebiasedStatistic:
         assert abs(total) < 4 * stderr
 
 
-class TestConditionalMeans:
-    def samplers(self, spec, k):
-        # label +1 is the spec's class 0 and -1 its class 1
-        return lambda rng, label, n: spec.models[k][(1 - label) // 2].sample(rng, n)
-
+class TestClassMeans:
     def test_zero_function_zero_means(self):
         spec = mean_shift_gaussian_spec(2, dim=1)
-        means = conditional_means(
-            [lambda h: np.zeros(len(h))] * 2,
-            [self.samplers(spec, k) for k in range(2)],
-            np.array([0.5, 0.5]),
-            n_mc=200,
-            seed=0,
-        )
-        assert means.mu_plus == 0.0 and means.mu_minus == 0.0 and means.mu == 0.0
+        means = class_means([lambda h: np.zeros(len(h))] * 2, spec, np.array([0.5, 0.5]), 200, 0)
+        assert means.drift[0, 0] == 0.0 and means.drift[1, 0] == 0.0 and means.drift.mean() == 0.0
 
     def test_single_agent_network_mean_is_agent_mean(self):
         spec = mean_shift_gaussian_spec(1, dim=1, shift=0.7)
-        means = conditional_means(
-            [lambda h: np.asarray(h)[:, 0]],
-            [self.samplers(spec, 0)],
-            np.array([1.0]),
-            n_mc=50_000,
-            seed=1,
-        )
-        assert means.mu_plus == pytest.approx(means.per_agent_plus[0])
-        assert means.mu_plus == pytest.approx(0.7, abs=4 * means.stderr_plus[0])
+        means = class_means([lambda h: np.asarray(h)[:, 0]], spec, np.array([1.0]), 50_000, 1)
+        assert means.drift[0, 0] == pytest.approx(means.means[0, 0, 0])
+        assert means.drift[0, 0] == pytest.approx(0.7, abs=4 * means.stderrs[0, 0, 0])
 
     def test_identity_statistic_recovers_shift(self):
         spec = mean_shift_gaussian_spec(3, dim=1, shift=1.3)
         fns = [lambda h: np.asarray(h)[:, 0]] * 3
-        means = conditional_means(
-            fns,
-            [self.samplers(spec, k) for k in range(3)],
-            np.full(3, 1 / 3),
-            n_mc=50_000,
-            seed=2,
-        )
-        assert means.mu_plus == pytest.approx(1.3, abs=5 * means.stderr_network)
-        assert means.mu_minus == pytest.approx(-1.3, abs=5 * means.stderr_network)
+        means = class_means(fns, spec, np.full(3, 1 / 3), 50_000, 2)
+        stderr = np.hypot(*means.drift_stderr[:, 0])
+        assert means.drift[0, 0] == pytest.approx(1.3, abs=5 * stderr)
+        assert means.drift[1, 0] == pytest.approx(-1.3, abs=5 * stderr)
         # uniform-prior mean halves the sum exactly
-        assert means.mu == pytest.approx((means.mu_plus + means.mu_minus) / 2, abs=1e-12)
+        assert means.drift.mean() == pytest.approx(means.drift[:, 0].sum() / 2, abs=1e-12)
+
+    def test_one_draw_has_zero_stderr(self):
+        spec = mean_shift_gaussian_spec(2, dim=1)
+        means = class_means([lambda h: np.asarray(h)[:, 0]] * 2, spec, np.full(2, 0.5), 1, 0)
+        assert np.array_equal(means.stderrs, np.zeros((2, 2, 1)))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fewer_than_one_draw_rejected(self, n):
+        spec = mean_shift_gaussian_spec(2, dim=1)
+        with pytest.raises(StatisticError, match="n must be at least 1"):
+            class_means([lambda h: np.zeros(len(h))] * 2, spec, np.full(2, 0.5), n, 0)
+
+    def test_statistics_misaligned_with_perron_rejected(self):
+        spec = mean_shift_gaussian_spec(2, dim=1)
+        zero = lambda h: np.zeros(len(h))
+        with pytest.raises(StatisticError, match="2 statistics but 3 Perron weights"):
+            class_means([zero] * 2, spec, np.full(3, 1 / 3), 10, 0)
+        with pytest.raises(StatisticError, match="3 statistics but the source has 2 agents"):
+            class_means([zero] * 3, spec, np.full(3, 1 / 3), 10, 0)
 
 
 class TestRademacherMonteCarlo:
