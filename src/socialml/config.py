@@ -29,7 +29,7 @@ from .graph import (
     grid_adjacency,
     load_combination_matrix,
 )
-from .mlp import ACTIVATIONS, OPTIMIZERS, MLPArchitecture, TrainingHyperparameters
+from .mlp import ACTIVATIONS, OPTIMIZERS, MLPArchitecture, ModelError, TrainingHyperparameters
 from .social import RegimeSchedule, SocialLearningError, periodic_schedule
 
 
@@ -106,6 +106,8 @@ def _build_matrix(spec: dict, base_dir: str) -> CombinationMatrix:
         rows, cols = _integer_pair(value, "graph.grid")
         return build_averaging_matrix(grid_adjacency(rows, cols))
     if kind == "file":
+        if not isinstance(value, str):
+            raise ConfigError(f"graph.file must be a path string, got {value!r}")
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         if not os.path.exists(path):
             raise ConfigError(f"graph file not found: {path}")
@@ -508,18 +510,23 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         # kept as written: saved models carry it verbatim
         _number(norm_bound, "model.norm_bound")
     input_bound = _number(model.get("input_bound", 1.0), "model.input_bound")
-    archs = tuple(
-        # layer sizes, activation, bias, norm bound, input bound
-        MLPArchitecture((d + 1, *hidden, len(classes)), activation, True, norm_bound, input_bound)
-        for d in map(scene.dimension, range(matrix.size))
-    )
-    hyper = TrainingHyperparameters(
-        epochs=_integer(_require(model, "epochs"), "model.epochs", 1),
-        batch_size=_integer(_require(model, "batch_size"), "model.batch_size", 1),
-        learning_rate=_number(_require(model, "learning_rate"), "model.learning_rate"),
-        optimizer=_choice(model.get("optimizer", "gd"), "model.optimizer", OPTIMIZERS),
-        init_scale=_number(model.get("init_scale", 1.0), "model.init_scale"),
-    )
+    try:
+        archs = tuple(
+            # layer sizes, activation, bias, norm bound, input bound
+            MLPArchitecture(
+                (d + 1, *hidden, len(classes)), activation, True, norm_bound, input_bound
+            )
+            for d in map(scene.dimension, range(matrix.size))
+        )
+        hyper = TrainingHyperparameters(
+            epochs=_integer(_require(model, "epochs"), "model.epochs", 1),
+            batch_size=_integer(_require(model, "batch_size"), "model.batch_size", 1),
+            learning_rate=_number(_require(model, "learning_rate"), "model.learning_rate"),
+            optimizer=_choice(model.get("optimizer", "gd"), "model.optimizer", OPTIMIZERS),
+            init_scale=_number(model.get("init_scale", 1.0), "model.init_scale"),
+        )
+    except ModelError as exc:
+        raise ConfigError(f"model.{exc}") from exc
     repetitions = _integer(model.get("repetitions", 1), "model.repetitions", 1)
     stream_length = _integer(raw.get("stream_length", 0), "stream_length", 0)
     montecarlo = _validate_montecarlo(raw.get("montecarlo", {}), stream_length, matrix.size)

@@ -1,11 +1,12 @@
 """Experiment runners behind the CLI subcommands.
 
 Every command reads a validated configuration, derives all randomness from
-the master seed through fixed phase paths, and writes tidy artifacts under
-one output directory, created at the first write, so a command that fails
-before it leaves nothing behind.  CSVs carry a ``# config=... seed=...``
-header line, JSON artifacts carry the same fields under ``meta``, and
-``manifest.json`` indexes everything.
+the master seed through fixed phase paths, and writes through one
+``_Output``: it creates the output directory at the first write, so a failed
+command leaves nothing behind, heads CSVs with a ``# config=... seed=...``
+line and JSON artifacts with a ``meta`` block, and lists in ``manifest.json``
+exactly the files it wrote.  ``_streams`` draws every prediction stream, so
+``predict``'s stream is the first of Monte Carlo replication 0.
 """
 
 from __future__ import annotations
@@ -60,35 +61,38 @@ CHUNK_INPUT_BYTES = 1 << 22
 TRAJECTORY_BLOCK_ROWS = 256
 
 
-def _header(cfg: ExperimentConfig) -> str:
-    return f"# config={cfg.digest[:16]} seed={cfg.seed}\n"
+class _Output:
+    """One command's output directory: ``path`` records every file it hands
+    out, and ``close`` lists them, its own too, in ``manifest.json``."""
 
+    def __init__(self, cfg: ExperimentConfig, out_dir, command: str):
+        self.cfg, self.out_dir, self.command, self.names = cfg, out_dir, command, []
 
-def _write_csv(path, cfg, columns, blocks) -> None:
-    """Header, column names, then ``blocks``: preformatted lines of text.
+    def path(self, name: str) -> str:
+        path = os.path.join(self.out_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        self.names.append(name)
+        return path
 
-    Floats are formatted as ``repr`` of Python floats (``.tolist()``
-    values), the shortest text that reads back to the same number.
-    """
-    with open(path, "w") as fh:
-        fh.write(_header(cfg))
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(blocks)
+    def csv(self, name: str, columns, blocks) -> None:
+        """Header, column names, then ``blocks``: preformatted lines of text.
 
+        Floats are formatted as ``repr`` of Python floats (``.tolist()``
+        values), the shortest text that reads back to the same number.
+        """
+        with open(self.path(name), "w") as fh:
+            fh.write(f"# config={self.cfg.digest[:16]} seed={self.cfg.seed}\n")
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(blocks)
 
-def _write_json(path, cfg, payload, command: str) -> None:
-    payload = {
-        "meta": {"config_sha256": cfg.digest, "seed": cfg.seed, "command": command},
-        **payload,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def json(self, name: str, payload: dict) -> None:
+        meta = {"config_sha256": self.cfg.digest, "seed": self.cfg.seed, "command": self.command}
+        with open(self.path(name), "w") as fh:
+            json.dump({"meta": meta, **payload}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
-
-def _write_manifest(out_dir, cfg, command, artifacts) -> None:
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, cfg, {"artifacts": sorted(artifacts)}, command)
+    def close(self) -> None:
+        self.json("manifest.json", {"artifacts": sorted([*self.names, "manifest.json"])})
 
 
 def _trajectory_lines(run: PredictionRun, states, classes):
@@ -199,6 +203,15 @@ def _trained_statistics(cfg: ExperimentConfig, reps, scenes) -> list:
     ]
 
 
+def _streams(cfg: ExperimentConfig, rep: int, length: int, n_streams: int) -> tuple:
+    """Replication ``rep``'s first ``n_streams`` prediction streams of
+    ``length`` steps, stream s on the seed path ``(rep, s)``: the
+    ``(views, states)`` of ``data.prediction_streams``."""
+    rows = np.column_stack((np.full(n_streams, rep), np.arange(n_streams)))
+    seeds = derived_seeds(cfg.seed, PHASE_STREAM, rows)
+    return data_mod.prediction_streams(cfg.scene, cfg.schedule, length, seeds)
+
+
 # --- commands ---------------------------------------------------------------
 
 
@@ -206,29 +219,21 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Train every agent (repeatedly) and record the risk traces."""
     (scene,) = shared_scene_training(cfg, [0])
     lines = []
-    artifacts = ["risk_trace.csv", "manifest.json"]
     try:
         models, risks, _ = train_agents(cfg, range(cfg.repetitions), [scene] * cfg.repetitions)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"repetition {exc.model}, {exc}", exc.model) from exc
-    os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
+    out = _Output(cfg, out_dir, "train")
     for rep, row in enumerate(models):
         for k, model in enumerate(row):
             if rep == 0:
-                name = f"models/agent_{k}.json"
-                save_model(model, os.path.join(out_dir, name))
-                artifacts.append(name)
+                save_model(model, out.path(f"models/agent_{k}.json"))
             lines += (
                 f"{k},{rep},{epoch},{risk!r}\n"
                 for epoch, risk in enumerate(risks[rep, k].tolist())
             )
-    _write_csv(
-        os.path.join(out_dir, "risk_trace.csv"),
-        cfg,
-        ("agent", "repetition", "epoch", "empirical_risk"),
-        lines,
-    )
-    _write_manifest(out_dir, cfg, "train", artifacts)
+    out.csv("risk_trace.csv", ("agent", "repetition", "epoch", "empirical_risk"), lines)
+    out.close()
     return {"models": cfg.n_agents, "trace_rows": len(lines)}
 
 
@@ -238,16 +243,14 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError("prediction needs stream_length >= 1")
     scenes = shared_scene_training(cfg, [0])
     (statistics,) = _trained_statistics(cfg, [0], scenes)
-    seeds = derived_seeds(cfg.seed, PHASE_STREAM, [(0, 0)])
-    views, states = data_mod.prediction_streams(cfg.scene, cfg.schedule, cfg.stream_length, seeds)
+    views, states = _streams(cfg, 0, cfg.stream_length, 1)
     run = run_prediction(
         cfg.matrix, statistics, [v[0] for v in views], states, len(cfg.classes), delta=cfg.delta
     )
 
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "trajectory.csv"),
-        cfg,
+    out = _Output(cfg, out_dir, "predict")
+    out.csv(
+        "trajectory.csv",
         ("run_id", "i", "agent", "gamma_or_binary", "lambda", "decision", "true_state", "correct"),
         _trajectory_lines(run, states, cfg.classes),
     )
@@ -274,8 +277,8 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
             }
         )
     summary = {"engine": cfg.engine, "delta": cfg.delta, "cycles": cycles}
-    _write_json(os.path.join(out_dir, "summary.json"), cfg, summary, "predict")
-    _write_manifest(out_dir, cfg, "predict", ["trajectory.csv", "summary.json", "manifest.json"])
+    out.json("summary.json", summary)
+    out.close()
     return summary
 
 
@@ -310,9 +313,7 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
 
     out = []
     for i, rep in enumerate(reps):
-        rows = np.column_stack((np.full(n_streams, rep), np.arange(n_streams)))
-        seeds = derived_seeds(cfg.seed, PHASE_STREAM, rows)
-        views, states = data_mod.prediction_streams(cfg.scene, cfg.schedule, horizon, seeds)
+        views, states = _streams(cfg, rep, horizon, n_streams)
         errors = {}
         if stats is not None:
             run = run_prediction(
@@ -384,10 +385,9 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
             table.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(horizon)
         )
         curves[strategy] = (rate.tolist(), stderr.tolist())
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "montecarlo.csv"),
-        cfg,
+    out = _Output(cfg, out_dir, "montecarlo")
+    out.csv(
+        "montecarlo.csv",
         ("i", "strategy", "error_rate", "stderr"),
         (
             f"{i + 1},{s},{curves[s][0][i]!r},{curves[s][1][i]!r}\n"
@@ -402,10 +402,8 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
         "degenerate_stderr": reps == 1,
         "final_error": {s: curves[s][0][-1] for s in strategies},
     }
-    _write_json(os.path.join(out_dir, "mc_summary.json"), cfg, summary, "montecarlo")
-    _write_manifest(
-        out_dir, cfg, "montecarlo", ["montecarlo.csv", "mc_summary.json", "manifest.json"]
-    )
+    out.json("mc_summary.json", summary)
+    out.close()
     return summary
 
 
@@ -420,7 +418,6 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         mlp_rademacher_bound,
         network_complexity_bound,
         pc_lower_bound,
-        sample_complexity,
         self_consistency_check,
     )
 
@@ -464,17 +461,15 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
 
     epsilon = float(block["epsilon"])
     beta_scalar = float(np.max(beta_val))
-    n_needed = sample_complexity(c_mixed, target_risk, profile.alpha, beta_scalar, epsilon)
     consistent, check = self_consistency_check(
         c_mixed, target_risk, profile.alpha, beta_scalar, epsilon
     )
 
-    os.makedirs(out_dir, exist_ok=True)
+    out = _Output(cfg, out_dir, "theory")
     grid_points = block["grid_points"]
     risks = [0.999 * math.log(2) * j / max(grid_points - 1, 1) for j in range(grid_points)]
-    _write_csv(
-        os.path.join(out_dir, "exponent_grid.csv"),
-        cfg,
+    out.csv(
+        "exponent_grid.csv",
         ("target_risk", "exact_exponent", "approx_exponent"),
         (f"{r!r},{exact_exponent(r)!r},{approx_exponent(r)!r}\n" for r in risks),
     )
@@ -496,14 +491,9 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
         "pc_lower_bound": bound.value,
         "pc_raw": bound.raw,
         "vacuous": bound.vacuous,
-        "sample_complexity": n_needed,
+        "sample_complexity": check["n_max"],
         "self_consistency": {"ok": consistent, **check},
     }
-    _write_json(os.path.join(out_dir, "theory_report.json"), cfg, report, "theory")
-    _write_manifest(
-        out_dir,
-        cfg,
-        "theory",
-        ["theory_report.json", "exponent_grid.csv", "manifest.json"],
-    )
+    out.json("theory_report.json", report)
+    out.close()
     return report

@@ -65,7 +65,8 @@ class MLPArchitecture(Record):
     matrix; with ``bias=True`` it includes the constant-1 slot, so raw
     features have ``layer_sizes[0] - 1`` entries.  ``norm_bound`` caps the
     max-column-sum norm of every weight matrix; ``input_bound`` is the known
-    bound on the absolute value of any (augmented) input entry.
+    bound on the absolute value of any (augmented) input entry, so at least
+    1 with the bias slot.
     """
 
     layer_sizes: tuple
@@ -77,15 +78,17 @@ class MLPArchitecture(Record):
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ModelError(f"need positive layer sizes with L >= 1, got {sizes}")
+            raise ModelError(f"layer_sizes must be two or more positive widths, got {sizes}")
         if self.activation not in ACTIVATIONS:
-            raise ModelError(f"unknown activation {self.activation!r}")
+            raise ModelError(f"activation is unknown, got {self.activation!r}")
         if self.norm_bound is not None and self.norm_bound <= 0:
-            raise ModelError("norm bound must be positive when set")
+            raise ModelError(f"norm_bound must be positive when set, got {self.norm_bound!r}")
         if self.input_bound <= 0:
-            raise ModelError("input bound must be positive")
+            raise ModelError(f"input_bound must be positive, got {self.input_bound!r}")
+        if self.bias and self.input_bound < 1:
+            raise ModelError(f"input_bound must be at least 1 with bias, got {self.input_bound!r}")
         if self.bias and sizes[0] < 2:
-            raise ModelError("bias slot leaves no room for features")
+            raise ModelError(f"layer_sizes[0] {sizes[0]} leaves no room for features and bias")
         object.__setattr__(self, "layer_sizes", sizes)
 
     @property
@@ -121,13 +124,15 @@ class TrainingHyperparameters(Record):
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
-            raise ModelError("epochs and batch size must be positive")
+            raise ModelError(
+                f"epochs and batch_size must be positive, got {self.epochs!r}, {self.batch_size!r}"
+            )
         if self.learning_rate < 0:
-            raise ModelError("learning rate must be nonnegative")
+            raise ModelError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
         if self.optimizer not in OPTIMIZERS:
-            raise ModelError(f"unknown optimizer {self.optimizer!r}")
+            raise ModelError(f"optimizer is unknown, got {self.optimizer!r}")
         if self.init_scale <= 0:
-            raise ModelError("init scale must be positive")
+            raise ModelError(f"init_scale must be positive, got {self.init_scale!r}")
 
 
 class MLPModel(Record, hidden=("weights",)):

@@ -353,8 +353,6 @@ def mlp_rademacher_bound(arch: MLPArchitecture, n_samples: int) -> float:
     """
     if arch.norm_bound is None:
         raise StatisticError("bound needs the column-sum norm bound b")
-    if arch.input_bound is None or arch.input_bound <= 0:
-        raise StatisticError("bound needs the input bound c")
     if n_samples < 1:
         raise StatisticError("sample count must be positive")
     b, c = arch.norm_bound, arch.input_bound

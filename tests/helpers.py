@@ -1,10 +1,13 @@
 """Reference computations and scene builders that only the tests use: the
 risks and finite-difference gradients the training kernel is checked
-against, a second Gaussian training draw, a mean-shift scene, and the
-inverse of ``data.split_patches``.
+against, a second Gaussian training draw, a mean-shift scene, the inverse
+of ``data.split_patches``, and a writer of well-formed IDX files.
 """
 
 from __future__ import annotations
+
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +58,19 @@ def reassemble_patches(views, layout: PatchLayout) -> np.ndarray:
         shape = layout.patch_shape(agent)
         out[:, rs, cs] = np.asarray(views[agent]).reshape(n, *shape)
     return out[0] if np.asarray(views[0]).ndim == 1 else out
+
+
+def write_idx(directory, images, labels) -> tuple:
+    """``images`` (n, height, width) and their n labels as the IDX pair
+    ``images.idx`` and ``labels.idx`` in ``directory``, both uint8: a
+    big-endian header of the magic number and the sizes, then the raw bytes.
+    Returns the two paths."""
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    img_path, lab_path = Path(directory) / "images.idx", Path(directory) / "labels.idx"
+    img_path.write_bytes(struct.pack(">IIII", 0x00000803, *images.shape) + images.tobytes())
+    lab_path.write_bytes(struct.pack(">II", 0x00000801, labels.size) + labels.tobytes())
+    return img_path, lab_path
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from socialml.seeds import derived_seeds
 from socialml.social import periodic_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import write_idx
 from test_images_end_to_end import image_config, write_idx_dataset
 
 
@@ -591,6 +592,13 @@ class TestNumericFields:
             ("model.init_scale", float("nan")),
             ("model.input_bound", float("nan")),
             ("model.norm_bound", float("inf")),
+            # numbers the model records reject
+            ("model.learning_rate", -0.1),
+            ("model.init_scale", 0),
+            ("model.norm_bound", -1),
+            ("model.input_bound", 0),
+            # below the bias slot's entry 1.0
+            ("model.input_bound", 0.5),
         ],
     )
     def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, field, value):
@@ -682,6 +690,14 @@ class TestGraphFile:
         assert "net.json" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [3, None, ["net.json"]])
+    def test_non_string_file_exits_1_naming_it(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, base_config(graph={"file": value}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert "graph.file" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("rows", [[["a"]], [[True]], [[1.0], [0.5, 0.5]]])
     def test_bad_inline_matrix_exits_1(self, tmp_path, capsys, rows):
         path = write_config(tmp_path, base_config(graph={"matrix": rows}))
@@ -748,12 +764,7 @@ class TestMontecarloChunks:
         # the image_mc benchmark scene: 28x28 images, 2x2 patch agents with
         # one hidden layer of 8, 200 training rows, 3 replications; validation
         # reads the dataset, so each class holds its 100 training images
-        images = np.zeros((200, 28, 28), dtype=np.uint8)
-        (tmp_path / "images.idx").write_bytes(
-            struct.pack(">IIII", 0x00000803, 200, 28, 28) + images.tobytes()
-        )
-        labels = bytes(100) + bytes([1] * 100)
-        (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 0x00000801, 200) + labels)
+        write_idx(tmp_path, np.zeros((200, 28, 28)), np.repeat([0, 1], 100))
         (tmp_path / "dataset.json").write_text(
             json.dumps(
                 {

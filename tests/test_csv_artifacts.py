@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from socialml.config import validate_config
 from socialml.experiments import (
     TRAJECTORY_BLOCK_ROWS,
+    _Output,
     _trajectory_lines,
-    _write_csv,
     cmd_montecarlo,
     cmd_theory,
     cmd_train,
@@ -140,7 +140,7 @@ class TestTrajectoryLines:
             tracemalloc.start()
             try:
                 lines = _trajectory_lines(run, states, (1, -1))
-                _write_csv(tmp_path / "trajectory.csv", cfg, TRAJECTORY_COLUMNS, lines)
+                _Output(cfg, tmp_path, "predict").csv("trajectory.csv", TRAJECTORY_COLUMNS, lines)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -35,7 +35,12 @@ from socialml.data import (
 )
 from socialml.mlp import MLPArchitecture, initialize_model, reference_logits
 from socialml.social import RegimeSchedule, periodic_schedule
-from helpers import gaussian_training_set, mean_shift_gaussian_spec, reassemble_patches
+from helpers import (
+    gaussian_training_set,
+    mean_shift_gaussian_spec,
+    reassemble_patches,
+    write_idx,
+)
 from test_images_end_to_end import image_config
 
 
@@ -349,21 +354,11 @@ class TestPredictionStreams:
 
 
 class TestIdxFiles:
-    def write_idx(self, tmp_path, images, labels):
-        img_path = tmp_path / "images.idx"
-        lab_path = tmp_path / "labels.idx"
-        n, rows, cols = images.shape
-        img_path.write_bytes(
-            struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes()
-        )
-        lab_path.write_bytes(struct.pack(">II", 0x00000801, n) + labels.tobytes())
-        return img_path, lab_path
-
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         images = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
         labels = np.array([0, 1, 1, 0], dtype=np.uint8)
-        img_path, lab_path = self.write_idx(tmp_path, images, labels)
+        img_path, lab_path = write_idx(tmp_path, images, labels)
         np.testing.assert_array_equal(read_idx_images(img_path), images)
         np.testing.assert_array_equal(read_idx_labels(lab_path), labels)
 
@@ -403,8 +398,7 @@ class TestIdxFiles:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
             data_mod, IDX_WINDOW_BYTES=window, IDX_GAP_BYTES=gap
         ):
-            path = Path(tmp) / "images.idx"
-            path.write_bytes(struct.pack(">IIII", 0x803, n, *side) + images.tobytes())
+            path, _ = write_idx(tmp, images, np.zeros(n))
             reader = read_idx_images(path)
             got = reader[index]
             mapped = np.memmap(path, np.uint8, mode="r", offset=16, shape=(n, *side))
@@ -415,7 +409,7 @@ class TestIdxFiles:
             assert np.array_equal(got, np.asarray(reader)[index])
 
     def test_an_index_outside_the_file_is_refused(self, tmp_path):
-        img_path, _ = self.write_idx(tmp_path, np.zeros((3, 2, 2), np.uint8), np.zeros(3, np.uint8))
+        img_path, _ = write_idx(tmp_path, np.zeros((3, 2, 2), np.uint8), np.zeros(3, np.uint8))
         reader = read_idx_images(img_path)
         assert reader[np.array([], np.intp)].shape == (0, 2, 2)
         for index in ([0, 3], [-1], [0.0]):
@@ -424,7 +418,7 @@ class TestIdxFiles:
 
     def test_a_body_cut_after_validation_names_the_file(self, tmp_path):
         images = np.arange(10 * 4, dtype=np.uint8).reshape(10, 2, 2)
-        img_path, _ = self.write_idx(tmp_path, images, np.zeros(10, np.uint8))
+        img_path, _ = write_idx(tmp_path, images, np.zeros(10, np.uint8))
         reader = read_idx_images(img_path)
         # the file loses its last 5 images and a byte after validation
         img_path.write_bytes(img_path.read_bytes()[: 16 + 5 * 4 - 1])
@@ -464,7 +458,7 @@ class TestIdxFiles:
         images = rng.integers(0, 256, size=(6, 4, 5), dtype=np.uint8)
         images[0, 0, 0], images[1, 0, 0] = 0, 255
         labels = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
-        img_path, _ = self.write_idx(tmp_path, images, labels)
+        img_path, _ = write_idx(tmp_path, images, labels)
         path = tmp_path / "data.csv"
         path.write_text(
             "".join(
@@ -577,13 +571,7 @@ def write_image_files(directory, images, labels, fmt):
     """``images`` and ``labels`` as an IDX pair or a label-pixel CSV, plus the
     dataset manifest naming them."""
     if fmt == "idx":
-        n, height, width = images.shape
-        (directory / "images.idx").write_bytes(
-            struct.pack(">IIII", 0x00000803, n, height, width) + images.tobytes()
-        )
-        (directory / "labels.idx").write_bytes(
-            struct.pack(">II", 0x00000801, n) + labels.astype(np.uint8).tobytes()
-        )
+        write_idx(directory, images, labels)
         files = {"images": "images.idx", "labels": "labels.idx"}
     else:
         (directory / "data.csv").write_text(

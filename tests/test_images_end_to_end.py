@@ -21,6 +21,7 @@ from socialml.experiments import (
     shared_scene_training,
     train_agents,
 )
+from helpers import write_idx
 
 
 def synthetic_digit_images(rng, n, bright="top"):
@@ -42,11 +43,7 @@ def write_idx_dataset(tmp_path, rng, n_per_class=160):
     order = rng.permutation(len(labels))
     images, labels = images[order], labels[order]
 
-    img_path = tmp_path / "images.idx"
-    lab_path = tmp_path / "labels.idx"
-    n, h, w = images.shape
-    img_path.write_bytes(struct.pack(">IIII", 0x00000803, n, h, w) + images.tobytes())
-    lab_path.write_bytes(struct.pack(">II", 0x00000801, n) + labels.tobytes())
+    img_path, lab_path = write_idx(tmp_path, images, labels)
 
     manifest = tmp_path / "dataset.json"
     manifest.write_text(

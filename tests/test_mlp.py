@@ -323,6 +323,15 @@ class TestLogit:
         bound = logit_bound(arch)
         feats = rng.uniform(-1.0, 1.0, size=(500, 3))
         assert np.abs(reference_logits(model, feats)).max() <= bound
+        # bias-loaded: each layer spends its whole norm on the one path from
+        # the bias slot, whose entry 1.0 is the largest input at x = 0
+        small = MLPArchitecture((2, 2), norm_bound=1.0, input_bound=1.0)
+        loaded = MLPModel(small, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
+        assert abs(reference_logits(loaded, [0.0])).max() == 1.0 <= logit_bound(small)
+        first, second = np.zeros((6, 4)), np.zeros((2, 6))
+        first[0, -1] = second[0, 0] = 1.2
+        loaded = MLPModel(arch, (first, second))
+        assert np.abs(reference_logits(loaded, np.zeros((1, 3)))).max() <= bound
 
 
 class TestLogisticRisk:
@@ -1030,6 +1039,12 @@ class TestArchitectureValidation:
             MLPArchitecture((3, 2), activation=["tanh"])
         with pytest.raises(ModelError):
             MLPArchitecture((3, 2), norm_bound=0.0)
+
+    def test_input_bound_covers_the_bias_slot(self):
+        # the bias slot is an input entry of 1.0, which input_bound bounds
+        with pytest.raises(ModelError, match="input_bound"):
+            MLPArchitecture((2, 2), norm_bound=1.0, input_bound=0.01)
+        assert MLPArchitecture((2, 2), bias=False, input_bound=0.5).input_bound == 0.5
 
     def test_norm_bound_validated_on_model(self):
         arch = MLPArchitecture((2, 2), norm_bound=0.5)
