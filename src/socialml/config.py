@@ -156,18 +156,6 @@ def build_gaussian_spec(data_spec: dict, classes) -> GaussianSceneSpec:
     return GaussianSceneSpec(tuple(models))
 
 
-def gaussian_spec_to_json(spec: GaussianSceneSpec, classes) -> dict:
-    """The JSON data block of ``spec``, whose models are in the order of ``classes``."""
-    agents = [
-        {
-            str(label): {"mean": model.mean.tolist(), "cov": model.cov.tolist()}
-            for label, model in zip(classes, per_agent)
-        }
-        for per_agent in spec.models
-    ]
-    return {"type": "gaussian", "agents": agents}
-
-
 def read_config(path) -> tuple:
     """``(raw, base_dir)``: the JSON object in the config file at ``path``
     and the directory its relative paths resolve against."""
@@ -283,7 +271,7 @@ def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
         other = min(set(spec) - {"segments"})  # "period" before "states"
         raise ConfigError(f"schedule.{other} cannot be combined with schedule.segments")
     if "period" in spec:
-        period = _integer(spec["period"], "schedule.period")
+        period = _integer(spec["period"], "schedule.period", 1)
         states = spec.get("states", list(classes))
         if not isinstance(states, list) or not states:
             raise ConfigError(f"schedule.states must be a non-empty list, got {states!r}")
@@ -352,6 +340,8 @@ def _validate_data(
             f"got {label_map!r}"
         )
     raw_by_class = [label_map.get(str(c), c) for c in classes]
+    if len(set(raw_by_class)) < len(classes):
+        raise ConfigError(f"data.label_map sends two classes to one label: {raw_by_class!r}")
     files = {name: entry["path"] for name, entry in dataset["files"].items()}
     if dataset["format"] == "idx":
         labels = data_mod.read_idx_labels(files["labels"])

@@ -90,22 +90,6 @@ class GaussianSceneSpec(Record):
         return self.models[agent][0].mean.size
 
 
-def one_informative_gaussian_spec(
-    n_agents: int = 4, informative: int = 1, dim: int = 2, variance_ratio: float = 1.5
-) -> GaussianSceneSpec:
-    """Binary scene where only one agent's class 1 covariance differs.
-
-    Class 0 is standard normal for everyone; class 1 is standard normal
-    scaled by ``variance_ratio`` at the informative agent and identical to
-    class 0 elsewhere, so the other agents carry no class information.
-    """
-    base = GaussianClassModel(np.zeros(dim), np.eye(dim))
-    wide = GaussianClassModel(np.zeros(dim), variance_ratio * np.eye(dim))
-    return GaussianSceneSpec(
-        tuple((base, wide if k == informative else base) for k in range(n_agents))
-    )
-
-
 def true_log_ratio(spec: GaussianSceneSpec, agent: int):
     """True log-likelihood-ratio statistic for one agent, class 0 over class 1."""
     if spec.n_classes != 2:

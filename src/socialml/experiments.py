@@ -423,6 +423,8 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
 
     if cfg.theory is None:
         raise ConfigError("theory command needs a 'theory' config block")
+    if len(cfg.classes) != 2:
+        raise ConfigError(f"theory's bounds take two classes, classes lists {len(cfg.classes)}")
     block = cfg.theory
     pi = perron_eigenvector(cfg.matrix)
 

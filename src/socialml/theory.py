@@ -21,8 +21,10 @@ network's Perron-weighted mean statistic must favour that class, as
 Monte Carlo estimate of the expected sup-correlation with random sign draws
 over a sampled candidate family, which approximates the true sup from below,
 and the analytic bound for norm-constrained feedforward networks), and the
-analytic logit bound.  Only the ``theory`` command uses them, so the
-pipeline commands never import this module.
+analytic logit bound.  The ``theory`` command reads the analytic bounds;
+``class_means`` and ``rademacher_monte_carlo`` have no program caller yet,
+only tests.  Only the ``theory`` command imports this module, so the
+pipeline commands never load it.
 """
 
 from __future__ import annotations

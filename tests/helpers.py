@@ -1,7 +1,8 @@
 """Reference computations and scene builders that only the tests use: the
 risks and finite-difference gradients the training kernel is checked
 against, a second Gaussian training draw, a mean-shift scene, the inverse
-of ``data.split_patches``, and a writer of well-formed IDX files.
+of ``data.split_patches``, a writer of well-formed IDX files, and the
+directory of the example configs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from socialml.seeds import generators
 from socialml.stats import StatisticError
 
 EXP_CLAMP = 500.0  # exp argument clamp of softplus
+
+# the example configs the CLI runs, whose scenes the tests read too
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def gaussian_training_set(spec: GaussianSceneSpec, agent: int, per_class: int, seed) -> tuple:

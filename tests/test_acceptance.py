@@ -2,22 +2,15 @@
 PASS/FAIL line with its measured values (run with ``pytest -v -s``)."""
 
 import itertools
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
-from socialml.config import validate_config
-from socialml.data import one_informative_gaussian_spec, prediction_streams, true_log_ratio
+from socialml.config import load_config, read_config, validate_config
+from socialml.data import prediction_streams, true_log_ratio
 from socialml.experiments import cmd_montecarlo
-from socialml.graph import (
-    CombinationMatrix,
-    build_averaging_matrix,
-    directed_ring_adjacency,
-    perron_eigenvector,
-)
+from socialml.graph import CombinationMatrix, build_averaging_matrix, perron_eigenvector
 from socialml.mlp import (
     MLPArchitecture,
     MLPModel,
@@ -41,6 +34,7 @@ from socialml.theory import (
     self_consistency_check,
 )
 from helpers import (
+    CONFIGS,
     cross_entropy_risk,
     empirical_training_mean,
     gaussian_training_set,
@@ -215,18 +209,16 @@ def test_criterion_06_gradient_check():
 
 
 def test_criterion_07_gaussian_scene_growth():
-    # Desk-scale variant of the 2-D Gaussian demo: only agent 1 (0-indexed)
-    # can tell the classes apart, through a covariance contrast.  The curve
-    # averaged over 10 seeded experiments must grow linearly: positive at
-    # i=100 and larger at i=200.  Per-run counts are reported for reference;
-    # at this training budget individual runs stay noisy.
+    # Desk-scale variant of the 2-D Gaussian demo, on its config's scene,
+    # model and ring: only agent 1 (0-indexed) can tell the classes apart,
+    # through a covariance contrast.  The curve averaged over 10 seeded
+    # experiments must grow linearly: positive at i=100 and larger at i=200.
+    # Per-run counts are reported for reference; at this training budget
+    # individual runs stay noisy.
     start = time.monotonic()
-    spec = one_informative_gaussian_spec()
+    demo = load_config(CONFIGS / "gaussian_demo.json")
+    spec = demo.scene
     sched = RegimeSchedule(((0, 0),))  # class +1
-    hyper = TrainingHyperparameters(
-        epochs=300, batch_size=3, learning_rate=1e-4,
-        optimizer="adam", init_scale=3.0,
-    )
     lam100, lam200 = [], []
     # all 40 models train in lockstep, each with the seed it had when trained alone
     datasets = {
@@ -237,8 +229,8 @@ def test_criterion_07_gaussian_scene_growth():
     trained, _, logits = train_stack(
         [feats for feats, _ in datasets.values()],
         [labels for _, labels in datasets.values()],
-        MLPArchitecture((3, 10, 10, 2)),
-        hyper,
+        demo.arch_by_agent[0],
+        demo.hyper,
         [2000 + 13 * s + k for s, k in datasets],
     )
     models = dict(zip(datasets, trained))
@@ -251,7 +243,7 @@ def test_criterion_07_gaussian_scene_growth():
             for k in range(4)
         ]
         views, states = prediction_streams(spec, sched, 200, [3000 + s])
-        run = run_prediction(RING4, providers, [v[0] for v in views], states, 2)
+        run = run_prediction(demo.matrix, providers, [v[0] for v in views], states, 2)
         lam100.append(float(run.lam[99, 0, 0]))
         lam200.append(float(run.lam[199, 0, 0]))
     mean100 = float(np.mean(lam100))
@@ -287,42 +279,6 @@ def test_criterion_08_adaptation_time():
     report(8, "adaptation time", f"recovered {recovered}/100 within {window} steps, {elapsed:.0f}s")
 
 
-def _montecarlo_config(seed=20240, replications=200, eval_streams=200):
-    shift = 0.35
-    agents = [
-        {
-            "1": {"mean": [shift], "cov": [[1.0]]},
-            "-1": {"mean": [-shift], "cov": [[1.0]]},
-        }
-        for _ in range(4)
-    ]
-    return {
-        "seed": seed,
-        "classes": [1, -1],
-        "engine": "sl",
-        "graph": {"ring": 4},
-        "data": {"type": "gaussian", "agents": agents},
-        "model": {
-            "hidden": [10],
-            "activation": "tanh",
-            "epochs": 12,
-            "batch_size": 10,
-            "learning_rate": 0.05,
-            "repetitions": 1,
-        },
-        "train_per_class": 20,
-        "schedule": {"segments": [[0, 1]]},
-        "stream_length": 51,
-        "montecarlo": {
-            "replications": replications,
-            "eval_streams": eval_streams,
-            "horizon": 51,
-            "observe_agent": 0,
-            "strategies": ["sml", "adaboost"],
-        },
-    }
-
-
 def _read_curves(path):
     curves = {}
     for line in path.read_text().splitlines()[2:]:
@@ -340,7 +296,9 @@ def _read_curves(path):
 
 def test_criterion_09_adaboost_comparison(tmp_path):
     start = time.monotonic()
-    cfg = validate_config(_montecarlo_config(), str(tmp_path))
+    raw, _ = read_config(CONFIGS / "boost_comparison.json")
+    raw["montecarlo"].update(replications=200, eval_streams=200)
+    cfg = validate_config({**raw, "seed": 20240}, str(tmp_path))
     cmd_montecarlo(cfg, str(tmp_path / "out"))
     curves = _read_curves(tmp_path / "out" / "montecarlo.csv")
     sml, _ = curves["sml"]
@@ -423,8 +381,9 @@ def test_criterion_11_rademacher_suite():
 
 
 def test_criterion_12_montecarlo_determinism(tmp_path):
-    cfg_dict = _montecarlo_config(seed=77, replications=4, eval_streams=6)
-    cfg = validate_config(cfg_dict, str(tmp_path))
+    raw, _ = read_config(CONFIGS / "boost_comparison.json")
+    raw["montecarlo"].update(replications=4, eval_streams=6)
+    cfg = validate_config({**raw, "seed": 77}, str(tmp_path))
     cmd_montecarlo(cfg, str(tmp_path / "a"))
     cmd_montecarlo(cfg, str(tmp_path / "b"))
     a = (tmp_path / "a" / "montecarlo.csv").read_bytes()

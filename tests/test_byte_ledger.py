@@ -7,13 +7,16 @@ moves bytes on purpose, ``scripts/byte_ledger.py --write`` records them
 again.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from test_scripts import load_script
-
-byte_ledger = load_script("byte_ledger.py")
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "byte_ledger.py"
+spec = importlib.util.spec_from_file_location("byte_ledger", SCRIPT)
+byte_ledger = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(byte_ledger)
 
 
 def test_artifacts_match_the_ledger(tmp_path):

@@ -283,6 +283,20 @@ class TestConfigNumbers:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "label_map",
+        [{"1": 1, "-1": 1}, {"1": -1}],
+        ids=["both-mapped", "onto-a-default"],
+    )
+    def test_two_classes_on_one_raw_label_exit_1(self, tmp_path, capsys, label_map):
+        # both classes would draw the same images
+        write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=40)
+        path = write_config(tmp_path, _image_override(label_map=label_map))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert "data.label_map" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTheoryListLengths:
     """A per-agent theory list of the wrong length exits 1 naming its field,
@@ -599,6 +613,7 @@ class TestNumericFields:
             ("model.input_bound", 0),
             # below the bias slot's entry 1.0
             ("model.input_bound", 0.5),
+            ("schedule.period", 0),
         ],
     )
     def test_bad_value_exits_1_naming_it(self, tmp_path, capsys, field, value):
@@ -853,6 +868,14 @@ class TestCmdTheory:
         out = tmp_path / "out"
         assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_three_classes_exit_1_naming_classes(self, tmp_path, capsys):
+        # the exponent and the bounds are those of a binary test
+        path = write_config(tmp_path, three_class_config())
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
+        assert "classes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_fault_in_a_bound_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):

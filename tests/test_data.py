@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from socialml import data as data_mod
 from socialml import mlp as mlp_mod
 from socialml.cli import main
-from socialml.config import validate_config
+from socialml.config import load_config, validate_config
 from socialml.data import (
     DataError,
     GaussianClassModel,
@@ -24,7 +24,6 @@ from socialml.data import (
     ImageSource,
     PatchLayout,
     file_sha256,
-    one_informative_gaussian_spec,
     prediction_streams,
     read_idx_images,
     read_idx_labels,
@@ -36,6 +35,7 @@ from socialml.data import (
 from socialml.mlp import MLPArchitecture, initialize_model, reference_logits
 from socialml.social import RegimeSchedule, periodic_schedule
 from helpers import (
+    CONFIGS,
     gaussian_training_set,
     mean_shift_gaussian_spec,
     reassemble_patches,
@@ -54,13 +54,13 @@ class TestGaussianModels:
             GaussianClassModel([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
 
     def test_informative_agent_covariance_trace(self):
-        spec = one_informative_gaussian_spec()
+        spec = load_config(CONFIGS / "gaussian_demo.json").scene
         draws = spec.models[1][1].sample(np.random.default_rng(0), 100_000)
         trace = np.trace(np.cov(draws.T))
         assert trace == pytest.approx(3.0, rel=0.02)
 
     def test_uninformative_agents_identical_across_classes(self):
-        spec = one_informative_gaussian_spec()
+        spec = load_config(CONFIGS / "gaussian_demo.json").scene
         for agent in (0, 2, 3):
             plus = spec.models[agent][0].sample(np.random.default_rng(1), 50_000)
             minus = spec.models[agent][1].sample(np.random.default_rng(2), 50_000)
@@ -180,7 +180,7 @@ class TestPredictionStream:
         assert np.all(states[3000:] == 1)
 
     def test_seed_determinism(self):
-        spec = one_informative_gaussian_spec()
+        spec = load_config(CONFIGS / "gaussian_demo.json").scene
         sched = periodic_schedule(10, [0, 1], 30)
         a, _ = prediction_streams(spec, sched, 30, [5])
         b, _ = prediction_streams(spec, sched, 30, [5])
@@ -659,15 +659,6 @@ class TestClassPools:
                 assert np.array_equal(pooled, images[np.isin(labels, label_map)])
             del pooled, cfg
 
-    def test_classes_sharing_a_raw_label_share_its_pool(self, tmp_path):
-        labels = np.array([0, 1, 0, 2])
-        images = np.arange(4 * 6, dtype=np.uint8).reshape(4, 2, 3)
-        write_image_files(tmp_path, images, labels, "idx")
-        scene = pooled_config(tmp_path, (2, 3), [0, 0, 2]).scene
-        pooled, rows = scene.images, scene.rows
-        assert [r.tolist() for r in rows] == [[0, 2], [0, 2], [3]]
-        assert np.array_equal(pooled[rows[2]], images[[3]])
-
     @pytest.mark.parametrize("fmt", ["idx", "csv"])
     def test_pooled_images_are_read_only(self, tmp_path, fmt):
         labels = np.array([0, 1, 0, 1])
@@ -801,7 +792,7 @@ class TestManifestVerification:
 
 class TestGaussianTrainingSet:
     def test_balanced_and_deterministic(self):
-        spec = one_informative_gaussian_spec()
+        spec = load_config(CONFIGS / "gaussian_demo.json").scene
         a_feats, a_labels = gaussian_training_set(spec, 1, 50, seed=12)
         b_feats, b_labels = gaussian_training_set(spec, 1, 50, seed=12)
         assert a_feats.shape == (100, 2) and np.bincount(a_labels).tolist() == [50, 50]

@@ -1,38 +1,11 @@
-"""The runnable demos under ``scripts/``, run end to end on small settings."""
+"""The example configs under ``configs/``, run end to end through the CLI on
+small settings."""
 
-import importlib.util
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-from socialml.config import validate_config
-from socialml.experiments import cmd_predict, cmd_train
-
-ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ROOT / "scripts"
-
-
-def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from socialml.cli import main
+from helpers import CONFIGS
+from test_manifests import assert_manifest_exact
 
 
 def manifest_artifacts(out):
@@ -41,7 +14,8 @@ def manifest_artifacts(out):
 
 def test_theory_report(tmp_path):
     out = tmp_path / "theory"
-    run_script("theory_report.py", "--out", str(out))
+    config = str(CONFIGS / "theory_report.json")
+    assert main(["theory", "--config", config, "--out", str(out)]) == 0
     assert manifest_artifacts(out) == ["exponent_grid.csv", "manifest.json", "theory_report.json"]
     report = json.loads((out / "theory_report.json").read_text())
     assert report["meta"]["command"] == "theory"
@@ -54,7 +28,9 @@ def test_theory_report(tmp_path):
 
 def test_boost_comparison(tmp_path):
     out = tmp_path / "boost"
-    run_script("boost_comparison.py", "--replications", "2", "--out", str(out))
+    config = str(CONFIGS / "boost_comparison.json")
+    argv = ["montecarlo", "--config", config, "--replications-override", "2", "--out", str(out)]
+    assert main(argv) == 0
     assert manifest_artifacts(out) == ["manifest.json", "mc_summary.json", "montecarlo.csv"]
     summary = json.loads((out / "mc_summary.json").read_text())
     assert summary["replications"] == 2
@@ -64,16 +40,17 @@ def test_boost_comparison(tmp_path):
     assert {row.split(",")[1] for row in rows} == {"adaboost", "sml"}
 
 
-def test_gaussian_demo_steps(tmp_path):
-    demo = load_script("gaussian_demo.py")
-    raw = demo.build_config(2029, 2000)
+def test_gaussian_demo_steps(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "gaussian_demo.json").read_text())
     raw["model"]["epochs"] = 1
-    cfg = validate_config(raw, str(tmp_path))
-    assert cfg.n_agents == 4
-    out = str(tmp_path / "demo")
-    train = cmd_train(cfg, out)
-    assert train == {"models": 4, "trace_rows": 4 * 3 * 1}
-    predict = cmd_predict(cfg, out)
-    assert len(predict["cycles"]) == 1
-    checkpoints = demo.growth_checkpoints(out)
-    assert list(checkpoints) == [499, 999, 1499, 1999]
+    config = tmp_path / "gaussian_demo.json"
+    config.write_text(json.dumps(raw))
+    train, predict = tmp_path / "train", tmp_path / "predict"
+    assert main(["train", "--config", str(config), "--out", str(train)]) == 0
+    assert capsys.readouterr().out == f"trained 4 agents, {4 * 3 * 1} trace rows\n"
+    assert main(["predict", "--config", str(config), "--out", str(predict)]) == 0
+    summary = json.loads((predict / "summary.json").read_text())
+    assert len(summary["cycles"]) == 1
+    # each command's manifest lists exactly what it wrote
+    assert_manifest_exact(train)
+    assert_manifest_exact(predict)

@@ -11,11 +11,10 @@ from socialml.data import (
     GaussianSceneSpec,
     ImageSource,
     PatchLayout,
-    one_informative_gaussian_spec,
     prediction_streams,
     true_log_ratio,
 )
-from socialml.graph import CombinationMatrix, build_averaging_matrix, directed_ring_adjacency, perron_eigenvector
+from socialml.graph import CombinationMatrix, perron_eigenvector
 from socialml.social import (
     RegimeSchedule,
     SocialLearningError,
