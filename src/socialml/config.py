@@ -5,9 +5,8 @@ seeds are produced by feeding ``(master, phase, *indices)`` into numpy's
 ``SeedSequence`` hash, where ``phase`` is a fixed small integer naming the
 consumer (training data, model init, streams, ...).  Because every consumer
 owns a distinct path, adding replications or agents never perturbs the draws
-of existing ones.  Derived seeds and the generators they seed come from one
-vectorized kernel, ``seeds.derived_seeds`` and ``seeds.generators``, which
-is bit-equal to ``SeedSequence`` and ``default_rng``.
+of existing ones.  ``seeds.derived_seeds`` derives the seeds and
+``seeds.generators`` builds one ``default_rng`` per seed.
 """
 
 from __future__ import annotations
@@ -37,12 +36,13 @@ class ConfigError(ValidationError):
     """Configuration fails schema validation."""
 
 
-# phase codes for derived seeds
-PHASE_TRAIN_DATA = 0
-PHASE_TRAIN_MODEL = 1
-PHASE_BOOST_MODEL = 2
-PHASE_STREAM = 3
-PHASE_SAMPLER = 4
+# phase codes for derived seeds, each with its one row width: SeedSequence
+# pads its pool with zeros, so a shorter row would reuse a longer row's seed
+PHASE_TRAIN_DATA = 0  # (rep,)
+PHASE_TRAIN_MODEL = 1  # (rep, agent)
+PHASE_BOOST_MODEL = 2  # (rep, agent)
+PHASE_STREAM = 3  # (rep,): all of a replication's streams
+PHASE_SAMPLER = 4  # reserved; its rows keep one width
 
 
 def config_digest(raw: dict) -> str:

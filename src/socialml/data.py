@@ -4,8 +4,8 @@ Synthetic scenes are class-conditional Gaussians, one distribution per agent
 and class.  Image scenes are split into a grid of patches, one patch per
 agent, so every agent observes a different slice of the same picture, as its
 uint8 pixels; the models scale them as they read them.  Both
-sources drive balanced training sets and regime-switching prediction streams
-that are deterministic given their seed.
+sources drive balanced training sets and regime-switching prediction streams,
+each drawn from the one generator it is handed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import warnings
 import numpy as np
 
 from .base import Record, ValidationError
-from .seeds import generators
 from .social import RegimeSchedule
 
 
@@ -215,9 +214,12 @@ def training_scene(source, per_class: int, rng) -> tuple:
     return split_patches(source.images[chosen], source.layout), labels
 
 
-def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> tuple:
-    """One stream per seed, each drawn one scene per step from the class the
-    schedule puts in force.
+def prediction_streams(
+    source, schedule: RegimeSchedule, length: int, n_streams: int, rng
+) -> tuple:
+    """``n_streams`` streams of ``length`` steps, each drawn one scene per
+    step from the class the schedule puts in force, all from the generator
+    ``rng``.
 
     Returns ``(views, states)``: ``views[k]`` holds agent k's features, shape
     (S, T, d_k) with one row per stream, and ``states`` the (T,) true
@@ -227,46 +229,40 @@ def prediction_streams(source, schedule: RegimeSchedule, length: int, seeds) -> 
     draw from its own likelihood) or an ``ImageSource``: one image per step
     is then picked with replacement from the class's rows and split, and
     the views hold its raw uint8 pixels, which the models scale as they
-    read them.  Draws are independent across steps, and stream s reads only
-    its own generator ``generators(seeds)[s]``, so it is the same stream
-    whatever batch it is drawn in.  A state that is no class index of the
-    source, or an image class without rows, raises ``DataError`` naming it.
+    read them.  One step-major draw of shape (S, T, ...) feeds every stream,
+    so a batch begins with any smaller batch drawn from the same generator
+    state, and a stream's first t steps do not depend on ``length``.  A
+    state that is no class index of the source, or an image class without
+    rows, raises ``DataError`` naming it.
     """
     states = schedule.states(length)
-    rngs = generators(seeds)
-    n_streams = len(rngs)
-    # draws grouped by class in order of first appearance keep the stream
-    # i.i.d. over time while staying seed-deterministic
-    active = list(dict.fromkeys(states.tolist()))
+    active = sorted(set(states.tolist()))
     for j in active:
         # a negative index would pick a class from the end of the list
         if not 0 <= j < source.n_classes:
             raise DataError(f"schedule state {j} is not a class index of the source")
     if isinstance(source, GaussianSceneSpec):
         dims = [source.dimension(k) for k in range(source.n_agents)]
-        # a generator keeps no state between normal draws, so one draw per
-        # stream, sliced in (class, agent) order, equals the per-block draws
-        z = np.empty((n_streams, length * sum(dims)))
-        for rng, row in zip(rngs, z):
-            rng.standard_normal(out=row)
+        # agent k reads its own columns of every step's standard normals
+        z = rng.standard_normal((n_streams, length, sum(dims)))
+        blocks = np.split(z, np.cumsum(dims)[:-1], axis=2)
         views = [np.empty((n_streams, length, d)) for d in dims]
-        offset = 0
         for j in active:
             idx = np.flatnonzero(states == j)
-            for k, d in enumerate(dims):
-                block = z[:, offset : offset + idx.size * d].reshape(n_streams, idx.size, d)
-                views[k][:, idx] = source.models[k][j].transform(block)
-                offset += idx.size * d
+            # a lone step would take BLAS's matrix-vector path, whose last
+            # bits differ from the matrix product a longer stream takes
+            steps = np.resize(idx, max(idx.size, 2))
+            for view, block, per_agent in zip(views, blocks, source.models):
+                view[:, idx] = per_agent[j].transform(block[:, steps])[:, : idx.size]
         return views, states
-    rows = source.rows
+    sizes = np.array([len(rows) for rows in source.rows])
     for j in active:
-        if len(rows[j]) == 0:
+        if sizes[j] == 0:
             raise DataError(f"class {j} has no images in the image source")
-    chosen = np.empty((n_streams, length), np.intp)
-    for j in active:
-        idx = np.flatnonzero(states == j)
-        draws = np.stack([rng.integers(rows[j].size, size=idx.size) for rng in rngs])
-        chosen[:, idx] = rows[j][draws]
+    picks = rng.integers(0, sizes[states], size=(n_streams, length))
+    # pick i of class j is row i of class j's rows in the concatenation
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    chosen = np.concatenate(source.rows)[starts[states] + picks]
     # one read of the picked images, split into uint8 patches
     flat = split_patches(source.images[chosen.reshape(-1)], source.layout)
     return [v.reshape(n_streams, length, -1) for v in flat], states

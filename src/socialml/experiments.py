@@ -6,7 +6,8 @@ the master seed through fixed phase paths, and writes through one
 command leaves nothing behind, heads CSVs with a ``# config=... seed=...``
 line and JSON artifacts with a ``meta`` block, and lists in ``manifest.json``
 exactly the files it wrote.  ``_streams`` draws every prediction stream, so
-``predict``'s stream is the first of Monte Carlo replication 0.
+``predict``'s stream is a prefix of Monte Carlo replication 0's first
+stream, whatever the two lengths.
 """
 
 from __future__ import annotations
@@ -205,11 +206,10 @@ def _trained_statistics(cfg: ExperimentConfig, reps, scenes) -> list:
 
 def _streams(cfg: ExperimentConfig, rep: int, length: int, n_streams: int) -> tuple:
     """Replication ``rep``'s first ``n_streams`` prediction streams of
-    ``length`` steps, stream s on the seed path ``(rep, s)``: the
-    ``(views, states)`` of ``data.prediction_streams``."""
-    rows = np.column_stack((np.full(n_streams, rep), np.arange(n_streams)))
-    seeds = derived_seeds(cfg.seed, PHASE_STREAM, rows)
-    return data_mod.prediction_streams(cfg.scene, cfg.schedule, length, seeds)
+    ``length`` steps, rows of one draw from the generator on the seed path
+    ``(rep,)``: the ``(views, states)`` of ``data.prediction_streams``."""
+    (rng,) = generators(derived_seeds(cfg.seed, PHASE_STREAM, [(rep,)]))
+    return data_mod.prediction_streams(cfg.scene, cfg.schedule, length, n_streams, rng)
 
 
 # --- commands ---------------------------------------------------------------

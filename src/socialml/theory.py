@@ -267,10 +267,10 @@ def class_means(statistics, source, perron, n: int, seed: int) -> ClassMeans:
 
     ``n`` rows of every class are drawn from the scene ``source`` (a
     ``GaussianSceneSpec`` or an ``ImageSource``) by one
-    ``data.prediction_streams`` call, whose stream holds class j for ``n``
-    steps and is seeded by ``seed``.  ``statistics[k]`` maps agent k's rows
-    to its statistic values, (rows,) or (rows, M-1), as ``run_prediction``
-    reads its providers.
+    ``data.prediction_streams`` call, whose one stream holds class j for
+    ``n`` steps and is drawn from the generator of ``seed``.
+    ``statistics[k]`` maps agent k's rows to its statistic values, (rows,)
+    or (rows, M-1), as ``run_prediction`` reads its providers.
     """
     if n < 1:
         raise StatisticError(f"n must be at least 1, got {n}")
@@ -279,7 +279,8 @@ def class_means(statistics, source, perron, n: int, seed: int) -> ClassMeans:
         raise StatisticError(f"{len(statistics)} statistics but {pi.size} Perron weights")
     m = source.n_classes
     schedule = RegimeSchedule(tuple((j * n, j) for j in range(m)))
-    views, _ = prediction_streams(source, schedule, m * n, [seed])
+    (rng,) = generators([seed])
+    views, _ = prediction_streams(source, schedule, m * n, 1, rng)
     if len(views) != pi.size:
         raise StatisticError(f"{pi.size} statistics but the source has {len(views)} agents")
     values = np.stack(

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import socialml
+from socialml import experiments
 from socialml.cli import main
 from socialml.config import (
+    PHASE_STREAM,
     PHASE_TRAIN_MODEL,
     ConfigError,
     load_config,
@@ -17,6 +19,8 @@ from socialml.config import (
 )
 from socialml.data import GaussianClassModel
 from socialml.experiments import (
+    _streams,
+    _trained_statistics,
     cmd_montecarlo,
     cmd_predict,
     cmd_theory,
@@ -27,10 +31,11 @@ from socialml.experiments import (
 )
 from socialml.mlp import load_model, train_stack
 from socialml.seeds import derived_seeds
-from socialml.social import periodic_schedule
+from socialml.social import periodic_schedule, run_prediction
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import write_idx
+from helpers import CONFIGS, write_idx
+from test_data import write_image_files
 from test_images_end_to_end import image_config, write_idx_dataset
 
 
@@ -472,6 +477,20 @@ class TestCmdMontecarlo:
         cmd_montecarlo(cfg, str(out1))
         cmd_montecarlo(cfg, str(out2))
         assert (out1 / "montecarlo.csv").read_bytes() == (out2 / "montecarlo.csv").read_bytes()
+
+    def test_a_run_derives_one_stream_seed_per_replication(self, tmp_path, monkeypatch):
+        rows = {}
+
+        def counting(master, phase, index_rows):
+            index_rows = list(index_rows)
+            rows[phase] = rows.get(phase, 0) + len(index_rows)
+            return derived_seeds(master, phase, index_rows)
+
+        monkeypatch.setattr(experiments, "derived_seeds", counting)
+        cfg = base_config()
+        cfg["montecarlo"].update(replications=3, eval_streams=50)
+        cmd_montecarlo(validate_config(cfg, str(tmp_path)), str(tmp_path / "out"))
+        assert rows[PHASE_STREAM] == 3
 
     def test_replication_is_pure_function_of_config_and_index(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
@@ -1108,10 +1127,58 @@ def three_class_config(**overrides):
     return cfg
 
 
+def three_class_image_config(directory):
+    """A 2x2-agent image scene of three classes over an IDX dataset written
+    to ``directory``."""
+    rng = np.random.default_rng(4)
+    labels = np.repeat(np.arange(3, dtype=np.uint8), 30)
+    images = rng.integers(0, 256, (labels.size, 8, 8), dtype=np.uint8)
+    images[labels == 1, :3] = 255
+    images[labels == 2, :, :2] = 0
+    write_image_files(directory, images, labels, "idx")
+    cfg = image_config("dataset.json", classes=["a", "b", "c"], schedule={"period": 3})
+    cfg["data"]["label_map"] = {"a": 0, "b": 1, "c": 2}
+    cfg["montecarlo"]["strategies"] = ["sml"]
+    return validate_config(cfg, str(directory))
+
+
+@pytest.fixture(scope="module", params=["gaussian-demo", "three-class-images"])
+def trained_scene(request, tmp_path_factory):
+    """A config and the statistics of its replication-0 models."""
+    if request.param == "gaussian-demo":
+        cfg = load_config(CONFIGS / "gaussian_demo.json")
+    else:
+        cfg = three_class_image_config(tmp_path_factory.mktemp("images"))
+    (statistics,) = _trained_statistics(cfg, [0], shared_scene_training(cfg, [0]))
+    return cfg, statistics
+
+
 class TestPredictIsReplicationZero:
-    """``predict`` runs Monte Carlo replication 0's first stream: its models
-    and its stream come from the same seed paths, whatever chunk the
-    replication trains in."""
+    """``predict`` runs a prefix of Monte Carlo replication 0's first stream:
+    its models and its stream come from the same seed paths, whatever chunk
+    the replication trains in and whatever the two lengths."""
+
+    @pytest.mark.parametrize("short, long, n_streams", [(1, 7, 3), (5, 6, 1), (9, 40, 4)])
+    def test_predict_stream_is_a_prefix_of_the_first_stream(
+        self, trained_scene, short, long, n_streams
+    ):
+        cfg, statistics = trained_scene
+        views, states = _streams(cfg, 0, short, 1)
+        batch, batch_states = _streams(cfg, 0, long, n_streams)
+        assert states.tolist() == batch_states[:short].tolist()
+        for view, rows in zip(views, batch):
+            assert np.array_equal(view[0], rows[0, :short])
+        n_classes = len(cfg.classes)
+        alone = run_prediction(
+            cfg.matrix, statistics, [v[0] for v in views], states, n_classes, delta=cfg.delta
+        )
+        batched = run_prediction(
+            cfg.matrix, statistics, batch, batch_states, n_classes, delta=cfg.delta
+        )
+        assert np.array_equal(alone.picks, batched.picks[0, :short])
+        # a one-step stream's statistics come from BLAS's matrix-vector path,
+        # so the last bits of its lambda may differ from the batch's
+        np.testing.assert_allclose(alone.lam, batched.lam[0, :short], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("reps", [[0], [0, 1, 2]], ids=["alone", "chunk-of-3"])
     @pytest.mark.parametrize("engine", [{"engine": "sl"}, {"engine": "asl", "delta": 0.1}],

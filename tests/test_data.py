@@ -164,7 +164,8 @@ class TestPatchLayout:
 class TestPredictionStream:
     def test_single_segment_constant_state(self):
         spec = mean_shift_gaussian_spec(2)
-        views, states = prediction_streams(spec, RegimeSchedule(((0, 1),)), 25, [0])
+        schedule = RegimeSchedule(((0, 1),))
+        views, states = prediction_streams(spec, schedule, 25, 1, np.random.default_rng(0))
         assert set(states.tolist()) == {1}
         # class 1 of the spec centers on -1
         assert views[0][0].mean() < 0
@@ -173,7 +174,7 @@ class TestPredictionStream:
     def test_periodic_square_wave(self):
         spec = mean_shift_gaussian_spec(1)
         sched = periodic_schedule(1000, [0, 1], 4000)
-        _, states = prediction_streams(spec, sched, 4000, [1])
+        _, states = prediction_streams(spec, sched, 4000, 1, np.random.default_rng(1))
         assert np.all(states[:1000] == 0)
         assert np.all(states[1000:2000] == 1)
         assert np.all(states[2000:3000] == 0)
@@ -182,8 +183,8 @@ class TestPredictionStream:
     def test_seed_determinism(self):
         spec = load_config(CONFIGS / "gaussian_demo.json").scene
         sched = periodic_schedule(10, [0, 1], 30)
-        a, _ = prediction_streams(spec, sched, 30, [5])
-        b, _ = prediction_streams(spec, sched, 30, [5])
+        a, _ = prediction_streams(spec, sched, 30, 1, np.random.default_rng(5))
+        b, _ = prediction_streams(spec, sched, 30, 1, np.random.default_rng(5))
         for va, vb in zip(a, b):
             np.testing.assert_array_equal(va[0], vb[0])
 
@@ -192,7 +193,8 @@ class TestPredictionStream:
         pools = [rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
-        views, states = prediction_streams(image_source(pools, layout), sched, 10, [2])
+        source = image_source(pools, layout)
+        views, states = prediction_streams(source, sched, 10, 1, np.random.default_rng(2))
         assert len(views) == 4
         assert views[0][0].shape == (10, 9)
         assert all(view.dtype == np.uint8 for view in views)
@@ -217,7 +219,7 @@ class TestPredictionStream:
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
         source = image_source(pools, layout)
-        views, _ = prediction_streams(source, sched, 10, [2])
+        views, _ = prediction_streams(source, sched, 10, 1, np.random.default_rng(2))
         # drawing scales nothing; each agent's model input fill converts each
         # picked pixel of its patch once
         assert scaled == []
@@ -229,7 +231,7 @@ class TestPredictionStream:
         assert sum(scaled) == 10 * 6 * 6
         # the same draws from images scaled up front give the same logits
         scaled_up_front = ImageSource(source.images / 255.0, source.rows, layout)
-        again, _ = prediction_streams(scaled_up_front, sched, 10, [2])
+        again, _ = prediction_streams(scaled_up_front, sched, 10, 1, np.random.default_rng(2))
         for model, got, view in zip(models, logits, again):
             assert view.dtype == np.float64
             np.testing.assert_array_equal(got, reference_logits(model, view[0]))
@@ -243,18 +245,19 @@ class TestPredictionStream:
             images = np.zeros((3, 4, 4), dtype=np.uint8)
             source = ImageSource(images, rows, PatchLayout(4, 4, 2, 2))
             with pytest.raises(DataError, match=message):
-                prediction_streams(source, schedule, 5, [0])
+                prediction_streams(source, schedule, 5, 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("state", [-1, -2, 2])
     def test_state_outside_the_classes_rejected(self, state):
         # a directly built schedule may hold any integer; a negative one
         # would draw a class from the end of the list
         schedule = RegimeSchedule(((0, 0), (3, state)))
+        spec = mean_shift_gaussian_spec(1)
         with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
-            prediction_streams(mean_shift_gaussian_spec(1), schedule, 6, [0])
+            prediction_streams(spec, schedule, 6, 1, np.random.default_rng(0))
         source = image_source([np.zeros((3, 4, 4), dtype=np.uint8)] * 2, PatchLayout(4, 4, 2, 2))
         with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
-            prediction_streams(source, schedule, 6, [0])
+            prediction_streams(source, schedule, 6, 1, np.random.default_rng(0))
 
 
 def image_source(pools, layout, seed=0):
@@ -271,28 +274,32 @@ def image_source(pools, layout, seed=0):
     return ImageSource(images, rows, layout)
 
 
-def per_block_stream(source, schedule, length, seed, layout=None):
-    """Reference draw: one generator call per (class, agent) block, in the
-    order the classes first appear."""
+def step_by_step_stream(source, schedule, length, n_streams, seed, layout=None):
+    """Reference draw: stream after stream and step after step, one generator
+    call per step for all the agents' standard normals, or for its image."""
     states = schedule.states(length)
     rng = np.random.default_rng(seed)
-    active = list(dict.fromkeys(states.tolist()))
     if isinstance(source, GaussianSceneSpec):
-        views = [np.empty((length, source.dimension(k))) for k in range(source.n_agents)]
-        for j in active:
-            idx = np.flatnonzero(states == j)
-            for k in range(source.n_agents):
-                views[k][idx] = source.models[k][j].sample(rng, idx.size)
+        dims = [source.dimension(k) for k in range(source.n_agents)]
+        views = [np.empty((n_streams, length, d)) for d in dims]
+        for s in range(n_streams):
+            for i, j in enumerate(states.tolist()):
+                z = np.split(rng.standard_normal(sum(dims)), np.cumsum(dims)[:-1])
+                for view, zk, per_agent in zip(views, z, source.models):
+                    view[s, i] = per_agent[j].transform(zk[None])[0]
         return views
-    images = np.empty((length, layout.height, layout.width), np.uint8)
-    for j in active:
-        idx = np.flatnonzero(states == j)
-        pool = source[j]
-        images[idx] = pool[rng.integers(pool.shape[0], size=idx.size)]
-    return split_patches(images, layout)
+    images = np.empty((n_streams, length, layout.height, layout.width), np.uint8)
+    for s in range(n_streams):
+        for i, j in enumerate(states.tolist()):
+            images[s, i] = source[j][rng.integers(0, len(source[j]))]
+    flat = split_patches(images.reshape(-1, layout.height, layout.width), layout)
+    return [v.reshape(n_streams, length, -1) for v in flat]
 
 
 class TestPredictionStreams:
+    """A batch is one step-major draw: it begins with any smaller batch, and a
+    stream's first steps do not depend on its length."""
+
     @given(
         dims=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4),
         n_classes=st.sampled_from([2, 3]),
@@ -302,7 +309,7 @@ class TestPredictionStreams:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_gaussian_batch_equals_per_seed_streams(
+    def test_gaussian_batch_begins_with_smaller_batches(
         self, dims, n_classes, length, starts, n_streams, seed
     ):
         rng = np.random.default_rng(seed)
@@ -316,16 +323,24 @@ class TestPredictionStreams:
         spec = GaussianSceneSpec(tuple(models))
         bounds = sorted({0, *starts})
         schedule = RegimeSchedule(tuple((s, int(rng.integers(n_classes))) for s in bounds))
-        seeds = rng.integers(0, 2**63, n_streams).tolist()
-        batch, states = prediction_streams(spec, schedule, length, seeds)
+        batch, states = prediction_streams(
+            spec, schedule, length, n_streams, np.random.default_rng(seed)
+        )
         assert np.array_equal(states, schedule.states(length))
-        for s, seed_s in enumerate(seeds):
-            alone, _ = prediction_streams(spec, schedule, length, [seed_s])
-            reference = per_block_stream(spec, schedule, length, seed_s)
-            for k, d in enumerate(dims):
-                assert batch[k].shape == (n_streams, length, d)
-                assert np.array_equal(batch[k][s], alone[k][0])
-                assert np.array_equal(batch[k][s], reference[k])
+        reference = step_by_step_stream(spec, schedule, length, n_streams, seed)
+        for k, d in enumerate(dims):
+            assert batch[k].shape == (n_streams, length, d)
+            # a lone row's product may round its last bit differently
+            np.testing.assert_allclose(batch[k], reference[k], rtol=1e-13, atol=1e-13)
+        for fewer in range(1, n_streams + 1):
+            for shorter in {1, (length + 1) // 2, length}:
+                head, _ = prediction_streams(
+                    spec, schedule, shorter, fewer, np.random.default_rng(seed)
+                )
+                for k in range(len(dims)):
+                    assert np.array_equal(head[k][0], batch[k][0, :shorter])
+                    if shorter == length:
+                        assert np.array_equal(head[k], batch[k][:fewer])
 
     @given(
         grid=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2)]),
@@ -335,22 +350,23 @@ class TestPredictionStreams:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=30, deadline=None)
-    def test_image_batch_equals_per_seed_streams(self, grid, length, period, n_streams, seed):
+    def test_image_batch_begins_with_smaller_batches(self, grid, length, period, n_streams, seed):
         rng = np.random.default_rng(seed)
-        pools = [rng.integers(0, 256, size=(9, 7, 8), dtype=np.uint8) for _ in range(3)]
+        pools = [rng.integers(0, 256, size=(n, 7, 8), dtype=np.uint8) for n in (9, 5, 12)]
         layout = PatchLayout(7, 8, *grid)
         schedule = periodic_schedule(period, [2, 0, 1], length)
-        seeds = rng.integers(0, 2**63, n_streams).tolist()
         source = image_source(pools, layout, seed)
-        batch, _ = prediction_streams(source, schedule, length, seeds)
-        for s, seed_s in enumerate(seeds):
-            alone, _ = prediction_streams(source, schedule, length, [seed_s])
-            reference = per_block_stream(pools, schedule, length, seed_s, layout)
-            for k in range(layout.n_agents):
-                assert batch[k].shape == (n_streams, length, layout.view_dim(k))
-                assert batch[k].dtype == np.uint8
-                assert np.array_equal(batch[k][s], alone[k][0])
-                assert np.array_equal(batch[k][s], reference[k])
+        batch, _ = prediction_streams(
+            source, schedule, length, n_streams, np.random.default_rng(seed)
+        )
+        reference = step_by_step_stream(pools, schedule, length, n_streams, seed, layout)
+        shorter = (length + 1) // 2
+        head, _ = prediction_streams(source, schedule, shorter, 1, np.random.default_rng(seed))
+        for k in range(layout.n_agents):
+            assert batch[k].shape == (n_streams, length, layout.view_dim(k))
+            assert batch[k].dtype == np.uint8
+            assert np.array_equal(batch[k], reference[k])
+            assert np.array_equal(head[k][0], batch[k][0, :shorter])
 
 
 class TestIdxFiles:
@@ -435,7 +451,7 @@ class TestIdxFiles:
         scene = pooled_config(tmp_path, (2, 3), [0, 1]).scene
         before = os.listdir("/proc/self/fd")
         training_scene(scene, 5, np.random.default_rng(1))
-        prediction_streams(scene, RegimeSchedule(((0, 0), (3, 1))), 6, [1, 2])
+        prediction_streams(scene, RegimeSchedule(((0, 0), (3, 1))), 6, 2, np.random.default_rng(1))
         (tmp_path / "images.idx").write_bytes(b"")
         with pytest.raises(DataError, match="truncated"):
             training_scene(scene, 5, np.random.default_rng(1))

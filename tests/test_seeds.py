@@ -1,4 +1,4 @@
-"""The vectorized seed kernel against numpy's SeedSequence and default_rng."""
+"""Derived seeds and generators against numpy's SeedSequence and default_rng."""
 
 import re
 
@@ -35,26 +35,33 @@ class TestGoldenValues:
         seeds = derived_seeds(2**64 - 1, PHASE_TRAIN_MODEL, [(5, 3, 9)])
         assert seeds.tolist() == [4178952250248686460]
 
+    def test_a_short_row_derives_the_seed_of_its_zero_padded_row(self):
+        # SeedSequence pads its four-word pool with zeros, so a phase must
+        # keep one row width: under a one-word master these paths collide
+        assert derived_seeds(7, 3, [(5,)]).tolist() == derived_seeds(7, 3, [(5, 0)]).tolist()
+        assert derived_seeds(7, 3, [(5,)]).tolist() != derived_seeds(7, 3, [(5, 1)]).tolist()
+
     def test_prediction_stream_draws(self):
-        (seed,) = derived_seeds(42, PHASE_STREAM, [(0, 0)]).tolist()
+        (seed,) = derived_seeds(42, PHASE_STREAM, [(0,)]).tolist()
         assert seed == 18141372322412330060
         agent = {"1": {"mean": [0.6], "cov": [[1.0]]}, "-1": {"mean": [-0.6], "cov": [[1.0]]}}
         spec = build_gaussian_spec({"type": "gaussian", "agents": [agent, agent]}, (1, -1))
         schedule = periodic_schedule(2, [0, 1], 4)
-        # standard_normal draws, shifted by the class means
-        gaussian, _ = prediction_streams(spec, schedule, 4, [seed])
+        # step-major standard_normal draws, one column per agent, shifted by
+        # the class means
+        gaussian, _ = prediction_streams(spec, schedule, 4, 1, *generators([seed]))
         assert gaussian[0][0, :, 0].tolist() == [
-            -0.0751994713914369, 0.3688888608584663, -1.102276643679537, -0.3812732300485046,
+            -0.0751994713914369, 0.8804795411877423, -1.102276643679537, -0.7604175560517222,
         ]
         assert gaussian[1][0, :, 0].tolist() == [
-            0.8804795411877423, 0.3515019056721465, -0.7604175560517222, -2.308431590316573,
+            0.3688888608584663, 0.3515019056721465, -0.3812732300485046, -2.308431590316573,
         ]
         # integers draws: image i of the pool has every pixel equal to i
         pool = np.repeat(np.arange(200, dtype=np.uint8), 4).reshape(200, 2, 2)
         layout = PatchLayout(2, 2, 1, 2)
         rows = np.arange(200)
         source = ImageSource(pool, (rows, rows), layout)
-        images, _ = prediction_streams(source, schedule, 4, [seed])
+        images, _ = prediction_streams(source, schedule, 4, 1, *generators([seed]))
         picks = images[0][0, :, 0]
         assert picks.dtype == np.uint8
         assert picks.tolist() == [97, 139, 101, 178]

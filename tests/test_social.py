@@ -326,7 +326,7 @@ class TestRunPrediction:
         provider = true_log_ratio(spec, 0)
         sched = RegimeSchedule(((0, 0),))
         for seed in range(10):
-            views, states = prediction_streams(spec, sched, 60, [seed])
+            views, states = prediction_streams(spec, sched, 60, 1, np.random.default_rng(seed))
             run = run_prediction(SINGLE, [provider], [v[0] for v in views], states, 2)
             assert np.all(run.picks[25:, 0] == 0)
 
@@ -340,7 +340,8 @@ class TestRunPrediction:
         sched = RegimeSchedule(((0, 0), (flip, 1)))
         recovered = 0
         for seed in range(10):
-            views, states = prediction_streams(spec, sched, horizon, [100 + seed])
+            rng = np.random.default_rng(100 + seed)
+            views, states = prediction_streams(spec, sched, horizon, 1, rng)
             run = run_prediction(
                 RING4, providers, [v[0] for v in views], states, 2, delta=delta
             )
