@@ -22,8 +22,8 @@ Python minor version, the numpy version and the BLAS that numpy reports.
 naming both keys, when it does not.
 
 Usage: ``byte_ledger.py`` checks the ledger and exits 1 on a moved hash;
-``byte_ledger.py --write`` records it again.  Run it with ``src`` on
-``PYTHONPATH``.
+``byte_ledger.py --write`` records it again.  Run it with the package
+installed, or with ``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations

@@ -402,17 +402,23 @@ def _validate_theory(block, n_agents: int) -> dict | None:
         for n in _per_agent(block, "sample_counts", n_agents):
             _integer(n, "theory.sample_counts", 1)
     _integer(block["grid_points"], "theory.grid_points", 1)
-    for key in ("target_risk", "epsilon"):
-        _number(block[key], f"theory.{key}")
+    # the ranges the bounds are defined on, checked here so that the error
+    # names its field: the exponent is measured from the log 2 boundary
+    target_risk = block["target_risk"]
+    if not 0.0 <= _number(target_risk, "theory.target_risk") < math.log(2):
+        raise ConfigError(f"theory.target_risk must lie in [0, log 2), got {target_risk!r}")
+    epsilon = block["epsilon"]
+    if not 0.0 < _number(epsilon, "theory.epsilon") < 1.0:
+        raise ConfigError(f"theory.epsilon must lie strictly in (0, 1), got {epsilon!r}")
     beta = block["beta"]
-    if isinstance(beta, list):
-        for b in _per_agent(block, "beta", n_agents):
-            _number(b, "theory.beta")
-    elif beta != "analytic":
-        _number(beta, "theory.beta")
+    if beta != "analytic":
+        for b in _per_agent(block, "beta", n_agents) if isinstance(beta, list) else [beta]:
+            if _number(b, "theory.beta") <= 0.0:
+                raise ConfigError(f"theory.beta must be positive, got {b!r}")
     if "complexity_constants" in block:
         for c in _per_agent(block, "complexity_constants", n_agents):
-            _number(c, "theory.complexity_constants")
+            if _number(c, "theory.complexity_constants") < 0.0:
+                raise ConfigError(f"theory.complexity_constants must be nonnegative, got {c!r}")
     return block
 
 

@@ -486,7 +486,7 @@ def cmd_theory(cfg: ExperimentConfig, out_dir: str) -> dict:
             "alpha": profile.alpha,
             "epsilon": epsilon,
         },
-        "exponent_exact": exact_exponent(target_risk),
+        "exponent_exact": bound.exponent,
         "exponent_approx": approx_exponent(target_risk),
         "network_complexity_bound": rho_bound,
         "mixed_constant": c_mixed,

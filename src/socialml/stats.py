@@ -19,8 +19,6 @@ import numpy as np
 from .base import Record, ValidationError
 from .mlp import MLPModel, reference_logits
 
-DEBIAS_TOL = 1e-10
-
 
 class StatisticError(ValidationError):
     """Invalid statistic construction or estimation input."""

@@ -88,6 +88,26 @@ def write_config(tmp_path, cfg):
     return path
 
 
+def noisy_image_config(directory, fmt="idx"):
+    """A 2x2-agent image scene of classes 1 and -1 over 90 noisy 8x8 images
+    written to ``directory`` as ``fmt``; one lit row marks class 1, so
+    neither strategy's Monte Carlo error curve is all zeros."""
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 3, 90).astype(np.uint8)
+    images = rng.integers(0, 256, (90, 8, 8), dtype=np.uint8)
+    images[labels == 1, :1] = 255
+    write_image_files(directory, images, labels, fmt)
+    cfg = image_config("dataset.json", train_per_class=20, schedule={"period": 3})
+    cfg["data"]["label_map"] = {"1": 1, "-1": 2}
+    cfg["montecarlo"].update(replications=3, eval_streams=5, horizon=10)
+    return cfg
+
+
+def erring_strategies(lines) -> set:
+    """The strategies with a nonzero error rate in ``montecarlo.csv``'s rows."""
+    return {line.split(",")[1] for line in lines if float(line.split(",")[2]) > 0}
+
+
 class TestConfigValidation:
     def test_valid_config_loads(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
@@ -224,6 +244,13 @@ class TestClassLabels:
         assert len(rows) == 20 * 4 * 2
         assert {len(row.split(",")) for row in rows} == {8}
         assert {row.split(",")[3] for row in rows} == {"2", "-x"}
+        # the true state is label text too, following the schedule, and each
+        # row's correct flag compares the decision's text with it
+        fields = [row.split(",") for row in rows]
+        assert [f[6] for f in fields[:: 4 * 2]] == ["a b"] * 10 + ["2"] * 10
+        assert all(f[7] == str(int(f[5] == f[6])) for f in fields)
+        summary = json.loads((out / "summary.json").read_text())
+        assert [cycle["state"] for cycle in summary["cycles"]] == ["a b", "2"]
 
     @pytest.mark.parametrize("classes", [[1, "1", 3], ["-1", -1]])
     def test_mixed_labels_sharing_a_text_exit_1_naming_classes(self, tmp_path, capsys, classes):
@@ -260,6 +287,14 @@ NUMBER_CASES = [
     ("theory", _theory_override(complexity_constants="x"), "theory.complexity_constants"),
     ("theory", _theory_override(complexity_constants=[float("nan")] * 4),
      "theory.complexity_constants"),
+    # out of the range the bounds are defined on: theory's own messages name
+    # no field
+    ("theory", _theory_override(target_risk=0.9), "theory.target_risk must lie in"),
+    ("theory", _theory_override(epsilon=1.0), "theory.epsilon must lie strictly in"),
+    ("theory", _theory_override(beta=0.0), "theory.beta must be positive"),
+    ("theory", _theory_override(beta=[1.0, 1.0, -1.0, 1.0]), "theory.beta must be positive"),
+    ("theory", _theory_override(complexity_constants=[0.5, -0.5, 0.5, 0.5]),
+     "theory.complexity_constants must be nonnegative"),
     ("train", _image_override(height=8.0), "data.height"),
     ("train", _image_override(width=8.5), "data.width"),
     ("train", _image_override(layout=[2.0, 2]), "data.layout"),
@@ -269,8 +304,9 @@ NUMBER_CASES = [
 
 class TestConfigNumbers:
     """Numbers that must be integers exit 1 naming their field instead of
-    being truncated; theory numbers that are not finite numbers exit 1
-    naming their field instead of failing inside the command."""
+    being truncated; theory numbers that are not finite numbers, or lie
+    outside the range the bounds are defined on, exit 1 naming their field
+    instead of failing inside the command."""
 
     @pytest.mark.parametrize(
         "command, overrides, field",
@@ -1066,14 +1102,24 @@ class TestEndToEndDeterminism:
         ).read_bytes()
 
     def test_sml_only_strategy(self, tmp_path):
-        cfg_dict = base_config()
-        cfg_dict["montecarlo"]["strategies"] = ["sml"]
-        cfg = validate_config(cfg_dict, str(tmp_path))
-        out = tmp_path / "out"
-        cmd_montecarlo(cfg, str(out))
-        lines = (out / "montecarlo.csv").read_text().splitlines()[2:]
-        assert all(line.split(",")[1] == "sml" for line in lines)
-        assert len(lines) == 12
+        # a strategy run alone writes the rows it writes beside the other, on
+        # a Gaussian and an image scene: neither strategy's training or
+        # evaluation moves the other's draws
+        images = noisy_image_config(tmp_path)
+        for scene, cfg_dict in (("gaussian", base_config()), ("images", images)):
+            rows = {}
+            for strategies in (["sml"], ["adaboost"], ["sml", "adaboost"]):
+                cfg_dict["montecarlo"]["strategies"] = strategies
+                cfg = validate_config(cfg_dict, str(tmp_path))
+                out = tmp_path / scene / "-".join(strategies)
+                cmd_montecarlo(cfg, str(out))
+                rows[out.name] = (out / "montecarlo.csv").read_text().splitlines()[2:]
+            assert all(line.split(",")[1] == "sml" for line in rows["sml"])
+            assert len(rows["sml"]) == cfg_dict["montecarlo"]["horizon"]
+            for strategy in ("sml", "adaboost"):
+                both = [line for line in rows["sml-adaboost"] if f",{strategy}," in line]
+                assert both == rows[strategy], (scene, strategy)
+            assert erring_strategies(rows["sml-adaboost"]) == {"sml", "adaboost"}, scene
 
 
 class TestThreadedMontecarlo:
@@ -1090,16 +1136,19 @@ class TestThreadedMontecarlo:
         ).read_bytes()
 
     def test_image_parallel_matches_serial(self, tmp_path):
-        write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=60)
-        cfg_dict = image_config("dataset.json")
-        cfg_dict["montecarlo"].update(replications=3, eval_streams=5, horizon=10)
-        cfg = load_config(write_config(tmp_path, cfg_dict))
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        cmd_montecarlo(cfg, str(parallel), threads=2)
-        cmd_montecarlo(cfg, str(serial), threads=1)
-        assert (serial / "montecarlo.csv").read_bytes() == (
-            parallel / "montecarlo.csv"
-        ).read_bytes()
+        # an IDX dataset and its CSV twin: the pool's workers read the IDX
+        # file by path and the CSV scene's pickled images
+        for fmt in ("idx", "csv"):
+            directory = tmp_path / fmt
+            directory.mkdir()
+            cfg = load_config(write_config(directory, noisy_image_config(directory, fmt)))
+            serial, parallel = directory / "s", directory / "p"
+            cmd_montecarlo(cfg, str(parallel), threads=2)
+            cmd_montecarlo(cfg, str(serial), threads=1)
+            rows = (serial / "montecarlo.csv").read_text()
+            assert (parallel / "montecarlo.csv").read_text() == rows, fmt
+            # a pool that drew or trained otherwise would move these rows
+            assert erring_strategies(rows.splitlines()[2:]) == {"sml", "adaboost"}
 
 
 def three_class_config(**overrides):
@@ -1261,23 +1310,35 @@ class TestMontecarloClasses:
     def test_string_labels_write_the_rows_of_plus_minus_one(self, tmp_path):
         # both strategies run on class indices, so the same scene under two
         # string labels writes the rows it writes under [1, -1]; only the
-        # config digest line differs
-        bodies = []
-        for classes in ([1, -1], ["p", "m"]):
+        # config digest line differs, on a Gaussian and an image scene
+        images = noisy_image_config(tmp_path)
+
+        def gaussian(classes):
             agents = [
                 {str(label): spec for label, spec in zip(classes, agent.values())}
                 for agent in gaussian_agents()
             ]
-            cfg = base_config(classes=classes, data={"type": "gaussian", "agents": agents})
-            cfg["montecarlo"]["strategies"] = ["sml", "adaboost"]
-            out = tmp_path / str(classes[0])
-            path = write_config(tmp_path, cfg)
-            assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 0
-            lines = (out / "montecarlo.csv").read_text().splitlines()
-            assert lines[0].startswith("# config=")
-            bodies.append(lines[1:])
-        assert bodies[0] == bodies[1]
-        assert {line.split(",")[1] for line in bodies[0][1:]} == {"sml", "adaboost"}
+            return base_config(classes=classes, data={"type": "gaussian", "agents": agents})
+
+        def image(classes):
+            label_map = {str(label): raw for label, raw in zip(classes, (1, 2))}
+            data = {**images["data"], "label_map": label_map}
+            return {**images, "classes": classes, "data": data}
+
+        for scene in (gaussian, image):
+            bodies = []
+            for classes in ([1, -1], ["p", "m"]):
+                cfg = scene(classes)
+                cfg["montecarlo"]["strategies"] = ["sml", "adaboost"]
+                out = tmp_path / f"{scene.__name__}{classes[0]}"
+                path = write_config(tmp_path, cfg)
+                assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 0
+                lines = (out / "montecarlo.csv").read_text().splitlines()
+                assert lines[0].startswith("# config=")
+                bodies.append(lines[1:])
+            assert bodies[0] == bodies[1], scene.__name__
+            assert {line.split(",")[1] for line in bodies[0][1:]} == {"sml", "adaboost"}
+            assert erring_strategies(bodies[0][1:]) == {"sml", "adaboost"}, scene.__name__
 
     def test_three_class_sml(self, tmp_path):
         path = write_config(tmp_path, three_class_config())

@@ -265,9 +265,11 @@ class TestImageSceneLoading:
         write_csv_dataset(tmp_path / "csv", images, labels)
         for directory in (tmp_path, tmp_path / "csv"):
             assert self.train(directory, image_config("dataset.json")) == 0
-            argv = ["montecarlo", "--config", str(directory / "config.json")]
-            assert main([*argv, "--out", str(directory / "mc"), "--replications-override", "2"]) == 0
-        for out in ("out", "mc"):
+            config = ["--config", str(directory / "config.json")]
+            assert main(["predict", *config, "--out", str(directory / "predict")]) == 0
+            argv = ["montecarlo", *config, "--out", str(directory / "mc")]
+            assert main([*argv, "--replications-override", "2"]) == 0
+        for out in ("out", "predict", "mc"):
             names = sorted(p.relative_to(tmp_path / out) for p in (tmp_path / out).rglob("*.*"))
             csv_dir = tmp_path / "csv" / out
             assert names == sorted(p.relative_to(csv_dir) for p in csv_dir.rglob("*.*"))
