@@ -508,10 +508,8 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     input_bound = _number(model.get("input_bound", 1.0), "model.input_bound")
     try:
         archs = tuple(
-            # layer sizes, activation, bias, norm bound, input bound
-            MLPArchitecture(
-                (d + 1, *hidden, len(classes)), activation, True, norm_bound, input_bound
-            )
+            # layer sizes (the bias slot included), activation, norm bound, input bound
+            MLPArchitecture((d + 1, *hidden, len(classes)), activation, norm_bound, input_bound)
             for d in map(scene.dimension, range(matrix.size))
         )
         hyper = TrainingHyperparameters(

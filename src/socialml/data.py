@@ -168,7 +168,7 @@ def split_patches(images, layout: PatchLayout) -> list:
     Returns a list of (n, d_k) arrays, or (d_k,) for one image, in the
     layout's agent order.  The models read uint8 views as intensities
     scaled to [0, 1] when they copy them into their inputs
-    (``mlp._inputs``), so no scaled copy of a view is ever held.
+    (``mlp._augment``), so no scaled copy of a view is ever held.
     """
     arr = np.asarray(images)
     single = arr.ndim == 2

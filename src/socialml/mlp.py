@@ -4,16 +4,10 @@ The network computes pre-activations layer by layer, applies the activation
 between layers only, and turns the final pre-activations z into approximate
 posteriors with a softmax.  A class is an index 0..M-1: output unit j scores
 class j, and class 0 is the reference class for every logit.  Training
-labels are these indices.  A bias is folded in as a constant trailing input
-feature, so the first layer width counts one slot more than the raw feature
-dimension when ``bias`` is set.
-
-Features reach a model through one input rule (``_inputs``): a uint8 array
-holds 8-bit pixel intensities and is read as value / 255.0, and any other
-array, other integer types included, is read as it is.  The rule runs where
-a model copies its features into its float inputs anyway, so image views stay
-one byte a pixel until then, and the inputs equal those of features scaled
-up front bit for bit.
+labels are these indices.  Every model folds its bias in as a constant-1
+trailing input slot, so the first layer width counts one slot more than the
+raw feature dimension.  Features become a model's float inputs in one place,
+``_augment``, so image views stay one byte a pixel until a model reads them.
 """
 
 from __future__ import annotations
@@ -62,34 +56,32 @@ class MLPArchitecture(Record):
     """Layer widths and constraints of one agent's classifier.
 
     ``layer_sizes[0]`` is the input-layer width as seen by the first weight
-    matrix; with ``bias=True`` it includes the constant-1 slot, so raw
-    features have ``layer_sizes[0] - 1`` entries.  ``norm_bound`` caps the
-    max-column-sum norm of every weight matrix; ``input_bound`` is the known
-    bound on the absolute value of any (augmented) input entry, so at least
-    1 with the bias slot.
+    matrix; it includes the constant-1 bias slot, so raw features have
+    ``layer_sizes[0] - 1`` entries.  ``norm_bound`` caps the max-column-sum
+    norm of every weight matrix; ``input_bound`` is the known bound on the
+    absolute value of any input entry, the bias slot's 1 included.
     """
 
     layer_sizes: tuple
     activation: str = "tanh"
-    bias: bool = True
     norm_bound: float | None = None
     input_bound: float = 1.0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ModelError(f"layer_sizes must be two or more positive widths, got {sizes}")
+        sizes = tuple(self.layer_sizes)
+        if len(sizes) < 2 or not all(
+            isinstance(s, (int, np.integer)) and s is not True and s >= 1 for s in sizes
+        ):
+            raise ModelError(f"layer_sizes must be two or more positive integers, got {sizes}")
         if self.activation not in ACTIVATIONS:
             raise ModelError(f"activation is unknown, got {self.activation!r}")
         if self.norm_bound is not None and self.norm_bound <= 0:
             raise ModelError(f"norm_bound must be positive when set, got {self.norm_bound!r}")
-        if self.input_bound <= 0:
-            raise ModelError(f"input_bound must be positive, got {self.input_bound!r}")
-        if self.bias and self.input_bound < 1:
+        if self.input_bound < 1:
             raise ModelError(f"input_bound must be at least 1 with bias, got {self.input_bound!r}")
-        if self.bias and sizes[0] < 2:
+        if sizes[0] < 2:
             raise ModelError(f"layer_sizes[0] {sizes[0]} leaves no room for features and bias")
-        object.__setattr__(self, "layer_sizes", sizes)
+        object.__setattr__(self, "layer_sizes", tuple(map(int, sizes)))
 
     @property
     def n_layers(self) -> int:
@@ -98,7 +90,7 @@ class MLPArchitecture(Record):
     @property
     def n_features(self) -> int:
         """Raw feature dimension callers provide (bias slot excluded)."""
-        return self.layer_sizes[0] - (1 if self.bias else 0)
+        return self.layer_sizes[0] - 1
 
     @property
     def n_outputs(self) -> int:
@@ -177,28 +169,21 @@ def initialize_model(
     return MLPModel(arch, tuple(_initial_weights(arch, rng, scale)))
 
 
-def _inputs(features, out=None) -> np.ndarray:
-    """The float inputs a model reads from raw ``features``, written into
-    ``out`` when it is given: a uint8 array holds 8-bit intensities, read as
-    value / 255.0, and any other array is read as it is.  Without ``out``,
-    float64 features are returned as they are, uncopied."""
-    features = np.asarray(features)
-    if features.dtype == np.uint8:
-        return np.divide(features, 255.0, out=out)
-    if out is None:
-        return features.astype(float, copy=False)
-    out[...] = features
-    return out
-
-
-def _augment(arch: MLPArchitecture, features) -> np.ndarray:
+def _augment(arch: MLPArchitecture, features, out=None) -> np.ndarray:
+    """The (N, layer_sizes[0]) float inputs a model reads from its raw feature
+    rows, written into ``out`` when it is given: a uint8 array holds 8-bit
+    pixel intensities, read as value / 255.0 (the bits of features scaled up
+    front), any other array, other integer types included, is read as it is,
+    and the bias slot is the trailing 1."""
     h = np.atleast_2d(np.asarray(features))
     if h.shape[1] != arch.n_features:
         raise ModelError(f"feature dim {h.shape[1]}, expected {arch.n_features}")
-    if not arch.bias:
-        return _inputs(h)
-    out = np.empty((h.shape[0], h.shape[1] + 1))
-    _inputs(h, out[:, :-1])
+    if out is None:
+        out = np.empty((h.shape[0], arch.layer_sizes[0]))
+    if h.dtype == np.uint8:
+        np.divide(h, 255.0, out=out[:, :-1])
+    else:
+        out[:, :-1] = h
     out[:, -1] = 1.0
     return out
 
@@ -270,43 +255,34 @@ def _project_columns(w: np.ndarray, bound: float, out=None) -> np.ndarray:
     return np.multiply(w, factor, out=out)
 
 
-def _stack_risk(weights, h, picks, row_weights, activation) -> tuple:
-    """Weighted cross-entropy of each stacked model, forward pass only.
+def _stack_loss(weights, h, picks, row_weights, activation, grads=None) -> tuple:
+    """Weighted cross-entropy of each stacked model: the (S,) losses and the
+    (S, N, C) final scores z they were computed from.
 
-    ``picks`` indexes the true-class entries of the flattened (S, N, C)
-    log-posteriors; ``row_weights`` is (S, N).  Returns the (S,) risks and
-    the (S, N, C) final scores z they were computed from.
-    """
-    z = _stack_forward(weights, h, _ACTIVATIONS[activation][0])[-1]
-    logp = _log_softmax(z)
-    return -(row_weights * logp.reshape(-1)[picks]).sum(axis=1), z
-
-
-def _stack_gradients(weights, h, picks, row_weights, activation, grads=None):
-    """Per-model weighted cross-entropy and its gradient for every layer.
-
-    Backpropagation reuses the forward activations: each derivative is
-    written in terms of the activation's output, over that output once the
-    layer's gradient has read it.  The gradients are written into ``grads``,
-    arrays shaped like ``weights``, or into fresh arrays when it is None.
+    ``picks`` indexes the true-class entries of the flattened log-posteriors;
+    ``row_weights`` is (S, N).  Without ``grads`` the pass is forward only and
+    drops the hidden activations as soon as z is taken.  With it, each layer's
+    gradient is written into ``grads[ell]``, each derivative formed in terms of
+    the activation's output, over that output once the gradient has read it.
     """
     act_fn, act_deriv, _ = _ACTIVATIONS[activation]
     acts = _stack_forward(weights, h, act_fn)
-    logp = _log_softmax(acts[-1])
+    z = acts[-1]
+    if grads is None:
+        del acts
+    logp = _log_softmax(z)
     loss = -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
-
+    if grads is None:
+        return loss, z
     delta = np.exp(logp)
     delta.reshape(-1)[picks] -= 1.0
     delta *= row_weights[:, :, None]
-
-    if grads is None:
-        grads = [np.empty_like(w) for w in weights]
     for ell in range(len(weights) - 1, -1, -1):
         np.matmul(delta.transpose(0, 2, 1), acts[ell], out=grads[ell])
         if ell > 0:
             delta = np.matmul(delta, weights[ell])
             delta *= act_deriv(acts[ell])
-    return loss, grads
+    return loss, z
 
 
 def _pick_offsets(n_models: int, n: int, batch_size: int, n_classes: int) -> np.ndarray:
@@ -431,9 +407,7 @@ def train_stack(
     # copy of them, which every mini-batch is gathered from
     h = np.empty((n_models, n, sizes[0]))
     for m, feats in enumerate(features):
-        _inputs(feats, h[m, :, : arch.n_features])
-    if arch.bias:
-        h[:, :, -1] = 1.0
+        _augment(arch, feats, h[m])
     # one ``take`` on the rows of all models gathers a mini-batch: a third of
     # the per-step cost of indexing h with (model, row) pairs at small batches
     h_rows = h.reshape(n_models * n, -1)
@@ -462,7 +436,7 @@ def train_stack(
         weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
         for start in range(0, n, hyper.batch_size):
             batch = slice(start, start + hyper.batch_size)
-            loss, _ = _stack_gradients(
+            loss, _ = _stack_loss(
                 weights,
                 h_rows.take(flat[:, batch], 0),
                 picks_epoch[:, batch],
@@ -505,7 +479,7 @@ def train_stack(
         # the last step's weights are read by no later loss, so the risk
         # after the last epoch runs with the trace off too
         if trace or epoch == hyper.epochs - 1:
-            risk, z = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)
+            risk, z = _stack_loss(weights, h, risk_picks, row_weights, arch.activation)
             if not np.isfinite(risk).all():
                 raise TrainingDiverged(
                     f"non-finite epoch risk at epoch {epoch}", _first_nonfinite(risk)
@@ -533,7 +507,7 @@ def save_model(model: MLPModel, path) -> None:
         "architecture": {
             "layer_sizes": list(arch.layer_sizes),
             "activation": arch.activation,
-            "bias": arch.bias,
+            "bias": True,
             "norm_bound": arch.norm_bound,
             "input_bound": arch.input_bound,
         },
@@ -543,17 +517,43 @@ def save_model(model: MLPModel, path) -> None:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+# a saved model's entries and the JSON types each may hold
+_SAVED_TYPES = {
+    "format": (str,),
+    "architecture": (dict,),
+    "architecture.layer_sizes": (list,),
+    "architecture.activation": (str,),
+    "architecture.bias": (bool,),
+    "architecture.norm_bound": (int, float, type(None)),
+    "architecture.input_bound": (int, float),
+    "weights": (list,),
+}
+
+
 def load_model(path) -> MLPModel:
+    """The model ``save_model`` wrote to ``path``; a missing, mistyped or
+    invalid entry raises ``ModelError`` naming it."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != "mlp-v1":
-        raise ModelError(f"{path}: unknown model format {payload.get('format')!r}")
+    for name, types in _SAVED_TYPES.items():
+        *outer, key = name.split(".")
+        block = payload[outer[0]] if outer else payload
+        if not isinstance(block, dict) or key not in block:
+            raise ModelError(f"{path}: {name} is missing")
+        if type(block[key]) not in types:
+            raise ModelError(f"{path}: {name} has the wrong type, got {block[key]!r}")
     spec = payload["architecture"]
-    arch = MLPArchitecture(
-        layer_sizes=tuple(spec["layer_sizes"]),
-        activation=spec["activation"],
-        bias=spec["bias"],
-        norm_bound=spec["norm_bound"],
-        input_bound=spec["input_bound"],
-    )
-    return MLPModel(arch, tuple(np.asarray(w, dtype=float) for w in payload["weights"]))
+    if payload["format"] != "mlp-v1":
+        raise ModelError(f"{path}: format must be 'mlp-v1', got {payload['format']!r}")
+    if not spec["bias"]:  # every model has the bias slot
+        raise ModelError(f"{path}: architecture.bias must be true")
+    try:
+        arch = MLPArchitecture(
+            spec["layer_sizes"], spec["activation"], spec["norm_bound"], spec["input_bound"]
+        )
+    except ModelError as exc:
+        raise ModelError(f"{path}: architecture.{exc}") from exc
+    try:
+        return MLPModel(arch, tuple(payload["weights"]))
+    except (ModelError, TypeError, ValueError) as exc:  # a ragged or non-numeric matrix
+        raise ModelError(f"{path}: weights: {exc}") from exc

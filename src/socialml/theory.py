@@ -352,7 +352,8 @@ def _all_sign_patterns(n: int) -> np.ndarray:
 
 def mlp_rademacher_bound(arch: MLPArchitecture, n_samples: int) -> float:
     """Complexity bound for norm-constrained networks on n training samples:
-    (4 / sqrt(N)) (2 b L_sigma)^(L-1) b c sqrt(log(2 n_0)).
+    (4 / sqrt(N)) (2 b L_sigma)^(L-1) b c sqrt(log(2 n_0)), where the input
+    width n_0 = ``layer_sizes[0]`` counts the bias slot.
     """
     if arch.norm_bound is None:
         raise StatisticError("bound needs the column-sum norm bound b")
@@ -371,7 +372,7 @@ def mlp_rademacher_bound(arch: MLPArchitecture, n_samples: int) -> float:
 
 
 def logit_bound(arch: MLPArchitecture) -> float:
-    """Analytic bound on |logit| from norm-constrained weights and inputs."""
+    """Analytic bound on |logit|, 2 (b L_sigma)^(L-1) b c n_0; n_0 counts the bias slot."""
     if arch.norm_bound is None:
         raise ModelError("logit bound needs a norm-constrained architecture")
     b, c = arch.norm_bound, arch.input_bound

@@ -20,8 +20,7 @@ from socialml.mlp import (
     _check_stack,
     _log_softmax,
     _pick_offsets,
-    _stack_gradients,
-    _stack_risk,
+    _stack_loss,
     output_preactivations,
     reference_logits,
 )
@@ -129,10 +128,11 @@ def gradient_check(model: MLPModel, features, labels, eps: float = 1e-5) -> floa
     h = _augment(arch, features)[None]
     picks = _pick_offsets(1, n, n, arch.n_outputs) + labels
     weights = [w[None].copy() for w in model.weights]
-    _, grads = _stack_gradients(weights, h, picks, uniform, arch.activation)
+    grads = [np.empty_like(w) for w in weights]
+    _stack_loss(weights, h, picks, uniform, arch.activation, grads)
 
     def risk() -> float:
-        return float(_stack_risk(weights, h, picks, uniform, arch.activation)[0][0])
+        return float(_stack_loss(weights, h, picks, uniform, arch.activation)[0][0])
 
     worst = 0.0
     for ell, w in enumerate(weights):

@@ -363,8 +363,9 @@ def test_criterion_11_rademacher_suite():
         depth = int(rng.integers(1, 4))
         b = float(rng.uniform(0.3, 2.0))
         sizes = (n0, *[int(rng.integers(2, 6))] * (depth - 1), 2)
-        arch = MLPArchitecture(sizes, bias=False, norm_bound=b, input_bound=1.0)
-        feats = rng.uniform(-1.0, 1.0, size=(8, n0))
+        arch = MLPArchitecture(sizes, norm_bound=b, input_bound=1.0)
+        # every input entry, the bias slot's 1 included, lies in [-1, 1]
+        feats = rng.uniform(-1.0, 1.0, size=(8, n0 - 1))
         candidates = [
             (lambda m: (lambda h: reference_logits(m, h)[..., 0]))(initialize_model(arch, rng))
             for _ in range(12)

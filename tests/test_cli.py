@@ -855,18 +855,16 @@ class TestMontecarloChunks:
     def test_image_montecarlo_bytes_do_not_depend_on_the_cap(self, tmp_path, monkeypatch):
         import socialml.experiments as experiments
 
-        write_idx_dataset(tmp_path, np.random.default_rng(8), n_per_class=40)
-        cfg_dict = image_config("dataset.json")
-        cfg_dict["montecarlo"].update(replications=3, eval_streams=6, horizon=12)
-        cfg = validate_config(cfg_dict, str(tmp_path))
+        cfg = validate_config(noisy_image_config(tmp_path), str(tmp_path))
         assert replication_chunks(cfg, 1) == [[range(0, 3)]]
         cmd_montecarlo(cfg, str(tmp_path / "whole"))
         monkeypatch.setattr(experiments, "CHUNK_INPUT_BYTES", 1)
         assert replication_chunks(cfg, 1) == [[range(r, r + 1) for r in range(3)]]
         cmd_montecarlo(cfg, str(tmp_path / "split"))
-        assert (tmp_path / "whole" / "montecarlo.csv").read_bytes() == (
-            tmp_path / "split" / "montecarlo.csv"
-        ).read_bytes()
+        rows = (tmp_path / "whole" / "montecarlo.csv").read_text()
+        assert (tmp_path / "split" / "montecarlo.csv").read_text() == rows
+        # a chunking that moved a replication's draws would move these rows
+        assert erring_strategies(rows.splitlines()[2:]) == {"sml", "adaboost"}
 
 
 class TestCmdTheory:

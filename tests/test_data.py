@@ -206,14 +206,14 @@ class TestPredictionStream:
 
     def test_image_stream_scales_only_picked_images(self, monkeypatch):
         scaled = []
-        original = mlp_mod._inputs
+        original = mlp_mod._augment
 
-        def counting(features, out=None):
+        def counting(arch, features, out=None):
             if np.asarray(features).dtype == np.uint8:
                 scaled.append(np.asarray(features).size)
-            return original(features, out)
+            return original(arch, features, out)
 
-        monkeypatch.setattr(mlp_mod, "_inputs", counting)
+        monkeypatch.setattr(mlp_mod, "_augment", counting)
         rng = np.random.default_rng(11)
         pools = [rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
@@ -487,12 +487,16 @@ class TestIdxFiles:
         layout = PatchLayout(4, 5, 2, 2)
         csv_views = split_patches(from_csv, layout)
         idx_views = split_patches(read_idx_images(img_path), layout)
+        def pixels(view):
+            # a model's inputs from the view, the bias slot left out
+            return mlp_mod._augment(MLPArchitecture((view.shape[1] + 1, 2)), view)[:, :-1]
+
         for got, want in zip(csv_views, idx_views):
             assert got.dtype == want.dtype == np.uint8
             assert np.array_equal(got, want)
-            assert np.array_equal(mlp_mod._inputs(got), mlp_mod._inputs(want))
+            assert np.array_equal(pixels(got), pixels(want))
         assert max(int(v.max()) for v in csv_views) == 255
-        assert max(float(mlp_mod._inputs(v).max()) for v in csv_views) == 1.0
+        assert max(float(pixels(v).max()) for v in csv_views) == 1.0
 
     @pytest.mark.parametrize("pixel", ["0.5", "256", "-1", "nan", "inf", "1e300", "255.5"])
     def test_csv_pixel_outside_0_255_rejected(self, tmp_path, pixel):

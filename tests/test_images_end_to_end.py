@@ -12,7 +12,7 @@ import pytest
 from socialml import mlp as mlp_mod
 from socialml.cli import main
 from socialml.config import validate_config
-from socialml.data import ImageSource, file_sha256, read_idx_images, read_idx_labels
+from socialml.data import ImageSource, file_sha256
 from socialml.experiments import (
     cmd_montecarlo,
     cmd_predict,
@@ -148,14 +148,14 @@ class TestImageTrainingScene:
         write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=40)
         cfg = validate_config(image_config("dataset.json"), str(tmp_path))
         scaled = []
-        original = mlp_mod._inputs
+        original = mlp_mod._augment
 
-        def counting(features, out=None):
+        def counting(arch, features, out=None):
             if np.asarray(features).dtype == np.uint8:
                 scaled.append(np.asarray(features).size)
-            return original(features, out)
+            return original(arch, features, out)
 
-        monkeypatch.setattr(mlp_mod, "_inputs", counting)
+        monkeypatch.setattr(mlp_mod, "_augment", counting)
         ((views, labels),) = shared_scene_training(cfg, [0])
         # drawing scales nothing: the views are the picked uint8 patches
         assert scaled == []
@@ -259,12 +259,11 @@ class TestImageSceneLoading:
         assert "class -1" in capsys.readouterr().err
 
     def test_csv_and_idx_datasets_train_alike(self, tmp_path):
-        write_idx_dataset(tmp_path, np.random.default_rng(3), n_per_class=40)
-        labels = read_idx_labels(tmp_path / "labels.idx")
-        images = np.asarray(read_idx_images(tmp_path / "images.idx"))
-        write_csv_dataset(tmp_path / "csv", images, labels)
-        for directory in (tmp_path, tmp_path / "csv"):
-            assert self.train(directory, image_config("dataset.json")) == 0
+        from test_cli import erring_strategies, noisy_image_config  # test_cli imports this module
+
+        (tmp_path / "csv").mkdir()
+        for directory, fmt in ((tmp_path, "idx"), (tmp_path / "csv", "csv")):
+            assert self.train(directory, noisy_image_config(directory, fmt)) == 0
             config = ["--config", str(directory / "config.json")]
             assert main(["predict", *config, "--out", str(directory / "predict")]) == 0
             argv = ["montecarlo", *config, "--out", str(directory / "mc")]
@@ -276,6 +275,9 @@ class TestImageSceneLoading:
             for name in names:
                 idx_bytes = (tmp_path / out / name).read_bytes()
                 assert (tmp_path / "csv" / out / name).read_bytes() == idx_bytes, name
+        # a reader that moved a pixel would move these rows
+        rows = (tmp_path / "mc" / "montecarlo.csv").read_text().splitlines()[2:]
+        assert erring_strategies(rows) == {"sml", "adaboost"}
 
     def test_csv_fractional_pixel_exits_1(self, tmp_path, capsys):
         images = np.full((2, 8, 8), 128.0)

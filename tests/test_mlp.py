@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,8 +23,7 @@ from socialml.mlp import (
     _pick_offsets,
     _project_columns,
     _stack_forward,
-    _stack_gradients,
-    _stack_risk,
+    _stack_loss,
     initialize_model,
     load_model,
     output_preactivations,
@@ -161,7 +161,7 @@ def epoch_copy_train_stack(features, labels, arch, hyper, seeds, sample_weights=
         weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
         for start in range(0, n, hyper.batch_size):
             batch = slice(start, start + hyper.batch_size)
-            _stack_gradients(
+            _stack_loss(
                 weights,
                 h_epoch[:, batch],
                 picks_epoch[:, batch],
@@ -190,7 +190,7 @@ def epoch_copy_train_stack(features, labels, arch, hyper, seeds, sample_weights=
             if bound is not None:
                 for w in weights:
                     _project_columns(w, bound, out=w)
-        trace[:, epoch] = _stack_risk(weights, h, risk_picks, row_weights, arch.activation)[0]
+        trace[:, epoch] = _stack_loss(weights, h, risk_picks, row_weights, arch.activation)[0]
     return weights, trace
 
 
@@ -201,7 +201,7 @@ class TestForward:
         np.testing.assert_array_equal(z, np.zeros(4))
 
     def test_single_layer_analytic(self):
-        arch = MLPArchitecture((2, 2), bias=True)
+        arch = MLPArchitecture((2, 2))
         model = MLPModel(arch, (np.array([[1.0, 0.0], [0.0, 0.0]]),))
         z = output_preactivations(model, [3.0])
         np.testing.assert_array_equal(z, [3.0, 0.0])
@@ -210,7 +210,7 @@ class TestForward:
     def test_matches_straightforward_reimplementation(self):
         # duplicate-code oracle: plain loops over layers and nodes
         rng = np.random.default_rng(123)
-        arch = MLPArchitecture((4, 5, 3), activation="tanh", bias=True)
+        arch = MLPArchitecture((4, 5, 3), activation="tanh")
         model = initialize_model(arch, rng)
         h = rng.normal(size=3)
 
@@ -311,8 +311,9 @@ class TestLogit:
         )
 
     def test_multiclass_score_differences(self):
-        arch = MLPArchitecture((2, 3), bias=False)
-        model = MLPModel(arch, (np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]),))
+        arch = MLPArchitecture((3, 3))
+        weights = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        model = MLPModel(arch, (weights,))
         logits = reference_logits(model, [1.0, 0.0])  # z = [1, 2, 0]
         np.testing.assert_allclose(logits, [-1.0, 1.0])
 
@@ -408,7 +409,7 @@ class TestCrossEntropyRisk:
 
     def test_perfect_posteriors_zero_risk(self):
         # huge correct scores drive the cross entropy to zero
-        arch = MLPArchitecture((2, 2), bias=True)
+        arch = MLPArchitecture((2, 2))
         model = MLPModel(arch, (np.array([[60.0, 0.0], [-60.0, 0.0]]),))
         assert cross_entropy_risk(model, np.array([[1.0], [-1.0]]), np.array([0, 1])) < 1e-12
 
@@ -663,7 +664,6 @@ class TestTrainStack:
         n_models=st.integers(1, 5),
         n=st.integers(2, 30),
         batch_size=st.integers(1, 9),
-        bias=st.booleans(),
         weighted=st.booleans(),
         optimizer=st.sampled_from(["gd", "adam"]),
         norm_bound=st.sampled_from([None, 0.9]),
@@ -671,7 +671,7 @@ class TestTrainStack:
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_epoch_copy_algorithm(
-        self, n_models, n, batch_size, bias, weighted, optimizer, norm_bound, seed
+        self, n_models, n, batch_size, weighted, optimizer, norm_bound, seed
     ):
         # batches gathered from the one stacked input equal slices of a
         # permuted copy of it, partial last batches included
@@ -684,7 +684,7 @@ class TestTrainStack:
             if weighted
             else None
         )
-        arch = MLPArchitecture((4 if bias else 3, 5, 2), bias=bias, norm_bound=norm_bound)
+        arch = MLPArchitecture((4, 5, 2), norm_bound=norm_bound)
         hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
         models, risk, _ = train_stack(features, labels, arch, hyper, seeds, weights)
@@ -860,7 +860,6 @@ class TestPixelInputs:
 
     @given(
         n_models=st.integers(1, 4),
-        bias=st.booleans(),
         optimizer=st.sampled_from(["gd", "adam"]),
         trace=st.booleans(),
         n_features=st.sampled_from([1, 4, 9]),
@@ -870,13 +869,13 @@ class TestPixelInputs:
     )
     @settings(max_examples=40, deadline=None)
     def test_uint8_features_train_and_score_as_their_scaled_floats(
-        self, n_models, bias, optimizer, trace, n_features, n_classes, n, seed
+        self, n_models, optimizer, trace, n_features, n_classes, n, seed
     ):
         rng = np.random.default_rng(seed)
         pixels = [rng.integers(0, 256, (n, n_features), dtype=np.uint8) for _ in range(n_models)]
         scaled = [p / 255.0 for p in pixels]
         labels = [rng.integers(0, n_classes, n) for _ in range(n_models)]
-        arch = MLPArchitecture((n_features + bias, 5, n_classes), bias=bias)
+        arch = MLPArchitecture((n_features + 1, 5, n_classes))
         hyper = TrainingHyperparameters(3, 4, 0.05, optimizer=optimizer)
         seeds = rng.integers(0, 2**31, n_models).tolist()
         models, risk, logits = train_stack(pixels, labels, arch, hyper, seeds, trace=trace)
@@ -916,17 +915,12 @@ class TestPixelInputs:
             reference_logits(model, feats), reference_logits(model, floats / 255.0)
         )
 
-    def test_float_features_without_bias_are_not_copied(self):
+    def test_uint8_features_get_a_scaled_copy_and_the_bias_slot(self):
         rng = np.random.default_rng(4)
-        arch = MLPArchitecture((3, 4, 2), bias=False)
-        feats = rng.normal(size=(10, 3))
-        assert np.shares_memory(_augment(arch, feats), feats)
-        # uint8 features get a scaled float copy, with or without the bias
         pixels = rng.integers(0, 256, (10, 3), dtype=np.uint8)
-        for arch in (arch, MLPArchitecture((4, 4, 2))):
-            inputs = _augment(arch, pixels)
-            assert inputs.dtype == np.float64
-            assert np.array_equal(inputs[:, :3], pixels / 255.0)
+        inputs = _augment(MLPArchitecture((4, 4, 2)), pixels)
+        assert inputs.dtype == np.float64
+        assert np.array_equal(inputs[:, :3], pixels / 255.0)
         assert np.array_equal(inputs[:, 3], np.ones(10))
 
 
@@ -1008,7 +1002,7 @@ class TestSerialization:
             "architecture": {
                 "layer_sizes": list(arch.layer_sizes),
                 "activation": arch.activation,
-                "bias": arch.bias,
+                "bias": True,
                 "norm_bound": arch.norm_bound,
                 "input_bound": arch.input_bound,
             },
@@ -1020,11 +1014,45 @@ class TestSerialization:
             fh.write("\n")
         assert path.read_bytes() == reference.read_bytes()
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ModelError):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format", "other"),
+            ("architecture", None),
+            ("architecture.layer_sizes", "3,4,2"),
+            ("architecture.layer_sizes", [3, 4.0, 2]),
+            ("architecture.layer_sizes", [3]),
+            ("architecture.activation", ["tanh"]),
+            ("architecture.activation", "sigmoid"),
+            ("architecture.bias", False),
+            ("architecture.bias", None),
+            ("architecture.norm_bound", "2.0"),
+            ("architecture.input_bound", True),
+            ("architecture.input_bound", 0.5),
+            ("weights", None),
+            ("weights", {"0": []}),
+            ("weights", [[[0.0, 1.0], [0.0]]]),
+            ("weights", [[["a"] * 3] * 4, [[0.0] * 4] * 2]),
+            ("weights", [[[0.0] * 4] * 3, [[0.0] * 4] * 2]),
+        ],
+    )
+    def test_bad_entry_rejected_naming_it(self, tmp_path, field, value):
+        # each entry missing (None) or mistyped raises ModelError naming it
+        path = tmp_path / "model.json"
+        save_model(initialize_model(MLPArchitecture((3, 4, 2)), np.random.default_rng(16)), path)
+        payload = json.loads(path.read_text())
+        outer, _, entry = field.rpartition(".")
+        block = payload[outer] if outer else payload
+        if value is None:
+            del block[entry]
+        else:
+            block[entry] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError) as caught:
             load_model(path)
+        assert re.match(rf"{re.escape(str(path))}: {re.escape(field)}[ :]", str(caught.value)), (
+            caught.value
+        )
 
 
 class TestArchitectureValidation:
@@ -1033,6 +1061,12 @@ class TestArchitectureValidation:
             MLPArchitecture((3,))
         with pytest.raises(ModelError):
             MLPArchitecture((3, 0))
+        # a width is an integer: not a float, a string or a boolean
+        for sizes in ((3, 2.0), ("3", 2), (3, True)):
+            with pytest.raises(ModelError, match="layer_sizes"):
+                MLPArchitecture(sizes)
+        widths = MLPArchitecture((np.int64(3), 2)).layer_sizes
+        assert widths == (3, 2) and type(widths[0]) is int
         with pytest.raises(ModelError):
             MLPArchitecture((3, 2), activation="sigmoid")
         with pytest.raises(ModelError):
@@ -1044,7 +1078,6 @@ class TestArchitectureValidation:
         # the bias slot is an input entry of 1.0, which input_bound bounds
         with pytest.raises(ModelError, match="input_bound"):
             MLPArchitecture((2, 2), norm_bound=1.0, input_bound=0.01)
-        assert MLPArchitecture((2, 2), bias=False, input_bound=0.5).input_bound == 0.5
 
     def test_norm_bound_validated_on_model(self):
         arch = MLPArchitecture((2, 2), norm_bound=0.5)

@@ -55,7 +55,7 @@ class TestEmpiricalTrainingMean:
 class TestDebiasedStatistic:
     def test_constant_function_centered_to_zero(self):
         # a model whose logit is constant: only the bias column is nonzero
-        arch = MLPArchitecture((3, 2), bias=True)
+        arch = MLPArchitecture((3, 2))
         from socialml.mlp import MLPModel
 
         model = MLPModel(arch, (np.array([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0]]),))
@@ -271,20 +271,20 @@ class TestRademacherMonteCarlo:
 
 class TestMlpRademacherBound:
     def test_direct_formula(self):
-        arch = MLPArchitecture((2, 2), bias=False, norm_bound=1.0, input_bound=1.0)
+        arch = MLPArchitecture((2, 2), norm_bound=1.0, input_bound=1.0)
         bound = mlp_rademacher_bound(arch, 100)
         assert bound == pytest.approx(4.0 * math.sqrt(math.log(4.0)) / 10.0, abs=1e-12)
         assert bound == pytest.approx(0.47096, abs=1e-4)
 
     def test_scaling_in_samples(self):
-        arch = MLPArchitecture((2, 2), bias=False, norm_bound=1.0)
+        arch = MLPArchitecture((2, 2), norm_bound=1.0)
         assert mlp_rademacher_bound(arch, 200) == pytest.approx(
             mlp_rademacher_bound(arch, 100) / math.sqrt(2), rel=1e-12
         )
 
     def test_depth_factor(self):
-        one = MLPArchitecture((2, 2), bias=False, norm_bound=0.5)
-        two = MLPArchitecture((2, 4, 2), bias=False, norm_bound=0.5)
+        one = MLPArchitecture((2, 2), norm_bound=0.5)
+        two = MLPArchitecture((2, 4, 2), norm_bound=0.5)
         # (2 b L)^(L-1) with b = 0.5 contributes a factor of exactly 1
         assert mlp_rademacher_bound(two, 64) == pytest.approx(
             mlp_rademacher_bound(one, 64), rel=1e-12
@@ -301,8 +301,9 @@ class TestMlpRademacherBound:
             depth = int(rng.integers(1, 3))
             b = float(rng.uniform(0.3, 2.0))
             sizes = (n0, *([int(rng.integers(2, 6))] * (depth - 1)), 2)
-            arch = MLPArchitecture(sizes, bias=False, norm_bound=b, input_bound=1.0)
-            feats = rng.uniform(-1.0, 1.0, size=(8, n0))
+            arch = MLPArchitecture(sizes, norm_bound=b, input_bound=1.0)
+            # every input entry, the bias slot's 1 included, lies in [-1, 1]
+            feats = rng.uniform(-1.0, 1.0, size=(8, n0 - 1))
 
             candidates = []
             for _ in range(12):
