@@ -2,7 +2,7 @@
 """The byte ledger: the sha256 of every artifact of a small config matrix.
 
 The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
-``theory``) through ``socialml.cli.main`` on four tiny scenes:
+``theory``) through ``socialml.cli.main`` on six small scenes:
 
 - ``gauss2``: two classes on heterogeneous Gaussian agents (1-D and 2-D),
   ``sl``, a periodic schedule, norm-bounded models and an analytic-beta
@@ -14,7 +14,10 @@ The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
 - ``csv``: three string classes of a CSV image dataset through a label map,
   ``sl``, ``segments``, a 2x3 patch grid whose last column is wider;
 - ``ties``: three classes of blank images, so every statistic and every
-  log-belief ratio is exactly 0 and each decision is ``decide``'s tie rule.
+  log-belief ratio is exactly 0 and each decision is ``decide``'s tie rule;
+- ``long``: two classes of 1-D Gaussian agents on a 4-ring, ``(2, 32, 2)``
+  networks, ``asl`` and a periodic schedule whose segments cross block
+  edges, over a ``predict`` stream of 2,600 steps: two time blocks of 1,300.
 
 The hashes hold only under the environment they were recorded in: the
 Python minor version, the numpy version and the BLAS that numpy reports.
@@ -107,6 +110,14 @@ CONFIGS = {
         "model": MODEL,
         "train_per_class": 8, "stream_length": 6, "schedule": {"period": 2},
     },
+    # long enough for predict's time blocks: a segment crosses the block edge
+    # at step 1,300
+    "long": {
+        "seed": 7, "classes": [1, -1], "engine": "asl", "delta": 0.1, "graph": {"ring": 4},
+        "data": _gaussian([[("1", [0.4]), ("-1", [-0.4])]] * 4),
+        "model": {**MODEL, "hidden": [32]},
+        "train_per_class": 10, "schedule": {"period": 700}, "stream_length": 2600,
+    },
 }
 
 # (config, command, extra arguments); a run's ledger entry is
@@ -114,9 +125,10 @@ CONFIGS = {
 # entry and a process pool must write the serial bytes
 RUNS = [
     *((name, command, ()) for name in CONFIGS for command in ("train", "predict", "montecarlo")
-      if name != "ties"),
+      if name not in ("ties", "long")),
     ("gauss2", "montecarlo", ("--threads", "2")),
     ("ties", "predict", ()),
+    ("long", "predict", ()),
     ("gauss2", "theory", ()),
 ]
 
