@@ -20,7 +20,6 @@ import warnings
 import numpy as np
 
 from .base import Record, ValidationError
-from .social import RegimeSchedule
 
 
 class DataError(ValidationError):
@@ -214,16 +213,14 @@ def training_scene(source, per_class: int, rng) -> tuple:
     return split_patches(source.images[chosen], source.layout), labels
 
 
-def prediction_streams(
-    source, schedule: RegimeSchedule, length: int, n_streams: int, rng
-) -> tuple:
-    """``n_streams`` streams of ``length`` steps, each drawn one scene per
-    step from the class the schedule puts in force, all from the generator
-    ``rng``.
+def prediction_streams(source, states, n_streams: int, rng) -> list:
+    """``n_streams`` streams over the class-index track ``states``, each
+    drawn one scene per step from the class the track puts in force, all
+    from the generator ``rng``.
 
-    Returns ``(views, states)``: ``views[k]`` holds agent k's features, shape
-    (S, T, d_k) with one row per stream, and ``states`` the (T,) true
-    class-index track that every stream of the batch shares.
+    Returns ``views``: ``views[k]`` holds agent k's features, shape
+    (S, T, d_k) with one row per stream, where T is the length of
+    ``states``, the track every stream of the batch shares.
 
     ``source`` is either a ``GaussianSceneSpec`` (each agent gets a fresh
     draw from its own likelihood) or an ``ImageSource``: one image per step
@@ -231,11 +228,14 @@ def prediction_streams(
     the views hold its raw uint8 pixels, which the models scale as they
     read them.  One step-major draw of shape (S, T, ...) feeds every stream,
     so a batch begins with any smaller batch drawn from the same generator
-    state, and a stream's first t steps do not depend on ``length``.  A
-    state that is no class index of the source, or an image class without
-    rows, raises ``DataError`` naming it.
+    state, and a stream's first t steps do not depend on T.  With one
+    stream, the draw is a time series: two calls over consecutive pieces of
+    a track give the bits of one call over the whole track, so a stream can
+    be drawn in time blocks.  A state that is no class index of the source,
+    or an image class without rows, raises ``DataError`` naming it.
     """
-    states = schedule.states(length)
+    states = np.asarray(states, dtype=np.intp)
+    length = states.size
     active = sorted(set(states.tolist()))
     for j in active:
         # a negative index would pick a class from the end of the list
@@ -254,7 +254,7 @@ def prediction_streams(
             steps = np.resize(idx, max(idx.size, 2))
             for view, block, per_agent in zip(views, blocks, source.models):
                 view[:, idx] = per_agent[j].transform(block[:, steps])[:, : idx.size]
-        return views, states
+        return views
     sizes = np.array([len(rows) for rows in source.rows])
     for j in active:
         if sizes[j] == 0:
@@ -265,7 +265,7 @@ def prediction_streams(
     chosen = np.concatenate(source.rows)[starts[states] + picks]
     # one read of the picked images, split into uint8 patches
     flat = split_patches(source.images[chosen.reshape(-1)], source.layout)
-    return [v.reshape(n_streams, length, -1) for v in flat], states
+    return [v.reshape(n_streams, length, -1) for v in flat]
 
 
 # --- image file ingestion -------------------------------------------------

@@ -7,11 +7,14 @@ command leaves nothing behind, heads CSVs with a ``# config=... seed=...``
 line and JSON artifacts with a ``meta`` block, and lists in ``manifest.json``
 exactly the files it wrote.  ``_streams`` draws every prediction stream, so
 ``predict``'s stream is a prefix of Monte Carlo replication 0's first
-stream, whatever the two lengths.
+stream, whatever the two lengths.  ``predict`` runs its stream in time
+blocks and holds one block at a time.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import json
 import math
 import os
@@ -62,6 +65,17 @@ CHUNK_INPUT_BYTES = 1 << 22
 TRAJECTORY_BLOCK_ROWS = 256
 
 
+# Steps per time block of predict's stream: a stream of T steps runs in
+# max(1, T // PREDICT_BLOCK_STEPS) blocks of near-equal length, so every
+# block but a lone one holds 1,024 to 2,047 steps.  A forward pass's last
+# bits depend on how many rows it is given, up to 600 rows (numpy 2.4.6 with
+# OpenBLAS 0.3.31; the largest such count over 8 input widths from 2 to 785,
+# 8 hidden layouts, 1-3 outputs and both activations, at up to 4,096 rows
+# against one 8,192-row pass).  Blocks above that floor give every statistic
+# the bits of one pass over the whole stream.
+PREDICT_BLOCK_STEPS = 1024
+
+
 class _Output:
     """One command's output directory: ``path`` records every file it hands
     out, and ``close`` lists them, its own too, in ``manifest.json``."""
@@ -79,12 +93,21 @@ class _Output:
         """Header, column names, then ``blocks``: preformatted lines of text.
 
         Floats are formatted as ``repr`` of Python floats (``.tolist()``
-        values), the shortest text that reads back to the same number.
+        values), the shortest text that reads back to the same number.  If
+        ``blocks`` raises, the partial file goes, and so does the output
+        directory once it is empty.
         """
-        with open(self.path(name), "w") as fh:
-            fh.write(f"# config={self.cfg.digest[:16]} seed={self.cfg.seed}\n")
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(blocks)
+        path = self.path(name)
+        try:
+            with open(path, "w") as fh:
+                fh.write(f"# config={self.cfg.digest[:16]} seed={self.cfg.seed}\n")
+                fh.write(",".join(columns) + "\n")
+                fh.writelines(blocks)
+        except BaseException:
+            os.remove(path)
+            with contextlib.suppress(OSError):
+                os.rmdir(self.out_dir)
+            raise
 
     def json(self, name: str, payload: dict) -> None:
         meta = {"config_sha256": self.cfg.digest, "seed": self.cfg.seed, "command": self.command}
@@ -96,14 +119,16 @@ class _Output:
         self.json("manifest.json", {"artifacts": sorted([*self.names, "manifest.json"])})
 
 
-def _trajectory_lines(run: PredictionRun, states, classes):
+def _trajectory_lines(run: PredictionRun, states, classes, first: int = 0):
     """trajectory.csv rows of one run, one text block per
     ``TRAJECTORY_BLOCK_ROWS`` rows.
 
     A row is (run_id, i, agent, gamma, lambda, decision, true_state,
     correct) for every step i, agent and lambda component ``gamma``, the
-    classes after the reference one; ``states`` is the true class-index
-    track.  The class labels become text here.
+    classes after the reference one; ``states`` is the run's true
+    class-index track and ``first`` the index of its first step, so a
+    stream's time blocks write the rows of one run.  The class labels
+    become text here.
     """
     _, n_agents, width = run.lam.shape
     per_step = n_agents * width
@@ -122,7 +147,7 @@ def _trajectory_lines(run: PredictionRun, states, classes):
         hi = min(lo + steps, run.horizon)
         rows = (hi - lo) * per_step
         del pieces[4 * rows :]  # only the last block can be shorter
-        lead = np.array([f"0,{i}" for i in range(lo, hi)], dtype=object)
+        lead = np.array([f"0,{i}" for i in range(first + lo, first + hi)], dtype=object)
         pieces[0::4] = np.repeat(lead, per_step).tolist()
         pieces[1::4] = fixed[:rows]
         pieces[2::4] = map(repr, run.lam[lo:hi].ravel().tolist())
@@ -204,12 +229,20 @@ def _trained_statistics(cfg: ExperimentConfig, reps, scenes) -> list:
     ]
 
 
-def _streams(cfg: ExperimentConfig, rep: int, length: int, n_streams: int) -> tuple:
-    """Replication ``rep``'s first ``n_streams`` prediction streams of
-    ``length`` steps, rows of one draw from the generator on the seed path
-    ``(rep,)``: the ``(views, states)`` of ``data.prediction_streams``."""
+def _streams(cfg: ExperimentConfig, rep: int, n_streams: int, edges):
+    """Replication ``rep``'s first ``n_streams`` prediction streams, in time
+    blocks between consecutive ``edges``: one ``(views, states)`` pair per
+    block, its ``data.prediction_streams`` views and its class-index track.
+
+    Every block draws from the one generator on the seed path ``(rep,)``,
+    so one stream drawn in blocks has the bits of one draw over all its
+    steps, and ``predict``'s stream is a prefix of the first stream of
+    Monte Carlo replication 0, which draws its batch in one block.
+    """
     (rng,) = generators(derived_seeds(cfg.seed, PHASE_STREAM, [(rep,)]))
-    return data_mod.prediction_streams(cfg.scene, cfg.schedule, length, n_streams, rng)
+    for lo, hi in zip(edges, edges[1:]):
+        states = cfg.schedule.states(hi, lo)
+        yield data_mod.prediction_streams(cfg.scene, states, n_streams, rng), states
 
 
 # --- commands ---------------------------------------------------------------
@@ -238,44 +271,66 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Train once, run one prediction stream, write trajectory and summary."""
-    if cfg.stream_length < 1:
+    """Train once, run one prediction stream, write trajectory and summary.
+
+    The stream of T = ``stream_length`` steps runs in ``n = max(1, T //
+    PREDICT_BLOCK_STEPS)`` time blocks, cut at ``T * i // n``.  Each block
+    draws its next steps from the one stream generator, evaluates every
+    agent's statistic on them, diffuses from the lambda the block before
+    ended on, decides, writes its trajectory.csv rows and adds to each
+    schedule segment's hit counts and last wrong step, from which
+    summary.json is built.  So only one block of the stream is held at a
+    time, and the bytes are those of one pass over the whole stream.
+    """
+    horizon = cfg.stream_length
+    if horizon < 1:
         raise ConfigError("prediction needs stream_length >= 1")
     scenes = shared_scene_training(cfg, [0])
     (statistics,) = _trained_statistics(cfg, [0], scenes)
-    views, states = _streams(cfg, 0, cfg.stream_length, 1)
-    run = run_prediction(
-        cfg.matrix, statistics, [v[0] for v in views], states, len(cfg.classes), delta=cfg.delta
-    )
+    n_blocks = max(1, horizon // PREDICT_BLOCK_STEPS)
+    edges = [horizon * i // n_blocks for i in range(n_blocks + 1)]
+    # the schedule's segments that start within the stream, each to the next
+    segments = [seg for seg in cfg.schedule.segments if seg[0] < horizon]
+    starts = [start for start, _ in segments]
+    hits = np.zeros((len(segments), cfg.n_agents), dtype=np.intp)
+    # one past the last wrong step of each segment and agent, 0 while none is
+    last_wrong = np.zeros_like(hits)
+
+    def blocks():
+        lam = None
+        for lo, (views, states) in zip(edges, _streams(cfg, 0, 1, edges)):
+            run = run_prediction(
+                cfg.matrix, statistics, [v[0] for v in views], states, len(cfg.classes),
+                delta=cfg.delta, lam0=lam,
+            )
+            lam = run.lam[-1]
+            # the segments this block overlaps, [first, last), cut at its edges
+            first = bisect.bisect_right(starts, lo) - 1
+            last = bisect.bisect_right(starts, lo + run.horizon - 1)
+            cuts = [0] + [start - lo for start in starts[first + 1 : last]]
+            hits[first:last] += np.add.reduceat(run.correct, cuts, axis=0, dtype=np.intp)
+            wrong = np.where(run.correct, 0, np.arange(lo + 1, lo + run.horizon + 1)[:, None])
+            seen = last_wrong[first:last]
+            np.maximum(seen, np.maximum.reduceat(wrong, cuts, axis=0), out=seen)
+            yield from _trajectory_lines(run, states, cfg.classes, lo)
 
     out = _Output(cfg, out_dir, "predict")
     out.csv(
         "trajectory.csv",
         ("run_id", "i", "agent", "gamma_or_binary", "lambda", "decision", "true_state", "correct"),
-        _trajectory_lines(run, states, cfg.classes),
+        blocks(),
     )
-
-    cycles = []
-    # the schedule's segments that start within the stream, each to the next
-    segments = [seg for seg in cfg.schedule.segments if seg[0] < run.horizon]
-    ends = [start for start, _ in segments[1:]] + [run.horizon]
-    for (start, state), end in zip(segments, ends):
-        window = run.correct[start:end]
-        accuracy = window.mean(axis=0)
-        adaptation = []
-        for k in range(cfg.n_agents):
-            ok = window[:, k]
-            wrong = np.flatnonzero(~ok)
-            adaptation.append(int(wrong[-1] + 1) if wrong.size else 0)
-        cycles.append(
-            {
-                "start": start,
-                "end": end,
-                "state": str(cfg.classes[state]),
-                "accuracy_per_agent": accuracy.tolist(),
-                "adaptation_steps_per_agent": adaptation,
-            }
-        )
+    ends = starts[1:] + [horizon]
+    cycles = [
+        {
+            "start": start,
+            "end": end,
+            "state": str(cfg.classes[state]),
+            "accuracy_per_agent": (hit / (end - start)).tolist(),
+            "adaptation_steps_per_agent": np.where(wrong > 0, wrong - start, 0).tolist(),
+        }
+        for (start, state), end, hit, wrong in zip(segments, ends, hits, last_wrong)
+    ]
     summary = {"engine": cfg.engine, "delta": cfg.delta, "cycles": cycles}
     out.json("summary.json", summary)
     out.close()
@@ -313,7 +368,7 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
 
     out = []
     for i, rep in enumerate(reps):
-        views, states = _streams(cfg, rep, horizon, n_streams)
+        ((views, states),) = _streams(cfg, rep, n_streams, (0, horizon))
         errors = {}
         if stats is not None:
             run = run_prediction(

@@ -553,7 +553,23 @@ def load_model(path) -> MLPModel:
         )
     except ModelError as exc:
         raise ModelError(f"{path}: architecture.{exc}") from exc
-    try:
+    for ell, matrix in enumerate(payload["weights"], start=1):
+        for entry in _leaves(matrix):
+            # np.asarray(..., dtype=float) would read "0.5" and true, and null as NaN
+            if not (type(entry) is int or type(entry) is float and math.isfinite(entry)):
+                raise ModelError(
+                    f"{path}: weights: layer {ell} holds {entry!r}, not a finite number"
+                )
+    try:  # a ragged matrix, or an integer beyond float range, fails here
         return MLPModel(arch, tuple(payload["weights"]))
-    except (ModelError, TypeError, ValueError) as exc:  # a ragged or non-numeric matrix
+    except (ModelError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{path}: weights: {exc}") from exc
+
+
+def _leaves(value):
+    """The entries of nested JSON lists, depth first."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value

@@ -15,6 +15,7 @@ adaptation time on the order of 1/delta.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -40,12 +41,17 @@ class RegimeSchedule(Record):
             raise SocialLearningError("segment starts must be strictly increasing")
         object.__setattr__(self, "segments", segs)
 
-    def states(self, length: int) -> np.ndarray:
-        """True class-index track over [0, length), which the segments cover."""
-        track = np.empty(length, dtype=np.intp)
-        starts = [s for s, _ in self.segments] + [length]
-        for (start, state), end in zip(self.segments, starts[1:]):
-            track[start:min(end, length)] = state
+    def states(self, stop: int, start: int = 0) -> np.ndarray:
+        """True class-index track over steps [start, stop), which the
+        segments cover."""
+        track = np.empty(stop - start, dtype=np.intp)
+        segs = self.segments
+        # from the last segment to start at or before ``start``
+        i = bisect.bisect_right(segs, start, key=lambda seg: seg[0]) - 1
+        while i < len(segs) and segs[i][0] < stop:
+            end = segs[i + 1][0] if i + 1 < len(segs) else stop
+            track[max(segs[i][0], start) - start : end - start] = segs[i][1]
+            i += 1
         return track
 
 
@@ -105,13 +111,18 @@ def asl_step(lam, matrix, stats, delta: float) -> np.ndarray:
     return _mix(matrix.weights, (1.0 - delta) * lam + c)
 
 
-def diffuse(stats, weights, delta: float | None = None) -> np.ndarray:
-    """Log-belief ratios of a whole stream, starting from lambda = 0.
+def diffuse(stats, weights, delta: float | None = None, lam0=None) -> np.ndarray:
+    """Log-belief ratios of a stream, starting from ``lam0`` (lambda = 0
+    without it).
 
     ``stats`` has shape (..., T, K, W): any leading batch axes (independent
-    streams), then time, agents and the M - 1 ratio components.  Without
-    ``delta`` this iterates the standard step, with it the adaptive one; the
-    result has the shape of ``stats`` and holds lambda after each step.
+    streams), then time, agents and the M - 1 ratio components; ``lam0``
+    has the shape of one step, (..., K, W).  Without ``delta`` this iterates
+    the standard step, with it the adaptive one; the result has the shape of
+    ``stats`` and holds lambda after each step.  A stream cut into time
+    blocks, each diffused from the last lambda of the block before, gives
+    the whole stream's bits: every step makes the same products of the same
+    operands.
 
     A step's mix is ``np.dot(mixed, weights, out=row)``: for 2-d float64
     operands ``np.dot`` makes the same BLAS call as ``np.matmul`` (gemv for
@@ -130,7 +141,14 @@ def diffuse(stats, weights, delta: float | None = None) -> np.ndarray:
     rows = lam.reshape(horizon, math.prod(steps.shape[1:-1]), n_agents)
     # keep * state + c_t, built in one buffer reused by every step
     mixed = np.empty(rows.shape[1:])
-    state = np.zeros(mixed.shape)
+    if lam0 is None:
+        state = np.zeros(mixed.shape)
+    else:
+        lam0 = np.asarray(lam0, dtype=float)
+        want = stats.shape[:-3] + stats.shape[-2:]
+        if lam0.shape != want:
+            raise SocialLearningError(f"lam0 shape {lam0.shape}, expected {want}")
+        state = np.swapaxes(lam0, -1, -2).reshape(mixed.shape)
     for row in rows:
         np.multiply(keep, state, out=mixed)
         np.add(mixed, row, out=mixed)
@@ -178,6 +196,7 @@ def run_prediction(
     true_states,
     n_classes: int,
     delta: float | None = None,
+    lam0=None,
 ) -> PredictionRun:
     """Diffuse the agents' statistics over feature streams and decide.
 
@@ -187,7 +206,9 @@ def run_prediction(
     the decisions are scored against.  The run holds lambda, the decided
     class indices and whether each is right.  Without ``delta``
     the beliefs diffuse by the standard step, with it by the adaptive one, as
-    in ``diffuse``.
+    in ``diffuse``, from ``lam0``: lambda before the first step, (..., K,
+    M-1), 0 without it.  Passing a run's last lambda as the next run's
+    ``lam0`` continues the stream in time blocks with the bits of one run.
     Providers must be pure functions of the observation; they are applied to
     each agent's whole batch in one vectorized pass and the recursion consumes
     the values in time order, so no engine-level caching exists.
@@ -208,16 +229,17 @@ def run_prediction(
         if f.shape[len(batch)] != horizon:
             raise SocialLearningError(f"agent {k} stream length != {horizon}")
 
-    # statistics for all streams in one vectorized pass per agent
+    # statistics for all streams in one vectorized pass per agent, each
+    # agent's written contiguously; diffuse's copy puts agents last
     width = n_classes - 1
-    stat_track = np.empty(batch + (horizon, n_agents, width))
+    stat_track = np.empty((n_agents,) + batch + (horizon, width))
     for k, f in enumerate(feats):
         flat = f.reshape(-1, f.shape[-1]) if batch else f
         values = np.asarray(providers[k](flat), dtype=float)
-        stat_track[..., k, :] = values.reshape(batch + (horizon, width))
+        stat_track[k] = values.reshape(batch + (horizon, width))
     if not np.all(np.isfinite(stat_track)):
         raise SocialLearningError("non-finite statistic value")
-    lam = diffuse(stat_track, matrix.weights, delta)
+    lam = diffuse(np.moveaxis(stat_track, 0, -2), matrix.weights, delta, lam0)
     if not np.all(np.isfinite(lam)):
         raise SocialLearningError("lambda contains non-finite values")
     picks = decide(lam)

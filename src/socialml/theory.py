@@ -37,7 +37,6 @@ from .base import Record, ValidationError
 from .data import prediction_streams
 from .mlp import MLPArchitecture, ModelError
 from .seeds import generators
-from .social import RegimeSchedule
 from .stats import StatisticError
 
 LOG2 = math.log(2.0)
@@ -267,8 +266,8 @@ def class_means(statistics, source, perron, n: int, seed: int) -> ClassMeans:
 
     ``n`` rows of every class are drawn from the scene ``source`` (a
     ``GaussianSceneSpec`` or an ``ImageSource``) by one
-    ``data.prediction_streams`` call, whose one stream holds class j for
-    ``n`` steps and is drawn from the generator of ``seed``.
+    ``data.prediction_streams`` call, whose one stream's track holds class j
+    for ``n`` steps and is drawn from the generator of ``seed``.
     ``statistics[k]`` maps agent k's rows to its statistic values, (rows,)
     or (rows, M-1), as ``run_prediction`` reads its providers.
     """
@@ -278,9 +277,8 @@ def class_means(statistics, source, perron, n: int, seed: int) -> ClassMeans:
     if pi.shape != (len(statistics),):
         raise StatisticError(f"{len(statistics)} statistics but {pi.size} Perron weights")
     m = source.n_classes
-    schedule = RegimeSchedule(tuple((j * n, j) for j in range(m)))
     (rng,) = generators([seed])
-    views, _ = prediction_streams(source, schedule, m * n, 1, rng)
+    views = prediction_streams(source, np.repeat(np.arange(m), n), 1, rng)
     if len(views) != pi.size:
         raise StatisticError(f"{pi.size} statistics but the source has {len(views)} agents")
     values = np.stack(

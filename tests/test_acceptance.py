@@ -242,7 +242,8 @@ def test_criterion_07_gaussian_scene_growth():
             )
             for k in range(4)
         ]
-        views, states = prediction_streams(spec, sched, 200, 1, np.random.default_rng(3000 + s))
+        states = sched.states(200)
+        views = prediction_streams(spec, states, 1, np.random.default_rng(3000 + s))
         run = run_prediction(demo.matrix, providers, [v[0] for v in views], states, 2)
         lam100.append(float(run.lam[99, 0, 0]))
         lam200.append(float(run.lam[199, 0, 0]))
@@ -270,7 +271,8 @@ def test_criterion_08_adaptation_time():
     sched = RegimeSchedule(((0, 0), (flip, 1)))  # +1, then -1
     recovered = 0
     for seed in range(100):
-        views, states = prediction_streams(spec, sched, horizon, 1, np.random.default_rng(seed))
+        states = sched.states(horizon)
+        views = prediction_streams(spec, states, 1, np.random.default_rng(seed))
         run = run_prediction(RING4, providers, [v[0] for v in views], states, 2, delta=delta)
         recovered += bool(np.all(run.correct[flip + window :]))
     assert recovered >= 90

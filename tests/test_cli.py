@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from socialml.experiments import (
 )
 from socialml.mlp import load_model, train_stack
 from socialml.seeds import derived_seeds
-from socialml.social import periodic_schedule, run_prediction
+from socialml.social import SocialLearningError, periodic_schedule, run_prediction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import CONFIGS, write_idx
@@ -485,6 +486,68 @@ class TestCmdPredict:
         second = [lam[i] for i in range(40, 80)]
         assert max(first) > 0  # positive while the reference class is active
         assert min(second) < 0  # crosses below after the flip
+
+    @pytest.mark.parametrize("engine", [{"engine": "sl"}, {"engine": "asl", "delta": 0.3}],
+                             ids=["sl", "asl"])
+    def test_bytes_do_not_depend_on_the_block_steps(self, tmp_path, monkeypatch, engine):
+        # 12 steps run as one block, as 6 blocks of 2 and as 4 blocks of 3;
+        # segments start on edges of both cuttings (4, 6 and 9), and one
+        # holds a single step
+        cfg_dict = three_class_config(
+            stream_length=12,
+            schedule={"segments": [[0, 0], [4, 1], [5, 2], [6, 0], [9, 2]]},
+            **engine,
+        )
+        cfg = validate_config(cfg_dict, str(tmp_path))
+        written = []
+        for steps in (experiments.PREDICT_BLOCK_STEPS, 2, 3):
+            monkeypatch.setattr(experiments, "PREDICT_BLOCK_STEPS", steps)
+            out = tmp_path / str(steps)
+            summary = cmd_predict(cfg, str(out))
+            written.append([(out / n).read_bytes() for n in ("trajectory.csv", "summary.json")])
+        assert written[1] == written[0] and written[2] == written[0]
+        # decisions go wrong and right in these segments, so a miscounted
+        # block would move the summary
+        cycles = summary["cycles"]
+        assert [c["start"] for c in cycles] == [0, 4, 5, 6, 9]
+        assert any(0 < a < 1 for c in cycles for a in c["accuracy_per_agent"])
+        assert any(c["adaptation_steps_per_agent"] != [0] * 4 for c in cycles)
+
+    def test_memory_flat_in_stream_length(self, tmp_path):
+        def peak(length: int) -> int:
+            # summary.json holds a cycle per segment, so the segments are fixed
+            schedule = {"segments": [[0, 1], [1500, -1]]}
+            raw = base_config(stream_length=length, schedule=schedule)
+            cfg = validate_config(raw, str(tmp_path))
+            tracemalloc.start()
+            try:
+                cmd_predict(cfg, str(tmp_path / str(length)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1024)  # the first run in a process allocates its one-time caches
+        # blocks of 1,024 steps in both: 2 of them, then 8
+        short, long = peak(2 * 1024), peak(8 * 1024)
+        assert long <= 1.2 * short, (short, long)
+
+    def test_a_failing_block_leaves_nothing(self, tmp_path, monkeypatch):
+        calls = []
+
+        def second_block_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SocialLearningError("non-finite statistic value")
+            return run_prediction(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "PREDICT_BLOCK_STEPS", 5)
+        monkeypatch.setattr(experiments, "run_prediction", second_block_fails)
+        cfg = validate_config(base_config(), str(tmp_path))
+        out = tmp_path / "out"
+        with pytest.raises(SocialLearningError):
+            cmd_predict(cfg, str(out))
+        assert len(calls) == 2
+        assert not out.exists()
 
 
 class TestCmdMontecarlo:
@@ -1210,8 +1273,8 @@ class TestPredictIsReplicationZero:
         self, trained_scene, short, long, n_streams
     ):
         cfg, statistics = trained_scene
-        views, states = _streams(cfg, 0, short, 1)
-        batch, batch_states = _streams(cfg, 0, long, n_streams)
+        ((views, states),) = _streams(cfg, 0, 1, (0, short))
+        ((batch, batch_states),) = _streams(cfg, 0, n_streams, (0, long))
         assert states.tolist() == batch_states[:short].tolist()
         for view, rows in zip(views, batch):
             assert np.array_equal(view[0], rows[0, :short])

@@ -165,8 +165,9 @@ class TestPredictionStream:
     def test_single_segment_constant_state(self):
         spec = mean_shift_gaussian_spec(2)
         schedule = RegimeSchedule(((0, 1),))
-        views, states = prediction_streams(spec, schedule, 25, 1, np.random.default_rng(0))
+        states = schedule.states(25)
         assert set(states.tolist()) == {1}
+        views = prediction_streams(spec, states, 1, np.random.default_rng(0))
         # class 1 of the spec centers on -1
         assert views[0][0].mean() < 0
         assert views[0][0].shape == (25, 1)
@@ -174,7 +175,7 @@ class TestPredictionStream:
     def test_periodic_square_wave(self):
         spec = mean_shift_gaussian_spec(1)
         sched = periodic_schedule(1000, [0, 1], 4000)
-        _, states = prediction_streams(spec, sched, 4000, 1, np.random.default_rng(1))
+        states = sched.states(4000)
         assert np.all(states[:1000] == 0)
         assert np.all(states[1000:2000] == 1)
         assert np.all(states[2000:3000] == 0)
@@ -183,8 +184,8 @@ class TestPredictionStream:
     def test_seed_determinism(self):
         spec = load_config(CONFIGS / "gaussian_demo.json").scene
         sched = periodic_schedule(10, [0, 1], 30)
-        a, _ = prediction_streams(spec, sched, 30, 1, np.random.default_rng(5))
-        b, _ = prediction_streams(spec, sched, 30, 1, np.random.default_rng(5))
+        a = prediction_streams(spec, sched.states(30), 1, np.random.default_rng(5))
+        b = prediction_streams(spec, sched.states(30), 1, np.random.default_rng(5))
         for va, vb in zip(a, b):
             np.testing.assert_array_equal(va[0], vb[0])
 
@@ -194,7 +195,8 @@ class TestPredictionStream:
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
         source = image_source(pools, layout)
-        views, states = prediction_streams(source, sched, 10, 1, np.random.default_rng(2))
+        states = sched.states(10)
+        views = prediction_streams(source, states, 1, np.random.default_rng(2))
         assert len(views) == 4
         assert views[0][0].shape == (10, 9)
         assert all(view.dtype == np.uint8 for view in views)
@@ -219,7 +221,7 @@ class TestPredictionStream:
         layout = PatchLayout(6, 6, 2, 2)
         sched = periodic_schedule(5, [0, 1], 10)
         source = image_source(pools, layout)
-        views, _ = prediction_streams(source, sched, 10, 1, np.random.default_rng(2))
+        views = prediction_streams(source, sched.states(10), 1, np.random.default_rng(2))
         # drawing scales nothing; each agent's model input fill converts each
         # picked pixel of its patch once
         assert scaled == []
@@ -231,7 +233,7 @@ class TestPredictionStream:
         assert sum(scaled) == 10 * 6 * 6
         # the same draws from images scaled up front give the same logits
         scaled_up_front = ImageSource(source.images / 255.0, source.rows, layout)
-        again, _ = prediction_streams(scaled_up_front, sched, 10, 1, np.random.default_rng(2))
+        again = prediction_streams(scaled_up_front, sched.states(10), 1, np.random.default_rng(2))
         for model, got, view in zip(models, logits, again):
             assert view.dtype == np.float64
             np.testing.assert_array_equal(got, reference_logits(model, view[0]))
@@ -245,7 +247,7 @@ class TestPredictionStream:
             images = np.zeros((3, 4, 4), dtype=np.uint8)
             source = ImageSource(images, rows, PatchLayout(4, 4, 2, 2))
             with pytest.raises(DataError, match=message):
-                prediction_streams(source, schedule, 5, 1, np.random.default_rng(0))
+                prediction_streams(source, schedule.states(5), 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("state", [-1, -2, 2])
     def test_state_outside_the_classes_rejected(self, state):
@@ -254,10 +256,10 @@ class TestPredictionStream:
         schedule = RegimeSchedule(((0, 0), (3, state)))
         spec = mean_shift_gaussian_spec(1)
         with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
-            prediction_streams(spec, schedule, 6, 1, np.random.default_rng(0))
+            prediction_streams(spec, schedule.states(6), 1, np.random.default_rng(0))
         source = image_source([np.zeros((3, 4, 4), dtype=np.uint8)] * 2, PatchLayout(4, 4, 2, 2))
         with pytest.raises(DataError, match=f"schedule state {state} is not a class index"):
-            prediction_streams(source, schedule, 6, 1, np.random.default_rng(0))
+            prediction_streams(source, schedule.states(6), 1, np.random.default_rng(0))
 
 
 def image_source(pools, layout, seed=0):
@@ -296,9 +298,25 @@ def step_by_step_stream(source, schedule, length, n_streams, seed, layout=None):
     return [v.reshape(n_streams, length, -1) for v in flat]
 
 
+def assert_blocks_continue_the_draw(source, schedule, length, seed, cut):
+    """One stream drawn over steps [0, cut) and then [cut, length), from one
+    generator, has the bits of one draw over [0, length); a block holds one
+    step at least."""
+    if length < 2:
+        return
+    cut = min(max(cut, 1), length - 1)
+    whole = prediction_streams(source, schedule.states(length), 1, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    head = prediction_streams(source, schedule.states(cut), 1, rng)
+    tail = prediction_streams(source, schedule.states(length, cut), 1, rng)
+    for k, view in enumerate(whole):
+        assert np.array_equal(np.concatenate([head[k], tail[k]], axis=1), view)
+
+
 class TestPredictionStreams:
-    """A batch is one step-major draw: it begins with any smaller batch, and a
-    stream's first steps do not depend on its length."""
+    """A batch is one step-major draw: it begins with any smaller batch, a
+    stream's first steps do not depend on its length, and one stream drawn
+    in two time blocks is the one draw."""
 
     @given(
         dims=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4),
@@ -307,10 +325,11 @@ class TestPredictionStreams:
         starts=st.lists(st.integers(1, 24), max_size=3),
         n_streams=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
+        cut=st.integers(1, 24),
     )
     @settings(max_examples=60, deadline=None)
     def test_gaussian_batch_begins_with_smaller_batches(
-        self, dims, n_classes, length, starts, n_streams, seed
+        self, dims, n_classes, length, starts, n_streams, seed, cut
     ):
         rng = np.random.default_rng(seed)
         models = []
@@ -323,10 +342,9 @@ class TestPredictionStreams:
         spec = GaussianSceneSpec(tuple(models))
         bounds = sorted({0, *starts})
         schedule = RegimeSchedule(tuple((s, int(rng.integers(n_classes))) for s in bounds))
-        batch, states = prediction_streams(
-            spec, schedule, length, n_streams, np.random.default_rng(seed)
+        batch = prediction_streams(
+            spec, schedule.states(length), n_streams, np.random.default_rng(seed)
         )
-        assert np.array_equal(states, schedule.states(length))
         reference = step_by_step_stream(spec, schedule, length, n_streams, seed)
         for k, d in enumerate(dims):
             assert batch[k].shape == (n_streams, length, d)
@@ -334,13 +352,14 @@ class TestPredictionStreams:
             np.testing.assert_allclose(batch[k], reference[k], rtol=1e-13, atol=1e-13)
         for fewer in range(1, n_streams + 1):
             for shorter in {1, (length + 1) // 2, length}:
-                head, _ = prediction_streams(
-                    spec, schedule, shorter, fewer, np.random.default_rng(seed)
+                head = prediction_streams(
+                    spec, schedule.states(shorter), fewer, np.random.default_rng(seed)
                 )
                 for k in range(len(dims)):
                     assert np.array_equal(head[k][0], batch[k][0, :shorter])
                     if shorter == length:
                         assert np.array_equal(head[k], batch[k][:fewer])
+        assert_blocks_continue_the_draw(spec, schedule, length, seed, cut)
 
     @given(
         grid=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2)]),
@@ -348,25 +367,29 @@ class TestPredictionStreams:
         period=st.integers(1, 6),
         n_streams=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
+        cut=st.integers(1, 11),
     )
     @settings(max_examples=30, deadline=None)
-    def test_image_batch_begins_with_smaller_batches(self, grid, length, period, n_streams, seed):
+    def test_image_batch_begins_with_smaller_batches(
+        self, grid, length, period, n_streams, seed, cut
+    ):
         rng = np.random.default_rng(seed)
         pools = [rng.integers(0, 256, size=(n, 7, 8), dtype=np.uint8) for n in (9, 5, 12)]
         layout = PatchLayout(7, 8, *grid)
         schedule = periodic_schedule(period, [2, 0, 1], length)
         source = image_source(pools, layout, seed)
-        batch, _ = prediction_streams(
-            source, schedule, length, n_streams, np.random.default_rng(seed)
+        batch = prediction_streams(
+            source, schedule.states(length), n_streams, np.random.default_rng(seed)
         )
         reference = step_by_step_stream(pools, schedule, length, n_streams, seed, layout)
         shorter = (length + 1) // 2
-        head, _ = prediction_streams(source, schedule, shorter, 1, np.random.default_rng(seed))
+        head = prediction_streams(source, schedule.states(shorter), 1, np.random.default_rng(seed))
         for k in range(layout.n_agents):
             assert batch[k].shape == (n_streams, length, layout.view_dim(k))
             assert batch[k].dtype == np.uint8
             assert np.array_equal(batch[k], reference[k])
             assert np.array_equal(head[k][0], batch[k][0, :shorter])
+        assert_blocks_continue_the_draw(source, schedule, length, seed, cut)
 
 
 class TestIdxFiles:
@@ -451,7 +474,8 @@ class TestIdxFiles:
         scene = pooled_config(tmp_path, (2, 3), [0, 1]).scene
         before = os.listdir("/proc/self/fd")
         training_scene(scene, 5, np.random.default_rng(1))
-        prediction_streams(scene, RegimeSchedule(((0, 0), (3, 1))), 6, 2, np.random.default_rng(1))
+        states = RegimeSchedule(((0, 0), (3, 1))).states(6)
+        prediction_streams(scene, states, 2, np.random.default_rng(1))
         (tmp_path / "images.idx").write_bytes(b"")
         with pytest.raises(DataError, match="truncated"):
             training_scene(scene, 5, np.random.default_rng(1))

@@ -31,10 +31,12 @@ from socialml.mlp import (
     save_model,
     train_stack,
 )
+from socialml.experiments import PREDICT_BLOCK_STEPS
 from socialml.seeds import generators
 from socialml.stats import DebiasedStatistic
 from socialml.theory import logit_bound
 from helpers import cross_entropy_risk, gradient_check, logistic_risk, softplus
+from test_byte_ledger import byte_ledger
 
 
 def binary_dataset(rng, n=20, dim=2):
@@ -301,6 +303,52 @@ class TestForward:
             tracemalloc.stop()
         held = 8 * 10_000 * (2 + 10 + 2)
         assert peak < 1.1 * held, (peak, held)
+
+
+GAP_ROWS = 4096
+
+
+def gap_model(sizes, activation):
+    """A model of ``sizes`` with wide initial weights, its first
+    ``GAP_ROWS``-row input block and that block's reference logits."""
+    model = initialize_model(MLPArchitecture(sizes, activation), np.random.default_rng(0), 3.0)
+    rows = np.random.default_rng(1).standard_normal((GAP_ROWS, sizes[0] - 1))
+    return model, rows, reference_logits(model, rows)
+
+
+def row_counts_that_differ(model, rows, whole, counts) -> list:
+    """The row counts n whose logits differ in any bit from the first n rows
+    of ``whole``, the logits of every row in one pass."""
+    return [n for n in counts if not np.array_equal(reference_logits(model, rows[:n]), whole[:n])]
+
+
+class TestRowCountGap:
+    """A forward pass's last bits may depend on how many rows it is given,
+    but not at ``PREDICT_BLOCK_STEPS`` rows or more: predict's time blocks
+    then give its statistics the bits of one pass over the whole stream."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize(
+        "sizes", [(2, 32, 2), (3, 10, 10, 2), (197, 32, 2)], ids=["2-32-2", "3-10-10-2", "197-32-2"]
+    )
+    def test_blocks_of_the_floor_or_more_keep_the_bits(self, sizes, activation):
+        model, rows, whole = gap_model(sizes, activation)
+        # a stride of 7, prime to 2, meets every residue modulo 256 of the
+        # row count, so every edge case of BLAS's power-of-two row blocking
+        counts = [*range(PREDICT_BLOCK_STEPS, GAP_ROWS, 7), GAP_ROWS]
+        assert row_counts_that_differ(model, rows, whole, counts) == []
+
+    def test_the_gap_is_named_on_the_ledger_environment(self):
+        key = byte_ledger.environment_key()
+        ledger = json.loads(byte_ledger.LEDGER.read_text())["key"]
+        if key != ledger:
+            pytest.skip(f"the gap is measured under {ledger}, this environment is {key}")
+        model, rows, whole = gap_model((2, 32, 2), "tanh")
+        differ = row_counts_that_differ(model, rows, whole, range(1, PREDICT_BLOCK_STEPS))
+        # a lone row takes BLAS's matrix-vector path; up to 600 rows, the
+        # count sets the last bits
+        assert differ[0] == 1
+        assert max(differ) == 600
 
 
 class TestLogit:
@@ -1034,6 +1082,15 @@ class TestSerialization:
             ("weights", [[[0.0, 1.0], [0.0]]]),
             ("weights", [[["a"] * 3] * 4, [[0.0] * 4] * 2]),
             ("weights", [[[0.0] * 4] * 3, [[0.0] * 4] * 2]),
+            # an entry that is no finite JSON number, in either layer
+            ("weights", [[[0.0] * 3] * 3 + [[0.0, "0.5", 0.0]], [[0.0] * 4] * 2]),
+            ("weights", [[[0.0] * 3] * 4, [[0.0] * 4, [0.0, 0.0, 0.0, None]]]),
+            ("weights", [[[0.0] * 3] * 4, [[True] + [0.0] * 3, [0.0] * 4]]),
+            ("weights", [[[False] * 3] * 4, [[0.0] * 4] * 2]),
+            ("weights", [[[0.0, float("nan"), 0.0]] + [[0.0] * 3] * 3, [[0.0] * 4] * 2]),
+            ("weights", [[[0.0] * 3] * 4, [[0.0] * 4, [0.0, 0.0, float("inf"), 0.0]]]),
+            ("weights", [[[0.0] * 3] * 4, [[-float("inf")] + [0.0] * 3, [0.0] * 4]]),
+            ("weights", [[[0.0] * 3] * 4, [[10**400] + [0.0] * 3, [0.0] * 4]]),
         ],
     )
     def test_bad_entry_rejected_naming_it(self, tmp_path, field, value):
@@ -1053,6 +1110,17 @@ class TestSerialization:
         assert re.match(rf"{re.escape(str(path))}: {re.escape(field)}[ :]", str(caught.value)), (
             caught.value
         )
+
+    @pytest.mark.parametrize("layer", [1, 2])
+    @pytest.mark.parametrize("entry", ["0.5", None, True, float("nan")])
+    def test_a_weight_that_is_no_finite_number_names_its_layer(self, tmp_path, layer, entry):
+        path = tmp_path / "model.json"
+        save_model(initialize_model(MLPArchitecture((3, 4, 2)), np.random.default_rng(16)), path)
+        payload = json.loads(path.read_text())
+        payload["weights"][layer - 1][1][2] = entry
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError, match=f": weights: layer {layer} holds {entry!r}"):
+            load_model(path)
 
 
 class TestArchitectureValidation:

@@ -131,7 +131,8 @@ def test_experiment_config_pickles(drawn):
         # a training draw and a stream draw read the scene and leave nothing
         # behind on the config
         shared_scene_training(cfg, [0])
-        prediction_streams(cfg.scene, cfg.schedule, cfg.stream_length, 2, np.random.default_rng(1))
+        states = cfg.schedule.states(cfg.stream_length)
+        prediction_streams(cfg.scene, states, 2, np.random.default_rng(1))
     blob = pickle.dumps(cfg)
     assert blob == pickle.dumps(_config())
     # a config pickles as its validated fields

@@ -49,7 +49,7 @@ class TestGoldenValues:
         schedule = periodic_schedule(2, [0, 1], 4)
         # step-major standard_normal draws, one column per agent, shifted by
         # the class means
-        gaussian, _ = prediction_streams(spec, schedule, 4, 1, *generators([seed]))
+        gaussian = prediction_streams(spec, schedule.states(4), 1, *generators([seed]))
         assert gaussian[0][0, :, 0].tolist() == [
             -0.0751994713914369, 0.8804795411877423, -1.102276643679537, -0.7604175560517222,
         ]
@@ -61,7 +61,7 @@ class TestGoldenValues:
         layout = PatchLayout(2, 2, 1, 2)
         rows = np.arange(200)
         source = ImageSource(pool, (rows, rows), layout)
-        images, _ = prediction_streams(source, schedule, 4, 1, *generators([seed]))
+        images = prediction_streams(source, schedule.states(4), 1, *generators([seed]))
         picks = images[0][0, :, 0]
         assert picks.dtype == np.uint8
         assert picks.tolist() == [97, 139, 101, 178]

@@ -234,6 +234,35 @@ class TestDiffuse:
         expect = out_of_place_diffuse(stats, weights, delta)
         assert np.array_equal(diffuse(stats, weights, delta), expect)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(), (3,)]),
+        st.sampled_from([2, 4, 16]),
+        st.sampled_from([1, 2]),
+        st.sampled_from([None, 0.1]),
+        st.lists(st.integers(1, 39), max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_with_a_carried_lambda_equal_the_whole_stream(
+        self, seed, batch, n_agents, width, delta, cuts
+    ):
+        # each block starts from the last lambda of the block before, so the
+        # blocks make the whole stream's products and give its bits
+        rng = np.random.default_rng(seed)
+        weights = random_primitive_matrix(rng, n_agents).weights
+        stats = rng.uniform(-3.0, 3.0, batch + (40, n_agents, width))
+        whole = diffuse(stats, weights, delta)
+        edges = sorted({0, *cuts, 40})
+        lam, blocks = None, []
+        for lo, hi in zip(edges, edges[1:]):
+            blocks.append(diffuse(stats[..., lo:hi, :, :], weights, delta, lam))
+            lam = blocks[-1][..., -1, :, :]
+        assert np.array_equal(np.concatenate(blocks, axis=-3), whole)
+
+    def test_lam0_of_another_shape_rejected(self):
+        with pytest.raises(SocialLearningError, match=r"lam0 shape \(4,\), expected \(4, 1\)"):
+            diffuse(np.zeros((3, 4, 1)), RING4.weights, None, np.zeros(4))
+
     def test_unbatched_track_equals_batch_of_one(self):
         rng = np.random.default_rng(4)
         stats = rng.normal(size=(40, 4, 2))
@@ -254,6 +283,19 @@ class TestRegimeSchedule:
         np.testing.assert_array_equal(track, [0, 0, 0, 1, 1, 1, 0, 0])
         # segments starting at or past the end leave the track a prefix
         np.testing.assert_array_equal(RegimeSchedule(((0, 2), (4, 1))).states(3), [2, 2, 2])
+
+    @given(
+        st.lists(st.integers(1, 30), max_size=5),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    )
+    def test_a_window_of_the_track_is_its_slice(self, starts, a, b):
+        start, stop = min(a, b), max(a, b)
+        bounds = sorted({0, *starts})
+        schedule = RegimeSchedule(tuple((s, i % 3) for i, s in enumerate(bounds)))
+        window = schedule.states(stop, start)
+        assert window.dtype == np.intp
+        np.testing.assert_array_equal(window, schedule.states(stop)[start:])
 
     def test_must_start_at_zero(self):
         with pytest.raises(SocialLearningError):
@@ -326,7 +368,8 @@ class TestRunPrediction:
         provider = true_log_ratio(spec, 0)
         sched = RegimeSchedule(((0, 0),))
         for seed in range(10):
-            views, states = prediction_streams(spec, sched, 60, 1, np.random.default_rng(seed))
+            states = sched.states(60)
+            views = prediction_streams(spec, states, 1, np.random.default_rng(seed))
             run = run_prediction(SINGLE, [provider], [v[0] for v in views], states, 2)
             assert np.all(run.picks[25:, 0] == 0)
 
@@ -341,7 +384,8 @@ class TestRunPrediction:
         recovered = 0
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
-            views, states = prediction_streams(spec, sched, horizon, 1, rng)
+            states = sched.states(horizon)
+            views = prediction_streams(spec, states, 1, rng)
             run = run_prediction(
                 RING4, providers, [v[0] for v in views], states, 2, delta=delta
             )
