@@ -2,7 +2,7 @@
 """The byte ledger: the sha256 of every artifact of a small config matrix.
 
 The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
-``theory``) through ``socialml.cli.main`` on six small scenes:
+``theory``) through ``socialml.cli.main`` on seven small scenes:
 
 - ``gauss2``: two classes on heterogeneous Gaussian agents (1-D and 2-D),
   ``sl``, a periodic schedule, norm-bounded models and an analytic-beta
@@ -17,7 +17,11 @@ The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
   log-belief ratio is exactly 0 and each decision is ``decide``'s tie rule;
 - ``long``: two classes of 1-D Gaussian agents on a 4-ring, ``(2, 32, 2)``
   networks, ``asl`` and a periodic schedule whose segments cross block
-  edges, over a ``predict`` stream of 2,600 steps: two time blocks of 1,300.
+  edges, over a ``predict`` stream of 2,600 steps: two time blocks of 1,300;
+- ``cycle``: two classes of 1-D Gaussian agents, ``sl``, a period-3
+  schedule whose Monte Carlo horizon of 11 steps runs past the 5-step
+  ``predict`` stream, so ``montecarlo`` reads the schedule's cycle again
+  beyond ``stream_length``.
 
 The hashes hold only under the environment they were recorded in: the
 Python minor version, the numpy version and the BLAS that numpy reports.
@@ -118,6 +122,15 @@ CONFIGS = {
         "model": {**MODEL, "hidden": [32]},
         "train_per_class": 10, "schedule": {"period": 700}, "stream_length": 2600,
     },
+    # the Monte Carlo horizon is longer than the predict stream, and the
+    # schedule repeats within each
+    "cycle": {
+        "seed": 8, "classes": [1, -1], "engine": "sl", "graph": {"ring": 2},
+        "data": _gaussian([[("1", [0.5]), ("-1", [-0.5])]] * 2),
+        "model": MODEL,
+        "train_per_class": 8, "schedule": {"period": 3}, "stream_length": 5,
+        "montecarlo": {"replications": 2, "eval_streams": 3, "horizon": 11, "strategies": ["sml"]},
+    },
 }
 
 # (config, command, extra arguments); a run's ledger entry is
@@ -125,10 +138,12 @@ CONFIGS = {
 # entry and a process pool must write the serial bytes
 RUNS = [
     *((name, command, ()) for name in CONFIGS for command in ("train", "predict", "montecarlo")
-      if name not in ("ties", "long")),
+      if name not in ("ties", "long", "cycle")),
     ("gauss2", "montecarlo", ("--threads", "2")),
     ("ties", "predict", ()),
     ("long", "predict", ()),
+    ("cycle", "predict", ()),
+    ("cycle", "montecarlo", ()),
     ("gauss2", "theory", ()),
 ]
 
