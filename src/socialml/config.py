@@ -62,7 +62,7 @@ class ExperimentConfig(Record, hidden=("raw",)):
     hyper: TrainingHyperparameters
     repetitions: int
     train_per_class: int
-    schedule: RegimeSchedule  # class indices over max(stream_length, montecarlo horizon) steps
+    schedule: RegimeSchedule  # class indices at every step of any stream
     stream_length: int
     montecarlo: dict
     theory: dict | None  # None without a theory block or with an empty one
@@ -253,16 +253,14 @@ _THEORY_KEYS = (
 _MONTECARLO_KEYS = ("replications", "eval_streams", "horizon", "observe_agent", "strategies")
 
 
-def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
-    """The true-state schedule of ``spec`` in class indices, a periodic one
-    over ``length`` steps: the longest stream a command draws, each reading a
-    prefix.
+def _validate_schedule(spec, classes) -> RegimeSchedule:
+    """The true-state schedule of ``spec`` in class indices, for streams of
+    any length.
 
     Every state must equal a class label of the same type, so ``true`` or
     ``1.0`` does not pass for the class ``1``.  The ordering rules are the
-    ones ``periodic_schedule`` and ``RegimeSchedule`` enforce.  ``segments``
-    stands alone: beside it, ``period`` would win and ``states`` would be
-    ignored.
+    ones ``RegimeSchedule`` enforces.  ``segments`` stands alone: beside it,
+    ``period`` would win and ``states`` would be ignored.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"schedule must be an object, got {spec!r}")
@@ -291,7 +289,7 @@ def _validate_schedule(spec, classes, length: int) -> RegimeSchedule:
     indices = [keys.index((type(state), state)) for state in states]
     try:
         if "period" in spec:
-            return periodic_schedule(period, indices, length)
+            return periodic_schedule(period, indices)
         return RegimeSchedule(tuple(zip((start for start, _ in segments), indices)))
     except SocialLearningError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
@@ -524,11 +522,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     repetitions = _integer(model.get("repetitions", 1), "model.repetitions", 1)
     stream_length = _integer(raw.get("stream_length", 0), "stream_length", 0)
     montecarlo = _validate_montecarlo(raw.get("montecarlo", {}), stream_length, matrix.size)
-    schedule = _validate_schedule(
-        raw.get("schedule", {"segments": [[0, classes[0]]]}),
-        classes,
-        max(stream_length, montecarlo["horizon"]),
-    )
+    schedule = _validate_schedule(raw.get("schedule", {"segments": [[0, classes[0]]]}), classes)
 
     return ExperimentConfig(
         raw=raw,

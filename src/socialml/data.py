@@ -226,13 +226,13 @@ def prediction_streams(source, states, n_streams: int, rng) -> list:
     draw from its own likelihood) or an ``ImageSource``: one image per step
     is then picked with replacement from the class's rows and split, and
     the views hold its raw uint8 pixels, which the models scale as they
-    read them.  One step-major draw of shape (S, T, ...) feeds every stream,
-    so a batch begins with any smaller batch drawn from the same generator
-    state, and a stream's first t steps do not depend on T.  With one
-    stream, the draw is a time series: two calls over consecutive pieces of
-    a track give the bits of one call over the whole track, so a stream can
-    be drawn in time blocks.  A state that is no class index of the source,
-    or an image class without rows, raises ``DataError`` naming it.
+    read them.  One draw of shape (S, T, ...), stream after stream, feeds
+    every stream: a batch begins with any smaller batch drawn from the same
+    generator state, and equals its streams drawn in consecutive groups.
+    With one stream the draw is a time series, so a stream can be drawn in
+    time blocks: calls over consecutive pieces of a track give the bits of
+    one call over the whole track.  A state that is no class index of the
+    source, or an image class without rows, raises ``DataError`` naming it.
     """
     states = np.asarray(states, dtype=np.intp)
     length = states.size

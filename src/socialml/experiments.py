@@ -13,7 +13,6 @@ blocks and holds one block at a time.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import json
 import math
@@ -289,10 +288,9 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     (statistics,) = _trained_statistics(cfg, [0], scenes)
     n_blocks = max(1, horizon // PREDICT_BLOCK_STEPS)
     edges = [horizon * i // n_blocks for i in range(n_blocks + 1)]
-    # the schedule's segments that start within the stream, each to the next
-    segments = [seg for seg in cfg.schedule.segments if seg[0] < horizon]
-    starts = [start for start, _ in segments]
-    hits = np.zeros((len(segments), cfg.n_agents), dtype=np.intp)
+    # a row per segment, through the one in force at the last step
+    n_segments = next(cfg.schedule.spans(horizon, horizon - 1))[0] + 1
+    hits = np.zeros((n_segments, cfg.n_agents), dtype=np.intp)
     # one past the last wrong step of each segment and agent, 0 while none is
     last_wrong = np.zeros_like(hits)
 
@@ -305,9 +303,9 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
             )
             lam = run.lam[-1]
             # the segments this block overlaps, [first, last), cut at its edges
-            first = bisect.bisect_right(starts, lo) - 1
-            last = bisect.bisect_right(starts, lo + run.horizon - 1)
-            cuts = [0] + [start - lo for start in starts[first + 1 : last]]
+            block = list(cfg.schedule.spans(lo + run.horizon, lo))
+            first, last = block[0][0], block[-1][0] + 1
+            cuts = [start - lo for _, start, _, _ in block]
             hits[first:last] += np.add.reduceat(run.correct, cuts, axis=0, dtype=np.intp)
             wrong = np.where(run.correct, 0, np.arange(lo + 1, lo + run.horizon + 1)[:, None])
             seen = last_wrong[first:last]
@@ -320,7 +318,6 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         ("run_id", "i", "agent", "gamma_or_binary", "lambda", "decision", "true_state", "correct"),
         blocks(),
     )
-    ends = starts[1:] + [horizon]
     cycles = [
         {
             "start": start,
@@ -329,7 +326,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
             "accuracy_per_agent": (hit / (end - start)).tolist(),
             "adaptation_steps_per_agent": np.where(wrong > 0, wrong - start, 0).tolist(),
         }
-        for (start, state), end, hit, wrong in zip(segments, ends, hits, last_wrong)
+        for (_, start, end, state), hit, wrong in zip(cfg.schedule.spans(horizon), hits, last_wrong)
     ]
     summary = {"engine": cfg.engine, "delta": cfg.delta, "cycles": cycles}
     out.json("summary.json", summary)

@@ -28,42 +28,49 @@ class SocialLearningError(ValidationError):
 
 
 class RegimeSchedule(Record):
-    """Contiguous segments of (start index, true class index) covering the stream."""
+    """The true class index at every step of an endless stream: segments of
+    (start index, class index), each in force until the next starts and the
+    last forever, or, with ``cycle``, repeating every ``cycle`` steps."""
 
     segments: tuple
+    cycle: int | None = None
 
     def __post_init__(self):
         segs = tuple((int(s), g) for s, g in self.segments)
         if not segs or segs[0][0] != 0:
             raise SocialLearningError("schedule must start at index 0")
-        starts = [s for s, _ in segs]
+        starts = [s for s, _ in segs] + [math.inf if self.cycle is None else self.cycle]
         if starts != sorted(set(starts)):
-            raise SocialLearningError("segment starts must be strictly increasing")
+            raise SocialLearningError("segment starts must increase strictly within the cycle")
         object.__setattr__(self, "segments", segs)
 
+    def spans(self, stop: int, start: int = 0):
+        """Yield ``(n, start, end, class index)`` for each segment in force
+        within steps [start, stop), in order and cut at the window's edges,
+        where the segment is the nth from step 0 on, counting every repeat
+        of the cycle."""
+        count, cycle = len(self.segments), self.cycle or 0
+        turns, step = divmod(start, cycle) if cycle else (0, start)
+        n = turns * count + bisect.bisect_right(self.segments, step, key=lambda seg: seg[0]) - 1
+        while start < stop:
+            turns, i = divmod(n + 1, count)
+            # where the next segment starts; a schedule's last has none without a cycle
+            end = turns * cycle + self.segments[i][0] if cycle or i else stop
+            yield n, start, min(end, stop), self.segments[n % count][1]
+            n, start = n + 1, end
+
     def states(self, stop: int, start: int = 0) -> np.ndarray:
-        """True class-index track over steps [start, stop), which the
-        segments cover."""
+        """True class-index track over steps [start, stop)."""
         track = np.empty(stop - start, dtype=np.intp)
-        segs = self.segments
-        # from the last segment to start at or before ``start``
-        i = bisect.bisect_right(segs, start, key=lambda seg: seg[0]) - 1
-        while i < len(segs) and segs[i][0] < stop:
-            end = segs[i + 1][0] if i + 1 < len(segs) else stop
-            track[max(segs[i][0], start) - start : end - start] = segs[i][1]
-            i += 1
+        for _, lo, hi, state in self.spans(stop, start):
+            track[lo - start : hi - start] = state
         return track
 
 
-def periodic_schedule(period: int, states, length: int) -> RegimeSchedule:
+def periodic_schedule(period: int, states) -> RegimeSchedule:
     """Cycle through the class indices ``states``, switching every ``period`` steps."""
-    if period < 1:
-        raise SocialLearningError("period must be positive")
-    segments = [
-        (start, states[(start // period) % len(states)])
-        for start in range(0, length, period)
-    ]
-    return RegimeSchedule(tuple(segments))
+    segments = tuple((i * period, state) for i, state in enumerate(states))
+    return RegimeSchedule(segments, period * len(states))
 
 
 def _check_stats(lam, values) -> tuple:

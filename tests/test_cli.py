@@ -32,7 +32,7 @@ from socialml.experiments import (
 )
 from socialml.mlp import load_model, train_stack
 from socialml.seeds import derived_seeds
-from socialml.social import SocialLearningError, periodic_schedule, run_prediction
+from socialml.social import SocialLearningError, run_prediction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import CONFIGS, write_idx
@@ -680,15 +680,33 @@ class TestScheduleValidation:
     @pytest.mark.parametrize("period", [1, 7, 500])
     @pytest.mark.parametrize("stream_length, horizon", [(20, 12), (12, 45)])
     def test_one_schedule_serves_every_length(self, period, stream_length, horizon):
-        # the config builds the schedule once, over the longer of the two
-        # streams; the shorter one reads a prefix of it
+        # the config builds the schedule once, for no length: each stream
+        # reads its own window, and so does one past both lengths
         raw = base_config(schedule={"period": period}, stream_length=stream_length)
         raw["montecarlo"]["horizon"] = horizon
         schedule = validate_config(raw).schedule
-        for length in (stream_length, horizon):
-            alone = periodic_schedule(period, [0, 1], length)
-            assert np.array_equal(schedule.states(length), alone.states(length))
-            assert [s for s in schedule.segments if s[0] < length] == list(alone.segments)
+        far = max(stream_length, horizon) + period + 1
+        for start, stop in ((0, stream_length), (0, horizon), (far, far + 2 * period + 3)):
+            track = [(i // period) % 2 for i in range(start, stop)]
+            assert schedule.states(stop, start).tolist() == track
+            cuts = [start] + [s for s in range(period, stop, period) if s > start]
+            assert [span[1:] for span in schedule.spans(stop, start)] == [
+                (lo, hi, (lo // period) % 2) for lo, hi in zip(cuts, cuts[1:] + [stop])
+            ]
+
+    def test_validation_memory_flat_in_stream_length(self):
+        def peak(length: int) -> int:
+            raw = base_config(schedule={"period": 1}, stream_length=length)
+            tracemalloc.start()
+            try:
+                validate_config(raw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8_000)  # the first run in a process allocates its one-time caches
+        short, long = peak(8_000), peak(80_000)
+        assert long <= 1.2 * short, (short, long)
 
 
 class TestNumericFields:

@@ -174,7 +174,7 @@ class TestPredictionStream:
 
     def test_periodic_square_wave(self):
         spec = mean_shift_gaussian_spec(1)
-        sched = periodic_schedule(1000, [0, 1], 4000)
+        sched = periodic_schedule(1000, [0, 1])
         states = sched.states(4000)
         assert np.all(states[:1000] == 0)
         assert np.all(states[1000:2000] == 1)
@@ -183,7 +183,7 @@ class TestPredictionStream:
 
     def test_seed_determinism(self):
         spec = load_config(CONFIGS / "gaussian_demo.json").scene
-        sched = periodic_schedule(10, [0, 1], 30)
+        sched = periodic_schedule(10, [0, 1])
         a = prediction_streams(spec, sched.states(30), 1, np.random.default_rng(5))
         b = prediction_streams(spec, sched.states(30), 1, np.random.default_rng(5))
         for va, vb in zip(a, b):
@@ -193,7 +193,7 @@ class TestPredictionStream:
         rng = np.random.default_rng(10)
         pools = [rng.integers(0, 256, size=(7, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
-        sched = periodic_schedule(5, [0, 1], 10)
+        sched = periodic_schedule(5, [0, 1])
         source = image_source(pools, layout)
         states = sched.states(10)
         views = prediction_streams(source, states, 1, np.random.default_rng(2))
@@ -219,7 +219,7 @@ class TestPredictionStream:
         rng = np.random.default_rng(11)
         pools = [rng.integers(0, 256, size=(300, 6, 6), dtype=np.uint8) for _ in range(2)]
         layout = PatchLayout(6, 6, 2, 2)
-        sched = periodic_schedule(5, [0, 1], 10)
+        sched = periodic_schedule(5, [0, 1])
         source = image_source(pools, layout)
         views = prediction_streams(source, sched.states(10), 1, np.random.default_rng(2))
         # drawing scales nothing; each agent's model input fill converts each
@@ -313,10 +313,27 @@ def assert_blocks_continue_the_draw(source, schedule, length, seed, cut):
         assert np.array_equal(np.concatenate([head[k], tail[k]], axis=1), view)
 
 
+def assert_groups_continue_the_draw(source, schedule, length, n_streams, seed, cut):
+    """A batch drawn as streams [0, cut) and then [cut, n_streams), from one
+    generator, has the bits of one draw of the batch; a group holds one
+    stream at least."""
+    if n_streams < 2:
+        return
+    cut = min(max(cut, 1), n_streams - 1)
+    states = schedule.states(length)
+    whole = prediction_streams(source, states, n_streams, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    head = prediction_streams(source, states, cut, rng)
+    tail = prediction_streams(source, states, n_streams - cut, rng)
+    for k, view in enumerate(whole):
+        assert np.array_equal(np.concatenate([head[k], tail[k]]), view)
+
+
 class TestPredictionStreams:
-    """A batch is one step-major draw: it begins with any smaller batch, a
-    stream's first steps do not depend on its length, and one stream drawn
-    in two time blocks is the one draw."""
+    """A batch is one draw, stream after stream: it begins with any smaller
+    batch, its first stream's first steps do not depend on its length, two
+    groups of its streams drawn one after the other are the one draw, and
+    one stream drawn in two time blocks is the one draw."""
 
     @given(
         dims=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4),
@@ -360,6 +377,7 @@ class TestPredictionStreams:
                     if shorter == length:
                         assert np.array_equal(head[k], batch[k][:fewer])
         assert_blocks_continue_the_draw(spec, schedule, length, seed, cut)
+        assert_groups_continue_the_draw(spec, schedule, length, n_streams, seed, cut)
 
     @given(
         grid=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2)]),
@@ -376,7 +394,7 @@ class TestPredictionStreams:
         rng = np.random.default_rng(seed)
         pools = [rng.integers(0, 256, size=(n, 7, 8), dtype=np.uint8) for n in (9, 5, 12)]
         layout = PatchLayout(7, 8, *grid)
-        schedule = periodic_schedule(period, [2, 0, 1], length)
+        schedule = periodic_schedule(period, [2, 0, 1])
         source = image_source(pools, layout, seed)
         batch = prediction_streams(
             source, schedule.states(length), n_streams, np.random.default_rng(seed)
@@ -390,6 +408,7 @@ class TestPredictionStreams:
             assert np.array_equal(batch[k], reference[k])
             assert np.array_equal(head[k][0], batch[k][0, :shorter])
         assert_blocks_continue_the_draw(source, schedule, length, seed, cut)
+        assert_groups_continue_the_draw(source, schedule, length, n_streams, seed, cut)
 
 
 class TestIdxFiles:

@@ -46,7 +46,7 @@ class TestGoldenValues:
         assert seed == 18141372322412330060
         agent = {"1": {"mean": [0.6], "cov": [[1.0]]}, "-1": {"mean": [-0.6], "cov": [[1.0]]}}
         spec = build_gaussian_spec({"type": "gaussian", "agents": [agent, agent]}, (1, -1))
-        schedule = periodic_schedule(2, [0, 1], 4)
+        schedule = periodic_schedule(2, [0, 1])
         # step-major standard_normal draws, one column per agent, shifted by
         # the class means
         gaussian = prediction_streams(spec, schedule.states(4), 1, *generators([seed]))
