@@ -404,6 +404,15 @@ def _montecarlo_share(cfg: ExperimentConfig, chunks) -> list:
     return [res for chunk in chunks for res in montecarlo_chunk(cfg, chunk)]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, fewer than the host's if pinned."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Replicate train+predict, write per-step error rates per strategy."""
     mc = cfg.montecarlo
@@ -412,7 +421,7 @@ def cmd_montecarlo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dic
     if "adaboost" in strategies and len(cfg.classes) != 2:
         raise ConfigError("the adaboost strategy needs two classes")
 
-    workers = min(threads, reps, os.cpu_count() or 1)
+    workers = min(threads, reps, usable_cpus())
     # one task per worker: each unpickles cfg as its validated fields, an IDX
     # scene as its file's path and a CSV one as its parsed images, so no
     # worker validates or parses again

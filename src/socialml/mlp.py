@@ -255,15 +255,17 @@ def _project_columns(w: np.ndarray, bound: float, out=None) -> np.ndarray:
     return np.multiply(w, factor, out=out)
 
 
-def _stack_loss(weights, h, picks, row_weights, activation, grads=None) -> tuple:
+def _stack_loss(weights, h, targets, row_weights, activation, grads=None) -> tuple:
     """Weighted cross-entropy of each stacked model: the (S,) losses and the
     (S, N, C) final scores z they were computed from.
 
-    ``picks`` indexes the true-class entries of the flattened log-posteriors;
-    ``row_weights`` is (S, N).  Without ``grads`` the pass is forward only and
-    drops the hidden activations as soon as z is taken.  With it, each layer's
-    gradient is written into ``grads[ell]``, each derivative formed in terms of
-    the activation's output, over that output once the gradient has read it.
+    ``targets`` is the (S, N, C) one-hot mask of the true classes: with one
+    true entry a row, masking the log-posteriors reads them row by row in
+    order.  ``row_weights`` is (S, N).  Without ``grads`` the pass is forward
+    only and drops the hidden activations as soon as z is taken.  With it,
+    each layer's gradient is written into ``grads[ell]``, each derivative
+    formed in terms of the activation's output, over that output once the
+    gradient has read it.
     """
     act_fn, act_deriv, _ = _ACTIVATIONS[activation]
     acts = _stack_forward(weights, h, act_fn)
@@ -271,11 +273,11 @@ def _stack_loss(weights, h, picks, row_weights, activation, grads=None) -> tuple
     if grads is None:
         del acts
     logp = _log_softmax(z)
-    loss = -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
+    loss = -(row_weights * logp[targets].reshape(row_weights.shape)).sum(axis=1)
     if grads is None:
         return loss, z
     delta = np.exp(logp)
-    delta.reshape(-1)[picks] -= 1.0
+    delta -= targets
     delta *= row_weights[:, :, None]
     for ell in range(len(weights) - 1, -1, -1):
         np.matmul(delta.transpose(0, 2, 1), acts[ell], out=grads[ell])
@@ -283,15 +285,6 @@ def _stack_loss(weights, h, picks, row_weights, activation, grads=None) -> tuple
             delta = np.matmul(delta, weights[ell])
             delta *= act_deriv(acts[ell])
     return loss, z
-
-
-def _pick_offsets(n_models: int, n: int, batch_size: int, n_classes: int) -> np.ndarray:
-    """(S, n) offset of row j's first class entry in the flattened log-posteriors
-    of the mini-batch that holds position j; adding the label index picks it."""
-    pos = np.arange(n)
-    start = pos - pos % batch_size
-    size = np.minimum(batch_size, n - start)
-    return (np.arange(n_models)[:, None] * size + (pos - start)) * n_classes
 
 
 def _batch_normalized(row_weights: np.ndarray, batch_size: int) -> np.ndarray:
@@ -354,10 +347,6 @@ def _flat_views(buffer: np.ndarray, shapes) -> list:
     return views
 
 
-def _first_nonfinite(values: np.ndarray) -> int:
-    return int(np.flatnonzero(~np.isfinite(values))[0])
-
-
 def train_stack(
     features,
     labels,
@@ -384,11 +373,11 @@ def train_stack(
     permutation per epoch, and its optional ``sample_weights[m]`` multiply the
     per-sample losses (weighted mean per batch).  Every step is one batched
     matmul per layer over the model axis and one optimizer pass over all
-    weights, which share one flat buffer; with a norm bound set, every update
-    is followed by a column-sum projection.  The training sets must share
-    their length, and the class indices lie below the output width; a
-    non-finite loss or risk raises ``TrainingDiverged`` naming the first
-    diverged model's stack index.
+    weights, which share one flat buffer (Adam's two moments are the rows of
+    a second); with a norm bound set, every update is followed by a
+    column-sum projection.  The training sets must share their length, and
+    the class indices lie below the output width; a non-finite loss or risk
+    raises ``TrainingDiverged`` naming the first diverged model's stack index.
     """
     labels, row_weights = _check_stack(features, labels, arch, sample_weights)
     if len(seeds) != len(features):
@@ -398,7 +387,10 @@ def train_stack(
     sizes = arch.layer_sizes
     shapes = [(n_models, sizes[ell], sizes[ell - 1]) for ell in range(1, len(sizes))]
     params = np.empty(sum(math.prod(shape) for shape in shapes))
-    gflat = np.empty_like(params)
+    adam = hyper.optimizer == "adam"
+    # the gradient, and under Adam its square beside it as a second row
+    gpair = np.empty((1 + adam, params.size))
+    gflat = gpair[0]
     weights, grads = _flat_views(params, shapes), _flat_views(gflat, shapes)
     for m, rng in enumerate(rngs):
         for w, init in zip(weights, _initial_weights(arch, rng, hyper.init_scale)):
@@ -412,16 +404,17 @@ def train_stack(
     # the per-step cost of indexing h with (model, row) pairs at small batches
     h_rows = h.reshape(n_models * n, -1)
     rows = np.arange(n_models)[:, None]
-    risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
-    offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
+    # the true classes as a one-hot mask, gathered per epoch like the labels
+    targets = labels[:, :, None] == np.arange(arch.n_outputs)
     bound, lr = arch.norm_bound, hyper.learning_rate
 
-    adam = hyper.optimizer == "adam"
     if adam:
         beta1, beta2, tiny = 0.9, 0.999, 1e-8
-        first = np.zeros_like(params)
-        second = np.zeros_like(params)
-        scratch = np.empty_like(params)
+        betas = np.array([[beta1], [beta2]])
+        mix = 1 - betas
+        corrections = np.empty((2, 1))
+        moments = np.zeros((2, params.size))  # paired, as gpair's g and g^2
+        gsq = gpair[1]
         step = 0
 
     risks = np.empty((n_models, hyper.epochs)) if trace else None
@@ -432,14 +425,14 @@ def train_stack(
         for o, rng in zip(order, rngs):
             rng.shuffle(o)
         flat = order + rows * n
-        picks_epoch = offsets + labels[rows, order]
+        targets_epoch = targets[rows, order]
         weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
         for start in range(0, n, hyper.batch_size):
             batch = slice(start, start + hyper.batch_size)
             loss, _ = _stack_loss(
                 weights,
                 h_rows.take(flat[:, batch], 0),
-                picks_epoch[:, batch],
+                targets_epoch[:, batch],
                 weights_epoch[:, batch],
                 arch.activation,
                 grads,
@@ -447,29 +440,25 @@ def train_stack(
             if not np.isfinite(loss).all():
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch start {start} (lr={lr})",
-                    _first_nonfinite(loss),
+                    int(np.isfinite(loss).argmin()),  # the first diverged model
                 )
             # one pass over the flat buffers: the operations and their order
             # are those of the per-layer update, so the bits are too; the
             # step overwrites the gradients, which the next batch recomputes
             if adam:
-                # first = beta1 first + (1 - beta1) g
-                # second = beta2 second + (1 - beta2) g^2
-                # w -= lr (first / (1 - beta1^t)) / (sqrt(second / (1 - beta2^t)) + tiny)
+                # (m, v) = betas (m, v) + (1 - betas) (g, g^2)
+                # w -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + tiny)
                 step += 1
-                np.multiply(first, beta1, out=first)
-                np.multiply(gflat, 1 - beta1, out=scratch)
-                np.add(first, scratch, out=first)
-                np.square(gflat, out=gflat)
-                np.multiply(second, beta2, out=second)
-                np.multiply(gflat, 1 - beta2, out=gflat)
-                np.add(second, gflat, out=second)
-                np.divide(second, 1 - beta2**step, out=scratch)
-                np.sqrt(scratch, out=scratch)
-                np.add(scratch, tiny, out=scratch)
-                np.divide(first, 1 - beta1**step, out=gflat)
+                corrections[0, 0], corrections[1, 0] = 1 - beta1**step, 1 - beta2**step
+                np.square(gflat, out=gsq)
+                np.multiply(moments, betas, out=moments)
+                np.multiply(gpair, mix, out=gpair)
+                np.add(moments, gpair, out=moments)
+                np.divide(moments, corrections, out=gpair)
+                np.sqrt(gsq, out=gsq)
+                np.add(gsq, tiny, out=gsq)
                 np.multiply(gflat, lr, out=gflat)
-                np.divide(gflat, scratch, out=gflat)
+                np.divide(gflat, gsq, out=gflat)
             else:
                 np.multiply(gflat, lr, out=gflat)
             np.subtract(params, gflat, out=params)
@@ -479,10 +468,10 @@ def train_stack(
         # the last step's weights are read by no later loss, so the risk
         # after the last epoch runs with the trace off too
         if trace or epoch == hyper.epochs - 1:
-            risk, z = _stack_loss(weights, h, risk_picks, row_weights, arch.activation)
+            risk, z = _stack_loss(weights, h, targets, row_weights, arch.activation)
             if not np.isfinite(risk).all():
                 raise TrainingDiverged(
-                    f"non-finite epoch risk at epoch {epoch}", _first_nonfinite(risk)
+                    f"non-finite epoch risk at epoch {epoch}", int(np.isfinite(risk).argmin())
                 )
             if trace:
                 risks[:, epoch] = risk

@@ -19,7 +19,6 @@ from socialml.mlp import (
     _augment,
     _check_stack,
     _log_softmax,
-    _pick_offsets,
     _stack_loss,
     output_preactivations,
     reference_logits,
@@ -124,15 +123,14 @@ def gradient_check(model: MLPModel, features, labels, eps: float = 1e-5) -> floa
     n_params = sum(w.size for w in model.weights)
     if n_params > 10_000:
         raise ModelError(f"{n_params} parameters is too large for finite differences")
-    n = labels.shape[1]
     h = _augment(arch, features)[None]
-    picks = _pick_offsets(1, n, n, arch.n_outputs) + labels
+    targets = labels[:, :, None] == np.arange(arch.n_outputs)
     weights = [w[None].copy() for w in model.weights]
     grads = [np.empty_like(w) for w in weights]
-    _stack_loss(weights, h, picks, uniform, arch.activation, grads)
+    _stack_loss(weights, h, targets, uniform, arch.activation, grads)
 
     def risk() -> float:
-        return float(_stack_loss(weights, h, picks, uniform, arch.activation)[0][0])
+        return float(_stack_loss(weights, h, targets, uniform, arch.activation)[0][0])
 
     worst = 0.0
     for ell, w in enumerate(weights):

@@ -29,6 +29,7 @@ from socialml.experiments import (
     montecarlo_chunk,
     replication_chunks,
     shared_scene_training,
+    usable_cpus,
 )
 from socialml.mlp import load_model, train_stack
 from socialml.seeds import derived_seeds
@@ -1528,12 +1529,33 @@ class TestThreadsFlag:
         assert fake_pool.sizes == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("cpus, reps, sizes", [(2, 3, [2]), (8, 3, [3]), (8, 1, [])])
+    @pytest.mark.parametrize(
+        "cpus, reps, sizes", [(2, 3, [2]), (8, 3, [3]), (8, 1, []), (1, 3, [])]
+    )
     def test_pool_clamped(self, tmp_path, monkeypatch, fake_pool, cpus, reps, sizes):
-        # 64 requested workers become min(64, replications, cpu count); one
-        # worker runs in-process, without a pool
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # 64 requested workers become min(64, replications, the cpus this
+        # process may run on of the host's 8); one worker runs in-process,
+        # without a pool, so a process allowed 1 CPU runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "process_cpu_count", lambda: cpus, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = base_config()
         cfg["montecarlo"]["replications"] = reps
         cmd_montecarlo(validate_config(cfg, str(tmp_path)), str(tmp_path / "out"), threads=64)
         assert fake_pool.sizes == sizes
+
+    @pytest.mark.parametrize(
+        "present, cpus",
+        [(("process_cpu_count", "sched_getaffinity"), 1), (("sched_getaffinity",), 2), ((), 8)],
+    )
+    def test_usable_cpus_sources(self, monkeypatch, present, cpus):
+        # the process's own count first, then its affinity mask, then the
+        # host's count, on an 8-CPU host
+        fakes = {"process_cpu_count": lambda: 1, "sched_getaffinity": lambda pid: {0, 1}}
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for name, fake in fakes.items():
+            if name in present:
+                monkeypatch.setattr(os, name, fake, raising=False)
+            else:
+                monkeypatch.delattr(os, name, raising=False)
+        assert usable_cpus() == cpus

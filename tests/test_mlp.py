@@ -20,7 +20,6 @@ from socialml.mlp import (
     _check_stack,
     _flat_views,
     _log_softmax,
-    _pick_offsets,
     _project_columns,
     _stack_forward,
     _stack_loss,
@@ -69,6 +68,24 @@ def reference_log_softmax(z):
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
+def pick_offsets(n_models: int, n: int, batch_size: int, n_classes: int) -> np.ndarray:
+    """(S, n) offset of row j's first class entry in the flattened (S, b, C)
+    log-posteriors of the mini-batch that holds position j; adding the label
+    index picks its true class.  The reference trainers select targets this
+    way, independently of the kernel's one-hot mask."""
+    pos = np.arange(n)
+    start = pos - pos % batch_size
+    size = np.minimum(batch_size, n - start)
+    return (np.arange(n_models)[:, None] * size + (pos - start)) * n_classes
+
+
+def mask_of(picks, shape) -> np.ndarray:
+    """The boolean mask of ``shape`` that is true at the flat offsets ``picks``."""
+    mask = np.zeros(math.prod(shape), dtype=bool)
+    mask[picks] = True
+    return mask.reshape(shape)
+
+
 def per_layer_train_stack(features, labels, arch, hyper, seeds, sample_weights=None):
     """``train_stack``'s reference: out-of-place backpropagation and an update
     of fresh arrays one layer at a time.  Returns the stacked weights and the
@@ -86,8 +103,8 @@ def per_layer_train_stack(features, labels, arch, hyper, seeds, sample_weights=N
     weights = [np.stack(layer) for layer in zip(*inits)]
     h = np.stack([_augment(arch, feats) for feats in features])
     rows = np.arange(n_models)[:, None]
-    risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
-    offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
+    risk_picks = pick_offsets(n_models, n, n, arch.n_outputs) + labels
+    offsets = pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
     bound, lr = arch.norm_bound, hyper.learning_rate
 
     def forward(h, picks, row_weights):
@@ -149,8 +166,10 @@ def epoch_copy_train_stack(features, labels, arch, hyper, seeds, sample_weights=
     grads = _flat_views(gflat, [w.shape for w in weights])
     h = np.stack([_augment(arch, feats) for feats in features])
     rows = np.arange(n_models)[:, None]
-    risk_picks = _pick_offsets(n_models, n, n, arch.n_outputs) + labels
-    offsets = _pick_offsets(n_models, n, hyper.batch_size, arch.n_outputs)
+    n_classes = arch.n_outputs
+    risk_picks = pick_offsets(n_models, n, n, n_classes) + labels
+    risk_targets = mask_of(risk_picks, (n_models, n, n_classes))
+    offsets = pick_offsets(n_models, n, hyper.batch_size, n_classes)
     bound, lr = arch.norm_bound, hyper.learning_rate
     beta1, beta2, tiny = 0.9, 0.999, 1e-8
     first, second, scratch = (np.zeros_like(params) for _ in range(3))
@@ -163,10 +182,11 @@ def epoch_copy_train_stack(features, labels, arch, hyper, seeds, sample_weights=
         weights_epoch = _batch_normalized(row_weights[rows, order], hyper.batch_size)
         for start in range(0, n, hyper.batch_size):
             batch = slice(start, start + hyper.batch_size)
+            h_batch = h_epoch[:, batch]
             _stack_loss(
                 weights,
-                h_epoch[:, batch],
-                picks_epoch[:, batch],
+                h_batch,
+                mask_of(picks_epoch[:, batch], (*h_batch.shape[:2], n_classes)),
                 weights_epoch[:, batch],
                 arch.activation,
                 grads,
@@ -192,7 +212,7 @@ def epoch_copy_train_stack(features, labels, arch, hyper, seeds, sample_weights=
             if bound is not None:
                 for w in weights:
                     _project_columns(w, bound, out=w)
-        trace[:, epoch] = _stack_loss(weights, h, risk_picks, row_weights, arch.activation)[0]
+        trace[:, epoch] = _stack_loss(weights, h, risk_targets, row_weights, arch.activation)[0]
     return weights, trace
 
 
@@ -488,6 +508,43 @@ class TestLogSoftmax:
         assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
 
 
+class TestTargetMask:
+    @given(
+        n_classes=st.sampled_from([2, 3, 8, 17]),
+        n_models=st.integers(1, 3),
+        n_rows=st.integers(1, 6),
+        special_share=st.sampled_from([0.0, 0.2, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mask_gather_equals_flat_gather(
+        self, n_classes, n_models, n_rows, special_share, seed
+    ):
+        # identity weights pass the inputs through as the scores: +-1e308 in
+        # one row give -inf log-posteriors, and an infinite or NaN input
+        # makes its row's scores, and so its log-posteriors, NaN
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(n_models, n_rows, n_classes))
+        special = rng.random(h.shape) < special_share
+        h[special] = rng.choice([-0.0, 1e308, -1e308, np.inf, -np.inf, np.nan], special.sum())
+        labels = rng.integers(0, n_classes, (n_models, n_rows))
+        row_weights = np.full((n_models, n_rows), 1.0 / n_rows)
+        weights = [np.repeat(np.eye(n_classes)[None], n_models, axis=0)]
+        grads = [np.empty_like(weights[0])]
+        targets = labels[:, :, None] == np.arange(n_classes)
+        picks = pick_offsets(n_models, n_rows, n_rows, n_classes) + labels
+        with np.errstate(all="ignore"):
+            loss, z = _stack_loss(weights, h, targets, row_weights, "identity", grads)
+            logp = _log_softmax(z)
+            want_loss = -(row_weights * logp.reshape(-1)[picks]).sum(axis=1)
+            delta = np.exp(logp)
+            delta.reshape(-1)[picks] -= 1.0
+            delta *= row_weights[:, :, None]
+            want_grad = np.matmul(delta.transpose(0, 2, 1), h)
+        assert np.array_equal(loss.view(np.uint64), want_loss.view(np.uint64))
+        assert np.array_equal(grads[0].view(np.uint64), want_grad.view(np.uint64))
+
+
 class TestTrainErm:
     """One model trained alone: ``train_stack`` on a stack of one."""
 
@@ -759,7 +816,8 @@ class TestTrainStack:
         finally:
             tracemalloc.stop()
         stacked = 8 * 12 * 200 * 197
-        # the weights and gradients, and Adam's two moments and its scratch
+        # the weights and gradients, and Adam's two moments and the square of
+        # the gradients
         params = 8 * 12 * (8 * 197 + 2 * 8) * (5 if optimizer == "adam" else 2)
         assert peak < 1.3 * (stacked + params), (peak, stacked + params)
 
