@@ -2,7 +2,7 @@
 """The byte ledger: the sha256 of every artifact of a small config matrix.
 
 The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
-``theory``) through ``socialml.cli.main`` on seven small scenes:
+``theory``) through ``socialml.cli.main`` on eight small scenes:
 
 - ``gauss2``: two classes on heterogeneous Gaussian agents (1-D and 2-D),
   ``sl``, a periodic schedule, norm-bounded models and an analytic-beta
@@ -21,7 +21,11 @@ The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
 - ``cycle``: two classes of 1-D Gaussian agents, ``sl``, a period-3
   schedule whose Monte Carlo horizon of 11 steps runs past the 5-step
   ``predict`` stream, so ``montecarlo`` reads the schedule's cycle again
-  beyond ``stream_length``.
+  beyond ``stream_length``;
+- ``grouped``: two classes of the IDX dataset, relu, adam and a norm bound,
+  seven repetitions and seven Monte Carlo replications of four patch
+  agents, so ``train`` (trace on) and each ``montecarlo`` chunk train 28
+  uint8 models in one stack.
 
 The hashes hold only under the environment they were recorded in: the
 Python minor version, the numpy version and the BLAS that numpy reports.
@@ -131,6 +135,16 @@ CONFIGS = {
         "train_per_class": 8, "schedule": {"period": 3}, "stream_length": 5,
         "montecarlo": {"replications": 2, "eval_streams": 3, "horizon": 11, "strategies": ["sml"]},
     },
+    # 28 byte-row models a stack: risk passes in groups of 3, the last of 1
+    "grouped": {
+        "seed": 9, "classes": [1, -1], "engine": "sl", "graph": {"grid": [2, 2]},
+        "data": {"type": "images", "manifest": "dataset.json", "height": 8, "width": 8,
+                 "layout": [2, 2], "label_map": {"1": 0, "-1": 2}},
+        "model": {**MODEL, "hidden": [4], "activation": "relu", "optimizer": "adam",
+                  "norm_bound": 3.0, "repetitions": 7},
+        "train_per_class": 10, "schedule": {"period": 3}, "stream_length": 6,
+        "montecarlo": {"replications": 7, "eval_streams": 3, "horizon": 6},
+    },
 }
 
 # (config, command, extra arguments); a run's ledger entry is
@@ -138,12 +152,14 @@ CONFIGS = {
 # entry and a process pool must write the serial bytes
 RUNS = [
     *((name, command, ()) for name in CONFIGS for command in ("train", "predict", "montecarlo")
-      if name not in ("ties", "long", "cycle")),
+      if name not in ("ties", "long", "cycle", "grouped")),
     ("gauss2", "montecarlo", ("--threads", "2")),
     ("ties", "predict", ()),
     ("long", "predict", ()),
     ("cycle", "predict", ()),
     ("cycle", "montecarlo", ()),
+    ("grouped", "train", ()),
+    ("grouped", "montecarlo", ()),
     ("gauss2", "theory", ()),
 ]
 
