@@ -32,25 +32,26 @@ from .config import (
     ExperimentConfig,
 )
 from .graph import perron_eigenvector
-from .mlp import TrainingDiverged, save_model, train_stack
+from .mlp import FORWARD_BLOCK_ROWS, TrainingDiverged, save_model, train_stack
 from .seeds import derived_seeds, generators
 from .social import PredictionRun, run_prediction
 from .stats import make_debiased_statistic
 
-# Cap on the stacked SML training inputs of one Monte Carlo chunk (8 bytes
-# per augmented input entry, summed over agents and replications).  A chunk
-# holds its replications' training scenes, one byte a pixel for images, and
-# ``train_stack`` one stacked float copy of their inputs and its risk pass's
-# arrays, so peak memory grows by about 1.3 times the inputs a chunk stacks
-# beyond one replication.  A 28x28 image replication of 4 patch agents with
-# 200 training rows stacks 1.26 MB.  Three of them (the image_mc benchmark
-# scene at seed 3, one process, 2 vCPUs, numpy 2.4.6) peak at 41.6 MiB
-# resident (5.9 MiB traced by tracemalloc) in one chunk and at 38.5 MiB
-# (2.6 MiB traced) one per chunk: 2.5 MB more inputs, about 3.1 MiB higher.
-# Neither peak holds any of the IDX body beyond the images a draw picks and
-# its scratch window (``data.IDX_WINDOW_BYTES``), as draws read the file.
-# 4 MiB fits those 3 replications in one chunk, and 1,638 of the
-# criterion-09 scene (4 agents, 40 rows of 1 feature).
+# Cap on the stacked SML training inputs of one Monte Carlo chunk, counted at
+# 8 bytes per augmented input entry, summed over agents and replications:
+# the size of ``train_stack``'s stack of float rows.  Image rows stay uint8 in
+# that stack, so for them the cap bounds eight times the stacked bytes, and
+# training adds one float buffer, of a mini-batch of every model or of a risk
+# group whose floats fit in the stack's bytes.  A 28x28 image replication of
+# 4 patch agents with 200 training rows counts 1.26 MB and stacks 158 kB.
+# Three of them (the image_mc benchmark scene at seed 3, one process, 2
+# vCPUs, numpy 2.4.6) peak at 38.4 MiB resident (2.8 MiB traced by
+# tracemalloc) in one chunk and at 37.8 MiB (1.8 MiB traced) one per chunk;
+# a float stack peaked at 41.2 and 38.4 MiB.  Neither peak holds any of the
+# IDX body beyond the images a draw picks and its scratch window
+# (``data.IDX_WINDOW_BYTES``), as draws read the file.  4 MiB fits those 3
+# replications in one chunk, and 1,638 of the criterion-09 scene (4 agents,
+# 40 rows of 1 feature).
 CHUNK_INPUT_BYTES = 1 << 22
 
 
@@ -62,17 +63,6 @@ CHUNK_INPUT_BYTES = 1 << 22
 # and 139 KiB.  256 rows gives the benchmark the peak RSS of 128 on
 # demo_train and long_stream; 512 added about 0.1 MiB on long_stream.
 TRAJECTORY_BLOCK_ROWS = 256
-
-
-# Steps per time block of predict's stream: a stream of T steps runs in
-# max(1, T // PREDICT_BLOCK_STEPS) blocks of near-equal length, so every
-# block but a lone one holds 1,024 to 2,047 steps.  A forward pass's last
-# bits depend on how many rows it is given, up to 600 rows (numpy 2.4.6 with
-# OpenBLAS 0.3.31; the largest such count over 8 input widths from 2 to 785,
-# 8 hidden layouts, 1-3 outputs and both activations, at up to 4,096 rows
-# against one 8,192-row pass).  Blocks above that floor give every statistic
-# the bits of one pass over the whole stream.
-PREDICT_BLOCK_STEPS = 1024
 
 
 class _Output:
@@ -273,7 +263,8 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Train once, run one prediction stream, write trajectory and summary.
 
     The stream of T = ``stream_length`` steps runs in ``n = max(1, T //
-    PREDICT_BLOCK_STEPS)`` time blocks, cut at ``T * i // n``.  Each block
+    FORWARD_BLOCK_ROWS)`` time blocks, cut at ``T * i // n``: every block
+    but a lone one holds 1,024 to 2,047 steps, one row a step.  Each block
     draws its next steps from the one stream generator, evaluates every
     agent's statistic on them, diffuses from the lambda the block before
     ended on, decides, writes its trajectory.csv rows and adds to each
@@ -286,7 +277,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError("prediction needs stream_length >= 1")
     scenes = shared_scene_training(cfg, [0])
     (statistics,) = _trained_statistics(cfg, [0], scenes)
-    n_blocks = max(1, horizon // PREDICT_BLOCK_STEPS)
+    n_blocks = max(1, horizon // FORWARD_BLOCK_ROWS)
     edges = [horizon * i // n_blocks for i in range(n_blocks + 1)]
     # a row per segment, through the one in force at the last step
     n_segments = next(cfg.schedule.spans(horizon, horizon - 1))[0] + 1

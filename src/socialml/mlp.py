@@ -7,7 +7,9 @@ class j, and class 0 is the reference class for every logit.  Training
 labels are these indices.  Every model folds its bias in as a constant-1
 trailing input slot, so the first layer width counts one slot more than the
 raw feature dimension.  Features become a model's float inputs in one place,
-``_augment``, so image views stay one byte a pixel until a model reads them.
+``_augment``, and 8-bit pixels by one rule, ``_scale_pixels``, which training
+also applies to its byte stack a mini-batch at a time: image views stay one
+byte a pixel until a model reads them, in training and evaluation alike.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ _ACTIVATIONS = {
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 OPTIMIZERS = ("gd", "adam")
+
+# The fewest rows a block of a forward pass holds.  A pass's last bits depend
+# on how many rows it is given, up to 600 rows (numpy 2.4.6 with OpenBLAS
+# 0.3.31; the largest such count over 8 input widths from 2 to 785, 8 hidden
+# layouts, 1-3 outputs and both activations, at up to 4,096 rows against one
+# 8,192-row pass).  Blocks above that floor give every row the bits of one
+# pass over all of them: ``output_preactivations`` evaluates many uint8 rows
+# in such blocks, and ``predict`` its stream in time blocks of such length.
+FORWARD_BLOCK_ROWS = 1024
 
 
 class MLPArchitecture(Record):
@@ -181,11 +192,18 @@ def _augment(arch: MLPArchitecture, features, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((h.shape[0], arch.layer_sizes[0]))
     if h.dtype == np.uint8:
-        np.divide(h, 255.0, out=out[:, :-1])
+        _scale_pixels(h, out[:, :-1])
     else:
         out[:, :-1] = h
     out[:, -1] = 1.0
     return out
+
+
+def _scale_pixels(pixels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """uint8 pixel intensities as floats in [0, 1], value / 255.0, written
+    into ``out``: the one rule every model input of a uint8 array follows.
+    A byte of 255 becomes exactly 1.0."""
+    return np.divide(pixels, 255.0, out=out)
 
 
 def _stack_forward(weights, h, act_fn) -> list:
@@ -206,13 +224,28 @@ def _stack_forward(weights, h, act_fn) -> list:
 
 
 def output_preactivations(model: MLPModel, features) -> np.ndarray:
-    """Final-layer scores z, shape (N, M); accepts a single feature vector too."""
-    single = np.asarray(features).ndim == 1
+    """Final-layer scores z, shape (N, M); accepts a single feature vector too.
+
+    N uint8 rows, 2 * ``FORWARD_BLOCK_ROWS`` or more, are scaled and
+    evaluated in ``b = N // FORWARD_BLOCK_ROWS`` blocks cut at ``N * i // b``,
+    one reused float buffer holding a block's inputs, so no float copy of
+    them all is made; blocks of 1,024 to 2,047 rows keep one pass's bits.
+    """
+    x = np.asarray(features)
     arch = model.architecture
     weights = [w[None] for w in model.weights]
-    h = _augment(arch, features)[None]
-    z = _stack_forward(weights, h, _ACTIVATIONS[arch.activation][0])[-1][0]
-    return z[0] if single else z
+    act_fn = _ACTIVATIONS[arch.activation][0]
+    if not (x.dtype == np.uint8 and x.ndim == 2 and len(x) >= 2 * FORWARD_BLOCK_ROWS):
+        z = _stack_forward(weights, _augment(arch, x)[None], act_fn)[-1][0]
+        return z[0] if x.ndim == 1 else z
+    n_blocks = len(x) // FORWARD_BLOCK_ROWS
+    cuts = [len(x) * i // n_blocks for i in range(n_blocks + 1)]
+    z = np.empty((len(x), arch.n_outputs))
+    floats = np.empty((cuts[-1] - cuts[-2], arch.layer_sizes[0]))  # the longest block
+    for lo, hi in zip(cuts, cuts[1:]):
+        h = _augment(arch, x[lo:hi], floats[: hi - lo])
+        z[lo:hi] = _stack_forward(weights, h[None], act_fn)[-1][0]
+    return z
 
 
 def reference_logits(model: MLPModel, features) -> np.ndarray:
@@ -347,6 +380,13 @@ def _flat_views(buffer: np.ndarray, shapes) -> list:
     return views
 
 
+def _risk_group(stack: np.ndarray) -> int:
+    """Models per forward pass of the risk over the stacked inputs: the most
+    whose float inputs take no more bytes than the stack, and at least one;
+    every model of a float stack."""
+    return max(1, len(stack) * stack.itemsize // 8)
+
+
 def train_stack(
     features,
     labels,
@@ -363,9 +403,9 @@ def train_stack(
     and the (S, n, M-1) reference logits z_0 - z_gamma of each model over its
     own training rows, in input order (``reference_logits`` of model m on
     ``features[m]``, bit for bit).  The risk is a forward pass over every
-    training set; with ``trace`` off it runs after the last epoch alone, as a
-    divergence check, and ``risk`` is None.  The logits come from that last
-    pass.
+    training set, in groups of ``_risk_group`` models; with ``trace`` off it
+    runs after the last epoch alone, as a divergence check, and ``risk`` is
+    None.  The logits come from that last pass.
 
     Model m trains on the (n, d) rows ``features[m]``, labeled with the class
     indices ``labels[m]``, exactly as it would alone: its own
@@ -375,9 +415,13 @@ def train_stack(
     matmul per layer over the model axis and one optimizer pass over all
     weights, which share one flat buffer (Adam's two moments are the rows of
     a second); with a norm bound set, every update is followed by a
-    column-sum projection.  The training sets must share their length, and
-    the class indices lie below the output width; a non-finite loss or risk
-    raises ``TrainingDiverged`` naming the first diverged model's stack index.
+    column-sum projection.  uint8 rows are stacked as bytes and scaled as
+    each batch or group reads them, so training holds one float copy of a
+    batch or a group, not of every row; a matmul over the model axis
+    computes each model alone, so the bits are those of rows scaled up
+    front.  The training sets must share their length, and the class indices
+    lie below the output width; a non-finite loss or risk raises
+    ``TrainingDiverged`` naming the first diverged model's stack index.
     """
     labels, row_weights = _check_stack(features, labels, arch, sample_weights)
     if len(seeds) != len(features):
@@ -395,14 +439,33 @@ def train_stack(
     for m, rng in enumerate(rngs):
         for w, init in zip(weights, _initial_weights(arch, rng, hyper.init_scale)):
             w[m] = init
-    # the inputs in training-set order, augmented in place: the one stacked
-    # copy of them, which every mini-batch is gathered from
-    h = np.empty((n_models, n, sizes[0]))
-    for m, feats in enumerate(features):
-        _augment(arch, feats, h[m])
+    # the inputs in training-set order: the one stacked copy of them, which
+    # every mini-batch is gathered from.  Float inputs are augmented in
+    # place.  uint8 rows stay bytes, a byte of 255 in the bias slot, and are
+    # scaled a whole batch or risk group at a time into one reused float
+    # buffer as training reads them: 255 / 255.0 is the bias slot's 1.0
+    byte_rows = all(np.asarray(feats).dtype == np.uint8 for feats in features)
+    if byte_rows:
+        stack = np.full((n_models, n, sizes[0]), 255, dtype=np.uint8)
+        for m, feats in enumerate(features):
+            stack[m, :, :-1] = feats
+    else:
+        stack = np.empty((n_models, n, sizes[0]))
+        for m, feats in enumerate(features):
+            _augment(arch, feats, stack[m])
+    group = _risk_group(stack)
+    if byte_rows:  # as many floats as a mini-batch of every model or a risk group
+        floats = np.empty(max(n_models * min(hyper.batch_size, n), group * n) * sizes[0])
+
+    def inputs(block):
+        """The float inputs of stacked rows: byte rows scaled into ``floats``."""
+        if not byte_rows:
+            return block
+        return _scale_pixels(block, floats[: block.size].reshape(block.shape))
+
     # one ``take`` on the rows of all models gathers a mini-batch: a third of
-    # the per-step cost of indexing h with (model, row) pairs at small batches
-    h_rows = h.reshape(n_models * n, -1)
+    # the per-step cost of indexing with (model, row) pairs at small batches
+    stack_rows = stack.reshape(n_models * n, -1)
     rows = np.arange(n_models)[:, None]
     # the true classes as a one-hot mask, gathered per epoch like the labels
     targets = labels[:, :, None] == np.arange(arch.n_outputs)
@@ -431,7 +494,7 @@ def train_stack(
             batch = slice(start, start + hyper.batch_size)
             loss, _ = _stack_loss(
                 weights,
-                h_rows.take(flat[:, batch], 0),
+                inputs(stack_rows.take(flat[:, batch], 0)),
                 targets_epoch[:, batch],
                 weights_epoch[:, batch],
                 arch.activation,
@@ -468,7 +531,18 @@ def train_stack(
         # the last step's weights are read by no later loss, so the risk
         # after the last epoch runs with the trace off too
         if trace or epoch == hyper.epochs - 1:
-            risk, z = _stack_loss(weights, h, targets, row_weights, arch.activation)
+            parts = [
+                _stack_loss(
+                    [w[part] for w in weights],
+                    inputs(stack[part]),
+                    targets[part],
+                    row_weights[part],
+                    arch.activation,
+                )
+                for part in (slice(lo, lo + group) for lo in range(0, n_models, group))
+            ]
+            risk, z = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            del parts
             if not np.isfinite(risk).all():
                 raise TrainingDiverged(
                     f"non-finite epoch risk at epoch {epoch}", int(np.isfinite(risk).argmin())

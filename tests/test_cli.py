@@ -501,8 +501,8 @@ class TestCmdPredict:
         )
         cfg = validate_config(cfg_dict, str(tmp_path))
         written = []
-        for steps in (experiments.PREDICT_BLOCK_STEPS, 2, 3):
-            monkeypatch.setattr(experiments, "PREDICT_BLOCK_STEPS", steps)
+        for steps in (experiments.FORWARD_BLOCK_ROWS, 2, 3):
+            monkeypatch.setattr(experiments, "FORWARD_BLOCK_ROWS", steps)
             out = tmp_path / str(steps)
             summary = cmd_predict(cfg, str(out))
             written.append([(out / n).read_bytes() for n in ("trajectory.csv", "summary.json")])
@@ -541,7 +541,7 @@ class TestCmdPredict:
                 raise SocialLearningError("non-finite statistic value")
             return run_prediction(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "PREDICT_BLOCK_STEPS", 5)
+        monkeypatch.setattr(experiments, "FORWARD_BLOCK_ROWS", 5)
         monkeypatch.setattr(experiments, "run_prediction", second_block_fails)
         cfg = validate_config(base_config(), str(tmp_path))
         out = tmp_path / "out"

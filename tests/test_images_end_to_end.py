@@ -148,22 +148,26 @@ class TestImageTrainingScene:
         write_idx_dataset(tmp_path, np.random.default_rng(5), n_per_class=40)
         cfg = validate_config(image_config("dataset.json"), str(tmp_path))
         scaled = []
-        original = mlp_mod._augment
+        original = mlp_mod._scale_pixels
 
-        def counting(arch, features, out=None):
-            if np.asarray(features).dtype == np.uint8:
-                scaled.append(np.asarray(features).size)
-            return original(arch, features, out)
+        def counting(pixels, out):
+            scaled.append(pixels.size)
+            return original(pixels, out)
 
-        monkeypatch.setattr(mlp_mod, "_augment", counting)
+        monkeypatch.setattr(mlp_mod, "_scale_pixels", counting)
         ((views, labels),) = shared_scene_training(cfg, [0])
         # drawing scales nothing: the views are the picked uint8 patches
         assert scaled == []
         assert all(view.dtype == np.uint8 for view in views)
         models, risks, logits = train_agents(cfg, [0], [(views, labels)])
-        # each agent's training input fill converts its patch of every
-        # picked image once
-        assert sum(scaled) == labels.size * 8 * 8
+        # training stacks each patch as bytes beside a bias byte and scales
+        # them as it reads them: each epoch's mini-batches of every model,
+        # then, with the trace on, the risk pass after the epoch, one model
+        # a group (4 // 8 is less than one)
+        n, batch, width = labels.size, cfg.hyper.batch_size, 4 * 4 + 1
+        epoch = [cfg.n_agents * batch * width] * (n // batch) + [n * width] * cfg.n_agents
+        assert n % batch == 0
+        assert scaled == epoch * cfg.hyper.epochs
         # the same draws from images scaled up front train the same models
         scene = cfg.scene
         up_front = np.asarray(scene.images) / 255.0
@@ -210,30 +214,29 @@ class TestImageSceneMemory:
         assert held <= pixels + labels + (12 << 10), (held, pixels, labels)
         assert all(view.dtype == np.uint8 for view in views)
 
-    def test_one_chunk_peaks_at_its_training_plus_the_scene_bytes(self, tmp_path):
+    def test_training_holds_the_stacked_pixels_as_bytes(self, tmp_path):
         cfg = self.config(tmp_path)
         reps = range(4)
         scenes = shared_scene_training(cfg, reps)
-        pixels = sum(view.size for views, _ in scenes for view in views)
-        labels = sum(labels.nbytes for _, labels in scenes)
         tracemalloc.start()
         try:
             train_agents(cfg, reps, scenes, trace=False)
             _, training = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        del scenes
-        tracemalloc.start()
-        try:
-            montecarlo_chunk(cfg, reps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the chunk peaks inside SML training, with its scenes, one byte a
-        # pixel, beside the stacked float inputs; the evaluation streams stay
-        # below that.  Slack: array headers and seeds, 5 KiB here (numpy
-        # 2.4.6), with room for other numpy versions
-        assert peak <= training + pixels + labels + (16 << 10), (peak, training, pixels)
+        # one stack of 16 models of 120 rows, each row 16 pixels and a bias
+        # slot: the stack holds them as bytes, and one float buffer holds a
+        # mini-batch of every model or a risk group of 16 // 8 models,
+        # whichever is larger
+        models, n, width = len(reps) * cfg.n_agents, scenes[0][1].size, 4 * 4 + 1
+        stacked = models * n * width
+        floats = 8 * width * max(models * cfg.hyper.batch_size, 2 * n)
+        # Slack: what does not grow with the pixels, that is the labels,
+        # sample weights, orders, targets and scores of the 1,920 rows, the
+        # weights and gradients, and a group's activations: 208 KiB here
+        # (numpy 2.4.6), with room for other numpy versions.  A float copy
+        # of the stack would hold 7 * 32,640 B = 223 KiB more than its bytes
+        assert training <= stacked + floats + (240 << 10), (training, stacked, floats)
 
 
 class TestImageSceneLoading:

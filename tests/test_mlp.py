@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialml import mlp as mlp_mod
 from socialml.mlp import (
+    FORWARD_BLOCK_ROWS,
     MLPArchitecture,
     MLPModel,
     ModelError,
@@ -21,6 +23,7 @@ from socialml.mlp import (
     _flat_views,
     _log_softmax,
     _project_columns,
+    _risk_group,
     _stack_forward,
     _stack_loss,
     initialize_model,
@@ -30,7 +33,6 @@ from socialml.mlp import (
     save_model,
     train_stack,
 )
-from socialml.experiments import PREDICT_BLOCK_STEPS
 from socialml.seeds import generators
 from socialml.stats import DebiasedStatistic
 from socialml.theory import logit_bound
@@ -344,8 +346,9 @@ def row_counts_that_differ(model, rows, whole, counts) -> list:
 
 class TestRowCountGap:
     """A forward pass's last bits may depend on how many rows it is given,
-    but not at ``PREDICT_BLOCK_STEPS`` rows or more: predict's time blocks
-    then give its statistics the bits of one pass over the whole stream."""
+    but not at ``FORWARD_BLOCK_ROWS`` rows or more: predict's time blocks
+    and the row blocks of a uint8 evaluation then give every row the bits of
+    one pass over all of them."""
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize(
@@ -355,7 +358,7 @@ class TestRowCountGap:
         model, rows, whole = gap_model(sizes, activation)
         # a stride of 7, prime to 2, meets every residue modulo 256 of the
         # row count, so every edge case of BLAS's power-of-two row blocking
-        counts = [*range(PREDICT_BLOCK_STEPS, GAP_ROWS, 7), GAP_ROWS]
+        counts = [*range(FORWARD_BLOCK_ROWS, GAP_ROWS, 7), GAP_ROWS]
         assert row_counts_that_differ(model, rows, whole, counts) == []
 
     def test_the_gap_is_named_on_the_ledger_environment(self):
@@ -364,11 +367,65 @@ class TestRowCountGap:
         if key != ledger:
             pytest.skip(f"the gap is measured under {ledger}, this environment is {key}")
         model, rows, whole = gap_model((2, 32, 2), "tanh")
-        differ = row_counts_that_differ(model, rows, whole, range(1, PREDICT_BLOCK_STEPS))
+        differ = row_counts_that_differ(model, rows, whole, range(1, FORWARD_BLOCK_ROWS))
         # a lone row takes BLAS's matrix-vector path; up to 600 rows, the
         # count sets the last bits
         assert differ[0] == 1
         assert max(differ) == 600
+
+
+class TestPixelBlocks:
+    """More than 2 * ``FORWARD_BLOCK_ROWS`` - 1 uint8 rows are scaled and
+    evaluated in near-equal row blocks of 1,024 to 2,047 rows."""
+
+    def blocks(self, model, pixels) -> tuple:
+        """The scores of ``pixels`` and the row count of each forward pass."""
+        counts = []
+
+        def counting(weights, h, act_fn):
+            counts.append(h.shape[1])
+            return _stack_forward(weights, h, act_fn)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mlp_mod, "_stack_forward", counting)
+            return output_preactivations(model, pixels), counts
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_blocks_keep_the_bits_of_one_pass(self, activation):
+        # an MNIST-sized evaluation: 10,000 rows of a 14x14 patch
+        model, _, _ = gap_model((197, 32, 2), activation)
+        pixels = np.random.default_rng(2).integers(0, 256, (10_000, 196), dtype=np.uint8)
+        one_pass = output_preactivations(model, pixels / 255.0)
+        got, counts = self.blocks(model, pixels)
+        assert counts == [1111] * 8 + [1112]
+        assert np.array_equal(got.view(np.uint64), one_pass.view(np.uint64))
+
+    def test_the_block_edges(self):
+        model, _, _ = gap_model((5, 3, 2), "tanh")
+        rng = np.random.default_rng(3)
+        for n, want in [(2047, [2047]), (2048, [1024, 1024]), (3071, [1535, 1536])]:
+            pixels = rng.integers(0, 256, (n, 4), dtype=np.uint8)
+            got, counts = self.blocks(model, pixels)
+            assert counts == want
+            assert np.array_equal(got, output_preactivations(model, pixels / 255.0))
+        # float rows are one pass at any count
+        assert self.blocks(model, rng.random((3071, 4)))[1] == [3071]
+
+    def test_blocks_hold_one_block_of_floats(self):
+        model, _, _ = gap_model((197, 32, 2), "tanh")
+        pixels = np.random.default_rng(4).integers(0, 256, (10_000, 196), dtype=np.uint8)
+        output_preactivations(model, pixels[:10])  # one-time allocations
+        tracemalloc.start()
+        try:
+            output_preactivations(model, pixels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the scores of every row, and a block's floats: its inputs, hidden
+        # activations and scores; one pass held 15.0 MiB of inputs alone.
+        # Slack: array headers and the block edges, 2 KiB here (numpy 2.4.6)
+        block = 8 * 1112 * (197 + 32 + 2)
+        assert peak <= 8 * 10_000 * 2 + block + (8 << 10), peak
 
 
 class TestLogit:
@@ -1020,6 +1077,54 @@ class TestPixelInputs:
         assert not np.array_equal(
             reference_logits(model, feats), reference_logits(model, floats / 255.0)
         )
+
+    @pytest.mark.parametrize("group", ["one", "all", "own"])
+    @given(
+        n_models=st.sampled_from([1, 3, 9, 17]),
+        activation=st.sampled_from(["tanh", "relu"]),
+        optimizer=st.sampled_from(["gd", "adam"]),
+        norm_bound=st.sampled_from([None, 0.9]),
+        weighted=st.booleans(),
+        batch_size=st.integers(2, 8),
+        n_features=st.sampled_from([1, 5, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_byte_stack_trains_as_its_scaled_floats(
+        self, group, n_models, activation, optimizer, norm_bound, weighted, batch_size,
+        n_features, seed,
+    ):
+        # the byte stack's batches and risk groups against a float stack of
+        # the same rows scaled up front, at a risk group of one model, of
+        # all of them and of the stack's own size (17 // 8 = 2 leaves a
+        # group of one last); 23 rows, so every epoch ends short
+        rng = np.random.default_rng(seed)
+        n = 23
+        pixels = [rng.integers(0, 256, (n, n_features), dtype=np.uint8) for _ in range(n_models)]
+        labels = [rng.integers(0, 3, n) for _ in range(n_models)]
+        weights = [rng.random(n) + 1e-3 for _ in range(n_models)] if weighted else None
+        arch = MLPArchitecture(
+            (n_features + 1, 5, 3), activation=activation, norm_bound=norm_bound
+        )
+        hyper = TrainingHyperparameters(3, batch_size, 0.05, optimizer=optimizer)
+        seeds = rng.integers(0, 2**31, n_models).tolist()
+        scaled = [p / 255.0 for p in pixels]
+        want_models, want_risk, want_logits = train_stack(
+            scaled, labels, arch, hyper, seeds, weights
+        )
+        sizes = {"one": lambda stack: 1, "all": len, "own": mlp_mod._risk_group}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mlp_mod, "_risk_group", sizes[group])
+            models, risk, logits = train_stack(pixels, labels, arch, hyper, seeds, weights)
+        assert np.array_equal(risk.view(np.uint64), want_risk.view(np.uint64))
+        assert np.array_equal(logits.view(np.uint64), want_logits.view(np.uint64))
+        for model, want in zip(models, want_models):
+            for got_w, want_w in zip(model.weights, want.weights):
+                assert np.array_equal(got_w.view(np.uint64), want_w.view(np.uint64))
+
+    def test_risk_groups_hold_no_more_float_bytes_than_the_stack(self):
+        assert [_risk_group(np.zeros((s, 3, 2), np.uint8)) for s in (1, 7, 8, 17)] == [1, 1, 1, 2]
+        assert _risk_group(np.zeros((17, 3, 2))) == 17
 
     def test_uint8_features_get_a_scaled_copy_and_the_bias_slot(self):
         rng = np.random.default_rng(4)
