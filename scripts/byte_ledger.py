@@ -2,7 +2,7 @@
 """The byte ledger: the sha256 of every artifact of a small config matrix.
 
 The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
-``theory``) through ``socialml.cli.main`` on eight small scenes:
+``theory``) through ``socialml.cli.main`` on nine small scenes:
 
 - ``gauss2``: two classes on heterogeneous Gaussian agents (1-D and 2-D),
   ``sl``, a periodic schedule, norm-bounded models and an analytic-beta
@@ -25,7 +25,9 @@ The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
 - ``grouped``: two classes of the IDX dataset, relu, adam and a norm bound,
   seven repetitions and seven Monte Carlo replications of four patch
   agents, so ``train`` (trace on) and each ``montecarlo`` chunk train 28
-  uint8 models in one stack.
+  uint8 models in one stack;
+- ``boost``: two classes of Gaussian agents (1-D and 2-D), ``montecarlo``
+  with AdaBoost alone, so no replication runs a prediction engine.
 
 The hashes hold only under the environment they were recorded in: the
 Python minor version, the numpy version and the BLAS that numpy reports.
@@ -145,6 +147,19 @@ CONFIGS = {
         "train_per_class": 10, "schedule": {"period": 3}, "stream_length": 6,
         "montecarlo": {"replications": 7, "eval_streams": 3, "horizon": 6},
     },
+    # AdaBoost alone: the streams are drawn and boosted, no statistic runs
+    "boost": {
+        "seed": 10, "classes": [1, -1], "engine": "sl", "graph": {"ring": 3},
+        "data": _gaussian([
+            [("1", [0.5]), ("-1", [-0.5])],
+            [("1", [0.3, 0.1]), ("-1", [-0.2, 0.0])],
+            [("1", [0.4]), ("-1", [-0.1])],
+        ]),
+        "model": MODEL,
+        "train_per_class": 8, "schedule": {"period": 3}, "stream_length": 6,
+        "montecarlo": {"replications": 3, "eval_streams": 2, "horizon": 7,
+                       "strategies": ["adaboost"]},
+    },
 }
 
 # (config, command, extra arguments); a run's ledger entry is
@@ -152,7 +167,7 @@ CONFIGS = {
 # entry and a process pool must write the serial bytes
 RUNS = [
     *((name, command, ()) for name in CONFIGS for command in ("train", "predict", "montecarlo")
-      if name not in ("ties", "long", "cycle", "grouped")),
+      if name not in ("ties", "long", "cycle", "grouped", "boost")),
     ("gauss2", "montecarlo", ("--threads", "2")),
     ("ties", "predict", ()),
     ("long", "predict", ()),
@@ -161,6 +176,7 @@ RUNS = [
     ("grouped", "train", ()),
     ("grouped", "montecarlo", ()),
     ("gauss2", "theory", ()),
+    ("boost", "montecarlo", ()),
 ]
 
 
