@@ -34,6 +34,8 @@ class GaussianClassModel(Record):
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        if mean.ndim > 1:
+            raise DataError(f"mean must be a number or a flat list, got shape {mean.shape}")
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise DataError(f"covariance {cov.shape} vs mean dimension {mean.size}")

@@ -5,10 +5,10 @@ the master seed through fixed phase paths, and writes through one
 ``_Output``: it creates the output directory at the first write, so a failed
 command leaves nothing behind, heads CSVs with a ``# config=... seed=...``
 line and JSON artifacts with a ``meta`` block, and lists in ``manifest.json``
-exactly the files it wrote.  ``_streams`` draws every prediction stream, so
+exactly the files it wrote.  ``_evaluate`` draws and runs every prediction
+stream, ``predict``'s in time blocks that it holds one at a time, so
 ``predict``'s stream is a prefix of Monte Carlo replication 0's first
-stream, whatever the two lengths.  ``predict`` runs its stream in time
-blocks and holds one block at a time.
+stream, whatever the two lengths.
 """
 
 from __future__ import annotations
@@ -218,20 +218,27 @@ def _trained_statistics(cfg: ExperimentConfig, reps, scenes) -> list:
     ]
 
 
-def _streams(cfg: ExperimentConfig, rep: int, n_streams: int, edges):
-    """Replication ``rep``'s first ``n_streams`` prediction streams, in time
-    blocks between consecutive ``edges``: one ``(views, states)`` pair per
-    block, its ``data.prediction_streams`` views and its class-index track.
+def _evaluate(cfg: ExperimentConfig, rep: int, statistics, n_streams: int, edges):
+    """Replication ``rep``'s first ``n_streams`` prediction streams in time
+    blocks between consecutive ``edges``: per block, its views, its
+    class-index track and its ``run_prediction`` run over ``statistics``
+    from the lambda the block before ended on, or None without them.
 
-    Every block draws from the one generator on the seed path ``(rep,)``,
-    so one stream drawn in blocks has the bits of one draw over all its
-    steps, and ``predict``'s stream is a prefix of the first stream of
-    Monte Carlo replication 0, which draws its batch in one block.
+    All blocks draw from the one generator on the seed path ``(rep,)``, so
+    a stream run in blocks has the bits of one run, and ``predict``'s stream
+    is a prefix of Monte Carlo replication 0's first stream.
     """
     (rng,) = generators(derived_seeds(cfg.seed, PHASE_STREAM, [(rep,)]))
+    run = None
     for lo, hi in zip(edges, edges[1:]):
         states = cfg.schedule.states(hi, lo)
-        yield data_mod.prediction_streams(cfg.scene, states, n_streams, rng), states
+        views = data_mod.prediction_streams(cfg.scene, states, n_streams, rng)
+        if statistics is not None:
+            lam = None if run is None else run.lam[:, -1]
+            run = run_prediction(
+                cfg.matrix, statistics, views, states, len(cfg.classes), delta=cfg.delta, lam0=lam
+            )
+        yield views, states, run
 
 
 # --- commands ---------------------------------------------------------------
@@ -265,12 +272,11 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     The stream of T = ``stream_length`` steps runs in ``n = max(1, T //
     FORWARD_BLOCK_ROWS)`` time blocks, cut at ``T * i // n``: every block
     but a lone one holds 1,024 to 2,047 steps, one row a step.  Each block
-    draws its next steps from the one stream generator, evaluates every
-    agent's statistic on them, diffuses from the lambda the block before
-    ended on, decides, writes its trajectory.csv rows and adds to each
-    schedule segment's hit counts and last wrong step, from which
-    summary.json is built.  So only one block of the stream is held at a
-    time, and the bytes are those of one pass over the whole stream.
+    is ``_evaluate``'s run of a batch of one stream; it writes its
+    trajectory.csv rows and adds to each schedule segment's hit counts and
+    last wrong step, from which summary.json is built.  So only one block
+    of the stream is held at a time, and the bytes are those of one pass
+    over the whole stream.
     """
     horizon = cfg.stream_length
     if horizon < 1:
@@ -286,13 +292,8 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: str) -> dict:
     last_wrong = np.zeros_like(hits)
 
     def blocks():
-        lam = None
-        for lo, (views, states) in zip(edges, _streams(cfg, 0, 1, edges)):
-            run = run_prediction(
-                cfg.matrix, statistics, [v[0] for v in views], states, len(cfg.classes),
-                delta=cfg.delta, lam0=lam,
-            )
-            lam = run.lam[-1]
+        for lo, (_, states, run) in zip(edges, _evaluate(cfg, 0, statistics, 1, edges)):
+            run = PredictionRun(run.lam[0], run.picks[0], run.correct[0])
             # the segments this block overlaps, [first, last), cut at its edges
             block = list(cfg.schedule.spans(lo + run.horizon, lo))
             first, last = block[0][0], block[-1][0] + 1
@@ -331,9 +332,10 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     Returns one dict per replication, strategy -> (T,) error rates.  Training
     runs in lockstep over the chunk: each SML architecture in one
     ``train_stack`` call, each AdaBoost round in another.  Evaluation runs one
-    replication at a time: its ``eval_streams`` independent prediction
-    streams are drawn in one batch and run through its models, and the
-    per-step error probability is the mean decision error over them.  Every
+    replication at a time: ``_evaluate`` draws its ``eval_streams``
+    independent prediction streams in one block and runs its statistics on
+    them, AdaBoost decides on the same views, and the per-step error
+    probability is the mean decision error over the streams.  Every
     replication reads only its own seed paths, so its curves do not depend on
     the chunk it runs in.
     """
@@ -342,7 +344,7 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
     strategies = mc["strategies"]
 
     scenes = shared_scene_training(cfg, reps)
-    stats = ensembles = None
+    stats, ensembles = [None] * len(reps), None
     try:
         if "sml" in strategies:
             stats = _trained_statistics(cfg, reps, scenes)
@@ -356,14 +358,11 @@ def montecarlo_chunk(cfg: ExperimentConfig, reps) -> list:
 
     out = []
     for i, rep in enumerate(reps):
-        ((views, states),) = _streams(cfg, rep, n_streams, (0, horizon))
+        ((views, states, run),) = _evaluate(cfg, rep, stats[i], n_streams, (0, horizon))
         errors = {}
-        if stats is not None:
-            run = run_prediction(
-                cfg.matrix, stats[i], views, states, len(cfg.classes), delta=cfg.delta
-            )
+        if run is not None:
             errors["sml"] = np.mean(~run.correct[:, :, mc["observe_agent"]], axis=0)
-            del run  # freed before the AdaBoost pass evaluates its models
+        del run  # the generator has ended: freed before AdaBoost evaluates its models
         if ensembles is not None:
             flat = [feats.reshape(n_streams * horizon, -1) for feats in views]
             picks = adaboost_decide(ensembles[i], flat).reshape(n_streams, horizon)

@@ -7,8 +7,8 @@ unique real root y > 1 of the cubic
     e^r y^3 - y - 1 = 0,        exponent(r) = log(y) / 4,
 
 solved here by bisection (the cubic is strictly increasing in y on y >= 1,
-so bisection is exact and robust; the closed-form radicals are kept only as
-a cross-check).  The exponent feeds an exponential lower bound on the
+so bisection is exact and robust; the tests cross-check it against the
+closed-form radicals).  The exponent feeds an exponential lower bound on the
 probability that training produces models consistent during prediction, and
 inverting that bound gives the training-set size needed for a target
 confidence.
@@ -68,20 +68,6 @@ def exact_exponent(target_risk: float) -> float:
             lo = mid
     root = 0.5 * (lo + hi)
     return 0.25 * math.log(root)
-
-
-def exact_exponent_closed_form(target_risk: float) -> float:
-    """Radical form of the cubic root; numerically delicate, cross-check only."""
-    if not 0.0 <= target_risk < LOG2:
-        raise TheoryError(f"target risk must lie in [0, log 2), got {target_risk}")
-    r = target_risk
-    z = 9.0 * math.exp(2 * r) + math.sqrt(
-        3.0 * math.exp(3 * r) * (-4.0 + 27.0 * math.exp(r))
-    )
-    y = (2.0 * 3.0 ** (1 / 3) + 2.0 ** (1 / 3) * math.exp(-r) * z ** (2 / 3)) / (
-        6.0 ** (2 / 3) * z ** (1 / 3)
-    )
-    return 0.25 * math.log(y)
 
 
 def approx_exponent(target_risk: float) -> float:

@@ -20,7 +20,7 @@ from socialml.config import (
 )
 from socialml.data import GaussianClassModel
 from socialml.experiments import (
-    _streams,
+    _evaluate,
     _trained_statistics,
     cmd_montecarlo,
     cmd_predict,
@@ -488,18 +488,23 @@ class TestCmdPredict:
         assert max(first) > 0  # positive while the reference class is active
         assert min(second) < 0  # crosses below after the flip
 
-    @pytest.mark.parametrize("engine", [{"engine": "sl"}, {"engine": "asl", "delta": 0.3}],
-                             ids=["sl", "asl"])
-    def test_bytes_do_not_depend_on_the_block_steps(self, tmp_path, monkeypatch, engine):
+    @pytest.mark.parametrize(
+        "engine, scene",
+        [({"engine": "sl"}, "gaussian"), ({"engine": "asl", "delta": 0.3}, "gaussian"),
+         ({"engine": "sl"}, "images"), ({"engine": "asl", "delta": 0.3}, "images")],
+        ids=["sl", "asl", "sl-images", "asl-images"],
+    )
+    def test_bytes_do_not_depend_on_the_block_steps(self, tmp_path, monkeypatch, engine, scene):
         # 12 steps run as one block, as 6 blocks of 2 and as 4 blocks of 3;
         # segments start on edges of both cuttings (4, 6 and 9), and one
         # holds a single step
-        cfg_dict = three_class_config(
-            stream_length=12,
-            schedule={"segments": [[0, 0], [4, 1], [5, 2], [6, 0], [9, 2]]},
-            **engine,
-        )
-        cfg = validate_config(cfg_dict, str(tmp_path))
+        segments = [[0, 0], [4, 1], [5, 2], [6, 0], [9, 2]]
+        if scene == "images":  # uint8 views of classes a, b and c
+            schedule = {"segments": [[start, "abc"[state]] for start, state in segments]}
+            cfg = three_class_image_config(tmp_path, stream_length=12, schedule=schedule, **engine)
+        else:
+            cfg_dict = three_class_config(stream_length=12, schedule={"segments": segments}, **engine)
+            cfg = validate_config(cfg_dict, str(tmp_path))
         written = []
         for steps in (experiments.FORWARD_BLOCK_ROWS, 2, 3):
             monkeypatch.setattr(experiments, "FORWARD_BLOCK_ROWS", steps)
@@ -786,6 +791,11 @@ GAUSSIAN_CASES = [
     ("mean-bool", _gaussian_override(0, "1", mean=[True]), ["data.agents[0]", "class 1", "mean"]),
     ("mean-ragged", _gaussian_override(1, "1", mean=[[0.5], []]), ["data.agents[1]", "class 1"]),
     ("mean-nan", _gaussian_override(0, "-1", mean=[float("nan")]), ["data.agents[0]", "class -1"]),
+    # a 2-D mean with a 2x2 covariance: a column failed to broadcast, a row read as flat
+    ("mean-column", _gaussian_override(3, "-1", mean=[[0.3], [0.1]], cov=np.eye(2).tolist()),
+     ["data.agents[3]", "class -1", "mean"]),
+    ("mean-row", _gaussian_override(2, "1", mean=[[0.3, 0.1]], cov=np.eye(2).tolist()),
+     ["data.agents[2]", "class 1", "mean"]),
     ("cov-not-numeric", _gaussian_override(3, "1", cov={"a": 1}), ["data.agents[3]", "class 1"]),
     ("cov-overflow", _gaussian_override(2, "1", cov=[[10**400]]), ["data.agents[2]", "class 1"]),
     # agent 1 sees 2-D features under class 1 and 1-D ones under class -1
@@ -1256,9 +1266,9 @@ def three_class_config(**overrides):
     return cfg
 
 
-def three_class_image_config(directory):
-    """A 2x2-agent image scene of three classes over an IDX dataset written
-    to ``directory``."""
+def three_class_image_config(directory, **overrides):
+    """A 2x2-agent image scene of three classes, a, b and c, over an IDX
+    dataset written to ``directory``, with ``overrides`` on its config."""
     rng = np.random.default_rng(4)
     labels = np.repeat(np.arange(3, dtype=np.uint8), 30)
     images = rng.integers(0, 256, (labels.size, 8, 8), dtype=np.uint8)
@@ -1268,6 +1278,7 @@ def three_class_image_config(directory):
     cfg = image_config("dataset.json", classes=["a", "b", "c"], schedule={"period": 3})
     cfg["data"]["label_map"] = {"a": 0, "b": 1, "c": 2}
     cfg["montecarlo"]["strategies"] = ["sml"]
+    cfg.update(overrides)
     return validate_config(cfg, str(directory))
 
 
@@ -1292,22 +1303,15 @@ class TestPredictIsReplicationZero:
         self, trained_scene, short, long, n_streams
     ):
         cfg, statistics = trained_scene
-        ((views, states),) = _streams(cfg, 0, 1, (0, short))
-        ((batch, batch_states),) = _streams(cfg, 0, n_streams, (0, long))
+        ((views, states, alone),) = _evaluate(cfg, 0, statistics, 1, (0, short))
+        ((batch, batch_states, batched),) = _evaluate(cfg, 0, statistics, n_streams, (0, long))
         assert states.tolist() == batch_states[:short].tolist()
         for view, rows in zip(views, batch):
             assert np.array_equal(view[0], rows[0, :short])
-        n_classes = len(cfg.classes)
-        alone = run_prediction(
-            cfg.matrix, statistics, [v[0] for v in views], states, n_classes, delta=cfg.delta
-        )
-        batched = run_prediction(
-            cfg.matrix, statistics, batch, batch_states, n_classes, delta=cfg.delta
-        )
-        assert np.array_equal(alone.picks, batched.picks[0, :short])
+        assert np.array_equal(alone.picks[0], batched.picks[0, :short])
         # a one-step stream's statistics come from BLAS's matrix-vector path,
         # so the last bits of its lambda may differ from the batch's
-        np.testing.assert_allclose(alone.lam, batched.lam[0, :short], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(alone.lam[0], batched.lam[0, :short], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("reps", [[0], [0, 1, 2]], ids=["alone", "chunk-of-3"])
     @pytest.mark.parametrize("engine", [{"engine": "sl"}, {"engine": "asl", "delta": 0.1}],
