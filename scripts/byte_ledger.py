@@ -2,7 +2,7 @@
 """The byte ledger: the sha256 of every artifact of a small config matrix.
 
 The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
-``theory``) through ``socialml.cli.main`` on nine small scenes:
+``theory``) through ``socialml.cli.main`` on ten small scenes:
 
 - ``gauss2``: two classes on heterogeneous Gaussian agents (1-D and 2-D),
   ``sl``, a periodic schedule, norm-bounded models and an analytic-beta
@@ -27,7 +27,11 @@ The matrix runs every command (``train``, ``predict``, ``montecarlo`` and
   agents, so ``train`` (trace on) and each ``montecarlo`` chunk train 28
   uint8 models in one stack;
 - ``boost``: two classes of Gaussian agents (1-D and 2-D), ``montecarlo``
-  with AdaBoost alone, so no replication runs a prediction engine.
+  with AdaBoost alone, so no replication runs a prediction engine;
+- ``wide``: two classes of Gaussian agents (1-D and 2-D), ``asl``, relu
+  networks of two hidden layers, and a ``montecarlo`` of 40 streams over 60
+  steps running SML and AdaBoost, so every forward pass of a replication
+  holds 2,400 float rows: more than two row blocks of ``FORWARD_BLOCK_ROWS``.
 
 The hashes hold only under the environment they were recorded in: the
 Python minor version, the numpy version and the BLAS that numpy reports.
@@ -160,6 +164,18 @@ CONFIGS = {
         "montecarlo": {"replications": 3, "eval_streams": 2, "horizon": 7,
                        "strategies": ["adaboost"]},
     },
+    # 40 streams x 60 steps: each model scores 2,400 float rows in a pass
+    "wide": {
+        "seed": 11, "classes": [1, -1], "engine": "asl", "delta": 0.2, "graph": {"ring": 3},
+        "data": _gaussian([
+            [("1", [0.4]), ("-1", [-0.4])],
+            [("1", [0.3, -0.2]), ("-1", [-0.1, 0.3])],
+            [("1", [0.2]), ("-1", [-0.3])],
+        ]),
+        "model": {**MODEL, "hidden": [6, 4], "activation": "relu"},
+        "train_per_class": 10, "schedule": {"period": 25}, "stream_length": 6,
+        "montecarlo": {"replications": 2, "eval_streams": 40, "horizon": 60},
+    },
 }
 
 # (config, command, extra arguments); a run's ledger entry is
@@ -167,7 +183,7 @@ CONFIGS = {
 # entry and a process pool must write the serial bytes
 RUNS = [
     *((name, command, ()) for name in CONFIGS for command in ("train", "predict", "montecarlo")
-      if name not in ("ties", "long", "cycle", "grouped", "boost")),
+      if name not in ("ties", "long", "cycle", "grouped", "boost", "wide")),
     ("gauss2", "montecarlo", ("--threads", "2")),
     ("ties", "predict", ()),
     ("long", "predict", ()),
@@ -177,6 +193,7 @@ RUNS = [
     ("grouped", "montecarlo", ()),
     ("gauss2", "theory", ()),
     ("boost", "montecarlo", ()),
+    ("wide", "montecarlo", ()),
 ]
 
 
