@@ -7,9 +7,11 @@ class j, and class 0 is the reference class for every logit.  Training
 labels are these indices.  Every model folds its bias in as a constant-1
 trailing input slot, so the first layer width counts one slot more than the
 raw feature dimension.  Features become a model's float inputs in one place,
-``_augment``, and 8-bit pixels by one rule, ``_scale_pixels``, which training
-also applies to its byte stack a mini-batch at a time: image views stay one
-byte a pixel until a model reads them, in training and evaluation alike.
+``_write_features``, and 8-bit pixels by one rule, ``_scale_pixels``, which
+training also applies to its byte stack a mini-batch at a time: image views
+stay one byte a pixel until a model reads them, in training and evaluation
+alike.  Evaluation cuts many rows, float or uint8, into row blocks, so a
+pass holds one block's inputs and hidden activations.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ OPTIMIZERS = ("gd", "adam")
 # 0.3.31; the largest such count over 8 input widths from 2 to 785, 8 hidden
 # layouts, 1-3 outputs and both activations, at up to 4,096 rows against one
 # 8,192-row pass).  Blocks above that floor give every row the bits of one
-# pass over all of them: ``output_preactivations`` evaluates many uint8 rows
-# in such blocks, and ``predict`` its stream in time blocks of such length.
+# pass over all of them: ``output_preactivations`` evaluates many rows, float
+# or uint8, in such blocks, and ``predict`` its stream in time blocks of such
+# length.  A layer of width 1 has no floor: BLAS computes it as a
+# matrix-vector product, whose last rows' bits follow the row count.
 FORWARD_BLOCK_ROWS = 1024
 
 
@@ -182,28 +186,41 @@ def initialize_model(
 
 def _augment(arch: MLPArchitecture, features, out=None) -> np.ndarray:
     """The (N, layer_sizes[0]) float inputs a model reads from its raw feature
-    rows, written into ``out`` when it is given: a uint8 array holds 8-bit
-    pixel intensities, read as value / 255.0 (the bits of features scaled up
-    front), any other array, other integer types included, is read as it is,
-    and the bias slot is the trailing 1."""
+    rows, written into ``out`` when it is given: the features as
+    ``_write_features`` reads them and the bias slot, the trailing 1."""
     h = np.atleast_2d(np.asarray(features))
-    if h.shape[1] != arch.n_features:
-        raise ModelError(f"feature dim {h.shape[1]}, expected {arch.n_features}")
     if out is None:
         out = np.empty((h.shape[0], arch.layer_sizes[0]))
-    if h.dtype == np.uint8:
-        _scale_pixels(h, out[:, :-1])
-    else:
-        out[:, :-1] = h
+    _write_features(arch, h, out[:, :-1])
     out[:, -1] = 1.0
     return out
+
+
+def _write_features(arch: MLPArchitecture, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the 2-D raw feature ``rows`` into ``out`` as floats: a uint8
+    array holds 8-bit pixel intensities, read as value / 255.0 (the bits of
+    features scaled up front); any other array, other integer types
+    included, is read as it is."""
+    if rows.shape[1] != arch.n_features:
+        raise ModelError(f"feature dim {rows.shape[1]}, expected {arch.n_features}")
+    if rows.dtype == np.uint8:
+        _scale_pixels(rows, out)
+    else:
+        out[...] = rows
 
 
 def _scale_pixels(pixels: np.ndarray, out: np.ndarray) -> np.ndarray:
     """uint8 pixel intensities as floats in [0, 1], value / 255.0, written
     into ``out``: the one rule every model input of a uint8 array follows.
-    A byte of 255 becomes exactly 1.0."""
-    return np.divide(pixels, 255.0, out=out)
+    A byte of 255 becomes exactly 1.0.
+
+    Two multiplications give the quotient's bits without a division: for a
+    byte v, v * 16843009 = v * (2**32 - 1) / 255 is exact, and its product
+    with 2**-32 + 2**-64 rounds to the correctly rounded v / 255.0 for
+    every one of the 256 bytes.
+    """
+    np.multiply(pixels, 16843009.0, out=out)
+    return np.multiply(out, 2.0**-32 + 2.0**-64, out=out)
 
 
 def _stack_forward(weights, h, act_fn) -> list:
@@ -212,8 +229,9 @@ def _stack_forward(weights, h, act_fn) -> list:
     ``weights[ell]`` holds the layer's matrices of all S models, (S, n_l, n_{l-1}).
     Each activation overwrites the matmul output it is applied to, so a layer
     costs one fresh array; backpropagation reads only activation outputs.
-    The matmuls keep the transposed-view operand: a contiguous copy of W^T, or
-    splitting the rows into blocks, changes the last bits of some products.
+    The matmuls keep the transposed-view operand: a contiguous copy of W^T,
+    or splitting the rows into blocks below ``FORWARD_BLOCK_ROWS``, changes
+    the last bits of some products.
     """
     acts = [h]
     for w in weights[:-1]:
@@ -226,24 +244,30 @@ def _stack_forward(weights, h, act_fn) -> list:
 def output_preactivations(model: MLPModel, features) -> np.ndarray:
     """Final-layer scores z, shape (N, M); accepts a single feature vector too.
 
-    N uint8 rows, 2 * ``FORWARD_BLOCK_ROWS`` or more, are scaled and
+    N rows, 2 * ``FORWARD_BLOCK_ROWS`` or more, float or uint8, are
     evaluated in ``b = N // FORWARD_BLOCK_ROWS`` blocks cut at ``N * i // b``,
-    one reused float buffer holding a block's inputs, so no float copy of
-    them all is made; blocks of 1,024 to 2,047 rows keep one pass's bits.
+    each block's inputs written into one reused float buffer whose bias slot
+    is written once.  So a pass holds the scores and one block's inputs and
+    hidden activations, not every row's, and blocks of 1,024 to 2,047 rows
+    keep one pass's bits.  A model with a layer of width 1 takes one pass
+    at any count: BLAS computes that layer as a matrix-vector product,
+    whose last rows' bits depend on the row count at any count.
     """
     x = np.asarray(features)
     arch = model.architecture
     weights = [w[None] for w in model.weights]
     act_fn = _ACTIVATIONS[arch.activation][0]
-    if not (x.dtype == np.uint8 and x.ndim == 2 and len(x) >= 2 * FORWARD_BLOCK_ROWS):
+    if x.ndim != 2 or len(x) < 2 * FORWARD_BLOCK_ROWS or 1 in arch.layer_sizes:
         z = _stack_forward(weights, _augment(arch, x)[None], act_fn)[-1][0]
         return z[0] if x.ndim == 1 else z
     n_blocks = len(x) // FORWARD_BLOCK_ROWS
     cuts = [len(x) * i // n_blocks for i in range(n_blocks + 1)]
     z = np.empty((len(x), arch.n_outputs))
     floats = np.empty((cuts[-1] - cuts[-2], arch.layer_sizes[0]))  # the longest block
+    floats[:, -1] = 1.0  # the bias slot of every block
     for lo, hi in zip(cuts, cuts[1:]):
-        h = _augment(arch, x[lo:hi], floats[: hi - lo])
+        h = floats[: hi - lo]
+        _write_features(arch, x[lo:hi], h[:, :-1])
         z[lo:hi] = _stack_forward(weights, h[None], act_fn)[-1][0]
     return z
 
@@ -473,11 +497,11 @@ def train_stack(
 
     if adam:
         beta1, beta2, tiny = 0.9, 0.999, 1e-8
-        betas = np.array([[beta1], [beta2]])
-        mix = 1 - betas
-        corrections = np.empty((2, 1))
         moments = np.zeros((2, params.size))  # paired, as gpair's g and g^2
         gsq = gpair[1]
+        # each moment row with its gradient row, beta and 1 - beta: a scalar
+        # operand a row costs less than broadcasting a column of both
+        rows_adam = ((moments[0], gflat, beta1, 1 - beta1), (moments[1], gsq, beta2, 1 - beta2))
         step = 0
 
     risks = np.empty((n_models, hyper.epochs)) if trace else None
@@ -512,12 +536,12 @@ def train_stack(
                 # (m, v) = betas (m, v) + (1 - betas) (g, g^2)
                 # w -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + tiny)
                 step += 1
-                corrections[0, 0], corrections[1, 0] = 1 - beta1**step, 1 - beta2**step
                 np.square(gflat, out=gsq)
-                np.multiply(moments, betas, out=moments)
-                np.multiply(gpair, mix, out=gpair)
-                np.add(moments, gpair, out=moments)
-                np.divide(moments, corrections, out=gpair)
+                for moment, g, beta, mix in rows_adam:
+                    np.multiply(moment, beta, out=moment)
+                    np.multiply(g, mix, out=g)
+                    np.add(moment, g, out=moment)
+                    np.divide(moment, 1 - beta**step, out=g)
                 np.sqrt(gsq, out=gsq)
                 np.add(gsq, tiny, out=gsq)
                 np.multiply(gflat, lr, out=gflat)

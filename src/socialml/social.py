@@ -247,6 +247,7 @@ def run_prediction(
     if not np.all(np.isfinite(stat_track)):
         raise SocialLearningError("non-finite statistic value")
     lam = diffuse(np.moveaxis(stat_track, 0, -2), matrix.weights, delta, lam0)
+    del stat_track  # diffuse copied it: freed before the decisions are made
     if not np.all(np.isfinite(lam)):
         raise SocialLearningError("lambda contains non-finite values")
     picks = decide(lam)

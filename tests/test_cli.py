@@ -597,6 +597,23 @@ class TestCmdMontecarlo:
         cmd_montecarlo(validate_config(cfg, str(tmp_path)), str(tmp_path / "out"))
         assert rows[PHASE_STREAM] == 3
 
+    def test_a_replication_holds_no_whole_hidden_activation(self, tmp_path):
+        # 100 streams x 100 steps through (2, 64, 2) networks: one forward
+        # pass over a replication's 10,000 rows would hold a 5.1 MB hidden
+        # activation, more than the whole command's traced peak may reach
+        raw = base_config(model={**base_config()["model"], "hidden": [64], "repetitions": 1})
+        raw["montecarlo"].update(replications=2, eval_streams=100, horizon=100)
+        cfg = validate_config(raw, str(tmp_path))
+        cmd_montecarlo(cfg, str(tmp_path / "warm"))  # one-time allocations
+        tracemalloc.start()
+        try:
+            cmd_montecarlo(cfg, str(tmp_path / "out"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activation = 8 * 100 * 100 * 64
+        assert peak < activation, (peak, activation)
+
     def test_replication_is_pure_function_of_config_and_index(self, tmp_path):
         cfg = validate_config(base_config(), str(tmp_path))
         (a,) = montecarlo_chunk(cfg, [1])

@@ -24,6 +24,7 @@ from socialml.mlp import (
     _log_softmax,
     _project_columns,
     _risk_group,
+    _scale_pixels,
     _stack_forward,
     _stack_loss,
     initialize_model,
@@ -310,12 +311,13 @@ class TestForward:
             np.testing.assert_array_equal(statistic(rows), logits - means)
 
     def test_forward_holds_one_array_per_layer(self):
-        # a 10,000-row forward of a (2, 10, 2) network keeps the augmented
-        # input, one hidden activation and the scores, and no second copy of
-        # any of them
+        # a one-pass forward of 2,047 rows, the most that are not cut into
+        # blocks, through a (2, 10, 2) network keeps the augmented input, one
+        # hidden activation and the scores, and no second copy of any of them
         rng = np.random.default_rng(1)
         model = initialize_model(MLPArchitecture((2, 10, 2)), rng)
-        feats = rng.normal(size=(10_000, 1))
+        n = 2 * FORWARD_BLOCK_ROWS - 1
+        feats = rng.normal(size=(n, 1))
         output_preactivations(model, feats)  # warm-up outside the trace
         tracemalloc.start()
         try:
@@ -323,7 +325,7 @@ class TestForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = 8 * 10_000 * (2 + 10 + 2)
+        held = 8 * n * (2 + 10 + 2)
         assert peak < 1.1 * held, (peak, held)
 
 
@@ -373,10 +375,29 @@ class TestRowCountGap:
         assert differ[0] == 1
         assert max(differ) == 600
 
+    def test_a_layer_of_width_one_has_no_floor(self):
+        key = byte_ledger.environment_key()
+        ledger = json.loads(byte_ledger.LEDGER.read_text())["key"]
+        if key != ledger:
+            pytest.skip(f"the gap is measured under {ledger}, this environment is {key}")
+        # one hidden unit: BLAS's matrix-vector path sets the last bits of a
+        # block's last rows by the row count above the floor too
+        model, rows, whole = gap_model((9, 1, 2), "tanh")
+        counts = range(FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 16)
+        assert row_counts_that_differ(model, rows, whole, counts) != []
+
+
+def one_pass(model, rows) -> np.ndarray:
+    """The scores of ``rows`` from one ``_stack_forward`` call over all of them."""
+    weights = [w[None] for w in model.weights]
+    act_fn = _ACTIVATIONS[model.architecture.activation][0]
+    return _stack_forward(weights, _augment(model.architecture, rows)[None], act_fn)[-1][0]
+
 
 class TestPixelBlocks:
-    """More than 2 * ``FORWARD_BLOCK_ROWS`` - 1 uint8 rows are scaled and
-    evaluated in near-equal row blocks of 1,024 to 2,047 rows."""
+    """2 * ``FORWARD_BLOCK_ROWS`` or more rows, uint8 or float, are
+    evaluated in near-equal row blocks of 1,024 to 2,047 rows; uint8 rows
+    are scaled a block at a time."""
 
     def blocks(self, model, pixels) -> tuple:
         """The scores of ``pixels`` and the row count of each forward pass."""
@@ -395,10 +416,10 @@ class TestPixelBlocks:
         # an MNIST-sized evaluation: 10,000 rows of a 14x14 patch
         model, _, _ = gap_model((197, 32, 2), activation)
         pixels = np.random.default_rng(2).integers(0, 256, (10_000, 196), dtype=np.uint8)
-        one_pass = output_preactivations(model, pixels / 255.0)
+        want = one_pass(model, pixels / 255.0)
         got, counts = self.blocks(model, pixels)
         assert counts == [1111] * 8 + [1112]
-        assert np.array_equal(got.view(np.uint64), one_pass.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_the_block_edges(self):
         model, _, _ = gap_model((5, 3, 2), "tanh")
@@ -407,9 +428,22 @@ class TestPixelBlocks:
             pixels = rng.integers(0, 256, (n, 4), dtype=np.uint8)
             got, counts = self.blocks(model, pixels)
             assert counts == want
-            assert np.array_equal(got, output_preactivations(model, pixels / 255.0))
-        # float rows are one pass at any count
-        assert self.blocks(model, rng.random((3071, 4)))[1] == [3071]
+            assert np.array_equal(got, one_pass(model, pixels / 255.0))
+            # float rows follow the same rule: the same blocks at any count
+            floats = rng.random((n, 4))
+            got, counts = self.blocks(model, floats)
+            assert counts == want
+            assert np.array_equal(got, one_pass(model, floats))
+
+    @pytest.mark.parametrize("sizes", [(9, 1, 2), (9, 4, 1, 2)])
+    def test_a_layer_of_width_one_takes_one_pass(self, sizes):
+        model, _, _ = gap_model(sizes, "tanh")
+        rng = np.random.default_rng(5)
+        pixels = rng.integers(0, 256, (3071, 8), dtype=np.uint8)
+        for rows in (pixels, pixels / 255.0):
+            got, counts = self.blocks(model, rows)
+            assert counts == [3071]
+            assert np.array_equal(got, one_pass(model, pixels / 255.0))
 
     def test_blocks_hold_one_block_of_floats(self):
         model, _, _ = gap_model((197, 32, 2), "tanh")
@@ -426,6 +460,49 @@ class TestPixelBlocks:
         # Slack: array headers and the block edges, 2 KiB here (numpy 2.4.6)
         block = 8 * 1112 * (197 + 32 + 2)
         assert peak <= 8 * 10_000 * 2 + block + (8 << 10), peak
+
+
+class TestFloatBlocks:
+    """Float rows are cut into the blocks uint8 rows are, with the bits of
+    one pass and the memory of one block."""
+
+    @given(
+        n_features=st.integers(1, 784),
+        hidden=st.lists(st.integers(1, 40), min_size=1, max_size=2),
+        activation=st.sampled_from(["tanh", "relu", "identity"]),
+        n_outputs=st.integers(2, 3),
+        n=st.sampled_from([2047, 2048, 3071, 10_200]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_blocks_keep_the_bits_of_one_pass(
+        self, n_features, hidden, activation, n_outputs, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        arch = MLPArchitecture((n_features + 1, *hidden, n_outputs), activation)
+        model = initialize_model(arch, rng, 3.0)  # wide weights, as gap_model's
+        rows = rng.standard_normal((n, n_features))
+        got = output_preactivations(model, rows)
+        want = one_pass(model, rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_blocks_hold_one_block_of_floats(self):
+        # a replication of the mc_compare benchmark: 200 streams x 51 steps
+        # through a (2, 10, 2) network
+        model = initialize_model(MLPArchitecture((2, 10, 2)), np.random.default_rng(5))
+        rows = np.random.default_rng(6).standard_normal((10_200, 1))
+        output_preactivations(model, rows[:10])  # one-time allocations
+        tracemalloc.start()
+        try:
+            output_preactivations(model, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the scores of every row, and a block's floats: its inputs, hidden
+        # activations and scores; one pass held 1.1 MB.  Slack: array
+        # headers and the block edges, 2 KiB here (numpy 2.4.6)
+        block = 8 * 1134 * (2 + 10 + 2)
+        assert peak <= 8 * 10_200 * 2 + block + (8 << 10), peak
 
 
 class TestLogit:
@@ -1125,6 +1202,20 @@ class TestPixelInputs:
     def test_risk_groups_hold_no_more_float_bytes_than_the_stack(self):
         assert [_risk_group(np.zeros((s, 3, 2), np.uint8)) for s in (1, 7, 8, 17)] == [1, 1, 1, 2]
         assert _risk_group(np.zeros((17, 3, 2))) == 17
+
+    def test_every_byte_scales_to_its_quotient_bits(self):
+        # all 256 bytes, into a contiguous output and into the strided
+        # out[:, :-1] that _augment passes
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        want = (pixels / 255.0).view(np.uint64)
+        contiguous = np.empty((16, 16))
+        assert _scale_pixels(pixels, contiguous) is contiguous
+        assert np.array_equal(contiguous.view(np.uint64), want)
+        strided = np.full((16, 17), -1.0)
+        _scale_pixels(pixels, strided[:, :-1])
+        assert np.array_equal(strided[:, :-1].copy().view(np.uint64), want)
+        assert np.array_equal(strided[:, -1], np.full(16, -1.0))
+        assert contiguous[-1, -1] == 1.0
 
     def test_uint8_features_get_a_scaled_copy_and_the_bias_slot(self):
         rng = np.random.default_rng(4)
