@@ -249,9 +249,9 @@ def output_preactivations(model: MLPModel, features) -> np.ndarray:
     each block's inputs written into one reused float buffer whose bias slot
     is written once.  So a pass holds the scores and one block's inputs and
     hidden activations, not every row's, and blocks of 1,024 to 2,047 rows
-    keep one pass's bits.  A model with a layer of width 1 takes one pass
-    at any count: BLAS computes that layer as a matrix-vector product,
-    whose last rows' bits depend on the row count at any count.
+    keep one pass's bits.  A model with a layer of width 1 always takes
+    one pass: BLAS computes that layer as a matrix-vector product, whose
+    last rows' bits follow the row count with no floor.
     """
     x = np.asarray(features)
     arch = model.architecture
